@@ -7,94 +7,9 @@ own budgets, so selection and inference can share the full sample.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    AllCandidatesCollinear,
-    BadWeights,
-    DegenerateLevel,
-    DimensionMismatch,
-    EmptyInput,
-    InsufficientSamples,
-    MixedSlack,
-    NonConvergence,
-    RankDeficient,
-    StableCIError,
-    UnregisteredOrlicz,
-)
-from .linmodel import (
-    DesignMatrix,
-    FitResult,
-    ModelSet,
-    OrthonormalBasis,
-    ols_fit,
-    residual_projector,
-    sigma_hat_full_model,
-    stderr_known_sigma,
-    target_coefficients,
-)
-from .noise import (
-    NoisePolicy,
-    OrliczFamily,
-    RngStream,
-    Subgaussian,
-    descending_factorial,
-    laplace_sample,
-    scale_forward_stepwise,
-    scale_lasso,
-    scale_screening,
-    stable_linear_functional,
-)
-from .selectors import (
-    LassoConfig,
-    SelectionResult,
-    TraceStep,
-    certify_budgets,
-    fs_exact,
-    lambda_to_c1,
-    lasso_exact_fw,
-    screening_exact,
-    solve_penalized_lasso,
-    stable_fs,
-    stable_lasso,
-    stable_screening,
-    support,
-)
-from .stability import (
-    KNOWN_SIGMA,
-    SUBEXPONENTIAL,
-    SUBGAUSSIAN,
-    EstimatedSigma,
-    IntervalSet,
-    KnownSigma,
-    LevelAllocation,
-    OrliczFunction,
-    StabilityBudget,
-    align_slack,
-    alpha_split,
-    best_posi_constant,
-    build_intervals,
-    compose_adaptive_advanced,
-    compose_adaptive_simple,
-    compose_nonadaptive,
-    corrected_level,
-    eta_step_for_total,
-    normal_quantile,
-    orlicz,
-    orlicz_constant,
-    posi_constant,
-    register_orlicz,
-    sparse_selection_eta,
-    t_quantile,
-)
-from .experiments import (
-    DEFAULT_ETA_GRID,
-    ExperimentConfig,
-    ExperimentSummary,
-    SelectorSpec,
-    TrialRecord,
-    aggregate,
-    data_split_baseline,
-    eta_sweep,
-    gen_synthetic,
-    run_trial,
-    run_trials,
-)
+from .errors import StableCIError
+from .linmodel import DesignMatrix, ModelSet
+from .noise import RngStream, Subgaussian
+from .selectors import LassoConfig, SelectionResult, stable_fs, stable_lasso, stable_screening
+from .stability import IntervalSet, StabilityBudget, infer
+from .experiments import ExperimentConfig, SelectorSpec, eta_sweep, run_trial

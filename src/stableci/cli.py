@@ -24,12 +24,8 @@ import os
 import sys
 import time
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from . import __version__
 from .errors import (
@@ -46,29 +42,21 @@ from .experiments import (
     SelectorSpec,
     eta_sweep,
 )
-from .linmodel import (
-    DesignMatrix,
-    FitResult,
-    ModelSet,
-    ols_fit,
-    sigma_hat_full_model,
-    stderr_known_sigma,
-)
+from .linmodel import DesignMatrix, ModelSet
+# not called here: bound for perfbench/tracing.py, which wraps these names in this module
+from .linmodel import ols_fit, sigma_hat_full_model, stderr_known_sigma  # noqa: F401
 from .noise import RngStream, Subgaussian
 from .selectors import SelectionResult, lambda_to_c1, stable_fs, stable_lasso, stable_screening
 from .selectors import LassoConfig
 from .stability import (
-    KNOWN_SIGMA,
-    EstimatedSigma,
     StabilityBudget,
-    align_slack,
-    alpha_split,
-    best_posi_constant,
-    build_intervals,
     compose_adaptive_advanced,
     compose_adaptive_simple,
+    infer,
     sparse_selection_eta,
 )
+# not called here: bound for perfbench/tracing.py, which wraps this name in this module
+from .stability import best_posi_constant  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -205,7 +193,8 @@ def read_selection(path: str) -> tuple[ModelSet, list[StabilityBudget], dict]:
         except (IndexError, ValueError) as e:
             raise CliParseError(f"{path}: bad {kind} row {row}: {e}") from e
     if not budgets:
-        budgets = [StabilityBudget(0.0, 0.0, 0.0)]
+        raise CliParseError(f"{path}: no budget rows; a selection needs its certificate "
+                            "(use --model for a model chosen without looking at the data)")
     return ModelSet.from_unordered(indices), budgets, meta
 
 
@@ -216,8 +205,6 @@ def cmd_select(args) -> int:
     started = time.time()
     X = DesignMatrix(read_matrix(args.x))
     y = read_vector(args.y)
-    if y.shape[0] != X.n:
-        raise DimensionMismatch(f"y has {y.shape[0]} rows, X has {X.n}")
     family = Subgaussian(args.sigma)
     rng = RngStream(args.seed)
     params = {"n": X.n, "d": X.d, "delta": args.delta, "eta_step": args.eta,
@@ -257,10 +244,10 @@ def cmd_select(args) -> int:
 # ---------------------------------------------------------------------------
 # ci
 
-def _parse_sigma_mode(text: str):
-    """--sigma accepts 'estimate', 'known:VALUE', or a bare number."""
+def _parse_sigma(text: str) -> float | None:
+    """--sigma accepts 'estimate' (returned as None), 'known:VALUE', or a bare number."""
     if text == "estimate":
-        return ("estimate", None)
+        return None
     if text.startswith("known:"):
         text = text.split(":", 1)[1]
     try:
@@ -269,7 +256,7 @@ def _parse_sigma_mode(text: str):
         raise CliParseError(f"--sigma must be 'estimate', 'known:VALUE', or a number, got {text!r}") from e
     if not (value > 0):
         raise CliParseError(f"sigma must be positive, got {value}")
-    return ("known", value)
+    return value
 
 
 def _parse_weights(text: str) -> tuple[float, float, float]:
@@ -287,59 +274,28 @@ def cmd_ci(args) -> int:
     started = time.time()
     X = DesignMatrix(read_matrix(args.x))
     y = read_vector(args.y)
-    if y.shape[0] != X.n:
-        raise DimensionMismatch(f"y has {y.shape[0]} rows, X has {X.n}")
     if args.selection is not None:
         model, budgets, _ = read_selection(args.selection)
     else:
         indices = [int(p) for p in args.model.split(",")] if args.model.strip() else []
         model = ModelSet.from_unordered(indices)
         budgets = [StabilityBudget(0.0, 0.0, 0.0)]
-    if model.indices and model.indices[-1] >= X.d:
-        raise DimensionMismatch(f"selected column {model.indices[-1]} out of range for d={X.d}")
-
-    aligned = align_slack(budgets)
-    slack = aligned[0].slack
-    if args.weights is not None:
-        w = _parse_weights(args.weights)
-        alpha_split(args.alpha, w)  # validates
-        delta_level = w[0] * args.alpha
-        if slack > (w[1] + w[2]) * args.alpha + 1e-12:
-            raise CliParseError(
-                f"budget slack {slack} exceeds the tau+nu weight allowance "
-                f"{(w[1] + w[2]) * args.alpha}")
-    else:
-        delta_level = args.alpha - slack
-        if delta_level <= 0:
-            raise CliParseError(f"budget slack {slack} leaves no level within alpha={args.alpha}")
-
-    mode_name, sigma_value = _parse_sigma_mode(args.sigma)
-    if mode_name == "estimate":
-        sigma_value, dof = sigma_hat_full_model(X, y)
-        mode = EstimatedSigma(dof)
-    else:
-        mode = KNOWN_SIGMA
-
-    if len(model) == 0:
-        K, chosen = 0.0, aligned[0]
-        rows = []
-    else:
-        K, chosen = best_posi_constant(len(model), delta_level, aligned, mode)
-        coef = ols_fit(X, model, y)
-        stderrs = stderr_known_sigma(X, model, sigma_value)
-        ivals = build_intervals(FitResult(model=model, coefficients=coef, stderrs=stderrs), K)
-        rows = [[str(j), repr(float(ivals.estimates[i])), repr(float(ivals.stderrs[i])),
-                 repr(K), repr(float(ivals.lower[i])), repr(float(ivals.upper[i]))]
-                for i, j in enumerate(model)]
+    weights = _parse_weights(args.weights) if args.weights is not None else None
+    sigma = _parse_sigma(args.sigma)
+    ivals = infer(X, y, model, budgets, args.alpha, sigma, weights)
+    rows = [[str(j), repr(float(ivals.estimates[i])), repr(float(ivals.stderrs[i])),
+             repr(ivals.K), repr(float(ivals.lower[i])), repr(float(ivals.upper[i]))]
+            for i, j in enumerate(model)]
     _write_csv(args.out, ["index", "estimate", "stderr", "K", "lower", "upper"], rows)
     _write_manifest(args.out + ".manifest.json", "ci",
-                    {"alpha": args.alpha, "delta_level": delta_level, "K": K,
-                     "sigma_mode": mode_name, "sigma": sigma_value,
+                    {"alpha": args.alpha, "delta_level": ivals.level, "K": ivals.K,
+                     "sigma_mode": "estimate" if sigma is None else "known",
+                     "sigma": ivals.sigma,
                      "model": [int(j) for j in model],
-                     "budget_used": [chosen.eta, chosen.tau, chosen.nu],
+                     "budget_used": [ivals.budget.eta, ivals.budget.tau, ivals.budget.nu],
                      "weights": args.weights},
                     [args.out], started)
-    print(f"K={K!r} delta_level={delta_level!r} model_size={len(model)} -> {args.out}")
+    print(f"K={ivals.K!r} delta_level={ivals.level!r} model_size={len(model)} -> {args.out}")
     return 0
 
 
@@ -395,11 +351,10 @@ def load_config(path: str) -> tuple[ExperimentConfig, list[float]]:
         raise CliParseError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise CliParseError(f"{path} is not valid JSON: {e}") from e
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(raw, _CONFIG_SCHEMA)
-        except jsonschema.ValidationError as e:
-            raise CliParseError(f"{path}: {e.message} (at {'/'.join(map(str, e.path))})") from e
+    try:
+        jsonschema.validate(raw, _CONFIG_SCHEMA)
+    except jsonschema.ValidationError as e:
+        raise CliParseError(f"{path}: {e.message} (at {'/'.join(map(str, e.path))})") from e
     sel = raw["selector"]
     spec = SelectorSpec(
         method=sel["method"],
@@ -543,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="lasso penalty; converted to an l1 radius on this data")
     ps.add_argument("--steps", type=int, default=None, help="lasso iteration override")
     ps.add_argument("--eta", type=float, required=True, help="per-step privacy parameter")
-    ps.add_argument("--delta", type=float, default=0.05, help="per-run stability slack")
+    ps.add_argument("--delta", type=float, default=0.02, help="per-run stability slack")
     ps.add_argument("--sigma", type=float, default=1.0, help="noise scale of the response")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--out", default="selection.csv")

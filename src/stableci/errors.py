@@ -5,7 +5,7 @@ class StableCIError(Exception):
     """Base class for all package errors."""
 
 
-class DimensionMismatch(StableCIError):
+class DimensionMismatch(StableCIError, ValueError):
     """Vector/matrix shapes do not agree."""
 
 
@@ -31,10 +31,6 @@ class DegenerateLevel(StableCIError):
 
 class BadWeights(StableCIError):
     """Level-allocation weights are invalid."""
-
-
-class UnregisteredOrlicz(StableCIError):
-    """Unknown Orlicz function name."""
 
 
 class NonConvergence(StableCIError):

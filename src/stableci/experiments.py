@@ -10,20 +10,14 @@ width / FDR / risk against the realized design of that trial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyInput, RankDeficient
-from .linmodel import (
-    DesignMatrix,
-    FitResult,
-    ModelSet,
-    ols_fit,
-    sigma_hat_full_model,
-    stderr_known_sigma,
-    target_coefficients,
-)
+from .linmodel import DesignMatrix, ModelSet
+# not called here: bound for perfbench/tracing.py, which wraps these names in this module
+from .linmodel import ols_fit, sigma_hat_full_model, stderr_known_sigma, target_coefficients  # noqa: F401
 from .noise import RngStream, Subgaussian
 from .selectors import (
     LassoConfig,
@@ -37,15 +31,9 @@ from .selectors import (
     stable_screening,
     support,
 )
-from .stability import (
-    KNOWN_SIGMA,
-    EstimatedSigma,
-    StabilityBudget,
-    align_slack,
-    alpha_split,
-    best_posi_constant,
-    build_intervals,
-)
+from .stability import StabilityBudget, alpha_split, infer
+# not called here: bound for perfbench/tracing.py, which wraps this name in this module
+from .stability import best_posi_constant  # noqa: F401
 
 # paths namespaces under the master seed
 _PATH_SHARED_DESIGN = 0
@@ -195,15 +183,10 @@ def _run_selector(cfg: ExperimentConfig, X: DesignMatrix, y: np.ndarray,
 def _score_model(cfg: ExperimentConfig, X: DesignMatrix, y: np.ndarray,
                  mu: np.ndarray, beta: np.ndarray, model: ModelSet,
                  budget_candidates: list[StabilityBudget], trial_index: int,
-                 theta: np.ndarray | None, lam: float | None,
-                 alpha: float | None = None) -> TrialRecord:
+                 theta: np.ndarray | None, lam: float | None) -> TrialRecord:
     """Shared interval-and-metrics stage for trial runners."""
-    alpha = cfg.alpha if alpha is None else alpha
-    aligned = align_slack(budget_candidates)
-    slack = aligned[0].slack
-    delta_level = alpha - slack
-    if delta_level <= 0:
-        raise ValueError(f"budget slack {slack} leaves no quantile level within alpha={alpha}")
+    sigma = cfg.sigma if cfg.sigma_mode == "known" else None
+    ivals = infer(X, y, model, budget_candidates, cfg.alpha, sigma)
 
     risk = None
     if theta is not None and lam is not None:
@@ -212,29 +195,12 @@ def _score_model(cfg: ExperimentConfig, X: DesignMatrix, y: np.ndarray,
 
     fdr = sum(1 for j in model if beta[j] == 0.0) / max(len(model), 1)
 
-    if len(model) == 0:
-        return TrialRecord(trial_index=trial_index, model=model, covered=True,
-                           widths=np.zeros(0), fdr=fdr, risk=risk, K=0.0,
-                           budget_used=aligned[0])
-
-    if cfg.sigma_mode == "estimate":
-        sigma_hat, dof = sigma_hat_full_model(X, y)
-        mode = EstimatedSigma(dof)
-        scale = sigma_hat
-    else:
-        mode = KNOWN_SIGMA
-        scale = cfg.sigma
-
-    K, chosen = best_posi_constant(len(model), delta_level, aligned, mode)
-    coef = ols_fit(X, model, y)
-    stderrs = stderr_known_sigma(X, model, scale)
-    fit = FitResult(model=model, coefficients=coef, stderrs=stderrs)
-    ivals = build_intervals(fit, K)
-    targets = target_coefficients(X, model, mu)
+    # an empty model has nothing to miss, and np.all of no comparisons is True
+    targets = ivals.fit.coefficients(mu)
     covered = bool(np.all((ivals.lower <= targets) & (targets <= ivals.upper)))
     return TrialRecord(trial_index=trial_index, model=model, covered=covered,
                        widths=ivals.upper - ivals.lower, fdr=fdr, risk=risk,
-                       K=K, budget_used=chosen)
+                       K=ivals.K, budget_used=ivals.budget)
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int,
@@ -292,12 +258,9 @@ def data_split_baseline(cfg: ExperimentConfig, split_fraction: float,
             theta1 = lasso_exact_fw(X1, y1, spec.c1, spec.steps or 2000)
         model = support(theta1, spec.support_threshold)
 
-    split_cfg = replace(cfg, n=cfg.n - n_sel)
     X2 = DesignMatrix(X.entries[n_sel:])
-    y2, mu2 = y[n_sel:], mu[n_sel:]
-    return _score_model(split_cfg, X2, y2, mu2, beta, model,
-                        [StabilityBudget(0.0, 0.0, 0.0)], trial_index, None, None,
-                        alpha=cfg.alpha)
+    return _score_model(cfg, X2, y[n_sel:], mu[n_sel:], beta, model,
+                        [StabilityBudget(0.0, 0.0, 0.0)], trial_index, None, None)
 
 
 def _nearest_rank(sorted_vals: np.ndarray, level: float) -> float:

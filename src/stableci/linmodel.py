@@ -1,9 +1,8 @@
 """Deterministic linear-model algebra on submodels.
 
-Least squares restricted to a column subset, projection-defined targets,
-residual projectors, and the standard errors that interval construction
-multiplies by. Everything here is a pure function of its inputs; nothing
-draws randomness.
+Least squares restricted to a column subset, factored once per submodel and
+serving estimates, projection-defined targets, and the standard errors that
+interval construction multiplies by. Nothing here draws randomness.
 """
 
 from __future__ import annotations
@@ -83,85 +82,75 @@ class ModelSet:
         return j in self.indices
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """Per-selected-coefficient estimates and standard errors."""
+def as_response(y, n: int) -> np.ndarray:
+    """y as a float64 vector, checked to be 1-D, of length n and finite.
 
-    model: ModelSet
-    coefficients: np.ndarray
-    stderrs: np.ndarray
-
-    def __post_init__(self):
-        if len(self.coefficients) != len(self.model) or len(self.stderrs) != len(self.model):
-            raise DimensionMismatch("fit vectors must match the model size")
-
-
-def _check_model(X: DesignMatrix, M: ModelSet):
-    if len(M) and max(M.indices) >= X.d:
-        raise DimensionMismatch(
-            f"model index {max(M.indices)} out of range for d={X.d}"
-        )
-
-
-def _svd_submodel(X: DesignMatrix, M: ModelSet):
-    """Thin SVD of X_M with the rank check applied.
-
-    Returns (U, s, Vt). Raises RankDeficient when the smallest singular
-    value falls below RANK_TOL relative to the largest.
+    Raises DimensionMismatch for a wrong shape or length and ValueError for
+    a NaN or infinite entry.
     """
-    _check_model(X, M)
-    Xm = X.submatrix(M)
-    U, s, Vt = np.linalg.svd(Xm, full_matrices=False)
-    if len(M) and (s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]):
-        raise RankDeficient(
-            f"columns {M.indices}: singular value ratio "
-            f"{0.0 if s[0] == 0 else s[-1] / s[0]:.3e} below {RANK_TOL:.1e}"
-        )
-    return U, s, Vt
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (n,):
+        raise DimensionMismatch(f"response must be a vector of length n={n}, got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("response entries must be finite")
+    return y
+
+
+class SubmodelFit:
+    """Least squares on the columns M of X, factored once.
+
+    One thin SVD of X_M, rank-checked, serves the coefficients X_M^+ v for
+    any response v (the data y, or the mean mu for projection targets) and
+    the standard errors. Raises RankDeficient when the smallest singular
+    value falls below RANK_TOL relative to the largest, DimensionMismatch
+    for an index out of range. The empty model has no columns to factor.
+    """
+
+    def __init__(self, X: DesignMatrix, M: ModelSet):
+        if len(M) and max(M.indices) >= X.d:
+            raise DimensionMismatch(f"model index {max(M.indices)} out of range for d={X.d}")
+        self.model = M
+        self.n = X.n
+        if len(M) == 0:
+            self._U, self._s, self._Vt = np.zeros((X.n, 0)), np.zeros(0), np.zeros((0, 0))
+            return
+        U, s, Vt = np.linalg.svd(X.submatrix(M), full_matrices=False)
+        if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
+            raise RankDeficient(
+                f"columns {M.indices}: singular value ratio "
+                f"{0.0 if s[0] == 0 else s[-1] / s[0]:.3e} below {RANK_TOL:.1e}"
+            )
+        self._U, self._s, self._Vt = U, s, Vt
+
+    def coefficients(self, v) -> np.ndarray:
+        """The |M|-vector (X_M^T X_M)^{-1} X_M^T v."""
+        v = as_response(v, self.n)
+        return self._Vt.T @ ((self._U.T @ v) / self._s)
+
+    def stderrs(self, sigma: float) -> np.ndarray:
+        """Per-coefficient sigma * sqrt(diag((X_M^T X_M)^{-1}))."""
+        if sigma <= 0:
+            raise ValueError(f"sigma must be positive, got {sigma}")
+        # diag of (X^T X)^{-1} = rowwise sum of (V / s)^2
+        inv_diag = ((self._Vt.T / self._s) ** 2).sum(axis=1)
+        return sigma * np.sqrt(inv_diag)
 
 
 def ols_fit(X: DesignMatrix, M: ModelSet, y) -> np.ndarray:
-    """Least-squares coefficients of y on the columns of X indexed by M.
-
-    Returns the |M|-vector (X_M^T X_M)^{-1} X_M^T y; empty M gives an
-    empty vector. Raises RankDeficient / DimensionMismatch.
-    """
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if y.shape[0] != X.n:
-        raise DimensionMismatch(f"|y|={y.shape[0]} but n={X.n}")
-    if len(M) == 0:
-        return np.zeros(0)
-    U, s, Vt = _svd_submodel(X, M)
-    return Vt.T @ ((U.T @ y) / s)
+    """Least-squares coefficients of y on the columns of X indexed by M;
+    empty M gives an empty vector."""
+    return SubmodelFit(X, M).coefficients(y)
 
 
 def target_coefficients(X: DesignMatrix, M: ModelSet, mu) -> np.ndarray:
-    """Projection-defined targets X_M^+ mu for the submodel M.
-
-    Same code path as ols_fit applied to the mean vector, so the two agree
-    exactly when mu = y.
-    """
-    return ols_fit(X, M, mu)
-
-
-def residual_projector(X: DesignMatrix, M: ModelSet) -> np.ndarray:
-    """The n x n orthogonal projector onto the complement of span(X_M)."""
-    if len(M) == 0:
-        return np.eye(X.n)
-    U, _, _ = _svd_submodel(X, M)
-    return np.eye(X.n) - U @ U.T
+    """Projection-defined targets X_M^+ mu for the submodel M; the same
+    code path as ols_fit, so the two agree exactly when mu = y."""
+    return SubmodelFit(X, M).coefficients(mu)
 
 
 def stderr_known_sigma(X: DesignMatrix, M: ModelSet, sigma: float) -> np.ndarray:
     """Per-coefficient standard errors sigma * sqrt(diag((X_M^T X_M)^{-1}))."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if len(M) == 0:
-        return np.zeros(0)
-    _, s, Vt = _svd_submodel(X, M)
-    # diag of (X^T X)^{-1} = rowwise sum of (V / s)^2
-    inv_diag = ((Vt.T / s) ** 2).sum(axis=1)
-    return sigma * np.sqrt(inv_diag)
+    return SubmodelFit(X, M).stderrs(sigma)
 
 
 def sigma_hat_full_model(X: DesignMatrix, y) -> tuple[float, int]:
@@ -172,43 +161,8 @@ def sigma_hat_full_model(X: DesignMatrix, y) -> tuple[float, int]:
     """
     if X.n <= X.d:
         raise InsufficientSamples(f"need n > d for the full-model estimate, got n={X.n}, d={X.d}")
-    y = np.asarray(y, dtype=np.float64).ravel()
-    full = ModelSet(tuple(range(X.d)))
-    beta = ols_fit(X, full, y)
+    y = as_response(y, X.n)
+    beta = ols_fit(X, ModelSet(tuple(range(X.d))), y)
     rss = float(np.sum((y - X.entries @ beta) ** 2))
     dof = X.n - X.d
     return float(np.sqrt(rss / dof)), dof
-
-
-class OrthonormalBasis:
-    """Incrementally grown orthonormal basis of selected design columns.
-
-    Supports forward stepwise: adding a column Gram-Schmidt-residualizes it
-    against the current basis; residualize() applies the complement
-    projector without forming an n x n matrix.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self._q: list[np.ndarray] = []
-
-    def __len__(self):
-        return len(self._q)
-
-    def residualize(self, v: np.ndarray) -> np.ndarray:
-        r = v.astype(np.float64, copy=True)
-        for q in self._q:
-            r -= q * (q @ r)
-        return r
-
-    def add_column(self, v: np.ndarray, rel_tol: float = RANK_TOL) -> bool:
-        """Add v's residual direction; returns False if v is numerically in
-        the current span."""
-        r = self.residualize(v)
-        # second pass stabilizes classical Gram-Schmidt
-        r = self.residualize(r)
-        nrm = np.linalg.norm(r)
-        if nrm <= rel_tol * max(np.linalg.norm(v), 1e-300):
-            return False
-        self._q.append(r / nrm)
-        return True

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linmodel import DesignMatrix
-from .stability import OrliczFunction, normal_quantile
+from .stability import OrliczFunction
 
 _HALF_OPEN = float(np.nextafter(0.5, 0.0))  # largest double < 0.5
 
@@ -69,17 +69,6 @@ class RngStream:
         return f"RngStream(seed={self.master_seed}, path={self.path})"
 
 
-def laplace_sample(b: float, rng: RngStream) -> float:
-    """One draw from the zero-mean Laplace distribution with parameter b.
-
-    Inverse CDF: with u uniform on (-1/2, 1/2), returns
-    -b * sign(u) * ln(1 - 2|u|). Mean 0, variance 2 b^2.
-    """
-    if not (b > 0):
-        raise ValueError(f"b must be positive, got {b}")
-    return float(rng.laplace(b))
-
-
 # ---------------------------------------------------------------------------
 # noise policies
 
@@ -97,7 +86,7 @@ class Subgaussian:
 
 @dataclass(frozen=True)
 class OrliczFamily:
-    """||y - mu||_psi <= G for a registered Orlicz generator psi."""
+    """||y - mu||_psi <= G for an Orlicz generator psi."""
 
     psi: OrliczFunction
     G: float
@@ -167,40 +156,13 @@ def scale_forward_stepwise(d: int, k: int, policy: NoisePolicy) -> float:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
     fam = policy.family
     if isinstance(fam, Subgaussian):
-        _, log_df = descending_factorial(d, k)
-        log_arg = math.log(2.0) + log_df - math.log(policy.delta)
+        log_arg = math.log(2.0) + log_descending_factorial(d, k) - math.log(policy.delta)
         return 4.0 * _sqrt_log(log_arg) * fam.sigma / policy.eta_step
     return 2.0 * fam.psi.inverse(1.0 / policy.delta) * fam.G / policy.eta_step
 
 
-def descending_factorial(d: int, k: int) -> tuple[int, float]:
-    """(d)_k = d (d-1) ... (d-k+1) as an exact integer plus its log."""
+def log_descending_factorial(d: int, k: int) -> float:
+    """log (d)_k = log(d (d-1) ... (d-k+1))."""
     if not (0 <= k <= d):
         raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
-    exact = math.perm(d, k)
-    log_val = sum(math.log(d - i) for i in range(k))
-    return exact, log_val
-
-
-def stable_linear_functional(w, y, sigma: float, eta: float, nu: float,
-                             rng: RngStream) -> float:
-    """w^T y plus Laplace noise calibrated so the output is (eta, 0, nu)-stable
-    for sigma-Gaussian responses.
-
-    Scale: z_{1 - nu/2} * sqrt(2) * sigma * ||w||_2 / eta.
-    """
-    if not (eta > 0):
-        raise ValueError(f"eta must be positive, got {eta}")
-    if not (0.0 < nu < 1.0):
-        raise ValueError(f"nu must be in (0, 1), got {nu}")
-    if not (sigma > 0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    w = np.asarray(w, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if w.shape != y.shape:
-        raise ValueError(f"w and y must have equal length, got {w.shape} vs {y.shape}")
-    # -quantile(nu/2) = quantile(1 - nu/2), stated via the lower tail so
-    # tiny nu cannot saturate 1 - nu/2 in floats
-    z = -normal_quantile(nu / 2.0)
-    scale = z * math.sqrt(2.0) * sigma * float(np.linalg.norm(w)) / eta
-    return float(w @ y) + float(rng.laplace(scale))
+    return sum(math.log(d - i) for i in range(k))

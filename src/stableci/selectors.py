@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllCandidatesCollinear, NonConvergence
-from .linmodel import DesignMatrix, ModelSet
+from .linmodel import DesignMatrix, ModelSet, as_response
 from .noise import NoiseFamily, NoisePolicy, RngStream, Subgaussian, \
     scale_forward_stepwise, scale_lasso, scale_screening
 from .stability import StabilityBudget, compose_adaptive_advanced
@@ -158,7 +158,7 @@ def lasso_exact_fw(X: DesignMatrix, y, c1: float, steps: int) -> np.ndarray:
         raise ValueError(f"c1 must be positive, got {c1}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    y = np.asarray(y, dtype=np.float64).ravel()
+    y = as_response(y, X.n)
     theta, _ = _fw_loop(X, y, c1, steps, 0.0, None)
     return theta
 
@@ -171,7 +171,7 @@ def stable_lasso(X: DesignMatrix, y, cfg: LassoConfig, rng: RngStream,
     scale_override is a test hook; 0 gives the exact algorithm on the same
     code path.
     """
-    y = np.asarray(y, dtype=np.float64).ravel()
+    y = as_response(y, X.n)
     steps = cfg.resolved_steps(X)
     scale = scale_lasso(X.d, cfg.c1, X, cfg.policy) if scale_override is None \
         else scale_override
@@ -211,7 +211,7 @@ def solve_penalized_lasso(X: DesignMatrix, y, lam: float, gap_tol: float = 1e-8,
     if not (lam > 0):
         raise ValueError(f"lam must be positive, got {lam}")
     A = X.entries
-    y = np.asarray(y, dtype=np.float64).ravel()
+    y = as_response(y, X.n)
     d = X.d
     col_sq = X.col_norms ** 2
     theta = np.zeros(d)
@@ -255,9 +255,7 @@ def screening_exact(X: DesignMatrix, y, k: int) -> ModelSet:
     """Top-k indices by |X_i^T y| / n, ties broken by lowest index."""
     if not (1 <= k <= X.d):
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={X.d}")
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if y.shape[0] != X.n:
-        raise ValueError(f"|y|={y.shape[0]} but n={X.n}")
+    y = as_response(y, X.n)
     c = np.abs(X.entries.T @ y) / X.n
     # stable sort on -|c| keeps ascending index order within ties
     order = np.argsort(-c, kind="stable")
@@ -272,7 +270,7 @@ def stable_screening(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
     winner leaves the candidate set, noise is fresh each round."""
     if not (1 <= k <= X.d):
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={X.d}")
-    y = np.asarray(y, dtype=np.float64).ravel()
+    y = as_response(y, X.n)
     policy = NoisePolicy(family, delta, eta_step)
     scale = scale_screening(X.d, X, policy) if scale_override is None else scale_override
     c = (X.entries.T @ y) / X.n
@@ -347,51 +345,12 @@ def _fs_correlation_order(X: DesignMatrix, y: np.ndarray, k: int,
     return order, trace
 
 
-def _fs_sse_order(X: DesignMatrix, y: np.ndarray, k: int) -> list[int]:
-    """Independent forward-stepwise route: per step, refit every candidate
-    model from scratch and take the largest squared-error decrease."""
-    selected: list[int] = []
-    order: list[int] = []
-    for t in range(k):
-        best_j, best_rss = -1, math.inf
-        for j in range(X.d):
-            if j in selected:
-                continue
-            cols = selected + [j]
-            sub = X.entries[:, cols]
-            # skip candidates that add no independent direction
-            s = np.linalg.svd(sub, compute_uv=False)
-            if s[-1] <= FS_COLLINEAR_TOL * s[0]:
-                continue
-            coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
-            resid = y - sub @ coef
-            rss = float(resid @ resid)
-            if best_j < 0 or rss < best_rss - 1e-12 * (1.0 + best_rss):
-                best_j, best_rss = j, rss
-        if best_j < 0:
-            raise AllCandidatesCollinear(f"step {t + 1}: no independent candidate")
-        selected.append(best_j)
-        order.append(best_j)
-    return order
-
-
-def fs_exact(X: DesignMatrix, y, k: int, criterion: str = "correlation") -> ModelSet:
-    """Greedy forward stepwise on residual-normalized absolute correlations.
-
-    criterion "sse" switches to the refit-from-scratch squared-error-decrease
-    formulation; the two agree step by step up to score ties.
-    """
+def fs_exact(X: DesignMatrix, y, k: int) -> ModelSet:
+    """Greedy forward stepwise on residual-normalized absolute correlations."""
     if not (1 <= k <= X.d):
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={X.d}")
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if y.shape[0] != X.n:
-        raise ValueError(f"|y|={y.shape[0]} but n={X.n}")
-    if criterion == "correlation":
-        order, _ = _fs_correlation_order(X, y, k, 0.0, None)
-    elif criterion == "sse":
-        order = _fs_sse_order(X, y, k)
-    else:
-        raise ValueError(f"unknown criterion {criterion!r}")
+    y = as_response(y, X.n)
+    order, _ = _fs_correlation_order(X, y, k, 0.0, None)
     return ModelSet.from_unordered(order)
 
 
@@ -404,7 +363,7 @@ def stable_fs(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
     uses the descending factorial (d)_k and no 1/n factor."""
     if not (1 <= k <= X.d):
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={X.d}")
-    y = np.asarray(y, dtype=np.float64).ravel()
+    y = as_response(y, X.n)
     policy = NoisePolicy(family, delta, eta_step)
     scale = scale_forward_stepwise(X.d, k, policy) if scale_override is None \
         else scale_override

@@ -17,16 +17,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import betainc, gammaln, logsumexp
+from scipy.special import gammaln, logsumexp, ndtri, stdtrit
 
-from .errors import (
-    BadWeights,
-    DegenerateLevel,
-    EmptyInput,
-    MixedSlack,
-    UnregisteredOrlicz,
-)
-from .linmodel import FitResult, ModelSet
+from .errors import BadWeights, DegenerateLevel, EmptyInput, MixedSlack
+from .linmodel import DesignMatrix, ModelSet, SubmodelFit, as_response, sigma_hat_full_model
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -80,7 +74,13 @@ class LevelAllocation:
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """Simultaneous intervals estimate_j +/- K * stderr_j over a model."""
+    """Simultaneous intervals estimate_j +/- K * stderr_j over a model.
+
+    level is the quantile budget K was taken at, budget the certificate
+    that gave the smallest K, sigma the noise scale of the standard errors
+    (None for an empty model whose scale was to be estimated), and fit the
+    submodel factorization, which also serves the targets X_M^+ mu.
+    """
 
     model: ModelSet
     estimates: np.ndarray
@@ -88,6 +88,10 @@ class IntervalSet:
     K: float
     lower: np.ndarray
     upper: np.ndarray
+    level: float
+    budget: StabilityBudget
+    sigma: float | None
+    fit: SubmodelFit
 
 
 @dataclass(frozen=True)
@@ -107,136 +111,6 @@ class EstimatedSigma:
 
 
 KNOWN_SIGMA = KnownSigma()
-
-
-# ---------------------------------------------------------------------------
-# quantiles
-#
-# Hand-rolled so interval constants do not silently drift with library
-# versions; tests pin them against independent inversions.
-
-# Acklam's rational approximation to the inverse normal CDF
-# (relative error ~1.15e-9 before polishing).
-_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _normal_cdf(x: float) -> float:
-    # erfc form is accurate deep into the lower tail
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def _normal_pdf(x: float) -> float:
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-
-
-def _acklam(p: float) -> float:
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((_ACK_C[0] * q + _ACK_C[1]) * q + _ACK_C[2]) * q + _ACK_C[3]) * q
-                  + _ACK_C[4]) * q + _ACK_C[5])
-                / ((((_ACK_D[0] * q + _ACK_D[1]) * q + _ACK_D[2]) * q + _ACK_D[3]) * q + 1.0))
-    if p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        return (((((_ACK_A[0] * r + _ACK_A[1]) * r + _ACK_A[2]) * r + _ACK_A[3]) * r
-                 + _ACK_A[4]) * r + _ACK_A[5]) * q \
-            / (((((_ACK_B[0] * r + _ACK_B[1]) * r + _ACK_B[2]) * r + _ACK_B[3]) * r
-                + _ACK_B[4]) * r + 1.0)
-    return -_acklam(1.0 - p)
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard-normal CDF, absolute error well below 1e-8.
-
-    Rational initialization plus one Newton step against the erfc-based CDF.
-    For extreme upper-tail levels prefer passing the lower-tail mass and
-    negating; 1 - p saturates in float arithmetic long before p does.
-    """
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    if p == 0.5:
-        return 0.0
-    x = _acklam(p)
-    pdf = _normal_pdf(x)
-    if pdf > 0.0:
-        x -= (_normal_cdf(x) - p) / pdf
-    return x
-
-
-def _t_logpdf_const(dof: float) -> float:
-    return gammaln((dof + 1.0) / 2.0) - gammaln(dof / 2.0) - 0.5 * math.log(dof * math.pi)
-
-
-def _t_cdf(x: float, dof: float) -> float:
-    if x == 0.0:
-        return 0.5
-    z = dof / (dof + x * x)
-    half_tail = 0.5 * float(betainc(dof / 2.0, 0.5, z))
-    return half_tail if x < 0 else 1.0 - half_tail
-
-
-def _t_pdf(x: float, dof: float) -> float:
-    return math.exp(_t_logpdf_const(dof) - 0.5 * (dof + 1.0) * math.log1p(x * x / dof))
-
-
-def t_quantile(p: float, dof: int) -> float:
-    """Inverse Student-t CDF by safeguarded Newton on the incomplete-beta CDF.
-
-    Absolute error target 1e-8; converges for any dof >= 1 including the
-    heavy-tailed dof = 1 case.
-    """
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    if dof < 1:
-        raise ValueError(f"dof must be >= 1, got {dof}")
-    if p == 0.5:
-        return 0.0
-    if p > 0.5:
-        return -t_quantile(1.0 - p, dof)
-
-    # lower tail: x* < 0. Normal start with a Cornish-Fisher-style tilt.
-    z = normal_quantile(p)
-    x = z + (z ** 3 + z) / (4.0 * dof)
-    # bracket [lo, hi] with cdf(lo) <= p <= cdf(hi)
-    hi = min(x, -1e-8)
-    while _t_cdf(hi, dof) < p:
-        hi /= 2.0
-        if hi > -1e-290:
-            return 0.0
-    lo = min(x, hi * 2.0)
-    while _t_cdf(lo, dof) > p:
-        lo *= 2.0
-        if not math.isfinite(lo):
-            raise DegenerateLevel(f"t quantile bracket diverged at p={p}, dof={dof}")
-    x = min(max(x, lo), hi)
-    for _ in range(100):
-        f = _t_cdf(x, dof) - p
-        if f > 0:
-            hi = x
-        else:
-            lo = x
-        g = _t_pdf(x, dof)
-        step_ok = g > 0.0
-        if step_ok:
-            x_new = x - f / g
-            step_ok = lo <= x_new <= hi
-        if not step_ok:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-12 * (1.0 + abs(x_new)):
-            return x_new
-        x = x_new
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +197,8 @@ def posi_constant(model_size: int, delta: float, budget: StabilityBudget,
         raise DegenerateLevel(f"two-sided tail mass {q} outside (0, 0.5)")
     # quantile of the lower tail, negated: avoids computing 1 - q at all
     if isinstance(variance_mode, EstimatedSigma):
-        return -t_quantile(q, variance_mode.dof)
-    return -normal_quantile(q)
+        return -float(stdtrit(variance_mode.dof, q))
+    return -float(ndtri(q))
 
 
 def align_slack(budgets: list[StabilityBudget]) -> list[StabilityBudget]:
@@ -400,14 +274,47 @@ def alpha_split(alpha: float, weights: tuple[float, float, float] | None = None,
     return LevelAllocation(alpha * w[0], alpha * w[1], alpha * w[2])
 
 
-def build_intervals(fit: FitResult, K: float) -> IntervalSet:
-    """Assemble estimate_j +/- K * stderr_j over the fitted model."""
-    if not (K >= 0 and math.isfinite(K)):
-        raise ValueError(f"K must be finite and >= 0, got {K}")
-    est = np.asarray(fit.coefficients, dtype=np.float64)
-    se = np.asarray(fit.stderrs, dtype=np.float64)
-    return IntervalSet(model=fit.model, estimates=est, stderrs=se, K=K,
-                       lower=est - K * se, upper=est + K * se)
+def infer(X: DesignMatrix, y, model: ModelSet, budgets: list[StabilityBudget],
+          alpha: float, sigma: float | None,
+          weights: tuple[float, float, float] | None = None) -> IntervalSet:
+    """Simultaneous intervals over the selected model at miscoverage alpha.
+
+    The certificates are padded to a common slack tau + nu (align_slack),
+    which is spent out of alpha: the quantile level is alpha - slack, or
+    weights[0] * alpha for a (delta, tau, nu) weight split, whose tau + nu
+    share must then cover the slack. K is the smallest constant over the
+    certificates at that level. sigma is the known noise scale (normal
+    quantiles), or None to estimate it from the full model's residuals
+    (Student-t quantiles). The empty model gets no intervals and K = 0.
+    """
+    y = as_response(y, X.n)
+    fit = SubmodelFit(X, model)
+    aligned = align_slack(list(budgets))
+    slack = aligned[0].slack
+    alpha_split(alpha, weights)  # validates alpha and the weights
+    if weights is None:
+        level = alpha - slack
+        if level <= 0:
+            raise DegenerateLevel(f"budget slack {slack} leaves no level within alpha={alpha}")
+    else:
+        level = weights[0] * alpha
+        allowance = (weights[1] + weights[2]) * alpha
+        if slack > allowance + 1e-12:
+            raise BadWeights(f"budget slack {slack} exceeds the tau+nu weight allowance {allowance}")
+    if len(model) == 0:
+        K, chosen = 0.0, aligned[0]
+        se = np.zeros(0)
+    else:
+        mode = KNOWN_SIGMA
+        if sigma is None:
+            sigma, dof = sigma_hat_full_model(X, y)
+            mode = EstimatedSigma(dof)
+        K, chosen = best_posi_constant(len(model), level, aligned, mode)
+        se = fit.stderrs(sigma)
+    est = fit.coefficients(y)
+    return IntervalSet(model=model, estimates=est, stderrs=se, K=K,
+                       lower=est - K * se, upper=est + K * se,
+                       level=level, budget=chosen, sigma=sigma, fit=fit)
 
 
 # ---------------------------------------------------------------------------
@@ -424,45 +331,23 @@ class OrliczFunction:
     inverse: Callable[[float], float]
 
 
-_ORLICZ_REGISTRY: dict[str, OrliczFunction] = {}
-
-
-def register_orlicz(fn: OrliczFunction) -> OrliczFunction:
-    if fn.name in _ORLICZ_REGISTRY:
-        raise ValueError(f"orlicz function {fn.name!r} already registered")
-    _ORLICZ_REGISTRY[fn.name] = fn
-    return fn
-
-
-def orlicz(name: str) -> OrliczFunction:
-    try:
-        return _ORLICZ_REGISTRY[name]
-    except KeyError:
-        raise UnregisteredOrlicz(
-            f"unknown orlicz function {name!r}; registered: {sorted(_ORLICZ_REGISTRY)}"
-        ) from None
-
-
-SUBGAUSSIAN = register_orlicz(OrliczFunction(
+SUBGAUSSIAN = OrliczFunction(
     name="subgaussian",
     psi=lambda x: math.expm1(x * x),
     inverse=lambda u: math.sqrt(math.log1p(u)),
-))
+)
 
-SUBEXPONENTIAL = register_orlicz(OrliczFunction(
+SUBEXPONENTIAL = OrliczFunction(
     name="subexponential",
     psi=math.expm1,
     inverse=math.log1p,
-))
+)
 
 
-def orlicz_constant(psi: OrliczFunction | str, G: float, model_size: int,
+def orlicz_constant(psi: OrliczFunction, G: float, model_size: int,
                     delta: float, budget: StabilityBudget) -> float:
     """Half-width multiplier psi^{-1}(model_size * e^eta / (delta(1-nu))) * G;
     the caller multiplies by the Gram-diagonal square roots."""
-    fn = orlicz(psi) if isinstance(psi, str) else psi
-    if not isinstance(fn, OrliczFunction):
-        raise UnregisteredOrlicz(f"not an OrliczFunction: {psi!r}")
     if G <= 0:
         raise ValueError(f"G must be positive, got {G}")
     if model_size < 1:
@@ -472,7 +357,7 @@ def orlicz_constant(psi: OrliczFunction | str, G: float, model_size: int,
     if budget.nu >= 1.0:
         raise DegenerateLevel("nu = 1 leaves no typical mass")
     u = model_size * math.exp(budget.eta) / (delta * (1.0 - budget.nu))
-    return fn.inverse(u) * G
+    return psi.inverse(u) * G
 
 
 def eta_step_for_total(k: int, delta: float, eta_total: float) -> float:

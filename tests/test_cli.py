@@ -13,6 +13,7 @@ import scipy.stats
 
 from stableci.cli import (CliParseError, main, read_matrix, read_selection,
                           read_vector)
+from stableci.experiments import ExperimentConfig, SelectorSpec, gen_synthetic, run_trial
 from stableci.linmodel import DesignMatrix
 from stableci.selectors import lambda_to_c1, screening_exact
 
@@ -141,6 +142,34 @@ def test_select_dimension_mismatch(tmp_path, data):
                  "--k", "1", "--eta", "1.0"]) == 3
 
 
+def test_nonfinite_response_is_rejected(data, tmp_path):
+    y = data["y_arr"].copy()
+    y[5] = np.nan
+    bad = tmp_path / "nan.csv"
+    np.savetxt(bad, y[:, None], delimiter=",")
+    sel = str(tmp_path / "sel.csv")
+    for method in (["screen", "--k", "2"], ["fs", "--k", "2"], ["lasso", "--lam", "0.05"]):
+        assert main(["select", "--x", data["x"], "--y", str(bad), "--method", *method,
+                     "--eta", "1.0", "--out", sel]) == 2, method
+    out = tmp_path / "iv.csv"
+    assert main(["ci", "--x", data["x"], "--y", str(bad), "--model", "0,1",
+                 "--sigma", "known:1.0", "--out", str(out)]) == 2
+    assert main(["ci", "--x", data["x"], "--y", str(bad), "--model", "0,1",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_default_select_then_default_ci(data):
+    # select's default delta certifies a slack that ci's default alpha can spend
+    sel = str(data["dir"] / "sel.csv")
+    assert main(["select", "--x", data["x"], "--y", data["y"], "--method", "screen",
+                 "--k", "2", "--eta", "1.0", "--out", sel]) == 0
+    out = str(data["dir"] / "iv.csv")
+    assert main(["ci", "--x", data["x"], "--y", data["y"], "--selection", sel,
+                 "--out", out]) == 0
+    assert len(open(out).read().splitlines()) == 3
+
+
 # ---------------------------------------------------------------------------
 # ci
 
@@ -171,6 +200,21 @@ def test_ci_selection_budget_shifts_constant(data):
     np.testing.assert_allclose(K, 2.357590481797843, rtol=1e-12)
     np.testing.assert_allclose(
         K, scipy.stats.norm.ppf(1 - 0.025 * math.exp(-1)), rtol=1e-12)
+
+
+def test_ci_selection_without_budget_rows(data):
+    # a selection file must carry its certificate; --model is the explicit
+    # no-selection path
+    sel = data["dir"] / "nobudget.csv"
+    sel.write_text("record,f1,f2,f3,f4,f5,f6\n"
+                   "meta,schema,1,,,,\n"
+                   "selected,0,,,,,\n")
+    with pytest.raises(CliParseError, match="--model"):
+        read_selection(str(sel))
+    out = data["dir"] / "iv.csv"
+    assert main(["ci", "--x", data["x"], "--y", data["y"], "--selection", str(sel),
+                 "--sigma", "known:1.0", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_ci_empty_model(data):
@@ -236,6 +280,25 @@ def test_ci_estimate_needs_samples(tmp_path):
     assert main(["ci", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
                  "--model", "0", "--sigma", "estimate",
                  "--out", str(tmp_path / "o.csv")]) == 5
+
+
+@pytest.mark.parametrize("sigma_mode, sigma_flag", [("known", "known:1.0"),
+                                                    ("estimate", "estimate")])
+def test_ci_and_fixed_model_trial_share_one_inference_path(tmp_path, sigma_mode, sigma_flag):
+    cfg = ExperimentConfig(n=50, d=6, selector=SelectorSpec(method="fixed", fixed_model=(0, 2, 3)),
+                           trials=1, master_seed=8, alpha=0.1, alpha_weights=(1.0, 0.0, 0.0),
+                           sigma_mode=sigma_mode)
+    X, _, _, y = gen_synthetic(cfg, 0)
+    np.savetxt(tmp_path / "x.csv", X.entries, delimiter=",", fmt="%.17g")
+    np.savetxt(tmp_path / "y.csv", y[:, None], delimiter=",", fmt="%.17g")
+    out = tmp_path / "iv.csv"
+    assert main(["ci", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                 "--model", "0,2,3", "--alpha", "0.1", "--sigma", sigma_flag,
+                 "--out", str(out)]) == 0
+    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+    rec = run_trial(cfg, 0)
+    assert {float(r[3]) for r in rows} == {rec.K}
+    np.testing.assert_array_equal([float(r[5]) - float(r[4]) for r in rows], rec.widths)
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,16 @@ def test_run_trial_coverage_is_target_based():
     assert rec.covered == bool(np.all(np.abs(est - tgt) <= half))
 
 
+def test_run_trial_factors_each_model_once(svd_calls):
+    # one submodel SVD serves estimates, standard errors and targets
+    run_trial(fixed_cfg(), 0)
+    assert svd_calls == [(200, 3)]
+    svd_calls.clear()
+    # an estimated scale adds the full model's factorization
+    run_trial(fixed_cfg(sigma_mode="estimate"), 0)
+    assert sorted(svd_calls) == [(200, 3), (200, 10)]
+
+
 def test_run_trial_noisy_needs_eta():
     cfg = fixed_cfg(selector=SelectorSpec(method="screen", k=3))
     with pytest.raises(ValueError):

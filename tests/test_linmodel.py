@@ -6,10 +6,9 @@ import pytest
 
 from stableci.errors import (DimensionMismatch, InsufficientSamples,
                              RankDeficient)
-from stableci.linmodel import (DesignMatrix, FitResult, ModelSet,
-                               OrthonormalBasis, ols_fit, residual_projector,
-                               sigma_hat_full_model, stderr_known_sigma,
-                               target_coefficients)
+from stableci.linmodel import (DesignMatrix, ModelSet, SubmodelFit,
+                               as_response, ols_fit, sigma_hat_full_model,
+                               stderr_known_sigma, target_coefficients)
 
 LINE = DesignMatrix([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
 
@@ -58,11 +57,6 @@ def test_model_set_from_unordered_sorts_and_dedups():
     assert ModelSet.from_unordered([]).indices == ()
 
 
-def test_fit_result_length_check():
-    with pytest.raises(DimensionMismatch):
-        FitResult(ModelSet((0, 1)), np.zeros(1), np.zeros(2))
-
-
 def test_ols_fit_line():
     # intercept + slope through (0,0),(1,1),(2,2): exactly (0, 1)
     beta = ols_fit(LINE, ModelSet((0, 1)), [0.0, 1.0, 2.0])
@@ -90,6 +84,34 @@ def test_ols_fit_dimension_errors():
         ols_fit(LINE, ModelSet((0, 7)), [0.0, 1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [[1.0, np.nan, 2.0], [1.0, np.inf, 2.0]])
+def test_response_must_be_finite(bad):
+    with pytest.raises(ValueError):
+        as_response(bad, 3)
+    with pytest.raises(ValueError):
+        ols_fit(LINE, ModelSet((0, 1)), bad)
+
+
+def test_response_must_be_a_vector_of_length_n():
+    np.testing.assert_array_equal(as_response([1, 2, 3], 3), [1.0, 2.0, 3.0])
+    for bad in ([[1.0], [2.0], [3.0]], [1.0, 2.0], 1.0):
+        with pytest.raises(DimensionMismatch):
+            as_response(bad, 3)
+
+
+def test_submodel_fit_serves_every_response_from_one_factorization(svd_calls):
+    gen = np.random.default_rng(5)
+    X = DesignMatrix(gen.standard_normal((20, 5)))
+    M = ModelSet((1, 2, 4))
+    y, mu = gen.standard_normal(20), gen.standard_normal(20)
+    fit = SubmodelFit(X, M)
+    coef, tgt, se = fit.coefficients(y), fit.coefficients(mu), fit.stderrs(2.0)
+    assert svd_calls == [(20, 3)]
+    np.testing.assert_array_equal(coef, ols_fit(X, M, y))
+    np.testing.assert_array_equal(tgt, target_coefficients(X, M, mu))
+    np.testing.assert_array_equal(se, stderr_known_sigma(X, M, 2.0))
+
+
 def test_ols_fit_rank_deficient():
     X = DesignMatrix([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     with pytest.raises(RankDeficient):
@@ -108,23 +130,6 @@ def test_target_equals_fit_on_same_vector():
     y = gen.standard_normal(15)
     M = ModelSet((1, 3))
     np.testing.assert_array_equal(target_coefficients(X, M, y), ols_fit(X, M, y))
-
-
-def test_residual_projector_two_point():
-    X = DesignMatrix([[1.0], [1.0]])
-    P = residual_projector(X, ModelSet((0,)))
-    np.testing.assert_allclose(P, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-14)
-
-
-def test_residual_projector_properties():
-    gen = np.random.default_rng(11)
-    X = DesignMatrix(gen.standard_normal((12, 5)))
-    M = ModelSet((0, 2, 4))
-    P = residual_projector(X, M)
-    np.testing.assert_allclose(P @ P, P, atol=1e-10)
-    np.testing.assert_allclose(P, P.T, atol=1e-12)
-    np.testing.assert_allclose(P @ X.submatrix(M), 0.0, atol=1e-10)
-    np.testing.assert_array_equal(residual_projector(X, ModelSet()), np.eye(12))
 
 
 def test_stderr_known_sigma_line():
@@ -154,17 +159,3 @@ def test_sigma_hat_full_model():
 def test_sigma_hat_needs_extra_samples():
     with pytest.raises(InsufficientSamples):
         sigma_hat_full_model(DesignMatrix([[1.0, 0.0], [0.0, 1.0]]), [1.0, 2.0])
-
-
-def test_orthonormal_basis_residualize():
-    gen = np.random.default_rng(3)
-    basis = OrthonormalBasis(8)
-    cols = [gen.standard_normal(8) for _ in range(3)]
-    for c in cols:
-        assert basis.add_column(c)
-    assert len(basis) == 3
-    r = basis.residualize(gen.standard_normal(8))
-    for c in cols:
-        assert abs(r @ c) < 1e-10
-    # a vector already in the span contributes nothing new
-    assert not basis.add_column(1.3 * cols[0] - 0.4 * cols[1])

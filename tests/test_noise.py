@@ -1,4 +1,4 @@
-"""Path-keyed randomness, the Laplace sampler, and noise-scale calibration.
+"""Path-keyed randomness, Laplace draws, and noise-scale calibration.
 
 Distribution oracle: scipy.stats. Scale formulas pinned on designs whose
 norms are exact by construction (one row of ones, zeros elsewhere).
@@ -12,9 +12,8 @@ import scipy.stats
 
 from stableci.linmodel import DesignMatrix
 from stableci.noise import (NoisePolicy, OrliczFamily, RngStream, Subgaussian,
-                            descending_factorial, laplace_sample,
-                            scale_forward_stepwise, scale_lasso,
-                            scale_screening, stable_linear_functional)
+                            log_descending_factorial, scale_forward_stepwise,
+                            scale_lasso, scale_screening)
 from stableci.stability import SUBGAUSSIAN
 
 
@@ -95,14 +94,6 @@ def test_laplace_scale_zero_is_exact():
     np.testing.assert_array_equal(RngStream(1, (1,)).laplace(0.0, 100), np.zeros(100))
     with pytest.raises(ValueError):
         RngStream(1, (1,)).laplace(-0.5)
-
-
-def test_laplace_sample_scalar():
-    x = laplace_sample(2.0, RngStream(3, (2,)))
-    assert isinstance(x, float)
-    assert x == RngStream(3, (2,)).laplace(2.0)
-    with pytest.raises(ValueError):
-        laplace_sample(0.0, RngStream(3))
 
 
 def test_laplace_distribution_ks():
@@ -195,47 +186,9 @@ def test_scale_validation():
 
 
 def test_descending_factorial():
-    assert descending_factorial(5, 2) == (20, pytest.approx(math.log(20)))
-    assert descending_factorial(7, 0) == (1, 0.0)
-    exact, log_val = descending_factorial(500, 5)
-    assert exact == math.perm(500, 5) == 30629362512000
-    assert log_val == pytest.approx(math.log(exact), rel=1e-12)
+    assert log_descending_factorial(5, 2) == pytest.approx(math.log(20))
+    assert log_descending_factorial(7, 0) == 0.0
+    assert log_descending_factorial(500, 5) == pytest.approx(
+        math.log(math.perm(500, 5)), rel=1e-12)
     with pytest.raises(ValueError):
-        descending_factorial(3, 4)
-
-
-# ---------------------------------------------------------------------------
-# stable linear functional
-
-
-def test_stable_linear_functional_zero_weight():
-    assert stable_linear_functional(np.zeros(3), [1.0, 2.0, 3.0], 1.0, 1.0, 0.05,
-                                    RngStream(0, (0,))) == 0.0
-
-
-def test_stable_linear_functional_replay():
-    w, y = [0.5, -1.0], [2.0, 1.0]
-    a = stable_linear_functional(w, y, 1.0, 0.5, 0.05, RngStream(4, (1,)))
-    b = stable_linear_functional(w, y, 1.0, 0.5, 0.05, RngStream(4, (1,)))
-    assert a == b
-
-
-def test_stable_linear_functional_noise_scale():
-    # e_1 functional of y = 0: pure Laplace with scale z_{0.975} sqrt(2)
-    outs = np.array([stable_linear_functional([0.0, 1.0], [0.0, 0.0], 1.0, 1.0, 0.05,
-                                              RngStream(7, (5, i)))
-                     for i in range(20000)])
-    scale = 1.9599639845400545 * math.sqrt(2.0)
-    assert outs.std() == pytest.approx(math.sqrt(2.0) * scale, rel=0.05)
-
-
-def test_stable_linear_functional_validation():
-    rng = RngStream(0)
-    with pytest.raises(ValueError):
-        stable_linear_functional([1.0], [1.0], 1.0, 0.0, 0.05, rng)
-    with pytest.raises(ValueError):
-        stable_linear_functional([1.0], [1.0], 1.0, 1.0, 1.0, rng)
-    with pytest.raises(ValueError):
-        stable_linear_functional([1.0], [1.0], 0.0, 1.0, 0.05, rng)
-    with pytest.raises(ValueError):
-        stable_linear_functional([1.0, 2.0], [1.0], 1.0, 1.0, 0.05, rng)
+        log_descending_factorial(3, 4)

@@ -17,11 +17,12 @@ import scipy.stats
 from stableci.errors import AllCandidatesCollinear, NonConvergence
 from stableci.linmodel import DesignMatrix, ModelSet
 from stableci.noise import RngStream
-from stableci.selectors import (LassoConfig, certify_budgets, fs_exact,
-                                lasso_exact_fw, lambda_to_c1,
-                                screening_exact, solve_penalized_lasso,
-                                stable_fs, stable_lasso, stable_screening,
-                                support, _fs_correlation_order, _fs_sse_order)
+from stableci.selectors import (FS_COLLINEAR_TOL, LassoConfig,
+                                certify_budgets, fs_exact, lasso_exact_fw,
+                                lambda_to_c1, screening_exact,
+                                solve_penalized_lasso, stable_fs,
+                                stable_lasso, stable_screening, support,
+                                _fs_correlation_order)
 from stableci.stability import StabilityBudget, compose_adaptive_advanced
 
 
@@ -408,17 +409,37 @@ def test_fs_all_collinear_raises():
         fs_exact(X, col, 2)
 
 
+def fs_sse_order(X: DesignMatrix, y: np.ndarray, k: int) -> list[int]:
+    """Independent forward-stepwise route: per step, refit every candidate
+    model from scratch and take the largest squared-error decrease."""
+    selected: list[int] = []
+    for t in range(k):
+        best_j, best_rss = -1, math.inf
+        for j in range(X.d):
+            if j in selected:
+                continue
+            sub = X.entries[:, selected + [j]]
+            # skip candidates that add no independent direction
+            s = np.linalg.svd(sub, compute_uv=False)
+            if s[-1] <= FS_COLLINEAR_TOL * s[0]:
+                continue
+            coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
+            resid = y - sub @ coef
+            rss = float(resid @ resid)
+            if best_j < 0 or rss < best_rss - 1e-12 * (1.0 + best_rss):
+                best_j, best_rss = j, rss
+        if best_j < 0:
+            raise AllCandidatesCollinear(f"step {t + 1}: no independent candidate")
+        selected.append(best_j)
+    return selected
+
+
 def test_fs_sse_criterion_agrees_with_correlation():
+    # the two formulations agree step by step up to score ties
     for seed in range(20):
         X, y = random_instance(seed, n=30, d=7)
         corr_order, _ = _fs_correlation_order(X, y, 4, 0.0, None)
-        assert corr_order == _fs_sse_order(X, y, 4), seed
-
-
-def test_fs_exact_unknown_criterion():
-    X = DesignMatrix(np.eye(2))
-    with pytest.raises(ValueError):
-        fs_exact(X, [1.0, 2.0], 1, criterion="aic")
+        assert corr_order == fs_sse_order(X, y, 4), seed
 
 
 def test_stable_fs_zero_noise_matches_exact():

@@ -1,7 +1,8 @@
 """Quantiles, budget composition, and level-correction arithmetic.
 
-Quantile oracles: scipy.stats (and mpmath for one deep-tail point).
-Composition oracles: exact arithmetic / big-integer binomial sums.
+Quantile oracles: scipy.stats (and mpmath for one deep-tail point), applied
+through posi_constant. Composition oracles: exact arithmetic / big-integer
+binomial sums.
 """
 
 import math
@@ -12,53 +13,60 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stableci.errors import (BadWeights, DegenerateLevel, EmptyInput,
-                             MixedSlack, UnregisteredOrlicz)
-from stableci.linmodel import ModelSet
+from stableci.errors import BadWeights, DegenerateLevel, EmptyInput, MixedSlack
+from stableci.linmodel import DesignMatrix, ModelSet
 from stableci.stability import (KNOWN_SIGMA, SUBEXPONENTIAL, SUBGAUSSIAN,
-                                EstimatedSigma, FitResult, IntervalSet,
-                                LevelAllocation, OrliczFunction,
+                                EstimatedSigma, IntervalSet, LevelAllocation,
                                 StabilityBudget, align_slack, alpha_split,
-                                best_posi_constant, build_intervals,
-                                compose_adaptive_advanced,
+                                best_posi_constant, compose_adaptive_advanced,
                                 compose_adaptive_simple, compose_nonadaptive,
-                                corrected_level, eta_step_for_total,
-                                normal_quantile, orlicz, orlicz_constant,
-                                posi_constant, register_orlicz,
-                                sparse_selection_eta, t_quantile)
+                                corrected_level, eta_step_for_total, infer,
+                                orlicz_constant, posi_constant,
+                                sparse_selection_eta)
+
+B0 = StabilityBudget(0.0, 0.0, 0.0)
 
 # ---------------------------------------------------------------------------
 # quantiles
+#
+# posi_constant at model size 1, level 2t and a zero budget is the upper
+# t-quantile -F^{-1}(t). The level must stay below 1, so the median p = 1/2
+# is approached from the largest level below 1.
+
+
+def quantile(p, mode=KNOWN_SIGMA):
+    """F^{-1}(p) of the normal (or Student-t) law, read off posi_constant."""
+    tail = min(p, 1.0 - p)
+    K = posi_constant(1, min(2.0 * tail, np.nextafter(1.0, 0.0)), B0, mode)
+    return -K if p < 0.5 else K
 
 
 @pytest.mark.parametrize("p", [1e-12, 1e-8, 1e-4, 0.0125, 0.025, 0.3, 0.5,
                                0.7, 0.975, 0.9875])
 def test_normal_quantile_against_scipy(p):
-    np.testing.assert_allclose(normal_quantile(p), scipy.stats.norm.ppf(p),
+    np.testing.assert_allclose(quantile(p), scipy.stats.norm.ppf(p),
                                rtol=1e-12, atol=1e-13)
 
 
 @pytest.mark.parametrize("tail", [1e-8, 1e-12])
 def test_normal_quantile_extreme_upper_tail(tail):
-    # near p = 1 the polish step hits cancellation in Phi(x) - p; the
-    # documented contract is absolute error < 1e-8 there, and the precise
-    # route is the lower-tail mass negated
-    np.testing.assert_allclose(normal_quantile(1 - tail),
+    # near p = 1 the tail mass 1 - p has already lost digits to cancellation;
+    # the precise route is passing the tail mass itself, as posi_constant does
+    np.testing.assert_allclose(quantile(1 - tail),
                                scipy.stats.norm.ppf(1 - tail), atol=1e-8)
-    np.testing.assert_allclose(-normal_quantile(tail),
+    np.testing.assert_allclose(posi_constant(1, 2 * tail, B0),
                                scipy.stats.norm.isf(tail), rtol=1e-12)
 
 
 def test_normal_quantile_frozen_points():
-    assert normal_quantile(0.975) == pytest.approx(1.9599639845400545, abs=1e-12)
-    assert normal_quantile(0.9875) == pytest.approx(2.241402727604947, abs=1e-12)
-    assert normal_quantile(0.5) == 0.0
+    assert posi_constant(1, 0.05, B0) == pytest.approx(1.9599639845400545, abs=1e-12)
+    assert posi_constant(1, 0.025, B0) == pytest.approx(2.241402727604947, abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1, float("nan")])
 def test_normal_quantile_domain(p):
     with pytest.raises(ValueError):
-        normal_quantile(p)
+        posi_constant(1, 2.0 * p, B0)
 
 
 def test_normal_quantile_deep_tail_mpmath():
@@ -66,26 +74,28 @@ def test_normal_quantile_deep_tail_mpmath():
     mp.mp.dps = 300  # 1 - 2e-250 must stay away from 1
     p = 1e-250
     ref = float(-mp.sqrt(2) * mp.erfinv(1 - 2 * mp.mpf(p)))
-    np.testing.assert_allclose(normal_quantile(p), ref, rtol=1e-12)
+    np.testing.assert_allclose(-posi_constant(1, 2 * p, B0), ref, rtol=1e-12)
 
 
 @pytest.mark.parametrize("dof", [1, 2, 5, 30, 200])
 @pytest.mark.parametrize("p", [0.005, 0.025, 0.3, 0.5, 0.9, 0.999])
 def test_t_quantile_against_scipy(p, dof):
-    np.testing.assert_allclose(t_quantile(p, dof), scipy.stats.t.ppf(p, dof),
+    np.testing.assert_allclose(quantile(p, EstimatedSigma(dof)), scipy.stats.t.ppf(p, dof),
                                rtol=1e-9, atol=1e-12)
 
 
 def test_t_quantile_exceeds_normal():
     # heavier tails: same level needs a wider multiplier at small dof
-    assert t_quantile(0.975, 3) > normal_quantile(0.975)
-    assert t_quantile(0.975, 3000) == pytest.approx(normal_quantile(0.975), rel=1e-3)
+    assert posi_constant(1, 0.05, B0, EstimatedSigma(3)) > posi_constant(1, 0.05, B0)
+    assert posi_constant(1, 0.05, B0, EstimatedSigma(3000)) == pytest.approx(
+        posi_constant(1, 0.05, B0), rel=1e-3)
 
 
 @settings(deadline=None)
 @given(st.floats(min_value=1e-6, max_value=0.5, exclude_max=True))
 def test_normal_quantile_symmetry(p):
-    assert normal_quantile(p) == pytest.approx(-normal_quantile(1.0 - p), abs=1e-11)
+    # the negated lower-tail quantile is the upper one, -F^{-1}(p) = F^{-1}(1 - p)
+    assert posi_constant(1, 2.0 * p, B0) == pytest.approx(scipy.stats.norm.isf(p), abs=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -337,28 +347,54 @@ def test_best_posi_constant_skips_degenerate_candidates():
 
 
 def test_build_intervals():
-    fit = FitResult(ModelSet((0, 3)), np.array([1.0, -2.0]), np.array([0.5, 1.0]))
-    ivals = build_intervals(fit, 2.0)
-    np.testing.assert_allclose(ivals.lower, [0.0, -4.0])
-    np.testing.assert_allclose(ivals.upper, [2.0, 0.0])
-    assert isinstance(ivals, IntervalSet) and ivals.model is fit.model
+    # intercept + slope through (0,0),(1,1),(2,2): estimates (0, 1) exactly
+    X = DesignMatrix([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
+    M = ModelSet((0, 1))
+    ivals = infer(X, [0.0, 1.0, 2.0], M, [B0], 0.05, 2.0)
+    assert isinstance(ivals, IntervalSet) and ivals.model is M
+    assert (ivals.level, ivals.budget, ivals.sigma) == (0.05, B0, 2.0)
+    np.testing.assert_allclose(ivals.estimates, [0.0, 1.0], atol=1e-12)
+    # (X^T X)^{-1} = [[5,-3],[-3,3]]/6
+    np.testing.assert_allclose(ivals.stderrs, 2.0 * np.sqrt([5 / 6, 1 / 2]), rtol=1e-12)
+    np.testing.assert_allclose(ivals.K, scipy.stats.norm.ppf(1 - 0.05 / 4), rtol=1e-12)
+    np.testing.assert_array_equal(ivals.lower, ivals.estimates - ivals.K * ivals.stderrs)
+    np.testing.assert_array_equal(ivals.upper, ivals.estimates + ivals.K * ivals.stderrs)
+
+
+def test_infer_spends_the_aligned_slack():
+    gen = np.random.default_rng(3)
+    X = DesignMatrix(gen.standard_normal((30, 4)))
+    y = gen.standard_normal(30)
+    M = ModelSet((0, 2))
+    cands = [StabilityBudget(0.8, 0.02, 0.02), StabilityBudget(1.0, 0.0, 0.02)]
+    ivals = infer(X, y, M, cands, 0.1, 1.0)
+    assert ivals.level == pytest.approx(0.06)
+    K, chosen = best_posi_constant(2, 0.1 - 0.04, align_slack(cands))
+    assert (ivals.K, ivals.budget) == (K, chosen)
+    # a weight split fixes the level; its tau + nu share must cover the slack
+    assert infer(X, y, M, cands, 0.1, 1.0, (0.5, 0.25, 0.25)).level == 0.05
+    with pytest.raises(BadWeights):
+        infer(X, y, M, cands, 0.1, 1.0, (0.98, 0.01, 0.01))
+    with pytest.raises(DegenerateLevel):
+        infer(X, y, M, cands, 0.04, 1.0)
+
+
+def test_infer_estimated_sigma_and_empty_model():
+    gen = np.random.default_rng(4)
+    X = DesignMatrix(gen.standard_normal((12, 3)))
+    y = gen.standard_normal(12)
+    ivals = infer(X, y, ModelSet((1,)), [B0], 0.1, None)
+    resid = y - X.entries @ np.linalg.lstsq(X.entries, y, rcond=None)[0]
+    np.testing.assert_allclose(ivals.sigma, np.sqrt(resid @ resid / 9), rtol=1e-12)
+    np.testing.assert_allclose(ivals.K, scipy.stats.t.ppf(1 - 0.05, 9), rtol=1e-9)
+    empty = infer(X, y, ModelSet(), [B0], 0.1, None)
+    assert empty.K == 0.0 and empty.sigma is None and empty.lower.size == 0
     with pytest.raises(ValueError):
-        build_intervals(fit, -1.0)
-    with pytest.raises(ValueError):
-        build_intervals(fit, float("inf"))
+        infer(X, np.where(np.arange(12) == 3, np.nan, y), ModelSet((1,)), [B0], 0.1, 1.0)
 
 
 # ---------------------------------------------------------------------------
 # orlicz families
-
-
-def test_orlicz_registry():
-    assert orlicz("subgaussian") is SUBGAUSSIAN
-    assert orlicz("subexponential") is SUBEXPONENTIAL
-    with pytest.raises(UnregisteredOrlicz):
-        orlicz("cauchy")
-    with pytest.raises(ValueError):
-        register_orlicz(OrliczFunction(name="subgaussian", psi=abs, inverse=abs))
 
 
 def test_orlicz_inverse_pairs():
@@ -373,7 +409,7 @@ def test_orlicz_constant_values():
     base = orlicz_constant(SUBGAUSSIAN, 1.0, 1, 0.05, b0)
     assert base == pytest.approx(math.sqrt(math.log(21.0)), abs=1e-14)
     assert base == pytest.approx(1.7448559934055943, abs=1e-13)
-    subexp = orlicz_constant("subexponential", 1.0, 1, 0.05, b0)
+    subexp = orlicz_constant(SUBEXPONENTIAL, 1.0, 1, 0.05, b0)
     assert subexp == pytest.approx(3.044522437723423, abs=1e-13)
     # G multiplies, eta inflates through exp, model size through Bonferroni
     assert orlicz_constant(SUBGAUSSIAN, 2.0, 1, 0.05, b0) == pytest.approx(2 * base)
@@ -387,5 +423,3 @@ def test_orlicz_constant_validation():
         orlicz_constant(SUBGAUSSIAN, 0.0, 1, 0.05, b0)
     with pytest.raises(DegenerateLevel):
         orlicz_constant(SUBGAUSSIAN, 1.0, 1, 0.05, StabilityBudget(0.0, 0.0, 1.0))
-    with pytest.raises(UnregisteredOrlicz):
-        orlicz_constant(42, 1.0, 1, 0.05, b0)
