@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -41,13 +42,15 @@ from .experiments import (
     ExperimentConfig,
     SelectorSpec,
     eta_sweep,
+    run_selector,
 )
 from .linmodel import DesignMatrix, ModelSet
 # not called here: bound for perfbench/tracing.py, which wraps these names in this module
 from .linmodel import ols_fit, sigma_hat_full_model, stderr_known_sigma  # noqa: F401
-from .noise import RngStream, Subgaussian
-from .selectors import SelectionResult, lambda_to_c1, stable_fs, stable_lasso, stable_screening
-from .selectors import LassoConfig
+from .noise import RngStream
+from .selectors import SelectionResult
+# not called here: bound for perfbench/tracing.py, which wraps these names in this module
+from .selectors import lambda_to_c1, stable_fs, stable_lasso, stable_screening  # noqa: F401
 from .stability import (
     StabilityBudget,
     compose_adaptive_advanced,
@@ -203,33 +206,21 @@ def read_selection(path: str) -> tuple[ModelSet, list[StabilityBudget], dict]:
 
 def cmd_select(args) -> int:
     started = time.time()
+    spec = SelectorSpec(method=args.method, k=args.k, c1=args.c1, lam=args.lam,
+                        steps=args.steps)
     X = DesignMatrix(read_matrix(args.x))
     y = read_vector(args.y)
-    family = Subgaussian(args.sigma)
-    rng = RngStream(args.seed)
+    result = run_selector(spec, X, y, args.eta, args.delta, args.sigma, RngStream(args.seed))
     params = {"n": X.n, "d": X.d, "delta": args.delta, "eta_step": args.eta,
               "sigma": args.sigma, "seed": args.seed}
-    if args.method in ("screen", "fs"):
-        if args.k is None:
-            raise CliParseError(f"--k is required for method {args.method!r}")
+    if result.c1 is None:
         params["k"] = args.k
-        if args.method == "screen":
-            result = stable_screening(X, y, args.k, args.delta, args.eta, family, rng=rng)
-        else:
-            result = stable_fs(X, y, args.k, args.delta, args.eta, family, rng=rng)
-    else:  # lasso
-        if (args.c1 is None) == (args.lam is None):
-            raise CliParseError("lasso needs exactly one of --c1 or --lam")
-        c1 = args.c1 if args.c1 is not None else lambda_to_c1(X, y, args.lam)
-        if c1 <= 0.0:
-            raise CliParseError(f"penalty {args.lam} zeroes every coordinate; nothing to select")
+    elif result.c1 == 0.0:
+        raise CliParseError(f"penalty {args.lam} zeroes every coordinate; nothing to select")
+    else:
         if args.lam is not None:
             params["lam"] = args.lam
-        params["c1"] = c1
-        cfg = LassoConfig(c1=c1, steps=args.steps, delta=args.delta, eta_step=args.eta,
-                          family=family)
-        params["steps"] = cfg.resolved_steps(X)
-        result = stable_lasso(X, y, cfg, rng)
+        params.update(c1=result.c1, steps=len(result.trace))
     write_selection(args.out, args.method, params, result)
     manifest = args.out + ".manifest.json"
     _write_manifest(manifest, "select",
@@ -254,8 +245,8 @@ def _parse_sigma(text: str) -> float | None:
         value = float(text)
     except ValueError as e:
         raise CliParseError(f"--sigma must be 'estimate', 'known:VALUE', or a number, got {text!r}") from e
-    if not (value > 0):
-        raise CliParseError(f"sigma must be positive, got {value}")
+    if not (0 < value < math.inf):
+        raise CliParseError(f"sigma must be finite and positive, got {value}")
     return value
 
 
@@ -355,16 +346,9 @@ def load_config(path: str) -> tuple[ExperimentConfig, list[float]]:
         jsonschema.validate(raw, _CONFIG_SCHEMA)
     except jsonschema.ValidationError as e:
         raise CliParseError(f"{path}: {e.message} (at {'/'.join(map(str, e.path))})") from e
+    # the schema admits exactly SelectorSpec's fields
     sel = raw["selector"]
-    spec = SelectorSpec(
-        method=sel["method"],
-        k=sel.get("k"),
-        c1=sel.get("c1"),
-        lam=sel.get("lam"),
-        steps=sel.get("steps"),
-        fixed_model=tuple(sel.get("fixed_model", ())),
-        support_threshold=sel.get("support_threshold", 1e-12),
-    )
+    spec = SelectorSpec(**{**sel, "fixed_model": tuple(sel.get("fixed_model", ()))})
     weights = raw.get("alpha_weights")
     cfg = ExperimentConfig(
         n=raw["n"],
@@ -530,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--k", type=int, default=None, help="number of adaptive steps")
     pb.add_argument("--eta-step", type=float, default=None)
     pb.add_argument("--tau-step", type=float, default=0.0)
-    pb.add_argument("--delta", type=float, default=0.05)
+    pb.add_argument("--delta", type=float, default=0.02, help="slack (select's default)")
     pb.add_argument("--sparse", nargs=3, default=None, metavar=("D", "S", "TAU"),
                     help="also print the union bound for s-sparse selection")
     pb.set_defaults(func=cmd_budget)

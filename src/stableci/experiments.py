@@ -10,17 +10,21 @@ width / FDR / risk against the realized design of that trial.
 from __future__ import annotations
 
 import math
+import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, RankDeficient
+from .errors import AllCandidatesCollinear, DegenerateLevel, EmptyInput, NonConvergence, \
+    RankDeficient
 from .linmodel import DesignMatrix, ModelSet
 # not called here: bound for perfbench/tracing.py, which wraps these names in this module
 from .linmodel import ols_fit, sigma_hat_full_model, stderr_known_sigma, target_coefficients  # noqa: F401
 from .noise import RngStream, Subgaussian
 from .selectors import (
-    LassoConfig,
+    SelectionResult,
+    SelectorSpec,
     fs_exact,
     lambda_to_c1,
     lasso_exact_fw,
@@ -44,28 +48,7 @@ DEFAULT_ETA_GRID = tuple(0.5 * i for i in range(1, 21))
 
 WIDTH_QUANTILE_LEVELS = (0.80, 0.85, 0.90, 1.00)
 
-
-@dataclass(frozen=True)
-class SelectorSpec:
-    """Which selector a trial runs and its non-noise parameters."""
-
-    method: str  # "fixed" | "screen" | "fs" | "lasso"
-    k: int | None = None
-    c1: float | None = None
-    lam: float | None = None
-    steps: int | None = None
-    fixed_model: tuple[int, ...] = ()
-    support_threshold: float = 1e-12
-
-    def __post_init__(self):
-        if self.method not in ("fixed", "screen", "fs", "lasso"):
-            raise ValueError(f"unknown selector method {self.method!r}")
-        if self.method in ("screen", "fs") and (self.k is None or self.k < 1):
-            raise ValueError(f"method {self.method!r} needs k >= 1")
-        if self.method == "lasso" and (self.c1 is None) == (self.lam is None):
-            raise ValueError("lasso needs exactly one of c1 or lam")
-        if self.method == "fixed" and len(self.fixed_model) == 0:
-            raise ValueError("fixed method needs a nonempty fixed_model")
+_ZERO_BUDGET = StabilityBudget(0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -91,8 +74,10 @@ class ExperimentConfig:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not (0.0 <= self.beta_spec[1] <= 1.0):
             raise ValueError(f"active fraction must be in [0, 1], got {self.beta_spec[1]}")
-        if not (self.sigma > 0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not (0 < self.sigma < math.inf):
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        if not math.isfinite(self.beta_spec[0]):
+            raise ValueError(f"signal must be finite, got {self.beta_spec[0]}")
         if self.sigma_mode not in ("known", "estimate"):
             raise ValueError(f"sigma_mode must be 'known' or 'estimate', got {self.sigma_mode!r}")
 
@@ -149,56 +134,48 @@ def gen_synthetic(cfg: ExperimentConfig, trial_index: int,
     return X, beta, mu, y
 
 
-def _run_selector(cfg: ExperimentConfig, X: DesignMatrix, y: np.ndarray,
-                  eta_step: float | None, delta_sel: float, rng: RngStream,
-                  ) -> tuple[ModelSet, list[StabilityBudget], np.ndarray | None, float | None]:
-    """Dispatch one noisy selection; returns (model, raw budget candidates,
-    theta or None, realized lasso penalty or None)."""
-    spec = cfg.selector
+def run_selector(spec: SelectorSpec, X: DesignMatrix, y, eta_step: float | None,
+                 delta: float, sigma: float, rng: RngStream) -> SelectionResult:
+    """The one selection dispatch, shared by `select` and the trial runner:
+    run spec's noisy selector at per-step eta_step, slack delta and noise
+    scale sigma. A fixed model, and a penalty that zeroes every coordinate,
+    are chosen without noise and carry the zero certificate."""
     if spec.method == "fixed":
-        return ModelSet.from_unordered(spec.fixed_model), [StabilityBudget(0.0, 0.0, 0.0)], None, None
+        return SelectionResult(ModelSet.from_unordered(spec.fixed_model), None, (),
+                               (_ZERO_BUDGET,))
     if eta_step is None or eta_step <= 0:
         raise ValueError(f"selector {spec.method!r} needs a positive eta_step")
-    family = Subgaussian(cfg.sigma)
+    family = Subgaussian(sigma)
     if spec.method == "screen":
-        res = stable_screening(X, y, spec.k, delta_sel, eta_step, family, rng=rng)
-        return res.model, list(res.budgets), None, None
+        return stable_screening(X, y, spec.k, delta, eta_step, family, rng=rng)
     if spec.method == "fs":
-        res = stable_fs(X, y, spec.k, delta_sel, eta_step, family, rng=rng)
-        return res.model, list(res.budgets), None, None
-    # lasso
-    if spec.lam is not None:
-        c1 = lambda_to_c1(X, y, spec.lam)
-        if c1 <= 0.0:
-            # penalty kills every coordinate; the selection is deterministic
-            return ModelSet(), [StabilityBudget(0.0, 0.0, 0.0)], np.zeros(X.d), spec.lam
-    else:
-        c1 = spec.c1
-    lcfg = LassoConfig(c1=c1, steps=spec.steps, delta=delta_sel, eta_step=eta_step,
-                       family=family, support_threshold=spec.support_threshold)
-    res = stable_lasso(X, y, lcfg, rng)
-    return res.model, list(res.budgets), res.theta, spec.lam
+        return stable_fs(X, y, spec.k, delta, eta_step, family, rng=rng)
+    c1 = spec.c1 if spec.lam is None else lambda_to_c1(X, y, spec.lam)
+    if c1 == 0.0:
+        return SelectionResult(ModelSet(), np.zeros(X.d), (), (_ZERO_BUDGET,), c1=0.0)
+    return stable_lasso(X, y, c1, delta, eta_step, family, rng=rng, steps=spec.steps,
+                        support_threshold=spec.support_threshold)
 
 
 def _score_model(cfg: ExperimentConfig, X: DesignMatrix, y: np.ndarray,
-                 mu: np.ndarray, beta: np.ndarray, model: ModelSet,
-                 budget_candidates: list[StabilityBudget], trial_index: int,
-                 theta: np.ndarray | None, lam: float | None) -> TrialRecord:
+                 mu: np.ndarray, beta: np.ndarray, sel: SelectionResult,
+                 trial_index: int) -> TrialRecord:
     """Shared interval-and-metrics stage for trial runners."""
     sigma = cfg.sigma if cfg.sigma_mode == "known" else None
-    ivals = infer(X, y, model, budget_candidates, cfg.alpha, sigma)
+    ivals = infer(X, y, sel.model, sel.budgets, cfg.alpha, sigma)
 
     risk = None
-    if theta is not None and lam is not None:
-        resid = y - X.entries @ theta
-        risk = (0.5 * float(resid @ resid) + lam * float(np.abs(theta).sum())) / X.n
+    lam = cfg.selector.lam
+    if sel.theta is not None and lam is not None:
+        resid = y - X.entries @ sel.theta
+        risk = (0.5 * float(resid @ resid) + lam * float(np.abs(sel.theta).sum())) / X.n
 
-    fdr = sum(1 for j in model if beta[j] == 0.0) / max(len(model), 1)
+    fdr = sum(1 for j in sel.model if beta[j] == 0.0) / max(len(sel.model), 1)
 
     # an empty model has nothing to miss, and np.all of no comparisons is True
     targets = ivals.fit.coefficients(mu)
     covered = bool(np.all((ivals.lower <= targets) & (targets <= ivals.upper)))
-    return TrialRecord(trial_index=trial_index, model=model, covered=covered,
+    return TrialRecord(trial_index=trial_index, model=sel.model, covered=covered,
                        widths=ivals.upper - ivals.lower, fdr=fdr, risk=risk,
                        K=ivals.K, budget_used=ivals.budget)
 
@@ -210,21 +187,22 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
     The level allocation follows alpha_split; noisy selectors spend
     (tau + nu)/2 as their internal slack parameter so that, after slack
     alignment, the quantile budget comes out to exactly the allocated delta.
-    A rank-deficient fit flags the trial instead of killing the sweep.
+    A rank-deficient fit, collinear forward-stepwise candidates, a
+    non-converging penalty solve or a degenerate level flags the trial as
+    `<reason>: <message>` instead of killing the sweep.
     """
     X, beta, mu, y = gen_synthetic(cfg, trial_index)
     alloc = alpha_split(cfg.alpha, cfg.alpha_weights)
     delta_sel = (alloc.tau + alloc.nu) / 2.0
     rng = RngStream(cfg.master_seed).child(_PATH_TRIAL_SELECTOR, trial_index)
     try:
-        model, candidates, theta, lam = _run_selector(cfg, X, y, eta_step, delta_sel, rng)
-        return _score_model(cfg, X, y, mu, beta, model, candidates, trial_index,
-                            theta, lam)
-    except RankDeficient as e:
+        sel = run_selector(cfg.selector, X, y, eta_step, delta_sel, cfg.sigma, rng)
+        return _score_model(cfg, X, y, mu, beta, sel, trial_index)
+    except (RankDeficient, AllCandidatesCollinear, NonConvergence, DegenerateLevel) as e:
+        reason = re.sub(r"(?<!^)(?=[A-Z])", "_", type(e).__name__).lower()
         return TrialRecord(trial_index=trial_index, model=ModelSet(), covered=False,
                            widths=np.zeros(0), fdr=0.0, risk=None, K=0.0,
-                           budget_used=StabilityBudget(0.0, 0.0, 0.0),
-                           flagged=f"rank_deficient: {e}")
+                           budget_used=_ZERO_BUDGET, flagged=f"{reason}: {e}")
 
 
 def data_split_baseline(cfg: ExperimentConfig, split_fraction: float,
@@ -259,8 +237,8 @@ def data_split_baseline(cfg: ExperimentConfig, split_fraction: float,
         model = support(theta1, spec.support_threshold)
 
     X2 = DesignMatrix(X.entries[n_sel:])
-    return _score_model(cfg, X2, y[n_sel:], mu[n_sel:], beta, model,
-                        [StabilityBudget(0.0, 0.0, 0.0)], trial_index, None, None)
+    return _score_model(cfg, X2, y[n_sel:], mu[n_sel:], beta,
+                        SelectionResult(model, None, (), (_ZERO_BUDGET,)), trial_index)
 
 
 def _nearest_rank(sorted_vals: np.ndarray, level: float) -> float:
@@ -278,7 +256,9 @@ def aggregate(records: list[TrialRecord], eta_step: float | None = None,
     kept = [r for r in records if r.flagged is None]
     flagged = len(records) - len(kept)
     if not kept:
-        raise EmptyInput(f"all {len(records)} trials were flagged")
+        reasons = Counter(r.flagged.split(":", 1)[0] for r in records)
+        raise EmptyInput(f"all {len(records)} trials were flagged ("
+                         + ", ".join(f"{k}: {c}" for k, c in sorted(reasons.items())) + ")")
     pooled = np.concatenate([r.widths for r in kept]) if kept else np.zeros(0)
     if pooled.size:
         pooled = np.sort(pooled)
@@ -323,8 +303,8 @@ def eta_sweep(cfg: ExperimentConfig, eta_grid=DEFAULT_ETA_GRID,
     grid = [float(e) for e in eta_grid]
     if not grid:
         raise EmptyInput("eta grid must be nonempty")
-    if any(e <= 0 for e in grid):
-        raise ValueError(f"eta grid must be positive, got {grid}")
+    if not all(0 < e < math.inf for e in grid):
+        raise ValueError(f"eta grid must be finite and positive, got {grid}")
     out = []
     for eta in grid:
         records = run_trials(cfg, eta, map_fn)

@@ -44,9 +44,6 @@ class DesignMatrix:
         self.l2inf_norm = float(self.col_norms.max())
         self.linf_norm = float(np.abs(a).max())
 
-    def column(self, j: int) -> np.ndarray:
-        return self.entries[:, j]
-
     def submatrix(self, model: "ModelSet") -> np.ndarray:
         return self.entries[:, list(model.indices)]
 
@@ -77,9 +74,6 @@ class ModelSet:
 
     def __iter__(self):
         return iter(self.indices)
-
-    def __contains__(self, j):
-        return j in self.indices
 
 
 def as_response(y, n: int) -> np.ndarray:

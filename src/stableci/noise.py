@@ -80,8 +80,8 @@ class Subgaussian:
     sigma: float
 
     def __post_init__(self):
-        if not (self.sigma > 0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not (0 < self.sigma < math.inf):
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,8 @@ class NoisePolicy:
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if not (self.eta_step > 0):
-            raise ValueError(f"eta_step must be positive, got {self.eta_step}")
+        if not (0 < self.eta_step < math.inf):
+            raise ValueError(f"eta_step must be finite and positive, got {self.eta_step}")
 
 
 def _sqrt_log(log_arg_log: float) -> float:

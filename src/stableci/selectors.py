@@ -50,60 +50,66 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class SelectionResult:
+    """A selected model with its certificates. theta is the LASSO iterate and
+    c1 the l1 radius it ran at (None for other selectors); a model chosen
+    without looking at the noise carries the one zero certificate."""
+
     model: ModelSet
     theta: np.ndarray | None
     trace: tuple[TraceStep, ...]
-    budgets: tuple[StabilityBudget, StabilityBudget]
+    budgets: tuple[StabilityBudget, ...]
+    c1: float | None = None
 
 
-def certify_budgets(k: int, eta_step: float, delta: float) -> list[StabilityBudget]:
+@dataclass(frozen=True)
+class SelectorSpec:
+    """Which selector to run and its non-noise parameters: the one selector
+    description shared by `select` and the experiment runner."""
+
+    method: str  # "fixed" | "screen" | "fs" | "lasso"
+    k: int | None = None
+    c1: float | None = None
+    lam: float | None = None
+    steps: int | None = None
+    fixed_model: tuple[int, ...] = ()
+    support_threshold: float = SUPPORT_THRESHOLD
+
+    def __post_init__(self):
+        if self.method not in ("fixed", "screen", "fs", "lasso"):
+            raise ValueError(f"unknown selector method {self.method!r}")
+        if self.method in ("screen", "fs") and (self.k is None or self.k < 1):
+            raise ValueError(f"method {self.method!r} needs k >= 1")
+        if self.method == "lasso" and (self.c1 is None) == (self.lam is None):
+            raise ValueError("lasso needs exactly one of c1 or lam")
+        for name, value in (("c1", self.c1), ("lam", self.lam)):
+            if value is not None and not (0 < value < math.inf):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.method == "fixed" and len(self.fixed_model) == 0:
+            raise ValueError("fixed method needs a nonempty fixed_model")
+
+
+def certify_budgets(k: int, eta_step: float, delta: float) -> tuple[StabilityBudget, ...]:
     """The two composed certificates a k-round noisy selector earns at
     per-round eta_step: the advanced rate (eta_a, delta, delta) and the
     linear rate (k * eta_step, 0, delta)."""
     eta_a = compose_adaptive_advanced(eta_step, k, delta)
-    return [
+    return (
         StabilityBudget(eta_a, delta, delta),
         StabilityBudget(k * eta_step, 0.0, delta),
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
 # LASSO via Frank-Wolfe
 
 
-@dataclass(frozen=True)
-class LassoConfig:
-    """Constrained-form LASSO settings: l1 radius c1, step count, and the
-    noise policy knobs (delta, eta_step, tail family)."""
-
-    c1: float
-    steps: int | None = None
-    delta: float = 0.05
-    eta_step: float = 1.0
-    family: NoiseFamily = Subgaussian(1.0)
-    support_threshold: float = SUPPORT_THRESHOLD
-
-    def __post_init__(self):
-        if not (self.c1 > 0):
-            raise ValueError(f"c1 must be positive, got {self.c1}")
-        if self.steps is not None and self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        # policy construction validates delta and eta_step
-        self.policy
-
-    @property
-    def policy(self) -> NoisePolicy:
-        return NoisePolicy(self.family, self.delta, self.eta_step)
-
-    def resolved_steps(self, X: DesignMatrix) -> int:
-        """Explicit step count, or the utility-optimal default
-        ceil(n ||X||_inf^2 c1 eta / (sigma ||X||_{2,inf})), capped."""
-        if self.steps is not None:
-            return self.steps
-        fam = self.family
-        spread = fam.sigma if isinstance(fam, Subgaussian) else fam.G
-        raw = X.n * X.linf_norm ** 2 * self.c1 * self.eta_step / (spread * X.l2inf_norm)
-        return max(1, min(MAX_DEFAULT_FW_STEPS, math.ceil(raw)))
+def _default_fw_steps(X: DesignMatrix, c1: float, eta_step: float,
+                      family: NoiseFamily) -> int:
+    """The utility-optimal step count
+    ceil(n ||X||_inf^2 c1 eta / (sigma ||X||_{2,inf})), capped."""
+    spread = family.sigma if isinstance(family, Subgaussian) else family.G
+    raw = X.n * X.linf_norm ** 2 * c1 * eta_step / (spread * X.l2inf_norm)
+    return max(1, min(MAX_DEFAULT_FW_STEPS, math.ceil(raw)))
 
 
 def _fw_loop(X: DesignMatrix, y: np.ndarray, c1: float, steps: int,
@@ -163,23 +169,32 @@ def lasso_exact_fw(X: DesignMatrix, y, c1: float, steps: int) -> np.ndarray:
     return theta
 
 
-def stable_lasso(X: DesignMatrix, y, cfg: LassoConfig, rng: RngStream,
+def stable_lasso(X: DesignMatrix, y, c1: float, delta: float, eta_step: float,
+                 family: NoiseFamily, *,
+                 rng: RngStream, steps: int | None = None,
+                 support_threshold: float = SUPPORT_THRESHOLD,
                  scale_override: float | None = None) -> SelectionResult:
-    """Noisy Frank-Wolfe LASSO: every step perturbs all 2d vertex scores
-    with independent Laplace draws at scale_lasso, then takes the argmin.
+    """Noisy Frank-Wolfe LASSO over the l1 ball of radius c1: every step
+    perturbs all 2d vertex scores with independent Laplace draws at
+    scale_lasso, then takes the argmin. steps defaults to the
+    utility-optimal count for this design and eta_step.
 
     scale_override is a test hook; 0 gives the exact algorithm on the same
     code path.
     """
+    if not (0 < c1 < math.inf):
+        raise ValueError(f"c1 must be finite and positive, got {c1}")
+    if steps is not None and steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    policy = NoisePolicy(family, delta, eta_step)
     y = as_response(y, X.n)
-    steps = cfg.resolved_steps(X)
-    scale = scale_lasso(X.d, cfg.c1, X, cfg.policy) if scale_override is None \
-        else scale_override
-    theta, trace = _fw_loop(X, y, cfg.c1, steps, scale, rng)
-    model = support(theta, cfg.support_threshold)
-    budgets = certify_budgets(steps, cfg.eta_step, cfg.delta)
-    return SelectionResult(model=model, theta=theta, trace=tuple(trace),
-                           budgets=(budgets[0], budgets[1]))
+    if steps is None:
+        steps = _default_fw_steps(X, c1, eta_step, family)
+    scale = scale_lasso(X.d, c1, X, policy) if scale_override is None else scale_override
+    theta, trace = _fw_loop(X, y, c1, steps, scale, rng)
+    return SelectionResult(model=support(theta, support_threshold), theta=theta,
+                           trace=tuple(trace), budgets=certify_budgets(steps, eta_step, delta),
+                           c1=c1)
 
 
 def support(theta, threshold: float = SUPPORT_THRESHOLD) -> ModelSet:
@@ -291,9 +306,8 @@ def stable_screening(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
         ))
         chosen_order.append(i_t)
         available[i_t] = False
-    budgets = certify_budgets(k, eta_step, delta)
     return SelectionResult(model=ModelSet.from_unordered(chosen_order), theta=None,
-                           trace=tuple(trace), budgets=(budgets[0], budgets[1]))
+                           trace=tuple(trace), budgets=certify_budgets(k, eta_step, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +382,5 @@ def stable_fs(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
     scale = scale_forward_stepwise(X.d, k, policy) if scale_override is None \
         else scale_override
     order, trace = _fs_correlation_order(X, y, k, scale, rng)
-    budgets = certify_budgets(k, eta_step, delta)
     return SelectionResult(model=ModelSet.from_unordered(order), theta=None,
-                           trace=tuple(trace), budgets=(budgets[0], budgets[1]))
+                           trace=tuple(trace), budgets=certify_budgets(k, eta_step, delta))

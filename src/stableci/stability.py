@@ -122,8 +122,8 @@ def compose_adaptive_simple(eta_step: float, tau_step: float, k: int) -> tuple[f
     typical pair: the certificates simply add."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if eta_step < 0 or tau_step < 0:
-        raise ValueError("step parameters must be nonnegative")
+    if not (0 <= eta_step < math.inf and 0 <= tau_step < math.inf):
+        raise ValueError(f"step parameters must be finite and >= 0, got {eta_step}, {tau_step}")
     return (k * eta_step, k * tau_step)
 
 
@@ -136,8 +136,8 @@ def compose_adaptive_advanced(eta_step: float, k: int, delta: float) -> float:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if eta_step < 0:
-        raise ValueError(f"eta_step must be >= 0, got {eta_step}")
+    if not (0 <= eta_step < math.inf):
+        raise ValueError(f"eta_step must be finite and >= 0, got {eta_step}")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     return 0.5 * k * eta_step ** 2 + math.sqrt(2.0 * k * math.log(1.0 / delta)) * eta_step

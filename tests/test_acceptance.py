@@ -19,10 +19,9 @@ from stableci.experiments import (ExperimentConfig, SelectorSpec, aggregate,
 from stableci.linmodel import DesignMatrix
 from stableci.noise import (NoisePolicy, RngStream, Subgaussian,
                             scale_forward_stepwise, scale_screening)
-from stableci.selectors import (LassoConfig, fs_exact, lasso_exact_fw,
-                                screening_exact, solve_penalized_lasso,
-                                stable_fs, stable_lasso, stable_screening,
-                                support)
+from stableci.selectors import (fs_exact, lasso_exact_fw, screening_exact,
+                                solve_penalized_lasso, stable_fs, stable_lasso,
+                                stable_screening, support)
 from stableci.stability import (StabilityBudget, compose_adaptive_advanced,
                                 compose_adaptive_simple, compose_nonadaptive,
                                 eta_step_for_total, sparse_selection_eta)
@@ -173,7 +172,7 @@ def test_criterion_06_frank_wolfe_convergence():
         beta[:4] = 3.0
         y = X.entries @ beta + r.child(1).normal(50)
         lstar = constrained_lstar_lower(X, y, c1)
-        res = stable_lasso(X, y, LassoConfig(c1=c1, steps=200), r.child(2),
+        res = stable_lasso(X, y, c1, 0.05, 1.0, Subgaussian(1.0), rng=r.child(2), steps=200,
                            scale_override=0.0)
         cap = 8.0 * X.linf_norm ** 2 * c1 ** 2
         for s in res.trace:
@@ -243,7 +242,7 @@ def test_criterion_08_zero_noise_limits():
                         scale_override=0.0).model
         if got != fs_exact(X, y, k):
             mismatches.append((seed, "fs"))
-        res = stable_lasso(X, y, LassoConfig(c1=1.5, steps=30), rng.child(2),
+        res = stable_lasso(X, y, 1.5, 0.05, 1.0, Subgaussian(1.0), rng=rng.child(2), steps=30,
                            scale_override=0.0)
         exact_theta = lasso_exact_fw(X, y, 1.5, 30)
         if not np.array_equal(res.theta, exact_theta) or res.model != support(exact_theta):

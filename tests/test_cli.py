@@ -13,8 +13,10 @@ import scipy.stats
 
 from stableci.cli import (CliParseError, main, read_matrix, read_selection,
                           read_vector)
-from stableci.experiments import ExperimentConfig, SelectorSpec, gen_synthetic, run_trial
+from stableci.experiments import (ExperimentConfig, SelectorSpec, gen_synthetic, run_selector,
+                                  run_trial)
 from stableci.linmodel import DesignMatrix
+from stableci.noise import RngStream
 from stableci.selectors import lambda_to_c1, screening_exact
 
 
@@ -133,6 +135,40 @@ def test_select_lasso_penalty_flags(data):
 def test_select_missing_k(data):
     assert main(["select", "--x", data["x"], "--y", data["y"], "--method", "fs",
                  "--eta", "1.0"]) == 2
+
+
+@pytest.mark.parametrize("method, knob, value", [("screen", "k", 3), ("fs", "k", 3),
+                                                ("lasso", "lam", 0.05)])
+def test_select_and_run_selector_share_one_dispatch(data, method, knob, value):
+    sel = str(data["dir"] / "sel.csv")
+    assert main(["select", "--x", data["x"], "--y", data["y"], "--method", method,
+                 f"--{knob}", str(value), "--eta", "0.7", "--delta", "0.03",
+                 "--sigma", "1.5", "--seed", "9", "--out", sel]) == 0
+    X, y = DesignMatrix(read_matrix(data["x"])), read_vector(data["y"])
+    res = run_selector(SelectorSpec(method=method, **{knob: value}), X, y, 0.7, 0.03, 1.5,
+                       RngStream(9))
+    model, budgets, meta = read_selection(sel)
+    assert model == res.model
+    assert budgets == list(res.budgets)
+    theta = {int(r[1]): float(r[2]) for r in (l.split(",") for l in open(sel).read().splitlines())
+             if r[0] == "theta"}
+    if res.theta is None:
+        assert theta == {}
+    else:
+        assert theta == {j: v for j, v in enumerate(res.theta) if v != 0.0}
+        assert float(meta["c1"]) == res.c1 and int(meta["steps"]) == len(res.trace)
+
+
+@pytest.mark.parametrize("flags", [["lasso", "--c1", "inf", "--steps", "5"],
+                                   ["lasso", "--c1", "nan", "--steps", "5"],
+                                   ["lasso", "--lam", "inf"],
+                                   ["screen", "--k", "2", "--sigma", "inf"],
+                                   ["fs", "--k", "2", "--sigma", "nan"]])
+def test_select_rejects_nonfinite_knobs(data, flags):
+    out = data["dir"] / "sel.csv"
+    assert main(["select", "--x", data["x"], "--y", data["y"], "--method", *flags,
+                 "--eta", "1", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_select_dimension_mismatch(tmp_path, data):
@@ -262,6 +298,14 @@ def test_ci_exit_codes(data, tmp_path):
         main(base)  # neither --model nor --selection
 
 
+@pytest.mark.parametrize("sigma", ["inf", "known:inf", "nan", "known:-inf"])
+def test_ci_rejects_nonfinite_sigma(data, sigma):
+    out = data["dir"] / "iv.csv"
+    assert main(["ci", "--x", data["x"], "--y", data["y"], "--model", "0,1",
+                 "--sigma", sigma, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_ci_rank_deficient_exit(tmp_path):
     X = np.ones((10, 2))
     y = np.arange(10.0)
@@ -333,6 +377,27 @@ def test_budget_zero_step(capsys):
     got = parse_budget_lines(capsys.readouterr().out)
     assert float(got["simple"]["eta"]) == 0.0
     assert float(got["advanced"]["eta"]) == 0.0
+
+
+@pytest.mark.parametrize("step", [["--eta-step", "nan"], ["--eta-step", "inf"],
+                                  ["--eta-step", "0.1", "--tau-step", "nan"]])
+def test_budget_rejects_nonfinite_step(step, capsys):
+    assert main(["budget", "--k", "3", *step]) == 2
+    assert "nan" not in capsys.readouterr().out
+
+
+def test_budget_defaults_match_default_select(data, capsys):
+    # the certificate `budget` prints is the one a default `select` writes
+    sel = str(data["dir"] / "sel.csv")
+    assert main(["select", "--x", data["x"], "--y", data["y"], "--method", "screen",
+                 "--k", "2", "--eta", "0.7", "--out", sel]) == 0
+    advanced, linear = read_selection(sel)[1]
+    capsys.readouterr()
+    assert main(["budget", "--k", "2", "--eta-step", "0.7"]) == 0
+    got = parse_budget_lines(capsys.readouterr().out)
+    assert float(got["advanced"]["eta"]) == advanced.eta
+    assert float(got["advanced"]["nu"]) == advanced.nu == advanced.tau
+    assert float(got["simple"]["eta"]) == linear.eta
 
 
 def test_budget_usage_errors():
@@ -414,6 +479,27 @@ def test_experiment_schema_violations(tmp_path):
     rc, _ = run_experiment(tmp_path, "bad3",
                            experiment_config(selector={"method": "svm"}))
     assert rc == 2
+
+
+@pytest.mark.parametrize("overrides, knob", [
+    ({"selector": {"method": "lasso", "c1": math.inf, "steps": 5}}, "c1"),
+    ({"sigma": math.inf}, "sigma"),
+    ({"signal": math.nan}, "signal"),
+])
+def test_experiment_rejects_nonfinite_config(tmp_path, capsys, overrides, knob):
+    rc, out = run_experiment(tmp_path, "nonfinite", experiment_config(**overrides))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert knob in err and "response" not in err
+    assert not (out / "records.csv").exists()
+
+
+def test_experiment_all_flagged_names_reasons(tmp_path, capsys):
+    # with n=3 rows, forward stepwise runs out of candidates at step 4
+    cfg = experiment_config(n=3, d=10, selector={"method": "fs", "k": 5}, eta_grid=[1.0])
+    rc, _ = run_experiment(tmp_path, "collinear", cfg)
+    assert rc == 2
+    assert "all 5 trials were flagged (all_candidates_collinear: 5)" in capsys.readouterr().err
 
 
 def test_experiment_bad_json(tmp_path):

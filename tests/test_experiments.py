@@ -11,12 +11,15 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from stableci.errors import EmptyInput
+from stableci import experiments
+from stableci.errors import EmptyInput, NonConvergence
 from stableci.experiments import (DEFAULT_ETA_GRID, ExperimentConfig,
                                   SelectorSpec, TrialRecord, aggregate,
                                   data_split_baseline, eta_sweep,
-                                  gen_synthetic, run_trial, run_trials)
+                                  gen_synthetic, run_selector, run_trial,
+                                  run_trials)
 from stableci.linmodel import ModelSet
+from stableci.noise import RngStream
 from stableci.selectors import screening_exact
 from stableci.stability import StabilityBudget
 
@@ -48,6 +51,22 @@ def test_selector_spec_validation():
         SelectorSpec(method="ridge", k=1)
     SelectorSpec(method="lasso", lam=2.0)
     SelectorSpec(method="lasso", c1=1.0, steps=20)
+
+
+@pytest.mark.parametrize("knob", ["c1", "lam"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_selector_spec_rejects_nonfinite_radius(knob, value):
+    with pytest.raises(ValueError, match=knob):
+        SelectorSpec(method="lasso", **{knob: value})
+
+
+@pytest.mark.parametrize("kw, name", [({"sigma": math.inf}, "sigma"),
+                                      ({"sigma": math.nan}, "sigma"),
+                                      ({"beta_spec": (math.nan, 0.3)}, "signal"),
+                                      ({"beta_spec": (math.inf, 0.3)}, "signal")])
+def test_experiment_config_rejects_nonfinite(kw, name):
+    with pytest.raises(ValueError, match=name):
+        fixed_cfg(**kw)
 
 
 def test_experiment_config_validation():
@@ -184,6 +203,55 @@ def test_run_trial_screening_matches_exact_at_large_eta():
     assert agree / cfg.trials >= 0.95
 
 
+def test_run_selector_zero_certificate_for_noiseless_choices():
+    X, _, _, y = gen_synthetic(fixed_cfg(n=50, d=8), 0)
+    fixed = run_selector(SelectorSpec(method="fixed", fixed_model=(3, 1)), X, y,
+                         None, 0.05, 1.0, RngStream(0))
+    assert fixed.model.indices == (1, 3) and fixed.theta is None and fixed.trace == ()
+    assert fixed.budgets == (StabilityBudget(0.0, 0.0, 0.0),)
+    # a penalty that zeroes every coordinate selects nothing, noise or not
+    zero = run_selector(SelectorSpec(method="lasso", lam=1e9), X, y, 1.0, 0.05, 1.0,
+                        RngStream(0))
+    assert len(zero.model) == 0 and zero.c1 == 0.0 and zero.trace == ()
+    np.testing.assert_array_equal(zero.theta, np.zeros(8))
+    assert zero.budgets == (StabilityBudget(0.0, 0.0, 0.0),)
+
+
+def test_run_trial_flags_collinear_candidates():
+    # n=3 rows span only 3 directions, so forward stepwise runs out at step 4
+    cfg = fixed_cfg(n=3, d=10, selector=SelectorSpec(method="fs", k=5), alpha_weights=None)
+    rec = run_trial(cfg, 0, eta_step=1.0)
+    assert rec.flagged.startswith("all_candidates_collinear: step 4: ")
+    assert len(rec.model) == 0 and rec.K == 0.0 and rec.widths.size == 0
+
+
+def test_run_trial_flags_degenerate_level():
+    # default LASSO steps grow with eta: at eta_step 4 the certified eta
+    # leaves no level for any certificate
+    cfg = fixed_cfg(n=100, d=20, selector=SelectorSpec(method="lasso", lam=0.5),
+                    alpha_weights=None, beta_spec=(5.0, 0.15))
+    assert run_trial(cfg, 0, eta_step=4.0).flagged.startswith("degenerate_level: ")
+    assert run_trial(cfg, 0, eta_step=0.5).flagged is None
+
+
+def test_run_trial_flags_nonconvergence(monkeypatch):
+    def stuck(X, y, lam):
+        raise NonConvergence("coordinate descent did not reach gap 1e-08")
+    monkeypatch.setattr(experiments, "lambda_to_c1", stuck)
+    cfg = fixed_cfg(n=50, d=8, selector=SelectorSpec(method="lasso", lam=0.5),
+                    alpha_weights=None)
+    rec = run_trial(cfg, 0, eta_step=1.0)
+    assert rec.flagged == "non_convergence: coordinate descent did not reach gap 1e-08"
+
+
+def test_all_flagged_sweep_names_reasons():
+    cfg = fixed_cfg(n=3, d=10, selector=SelectorSpec(method="fs", k=5), alpha_weights=None,
+                    trials=3)
+    with pytest.raises(EmptyInput, match=r"all 3 trials were flagged "
+                                         r"\(all_candidates_collinear: 3\)"):
+        eta_sweep(cfg, eta_grid=(1.0,))
+
+
 # ---------------------------------------------------------------------------
 # data-split baseline
 
@@ -279,6 +347,14 @@ def test_aggregate_all_empty_models():
     assert s.mean_risk is None
 
 
+def test_aggregate_counts_flag_reasons():
+    records = [make_record(0, [1.0], flagged="rank_deficient: a"),
+               make_record(1, [1.0], flagged="degenerate_level: b"),
+               make_record(2, [1.0], flagged="rank_deficient: c")]
+    with pytest.raises(EmptyInput, match=r"\(degenerate_level: 1, rank_deficient: 2\)"):
+        aggregate(records)
+
+
 def test_aggregate_empty_input():
     with pytest.raises(EmptyInput):
         aggregate([])
@@ -326,3 +402,9 @@ def test_eta_sweep_validation():
         eta_sweep(cfg, eta_grid=(0.5, -1.0))
     assert len(DEFAULT_ETA_GRID) == 20
     assert DEFAULT_ETA_GRID[0] == 0.5 and DEFAULT_ETA_GRID[-1] == 10.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_eta_sweep_rejects_nonfinite_grid(bad):
+    with pytest.raises(ValueError, match="finite"):
+        eta_sweep(fixed_cfg(), eta_grid=(0.5, bad))

@@ -19,7 +19,6 @@ def test_design_matrix_norms():
     np.testing.assert_allclose(X.col_norms, [5.0, 5.0])
     assert X.l2inf_norm == 5.0
     assert X.linf_norm == 5.0
-    np.testing.assert_array_equal(X.column(1), [0.0, -5.0])
     np.testing.assert_array_equal(X.submatrix(ModelSet((1,))), [[0.0], [-5.0]])
 
 

@@ -16,14 +16,17 @@ import scipy.stats
 
 from stableci.errors import AllCandidatesCollinear, NonConvergence
 from stableci.linmodel import DesignMatrix, ModelSet
-from stableci.noise import RngStream
-from stableci.selectors import (FS_COLLINEAR_TOL, LassoConfig,
+from stableci.noise import RngStream, Subgaussian
+from stableci.selectors import (FS_COLLINEAR_TOL, SUPPORT_THRESHOLD,
                                 certify_budgets, fs_exact, lasso_exact_fw,
                                 lambda_to_c1, screening_exact,
                                 solve_penalized_lasso, stable_fs,
                                 stable_lasso, stable_screening, support,
-                                _fs_correlation_order)
+                                _default_fw_steps, _fs_correlation_order)
 from stableci.stability import StabilityBudget, compose_adaptive_advanced
+
+
+UNIT = Subgaussian(1.0)
 
 
 def random_instance(seed, n=25, d=8, snr=2.0):
@@ -56,21 +59,27 @@ def test_certify_budgets_zero_step():
 
 
 def test_lasso_config_validation():
+    X, y = random_instance(0)
     with pytest.raises(ValueError):
-        LassoConfig(c1=0.0)
+        stable_lasso(X, y, 0.0, 0.05, 1.0, UNIT, rng=RngStream(0))
     with pytest.raises(ValueError):
-        LassoConfig(c1=1.0, steps=0)
+        stable_lasso(X, y, 1.0, 0.05, 1.0, UNIT, rng=RngStream(0), steps=0)
     with pytest.raises(ValueError):
-        LassoConfig(c1=1.0, delta=1.5)
+        stable_lasso(X, y, 1.0, 1.5, 1.0, UNIT, rng=RngStream(0))
+    for c1 in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            stable_lasso(X, y, c1, 0.05, 1.0, UNIT, rng=RngStream(0))
 
 
 def test_lasso_resolved_steps():
     X = DesignMatrix([[2.0, 0.0], [0.0, 1.0]])
     # ceil(n linf^2 c1 eta / (sigma l2inf)) = ceil(2*4*3*1 / (1*2)) = 12
-    assert LassoConfig(c1=3.0).resolved_steps(X) == 12
-    assert LassoConfig(c1=3.0, steps=7).resolved_steps(X) == 7
-    assert LassoConfig(c1=1e9).resolved_steps(X) == 10_000
-    assert LassoConfig(c1=1e-12).resolved_steps(X) == 1
+    assert _default_fw_steps(X, 3.0, 1.0, UNIT) == 12
+    assert len(stable_lasso(X, [1.0, 1.0], 3.0, 0.05, 1.0, UNIT, rng=RngStream(0)).trace) == 12
+    assert len(stable_lasso(X, [1.0, 1.0], 3.0, 0.05, 1.0, UNIT, rng=RngStream(0),
+                            steps=7).trace) == 7
+    assert _default_fw_steps(X, 1e9, 1.0, UNIT) == 10_000
+    assert _default_fw_steps(X, 1e-12, 1.0, UNIT) == 1
 
 
 def test_fw_one_dimensional():
@@ -84,8 +93,8 @@ def test_fw_one_dimensional():
 
 def test_fw_zero_response_stays_near_optimal():
     X, _ = random_instance(0)
-    res = stable_lasso(X, np.zeros(X.n), LassoConfig(c1=1.0, steps=100),
-                       RngStream(0), scale_override=0.0)
+    res = stable_lasso(X, np.zeros(X.n), 1.0, 0.05, 1.0, UNIT, rng=RngStream(0), steps=100,
+                       scale_override=0.0)
     bound = [8.0 * X.linf_norm ** 2 / (t + 2) for t in range(1, 101)]
     assert all(s.objective <= b + 1e-12 for s, b in zip(res.trace, bound))
 
@@ -106,7 +115,7 @@ def test_fw_orthonormal_reaches_projection():
 
 def test_fw_trace_objective_matches_replay():
     X, y = random_instance(3)
-    res = stable_lasso(X, y, LassoConfig(c1=1.5, steps=5), RngStream(1),
+    res = stable_lasso(X, y, 1.5, 0.05, 1.0, UNIT, rng=RngStream(1), steps=5,
                        scale_override=0.0)
     for k in range(1, 6):
         theta_k = lasso_exact_fw(X, y, 1.5, k)
@@ -124,7 +133,7 @@ def test_fw_gap_bound_against_cd_oracle():
         beta[:3] = 2.0
         y = X.entries @ beta + gen.standard_normal(n)
         lstar = constrained_lstar_lower(X, y, c1)
-        res = stable_lasso(X, y, LassoConfig(c1=c1, steps=150), RngStream(0),
+        res = stable_lasso(X, y, c1, 0.05, 1.0, UNIT, rng=RngStream(0), steps=150,
                            scale_override=0.0)
         bound = 8.0 * X.linf_norm ** 2 * c1 ** 2
         for s in res.trace:
@@ -171,25 +180,24 @@ def ols_like(X: DesignMatrix, y):
 def test_stable_lasso_zero_noise_matches_exact():
     for seed in range(10):
         X, y = random_instance(seed)
-        cfg = LassoConfig(c1=1.2, steps=40)
-        res = stable_lasso(X, y, cfg, RngStream(seed), scale_override=0.0)
+        res = stable_lasso(X, y, 1.2, 0.05, 1.0, UNIT, rng=RngStream(seed), steps=40,
+                           scale_override=0.0)
         np.testing.assert_array_equal(res.theta, lasso_exact_fw(X, y, 1.2, 40))
-        assert res.model == support(res.theta, cfg.support_threshold)
+        assert res.model == support(res.theta, SUPPORT_THRESHOLD)
 
 
 def test_stable_lasso_tie_on_zero_response():
     # every vertex score is 0; both paths take the first argmin, vertex 0
     X, _ = random_instance(1)
-    res = stable_lasso(X, np.zeros(X.n), LassoConfig(c1=1.0, steps=1),
-                       RngStream(0), scale_override=0.0)
+    res = stable_lasso(X, np.zeros(X.n), 1.0, 0.05, 1.0, UNIT, rng=RngStream(0), steps=1,
+                       scale_override=0.0)
     assert res.trace[0].chosen == 0
 
 
 def test_stable_lasso_replay():
     X, y = random_instance(2)
-    cfg = LassoConfig(c1=1.0, steps=30, delta=0.05, eta_step=1.0)
-    a = stable_lasso(X, y, cfg, RngStream(11, (2,)))
-    b = stable_lasso(X, y, cfg, RngStream(11, (2,)))
+    a = stable_lasso(X, y, 1.0, 0.05, 1.0, UNIT, rng=RngStream(11, (2,)), steps=30)
+    b = stable_lasso(X, y, 1.0, 0.05, 1.0, UNIT, rng=RngStream(11, (2,)), steps=30)
     np.testing.assert_array_equal(a.theta, b.theta)
     assert a.trace == b.trace
     assert a.budgets == b.budgets == tuple(certify_budgets(30, 1.0, 0.05))
@@ -363,9 +371,9 @@ def test_stable_lasso_selection_law():
 
     trials = 100_000
     counts = np.zeros(4)
-    cfg = LassoConfig(c1=c1, steps=1)
     for s in range(trials):
-        res = stable_lasso(X, y, cfg, RngStream(s, (8,)), scale_override=b)
+        res = stable_lasso(X, y, c1, 0.05, 1.0, UNIT, rng=RngStream(s, (8,)), steps=1,
+                           scale_override=b)
         counts[res.trace[0].chosen] += 1
     freqs = counts / trials
     sig = np.sqrt(probs * (1 - probs) / trials)
