@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import multiprocessing
@@ -92,40 +93,34 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
         writer.writerows(rows)
 
 
-def _read_rows(path: str) -> list[list[str]]:
+def _is_header(line: str) -> bool:
     try:
-        with open(path, newline="") as fh:
-            return [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
-    except OSError as e:
-        raise CliParseError(f"cannot read {path}: {e}") from e
-
-
-def _all_floats(row: list[str]) -> bool:
-    try:
-        [float(c) for c in row]
-        return True
+        [float(c) for c in next(csv.reader([line]))]
     except ValueError:
-        return False
+        return True
+    return False
 
 
 def read_matrix(path: str) -> np.ndarray:
     """Numeric CSV, one row per line; a single leading non-numeric row is
-    treated as a header and skipped."""
-    rows = _read_rows(path)
-    if rows and not _all_floats(rows[0]):
-        rows = rows[1:]
-    if not rows:
-        raise CliParseError(f"{path}: no numeric rows")
-    width = len(rows[0])
-    data = []
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise CliParseError(f"{path}: row {i} has {len(row)} fields, expected {width}")
-        try:
-            data.append([float(c) for c in row])
-        except ValueError as e:
-            raise CliParseError(f"{path}: row {i}: {e}") from e
-    return np.asarray(data, dtype=np.float64)
+    treated as a header and skipped. Lines holding nothing but whitespace,
+    commas and quotes are skipped, fields may be quoted, and '#' is data,
+    not a comment."""
+    try:
+        with open(path) as fh:
+            lines = (line for line in fh if line.replace(",", "").replace('"', "").strip())
+            first = next(lines, None)
+            if first is not None and _is_header(first):
+                first = next(lines, None)
+            if first is None:
+                raise CliParseError(f"{path}: no numeric rows")
+            try:
+                return np.loadtxt(itertools.chain([first], lines), dtype=np.float64,
+                                  delimiter=",", quotechar='"', comments=None, ndmin=2)
+            except ValueError as e:
+                raise CliParseError(f"{path}: {e}") from e
+    except OSError as e:
+        raise CliParseError(f"cannot read {path}: {e}") from e
 
 
 def read_vector(path: str) -> np.ndarray:
@@ -178,7 +173,11 @@ def write_selection(path: str, method: str, params: dict, result: SelectionResul
 
 
 def read_selection(path: str) -> tuple[ModelSet, list[StabilityBudget], dict]:
-    rows = _read_rows(path)
+    try:
+        with open(path, newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+    except OSError as e:
+        raise CliParseError(f"cannot read {path}: {e}") from e
     if rows and rows[0][0] == "record":
         rows = rows[1:]
     indices: list[int] = []

@@ -22,19 +22,8 @@ from .linmodel import DesignMatrix, ModelSet
 # not called here: bound for perfbench/tracing.py, which wraps these names in this module
 from .linmodel import ols_fit, sigma_hat_full_model, stderr_known_sigma, target_coefficients  # noqa: F401
 from .noise import RngStream, Subgaussian
-from .selectors import (
-    SelectionResult,
-    SelectorSpec,
-    fs_exact,
-    lambda_to_c1,
-    lasso_exact_fw,
-    screening_exact,
-    solve_penalized_lasso,
-    stable_fs,
-    stable_lasso,
-    stable_screening,
-    support,
-)
+from .selectors import SelectionResult, SelectorSpec, lambda_to_c1, stable_fs, stable_lasso, \
+    stable_screening
 from .stability import StabilityBudget, alpha_split, infer
 # not called here: bound for perfbench/tracing.py, which wraps this name in this module
 from .stability import best_posi_constant  # noqa: F401
@@ -203,42 +192,6 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
         return TrialRecord(trial_index=trial_index, model=ModelSet(), covered=False,
                            widths=np.zeros(0), fdr=0.0, risk=None, K=0.0,
                            budget_used=_ZERO_BUDGET, flagged=f"{reason}: {e}")
-
-
-def data_split_baseline(cfg: ExperimentConfig, split_fraction: float,
-                        trial_index: int) -> TrialRecord:
-    """Exact selection on the first ceil(fraction * n) rows, classical
-    Bonferroni intervals at full alpha on the disjoint remainder; coverage
-    judged against targets defined by the inference half's design."""
-    if not (0.0 < split_fraction < 1.0):
-        raise ValueError(f"split_fraction must be in (0, 1), got {split_fraction}")
-    X, beta, mu, y = gen_synthetic(cfg, trial_index)
-    n_sel = math.ceil(split_fraction * cfg.n)
-    if not (1 <= n_sel < cfg.n):
-        raise ValueError(f"split leaves an empty half: n_sel={n_sel} of n={cfg.n}")
-    sel_rows = range(0, n_sel)
-    inf_rows = range(n_sel, cfg.n)
-    assert not set(sel_rows) & set(inf_rows)
-
-    X1 = DesignMatrix(X.entries[:n_sel])
-    y1 = y[:n_sel]
-    spec = cfg.selector
-    if spec.method == "fixed":
-        model = ModelSet.from_unordered(spec.fixed_model)
-    elif spec.method == "screen":
-        model = screening_exact(X1, y1, spec.k)
-    elif spec.method == "fs":
-        model = fs_exact(X1, y1, spec.k)
-    else:
-        if spec.lam is not None:
-            theta1 = solve_penalized_lasso(X1, y1, spec.lam)
-        else:
-            theta1 = lasso_exact_fw(X1, y1, spec.c1, spec.steps or 2000)
-        model = support(theta1, spec.support_threshold)
-
-    X2 = DesignMatrix(X.entries[n_sel:])
-    return _score_model(cfg, X2, y[n_sel:], mu[n_sel:], beta,
-                        SelectionResult(model, None, (), (_ZERO_BUDGET,)), trial_index)
 
 
 def _nearest_rank(sorted_vals: np.ndarray, level: float) -> float:

@@ -94,25 +94,6 @@ class IntervalSet:
     fit: SubmodelFit
 
 
-@dataclass(frozen=True)
-class KnownSigma:
-    """Gaussian noise with known scale: normal quantiles."""
-
-
-@dataclass(frozen=True)
-class EstimatedSigma:
-    """Full-model residual variance estimate: Student-t quantiles."""
-
-    dof: int
-
-    def __post_init__(self):
-        if self.dof < 1:
-            raise ValueError(f"dof must be >= 1, got {self.dof}")
-
-
-KNOWN_SIGMA = KnownSigma()
-
-
 # ---------------------------------------------------------------------------
 # composition
 
@@ -185,19 +166,22 @@ def corrected_level(delta: float, budget: StabilityBudget) -> float:
 
 
 def posi_constant(model_size: int, delta: float, budget: StabilityBudget,
-                  variance_mode: KnownSigma | EstimatedSigma = KNOWN_SIGMA) -> float:
-    """Half-width multiplier: the z (or t) quantile at
+                  dof: int | None = None) -> float:
+    """Half-width multiplier: the z quantile (or, given the dof of an
+    estimated sigma, the Student-t quantile) at
     1 - corrected_level / (2 * model_size). Bonferroni over the selected
     set is built in.
     """
     if model_size < 1:
         raise ValueError(f"model_size must be >= 1, got {model_size}")
+    if dof is not None and dof < 1:
+        raise ValueError(f"dof must be >= 1, got {dof}")
     q = corrected_level(delta, budget) / (2.0 * model_size)
     if not (0.0 < q < 0.5):
         raise DegenerateLevel(f"two-sided tail mass {q} outside (0, 0.5)")
     # quantile of the lower tail, negated: avoids computing 1 - q at all
-    if isinstance(variance_mode, EstimatedSigma):
-        return -float(stdtrit(variance_mode.dof, q))
+    if dof is not None:
+        return -float(stdtrit(dof, q))
     return -float(ndtri(q))
 
 
@@ -220,8 +204,7 @@ def align_slack(budgets: list[StabilityBudget]) -> list[StabilityBudget]:
 
 def best_posi_constant(model_size: int, delta: float,
                        budget_candidates: list[StabilityBudget],
-                       variance_mode: KnownSigma | EstimatedSigma = KNOWN_SIGMA,
-                       ) -> tuple[float, StabilityBudget]:
+                       dof: int | None = None) -> tuple[float, StabilityBudget]:
     """Smallest valid constant over certified budgets with equal total slack.
 
     Each candidate alone yields a valid interval family, so the minimum K is
@@ -236,7 +219,7 @@ def best_posi_constant(model_size: int, delta: float,
     best: tuple[float, StabilityBudget] | None = None
     for b in budget_candidates:
         try:
-            K = posi_constant(model_size, delta, b, variance_mode)
+            K = posi_constant(model_size, delta, b, dof)
         except DegenerateLevel:
             # an eta so large its corrected level underflows simply never
             # wins the minimum; only all-degenerate is an error
@@ -305,11 +288,10 @@ def infer(X: DesignMatrix, y, model: ModelSet, budgets: list[StabilityBudget],
         K, chosen = 0.0, aligned[0]
         se = np.zeros(0)
     else:
-        mode = KNOWN_SIGMA
+        dof = None
         if sigma is None:
             sigma, dof = sigma_hat_full_model(X, y)
-            mode = EstimatedSigma(dof)
-        K, chosen = best_posi_constant(len(model), level, aligned, mode)
+        K, chosen = best_posi_constant(len(model), level, aligned, dof)
         se = fit.stderrs(sigma)
     est = fit.coefficients(y)
     return IntervalSet(model=model, estimates=est, stderrs=se, K=K,

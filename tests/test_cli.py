@@ -6,10 +6,15 @@ are asserted without spawning shells.
 
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stableci.cli import (CliParseError, main, read_matrix, read_selection,
                           read_vector)
@@ -67,6 +72,111 @@ def test_read_vector_shapes(tmp_path):
     p.write_text("1.0,2.0\n3.0,4.0\n")
     with pytest.raises(CliParseError):
         read_vector(str(p))
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 5)),
+              elements=st.floats(allow_nan=False, allow_infinity=False)),
+       st.booleans())
+def test_read_matrix_round_trips_doubles(tmp_path, a, header):
+    p = tmp_path / "m.csv"
+    head = ",".join(f"c{j}" for j in range(a.shape[1])) + "\n" if header else ""
+    p.write_text(head + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in a))
+    assert read_matrix(str(p)).view(np.uint64).tolist() == a.view(np.uint64).tolist()
+    np.savetxt(p, a, fmt="%.18e", delimiter=",")
+    assert read_matrix(str(p)).view(np.uint64).tolist() == a.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("x0,x1\n1.5,-2\n3,4e-3\n", [[1.5, -2.0], [3.0, 4e-3]]),
+    ("\n1,2\n\n  \t\n3,4\n\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2\n,,\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("a,b\r\n1,2\r\n\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ('"a","b"\n"1.5","2"\n3,"4e-3"\n', [[1.5, 2.0], [3.0, 4e-3]]),
+    (" 1.0 , 2.0 \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2,3\n", [[1.0, 2.0, 3.0]]),
+    ("y\n1\n2\n3\n", [[1.0], [2.0], [3.0]]),
+], ids=["header", "blank-lines", "commas-only-line", "crlf", "quoted", "padded",
+        "single-row", "single-column"])
+def test_read_matrix_accepted_layouts(tmp_path, text, expected):
+    p = tmp_path / "m.csv"
+    p.write_bytes(text.encode())
+    got = read_matrix(str(p))
+    assert got.dtype == np.float64 and got.shape == np.shape(expected)
+    np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("text", [
+    "1,2\n# note\n3,4\n",
+    "1.0,2.0\n3.0\n",
+    "1.0,2.0\n3.0,oops\n",
+    "1,2,\n3,4,\n",
+    "1,2\n1_000,4\n",
+    "",
+    "\n  \n",
+    "a,b\n",
+], ids=["hash-line", "ragged", "non-numeric", "trailing-comma", "underscore-literal",
+        "empty", "blank-only", "header-only"])
+def test_read_matrix_rejections_name_the_path(tmp_path, text):
+    p = tmp_path / "m.csv"
+    p.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CliParseError, match=re.escape(str(p))):
+            read_matrix(str(p))
+
+
+def test_read_matrix_missing_file(tmp_path):
+    with pytest.raises(CliParseError, match="cannot read"):
+        read_matrix(str(tmp_path / "absent.csv"))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_nonfinite_design_exits_2(data, tmp_path, cell):
+    lines = open(data["x"]).read().splitlines()
+    lines[3] = ",".join([cell] + lines[3].split(",")[1:])
+    bad = tmp_path / "x_bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.csv"
+    assert main(["select", "--x", str(bad), "--y", data["y"], "--method", "screen",
+                 "--k", "2", "--eta", "1.0", "--out", str(out)]) == 2
+    assert main(["ci", "--x", str(bad), "--y", data["y"], "--model", "0,1",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def fixed_width_csv(a: np.ndarray, header: list[str]) -> str:
+    """Header row, then 15 significant digits with an explicit sign per field."""
+    int_digits = max(1, len(str(int(np.max(np.abs(a))))))
+    return ",".join(header) + "\n" + "".join(
+        ",".join(f"{v:+.{15 - int_digits}f}" for v in row) + "\n" for row in a)
+
+
+def test_select_ci_on_fixed_width_design_refit_exactly(tmp_path):
+    gen = np.random.default_rng(5)
+    n, d = 120, 12
+    X = gen.standard_normal((n, d))
+    y = X[:, :3] @ np.array([3.0, -2.0, 1.5]) + gen.standard_normal(n)
+    xp, yp = tmp_path / "X.csv", tmp_path / "y.csv"
+    xp.write_text(fixed_width_csv(X, [f"x{j}" for j in range(d)]))
+    yp.write_text(fixed_width_csv(y[:, None], ["y"]))
+    # the doubles the text stands for, parsed one cell at a time
+    Xq = np.array([[float(c) for c in line.split(",")]
+                   for line in xp.read_text().splitlines()[1:]])
+    yq = np.array([float(line) for line in yp.read_text().splitlines()[1:]])
+    assert read_matrix(str(xp)).view(np.uint64).tolist() == Xq.view(np.uint64).tolist()
+    assert read_vector(str(yp)).view(np.uint64).tolist() == yq.view(np.uint64).tolist()
+
+    sel, out = str(tmp_path / "sel.csv"), str(tmp_path / "iv.csv")
+    assert main(["select", "--x", str(xp), "--y", str(yp), "--method", "fs", "--k", "3",
+                 "--eta", "2.0", "--seed", "1", "--out", sel]) == 0
+    assert main(["ci", "--x", str(xp), "--y", str(yp), "--selection", sel, "--out", out]) == 0
+    model, _, meta = read_selection(sel)
+    assert (meta["n"], meta["d"]) == (str(n), str(d)) and len(model) == 3
+    rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(model)
+    coef, *_ = np.linalg.lstsq(Xq[:, list(model)], yq, rcond=None)
+    np.testing.assert_allclose([float(r[1]) for r in rows], coef, rtol=1e-10, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

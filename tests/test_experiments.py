@@ -15,12 +15,11 @@ from stableci import experiments
 from stableci.errors import EmptyInput, NonConvergence
 from stableci.experiments import (DEFAULT_ETA_GRID, ExperimentConfig,
                                   SelectorSpec, TrialRecord, aggregate,
-                                  data_split_baseline, eta_sweep,
-                                  gen_synthetic, run_selector, run_trial,
-                                  run_trials)
-from stableci.linmodel import ModelSet
+                                  eta_sweep, gen_synthetic, run_selector,
+                                  run_trial, run_trials)
+from stableci.linmodel import DesignMatrix, ModelSet
 from stableci.noise import RngStream
-from stableci.selectors import screening_exact
+from stableci.selectors import SelectionResult, screening_exact
 from stableci.stability import StabilityBudget
 
 
@@ -254,6 +253,33 @@ def test_all_flagged_sweep_names_reasons():
 
 # ---------------------------------------------------------------------------
 # data-split baseline
+
+
+def data_split_baseline(cfg: ExperimentConfig, split_fraction: float,
+                        trial_index: int) -> TrialRecord:
+    """Exact selection (a fixed model or screening) on the first
+    ceil(fraction * n) rows, classical Bonferroni intervals at full alpha on
+    the disjoint remainder; coverage judged against targets defined by the
+    inference half's design."""
+    if not (0.0 < split_fraction < 1.0):
+        raise ValueError(f"split_fraction must be in (0, 1), got {split_fraction}")
+    X, beta, mu, y = gen_synthetic(cfg, trial_index)
+    n_sel = math.ceil(split_fraction * cfg.n)
+    if not (1 <= n_sel < cfg.n):
+        raise ValueError(f"split leaves an empty half: n_sel={n_sel} of n={cfg.n}")
+
+    spec = cfg.selector
+    if spec.method == "fixed":
+        model = ModelSet.from_unordered(spec.fixed_model)
+    elif spec.method == "screen":
+        model = screening_exact(DesignMatrix(X.entries[:n_sel]), y[:n_sel], spec.k)
+    else:
+        raise NotImplementedError(f"no exact {spec.method!r} baseline in these tests")
+
+    X2 = DesignMatrix(X.entries[n_sel:])
+    zero = StabilityBudget(0.0, 0.0, 0.0)
+    return experiments._score_model(cfg, X2, y[n_sel:], mu[n_sel:], beta,
+                                    SelectionResult(model, None, (), (zero,)), trial_index)
 
 
 def test_data_split_matches_direct_classical_fit():

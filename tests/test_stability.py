@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 from stableci.errors import BadWeights, DegenerateLevel, EmptyInput, MixedSlack
 from stableci.linmodel import DesignMatrix, ModelSet
-from stableci.stability import (KNOWN_SIGMA, SUBEXPONENTIAL, SUBGAUSSIAN,
-                                EstimatedSigma, IntervalSet, LevelAllocation,
+from stableci.stability import (SUBEXPONENTIAL, SUBGAUSSIAN, IntervalSet, LevelAllocation,
                                 StabilityBudget, align_slack, alpha_split,
                                 best_posi_constant, compose_adaptive_advanced,
                                 compose_adaptive_simple, compose_nonadaptive,
@@ -34,10 +33,10 @@ B0 = StabilityBudget(0.0, 0.0, 0.0)
 # is approached from the largest level below 1.
 
 
-def quantile(p, mode=KNOWN_SIGMA):
+def quantile(p, dof=None):
     """F^{-1}(p) of the normal (or Student-t) law, read off posi_constant."""
     tail = min(p, 1.0 - p)
-    K = posi_constant(1, min(2.0 * tail, np.nextafter(1.0, 0.0)), B0, mode)
+    K = posi_constant(1, min(2.0 * tail, np.nextafter(1.0, 0.0)), B0, dof)
     return -K if p < 0.5 else K
 
 
@@ -80,15 +79,22 @@ def test_normal_quantile_deep_tail_mpmath():
 @pytest.mark.parametrize("dof", [1, 2, 5, 30, 200])
 @pytest.mark.parametrize("p", [0.005, 0.025, 0.3, 0.5, 0.9, 0.999])
 def test_t_quantile_against_scipy(p, dof):
-    np.testing.assert_allclose(quantile(p, EstimatedSigma(dof)), scipy.stats.t.ppf(p, dof),
+    np.testing.assert_allclose(quantile(p, dof), scipy.stats.t.ppf(p, dof),
                                rtol=1e-9, atol=1e-12)
 
 
 def test_t_quantile_exceeds_normal():
     # heavier tails: same level needs a wider multiplier at small dof
-    assert posi_constant(1, 0.05, B0, EstimatedSigma(3)) > posi_constant(1, 0.05, B0)
-    assert posi_constant(1, 0.05, B0, EstimatedSigma(3000)) == pytest.approx(
+    assert posi_constant(1, 0.05, B0, 3) > posi_constant(1, 0.05, B0)
+    assert posi_constant(1, 0.05, B0, 3000) == pytest.approx(
         posi_constant(1, 0.05, B0), rel=1e-3)
+
+
+def test_t_quantile_needs_a_degree_of_freedom():
+    with pytest.raises(ValueError, match="dof"):
+        posi_constant(1, 0.05, B0, 0)
+    with pytest.raises(ValueError, match="dof"):
+        best_posi_constant(1, 0.05, [B0], 0)
 
 
 @settings(deadline=None)
@@ -270,9 +276,9 @@ def test_posi_constant_with_eta():
 
 
 def test_posi_constant_estimated_sigma():
-    K = posi_constant(2, 0.05, StabilityBudget(0.0, 0.0, 0.0), EstimatedSigma(7))
+    K = posi_constant(2, 0.05, StabilityBudget(0.0, 0.0, 0.0), 7)
     np.testing.assert_allclose(K, scipy.stats.t.ppf(1 - 0.0125, 7), rtol=1e-9)
-    assert K > posi_constant(2, 0.05, StabilityBudget(0.0, 0.0, 0.0), KNOWN_SIGMA)
+    assert K > posi_constant(2, 0.05, StabilityBudget(0.0, 0.0, 0.0), None)
 
 
 def test_posi_constant_monotonicity_grid():
