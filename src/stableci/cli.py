@@ -326,7 +326,6 @@ _CONFIG_SCHEMA = {
                 "lam": {"type": "number", "exclusiveMinimum": 0},
                 "steps": {"type": "integer", "minimum": 1},
                 "fixed_model": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-                "support_threshold": {"type": "number", "minimum": 0},
             },
         },
     },

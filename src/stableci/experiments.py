@@ -142,8 +142,7 @@ def run_selector(spec: SelectorSpec, X: DesignMatrix, y, eta_step: float | None,
     c1 = spec.c1 if spec.lam is None else lambda_to_c1(X, y, spec.lam)
     if c1 == 0.0:
         return SelectionResult(ModelSet(), np.zeros(X.d), (), (_ZERO_BUDGET,), c1=0.0)
-    return stable_lasso(X, y, c1, delta, eta_step, family, rng=rng, steps=spec.steps,
-                        support_threshold=spec.support_threshold)
+    return stable_lasso(X, y, c1, delta, eta_step, family, rng=rng, steps=spec.steps)
 
 
 def _score_model(cfg: ExperimentConfig, X: DesignMatrix, y: np.ndarray,

@@ -7,6 +7,7 @@ interval construction multiplies by. Nothing here draws randomness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,8 @@ class DesignMatrix:
     Parameters
     ----------
     entries : array_like, shape (n, d)
-        Feature matrix. Copied, cast to float64, and frozen.
+        Feature matrix. Copied, cast to float64, and frozen; must be finite
+        with at least one nonzero entry.
     """
 
     def __init__(self, entries):
@@ -33,8 +35,13 @@ class DesignMatrix:
             raise DimensionMismatch(f"design must be 2-D, got ndim={a.ndim}")
         if a.shape[0] < 1 or a.shape[1] < 1:
             raise DimensionMismatch(f"design must be at least 1x1, got {a.shape}")
-        if not np.all(np.isfinite(a)):
+        # max and min propagate NaN, so both are finite iff every entry is;
+        # neither reduction allocates an n x d temporary
+        hi, lo = float(a.max()), float(a.min())
+        if not (math.isfinite(hi) and math.isfinite(lo)):
             raise ValueError("design entries must be finite")
+        if hi == 0.0 and lo == 0.0:
+            raise ValueError("design has no nonzero entry")
         a.setflags(write=False)
         self.entries = a
         self.n, self.d = a.shape
@@ -42,7 +49,7 @@ class DesignMatrix:
         self.col_norms.setflags(write=False)
         # max_i ||X_i||_2 and max |X_ij|, the two norms noise scales use
         self.l2inf_norm = float(self.col_norms.max())
-        self.linf_norm = float(np.abs(a).max())
+        self.linf_norm = max(hi, -lo)
 
     def submatrix(self, model: "ModelSet") -> np.ndarray:
         return self.entries[:, list(model.indices)]

@@ -1,12 +1,12 @@
-"""Exact and stability-randomized model selectors.
+"""Stability-randomized model selectors.
 
-Three procedures, each in an exact and a noisy variant sharing one code
-path (the noisy variant with scale 0 reproduces the exact one bit for
-bit, tie rule included):
+Three noisy procedures, one implementation each. There are no separate
+exact variants: a noise scale of 0 (the `scale_override` test hook) is the
+exact algorithm, tie rule included, because the zero-scale Laplace draws
+are +-0.0 and move no argmin or argmax.
 
-- LASSO over the l1 ball of radius C1, optimized by Frank-Wolfe; the
-  noisy variant perturbs every vertex score with fresh Laplace noise
-  before the argmin.
+- LASSO over the l1 ball of radius C1, optimized by Frank-Wolfe, with
+  every vertex score perturbed by fresh Laplace noise before the argmin.
 - Marginal screening: k rounds of noisy argmax over |X_i^T y / n|,
   selected index removed from the residual candidate set.
 - Forward stepwise: k rounds of noisy argmax over residual-normalized
@@ -72,7 +72,6 @@ class SelectorSpec:
     lam: float | None = None
     steps: int | None = None
     fixed_model: tuple[int, ...] = ()
-    support_threshold: float = SUPPORT_THRESHOLD
 
     def __post_init__(self):
         if self.method not in ("fixed", "screen", "fs", "lasso"):
@@ -112,18 +111,30 @@ def _default_fw_steps(X: DesignMatrix, c1: float, eta_step: float,
     return max(1, min(MAX_DEFAULT_FW_STEPS, math.ceil(raw)))
 
 
-def _fw_loop(X: DesignMatrix, y: np.ndarray, c1: float, steps: int,
-             scale: float, rng: RngStream | None) -> tuple[np.ndarray, list[TraceStep]]:
-    """Frank-Wolfe over the l1 ball with optionally noisy vertex scores.
+def stable_lasso(X: DesignMatrix, y, c1: float, delta: float, eta_step: float,
+                 family: NoiseFamily, *,
+                 rng: RngStream, steps: int | None = None,
+                 scale_override: float | None = None) -> SelectionResult:
+    """Noisy Frank-Wolfe LASSO over the l1 ball of radius c1: every step
+    perturbs all 2d vertex scores with independent Laplace draws at
+    scale_lasso, then takes the argmin. steps defaults to the
+    utility-optimal count for this design and eta_step.
 
     Vertex order is +c1*e_0 .. +c1*e_{d-1}, -c1*e_0 .. -c1*e_{d-1}; the
     per-step noise vector is drawn in that order from the step's child
     stream. Step size 2/(t+1), t = 1..steps, theta_1 = 0.
 
-    Scores are vertex . gradient for the loss ||y - X theta||^2 / n,
-    whose gradient is -(2/n) X^T r; the noise scale is calibrated to
-    exactly that score sensitivity, so the 2/n is load-bearing.
+    scale_override is a test hook; 0 gives the exact algorithm.
     """
+    if not (0 < c1 < math.inf):
+        raise ValueError(f"c1 must be finite and positive, got {c1}")
+    if steps is not None and steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    policy = NoisePolicy(family, delta, eta_step)
+    y = as_response(y, X.n)
+    if steps is None:
+        steps = _default_fw_steps(X, c1, eta_step, family)
+    scale = scale_lasso(X.d, c1, X, policy) if scale_override is None else scale_override
     n, d = X.n, X.d
     A = X.entries
     theta = np.zeros(d)
@@ -131,12 +142,12 @@ def _fw_loop(X: DesignMatrix, y: np.ndarray, c1: float, steps: int,
     trace: list[TraceStep] = []
     for t in range(1, steps + 1):
         r = y - z
+        # scores are vertex . gradient for the loss ||y - X theta||^2 / n,
+        # whose gradient is -(2/n) X^T r; scale_lasso is calibrated to
+        # exactly that score sensitivity, so the 2/n is load-bearing
         g = (-2.0 / n) * (A.T @ r)
         exact = np.concatenate((c1 * g, -c1 * g))
-        if rng is not None:
-            noisy = exact + rng.child(t).laplace(scale, 2 * d)
-        else:
-            noisy = exact
+        noisy = exact + rng.child(t).laplace(scale, 2 * d)
         v = int(np.argmin(noisy))
         col, sgn = (v, 1.0) if v < d else (v - d, -1.0)
         step_size = 2.0 / (t + 1.0)
@@ -151,59 +162,15 @@ def _fw_loop(X: DesignMatrix, y: np.ndarray, c1: float, steps: int,
             best_exact=float(exact.min()),
             objective=float(rr @ rr) / n,
         ))
-    return theta, trace
+    return SelectionResult(model=support(theta), theta=theta, trace=tuple(trace),
+                           budgets=certify_budgets(steps, eta_step, delta), c1=c1)
 
 
-def lasso_exact_fw(X: DesignMatrix, y, c1: float, steps: int) -> np.ndarray:
-    """Noiseless Frank-Wolfe for the l1-constrained least-squares problem.
-
-    After k steps the objective gap obeys the curvature bound
-    2 C_L / (k + 2) with C_L <= 4 ||X||_inf^2 c1^2.
-    """
-    if not (c1 > 0):
-        raise ValueError(f"c1 must be positive, got {c1}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    y = as_response(y, X.n)
-    theta, _ = _fw_loop(X, y, c1, steps, 0.0, None)
-    return theta
-
-
-def stable_lasso(X: DesignMatrix, y, c1: float, delta: float, eta_step: float,
-                 family: NoiseFamily, *,
-                 rng: RngStream, steps: int | None = None,
-                 support_threshold: float = SUPPORT_THRESHOLD,
-                 scale_override: float | None = None) -> SelectionResult:
-    """Noisy Frank-Wolfe LASSO over the l1 ball of radius c1: every step
-    perturbs all 2d vertex scores with independent Laplace draws at
-    scale_lasso, then takes the argmin. steps defaults to the
-    utility-optimal count for this design and eta_step.
-
-    scale_override is a test hook; 0 gives the exact algorithm on the same
-    code path.
-    """
-    if not (0 < c1 < math.inf):
-        raise ValueError(f"c1 must be finite and positive, got {c1}")
-    if steps is not None and steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    policy = NoisePolicy(family, delta, eta_step)
-    y = as_response(y, X.n)
-    if steps is None:
-        steps = _default_fw_steps(X, c1, eta_step, family)
-    scale = scale_lasso(X.d, c1, X, policy) if scale_override is None else scale_override
-    theta, trace = _fw_loop(X, y, c1, steps, scale, rng)
-    return SelectionResult(model=support(theta, support_threshold), theta=theta,
-                           trace=tuple(trace), budgets=certify_budgets(steps, eta_step, delta),
-                           c1=c1)
-
-
-def support(theta, threshold: float = SUPPORT_THRESHOLD) -> ModelSet:
-    """Indices with |theta_j| > threshold. Pure post-processing: the result
-    inherits theta's stability budget unchanged."""
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
+def support(theta) -> ModelSet:
+    """Indices with |theta_j| > SUPPORT_THRESHOLD. Pure post-processing: the
+    result inherits theta's stability budget unchanged."""
     theta = np.asarray(theta, dtype=np.float64).ravel()
-    return ModelSet(tuple(int(j) for j in np.nonzero(np.abs(theta) > threshold)[0]))
+    return ModelSet(tuple(int(j) for j in np.nonzero(np.abs(theta) > SUPPORT_THRESHOLD)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +233,6 @@ def lambda_to_c1(X: DesignMatrix, y, lam: float) -> float:
 # marginal screening
 
 
-def screening_exact(X: DesignMatrix, y, k: int) -> ModelSet:
-    """Top-k indices by |X_i^T y| / n, ties broken by lowest index."""
-    if not (1 <= k <= X.d):
-        raise ValueError(f"need 1 <= k <= d, got k={k}, d={X.d}")
-    y = as_response(y, X.n)
-    c = np.abs(X.entries.T @ y) / X.n
-    # stable sort on -|c| keeps ascending index order within ties
-    order = np.argsort(-c, kind="stable")
-    return ModelSet.from_unordered(order[:k])
-
-
 def stable_screening(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
                      family: NoiseFamily = Subgaussian(1.0), *,
                      rng: RngStream, scale_override: float | None = None,
@@ -314,15 +270,24 @@ def stable_screening(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
 # forward stepwise
 
 
-def _fs_correlation_order(X: DesignMatrix, y: np.ndarray, k: int,
-                          scale: float, rng: RngStream | None,
-                          ) -> tuple[list[int], list[TraceStep]]:
-    """Shared loop for exact (rng None or scale 0) and noisy forward
-    stepwise with incrementally residualized columns."""
-    n, d = X.n, X.d
+def stable_fs(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
+              family: NoiseFamily = Subgaussian(1.0), *,
+              rng: RngStream, scale_override: float | None = None,
+              ) -> SelectionResult:
+    """k rounds of noisy argmax over residual-normalized correlations, with
+    the columns residualized incrementally against the selected ones and
+    numerically collinear candidates excluded before noise; the per-round
+    scale is calibrated over ordered candidate sequences, so it uses the
+    descending factorial (d)_k and no 1/n factor."""
+    if not (1 <= k <= X.d):
+        raise ValueError(f"need 1 <= k <= d, got k={k}, d={X.d}")
+    y = as_response(y, X.n)
+    policy = NoisePolicy(family, delta, eta_step)
+    scale = scale_forward_stepwise(X.d, k, policy) if scale_override is None \
+        else scale_override
     R = X.entries.copy()
     y_res = y.astype(np.float64, copy=True)
-    available = np.ones(d, dtype=bool)
+    available = np.ones(X.d, dtype=bool)
     order: list[int] = []
     trace: list[TraceStep] = []
     for t in range(1, k + 1):
@@ -337,11 +302,7 @@ def _fs_correlation_order(X: DesignMatrix, y: np.ndarray, k: int,
             )
         nrm = norms[keep]
         signed = (R[:, cand].T @ y_res) / nrm
-        if rng is not None:
-            noisy_signed = signed + rng.child(t).laplace(scale, cand.shape[0])
-        else:
-            noisy_signed = signed
-        noisy = np.abs(noisy_signed)
+        noisy = np.abs(signed + rng.child(t).laplace(scale, cand.shape[0]))
         j = int(np.argmax(noisy))
         i_t = int(cand[j])
         abs_exact = np.abs(signed)
@@ -356,31 +317,5 @@ def _fs_correlation_order(X: DesignMatrix, y: np.ndarray, k: int,
         y_res -= q * float(q @ y_res)
         available[i_t] = False
         order.append(i_t)
-    return order, trace
-
-
-def fs_exact(X: DesignMatrix, y, k: int) -> ModelSet:
-    """Greedy forward stepwise on residual-normalized absolute correlations."""
-    if not (1 <= k <= X.d):
-        raise ValueError(f"need 1 <= k <= d, got k={k}, d={X.d}")
-    y = as_response(y, X.n)
-    order, _ = _fs_correlation_order(X, y, k, 0.0, None)
-    return ModelSet.from_unordered(order)
-
-
-def stable_fs(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
-              family: NoiseFamily = Subgaussian(1.0), *,
-              rng: RngStream, scale_override: float | None = None,
-              ) -> SelectionResult:
-    """k rounds of noisy argmax over residual-normalized correlations; the
-    per-round scale is calibrated over ordered candidate sequences, so it
-    uses the descending factorial (d)_k and no 1/n factor."""
-    if not (1 <= k <= X.d):
-        raise ValueError(f"need 1 <= k <= d, got k={k}, d={X.d}")
-    y = as_response(y, X.n)
-    policy = NoisePolicy(family, delta, eta_step)
-    scale = scale_forward_stepwise(X.d, k, policy) if scale_override is None \
-        else scale_override
-    order, trace = _fs_correlation_order(X, y, k, scale, rng)
     return SelectionResult(model=ModelSet.from_unordered(order), theta=None,
                            trace=tuple(trace), budgets=certify_budgets(k, eta_step, delta))

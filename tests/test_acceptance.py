@@ -19,12 +19,13 @@ from stableci.experiments import (ExperimentConfig, SelectorSpec, aggregate,
 from stableci.linmodel import DesignMatrix
 from stableci.noise import (NoisePolicy, RngStream, Subgaussian,
                             scale_forward_stepwise, scale_screening)
-from stableci.selectors import (fs_exact, lasso_exact_fw, screening_exact,
-                                solve_penalized_lasso, stable_fs, stable_lasso,
+from stableci.selectors import (solve_penalized_lasso, stable_fs, stable_lasso,
                                 stable_screening, support)
 from stableci.stability import (StabilityBudget, compose_adaptive_advanced,
                                 compose_adaptive_simple, compose_nonadaptive,
                                 eta_step_for_total, sparse_selection_eta)
+
+from oracles import fs_exact, lasso_exact_fw, screening_exact
 
 
 def report(num, name, ok, detail):

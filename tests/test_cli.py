@@ -22,7 +22,9 @@ from stableci.experiments import (ExperimentConfig, SelectorSpec, gen_synthetic,
                                   run_trial)
 from stableci.linmodel import DesignMatrix
 from stableci.noise import RngStream
-from stableci.selectors import lambda_to_c1, screening_exact
+from stableci.selectors import lambda_to_c1
+
+from oracles import screening_exact
 
 
 @pytest.fixture
@@ -142,6 +144,19 @@ def test_nonfinite_design_exits_2(data, tmp_path, cell):
                  "--k", "2", "--eta", "1.0", "--out", str(out)]) == 2
     assert main(["ci", "--x", str(bad), "--y", data["y"], "--model", "0,1",
                  "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_all_zero_design_exits_2(data, tmp_path, capsys):
+    # the default Frank-Wolfe step count divides by the largest column norm
+    zero = tmp_path / "x_zero.csv"
+    np.savetxt(zero, np.zeros((40, 6)), delimiter=",")
+    out = tmp_path / "out.csv"
+    assert main(["select", "--x", str(zero), "--y", data["y"], "--method", "lasso",
+                 "--c1", "1", "--eta", "1", "--out", str(out)]) == 2
+    assert main(["ci", "--x", str(zero), "--y", data["y"], "--model", "0,1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("design has no nonzero entry") == 2
     assert not out.exists()
 
 
@@ -601,6 +616,15 @@ def test_experiment_rejects_nonfinite_config(tmp_path, capsys, overrides, knob):
     assert rc == 2
     err = capsys.readouterr().err
     assert knob in err and "response" not in err
+    assert not (out / "records.csv").exists()
+
+
+def test_experiment_rejects_support_threshold(tmp_path, capsys):
+    cfg = experiment_config(selector={"method": "lasso", "c1": 1.0, "steps": 5,
+                                      "support_threshold": 1e-12})
+    rc, out = run_experiment(tmp_path, "threshold", cfg)
+    assert rc == 2
+    assert "support_threshold" in capsys.readouterr().err
     assert not (out / "records.csv").exists()
 
 

@@ -19,8 +19,10 @@ from stableci.experiments import (DEFAULT_ETA_GRID, ExperimentConfig,
                                   run_trial, run_trials)
 from stableci.linmodel import DesignMatrix, ModelSet
 from stableci.noise import RngStream
-from stableci.selectors import SelectionResult, screening_exact
+from stableci.selectors import SelectionResult
 from stableci.stability import StabilityBudget
+
+from oracles import screening_exact
 
 
 def fixed_cfg(**kw):

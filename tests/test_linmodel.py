@@ -20,6 +20,8 @@ def test_design_matrix_norms():
     assert X.l2inf_norm == 5.0
     assert X.linf_norm == 5.0
     np.testing.assert_array_equal(X.submatrix(ModelSet((1,))), [[0.0], [-5.0]])
+    # the largest magnitude is a negative entry
+    assert DesignMatrix([[1.0, -7.5], [2.0, 0.5]]).linf_norm == 7.5
 
 
 def test_design_matrix_is_frozen():
@@ -37,6 +39,11 @@ def test_design_matrix_shape_validation(bad):
 def test_design_matrix_rejects_nonfinite():
     with pytest.raises(ValueError):
         DesignMatrix([[1.0, np.nan]])
+
+
+def test_design_matrix_rejects_all_zero():
+    with pytest.raises(ValueError, match="nonzero"):
+        DesignMatrix(np.zeros((3, 2)))
 
 
 def test_model_set_ordering():

@@ -1,10 +1,11 @@
-"""Exact and noisy selectors.
+"""Noisy selectors and their zero-noise limits.
 
 Oracles: the selection laws of the noisy argmax/argmin are integrated in
 closed form (scipy quadrature over Laplace densities) and compared to
-Monte Carlo frequencies over 1e5 seeded runs; exact-selector fixtures are
-small enough to enumerate by hand; the penalized solver is checked against
-its KKT conditions.
+Monte Carlo frequencies over 1e5 seeded runs; the exact selectors in
+oracles.py, checked on fixtures small enough to enumerate by hand, are the
+zero-noise limits; the penalized solver is checked against its KKT
+conditions.
 """
 
 import math
@@ -18,12 +19,13 @@ from stableci.errors import AllCandidatesCollinear, NonConvergence
 from stableci.linmodel import DesignMatrix, ModelSet
 from stableci.noise import RngStream, Subgaussian
 from stableci.selectors import (FS_COLLINEAR_TOL, SUPPORT_THRESHOLD,
-                                certify_budgets, fs_exact, lasso_exact_fw,
-                                lambda_to_c1, screening_exact,
+                                certify_budgets, lambda_to_c1,
                                 solve_penalized_lasso, stable_fs,
                                 stable_lasso, stable_screening, support,
-                                _default_fw_steps, _fs_correlation_order)
+                                _default_fw_steps)
 from stableci.stability import StabilityBudget, compose_adaptive_advanced
+
+from oracles import fs_exact, lasso_exact_fw, screening_exact
 
 
 UNIT = Subgaussian(1.0)
@@ -183,7 +185,7 @@ def test_stable_lasso_zero_noise_matches_exact():
         res = stable_lasso(X, y, 1.2, 0.05, 1.0, UNIT, rng=RngStream(seed), steps=40,
                            scale_override=0.0)
         np.testing.assert_array_equal(res.theta, lasso_exact_fw(X, y, 1.2, 40))
-        assert res.model == support(res.theta, SUPPORT_THRESHOLD)
+        assert res.model == support(res.theta)
 
 
 def test_stable_lasso_tie_on_zero_response():
@@ -205,9 +207,9 @@ def test_stable_lasso_replay():
 
 def test_support_threshold():
     assert support([0.0, 1e-13, -0.5, 2.0]).indices == (2, 3)
-    assert support([0.4, -0.4], threshold=0.5).indices == ()
-    with pytest.raises(ValueError):
-        support([1.0], threshold=-1.0)
+    # strictly above SUPPORT_THRESHOLD in magnitude, either sign
+    assert support([SUPPORT_THRESHOLD, -SUPPORT_THRESHOLD, 2 * SUPPORT_THRESHOLD,
+                    -2 * SUPPORT_THRESHOLD]).indices == (2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +386,15 @@ def test_stable_lasso_selection_law():
 # forward stepwise
 
 
+def zero_noise_fs_order(X: DesignMatrix, y, k: int) -> list[int]:
+    """The pick order of forward stepwise at noise scale 0."""
+    res = stable_fs(X, y, k, 0.05, 1.0, rng=RngStream(0), scale_override=0.0)
+    return [s.chosen for s in res.trace]
+
+
 def test_fs_identity_order():
     X = DesignMatrix(np.eye(2))
-    order, trace = _fs_correlation_order(X, np.array([2.0, 1.0]), 2, 0.0, None)
-    assert order == [0, 1]
+    assert zero_noise_fs_order(X, np.array([2.0, 1.0]), 2) == [0, 1]
     assert fs_exact(X, [2.0, 1.0], 2).indices == (0, 1)
 
 
@@ -446,8 +453,7 @@ def test_fs_sse_criterion_agrees_with_correlation():
     # the two formulations agree step by step up to score ties
     for seed in range(20):
         X, y = random_instance(seed, n=30, d=7)
-        corr_order, _ = _fs_correlation_order(X, y, 4, 0.0, None)
-        assert corr_order == fs_sse_order(X, y, 4), seed
+        assert zero_noise_fs_order(X, y, 4) == fs_sse_order(X, y, 4), seed
 
 
 def test_stable_fs_zero_noise_matches_exact():
