@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .errors import StableCIError
 from .linmodel import DesignMatrix, ModelSet
-from .noise import RngStream, Subgaussian
+from .noise import RngStream
 from .selectors import SelectionResult, SelectorSpec, stable_fs, stable_lasso, stable_screening
 from .stability import IntervalSet, StabilityBudget, infer
 from .experiments import ExperimentConfig, eta_sweep, run_selector, run_trial

@@ -66,6 +66,8 @@ SCHEMA_VERSION = 1
 
 _SELECTION_COLUMNS = ["record", "f1", "f2", "f3", "f4", "f5", "f6"]
 
+_LOADTXT = dict(dtype=np.float64, delimiter=",", quotechar='"', comments=None, ndmin=2)
+
 
 class CliParseError(ValueError):
     """Malformed file or option combination; maps to exit code 2."""
@@ -93,32 +95,52 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
         writer.writerows(rows)
 
 
-def _is_header(line: str) -> bool:
-    try:
-        [float(c) for c in next(csv.reader([line]))]
-    except ValueError:
-        return True
-    return False
+def _data_lines(fh):
+    """(line number from 1, line) for each line of fh holding more than whitespace,
+    commas and quotes, less a first such line with a non-numeric field: the header."""
+    lines = ((n, line) for n, line in enumerate(fh, 1)
+             if line.replace(",", "").replace('"', "").strip())
+    for n, line in lines:  # the first line only
+        try:
+            [float(c) for c in next(csv.reader([line]))]
+        except ValueError:
+            break
+        yield n, line
+        break
+    yield from lines
+
+
+def _first_bad_line(path: str) -> str | None:
+    """Why loadtxt rejects path, naming the file line: the first data line
+    that does not parse alone, or that is not as wide as the first one."""
+    width = None
+    with open(path) as fh:
+        for n, line in _data_lines(fh):
+            try:
+                w = np.loadtxt([line], **_LOADTXT).shape[1]
+            except ValueError:
+                return f"line {n} is not a row of numbers: {line.strip()!r}"
+            width = width or w
+            if w != width:
+                return f"line {n} has {w} field(s), not {width}"
 
 
 def read_matrix(path: str) -> np.ndarray:
     """Numeric CSV, one row per line; a single leading non-numeric row is
     treated as a header and skipped. Lines holding nothing but whitespace,
     commas and quotes are skipped, fields may be quoted, and '#' is data,
-    not a comment."""
+    not a comment. A rejection names the first bad line of the file."""
     try:
         with open(path) as fh:
-            lines = (line for line in fh if line.replace(",", "").replace('"', "").strip())
+            lines = (line for _, line in _data_lines(fh))
             first = next(lines, None)
-            if first is not None and _is_header(first):
-                first = next(lines, None)
             if first is None:
                 raise CliParseError(f"{path}: no numeric rows")
             try:
-                return np.loadtxt(itertools.chain([first], lines), dtype=np.float64,
-                                  delimiter=",", quotechar='"', comments=None, ndmin=2)
+                return np.loadtxt(itertools.chain([first], lines), **_LOADTXT)
             except ValueError as e:
-                raise CliParseError(f"{path}: {e}") from e
+                # rescan only on failure, so a good file is parsed once
+                raise CliParseError(f"{path}: {_first_bad_line(path) or e}") from e
     except OSError as e:
         raise CliParseError(f"cannot read {path}: {e}") from e
 

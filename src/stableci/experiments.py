@@ -21,7 +21,7 @@ from .errors import AllCandidatesCollinear, DegenerateLevel, EmptyInput, NonConv
 from .linmodel import DesignMatrix, ModelSet
 # not called here: bound for perfbench/tracing.py, which wraps these names in this module
 from .linmodel import ols_fit, sigma_hat_full_model, stderr_known_sigma, target_coefficients  # noqa: F401
-from .noise import RngStream, Subgaussian
+from .noise import RngStream
 from .selectors import SelectionResult, SelectorSpec, lambda_to_c1, stable_fs, stable_lasso, \
     stable_screening
 from .stability import StabilityBudget, alpha_split, infer
@@ -134,15 +134,14 @@ def run_selector(spec: SelectorSpec, X: DesignMatrix, y, eta_step: float | None,
                                (_ZERO_BUDGET,))
     if eta_step is None or eta_step <= 0:
         raise ValueError(f"selector {spec.method!r} needs a positive eta_step")
-    family = Subgaussian(sigma)
     if spec.method == "screen":
-        return stable_screening(X, y, spec.k, delta, eta_step, family, rng=rng)
+        return stable_screening(X, y, spec.k, delta, eta_step, sigma, rng=rng)
     if spec.method == "fs":
-        return stable_fs(X, y, spec.k, delta, eta_step, family, rng=rng)
+        return stable_fs(X, y, spec.k, delta, eta_step, sigma, rng=rng)
     c1 = spec.c1 if spec.lam is None else lambda_to_c1(X, y, spec.lam)
     if c1 == 0.0:
         return SelectionResult(ModelSet(), np.zeros(X.d), (), (_ZERO_BUDGET,), c1=0.0)
-    return stable_lasso(X, y, c1, delta, eta_step, family, rng=rng, steps=spec.steps)
+    return stable_lasso(X, y, c1, delta, eta_step, sigma, rng=rng, steps=spec.steps)
 
 
 def _score_model(cfg: ExperimentConfig, X: DesignMatrix, y: np.ndarray,
@@ -211,7 +210,7 @@ def aggregate(records: list[TrialRecord], eta_step: float | None = None,
         reasons = Counter(r.flagged.split(":", 1)[0] for r in records)
         raise EmptyInput(f"all {len(records)} trials were flagged ("
                          + ", ".join(f"{k}: {c}" for k, c in sorted(reasons.items())) + ")")
-    pooled = np.concatenate([r.widths for r in kept]) if kept else np.zeros(0)
+    pooled = np.concatenate([r.widths for r in kept])
     if pooled.size:
         pooled = np.sort(pooled)
         quantiles = {lvl: _nearest_rank(pooled, lvl) for lvl in WIDTH_QUANTILE_LEVELS}

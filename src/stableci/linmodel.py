@@ -26,7 +26,8 @@ class DesignMatrix:
     ----------
     entries : array_like, shape (n, d)
         Feature matrix. Copied, cast to float64, and frozen; must be finite
-        with at least one nonzero entry.
+        with at least one nonzero entry, and its largest column norm must be
+        finite and nonzero in float64.
     """
 
     def __init__(self, entries):
@@ -49,6 +50,9 @@ class DesignMatrix:
         self.col_norms.setflags(write=False)
         # max_i ||X_i||_2 and max |X_ij|, the two norms noise scales use
         self.l2inf_norm = float(self.col_norms.max())
+        # finite entries can still overflow or underflow a column norm
+        if not (0.0 < self.l2inf_norm < math.inf):
+            raise ValueError(f"largest design column norm is {self.l2inf_norm}; rescale the design")
         self.linf_norm = max(hi, -lo)
 
     def submatrix(self, model: "ModelSet") -> np.ndarray:

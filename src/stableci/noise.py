@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linmodel import DesignMatrix
-from .stability import OrliczFunction
 
 _HALF_OPEN = float(np.nextafter(0.5, 0.0))  # largest double < 0.5
 
@@ -74,51 +73,21 @@ class RngStream:
 
 
 @dataclass(frozen=True)
-class Subgaussian:
-    """y - mu is sigma-subgaussian for a known sigma."""
+class NoisePolicy:
+    """Subgaussian noise scale sigma of y - mu plus the per-step stability
+    knobs the scales divide by."""
 
     sigma: float
-
-    def __post_init__(self):
-        if not (0 < self.sigma < math.inf):
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
-
-
-@dataclass(frozen=True)
-class OrliczFamily:
-    """||y - mu||_psi <= G for an Orlicz generator psi."""
-
-    psi: OrliczFunction
-    G: float
-
-    def __post_init__(self):
-        if not (self.G > 0):
-            raise ValueError(f"G must be positive, got {self.G}")
-
-
-NoiseFamily = Subgaussian | OrliczFamily
-
-
-@dataclass(frozen=True)
-class NoisePolicy:
-    """Tail family plus the per-step stability knobs the scales divide by."""
-
-    family: NoiseFamily
     delta: float
     eta_step: float
 
     def __post_init__(self):
+        if not (0 < self.sigma < math.inf):
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if not (0 < self.eta_step < math.inf):
             raise ValueError(f"eta_step must be finite and positive, got {self.eta_step}")
-
-
-def _sqrt_log(log_arg_log: float) -> float:
-    # argument of the sqrt-log is passed already in log space
-    if log_arg_log <= 0:
-        raise ValueError("noise calibration needs log(arg) > 0")
-    return math.sqrt(log_arg_log)
 
 
 def scale_lasso(d: int, c1: float, X: DesignMatrix, policy: NoisePolicy) -> float:
@@ -128,10 +97,7 @@ def scale_lasso(d: int, c1: float, X: DesignMatrix, policy: NoisePolicy) -> floa
     if not (c1 > 0):
         raise ValueError(f"c1 must be positive, got {c1}")
     base = c1 * X.l2inf_norm / (X.n * policy.eta_step)
-    fam = policy.family
-    if isinstance(fam, Subgaussian):
-        return 8.0 * _sqrt_log(math.log(4.0 * d) - math.log(policy.delta)) * fam.sigma * base
-    return 4.0 * fam.psi.inverse(1.0 / policy.delta) * fam.G * base
+    return 8.0 * math.sqrt(math.log(4.0 * d) - math.log(policy.delta)) * policy.sigma * base
 
 
 def scale_screening(d: int, X: DesignMatrix, policy: NoisePolicy) -> float:
@@ -139,10 +105,7 @@ def scale_screening(d: int, X: DesignMatrix, policy: NoisePolicy) -> float:
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     base = X.l2inf_norm / (X.n * policy.eta_step)
-    fam = policy.family
-    if isinstance(fam, Subgaussian):
-        return 4.0 * _sqrt_log(math.log(2.0 * d) - math.log(policy.delta)) * fam.sigma * base
-    return 2.0 * fam.psi.inverse(1.0 / policy.delta) * fam.G * base
+    return 4.0 * math.sqrt(math.log(2.0 * d) - math.log(policy.delta)) * policy.sigma * base
 
 
 def scale_forward_stepwise(d: int, k: int, policy: NoisePolicy) -> float:
@@ -154,11 +117,8 @@ def scale_forward_stepwise(d: int, k: int, policy: NoisePolicy) -> float:
     """
     if not (1 <= k <= d):
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
-    fam = policy.family
-    if isinstance(fam, Subgaussian):
-        log_arg = math.log(2.0) + log_descending_factorial(d, k) - math.log(policy.delta)
-        return 4.0 * _sqrt_log(log_arg) * fam.sigma / policy.eta_step
-    return 2.0 * fam.psi.inverse(1.0 / policy.delta) * fam.G / policy.eta_step
+    log_arg = math.log(2.0) + log_descending_factorial(d, k) - math.log(policy.delta)
+    return 4.0 * math.sqrt(log_arg) * policy.sigma / policy.eta_step
 
 
 def log_descending_factorial(d: int, k: int) -> float:

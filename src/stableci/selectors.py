@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import AllCandidatesCollinear, NonConvergence
 from .linmodel import DesignMatrix, ModelSet, as_response
-from .noise import NoiseFamily, NoisePolicy, RngStream, Subgaussian, \
-    scale_forward_stepwise, scale_lasso, scale_screening
+from .noise import NoisePolicy, RngStream, scale_forward_stepwise, scale_lasso, scale_screening
 from .stability import StabilityBudget, compose_adaptive_advanced
 
 SUPPORT_THRESHOLD = 1e-12
@@ -102,17 +101,16 @@ def certify_budgets(k: int, eta_step: float, delta: float) -> tuple[StabilityBud
 # LASSO via Frank-Wolfe
 
 
-def _default_fw_steps(X: DesignMatrix, c1: float, eta_step: float,
-                      family: NoiseFamily) -> int:
+def _default_fw_steps(X: DesignMatrix, c1: float, eta_step: float, sigma: float) -> int:
     """The utility-optimal step count
-    ceil(n ||X||_inf^2 c1 eta / (sigma ||X||_{2,inf})), capped."""
-    spread = family.sigma if isinstance(family, Subgaussian) else family.G
-    raw = X.n * X.linf_norm ** 2 * c1 * eta_step / (spread * X.l2inf_norm)
-    return max(1, min(MAX_DEFAULT_FW_STEPS, math.ceil(raw)))
+    ceil(n ||X||_inf^2 c1 eta / (sigma ||X||_{2,inf})), capped. Capping
+    before the ceil also caps a raw count that overflows to inf."""
+    raw = X.n * X.linf_norm ** 2 * c1 * eta_step / (sigma * X.l2inf_norm)
+    return max(1, math.ceil(min(raw, MAX_DEFAULT_FW_STEPS)))
 
 
 def stable_lasso(X: DesignMatrix, y, c1: float, delta: float, eta_step: float,
-                 family: NoiseFamily, *,
+                 sigma: float, *,
                  rng: RngStream, steps: int | None = None,
                  scale_override: float | None = None) -> SelectionResult:
     """Noisy Frank-Wolfe LASSO over the l1 ball of radius c1: every step
@@ -130,10 +128,10 @@ def stable_lasso(X: DesignMatrix, y, c1: float, delta: float, eta_step: float,
         raise ValueError(f"c1 must be finite and positive, got {c1}")
     if steps is not None and steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    policy = NoisePolicy(family, delta, eta_step)
+    policy = NoisePolicy(sigma, delta, eta_step)
     y = as_response(y, X.n)
     if steps is None:
-        steps = _default_fw_steps(X, c1, eta_step, family)
+        steps = _default_fw_steps(X, c1, eta_step, sigma)
     scale = scale_lasso(X.d, c1, X, policy) if scale_override is None else scale_override
     n, d = X.n, X.d
     A = X.entries
@@ -234,7 +232,7 @@ def lambda_to_c1(X: DesignMatrix, y, lam: float) -> float:
 
 
 def stable_screening(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
-                     family: NoiseFamily = Subgaussian(1.0), *,
+                     sigma: float, *,
                      rng: RngStream, scale_override: float | None = None,
                      ) -> SelectionResult:
     """k rounds of noisy argmax over |c_i + xi| with c = X^T y / n; the
@@ -242,7 +240,7 @@ def stable_screening(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
     if not (1 <= k <= X.d):
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={X.d}")
     y = as_response(y, X.n)
-    policy = NoisePolicy(family, delta, eta_step)
+    policy = NoisePolicy(sigma, delta, eta_step)
     scale = scale_screening(X.d, X, policy) if scale_override is None else scale_override
     c = (X.entries.T @ y) / X.n
     available = np.ones(X.d, dtype=bool)
@@ -271,7 +269,7 @@ def stable_screening(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
 
 
 def stable_fs(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
-              family: NoiseFamily = Subgaussian(1.0), *,
+              sigma: float, *,
               rng: RngStream, scale_override: float | None = None,
               ) -> SelectionResult:
     """k rounds of noisy argmax over residual-normalized correlations, with
@@ -282,7 +280,7 @@ def stable_fs(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
     if not (1 <= k <= X.d):
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={X.d}")
     y = as_response(y, X.n)
-    policy = NoisePolicy(family, delta, eta_step)
+    policy = NoisePolicy(sigma, delta, eta_step)
     scale = scale_forward_stepwise(X.d, k, policy) if scale_override is None \
         else scale_override
     R = X.entries.copy()

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, ndtri, stdtrit
@@ -297,49 +296,6 @@ def infer(X: DesignMatrix, y, model: ModelSet, budgets: list[StabilityBudget],
     return IntervalSet(model=model, estimates=est, stderrs=se, K=K,
                        lower=est - K * se, upper=est + K * se,
                        level=level, budget=chosen, sigma=sigma, fit=fit)
-
-
-# ---------------------------------------------------------------------------
-# Orlicz tail families
-
-
-@dataclass(frozen=True)
-class OrliczFunction:
-    """A convex Orlicz generator psi with its inverse; ||W||_psi <= G tail
-    control generalizes the subgaussian case."""
-
-    name: str
-    psi: Callable[[float], float]
-    inverse: Callable[[float], float]
-
-
-SUBGAUSSIAN = OrliczFunction(
-    name="subgaussian",
-    psi=lambda x: math.expm1(x * x),
-    inverse=lambda u: math.sqrt(math.log1p(u)),
-)
-
-SUBEXPONENTIAL = OrliczFunction(
-    name="subexponential",
-    psi=math.expm1,
-    inverse=math.log1p,
-)
-
-
-def orlicz_constant(psi: OrliczFunction, G: float, model_size: int,
-                    delta: float, budget: StabilityBudget) -> float:
-    """Half-width multiplier psi^{-1}(model_size * e^eta / (delta(1-nu))) * G;
-    the caller multiplies by the Gram-diagonal square roots."""
-    if G <= 0:
-        raise ValueError(f"G must be positive, got {G}")
-    if model_size < 1:
-        raise ValueError(f"model_size must be >= 1, got {model_size}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if budget.nu >= 1.0:
-        raise DegenerateLevel("nu = 1 leaves no typical mass")
-    u = model_size * math.exp(budget.eta) / (delta * (1.0 - budget.nu))
-    return psi.inverse(u) * G
 
 
 def eta_step_for_total(k: int, delta: float, eta_total: float) -> float:

@@ -17,8 +17,7 @@ from stableci.experiments import (ExperimentConfig, SelectorSpec, aggregate,
                                   eta_sweep, gen_synthetic, run_trial,
                                   run_trials)
 from stableci.linmodel import DesignMatrix
-from stableci.noise import (NoisePolicy, RngStream, Subgaussian,
-                            scale_forward_stepwise, scale_screening)
+from stableci.noise import NoisePolicy, RngStream, scale_forward_stepwise, scale_screening
 from stableci.selectors import (solve_penalized_lasso, stable_fs, stable_lasso,
                                 stable_screening, support)
 from stableci.stability import (StabilityBudget, compose_adaptive_advanced,
@@ -90,9 +89,9 @@ def test_criterion_03_indistinguishability_ratio():
     trials = 100_000
     counts = np.zeros((2, X.d))
     for s in range(trials):
-        a = stable_screening(X, y, 1, delta, eta, Subgaussian(sigma),
+        a = stable_screening(X, y, 1, delta, eta, sigma,
                              rng=RngStream(s, (3,)))
-        b = stable_screening(X, y_prime, 1, delta, eta, Subgaussian(sigma),
+        b = stable_screening(X, y_prime, 1, delta, eta, sigma,
                              rng=RngStream(s, (4,)))
         counts[0, a.model.indices[0]] += 1
         counts[1, b.model.indices[0]] += 1
@@ -173,7 +172,7 @@ def test_criterion_06_frank_wolfe_convergence():
         beta[:4] = 3.0
         y = X.entries @ beta + r.child(1).normal(50)
         lstar = constrained_lstar_lower(X, y, c1)
-        res = stable_lasso(X, y, c1, 0.05, 1.0, Subgaussian(1.0), rng=r.child(2), steps=200,
+        res = stable_lasso(X, y, c1, 0.05, 1.0, 1.0, rng=r.child(2), steps=200,
                            scale_override=0.0)
         cap = 8.0 * X.linf_norm ** 2 * c1 ** 2
         for s in res.trace:
@@ -186,7 +185,7 @@ def test_criterion_06_frank_wolfe_convergence():
 
 def test_criterion_07_selector_utility():
     d, k, delta_sel, delta_fail, eta = 20, 3, 0.1, 0.1, 1.0
-    policy = NoisePolicy(Subgaussian(1.0), delta_sel, eta)
+    policy = NoisePolicy(1.0, delta_sel, eta)
     trials = 500
     hits_screen = hits_fs = 0
     root = RngStream(404)
@@ -198,13 +197,13 @@ def test_criterion_07_selector_utility():
         y = X.entries @ beta + r.child(1).normal(100)
 
         b_screen = scale_screening(d, X, policy)
-        res = stable_screening(X, y, k, delta_sel, eta, Subgaussian(1.0),
+        res = stable_screening(X, y, k, delta_sel, eta, 1.0,
                                rng=r.child(2))
         gap = max(s.best_exact - s.exact_score for s in res.trace)
         hits_screen += gap <= 2 * b_screen * math.log(d * k / delta_fail)
 
         b_fs = scale_forward_stepwise(d, k, policy)
-        res = stable_fs(X, y, k, delta_sel, eta, Subgaussian(1.0), rng=r.child(3))
+        res = stable_fs(X, y, k, delta_sel, eta, 1.0, rng=r.child(3))
         s2 = res.trace[1]
         hits_fs += (s2.best_exact - s2.exact_score) <= 2 * b_fs * math.log(d / delta_fail)
     fs_rate, screen_rate = hits_fs / trials, hits_screen / trials
@@ -235,15 +234,15 @@ def test_criterion_08_zero_noise_limits():
         k = 1 + seed % 3
         rng = RngStream(seed)
 
-        got = stable_screening(X, y, k, 0.05, 1.0, rng=rng.child(0),
+        got = stable_screening(X, y, k, 0.05, 1.0, 1.0, rng=rng.child(0),
                                scale_override=0.0).model
         if got != screening_exact(X, y, k):
             mismatches.append((seed, "screen"))
-        got = stable_fs(X, y, k, 0.05, 1.0, rng=rng.child(1),
+        got = stable_fs(X, y, k, 0.05, 1.0, 1.0, rng=rng.child(1),
                         scale_override=0.0).model
         if got != fs_exact(X, y, k):
             mismatches.append((seed, "fs"))
-        res = stable_lasso(X, y, 1.5, 0.05, 1.0, Subgaussian(1.0), rng=rng.child(2), steps=30,
+        res = stable_lasso(X, y, 1.5, 0.05, 1.0, 1.0, rng=rng.child(2), steps=30,
                            scale_override=0.0)
         exact_theta = lasso_exact_fw(X, y, 1.5, 30)
         if not np.array_equal(res.theta, exact_theta) or res.model != support(exact_theta):

@@ -55,13 +55,20 @@ def test_read_matrix_header_sniffing(tmp_path):
 def test_read_matrix_rejects_ragged_and_empty(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("1.0,2.0\n3.0\n")
-    with pytest.raises(CliParseError):
+    with pytest.raises(CliParseError, match="line 2 has 1 field"):
         read_matrix(str(p))
     p.write_text("a,b\n")
     with pytest.raises(CliParseError):
         read_matrix(str(p))
     p.write_text("1.0,2.0\n3.0,oops\n")
-    with pytest.raises(CliParseError):
+    with pytest.raises(CliParseError, match="line 2 is not a row of numbers"):
+        read_matrix(str(p))
+    # line numbers count the header and skipped blank lines
+    p.write_text("a,b\n1,2\n\n3\n")
+    with pytest.raises(CliParseError, match="line 4 has 1 field"):
+        read_matrix(str(p))
+    p.write_text("a,b\n1,2\n3,oops\n")
+    with pytest.raises(CliParseError, match="line 3 is not a row of numbers"):
         read_matrix(str(p))
 
 
@@ -108,23 +115,23 @@ def test_read_matrix_accepted_layouts(tmp_path, text, expected):
     np.testing.assert_array_equal(got, expected)
 
 
-@pytest.mark.parametrize("text", [
-    "1,2\n# note\n3,4\n",
-    "1.0,2.0\n3.0\n",
-    "1.0,2.0\n3.0,oops\n",
-    "1,2,\n3,4,\n",
-    "1,2\n1_000,4\n",
-    "",
-    "\n  \n",
-    "a,b\n",
+@pytest.mark.parametrize("text, where", [
+    ("1,2\n# note\n3,4\n", "line 2 "),
+    ("1.0,2.0\n3.0\n", "line 2 "),
+    ("1.0,2.0\n3.0,oops\n", "line 2 "),
+    ("1,2,\n3,4,\n", "line 2 "),
+    ("1,2\n1_000,4\n", "line 2 "),
+    ("", "no numeric rows"),
+    ("\n  \n", "no numeric rows"),
+    ("a,b\n", "no numeric rows"),
 ], ids=["hash-line", "ragged", "non-numeric", "trailing-comma", "underscore-literal",
         "empty", "blank-only", "header-only"])
-def test_read_matrix_rejections_name_the_path(tmp_path, text):
+def test_read_matrix_rejections_name_the_path(tmp_path, text, where):
     p = tmp_path / "m.csv"
     p.write_bytes(text.encode())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(CliParseError, match=re.escape(str(p))):
+        with pytest.raises(CliParseError, match=re.escape(f"{p}: {where}")):
             read_matrix(str(p))
 
 
@@ -157,6 +164,20 @@ def test_all_zero_design_exits_2(data, tmp_path, capsys):
     assert main(["ci", "--x", str(zero), "--y", data["y"], "--model", "0,1",
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.count("design has no nonzero entry") == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", [["screen", "--k", "2"], ["lasso", "--c1", "1"]])
+def test_overflowing_design_exits_2(data, tmp_path, capsys, method):
+    # every entry is finite, but the first column's norm overflows float64
+    X = data["X"].copy()
+    X[0, 0] = 1e200
+    huge = tmp_path / "x_huge.csv"
+    np.savetxt(huge, X, delimiter=",")
+    out = tmp_path / "out.csv"
+    assert main(["select", "--x", str(huge), "--y", data["y"], "--method", *method,
+                 "--eta", "1", "--out", str(out)]) == 2
+    assert "rescale the design" in capsys.readouterr().err
     assert not out.exists()
 
 

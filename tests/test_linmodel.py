@@ -46,6 +46,14 @@ def test_design_matrix_rejects_all_zero():
         DesignMatrix(np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("entry", [1e200, 1e-200])
+def test_design_matrix_rejects_column_norm_out_of_range(entry):
+    # finite entries whose column norm overflows to inf or underflows to 0
+    with pytest.raises(ValueError, match="rescale the design"):
+        DesignMatrix([[entry, entry], [entry, 0.0]])
+    assert DesignMatrix([[1e154, 1.0], [0.0, 1.0]]).l2inf_norm == 1e154
+
+
 def test_model_set_ordering():
     M = ModelSet((0, 2, 5))
     assert len(M) == 3 and list(M) == [0, 2, 5]

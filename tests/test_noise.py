@@ -11,10 +11,8 @@ import pytest
 import scipy.stats
 
 from stableci.linmodel import DesignMatrix
-from stableci.noise import (NoisePolicy, OrliczFamily, RngStream, Subgaussian,
-                            log_descending_factorial, scale_forward_stepwise,
-                            scale_lasso, scale_screening)
-from stableci.stability import SUBGAUSSIAN
+from stableci.noise import (NoisePolicy, RngStream, log_descending_factorial,
+                            scale_forward_stepwise, scale_lasso, scale_screening)
 
 
 def unit_norm_design(n: int = 1000, d: int = 500) -> DesignMatrix:
@@ -114,18 +112,20 @@ def test_laplace_variance():
 
 def test_family_validation():
     with pytest.raises(ValueError):
-        Subgaussian(0.0)
+        NoisePolicy(1.0, delta=0.0, eta_step=1.0)
     with pytest.raises(ValueError):
-        OrliczFamily(SUBGAUSSIAN, 0.0)
-    with pytest.raises(ValueError):
-        NoisePolicy(Subgaussian(1.0), delta=0.0, eta_step=1.0)
-    with pytest.raises(ValueError):
-        NoisePolicy(Subgaussian(1.0), delta=0.05, eta_step=0.0)
+        NoisePolicy(1.0, delta=0.05, eta_step=0.0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
+def test_policy_rejects_bad_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be finite and positive"):
+        NoisePolicy(sigma, delta=0.05, eta_step=1.0)
 
 
 def test_scale_screening_value():
     X = unit_norm_design()
-    policy = NoisePolicy(Subgaussian(1.0), delta=0.05, eta_step=1.0)
+    policy = NoisePolicy(1.0, delta=0.05, eta_step=1.0)
     got = scale_screening(500, X, policy)
     ref = 4.0 * math.sqrt(math.log(2 * 500 / 0.05)) / 1000
     assert got == pytest.approx(ref, rel=1e-14)
@@ -134,7 +134,7 @@ def test_scale_screening_value():
 
 def test_scale_lasso_value():
     X = unit_norm_design()
-    policy = NoisePolicy(Subgaussian(1.0), delta=0.05, eta_step=1.0)
+    policy = NoisePolicy(1.0, delta=0.05, eta_step=1.0)
     got = scale_lasso(500, 1.0, X, policy)
     ref = 8.0 * math.sqrt(math.log(4 * 500 / 0.05)) / 1000
     assert got == pytest.approx(ref, rel=1e-14)
@@ -142,7 +142,7 @@ def test_scale_lasso_value():
 
 
 def test_scale_forward_stepwise_value():
-    policy = NoisePolicy(Subgaussian(1.0), delta=0.05, eta_step=1.0)
+    policy = NoisePolicy(1.0, delta=0.05, eta_step=1.0)
     got = scale_forward_stepwise(500, 5, policy)
     exact = math.perm(500, 5)
     ref = 4.0 * math.sqrt(math.log(2 * exact / 0.05))
@@ -152,8 +152,8 @@ def test_scale_forward_stepwise_value():
 
 def test_scales_shrink_with_eta_and_n():
     X1, X2 = unit_norm_design(1000), unit_norm_design(2000)
-    p1 = NoisePolicy(Subgaussian(1.0), delta=0.05, eta_step=1.0)
-    p2 = NoisePolicy(Subgaussian(1.0), delta=0.05, eta_step=2.0)
+    p1 = NoisePolicy(1.0, delta=0.05, eta_step=1.0)
+    p2 = NoisePolicy(1.0, delta=0.05, eta_step=2.0)
     assert scale_screening(500, X1, p2) == pytest.approx(scale_screening(500, X1, p1) / 2)
     assert scale_lasso(500, 1.0, X1, p2) == pytest.approx(scale_lasso(500, 1.0, X1, p1) / 2)
     assert scale_forward_stepwise(500, 5, p2) == pytest.approx(
@@ -163,20 +163,9 @@ def test_scales_shrink_with_eta_and_n():
     assert scale_lasso(500, 1.0, X2, p1) == pytest.approx(scale_lasso(500, 1.0, X1, p1) / 2)
 
 
-def test_scale_orlicz_variants():
-    X = unit_norm_design()
-    fam = OrliczFamily(SUBGAUSSIAN, G=1.0)
-    policy = NoisePolicy(fam, delta=0.05, eta_step=1.0)
-    base = 1.0 / 1000
-    inv = math.sqrt(math.log(21.0))  # psi^{-1}(1/0.05)
-    assert scale_screening(500, X, policy) == pytest.approx(2.0 * inv * base, rel=1e-14)
-    assert scale_lasso(500, 1.0, X, policy) == pytest.approx(4.0 * inv * base, rel=1e-14)
-    assert scale_forward_stepwise(500, 5, policy) == pytest.approx(2.0 * inv, rel=1e-14)
-
-
 def test_scale_validation():
     X = unit_norm_design(10, 4)
-    policy = NoisePolicy(Subgaussian(1.0), delta=0.05, eta_step=1.0)
+    policy = NoisePolicy(1.0, delta=0.05, eta_step=1.0)
     with pytest.raises(ValueError):
         scale_screening(0, X, policy)
     with pytest.raises(ValueError):

@@ -17,8 +17,8 @@ import scipy.stats
 
 from stableci.errors import AllCandidatesCollinear, NonConvergence
 from stableci.linmodel import DesignMatrix, ModelSet
-from stableci.noise import RngStream, Subgaussian
-from stableci.selectors import (FS_COLLINEAR_TOL, SUPPORT_THRESHOLD,
+from stableci.noise import RngStream
+from stableci.selectors import (FS_COLLINEAR_TOL, MAX_DEFAULT_FW_STEPS, SUPPORT_THRESHOLD,
                                 certify_budgets, lambda_to_c1,
                                 solve_penalized_lasso, stable_fs,
                                 stable_lasso, stable_screening, support,
@@ -26,9 +26,6 @@ from stableci.selectors import (FS_COLLINEAR_TOL, SUPPORT_THRESHOLD,
 from stableci.stability import StabilityBudget, compose_adaptive_advanced
 
 from oracles import fs_exact, lasso_exact_fw, screening_exact
-
-
-UNIT = Subgaussian(1.0)
 
 
 def random_instance(seed, n=25, d=8, snr=2.0):
@@ -63,25 +60,31 @@ def test_certify_budgets_zero_step():
 def test_lasso_config_validation():
     X, y = random_instance(0)
     with pytest.raises(ValueError):
-        stable_lasso(X, y, 0.0, 0.05, 1.0, UNIT, rng=RngStream(0))
+        stable_lasso(X, y, 0.0, 0.05, 1.0, 1.0, rng=RngStream(0))
     with pytest.raises(ValueError):
-        stable_lasso(X, y, 1.0, 0.05, 1.0, UNIT, rng=RngStream(0), steps=0)
+        stable_lasso(X, y, 1.0, 0.05, 1.0, 1.0, rng=RngStream(0), steps=0)
     with pytest.raises(ValueError):
-        stable_lasso(X, y, 1.0, 1.5, 1.0, UNIT, rng=RngStream(0))
+        stable_lasso(X, y, 1.0, 1.5, 1.0, 1.0, rng=RngStream(0))
     for c1 in (math.inf, math.nan):
         with pytest.raises(ValueError):
-            stable_lasso(X, y, c1, 0.05, 1.0, UNIT, rng=RngStream(0))
+            stable_lasso(X, y, c1, 0.05, 1.0, 1.0, rng=RngStream(0))
 
 
 def test_lasso_resolved_steps():
     X = DesignMatrix([[2.0, 0.0], [0.0, 1.0]])
     # ceil(n linf^2 c1 eta / (sigma l2inf)) = ceil(2*4*3*1 / (1*2)) = 12
-    assert _default_fw_steps(X, 3.0, 1.0, UNIT) == 12
-    assert len(stable_lasso(X, [1.0, 1.0], 3.0, 0.05, 1.0, UNIT, rng=RngStream(0)).trace) == 12
-    assert len(stable_lasso(X, [1.0, 1.0], 3.0, 0.05, 1.0, UNIT, rng=RngStream(0),
+    assert _default_fw_steps(X, 3.0, 1.0, 1.0) == 12
+    assert len(stable_lasso(X, [1.0, 1.0], 3.0, 0.05, 1.0, 1.0, rng=RngStream(0)).trace) == 12
+    assert len(stable_lasso(X, [1.0, 1.0], 3.0, 0.05, 1.0, 1.0, rng=RngStream(0),
                             steps=7).trace) == 7
-    assert _default_fw_steps(X, 1e9, 1.0, UNIT) == 10_000
-    assert _default_fw_steps(X, 1e-12, 1.0, UNIT) == 1
+    assert _default_fw_steps(X, 1e9, 1.0, 1.0) == 10_000
+    assert _default_fw_steps(X, 1e-12, 1.0, 1.0) == 1
+
+
+def test_default_fw_steps_caps_a_count_that_overflows():
+    # norms are finite, but n ||X||_inf^2 c1 eta / (sigma ||X||_{2,inf}) is not
+    X = DesignMatrix([[1e154, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    assert _default_fw_steps(X, 10.0, 1.0, 1.0) == MAX_DEFAULT_FW_STEPS
 
 
 def test_fw_one_dimensional():
@@ -95,7 +98,7 @@ def test_fw_one_dimensional():
 
 def test_fw_zero_response_stays_near_optimal():
     X, _ = random_instance(0)
-    res = stable_lasso(X, np.zeros(X.n), 1.0, 0.05, 1.0, UNIT, rng=RngStream(0), steps=100,
+    res = stable_lasso(X, np.zeros(X.n), 1.0, 0.05, 1.0, 1.0, rng=RngStream(0), steps=100,
                        scale_override=0.0)
     bound = [8.0 * X.linf_norm ** 2 / (t + 2) for t in range(1, 101)]
     assert all(s.objective <= b + 1e-12 for s, b in zip(res.trace, bound))
@@ -117,7 +120,7 @@ def test_fw_orthonormal_reaches_projection():
 
 def test_fw_trace_objective_matches_replay():
     X, y = random_instance(3)
-    res = stable_lasso(X, y, 1.5, 0.05, 1.0, UNIT, rng=RngStream(1), steps=5,
+    res = stable_lasso(X, y, 1.5, 0.05, 1.0, 1.0, rng=RngStream(1), steps=5,
                        scale_override=0.0)
     for k in range(1, 6):
         theta_k = lasso_exact_fw(X, y, 1.5, k)
@@ -135,7 +138,7 @@ def test_fw_gap_bound_against_cd_oracle():
         beta[:3] = 2.0
         y = X.entries @ beta + gen.standard_normal(n)
         lstar = constrained_lstar_lower(X, y, c1)
-        res = stable_lasso(X, y, c1, 0.05, 1.0, UNIT, rng=RngStream(0), steps=150,
+        res = stable_lasso(X, y, c1, 0.05, 1.0, 1.0, rng=RngStream(0), steps=150,
                            scale_override=0.0)
         bound = 8.0 * X.linf_norm ** 2 * c1 ** 2
         for s in res.trace:
@@ -182,7 +185,7 @@ def ols_like(X: DesignMatrix, y):
 def test_stable_lasso_zero_noise_matches_exact():
     for seed in range(10):
         X, y = random_instance(seed)
-        res = stable_lasso(X, y, 1.2, 0.05, 1.0, UNIT, rng=RngStream(seed), steps=40,
+        res = stable_lasso(X, y, 1.2, 0.05, 1.0, 1.0, rng=RngStream(seed), steps=40,
                            scale_override=0.0)
         np.testing.assert_array_equal(res.theta, lasso_exact_fw(X, y, 1.2, 40))
         assert res.model == support(res.theta)
@@ -191,15 +194,15 @@ def test_stable_lasso_zero_noise_matches_exact():
 def test_stable_lasso_tie_on_zero_response():
     # every vertex score is 0; both paths take the first argmin, vertex 0
     X, _ = random_instance(1)
-    res = stable_lasso(X, np.zeros(X.n), 1.0, 0.05, 1.0, UNIT, rng=RngStream(0), steps=1,
+    res = stable_lasso(X, np.zeros(X.n), 1.0, 0.05, 1.0, 1.0, rng=RngStream(0), steps=1,
                        scale_override=0.0)
     assert res.trace[0].chosen == 0
 
 
 def test_stable_lasso_replay():
     X, y = random_instance(2)
-    a = stable_lasso(X, y, 1.0, 0.05, 1.0, UNIT, rng=RngStream(11, (2,)), steps=30)
-    b = stable_lasso(X, y, 1.0, 0.05, 1.0, UNIT, rng=RngStream(11, (2,)), steps=30)
+    a = stable_lasso(X, y, 1.0, 0.05, 1.0, 1.0, rng=RngStream(11, (2,)), steps=30)
+    b = stable_lasso(X, y, 1.0, 0.05, 1.0, 1.0, rng=RngStream(11, (2,)), steps=30)
     np.testing.assert_array_equal(a.theta, b.theta)
     assert a.trace == b.trace
     assert a.budgets == b.budgets == tuple(certify_budgets(30, 1.0, 0.05))
@@ -287,14 +290,14 @@ def test_stable_screening_zero_noise_matches_exact():
     for seed in range(10):
         X, y = random_instance(seed)
         for k in (1, 3, X.d):
-            res = stable_screening(X, y, k, 0.05, 1.0, rng=RngStream(seed),
+            res = stable_screening(X, y, k, 0.05, 1.0, 1.0, rng=RngStream(seed),
                                    scale_override=0.0)
             assert res.model == screening_exact(X, y, k), (seed, k)
 
 
 def test_stable_screening_trace_fields():
     X, y = random_instance(0)
-    res = stable_screening(X, y, 3, 0.05, 1.0, rng=RngStream(9), scale_override=0.0)
+    res = stable_screening(X, y, 3, 0.05, 1.0, 1.0, rng=RngStream(9), scale_override=0.0)
     assert [s.step for s in res.trace] == [1, 2, 3]
     assert all(s.chosen in res.model for s in res.trace)
     assert all(s.best_exact >= s.exact_score for s in res.trace)
@@ -304,7 +307,7 @@ def test_stable_screening_trace_fields():
 
 def test_stable_screening_randomizes():
     X = DesignMatrix(np.eye(2))
-    models = {stable_screening(X, [1.0, 0.999], 1, 0.05, 1.0,
+    models = {stable_screening(X, [1.0, 0.999], 1, 0.05, 1.0, 1.0,
                                rng=RngStream(s), scale_override=0.5).model.indices
               for s in range(50)}
     assert models == {(0,), (1,)}
@@ -341,7 +344,7 @@ def test_stable_screening_selection_law():
     trials = 100_000
     counts = np.zeros(3)
     for s in range(trials):
-        res = stable_screening(X, y, 1, 0.05, 1.0, rng=RngStream(s, (7,)),
+        res = stable_screening(X, y, 1, 0.05, 1.0, 1.0, rng=RngStream(s, (7,)),
                                scale_override=b)
         counts[res.model.indices[0]] += 1
     freqs = counts / trials
@@ -374,7 +377,7 @@ def test_stable_lasso_selection_law():
     trials = 100_000
     counts = np.zeros(4)
     for s in range(trials):
-        res = stable_lasso(X, y, c1, 0.05, 1.0, UNIT, rng=RngStream(s, (8,)), steps=1,
+        res = stable_lasso(X, y, c1, 0.05, 1.0, 1.0, rng=RngStream(s, (8,)), steps=1,
                            scale_override=b)
         counts[res.trace[0].chosen] += 1
     freqs = counts / trials
@@ -388,7 +391,7 @@ def test_stable_lasso_selection_law():
 
 def zero_noise_fs_order(X: DesignMatrix, y, k: int) -> list[int]:
     """The pick order of forward stepwise at noise scale 0."""
-    res = stable_fs(X, y, k, 0.05, 1.0, rng=RngStream(0), scale_override=0.0)
+    res = stable_fs(X, y, k, 0.05, 1.0, 1.0, rng=RngStream(0), scale_override=0.0)
     return [s.chosen for s in res.trace]
 
 
@@ -459,13 +462,13 @@ def test_fs_sse_criterion_agrees_with_correlation():
 def test_stable_fs_zero_noise_matches_exact():
     for seed in range(10):
         X, y = random_instance(seed)
-        res = stable_fs(X, y, 3, 0.05, 1.0, rng=RngStream(seed), scale_override=0.0)
+        res = stable_fs(X, y, 3, 0.05, 1.0, 1.0, rng=RngStream(seed), scale_override=0.0)
         assert res.model == fs_exact(X, y, 3)
 
 
 def test_stable_fs_budgets():
     X, y = random_instance(7)
-    res = stable_fs(X, y, 5, 0.05, 0.2, rng=RngStream(0), scale_override=0.0)
+    res = stable_fs(X, y, 5, 0.05, 0.2, 1.0, rng=RngStream(0), scale_override=0.0)
     adv, lin = res.budgets
     assert adv.eta == pytest.approx(1.194665661022395, abs=1e-11)
     assert adv.eta == pytest.approx(compose_adaptive_advanced(0.2, 5, 0.05))
@@ -475,6 +478,6 @@ def test_stable_fs_budgets():
 def test_stable_fs_validation():
     X, y = random_instance(1)
     with pytest.raises(ValueError):
-        stable_fs(X, y, 0, 0.05, 1.0, rng=RngStream(0))
+        stable_fs(X, y, 0, 0.05, 1.0, 1.0, rng=RngStream(0))
     with pytest.raises(ValueError):
-        stable_screening(X, y, X.d + 1, 0.05, 1.0, rng=RngStream(0))
+        stable_screening(X, y, X.d + 1, 0.05, 1.0, 1.0, rng=RngStream(0))

@@ -15,12 +15,10 @@ from hypothesis import strategies as st
 
 from stableci.errors import BadWeights, DegenerateLevel, EmptyInput, MixedSlack
 from stableci.linmodel import DesignMatrix, ModelSet
-from stableci.stability import (SUBEXPONENTIAL, SUBGAUSSIAN, IntervalSet, LevelAllocation,
-                                StabilityBudget, align_slack, alpha_split,
-                                best_posi_constant, compose_adaptive_advanced,
+from stableci.stability import (IntervalSet, LevelAllocation, StabilityBudget, align_slack,
+                                alpha_split, best_posi_constant, compose_adaptive_advanced,
                                 compose_adaptive_simple, compose_nonadaptive,
-                                corrected_level, eta_step_for_total, infer,
-                                orlicz_constant, posi_constant,
+                                corrected_level, eta_step_for_total, infer, posi_constant,
                                 sparse_selection_eta)
 
 B0 = StabilityBudget(0.0, 0.0, 0.0)
@@ -397,35 +395,3 @@ def test_infer_estimated_sigma_and_empty_model():
     assert empty.K == 0.0 and empty.sigma is None and empty.lower.size == 0
     with pytest.raises(ValueError):
         infer(X, np.where(np.arange(12) == 3, np.nan, y), ModelSet((1,)), [B0], 0.1, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# orlicz families
-
-
-def test_orlicz_inverse_pairs():
-    for fn in (SUBGAUSSIAN, SUBEXPONENTIAL):
-        for x in (0.3, 1.0, 2.5):
-            assert fn.inverse(fn.psi(x)) == pytest.approx(x, rel=1e-12)
-
-
-def test_orlicz_constant_values():
-    b0 = StabilityBudget(0.0, 0.0, 0.0)
-    # psi^{-1}(1/0.05) = sqrt(ln 21) for the subgaussian generator
-    base = orlicz_constant(SUBGAUSSIAN, 1.0, 1, 0.05, b0)
-    assert base == pytest.approx(math.sqrt(math.log(21.0)), abs=1e-14)
-    assert base == pytest.approx(1.7448559934055943, abs=1e-13)
-    subexp = orlicz_constant(SUBEXPONENTIAL, 1.0, 1, 0.05, b0)
-    assert subexp == pytest.approx(3.044522437723423, abs=1e-13)
-    # G multiplies, eta inflates through exp, model size through Bonferroni
-    assert orlicz_constant(SUBGAUSSIAN, 2.0, 1, 0.05, b0) == pytest.approx(2 * base)
-    assert orlicz_constant(SUBGAUSSIAN, 1.0, 1, 0.05, StabilityBudget(1.0, 0.0, 0.0)) > base
-    assert orlicz_constant(SUBGAUSSIAN, 1.0, 5, 0.05, b0) > base
-
-
-def test_orlicz_constant_validation():
-    b0 = StabilityBudget(0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        orlicz_constant(SUBGAUSSIAN, 0.0, 1, 0.05, b0)
-    with pytest.raises(DegenerateLevel):
-        orlicz_constant(SUBGAUSSIAN, 1.0, 1, 0.05, StabilityBudget(0.0, 0.0, 1.0))
