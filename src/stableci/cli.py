@@ -33,6 +33,7 @@ from . import __version__
 from .errors import (
     DegenerateLevel,
     DimensionMismatch,
+    EmptyInput,
     InsufficientSamples,
     RankDeficient,
     StableCIError,
@@ -420,21 +421,25 @@ def cmd_experiment(args) -> int:
     record_rows: list[list[str]] = []
     summary_rows: list[list[str]] = []
     plot_width, plot_fdr, plot_risk = [], [], []
+    all_flagged: list[str] = []
     for eta, records, summary in sweep:
         record_rows.extend(_records_rows(eta, records))
         q = summary.width_quantiles
+        # an eta whose every trial was flagged keeps its row, with empty statistics
         summary_rows.append([
             repr(eta), str(summary.trials), str(summary.flagged),
-            str(summary.empty_models), repr(summary.empirical_coverage),
-            repr(summary.width_max),
-            *(repr(q[lvl]) for lvl in WIDTH_QUANTILE_LEVELS),
-            repr(summary.mean_fdr),
-            "" if summary.mean_risk is None else repr(summary.mean_risk),
-            repr(summary.mean_K),
+            str(summary.empty_models), _fmt(summary.empirical_coverage),
+            _fmt(summary.width_max),
+            *(_fmt(q[lvl]) for lvl in WIDTH_QUANTILE_LEVELS),
+            _fmt(summary.mean_fdr), _fmt(summary.mean_risk), _fmt(summary.mean_K),
         ])
-        plot_width.append([repr(eta), repr(q[0.90]), repr(summary.width_max)])
-        plot_fdr.append([repr(eta), repr(summary.mean_fdr)])
-        plot_risk.append([repr(eta), "" if summary.mean_risk is None else repr(summary.mean_risk)])
+        plot_width.append([repr(eta), _fmt(q[0.90]), _fmt(summary.width_max)])
+        plot_fdr.append([repr(eta), _fmt(summary.mean_fdr)])
+        plot_risk.append([repr(eta), _fmt(summary.mean_risk)])
+        if summary.trials == 0:
+            reasons = ", ".join(f"{k}: {c}" for k, c in summary.flag_reasons.items())
+            all_flagged.append(f"eta {eta!r}: all {summary.flagged} trials were flagged "
+                               f"({reasons})")
 
     paths = {
         "records.csv": (["eta", "trial", "flagged", "model_size", "model", "covered",
@@ -455,6 +460,8 @@ def cmd_experiment(args) -> int:
                     sorted(paths), started)
     print(f"wrote {', '.join(sorted(paths))} to {args.out_dir} "
           f"({len(grid)} etas x {cfg.trials} trials, {workers} workers)")
+    if all_flagged:
+        raise EmptyInput("; ".join(all_flagged))
     return 0
 
 

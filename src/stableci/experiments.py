@@ -5,6 +5,13 @@ so trials are independent tasks that parallelize without changing any
 result. The pipeline per trial: generate, select (noisy), certify budgets,
 pick the cheapest valid constant, fit, build intervals, score coverage /
 width / FDR / risk against the realized design of that trial.
+
+Sweeps run trial-major: one task runs a trial at every eta of the grid.
+The data, the `lam` radius and the estimated sigma depend on the trial
+alone and are computed once; the selector's streams depend on the trial
+alone too, and a noise.ReplayStream rescales their draws for each eta
+bit for bit as fresh streams would. So every record is the one an
+eta-major loop, rerunning each (eta, trial) from scratch, would produce.
 """
 
 from __future__ import annotations
@@ -16,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllCandidatesCollinear, DegenerateLevel, EmptyInput, NonConvergence, \
-    RankDeficient
-from .linmodel import DesignMatrix, ModelSet
+from .errors import AllCandidatesCollinear, DegenerateLevel, EmptyInput, InsufficientSamples, \
+    NonConvergence, RankDeficient
+from .linmodel import DesignMatrix, ModelSet, sigma_hat_full_model
 # not called here: bound for perfbench/tracing.py, which wraps these names in this module
-from .linmodel import ols_fit, sigma_hat_full_model, stderr_known_sigma, target_coefficients  # noqa: F401
-from .noise import RngStream
+from .linmodel import ols_fit, stderr_known_sigma, target_coefficients  # noqa: F401
+from .noise import ReplayStream, RngStream
 from .selectors import SelectionResult, SelectorSpec, lambda_to_c1, stable_fs, stable_lasso, \
     stable_screening
 from .stability import StabilityBudget, alpha_split, infer
@@ -86,16 +93,20 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class ExperimentSummary:
+    """Statistics of the kept (unflagged) trials at one eta. With no trial
+    kept, trials is 0 and every statistic is None."""
+
     eta_step: float | None
     trials: int
     flagged: int
     empty_models: int
-    empirical_coverage: float
-    width_max: float
-    width_quantiles: dict[float, float]
-    mean_fdr: float
+    empirical_coverage: float | None
+    width_max: float | None
+    width_quantiles: dict[float, float | None]
+    mean_fdr: float | None
     mean_risk: float | None
-    mean_K: float
+    mean_K: float | None
+    flag_reasons: dict[str, int]  # reason -> flagged trials, sorted by reason
 
 
 def gen_synthetic(cfg: ExperimentConfig, trial_index: int,
@@ -124,11 +135,14 @@ def gen_synthetic(cfg: ExperimentConfig, trial_index: int,
 
 
 def run_selector(spec: SelectorSpec, X: DesignMatrix, y, eta_step: float | None,
-                 delta: float, sigma: float, rng: RngStream) -> SelectionResult:
+                 delta: float, sigma: float, rng: RngStream,
+                 c1: float | None = None) -> SelectionResult:
     """The one selection dispatch, shared by `select` and the trial runner:
     run spec's noisy selector at per-step eta_step, slack delta and noise
     scale sigma. A fixed model, and a penalty that zeroes every coordinate,
-    are chosen without noise and carry the zero certificate."""
+    are chosen without noise and carry the zero certificate. c1 is the
+    LASSO radius when the caller has already resolved it (from spec.lam
+    through lambda_to_c1); None resolves it here."""
     if spec.method == "fixed":
         return SelectionResult(ModelSet.from_unordered(spec.fixed_model), None, (),
                                (_ZERO_BUDGET,))
@@ -138,7 +152,8 @@ def run_selector(spec: SelectorSpec, X: DesignMatrix, y, eta_step: float | None,
         return stable_screening(X, y, spec.k, delta, eta_step, sigma, rng=rng)
     if spec.method == "fs":
         return stable_fs(X, y, spec.k, delta, eta_step, sigma, rng=rng)
-    c1 = spec.c1 if spec.lam is None else lambda_to_c1(X, y, spec.lam)
+    if c1 is None:
+        c1 = spec.c1 if spec.lam is None else lambda_to_c1(X, y, spec.lam)
     if c1 == 0.0:
         return SelectionResult(ModelSet(), np.zeros(X.d), (), (_ZERO_BUDGET,), c1=0.0)
     return stable_lasso(X, y, c1, delta, eta_step, sigma, rng=rng, steps=spec.steps)
@@ -146,10 +161,11 @@ def run_selector(spec: SelectorSpec, X: DesignMatrix, y, eta_step: float | None,
 
 def _score_model(cfg: ExperimentConfig, X: DesignMatrix, y: np.ndarray,
                  mu: np.ndarray, beta: np.ndarray, sel: SelectionResult,
-                 trial_index: int) -> TrialRecord:
-    """Shared interval-and-metrics stage for trial runners."""
-    sigma = cfg.sigma if cfg.sigma_mode == "known" else None
-    ivals = infer(X, y, sel.model, sel.budgets, cfg.alpha, sigma)
+                 trial_index: int, estimate: tuple[float, int] | None = None) -> TrialRecord:
+    """Shared interval-and-metrics stage for trial runners. estimate is the
+    (sigma_hat, dof) of an estimated-sigma trial when already made."""
+    sigma, dof = (cfg.sigma, None) if cfg.sigma_mode == "known" else (estimate or (None, None))
+    ivals = infer(X, y, sel.model, sel.budgets, cfg.alpha, sigma, dof=dof)
 
     risk = None
     lam = cfg.selector.lam
@@ -167,29 +183,65 @@ def _score_model(cfg: ExperimentConfig, X: DesignMatrix, y: np.ndarray,
                        K=ivals.K, budget_used=ivals.budget)
 
 
-def run_trial(cfg: ExperimentConfig, trial_index: int,
-              eta_step: float | None = None) -> TrialRecord:
-    """One full trial: generate, select, certify, fit, score.
+# failures that flag a trial as `<reason>: <message>` instead of ending the sweep
+_FLAGGED_ERRORS = (RankDeficient, AllCandidatesCollinear, NonConvergence, DegenerateLevel)
+
+
+def _flagged_record(trial_index: int, error: Exception) -> TrialRecord:
+    reason = re.sub(r"(?<!^)(?=[A-Z])", "_", type(error).__name__).lower()
+    return TrialRecord(trial_index=trial_index, model=ModelSet(), covered=False,
+                       widths=np.zeros(0), fdr=0.0, risk=None, K=0.0,
+                       budget_used=_ZERO_BUDGET, flagged=f"{reason}: {error}")
+
+
+def run_trial(cfg: ExperimentConfig, trial_index: int, eta_grid) -> list[TrialRecord]:
+    """One trial at every per-step eta of eta_grid: generate, select,
+    certify, fit, score. Returns one record per eta, in grid order.
+
+    The data, the `lam` radius and the estimated sigma depend only on the
+    trial, so each is computed once; the sigma estimate waits for the
+    first nonempty model. Each eta's selector replays the trial's Laplace
+    draws through one ReplayStream, bit for bit what a fresh stream gives,
+    so every record equals a run of this trial at that eta alone.
 
     The level allocation follows alpha_split; noisy selectors spend
     (tau + nu)/2 as their internal slack parameter so that, after slack
     alignment, the quantile budget comes out to exactly the allocated delta.
     A rank-deficient fit, collinear forward-stepwise candidates, a
-    non-converging penalty solve or a degenerate level flags the trial as
-    `<reason>: <message>` instead of killing the sweep.
+    non-converging penalty solve (flagged at every eta) or a degenerate
+    level flags the record as `<reason>: <message>` instead of killing the
+    sweep.
     """
     X, beta, mu, y = gen_synthetic(cfg, trial_index)
     alloc = alpha_split(cfg.alpha, cfg.alpha_weights)
     delta_sel = (alloc.tau + alloc.nu) / 2.0
-    rng = RngStream(cfg.master_seed).child(_PATH_TRIAL_SELECTOR, trial_index)
+    rng = ReplayStream(RngStream(cfg.master_seed).child(_PATH_TRIAL_SELECTOR, trial_index))
+    spec = cfg.selector
     try:
-        sel = run_selector(cfg.selector, X, y, eta_step, delta_sel, cfg.sigma, rng)
-        return _score_model(cfg, X, y, mu, beta, sel, trial_index)
-    except (RankDeficient, AllCandidatesCollinear, NonConvergence, DegenerateLevel) as e:
-        reason = re.sub(r"(?<!^)(?=[A-Z])", "_", type(e).__name__).lower()
-        return TrialRecord(trial_index=trial_index, model=ModelSet(), covered=False,
-                           widths=np.zeros(0), fdr=0.0, risk=None, K=0.0,
-                           budget_used=_ZERO_BUDGET, flagged=f"{reason}: {e}")
+        c1 = spec.c1 if spec.lam is None else lambda_to_c1(X, y, spec.lam)
+    except NonConvergence as e:
+        return [_flagged_record(trial_index, e) for _ in eta_grid]
+    estimate = None
+    out = []
+    for eta_step in eta_grid:
+        try:
+            sel = run_selector(spec, X, y, eta_step, delta_sel, cfg.sigma, rng, c1)
+            if estimate is None and cfg.sigma_mode == "estimate" and len(sel.model):
+                estimate = _full_model_estimate(X, y)
+            out.append(_score_model(cfg, X, y, mu, beta, sel, trial_index, estimate))
+        except _FLAGGED_ERRORS as e:
+            out.append(_flagged_record(trial_index, e))
+    return out
+
+
+def _full_model_estimate(X: DesignMatrix, y: np.ndarray) -> tuple[float, int] | None:
+    """sigma_hat_full_model(X, y), or None if it fails: infer then tries
+    the estimate itself and raises after its own checks, so a failing
+    estimate ends or flags a trial exactly where infer would."""
+    try:
+        return sigma_hat_full_model(X, y)
+    except (InsufficientSamples, RankDeficient):
+        return None
 
 
 def _nearest_rank(sorted_vals: np.ndarray, level: float) -> float:
@@ -201,15 +253,19 @@ def _nearest_rank(sorted_vals: np.ndarray, level: float) -> float:
 def aggregate(records: list[TrialRecord], eta_step: float | None = None,
               ) -> ExperimentSummary:
     """Coverage fraction, pooled nearest-rank width quantiles, mean FDR /
-    risk / K. Flagged trials are excluded and counted."""
+    risk / K. Flagged trials are excluded and counted by reason."""
     if not records:
         raise EmptyInput("aggregate needs at least one record")
     kept = [r for r in records if r.flagged is None]
     flagged = len(records) - len(kept)
+    reasons = dict(sorted(Counter(r.flagged.split(":", 1)[0]
+                                  for r in records if r.flagged is not None).items()))
     if not kept:
-        reasons = Counter(r.flagged.split(":", 1)[0] for r in records)
-        raise EmptyInput(f"all {len(records)} trials were flagged ("
-                         + ", ".join(f"{k}: {c}" for k, c in sorted(reasons.items())) + ")")
+        return ExperimentSummary(
+            eta_step=eta_step, trials=0, flagged=flagged, empty_models=0,
+            empirical_coverage=None, width_max=None,
+            width_quantiles={lvl: None for lvl in WIDTH_QUANTILE_LEVELS},
+            mean_fdr=None, mean_risk=None, mean_K=None, flag_reasons=reasons)
     pooled = np.concatenate([r.widths for r in kept])
     if pooled.size:
         pooled = np.sort(pooled)
@@ -230,34 +286,42 @@ def aggregate(records: list[TrialRecord], eta_step: float | None = None,
         mean_fdr=float(np.mean([r.fdr for r in kept])),
         mean_risk=float(np.mean(risks)) if risks else None,
         mean_K=float(np.mean([r.K for r in kept])),
+        flag_reasons=reasons,
     )
 
 
-def _trial_task(args: tuple[ExperimentConfig, float | None, int]) -> TrialRecord:
-    cfg, eta_step, trial_index = args
-    return run_trial(cfg, trial_index, eta_step)
+def _trial_task(args: tuple[ExperimentConfig, list, int]) -> list[TrialRecord]:
+    cfg, eta_grid, trial_index = args
+    return run_trial(cfg, trial_index, eta_grid)
+
+
+def _run_grid(cfg: ExperimentConfig, eta_grid: list, map_fn) -> list[list[TrialRecord]]:
+    """Each trial over the whole grid, one task per trial; map_fn may be a
+    worker pool's map. Results come back in trial order, so parallelism
+    cannot change them."""
+    return list(map_fn(_trial_task, [(cfg, eta_grid, t) for t in range(cfg.trials)]))
 
 
 def run_trials(cfg: ExperimentConfig, eta_step: float | None = None,
                map_fn=map) -> list[TrialRecord]:
-    """All trials at one eta; map_fn may be a worker pool's map. Results are
-    assembled in trial order, so parallelism cannot change them."""
-    tasks = [(cfg, eta_step, t) for t in range(cfg.trials)]
-    return list(map_fn(_trial_task, tasks))
+    """All trials at one eta, in trial order; map_fn may be a worker pool's map."""
+    return [records[0] for records in _run_grid(cfg, [eta_step], map_fn)]
 
 
 def eta_sweep(cfg: ExperimentConfig, eta_grid=DEFAULT_ETA_GRID,
               map_fn=map) -> list[tuple[float, list[TrialRecord], ExperimentSummary]]:
-    """One run per eta over the same master seed, so trials are coupled
-    across the grid for variance reduction. Returns (eta, records, summary)
-    rows in grid order."""
+    """Every trial at every eta over the same master seed, so trials are
+    coupled across the grid for variance reduction. Runs trial-major (one
+    task per trial covers the whole grid) and regroups the records by eta.
+    Returns (eta, records in trial order, summary) rows in grid order."""
     grid = [float(e) for e in eta_grid]
     if not grid:
         raise EmptyInput("eta grid must be nonempty")
     if not all(0 < e < math.inf for e in grid):
         raise ValueError(f"eta grid must be finite and positive, got {grid}")
+    by_trial = _run_grid(cfg, grid, map_fn)
     out = []
-    for eta in grid:
-        records = run_trials(cfg, eta, map_fn)
+    for i, eta in enumerate(grid):
+        records = [trial_records[i] for trial_records in by_trial]
         out.append((eta, records, aggregate(records, eta)))
     return out

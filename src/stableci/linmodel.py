@@ -46,7 +46,9 @@ class DesignMatrix:
         a.setflags(write=False)
         self.entries = a
         self.n, self.d = a.shape
-        self.col_norms = np.linalg.norm(a, axis=0)
+        # an overflowing or underflowing norm is rejected below, not warned about
+        with np.errstate(over="ignore", under="ignore"):
+            self.col_norms = np.linalg.norm(a, axis=0)
         self.col_norms.setflags(write=False)
         # max_i ||X_i||_2 and max |X_ij|, the two norms noise scales use
         self.l2inf_norm = float(self.col_norms.max())

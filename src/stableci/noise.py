@@ -8,6 +8,12 @@ count or scheduling. Selectors derive one child per algorithm step and
 draw the whole candidate noise vector from it in ascending candidate
 order; Laplace variates come from the inverse CDF, exactly one uniform
 per draw, which keeps the stream layout deterministic.
+
+A sweep runs one trial at every eta of its grid. Only the Laplace scale
+depends on eta, so a ReplayStream draws each step's standard Laplace
+vector once per trial and rescales it for every eta; since `random(m)` is
+a prefix of `random(M)`, every replayed draw is bit for bit the one a
+fresh stream at the same path gives.
 """
 
 from __future__ import annotations
@@ -68,6 +74,38 @@ class RngStream:
         return f"RngStream(seed={self.master_seed}, path={self.path})"
 
 
+class ReplayStream:
+    """Serves a selector's `rng.child(t).laplace(scale, m)` calls for one
+    trial at every eta of a sweep, building each step's stream once.
+
+    Step t's standard Laplace draws are drawn once and kept; a call returns
+    scale * (their first m), drawing more only when a call asks for more
+    than any before it. That is bit for bit the fresh
+    `RngStream.child(t).laplace(scale, m)`: laplace is scale times
+    standard_laplace, which maps one uniform per draw, and `random(m)` is
+    the first m of `random(M)` for M >= m.
+    """
+
+    def __init__(self, stream: RngStream):
+        self.stream = stream
+        self._steps: dict[int, ReplayStream] = {}
+        self._draws = np.empty(0)
+
+    def child(self, step: int) -> "ReplayStream":
+        kid = self._steps.get(step)
+        if kid is None:
+            kid = self._steps[step] = ReplayStream(self.stream.child(step))
+        return kid
+
+    def laplace(self, scale: float, size: int) -> np.ndarray:
+        if scale < 0:
+            raise ValueError(f"scale must be >= 0, got {scale}")
+        have = self._draws.shape[0]
+        if size > have:
+            self._draws = np.concatenate((self._draws, self.stream.standard_laplace(size - have)))
+        return scale * self._draws[:size]
+
+
 # ---------------------------------------------------------------------------
 # noise policies
 
@@ -90,22 +128,18 @@ class NoisePolicy:
             raise ValueError(f"eta_step must be finite and positive, got {self.eta_step}")
 
 
-def scale_lasso(d: int, c1: float, X: DesignMatrix, policy: NoisePolicy) -> float:
+def scale_lasso(c1: float, X: DesignMatrix, policy: NoisePolicy) -> float:
     """Per-draw Laplace scale for the noisy Frank-Wolfe vertex scores."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
     if not (c1 > 0):
         raise ValueError(f"c1 must be positive, got {c1}")
     base = c1 * X.l2inf_norm / (X.n * policy.eta_step)
-    return 8.0 * math.sqrt(math.log(4.0 * d) - math.log(policy.delta)) * policy.sigma * base
+    return 8.0 * math.sqrt(math.log(4.0 * X.d) - math.log(policy.delta)) * policy.sigma * base
 
 
-def scale_screening(d: int, X: DesignMatrix, policy: NoisePolicy) -> float:
+def scale_screening(X: DesignMatrix, policy: NoisePolicy) -> float:
     """Per-draw Laplace scale for noisy correlation screening rounds."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
     base = X.l2inf_norm / (X.n * policy.eta_step)
-    return 4.0 * math.sqrt(math.log(2.0 * d) - math.log(policy.delta)) * policy.sigma * base
+    return 4.0 * math.sqrt(math.log(2.0 * X.d) - math.log(policy.delta)) * policy.sigma * base
 
 
 def scale_forward_stepwise(d: int, k: int, policy: NoisePolicy) -> float:

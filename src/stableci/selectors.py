@@ -132,7 +132,7 @@ def stable_lasso(X: DesignMatrix, y, c1: float, delta: float, eta_step: float,
     y = as_response(y, X.n)
     if steps is None:
         steps = _default_fw_steps(X, c1, eta_step, sigma)
-    scale = scale_lasso(X.d, c1, X, policy) if scale_override is None else scale_override
+    scale = scale_lasso(c1, X, policy) if scale_override is None else scale_override
     n, d = X.n, X.d
     A = X.entries
     theta = np.zeros(d)
@@ -241,7 +241,7 @@ def stable_screening(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={X.d}")
     y = as_response(y, X.n)
     policy = NoisePolicy(sigma, delta, eta_step)
-    scale = scale_screening(X.d, X, policy) if scale_override is None else scale_override
+    scale = scale_screening(X, policy) if scale_override is None else scale_override
     c = (X.entries.T @ y) / X.n
     available = np.ones(X.d, dtype=bool)
     trace: list[TraceStep] = []

@@ -258,7 +258,8 @@ def alpha_split(alpha: float, weights: tuple[float, float, float] | None = None,
 
 def infer(X: DesignMatrix, y, model: ModelSet, budgets: list[StabilityBudget],
           alpha: float, sigma: float | None,
-          weights: tuple[float, float, float] | None = None) -> IntervalSet:
+          weights: tuple[float, float, float] | None = None,
+          dof: int | None = None) -> IntervalSet:
     """Simultaneous intervals over the selected model at miscoverage alpha.
 
     The certificates are padded to a common slack tau + nu (align_slack),
@@ -267,7 +268,9 @@ def infer(X: DesignMatrix, y, model: ModelSet, budgets: list[StabilityBudget],
     share must then cover the slack. K is the smallest constant over the
     certificates at that level. sigma is the known noise scale (normal
     quantiles), or None to estimate it from the full model's residuals
-    (Student-t quantiles). The empty model gets no intervals and K = 0.
+    (Student-t quantiles). An estimate already made is passed as sigma with
+    its dof, as sigma_hat_full_model returns them, and used as is. The
+    empty model gets no intervals and K = 0.
     """
     y = as_response(y, X.n)
     fit = SubmodelFit(X, model)
@@ -287,7 +290,6 @@ def infer(X: DesignMatrix, y, model: ModelSet, budgets: list[StabilityBudget],
         K, chosen = 0.0, aligned[0]
         se = np.zeros(0)
     else:
-        dof = None
         if sigma is None:
             sigma, dof = sigma_hat_full_model(X, y)
         K, chosen = best_posi_constant(len(model), level, aligned, dof)

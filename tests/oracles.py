@@ -1,16 +1,25 @@
-"""Exact selectors, kept as test oracles.
+"""Exact selectors and the eta-major sweep, kept as test oracles.
 
 The library ships only the noisy selectors; their exact forms are the
 zero-noise limits (`scale_override=0.0`). These plain noiseless loops are
 written out separately so the tests can check that limit, tie rule
-included, without going through the library's loops.
+included, without going through the library's loops. The eta-major sweep
+reruns every (eta, trial) from scratch, the reference for the library's
+trial-major engine.
 """
+
+import re
 
 import numpy as np
 
-from stableci.errors import AllCandidatesCollinear
+from stableci import experiments
+from stableci.errors import AllCandidatesCollinear, DegenerateLevel, NonConvergence, \
+    RankDeficient
+from stableci.experiments import TrialRecord, gen_synthetic, run_selector
 from stableci.linmodel import DesignMatrix, ModelSet, as_response
+from stableci.noise import RngStream
 from stableci.selectors import FS_COLLINEAR_TOL
+from stableci.stability import StabilityBudget, alpha_split
 
 
 def screening_exact(X: DesignMatrix, y, k: int) -> ModelSet:
@@ -74,3 +83,28 @@ def lasso_exact_fw(X: DesignMatrix, y, c1: float, steps: int) -> np.ndarray:
         z *= 1.0 - step_size
         z += (step_size * sgn * c1) * A[:, col]
     return theta
+
+
+def eta_major_sweep(cfg, eta_grid) -> list:
+    """(eta, records) rows of an eta-major sweep: every (eta, trial) run
+    from scratch, regenerating the trial's data, resolving a `lam` radius,
+    estimating sigma inside `infer` and drawing from fresh selector
+    streams. The library's trial-major engine must give the same records,
+    field for field."""
+    return [(eta, [_fresh_trial(cfg, t, eta) for t in range(cfg.trials)]) for eta in eta_grid]
+
+
+def _fresh_trial(cfg, trial_index: int, eta_step):
+    X, beta, mu, y = gen_synthetic(cfg, trial_index)
+    alloc = alpha_split(cfg.alpha, cfg.alpha_weights)
+    delta_sel = (alloc.tau + alloc.nu) / 2.0
+    rng = RngStream(cfg.master_seed).child(experiments._PATH_TRIAL_SELECTOR, trial_index)
+    try:
+        sel = run_selector(cfg.selector, X, y, eta_step, delta_sel, cfg.sigma, rng)
+        return experiments._score_model(cfg, X, y, mu, beta, sel, trial_index)
+    except (RankDeficient, AllCandidatesCollinear, NonConvergence, DegenerateLevel) as e:
+        reason = re.sub(r"(?<!^)(?=[A-Z])", "_", type(e).__name__).lower()
+        return TrialRecord(trial_index=trial_index, model=ModelSet(), covered=False,
+                           widths=np.zeros(0), fdr=0.0, risk=None, K=0.0,
+                           budget_used=StabilityBudget(0.0, 0.0, 0.0),
+                           flagged=f"{reason}: {e}")

@@ -196,7 +196,7 @@ def test_criterion_07_selector_utility():
         beta[:3] = 5.0
         y = X.entries @ beta + r.child(1).normal(100)
 
-        b_screen = scale_screening(d, X, policy)
+        b_screen = scale_screening(X, policy)
         res = stable_screening(X, y, k, delta_sel, eta, 1.0,
                                rng=r.child(2))
         gap = max(s.best_exact - s.exact_score for s in res.trace)

@@ -4,6 +4,7 @@ Everything runs in-process through main(argv) so exit codes and outputs
 are asserted without spawning shells.
 """
 
+import csv
 import json
 import math
 import re
@@ -486,7 +487,7 @@ def test_ci_and_fixed_model_trial_share_one_inference_path(tmp_path, sigma_mode,
                  "--model", "0,2,3", "--alpha", "0.1", "--sigma", sigma_flag,
                  "--out", str(out)]) == 0
     rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
-    rec = run_trial(cfg, 0)
+    rec = run_trial(cfg, 0, [None])[0]
     assert {float(r[3]) for r in rows} == {rec.K}
     np.testing.assert_array_equal([float(r[5]) - float(r[4]) for r in rows], rec.widths)
 
@@ -655,6 +656,31 @@ def test_experiment_all_flagged_names_reasons(tmp_path, capsys):
     rc, _ = run_experiment(tmp_path, "collinear", cfg)
     assert rc == 2
     assert "all 5 trials were flagged (all_candidates_collinear: 5)" in capsys.readouterr().err
+
+
+def test_experiment_keeps_the_etas_that_worked(tmp_path, capsys):
+    # default LASSO steps grow with eta: at eta_step 4 every trial's
+    # certified eta leaves no level, at 0.5 the trials complete
+    cfg = experiment_config(n=100, d=20, trials=4, active_fraction=0.15,
+                            selector={"method": "lasso", "lam": 0.5}, eta_grid=[0.5, 4.0])
+    rc, out = run_experiment(tmp_path, "partial", cfg)
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == \
+        "error: eta 4.0: all 4 trials were flagged (degenerate_level: 4)"
+    for name in CSV_NAMES + ["manifest.json"]:
+        assert (out / name).exists(), name
+    with open(out / "summary.csv") as fh:
+        worked, failed = list(csv.DictReader(fh))
+    assert worked["eta"] == "0.5" and worked["trials"] == "4" and worked["coverage"] != ""
+    assert (failed["eta"], failed["trials"], failed["flagged"], failed["empty_models"]) == \
+        ("4.0", "0", "4", "0")
+    assert all(failed[c] == "" for c in ("coverage", "width_max", "width_q80", "width_q85",
+                                         "width_q90", "width_q100", "mean_fdr", "mean_risk",
+                                         "mean_K"))
+    records = (out / "records.csv").read_text().splitlines()[1:]
+    assert len(records) == 8
+    assert all(",degenerate_level: " in r for r in records if r.startswith("4.0,"))
+    assert (out / "plot_width.csv").read_text().splitlines()[2] == "4.0,,"
 
 
 def test_experiment_bad_json(tmp_path):

@@ -5,7 +5,9 @@ refits; the data-split comparison leans on the sqrt(2) standard-error
 inflation a half-sample suffers under this row-normalized design.
 """
 
+import dataclasses
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from stableci.noise import RngStream
 from stableci.selectors import SelectionResult
 from stableci.stability import StabilityBudget
 
-from oracles import screening_exact
+from oracles import eta_major_sweep, screening_exact
 
 
 def fixed_cfg(**kw):
@@ -128,7 +130,7 @@ def test_gen_synthetic_null_signal():
 
 def test_run_trial_fixed_model_classical():
     cfg = fixed_cfg()
-    rec = run_trial(cfg, 0)
+    rec = run_trial(cfg, 0, [None])[0]
     assert rec.model.indices == (0, 1, 2)
     assert rec.flagged is None
     assert rec.budget_used == StabilityBudget(0.0, 0.0, 0.0)
@@ -143,7 +145,7 @@ def test_run_trial_fixed_model_classical():
 def test_run_trial_coverage_is_target_based():
     cfg = fixed_cfg()
     X, beta, mu, y = gen_synthetic(cfg, 0)
-    rec = run_trial(cfg, 0)
+    rec = run_trial(cfg, 0, [None])[0]
     from stableci.linmodel import ols_fit, target_coefficients
     est = ols_fit(X, rec.model, y)
     tgt = target_coefficients(X, rec.model, mu)
@@ -153,31 +155,31 @@ def test_run_trial_coverage_is_target_based():
 
 def test_run_trial_factors_each_model_once(svd_calls):
     # one submodel SVD serves estimates, standard errors and targets
-    run_trial(fixed_cfg(), 0)
+    run_trial(fixed_cfg(), 0, [None])
     assert svd_calls == [(200, 3)]
     svd_calls.clear()
     # an estimated scale adds the full model's factorization
-    run_trial(fixed_cfg(sigma_mode="estimate"), 0)
+    run_trial(fixed_cfg(sigma_mode="estimate"), 0, [None])
     assert sorted(svd_calls) == [(200, 3), (200, 10)]
 
 
 def test_run_trial_noisy_needs_eta():
     cfg = fixed_cfg(selector=SelectorSpec(method="screen", k=3))
     with pytest.raises(ValueError):
-        run_trial(cfg, 0, eta_step=None)
+        run_trial(cfg, 0, [None])
 
 
 def test_run_trial_null_beta_gives_unit_fdr():
     cfg = fixed_cfg(n=100, d=20, selector=SelectorSpec(method="screen", k=3),
                     alpha_weights=None, beta_spec=(5.0, 0.0))
-    rec = run_trial(cfg, 0, eta_step=1.0)
+    rec = run_trial(cfg, 0, [1.0])[0]
     assert len(rec.model) == 3 and rec.fdr == 1.0
 
 
 def test_run_trial_huge_penalty_empties_model():
     cfg = fixed_cfg(n=50, d=8, selector=SelectorSpec(method="lasso", lam=1e9),
                     alpha_weights=None)
-    rec = run_trial(cfg, 0, eta_step=1.0)
+    rec = run_trial(cfg, 0, [1.0])[0]
     assert len(rec.model) == 0
     assert rec.covered and rec.K == 0.0 and rec.widths.size == 0
 
@@ -186,8 +188,8 @@ def test_run_trial_estimated_sigma_widens():
     known = fixed_cfg(n=30, d=4, selector=SelectorSpec(method="fixed", fixed_model=(0, 1)))
     est = fixed_cfg(n=30, d=4, selector=SelectorSpec(method="fixed", fixed_model=(0, 1)),
                     sigma_mode="estimate")
-    K_known = run_trial(known, 0).K
-    K_est = run_trial(est, 0).K
+    K_known = run_trial(known, 0, [None])[0].K
+    K_est = run_trial(est, 0, [None])[0].K
     # same level, t vs z quantile at dof = 26
     np.testing.assert_allclose(K_known, scipy.stats.norm.ppf(1 - 0.1 / 4), rtol=1e-12)
     np.testing.assert_allclose(K_est, scipy.stats.t.ppf(1 - 0.1 / 4, 26), rtol=1e-9)
@@ -200,7 +202,7 @@ def test_run_trial_screening_matches_exact_at_large_eta():
     agree = 0
     for t in range(cfg.trials):
         X, _, _, y = gen_synthetic(cfg, t)
-        agree += run_trial(cfg, t, eta_step=10.0).model == screening_exact(X, y, 3)
+        agree += run_trial(cfg, t, [10.0])[0].model == screening_exact(X, y, 3)
     assert agree / cfg.trials >= 0.95
 
 
@@ -221,7 +223,7 @@ def test_run_selector_zero_certificate_for_noiseless_choices():
 def test_run_trial_flags_collinear_candidates():
     # n=3 rows span only 3 directions, so forward stepwise runs out at step 4
     cfg = fixed_cfg(n=3, d=10, selector=SelectorSpec(method="fs", k=5), alpha_weights=None)
-    rec = run_trial(cfg, 0, eta_step=1.0)
+    rec = run_trial(cfg, 0, [1.0])[0]
     assert rec.flagged.startswith("all_candidates_collinear: step 4: ")
     assert len(rec.model) == 0 and rec.K == 0.0 and rec.widths.size == 0
 
@@ -231,8 +233,8 @@ def test_run_trial_flags_degenerate_level():
     # leaves no level for any certificate
     cfg = fixed_cfg(n=100, d=20, selector=SelectorSpec(method="lasso", lam=0.5),
                     alpha_weights=None, beta_spec=(5.0, 0.15))
-    assert run_trial(cfg, 0, eta_step=4.0).flagged.startswith("degenerate_level: ")
-    assert run_trial(cfg, 0, eta_step=0.5).flagged is None
+    assert run_trial(cfg, 0, [4.0])[0].flagged.startswith("degenerate_level: ")
+    assert run_trial(cfg, 0, [0.5])[0].flagged is None
 
 
 def test_run_trial_flags_nonconvergence(monkeypatch):
@@ -241,16 +243,17 @@ def test_run_trial_flags_nonconvergence(monkeypatch):
     monkeypatch.setattr(experiments, "lambda_to_c1", stuck)
     cfg = fixed_cfg(n=50, d=8, selector=SelectorSpec(method="lasso", lam=0.5),
                     alpha_weights=None)
-    rec = run_trial(cfg, 0, eta_step=1.0)
+    rec = run_trial(cfg, 0, [1.0])[0]
     assert rec.flagged == "non_convergence: coordinate descent did not reach gap 1e-08"
 
 
 def test_all_flagged_sweep_names_reasons():
     cfg = fixed_cfg(n=3, d=10, selector=SelectorSpec(method="fs", k=5), alpha_weights=None,
                     trials=3)
-    with pytest.raises(EmptyInput, match=r"all 3 trials were flagged "
-                                         r"\(all_candidates_collinear: 3\)"):
-        eta_sweep(cfg, eta_grid=(1.0,))
+    [(_, records, summary)] = eta_sweep(cfg, eta_grid=(1.0,))
+    assert len(records) == 3
+    assert summary.trials == 0 and summary.flagged == 3
+    assert summary.flag_reasons == {"all_candidates_collinear": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +316,7 @@ def test_data_split_width_inflation():
                     beta_spec=(2.0, 0.4), master_seed=606)
     ratios = []
     for t in range(40):
-        full = run_trial(cfg, t)
+        full = run_trial(cfg, t, [None])[0]
         half = data_split_baseline(cfg, 0.5, t)
         assert half.K == full.K
         ratios.append(half.widths.mean() / full.widths.mean())
@@ -379,15 +382,19 @@ def test_aggregate_counts_flag_reasons():
     records = [make_record(0, [1.0], flagged="rank_deficient: a"),
                make_record(1, [1.0], flagged="degenerate_level: b"),
                make_record(2, [1.0], flagged="rank_deficient: c")]
-    with pytest.raises(EmptyInput, match=r"\(degenerate_level: 1, rank_deficient: 2\)"):
-        aggregate(records)
+    s = aggregate(records)
+    assert list(s.flag_reasons.items()) == [("degenerate_level", 1), ("rank_deficient", 2)]
+    assert aggregate(records[:1] + [make_record(3, [2.0])]).flag_reasons == {"rank_deficient": 1}
 
 
 def test_aggregate_empty_input():
     with pytest.raises(EmptyInput):
         aggregate([])
-    with pytest.raises(EmptyInput):
-        aggregate([make_record(0, [1.0], flagged="rank_deficient: synthetic")])
+    # every trial flagged: no statistic, the flags still counted
+    s = aggregate([make_record(0, [1.0], flagged="rank_deficient: synthetic")], 2.0)
+    assert (s.eta_step, s.trials, s.flagged, s.empty_models) == (2.0, 0, 1, 0)
+    assert s.empirical_coverage is s.width_max is s.mean_fdr is s.mean_risk is s.mean_K is None
+    assert set(s.width_quantiles.values()) == {None}
 
 
 # ---------------------------------------------------------------------------
@@ -436,3 +443,105 @@ def test_eta_sweep_validation():
 def test_eta_sweep_rejects_nonfinite_grid(bad):
     with pytest.raises(ValueError, match="finite"):
         eta_sweep(fixed_cfg(), eta_grid=(0.5, bad))
+
+
+# ---------------------------------------------------------------------------
+# trial-major engine against the eta-major oracle
+
+
+def sweep_cfg(selector, **kw):
+    base = dict(n=60, d=12, selector=selector, trials=5, master_seed=21, alpha=0.1,
+                beta_spec=(5.0, 0.25))
+    base.update(kw)
+    return ExperimentConfig(**base)
+
+
+def assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for f in dataclasses.fields(TrialRecord):
+            va, vb = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(vb, np.ndarray):
+                assert va.dtype == vb.dtype and va.shape == vb.shape, f.name
+                assert va.tobytes() == vb.tobytes(), f.name
+            else:
+                assert va == vb, f.name
+
+
+ENGINE_CASES = {
+    "fixed": (sweep_cfg(SelectorSpec(method="fixed", fixed_model=(0, 3))), (0.5, 2.0)),
+    "screen": (sweep_cfg(SelectorSpec(method="screen", k=3)), (0.5, 1.0, 4.0)),
+    "fs": (sweep_cfg(SelectorSpec(method="fs", k=5)), (0.5, 2.0, 4.0)),
+    # default steps grow with eta, so later etas extend the replayed steps
+    "lasso-c1": (sweep_cfg(SelectorSpec(method="lasso", c1=3.0)), (0.25, 1.0, 0.5)),
+    "lasso-lam-estimate": (sweep_cfg(SelectorSpec(method="lasso", lam=0.5, steps=8),
+                                     sigma_mode="estimate"), (0.25, 0.5, 1.0)),
+    # at eta_step 4 the default step count leaves no level: flagged records
+    "flagged": (sweep_cfg(SelectorSpec(method="lasso", lam=0.5), n=100, d=20, trials=3,
+                          beta_spec=(5.0, 0.15), sigma_mode="estimate"), (0.5, 4.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_eta_sweep_matches_eta_major_oracle(case):
+    cfg, grid = ENGINE_CASES[case]
+    rows = eta_sweep(cfg, grid)
+    oracle = eta_major_sweep(cfg, grid)
+    assert [eta for eta, _, _ in rows] == [eta for eta, _ in oracle] == list(grid)
+    for (_, records, summary), (_, want) in zip(rows, oracle):
+        assert_same_records(records, want)
+        assert summary == aggregate(want, summary.eta_step)
+    if case == "flagged":
+        assert all(r.flagged.startswith("degenerate_level: ") for r in rows[1][1])
+        assert all(r.flagged is None for r in rows[0][1])
+
+
+def test_eta_sweep_flags_nonconvergence_at_every_eta(monkeypatch):
+    def stuck(X, y, lam):
+        raise NonConvergence("coordinate descent did not reach gap 1e-08")
+    monkeypatch.setattr(experiments, "lambda_to_c1", stuck)
+    cfg, grid = ENGINE_CASES["lasso-lam-estimate"]
+    rows = eta_sweep(cfg, grid)
+    for (_, records, _), (_, want) in zip(rows, eta_major_sweep(cfg, grid)):
+        assert_same_records(records, want)
+        assert all(r.flagged.startswith("non_convergence: ") for r in records)
+
+
+def test_eta_sweep_pool_equals_map():
+    cfg, grid = ENGINE_CASES["screen"]
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
+        pooled = eta_sweep(cfg, grid, lambda f, xs: pool.map_async(f, xs).get(timeout=120))
+    for (eta_a, records_a, summary_a), (eta_b, records_b, summary_b) in \
+            zip(pooled, eta_sweep(cfg, grid)):
+        assert eta_a == eta_b and summary_a == summary_b
+        assert_same_records(records_a, records_b)
+
+
+def test_eta_sweep_does_eta_free_work_once_per_trial(monkeypatch):
+    calls = {"gen": 0, "lam": 0, "sigma": 0}
+    selector_streams = []
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    philox = np.random.Philox
+
+    def counting_philox(seed_seq):
+        if seed_seq.spawn_key[0] == experiments._PATH_TRIAL_SELECTOR:
+            selector_streams.append(seed_seq.spawn_key)
+        return philox(seed_seq)
+
+    monkeypatch.setattr(experiments, "gen_synthetic", counting("gen", gen_synthetic))
+    monkeypatch.setattr(experiments, "lambda_to_c1",
+                        counting("lam", experiments.lambda_to_c1))
+    monkeypatch.setattr(experiments, "sigma_hat_full_model",
+                        counting("sigma", experiments.sigma_hat_full_model))
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    cfg, grid = ENGINE_CASES["lasso-lam-estimate"]
+    eta_sweep(cfg, grid)
+    assert calls == {"gen": cfg.trials, "lam": cfg.trials, "sigma": cfg.trials}
+    # one stream per (trial, step), however many etas replay it
+    assert len(selector_streams) == len(set(selector_streams)) == cfg.trials * cfg.selector.steps

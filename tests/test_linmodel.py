@@ -1,6 +1,8 @@
 """Design/model containers and the OLS layer against closed-form and
 numpy.linalg.lstsq oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,16 @@ def test_design_matrix_rejects_column_norm_out_of_range(entry):
     with pytest.raises(ValueError, match="rescale the design"):
         DesignMatrix([[entry, entry], [entry, 0.0]])
     assert DesignMatrix([[1e154, 1.0], [0.0, 1.0]]).l2inf_norm == 1e154
+
+
+@pytest.mark.parametrize("entry", [1e200, 1e-200])
+def test_design_matrix_norm_out_of_range_raises_without_a_warning(entry):
+    # the design's own error is the only report; numpy's overflow warning
+    # would print a numpy source line above it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="rescale the design"):
+            DesignMatrix([[entry, entry], [entry, 0.0]])
 
 
 def test_model_set_ordering():

@@ -11,7 +11,7 @@ import pytest
 import scipy.stats
 
 from stableci.linmodel import DesignMatrix
-from stableci.noise import (NoisePolicy, RngStream, log_descending_factorial,
+from stableci.noise import (NoisePolicy, ReplayStream, RngStream, log_descending_factorial,
                             scale_forward_stepwise, scale_lasso, scale_screening)
 
 
@@ -106,6 +106,19 @@ def test_laplace_variance():
     assert v == pytest.approx(8.0, abs=0.1)
 
 
+def test_replay_stream_gives_each_call_the_fresh_streams_draws():
+    # sizes shrink and grow, so later calls replay a prefix or extend it
+    replay = ReplayStream(RngStream(77, (2, 5)))
+    for scale, size in [(0.5, 3), (2.0, 7), (0.0, 2), (1.5, 7), (3.0, 10), (0.25, 1)]:
+        for step in (1, 2):
+            got = replay.child(step).laplace(scale, size)
+            want = RngStream(77, (2, 5, step)).laplace(scale, size)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert replay.child(1) is replay.child(1)
+    with pytest.raises(ValueError):
+        replay.child(1).laplace(-0.5, 2)
+
+
 # ---------------------------------------------------------------------------
 # noise scale calibration
 
@@ -126,7 +139,7 @@ def test_policy_rejects_bad_sigma(sigma):
 def test_scale_screening_value():
     X = unit_norm_design()
     policy = NoisePolicy(1.0, delta=0.05, eta_step=1.0)
-    got = scale_screening(500, X, policy)
+    got = scale_screening(X, policy)
     ref = 4.0 * math.sqrt(math.log(2 * 500 / 0.05)) / 1000
     assert got == pytest.approx(ref, rel=1e-14)
     assert got == pytest.approx(0.012587922816754877, abs=1e-15)
@@ -135,7 +148,7 @@ def test_scale_screening_value():
 def test_scale_lasso_value():
     X = unit_norm_design()
     policy = NoisePolicy(1.0, delta=0.05, eta_step=1.0)
-    got = scale_lasso(500, 1.0, X, policy)
+    got = scale_lasso(1.0, X, policy)
     ref = 8.0 * math.sqrt(math.log(4 * 500 / 0.05)) / 1000
     assert got == pytest.approx(ref, rel=1e-14)
     assert got == pytest.approx(0.02604197809149967, abs=1e-15)
@@ -154,22 +167,20 @@ def test_scales_shrink_with_eta_and_n():
     X1, X2 = unit_norm_design(1000), unit_norm_design(2000)
     p1 = NoisePolicy(1.0, delta=0.05, eta_step=1.0)
     p2 = NoisePolicy(1.0, delta=0.05, eta_step=2.0)
-    assert scale_screening(500, X1, p2) == pytest.approx(scale_screening(500, X1, p1) / 2)
-    assert scale_lasso(500, 1.0, X1, p2) == pytest.approx(scale_lasso(500, 1.0, X1, p1) / 2)
+    assert scale_screening(X1, p2) == pytest.approx(scale_screening(X1, p1) / 2)
+    assert scale_lasso(1.0, X1, p2) == pytest.approx(scale_lasso(1.0, X1, p1) / 2)
     assert scale_forward_stepwise(500, 5, p2) == pytest.approx(
         scale_forward_stepwise(500, 5, p1) / 2)
     # 1/n enters screening and lasso through the design, never fs
-    assert scale_screening(500, X2, p1) == pytest.approx(scale_screening(500, X1, p1) / 2)
-    assert scale_lasso(500, 1.0, X2, p1) == pytest.approx(scale_lasso(500, 1.0, X1, p1) / 2)
+    assert scale_screening(X2, p1) == pytest.approx(scale_screening(X1, p1) / 2)
+    assert scale_lasso(1.0, X2, p1) == pytest.approx(scale_lasso(1.0, X1, p1) / 2)
 
 
 def test_scale_validation():
     X = unit_norm_design(10, 4)
     policy = NoisePolicy(1.0, delta=0.05, eta_step=1.0)
     with pytest.raises(ValueError):
-        scale_screening(0, X, policy)
-    with pytest.raises(ValueError):
-        scale_lasso(4, 0.0, X, policy)
+        scale_lasso(0.0, X, policy)
     with pytest.raises(ValueError):
         scale_forward_stepwise(4, 5, policy)
 
