@@ -10,8 +10,8 @@ Exit codes: 0 ok, 2 bad input / parameters / config schema, 3 dimension
 mismatch, 4 rank-deficient fit, 5 not enough rows to estimate sigma.
 
 All floats are written with repr() so files round-trip exactly; experiment
-outputs are byte-identical for any worker count because trials are keyed by
-(master_seed, path), not by scheduling order.
+outputs are byte-identical for any worker count and block size because
+trials are keyed by (master_seed, path), not by scheduling order.
 """
 
 from __future__ import annotations
@@ -355,6 +355,10 @@ _CONFIG_SCHEMA = {
 }
 
 
+# built once: jsonschema.validate would re-check the schema itself on every call
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(_CONFIG_SCHEMA)(_CONFIG_SCHEMA)
+
+
 def load_config(path: str) -> tuple[ExperimentConfig, list[float]]:
     try:
         with open(path) as fh:
@@ -363,10 +367,9 @@ def load_config(path: str) -> tuple[ExperimentConfig, list[float]]:
         raise CliParseError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise CliParseError(f"{path} is not valid JSON: {e}") from e
-    try:
-        jsonschema.validate(raw, _CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
-        raise CliParseError(f"{path}: {e.message} (at {'/'.join(map(str, e.path))})") from e
+    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        raise CliParseError(f"{path}: {error.message} (at {'/'.join(map(str, error.path))})")
     # the schema admits exactly SelectorSpec's fields
     sel = raw["selector"]
     spec = SelectorSpec(**{**sel, "fixed_model": tuple(sel.get("fixed_model", ()))})

@@ -6,12 +6,17 @@ result. The pipeline per trial: generate, select (noisy), certify budgets,
 pick the cheapest valid constant, fit, build intervals, score coverage /
 width / FDR / risk against the realized design of that trial.
 
-Sweeps run trial-major: one task runs a trial at every eta of the grid.
+Sweeps run in blocks of consecutive trials, each over the whole eta grid.
+Arrays carry one leading axis of runs, a run being one (trial, eta) pair.
 The data, the `lam` radius and the estimated sigma depend on the trial
-alone and are computed once; the selector's streams depend on the trial
-alone too, and a noise.ReplayStream rescales their draws for each eta
-bit for bit as fresh streams would. So every record is the one an
-eta-major loop, rerunning each (eta, trial) from scratch, would produce.
+alone and are computed once per trial; the selectors run every run of the
+block at once (selectors.screen_runs, fs_runs, lasso_runs), each trial's
+selector stream serving all of its etas; scoring factors each distinct
+(trial, model) pair once, by one stacked SVD per model size. No draw and
+no per-run arithmetic depends on the block, so every record is the one
+an eta-major loop, rerunning each (eta, trial) from scratch, would
+produce, whatever the block size and the worker count. `run_trial` is a
+one-trial block.
 """
 
 from __future__ import annotations
@@ -25,15 +30,14 @@ import numpy as np
 
 from .errors import AllCandidatesCollinear, DegenerateLevel, EmptyInput, InsufficientSamples, \
     NonConvergence, RankDeficient
-from .linmodel import DesignMatrix, ModelSet, sigma_hat_full_model
+from .linmodel import DesignMatrix, ModelSet, SubmodelFits, sigma_hat_full_model
 # not called here: bound for perfbench/tracing.py, which wraps these names in this module
 from .linmodel import ols_fit, stderr_known_sigma, target_coefficients  # noqa: F401
-from .noise import ReplayStream, RngStream
-from .selectors import SelectionResult, SelectorSpec, lambda_to_c1, stable_fs, stable_lasso, \
-    stable_screening
-from .stability import StabilityBudget, alpha_split, infer
-# not called here: bound for perfbench/tracing.py, which wraps this name in this module
-from .stability import best_posi_constant  # noqa: F401
+from .noise import NoisePolicy, RngStream, scale_forward_stepwise, scale_lasso, scale_screening
+from .selectors import SelectionResult, SelectorSpec, _default_fw_steps, certify_budgets, \
+    fs_runs, lambda_to_c1, lasso_runs, screen_runs, stable_fs, stable_lasso, stable_screening, \
+    support
+from .stability import StabilityBudget, alpha_split, best_posi_constant, interval_level
 
 # paths namespaces under the master seed
 _PATH_SHARED_DESIGN = 0
@@ -41,6 +45,11 @@ _PATH_TRIAL_DATA = 1
 _PATH_TRIAL_SELECTOR = 2
 
 DEFAULT_ETA_GRID = tuple(0.5 * i for i in range(1, 21))
+
+# trials per block of the sweep engine, and the byte budget of a block's
+# largest array; see block_trials
+BLOCK_TRIALS = 16
+BLOCK_BYTES = 16 * 2 ** 20
 
 WIDTH_QUANTILE_LEVELS = (0.80, 0.85, 0.90, 1.00)
 
@@ -76,6 +85,12 @@ class ExperimentConfig:
             raise ValueError(f"signal must be finite, got {self.beta_spec[0]}")
         if self.sigma_mode not in ("known", "estimate"):
             raise ValueError(f"sigma_mode must be 'known' or 'estimate', got {self.sigma_mode!r}")
+        spec = self.selector
+        if spec.k is not None and spec.k > self.d:
+            raise ValueError(f"selector k={spec.k} exceeds d={self.d}")
+        if spec.fixed_model and max(spec.fixed_model) >= self.d:
+            raise ValueError(f"fixed_model index {max(spec.fixed_model)} out of range "
+                             f"for d={self.d}")
 
 
 @dataclass(frozen=True)
@@ -134,20 +149,24 @@ def gen_synthetic(cfg: ExperimentConfig, trial_index: int,
     return X, beta, mu, y
 
 
+def _check_eta(spec: SelectorSpec, eta_step: float | None) -> None:
+    if eta_step is None or eta_step <= 0:
+        raise ValueError(f"selector {spec.method!r} needs a positive eta_step")
+
+
 def run_selector(spec: SelectorSpec, X: DesignMatrix, y, eta_step: float | None,
                  delta: float, sigma: float, rng: RngStream,
                  c1: float | None = None) -> SelectionResult:
-    """The one selection dispatch, shared by `select` and the trial runner:
-    run spec's noisy selector at per-step eta_step, slack delta and noise
-    scale sigma. A fixed model, and a penalty that zeroes every coordinate,
-    are chosen without noise and carry the zero certificate. c1 is the
-    LASSO radius when the caller has already resolved it (from spec.lam
-    through lambda_to_c1); None resolves it here."""
+    """The one-run selection dispatch of `select`: run spec's noisy selector
+    at per-step eta_step, slack delta and noise scale sigma. A fixed model,
+    and a penalty that zeroes every coordinate, are chosen without noise
+    and carry the zero certificate. c1 is the LASSO radius when the caller
+    has already resolved it (from spec.lam through lambda_to_c1); None
+    resolves it here. The sweep engine makes the same choices for a block
+    of runs."""
     if spec.method == "fixed":
-        return SelectionResult(ModelSet.from_unordered(spec.fixed_model), None, (),
-                               (_ZERO_BUDGET,))
-    if eta_step is None or eta_step <= 0:
-        raise ValueError(f"selector {spec.method!r} needs a positive eta_step")
+        return _fixed_selection(spec)
+    _check_eta(spec, eta_step)
     if spec.method == "screen":
         return stable_screening(X, y, spec.k, delta, eta_step, sigma, rng=rng)
     if spec.method == "fs":
@@ -155,32 +174,16 @@ def run_selector(spec: SelectorSpec, X: DesignMatrix, y, eta_step: float | None,
     if c1 is None:
         c1 = spec.c1 if spec.lam is None else lambda_to_c1(X, y, spec.lam)
     if c1 == 0.0:
-        return SelectionResult(ModelSet(), np.zeros(X.d), (), (_ZERO_BUDGET,), c1=0.0)
+        return _empty_lasso_selection(X.d)
     return stable_lasso(X, y, c1, delta, eta_step, sigma, rng=rng, steps=spec.steps)
 
 
-def _score_model(cfg: ExperimentConfig, X: DesignMatrix, y: np.ndarray,
-                 mu: np.ndarray, beta: np.ndarray, sel: SelectionResult,
-                 trial_index: int, estimate: tuple[float, int] | None = None) -> TrialRecord:
-    """Shared interval-and-metrics stage for trial runners. estimate is the
-    (sigma_hat, dof) of an estimated-sigma trial when already made."""
-    sigma, dof = (cfg.sigma, None) if cfg.sigma_mode == "known" else (estimate or (None, None))
-    ivals = infer(X, y, sel.model, sel.budgets, cfg.alpha, sigma, dof=dof)
+def _fixed_selection(spec: SelectorSpec) -> SelectionResult:
+    return SelectionResult(ModelSet.from_unordered(spec.fixed_model), None, (), (_ZERO_BUDGET,))
 
-    risk = None
-    lam = cfg.selector.lam
-    if sel.theta is not None and lam is not None:
-        resid = y - X.entries @ sel.theta
-        risk = (0.5 * float(resid @ resid) + lam * float(np.abs(sel.theta).sum())) / X.n
 
-    fdr = sum(1 for j in sel.model if beta[j] == 0.0) / max(len(sel.model), 1)
-
-    # an empty model has nothing to miss, and np.all of no comparisons is True
-    targets = ivals.fit.coefficients(mu)
-    covered = bool(np.all((ivals.lower <= targets) & (targets <= ivals.upper)))
-    return TrialRecord(trial_index=trial_index, model=sel.model, covered=covered,
-                       widths=ivals.upper - ivals.lower, fdr=fdr, risk=risk,
-                       K=ivals.K, budget_used=ivals.budget)
+def _empty_lasso_selection(d: int) -> SelectionResult:
+    return SelectionResult(ModelSet(), np.zeros(d), (), (_ZERO_BUDGET,), c1=0.0)
 
 
 # failures that flag a trial as `<reason>: <message>` instead of ending the sweep
@@ -194,54 +197,260 @@ def _flagged_record(trial_index: int, error: Exception) -> TrialRecord:
                        budget_used=_ZERO_BUDGET, flagged=f"{reason}: {error}")
 
 
-def run_trial(cfg: ExperimentConfig, trial_index: int, eta_grid) -> list[TrialRecord]:
-    """One trial at every per-step eta of eta_grid: generate, select,
-    certify, fit, score. Returns one record per eta, in grid order.
+def block_trials(cfg: ExperimentConfig, eta_grid) -> int:
+    """Trials per block: BLOCK_TRIALS, cut so that a block's largest array
+    (runs x n x d doubles: the forward-stepwise residuals, or the LASSO
+    designs) stays within BLOCK_BYTES; at least 1. Records do not depend
+    on it."""
+    per_trial = max(len(eta_grid), 1) * cfg.n * cfg.d * 8
+    return max(1, min(BLOCK_TRIALS, BLOCK_BYTES // per_trial))
 
-    The data, the `lam` radius and the estimated sigma depend only on the
-    trial, so each is computed once; the sigma estimate waits for the
-    first nonempty model. Each eta's selector replays the trial's Laplace
-    draws through one ReplayStream, bit for bit what a fresh stream gives,
-    so every record equals a run of this trial at that eta alone.
+
+def run_trial(cfg: ExperimentConfig, trial_index: int, eta_grid) -> list[TrialRecord]:
+    """One trial at every per-step eta of eta_grid (a one-trial block):
+    generate, select, certify, fit, score. Returns one record per eta, in
+    grid order."""
+    return _run_block(cfg, range(trial_index, trial_index + 1), list(eta_grid))[0]
+
+
+def _run_block(cfg: ExperimentConfig, trials: range, eta_grid: list) -> list[list[TrialRecord]]:
+    """Consecutive trials, each at every eta of the grid, as one block of
+    runs (a run is one (trial, eta) pair). Returns one list of records per
+    trial, each in grid order.
+
+    Per trial, in a loop: the data and the `lam` radius, which do not
+    depend on eta. A non-converging penalty solve flags every eta of its
+    trial. Then selection and scoring each run once over the whole block
+    (_select_block, _score_block). Every run's record is the one the trial
+    run alone at that eta gives.
 
     The level allocation follows alpha_split; noisy selectors spend
     (tau + nu)/2 as their internal slack parameter so that, after slack
     alignment, the quantile budget comes out to exactly the allocated delta.
-    A rank-deficient fit, collinear forward-stepwise candidates, a
-    non-converging penalty solve (flagged at every eta) or a degenerate
-    level flags the record as `<reason>: <message>` instead of killing the
-    sweep.
     """
-    X, beta, mu, y = gen_synthetic(cfg, trial_index)
+    spec = cfg.selector
+    if spec.method != "fixed":
+        for eta in eta_grid:
+            _check_eta(spec, eta)
     alloc = alpha_split(cfg.alpha, cfg.alpha_weights)
     delta_sel = (alloc.tau + alloc.nu) / 2.0
-    rng = ReplayStream(RngStream(cfg.master_seed).child(_PATH_TRIAL_SELECTOR, trial_index))
-    spec = cfg.selector
-    try:
-        c1 = spec.c1 if spec.lam is None else lambda_to_c1(X, y, spec.lam)
-    except NonConvergence as e:
-        return [_flagged_record(trial_index, e) for _ in eta_grid]
-    estimate = None
-    out = []
-    for eta_step in eta_grid:
+    data, c1s = [], []
+    out: list[list[TrialRecord | None]] = []
+    for t in trials:
+        X, beta, mu, y = gen_synthetic(cfg, t)
+        data.append((X, beta, mu, y))
+        out.append([None] * len(eta_grid))
         try:
-            sel = run_selector(spec, X, y, eta_step, delta_sel, cfg.sigma, rng, c1)
-            if estimate is None and cfg.sigma_mode == "estimate" and len(sel.model):
-                estimate = _full_model_estimate(X, y)
-            out.append(_score_model(cfg, X, y, mu, beta, sel, trial_index, estimate))
-        except _FLAGGED_ERRORS as e:
-            out.append(_flagged_record(trial_index, e))
+            c1s.append(spec.c1 if spec.lam is None else lambda_to_c1(X, y, spec.lam))
+        except NonConvergence as e:
+            c1s.append(None)
+            out[-1] = [_flagged_record(t, e) for _ in eta_grid]
+    live = [b for b, records in enumerate(out) if records[0] is None]
+    sels = _select_block(cfg, trials, data, live, c1s, eta_grid, delta_sel)
+    _score_block(cfg, trials, data, sels, out)
     return out
 
 
-def _full_model_estimate(X: DesignMatrix, y: np.ndarray) -> tuple[float, int] | None:
-    """sigma_hat_full_model(X, y), or None if it fails: infer then tries
-    the estimate itself and raises after its own checks, so a failing
-    estimate ends or flags a trial exactly where infer would."""
+def _select_block(cfg: ExperimentConfig, trials: range, data: list, live: list[int],
+                  c1s: list, eta_grid: list, delta: float) -> dict:
+    """Selection for every run (b, e) of the live trials: a SelectionResult
+    without trace, or the AllCandidatesCollinear error that flags the run.
+    The noisy runs of the block go through one screen_runs, fs_runs or
+    lasso_runs call, on trial b's selector stream (2, trial)."""
+    spec = cfg.selector
+    grid = range(len(eta_grid))
+    if spec.method == "fixed":
+        fixed = _fixed_selection(spec)
+        return {(b, e): fixed for b in live for e in grid}
+    sels = {}
+    noisy = []
+    for b in live:
+        if spec.method == "lasso" and c1s[b] == 0.0:
+            empty = _empty_lasso_selection(cfg.d)
+            sels.update(((b, e), empty) for e in grid)
+        else:
+            noisy.append(b)
+    if not noisy:
+        return sels
+    designs = [data[b][0] for b in noisy]
+    Y = np.stack([data[b][3] for b in noisy])
+    streams = [RngStream(cfg.master_seed).child(_PATH_TRIAL_SELECTOR, trials[b]) for b in noisy]
+    policies = [NoisePolicy(cfg.sigma, delta, eta) for eta in eta_grid]
+    runs = [(i, e) for i in range(len(noisy)) for e in grid]
+    trial = np.array([i for i, _ in runs], dtype=np.int64)
+    if spec.method == "screen":
+        scales = [scale_screening(designs[i], policies[e]) for i, e in runs]
+        rounds = [spec.k] * len(runs)
+        block = screen_runs(designs, Y, spec.k, trial, np.array(scales), streams)
+    elif spec.method == "fs":
+        per_eta = [scale_forward_stepwise(cfg.d, spec.k, policy) for policy in policies]
+        rounds = [spec.k] * len(runs)
+        block = fs_runs(designs, Y, spec.k, trial, np.array([per_eta[e] for _, e in runs]),
+                        streams)
+    else:
+        c1 = [c1s[noisy[i]] for i, _ in runs]
+        rounds = [spec.steps or _default_fw_steps(designs[i], c1[r], eta_grid[e], cfg.sigma)
+                  for r, (i, e) in enumerate(runs)]
+        scales = [scale_lasso(c1[r], designs[i], policies[e]) for r, (i, e) in enumerate(runs)]
+        block = lasso_runs(designs, Y, np.array(c1), np.array(rounds, dtype=np.int64), trial,
+                           np.array(scales), streams)
+    budgets: dict[tuple[int, int], tuple[StabilityBudget, ...]] = {}
+    for r, (i, e) in enumerate(runs):
+        if r in block.failed:
+            sels[noisy[i], e] = block.failed[r]
+            continue
+        key = (rounds[r], e)
+        if key not in budgets:
+            budgets[key] = certify_budgets(rounds[r], eta_grid[e], delta)
+        if block.theta is None:
+            sels[noisy[i], e] = SelectionResult(ModelSet.from_unordered(block.picks[r].tolist()),
+                                                None, (), budgets[key])
+        else:
+            sels[noisy[i], e] = SelectionResult(support(block.theta[r]), block.theta[r], (),
+                                                budgets[key], c1=c1[r])
+    return sels
+
+
+def _cached(cache: dict, key, fn, *args):
+    """fn(*args), memoized under key; an error that flags a run is memoized
+    and returned instead of raised."""
+    if key not in cache:
+        try:
+            cache[key] = fn(*args)
+        except _FLAGGED_ERRORS as e:
+            cache[key] = e
+    return cache[key]
+
+
+def _score_block(cfg: ExperimentConfig, trials: range, data: list, sels: dict,
+                 out: list[list[TrialRecord | None]]) -> None:
+    """Intervals and metrics for every selected run of a block, written
+    into out[b][e].
+
+    The distinct (trial, model) pairs are grouped by model size, and each
+    group is factored by one stacked SVD (linmodel.SubmodelFits) that gives
+    every pair its estimates, targets and standard errors once. Each run
+    then goes through infer's checks in infer's order: rank, level
+    (interval_level), the trial's sigma estimate (made once per trial that
+    selects a nonempty model), then K, computed once per (size, level,
+    aligned budgets, dof) in the block. A failed check flags the run; an
+    estimate short of samples ends the sweep as infer would."""
+    lam = cfg.selector.lam
+    pairs: dict[tuple[int, tuple[int, ...]], int] = {}
+    groups: dict[int, list[tuple[int, ModelSet]]] = {}
+    for (b, _), sel in sels.items():
+        if isinstance(sel, SelectionResult) and len(sel.model):
+            key = (b, sel.model.indices)
+            if key not in pairs:
+                group = groups.setdefault(len(sel.model), [])
+                pairs[key] = len(group)
+                group.append((b, sel.model))
+    if cfg.sigma_mode == "known":
+        sigmas = {b: (cfg.sigma, None) for b in range(len(trials))}
+    else:
+        sigmas = {b: _full_model_estimate(data[b][0], data[b][3])
+                  for b in sorted({b for group in groups.values() for b, _ in group})}
+    fits = {size: SubmodelFits([data[b][0] for b, _ in group], [M for _, M in group])
+            for size, group in groups.items()}
+    levels: dict = {}
+    constants: dict = {}
+    scored: dict[int, list] = {size: [] for size in groups}
+    for b, t in enumerate(trials):
+        X, _, _, y = data[b]
+        for e, done in enumerate(out[b]):
+            if done is not None:
+                continue
+            sel = sels[b, e]
+            if isinstance(sel, Exception):
+                out[b][e] = _flagged_record(t, sel)
+                continue
+            size = len(sel.model)
+            pair = pairs.get((b, sel.model.indices))
+            outcome = _interval_constant(cfg, sel, fits[size].rank_error(pair) if size else None,
+                                         sigmas.get(b), levels, constants)
+            if isinstance(outcome, Exception):
+                out[b][e] = _flagged_record(t, outcome)
+            elif size == 0:
+                # an empty model has nothing to miss
+                out[b][e] = TrialRecord(trial_index=t, model=sel.model, covered=True,
+                                        widths=np.zeros(0), fdr=0.0,
+                                        risk=_risk(lam, X, y, sel.theta), K=0.0,
+                                        budget_used=outcome[1])
+            else:
+                scored[size].append((b, e, pair, outcome))
+    for size, runs in scored.items():
+        if not runs:
+            continue
+        group, fit = groups[size], fits[size]
+        est = fit.coefficients(np.stack([data[b][3] for b, _ in group]))
+        targets = fit.coefficients(np.stack([data[b][2] for b, _ in group]))
+        se = fit.stderrs(np.array([_sigma_or_one(sigmas[b]) for b, _ in group]))
+        p = np.array([pair for _, _, pair, _ in runs])
+        K = np.array([value for _, _, _, (value, _) in runs])[:, None]
+        lower = est[p] - K * se[p]
+        upper = est[p] + K * se[p]
+        widths = upper - lower
+        covered = np.all((lower <= targets[p]) & (targets[p] <= upper), axis=1)
+        for i, (b, e, _, (value, chosen)) in enumerate(runs):
+            X, beta, _, y = data[b]
+            sel = sels[b, e]
+            out[b][e] = TrialRecord(trial_index=trials[b], model=sel.model,
+                                    covered=bool(covered[i]), widths=widths[i],
+                                    fdr=_fdr(sel.model, beta), risk=_risk(lam, X, y, sel.theta),
+                                    K=value, budget_used=chosen)
+
+
+def _interval_constant(cfg: ExperimentConfig, sel: SelectionResult,
+                       rank_error: RankDeficient | None, sigma, levels: dict, constants: dict):
+    """infer's checks for one selected run, in infer's order: the fit's
+    rank, the level, the trial's sigma estimate (sigma, dof), then K,
+    memoized by (size, level, aligned budgets, dof). Returns (K, the
+    certificate that gave it), K 0 for the empty model, or the error that
+    flags the run; an estimate short of samples is raised."""
+    if rank_error is not None:
+        return rank_error
+    level = _cached(levels, sel.budgets, interval_level, sel.budgets, cfg.alpha,
+                    cfg.alpha_weights)
+    if isinstance(level, Exception):
+        return level
+    aligned, lvl = level
+    size = len(sel.model)
+    if size == 0:
+        return 0.0, aligned[0]
+    if isinstance(sigma, InsufficientSamples):
+        raise sigma
+    if isinstance(sigma, Exception):
+        return sigma
+    dof = sigma[1]
+    return _cached(constants, (size, lvl, tuple(aligned), dof), best_posi_constant,
+                   size, lvl, aligned, dof)
+
+
+def _sigma_or_one(estimate) -> float:
+    """The trial's sigma, or 1 where its estimate failed (no run uses it)."""
+    return 1.0 if isinstance(estimate, Exception) else estimate[0]
+
+
+def _fdr(model: ModelSet, beta: np.ndarray) -> float:
+    return sum(1 for j in model if beta[j] == 0.0) / max(len(model), 1)
+
+
+def _risk(lam: float | None, X: DesignMatrix, y: np.ndarray, theta) -> float | None:
+    """The penalized LASSO objective of theta, for a `lam` run."""
+    if theta is None or lam is None:
+        return None
+    resid = y - X.entries @ theta
+    return (0.5 * float(resid @ resid) + lam * float(np.abs(theta).sum())) / X.n
+
+
+def _full_model_estimate(X: DesignMatrix, y: np.ndarray):
+    """sigma_hat_full_model(X, y) as (sigma_hat, dof), or the
+    InsufficientSamples or RankDeficient error it raised, which then ends
+    or flags each run at the sigma check, as infer would."""
     try:
         return sigma_hat_full_model(X, y)
-    except (InsufficientSamples, RankDeficient):
-        return None
+    except (InsufficientSamples, RankDeficient) as e:
+        return e
 
 
 def _nearest_rank(sorted_vals: np.ndarray, level: float) -> float:
@@ -290,16 +499,19 @@ def aggregate(records: list[TrialRecord], eta_step: float | None = None,
     )
 
 
-def _trial_task(args: tuple[ExperimentConfig, list, int]) -> list[TrialRecord]:
-    cfg, eta_grid, trial_index = args
-    return run_trial(cfg, trial_index, eta_grid)
+def _block_task(args: tuple[ExperimentConfig, list, range]) -> list[list[TrialRecord]]:
+    cfg, eta_grid, trials = args
+    return _run_block(cfg, trials, eta_grid)
 
 
 def _run_grid(cfg: ExperimentConfig, eta_grid: list, map_fn) -> list[list[TrialRecord]]:
-    """Each trial over the whole grid, one task per trial; map_fn may be a
-    worker pool's map. Results come back in trial order, so parallelism
-    cannot change them."""
-    return list(map_fn(_trial_task, [(cfg, eta_grid, t) for t in range(cfg.trials)]))
+    """Each trial over the whole grid, one task per block of trials; map_fn
+    may be a worker pool's map. Results come back in trial order, so
+    neither the block size nor parallelism can change them."""
+    size = block_trials(cfg, eta_grid)
+    tasks = [(cfg, eta_grid, range(start, min(start + size, cfg.trials)))
+             for start in range(0, cfg.trials, size)]
+    return [records for block in map_fn(_block_task, tasks) for records in block]
 
 
 def run_trials(cfg: ExperimentConfig, eta_step: float | None = None,
@@ -311,8 +523,9 @@ def run_trials(cfg: ExperimentConfig, eta_step: float | None = None,
 def eta_sweep(cfg: ExperimentConfig, eta_grid=DEFAULT_ETA_GRID,
               map_fn=map) -> list[tuple[float, list[TrialRecord], ExperimentSummary]]:
     """Every trial at every eta over the same master seed, so trials are
-    coupled across the grid for variance reduction. Runs trial-major (one
-    task per trial covers the whole grid) and regroups the records by eta.
+    coupled across the grid for variance reduction. Runs in blocks of
+    trials (one task per block covers the whole grid) and regroups the
+    records by eta.
     Returns (eta, records in trial order, summary) rows in grid order."""
     grid = [float(e) for e in eta_grid]
     if not grid:

@@ -2,12 +2,15 @@
 
 Least squares restricted to a column subset, factored once per submodel and
 serving estimates, projection-defined targets, and the standard errors that
-interval construction multiplies by. Nothing here draws randomness.
+interval construction multiplies by. Submodels of one size are factored as a
+stack, by one stacked SVD; a single submodel is a stack of one. Nothing here
+draws randomness.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,9 +60,6 @@ class DesignMatrix:
             raise ValueError(f"largest design column norm is {self.l2inf_norm}; rescale the design")
         self.linf_norm = max(hi, -lo)
 
-    def submatrix(self, model: "ModelSet") -> np.ndarray:
-        return self.entries[:, list(model.indices)]
-
     def __repr__(self):
         return f"DesignMatrix(n={self.n}, d={self.d})"
 
@@ -103,44 +103,91 @@ def as_response(y, n: int) -> np.ndarray:
     return y
 
 
-class SubmodelFit:
-    """Least squares on the columns M of X, factored once.
+class SubmodelFits:
+    """Least squares on the columns M_p of the design X_p for a stack of
+    pairs (X_p, M_p) that share n and the model size, all factored by one
+    stacked thin SVD of the X_p[:, M_p].
 
-    One thin SVD of X_M, rank-checked, serves the coefficients X_M^+ v for
-    any response v (the data y, or the mean mu for projection targets) and
-    the standard errors. Raises RankDeficient when the smallest singular
-    value falls below RANK_TOL relative to the largest, DimensionMismatch
-    for an index out of range. The empty model has no columns to factor.
+    The factorization serves the coefficients X_M^+ v for a stack of
+    responses (the data y, or the mean mu for projection targets) and the
+    standard errors. Each pair gets exactly what a stack of one gives it.
+    A pair with more columns than rows, or whose smallest singular value
+    falls below RANK_TOL relative to its largest, is rank-deficient:
+    rank_error(p) returns its error, and its other results are meaningless.
+    Raises DimensionMismatch for an index out of range. The empty model has
+    no columns to factor.
     """
 
+    def __init__(self, designs: Sequence[DesignMatrix], models: Sequence[ModelSet]):
+        n, size = designs[0].n, len(models[0])
+        for X, M in zip(designs, models):
+            if len(M) and max(M.indices) >= X.d:
+                raise DimensionMismatch(f"model index {max(M.indices)} out of range for d={X.d}")
+        self.models = list(models)
+        self.n = n
+        count = len(self.models)
+        if size == 0:
+            self._U, self._s, self._V = np.zeros((count, n, 0)), np.zeros((count, 0)), \
+                np.zeros((count, 0, 0))
+            self._deficient = np.zeros(count, dtype=bool)
+            return
+        sub = np.empty((count, n, size))
+        for p, (X, M) in enumerate(zip(designs, self.models)):
+            # mode="clip" writes straight into sub (indices are checked above)
+            X.entries.take(M.indices, axis=1, out=sub[p], mode="clip")
+        U, s, Vt = np.linalg.svd(sub, full_matrices=False)
+        self._singular = s
+        self._deficient = (s[:, 0] == 0.0) | (s[:, -1] <= RANK_TOL * s[:, 0])
+        if size > n:  # a thin SVD of more columns than rows has only n singular values
+            self._deficient[:] = True
+        if self._deficient.any():  # divide by 1 instead of a vanishing singular value
+            s = np.where(self._deficient[:, None], 1.0, s)
+        self._U, self._s, self._V = U, s, Vt.transpose(0, 2, 1)
+
+    def rank_error(self, p: int) -> RankDeficient | None:
+        if not self._deficient[p]:
+            return None
+        M, s = self.models[p], self._singular[p]
+        if len(M) > self.n:
+            return RankDeficient(f"columns {M.indices}: {len(M)} columns on {self.n} rows")
+        return RankDeficient(f"columns {M.indices}: singular value ratio "
+                             f"{0.0 if s[0] == 0 else s[-1] / s[0]:.3e} below {RANK_TOL:.1e}")
+
+    def coefficients(self, V: np.ndarray) -> np.ndarray:
+        """Row p is the |M|-vector (X_M^T X_M)^{-1} X_M^T V[p] of pair p;
+        V is a stack of responses of length n."""
+        Ut_v = np.matmul(self._U.transpose(0, 2, 1), V[:, :, None])[:, :, 0]
+        return np.matmul(self._V, (Ut_v / self._s)[:, :, None])[:, :, 0]
+
+    def stderrs(self, sigmas: np.ndarray) -> np.ndarray:
+        """Row p is sigmas[p] * sqrt(diag((X_M^T X_M)^{-1})) of pair p."""
+        if sigmas.min() <= 0:
+            raise ValueError(f"sigma must be positive, got {float(sigmas.min())}")
+        # diag of (X^T X)^{-1} = rowwise sum of (V / s)^2
+        inv_diag = ((self._V / self._s[:, None, :]) ** 2).sum(axis=2)
+        return sigmas[:, None] * np.sqrt(inv_diag)
+
+
+class SubmodelFit:
+    """Least squares on the columns M of X, factored once: a stack of one
+    SubmodelFits. Raises RankDeficient for numerically collinear columns or
+    more columns than rows."""
+
     def __init__(self, X: DesignMatrix, M: ModelSet):
-        if len(M) and max(M.indices) >= X.d:
-            raise DimensionMismatch(f"model index {max(M.indices)} out of range for d={X.d}")
+        self._fits = SubmodelFits([X], [M])
+        error = self._fits.rank_error(0)
+        if error is not None:
+            raise error
         self.model = M
         self.n = X.n
-        if len(M) == 0:
-            self._U, self._s, self._Vt = np.zeros((X.n, 0)), np.zeros(0), np.zeros((0, 0))
-            return
-        U, s, Vt = np.linalg.svd(X.submatrix(M), full_matrices=False)
-        if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
-            raise RankDeficient(
-                f"columns {M.indices}: singular value ratio "
-                f"{0.0 if s[0] == 0 else s[-1] / s[0]:.3e} below {RANK_TOL:.1e}"
-            )
-        self._U, self._s, self._Vt = U, s, Vt
 
     def coefficients(self, v) -> np.ndarray:
         """The |M|-vector (X_M^T X_M)^{-1} X_M^T v."""
-        v = as_response(v, self.n)
-        return self._Vt.T @ ((self._U.T @ v) / self._s)
+        return self._fits.coefficients(as_response(v, self.n)[None])[0]
 
     def stderrs(self, sigma: float) -> np.ndarray:
         """Per-coefficient sigma * sqrt(diag((X_M^T X_M)^{-1}))."""
-        if sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
-        # diag of (X^T X)^{-1} = rowwise sum of (V / s)^2
-        inv_diag = ((self._Vt.T / self._s) ** 2).sum(axis=1)
-        return sigma * np.sqrt(inv_diag)
+        return self._fits.stderrs(np.array([sigma], dtype=np.float64))[0]
 
 
 def ols_fit(X: DesignMatrix, M: ModelSet, y) -> np.ndarray:

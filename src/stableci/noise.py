@@ -9,11 +9,12 @@ draw the whole candidate noise vector from it in ascending candidate
 order; Laplace variates come from the inverse CDF, exactly one uniform
 per draw, which keeps the stream layout deterministic.
 
-A sweep runs one trial at every eta of its grid. Only the Laplace scale
-depends on eta, so a ReplayStream draws each step's standard Laplace
-vector once per trial and rescales it for every eta; since `random(m)` is
-a prefix of `random(M)`, every replayed draw is bit for bit the one a
-fresh stream at the same path gives.
+A sweep runs each trial at every eta of its grid. Only the Laplace scale
+depends on eta, so the selectors draw each (trial, step) stream's
+standard Laplace vector once, at the longest length any run of the trial
+needs, and scale its prefix per run; since `random(m)` is a prefix of
+`random(M)` and `laplace` is its scale times `standard_laplace`, every
+draw is bit for bit the one a fresh stream at the same path gives.
 """
 
 from __future__ import annotations
@@ -72,38 +73,6 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.master_seed}, path={self.path})"
-
-
-class ReplayStream:
-    """Serves a selector's `rng.child(t).laplace(scale, m)` calls for one
-    trial at every eta of a sweep, building each step's stream once.
-
-    Step t's standard Laplace draws are drawn once and kept; a call returns
-    scale * (their first m), drawing more only when a call asks for more
-    than any before it. That is bit for bit the fresh
-    `RngStream.child(t).laplace(scale, m)`: laplace is scale times
-    standard_laplace, which maps one uniform per draw, and `random(m)` is
-    the first m of `random(M)` for M >= m.
-    """
-
-    def __init__(self, stream: RngStream):
-        self.stream = stream
-        self._steps: dict[int, ReplayStream] = {}
-        self._draws = np.empty(0)
-
-    def child(self, step: int) -> "ReplayStream":
-        kid = self._steps.get(step)
-        if kid is None:
-            kid = self._steps[step] = ReplayStream(self.stream.child(step))
-        return kid
-
-    def laplace(self, scale: float, size: int) -> np.ndarray:
-        if scale < 0:
-            raise ValueError(f"scale must be >= 0, got {scale}")
-        have = self._draws.shape[0]
-        if size > have:
-            self._draws = np.concatenate((self._draws, self.stream.standard_laplace(size - have)))
-        return scale * self._draws[:size]
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,33 @@
-"""Stability-randomized model selectors.
+"""Stability-randomized model selectors, run on a leading axis of runs.
 
-Three noisy procedures, one implementation each. There are no separate
-exact variants: a noise scale of 0 (the `scale_override` test hook) is the
-exact algorithm, tie rule included, because the zero-scale Laplace draws
-are +-0.0 and move no argmin or argmax.
+Three noisy procedures, one implementation each. Each runs a block of
+*runs* at once: run r selects on the data of trial trial[r] with its own
+Laplace scale scales[r], and every array carries the run axis first.
+`stable_screening`, `stable_fs` and `stable_lasso` are blocks of one run
+that also return the per-step decision trace. There are no separate exact
+variants: a noise scale of 0 (the `scale_override` test hook) is the exact
+algorithm, tie rule included, because the zero-scale Laplace draws are
++-0.0 and move no argmin or argmax.
 
 - LASSO over the l1 ball of radius C1, optimized by Frank-Wolfe, with
   every vertex score perturbed by fresh Laplace noise before the argmin.
+  Each run stops at its own step count.
 - Marginal screening: k rounds of noisy argmax over |X_i^T y / n|,
   selected index removed from the residual candidate set.
 - Forward stepwise: k rounds of noisy argmax over residual-normalized
   absolute correlations, with numerically collinear candidates excluded
-  before noise.
+  before noise. A run left without candidates fails alone.
+
+Noise: run r's step-t perturbation is scales[r] times the first m draws
+of its trial's step-t stream, where m is its candidate count. Each
+(trial, step) stream is built once and drawn once, at the longest length
+any live run of that trial needs, and only one step's draws are held at a
+time. Since a Laplace draw is its scale times a standard draw made from
+one uniform, and the first m uniforms of a stream are the same however
+many are drawn, every run sees exactly the draws a fresh stream at its
+path gives. Every per-run product (scores, norms, updates) is a separate
+BLAS call or an elementwise operation on a matrix laid out as in a one-run
+block, so a run's result does not depend on the block it ran in.
 
 Every noisy run certifies the same two composed stability budgets,
 returned on the SelectionResult for the interval stage to choose from.
@@ -32,6 +48,10 @@ from .stability import StabilityBudget, compose_adaptive_advanced
 SUPPORT_THRESHOLD = 1e-12
 FS_COLLINEAR_TOL = 1e-10
 MAX_DEFAULT_FW_STEPS = 10_000
+
+# the knobs each method reads; SelectorSpec rejects the others
+_METHOD_KNOBS = {"fixed": ("fixed_model",), "screen": ("k",), "fs": ("k",),
+                 "lasso": ("c1", "lam", "steps")}
 
 
 @dataclass(frozen=True)
@@ -61,9 +81,23 @@ class SelectionResult:
 
 
 @dataclass(frozen=True)
+class RunSelections:
+    """What a block of runs selected. picks[r] is run r's pick order
+    (screening and forward stepwise), theta[r] its LASSO iterate, and
+    failed maps a run that stopped early to its error. trace is the
+    decision trace of a one-run block that asked for it, else empty."""
+
+    picks: np.ndarray | None
+    theta: np.ndarray | None
+    failed: dict[int, Exception]
+    trace: tuple[TraceStep, ...] = ()
+
+
+@dataclass(frozen=True)
 class SelectorSpec:
     """Which selector to run and its non-noise parameters: the one selector
-    description shared by `select` and the experiment runner."""
+    description shared by `select` and the experiment runner. A knob the
+    method does not read is rejected, not ignored."""
 
     method: str  # "fixed" | "screen" | "fs" | "lasso"
     k: int | None = None
@@ -73,8 +107,11 @@ class SelectorSpec:
     fixed_model: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.method not in ("fixed", "screen", "fs", "lasso"):
+        if self.method not in _METHOD_KNOBS:
             raise ValueError(f"unknown selector method {self.method!r}")
+        for knob in ("k", "c1", "lam", "steps", "fixed_model"):
+            if knob not in _METHOD_KNOBS[self.method] and getattr(self, knob) not in (None, ()):
+                raise ValueError(f"method {self.method!r} does not use {knob}; remove it")
         if self.method in ("screen", "fs") and (self.k is None or self.k < 1):
             raise ValueError(f"method {self.method!r} needs k >= 1")
         if self.method == "lasso" and (self.c1 is None) == (self.lam is None):
@@ -98,6 +135,41 @@ def certify_budgets(k: int, eta_step: float, delta: float) -> tuple[StabilityBud
 
 
 # ---------------------------------------------------------------------------
+# run-axis plumbing
+
+
+def _one_scale(scale: float) -> np.ndarray:
+    """The scales array of a one-run block."""
+    if scale < 0:
+        raise ValueError(f"scale must be >= 0, got {scale}")
+    return np.array([scale], dtype=np.float64)
+
+
+def _check_trace(trace: bool, trial: np.ndarray) -> None:
+    if trace and len(trial) != 1:
+        raise ValueError(f"a trace is kept for a one-run block only, not {len(trial)} runs")
+
+
+def _step_draws(streams: list[RngStream], step: int, sizes: list[int],
+                trial: np.ndarray) -> np.ndarray:
+    """Standard Laplace draws for one step, one row per run: trial b's row
+    holds the first sizes[b] draws of streams[b].child(step), zero-padded
+    to the largest size. A trial whose size is 0 is neither built nor drawn
+    from; a block of one trial gets its one row, which broadcasts."""
+    if len(streams) == 1:
+        return streams[0].child(step).standard_laplace(sizes[0])[None]
+    draws = np.zeros((len(streams), max(sizes)))
+    for b, size in enumerate(sizes):
+        if size:
+            draws[b, :size] = streams[b].child(step).standard_laplace(size)
+    return draws[trial]
+
+
+_ONE_RUN = np.zeros(1, dtype=np.int64)
+_VERTEX_SIGNS = np.array([1.0, -1.0])  # of the +c1 and the -c1 vertices
+
+
+# ---------------------------------------------------------------------------
 # LASSO via Frank-Wolfe
 
 
@@ -109,18 +181,83 @@ def _default_fw_steps(X: DesignMatrix, c1: float, eta_step: float, sigma: float)
     return max(1, math.ceil(min(raw, MAX_DEFAULT_FW_STEPS)))
 
 
+def lasso_runs(designs: list[DesignMatrix], Y: np.ndarray, c1: np.ndarray, steps: np.ndarray,
+               trial: np.ndarray, scales: np.ndarray, streams: list[RngStream],
+               trace: bool = False) -> RunSelections:
+    """Noisy Frank-Wolfe LASSO for a block of runs: run r minimizes
+    ||Y[b] - X_b theta||^2 / n over the l1 ball of radius c1[r] on trial
+    b = trial[r] for steps[r] steps, perturbing all 2d vertex scores of
+    each step with Laplace draws at scales[r] before the argmin.
+
+    Vertex order is +c1*e_0 .. +c1*e_{d-1}, -c1*e_0 .. -c1*e_{d-1}; the
+    per-step noise vector is drawn in that order from the step's child
+    stream. Step size 2/(t+1), t = 1..steps, theta_1 = 0. Runs are kept
+    longest first, so the runs still going at step t are a prefix.
+    """
+    _check_trace(trace, trial)
+    runs = len(trial)
+    order = np.argsort(-steps, kind="stable") if runs > 1 else None
+    if order is not None:
+        trial, c1, steps, scales = trial[order], c1[order], steps[order], scales[order]
+    n, d = designs[0].n, designs[0].d
+    # one run reads its design in place; a block stacks one copy per run
+    A = designs[trial[0]].entries[None] if runs == 1 else \
+        np.stack([designs[b].entries for b in trial])
+    AT = A.transpose(0, 2, 1)
+    Yr = Y[trial]
+    theta = np.zeros((runs, d))
+    z = np.zeros((runs, n))  # X @ theta, updated incrementally
+    ends = steps.tolist()
+    live = 0
+    traced = []
+    for t in range(1, ends[0] + 1):
+        if not live or ends[live - 1] < t:
+            # the runs still going: a prefix, as the longest runs come first
+            live = sum(1 for end in ends if end >= t)
+            at, Yl, zl, Al, ATl = np.arange(live), Yr[:live], z[:live], A[:live], AT[:live]
+            c1l, scale_col, triall = c1[:live], scales[:live, None], trial[:live]
+            theta_flat, row_d = theta[:live].reshape(-1), at * d
+            exact = np.empty((live, 2 * d))
+            plus, minus = exact[:, :d], exact[:, d:]
+            sizes = [0] * len(streams)
+            for b in triall.tolist():
+                sizes[b] = 2 * d
+        r = Yl - zl
+        # scores are vertex . gradient for the loss ||y - X theta||^2 / n,
+        # whose gradient is -(2/n) X^T r; scale_lasso is calibrated to
+        # exactly that score sensitivity, so the 2/n is load-bearing
+        g = (-2.0 / n) * np.matmul(ATl, r[:, :, None])[:, :, 0]
+        np.multiply(c1l[:, None], g, out=plus)
+        np.negative(plus, out=minus)  # -(c1 * g) is -c1 * g exactly
+        noisy = exact + scale_col * _step_draws(streams, t, sizes, triall)
+        v = noisy.argmin(axis=1)
+        minus_vertex, col = np.divmod(v, d)
+        step_size = 2.0 / (t + 1.0)
+        coef = step_size * _VERTEX_SIGNS[minus_vertex] * c1l
+        theta_flat *= 1.0 - step_size
+        theta_flat[row_d + col] += coef
+        zl *= 1.0 - step_size
+        zl += coef[:, None] * Al[at, :, col]
+        if trace:
+            rr = Yl[0] - zl[0]
+            v0 = int(v[0])
+            traced.append(TraceStep(step=t, chosen=v0, exact_score=float(exact[0, v0]),
+                                    noisy_score=float(noisy[0, v0]), best_exact=float(exact.min()),
+                                    objective=float(rr @ rr) / n))
+    if order is not None:
+        theta[order] = theta.copy()
+    return RunSelections(picks=None, theta=theta, failed={}, trace=tuple(traced))
+
+
 def stable_lasso(X: DesignMatrix, y, c1: float, delta: float, eta_step: float,
                  sigma: float, *,
                  rng: RngStream, steps: int | None = None,
                  scale_override: float | None = None) -> SelectionResult:
-    """Noisy Frank-Wolfe LASSO over the l1 ball of radius c1: every step
-    perturbs all 2d vertex scores with independent Laplace draws at
-    scale_lasso, then takes the argmin. steps defaults to the
-    utility-optimal count for this design and eta_step.
-
-    Vertex order is +c1*e_0 .. +c1*e_{d-1}, -c1*e_0 .. -c1*e_{d-1}; the
-    per-step noise vector is drawn in that order from the step's child
-    stream. Step size 2/(t+1), t = 1..steps, theta_1 = 0.
+    """Noisy Frank-Wolfe LASSO over the l1 ball of radius c1 (a block of
+    one run of lasso_runs, with its trace): every step perturbs all 2d
+    vertex scores with independent Laplace draws at scale_lasso, then takes
+    the argmin. steps defaults to the utility-optimal count for this design
+    and eta_step.
 
     scale_override is a test hook; 0 gives the exact algorithm.
     """
@@ -133,34 +270,10 @@ def stable_lasso(X: DesignMatrix, y, c1: float, delta: float, eta_step: float,
     if steps is None:
         steps = _default_fw_steps(X, c1, eta_step, sigma)
     scale = scale_lasso(c1, X, policy) if scale_override is None else scale_override
-    n, d = X.n, X.d
-    A = X.entries
-    theta = np.zeros(d)
-    z = np.zeros(n)  # X @ theta, updated incrementally
-    trace: list[TraceStep] = []
-    for t in range(1, steps + 1):
-        r = y - z
-        # scores are vertex . gradient for the loss ||y - X theta||^2 / n,
-        # whose gradient is -(2/n) X^T r; scale_lasso is calibrated to
-        # exactly that score sensitivity, so the 2/n is load-bearing
-        g = (-2.0 / n) * (A.T @ r)
-        exact = np.concatenate((c1 * g, -c1 * g))
-        noisy = exact + rng.child(t).laplace(scale, 2 * d)
-        v = int(np.argmin(noisy))
-        col, sgn = (v, 1.0) if v < d else (v - d, -1.0)
-        step_size = 2.0 / (t + 1.0)
-        theta *= 1.0 - step_size
-        theta[col] += step_size * sgn * c1
-        z *= 1.0 - step_size
-        z += (step_size * sgn * c1) * A[:, col]
-        rr = y - z
-        trace.append(TraceStep(
-            step=t, chosen=v,
-            exact_score=float(exact[v]), noisy_score=float(noisy[v]),
-            best_exact=float(exact.min()),
-            objective=float(rr @ rr) / n,
-        ))
-    return SelectionResult(model=support(theta), theta=theta, trace=tuple(trace),
+    sel = lasso_runs([X], y[None], np.array([c1]), np.array([steps]), _ONE_RUN,
+                     _one_scale(scale), [rng], trace=True)
+    theta = sel.theta[0]
+    return SelectionResult(model=support(theta), theta=theta, trace=sel.trace,
                            budgets=certify_budgets(steps, eta_step, delta), c1=c1)
 
 
@@ -231,89 +344,173 @@ def lambda_to_c1(X: DesignMatrix, y, lam: float) -> float:
 # marginal screening
 
 
+def screen_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.ndarray,
+                scales: np.ndarray, streams: list[RngStream],
+                trace: bool = False) -> RunSelections:
+    """k rounds of noisy argmax over |c_i + xi| per run, with
+    c = X_b^T Y[b] / n for its trial b = trial[r]; the winner leaves the
+    run's candidate set, noise is fresh each round."""
+    d = designs[0].d
+    if not (1 <= k <= d):
+        raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
+    _check_trace(trace, trial)
+    runs = len(trial)
+    at = np.arange(runs)
+    # each run's candidates and their scores, ascending; a pick leaves both
+    c = np.array([(X.entries.T @ y) / X.n for X, y in zip(designs, Y)])[trial]
+    cand = None  # every column, until the first pick leaves
+    present = set(trial.tolist())
+    scale_col = scales[:, None]
+    picks = np.empty((runs, k), dtype=np.int64)
+    traced = []
+    for t in range(1, k + 1):
+        m = d - t + 1
+        sizes = [m if b in present else 0 for b in range(len(streams))]
+        noisy = np.abs(c + scale_col * _step_draws(streams, t, sizes, trial))
+        j = noisy.argmax(axis=1)
+        picks[:, t - 1] = j if cand is None else cand[at, j]
+        if trace:
+            j0, abs_exact = int(j[0]), np.abs(c[0])
+            traced.append(TraceStep(step=t, chosen=int(picks[0, t - 1]),
+                                    exact_score=float(abs_exact[j0]),
+                                    noisy_score=float(noisy[0, j0]),
+                                    best_exact=float(abs_exact.max())))
+        if t < k:
+            if cand is None:
+                cand = np.arange(d)[None].repeat(runs, axis=0)
+            rest = np.ones((runs, m), dtype=bool)
+            rest[at, j] = False
+            c, cand = c[rest].reshape(runs, m - 1), cand[rest].reshape(runs, m - 1)
+    return RunSelections(picks=picks, theta=None, failed={}, trace=tuple(traced))
+
+
 def stable_screening(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
                      sigma: float, *,
                      rng: RngStream, scale_override: float | None = None,
                      ) -> SelectionResult:
-    """k rounds of noisy argmax over |c_i + xi| with c = X^T y / n; the
-    winner leaves the candidate set, noise is fresh each round."""
-    if not (1 <= k <= X.d):
-        raise ValueError(f"need 1 <= k <= d, got k={k}, d={X.d}")
+    """k rounds of noisy argmax over |c_i + xi| with c = X^T y / n (a block
+    of one run of screen_runs, with its trace)."""
     y = as_response(y, X.n)
     policy = NoisePolicy(sigma, delta, eta_step)
     scale = scale_screening(X, policy) if scale_override is None else scale_override
-    c = (X.entries.T @ y) / X.n
-    available = np.ones(X.d, dtype=bool)
-    trace: list[TraceStep] = []
-    chosen_order: list[int] = []
-    for t in range(1, k + 1):
-        cand = np.nonzero(available)[0]
-        xi = rng.child(t).laplace(scale, cand.shape[0])
-        noisy = np.abs(c[cand] + xi)
-        j = int(np.argmax(noisy))
-        i_t = int(cand[j])
-        abs_exact = np.abs(c[cand])
-        trace.append(TraceStep(
-            step=t, chosen=i_t,
-            exact_score=float(abs_exact[j]), noisy_score=float(noisy[j]),
-            best_exact=float(abs_exact.max()),
-        ))
-        chosen_order.append(i_t)
-        available[i_t] = False
-    return SelectionResult(model=ModelSet.from_unordered(chosen_order), theta=None,
-                           trace=tuple(trace), budgets=certify_budgets(k, eta_step, delta))
+    sel = screen_runs([X], y[None], k, _ONE_RUN, _one_scale(scale), [rng], trace=True)
+    return SelectionResult(model=ModelSet.from_unordered(sel.picks[0].tolist()), theta=None,
+                           trace=sel.trace, budgets=certify_budgets(k, eta_step, delta))
 
 
 # ---------------------------------------------------------------------------
 # forward stepwise
 
 
+def fs_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.ndarray,
+            scales: np.ndarray, streams: list[RngStream],
+            trace: bool = False) -> RunSelections:
+    """k rounds of noisy argmax over residual-normalized correlations per
+    run, with the columns of its trial's design residualized incrementally
+    against the selected ones and numerically collinear candidates excluded
+    before noise. A run left without candidates fails with
+    AllCandidatesCollinear and leaves the block; the others go on.
+
+    Each run's scores are one gemv over exactly its kept candidates' rows
+    of the transposed residual matrix, as a one-run block computes them.
+    """
+    n, d = designs[0].n, designs[0].d
+    if not (1 <= k <= d):
+        raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
+    _check_trace(trace, trial)
+    runs = len(trial)
+    R = np.empty((runs, n, d))  # residualized columns of each run's design
+    for r, b in enumerate(trial.tolist()):
+        R[r] = designs[b].entries
+    y_res = Y[trial]  # a copy
+    # each run's candidates and their column norms, ascending; a pick leaves both
+    cand = np.arange(d)[None].repeat(runs, axis=0)
+    cand_norms = np.array([X.col_norms for X in designs])[trial]
+    ids = np.arange(runs)  # block run of each state row
+    picks = np.full((runs, k), -1, dtype=np.int64)
+    failed: dict[int, Exception] = {}
+    traced = []
+    for t in range(1, k + 1):
+        m = d - t + 1
+        at = np.arange(len(ids))
+        # rows are the candidates' residual columns, laid out as R[:, cand].T
+        RT = R[at[:, None], :, cand]
+        norms = np.linalg.norm(RT, axis=2)
+        keep = norms > FS_COLLINEAR_TOL * cand_norms
+        kept = keep.sum(axis=1)
+        if not kept.all():
+            for r in np.nonzero(kept == 0)[0]:
+                failed[int(ids[r])] = AllCandidatesCollinear(
+                    f"step {t}: every remaining candidate is numerically in the span "
+                    f"of the {t - 1} selected columns")
+            go = kept > 0
+            R, y_res, cand, cand_norms, ids = R[go], y_res[go], cand[go], cand_norms[go], ids[go]
+            RT, norms, keep, kept = RT[go], norms[go], keep[go], kept[go]
+            if not len(ids):
+                break
+            at = np.arange(len(ids))
+        sizes = [0] * len(streams)
+        for b, size in zip(trial[ids].tolist(), kept.tolist()):
+            sizes[b] = max(sizes[b], size)
+        xi = scales[ids, None] * _step_draws(streams, t, sizes, trial[ids])
+        pos = np.empty(len(ids), dtype=np.int64)  # the pick's place in cand
+        # runs that keep every candidate: one stacked gemv per run
+        full = kept == m
+        if full.all():
+            rows, sub, y_sub, norms_sub, xi_sub = at, RT, y_res, norms, xi
+        else:
+            rows = np.nonzero(full)[0]
+            sub, y_sub, norms_sub, xi_sub = RT[rows], y_res[rows], norms[rows], xi[rows, :m]
+        if len(rows):
+            signed = np.matmul(sub, y_sub[:, :, None])[:, :, 0] / norms_sub
+            noisy = np.abs(signed + xi_sub)
+            pos[rows] = noisy.argmax(axis=1)
+        # the others: a gemv over exactly their kept candidates
+        for r in np.nonzero(~full)[0]:
+            c = np.nonzero(keep[r])[0]
+            signed_r = (RT[r][c] @ y_res[r]) / norms[r][c]
+            noisy_r = np.abs(signed_r + xi[r, :len(c)])
+            pos[r] = c[int(np.argmax(noisy_r))]
+        if trace:
+            if full[0]:
+                signed_r, noisy_r, jr = signed[0], noisy[0], int(pos[0])
+            else:
+                jr = int(np.argmax(noisy_r))
+            abs_exact = np.abs(signed_r)
+            traced.append(TraceStep(step=t, chosen=int(cand[0, pos[0]]),
+                                    exact_score=float(abs_exact[jr]),
+                                    noisy_score=float(noisy_r[jr]),
+                                    best_exact=float(abs_exact.max())))
+        RT = sub = None  # free the gather before the n x d update
+        chosen = cand[at, pos]
+        picks[ids, t - 1] = chosen
+        # fold the winner into the basis; residualize everything once
+        w = R[at, :, chosen]
+        q = w / np.sqrt(np.matmul(w[:, None, :], w[:, :, None])[:, 0])
+        R -= q[:, :, None] * np.matmul(q[:, None, :], R)
+        y_res -= q * np.matmul(q[:, None, :], y_res[:, :, None])[:, 0]
+        if t < k:
+            rest = np.ones((len(ids), m), dtype=bool)
+            rest[at, pos] = False
+            cand = cand[rest].reshape(len(ids), m - 1)
+            cand_norms = cand_norms[rest].reshape(len(ids), m - 1)
+    return RunSelections(picks=picks, theta=None, failed=failed, trace=tuple(traced))
+
+
 def stable_fs(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
               sigma: float, *,
               rng: RngStream, scale_override: float | None = None,
               ) -> SelectionResult:
-    """k rounds of noisy argmax over residual-normalized correlations, with
-    the columns residualized incrementally against the selected ones and
-    numerically collinear candidates excluded before noise; the per-round
-    scale is calibrated over ordered candidate sequences, so it uses the
-    descending factorial (d)_k and no 1/n factor."""
-    if not (1 <= k <= X.d):
-        raise ValueError(f"need 1 <= k <= d, got k={k}, d={X.d}")
+    """Noisy forward stepwise (a block of one run of fs_runs, with its
+    trace); raises AllCandidatesCollinear when the candidates run out. The
+    per-round scale is calibrated over ordered candidate sequences, so it
+    uses the descending factorial (d)_k and no 1/n factor."""
     y = as_response(y, X.n)
     policy = NoisePolicy(sigma, delta, eta_step)
     scale = scale_forward_stepwise(X.d, k, policy) if scale_override is None \
         else scale_override
-    R = X.entries.copy()
-    y_res = y.astype(np.float64, copy=True)
-    available = np.ones(X.d, dtype=bool)
-    order: list[int] = []
-    trace: list[TraceStep] = []
-    for t in range(1, k + 1):
-        cand_all = np.nonzero(available)[0]
-        norms = np.linalg.norm(R[:, cand_all], axis=0)
-        keep = norms > FS_COLLINEAR_TOL * X.col_norms[cand_all]
-        cand = cand_all[keep]
-        if cand.size == 0:
-            raise AllCandidatesCollinear(
-                f"step {t}: every remaining candidate is numerically in the span "
-                f"of the {len(order)} selected columns"
-            )
-        nrm = norms[keep]
-        signed = (R[:, cand].T @ y_res) / nrm
-        noisy = np.abs(signed + rng.child(t).laplace(scale, cand.shape[0]))
-        j = int(np.argmax(noisy))
-        i_t = int(cand[j])
-        abs_exact = np.abs(signed)
-        trace.append(TraceStep(
-            step=t, chosen=i_t,
-            exact_score=float(abs_exact[j]), noisy_score=float(noisy[j]),
-            best_exact=float(abs_exact.max()),
-        ))
-        # fold the winner into the basis; residualize everything once
-        q = R[:, i_t] / np.linalg.norm(R[:, i_t])
-        R -= np.outer(q, q @ R)
-        y_res -= q * float(q @ y_res)
-        available[i_t] = False
-        order.append(i_t)
-    return SelectionResult(model=ModelSet.from_unordered(order), theta=None,
-                           trace=tuple(trace), budgets=certify_budgets(k, eta_step, delta))
+    sel = fs_runs([X], y[None], k, _ONE_RUN, _one_scale(scale), [rng], trace=True)
+    if sel.failed:
+        raise sel.failed[0]
+    return SelectionResult(model=ModelSet.from_unordered(sel.picks[0].tolist()), theta=None,
+                           trace=sel.trace, budgets=certify_budgets(k, eta_step, delta))

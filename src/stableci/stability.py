@@ -256,24 +256,15 @@ def alpha_split(alpha: float, weights: tuple[float, float, float] | None = None,
     return LevelAllocation(alpha * w[0], alpha * w[1], alpha * w[2])
 
 
-def infer(X: DesignMatrix, y, model: ModelSet, budgets: list[StabilityBudget],
-          alpha: float, sigma: float | None,
-          weights: tuple[float, float, float] | None = None,
-          dof: int | None = None) -> IntervalSet:
-    """Simultaneous intervals over the selected model at miscoverage alpha.
-
-    The certificates are padded to a common slack tau + nu (align_slack),
-    which is spent out of alpha: the quantile level is alpha - slack, or
-    weights[0] * alpha for a (delta, tau, nu) weight split, whose tau + nu
-    share must then cover the slack. K is the smallest constant over the
-    certificates at that level. sigma is the known noise scale (normal
-    quantiles), or None to estimate it from the full model's residuals
-    (Student-t quantiles). An estimate already made is passed as sigma with
-    its dof, as sigma_hat_full_model returns them, and used as is. The
-    empty model gets no intervals and K = 0.
-    """
-    y = as_response(y, X.n)
-    fit = SubmodelFit(X, model)
+def interval_level(budgets, alpha: float,
+                   weights: tuple[float, float, float] | None = None,
+                   ) -> tuple[list[StabilityBudget], float]:
+    """(aligned certificates, quantile level) for intervals at miscoverage
+    alpha: the certificates padded to a common slack tau + nu, which is
+    spent out of alpha, leaving the level alpha - slack, or weights[0] *
+    alpha for a (delta, tau, nu) weight split, whose tau + nu share must
+    then cover the slack. Raises DegenerateLevel when no level is left and
+    BadWeights for weights that cannot pay the slack."""
     aligned = align_slack(list(budgets))
     slack = aligned[0].slack
     alpha_split(alpha, weights)  # validates alpha and the weights
@@ -286,10 +277,29 @@ def infer(X: DesignMatrix, y, model: ModelSet, budgets: list[StabilityBudget],
         allowance = (weights[1] + weights[2]) * alpha
         if slack > allowance + 1e-12:
             raise BadWeights(f"budget slack {slack} exceeds the tau+nu weight allowance {allowance}")
+    return aligned, level
+
+
+def infer(X: DesignMatrix, y, model: ModelSet, budgets: list[StabilityBudget],
+          alpha: float, sigma: float | None,
+          weights: tuple[float, float, float] | None = None) -> IntervalSet:
+    """Simultaneous intervals over the selected model at miscoverage alpha.
+
+    The checks run in this order: the model's rank (the fit is a stack of
+    one linmodel.SubmodelFits), the level (interval_level), the sigma
+    estimate, the constant. K is the smallest constant over the aligned
+    certificates at that level. sigma is the known noise scale (normal
+    quantiles), or None to estimate it from the full model's residuals
+    (Student-t quantiles). The empty model gets no intervals and K = 0.
+    """
+    y = as_response(y, X.n)
+    fit = SubmodelFit(X, model)
+    aligned, level = interval_level(budgets, alpha, weights)
     if len(model) == 0:
         K, chosen = 0.0, aligned[0]
         se = np.zeros(0)
     else:
+        dof = None
         if sigma is None:
             sigma, dof = sigma_hat_full_model(X, y)
         K, chosen = best_posi_constant(len(model), level, aligned, dof)

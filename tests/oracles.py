@@ -1,11 +1,13 @@
-"""Exact selectors and the eta-major sweep, kept as test oracles.
+"""Exact selectors, scalar noisy selectors and the eta-major sweep, kept
+as test oracles.
 
 The library ships only the noisy selectors; their exact forms are the
 zero-noise limits (`scale_override=0.0`). These plain noiseless loops are
 written out separately so the tests can check that limit, tie rule
-included, without going through the library's loops. The eta-major sweep
-reruns every (eta, trial) from scratch, the reference for the library's
-trial-major engine.
+included, without going through the library's loops. The scalar noisy
+selectors run one run per call, one fresh stream per step, and the
+eta-major sweep reruns every (eta, trial) from scratch through them: the
+reference for the library's run-axis selectors and block sweep engine.
 """
 
 import re
@@ -15,11 +17,13 @@ import numpy as np
 from stableci import experiments
 from stableci.errors import AllCandidatesCollinear, DegenerateLevel, NonConvergence, \
     RankDeficient
-from stableci.experiments import TrialRecord, gen_synthetic, run_selector
+from stableci.experiments import TrialRecord, gen_synthetic
 from stableci.linmodel import DesignMatrix, ModelSet, as_response
-from stableci.noise import RngStream
-from stableci.selectors import FS_COLLINEAR_TOL
-from stableci.stability import StabilityBudget, alpha_split
+from stableci.noise import NoisePolicy, RngStream, scale_forward_stepwise, scale_lasso, \
+    scale_screening
+from stableci.selectors import FS_COLLINEAR_TOL, SelectionResult, _default_fw_steps, \
+    certify_budgets, support
+from stableci.stability import StabilityBudget, alpha_split, infer
 
 
 def screening_exact(X: DesignMatrix, y, k: int) -> ModelSet:
@@ -85,12 +89,136 @@ def lasso_exact_fw(X: DesignMatrix, y, c1: float, steps: int) -> np.ndarray:
     return theta
 
 
+# ---------------------------------------------------------------------------
+# scalar noisy selectors: one run per call, drawing each step's noise from a
+# fresh child stream, as the selectors were written before the run axis
+
+
+def screening_noisy(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
+                    sigma: float, rng: RngStream) -> SelectionResult:
+    """k rounds of noisy argmax over |c_i + xi| with c = X^T y / n."""
+    y = as_response(y, X.n)
+    scale = scale_screening(X, NoisePolicy(sigma, delta, eta_step))
+    c = (X.entries.T @ y) / X.n
+    available = np.ones(X.d, dtype=bool)
+    chosen_order = []
+    for t in range(1, k + 1):
+        cand = np.nonzero(available)[0]
+        xi = rng.child(t).laplace(scale, cand.shape[0])
+        i_t = int(cand[int(np.argmax(np.abs(c[cand] + xi)))])
+        chosen_order.append(i_t)
+        available[i_t] = False
+    return SelectionResult(ModelSet.from_unordered(chosen_order), None, (),
+                           certify_budgets(k, eta_step, delta))
+
+
+def fs_noisy(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
+             sigma: float, rng: RngStream) -> SelectionResult:
+    """k rounds of noisy argmax over residual-normalized correlations, the
+    columns residualized against each winner, collinear candidates out."""
+    y = as_response(y, X.n)
+    scale = scale_forward_stepwise(X.d, k, NoisePolicy(sigma, delta, eta_step))
+    R = X.entries.copy()
+    y_res = y.astype(np.float64, copy=True)
+    available = np.ones(X.d, dtype=bool)
+    order = []
+    for t in range(1, k + 1):
+        cand_all = np.nonzero(available)[0]
+        norms = np.linalg.norm(R[:, cand_all], axis=0)
+        keep = norms > FS_COLLINEAR_TOL * X.col_norms[cand_all]
+        cand = cand_all[keep]
+        if cand.size == 0:
+            raise AllCandidatesCollinear(
+                f"step {t}: every remaining candidate is numerically in the span "
+                f"of the {len(order)} selected columns"
+            )
+        signed = (R[:, cand].T @ y_res) / norms[keep]
+        noisy = np.abs(signed + rng.child(t).laplace(scale, cand.shape[0]))
+        i_t = int(cand[int(np.argmax(noisy))])
+        q = R[:, i_t] / np.linalg.norm(R[:, i_t])
+        R -= np.outer(q, q @ R)
+        y_res -= q * float(q @ y_res)
+        available[i_t] = False
+        order.append(i_t)
+    return SelectionResult(ModelSet.from_unordered(order), None, (),
+                           certify_budgets(k, eta_step, delta))
+
+
+def lasso_noisy(X: DesignMatrix, y, c1: float, delta: float, eta_step: float,
+                sigma: float, rng: RngStream, steps: int | None) -> SelectionResult:
+    """Noisy Frank-Wolfe over the l1 ball of radius c1: every step perturbs
+    all 2d vertex scores with fresh Laplace draws before the argmin."""
+    y = as_response(y, X.n)
+    policy = NoisePolicy(sigma, delta, eta_step)
+    if steps is None:
+        steps = _default_fw_steps(X, c1, eta_step, sigma)
+    scale = scale_lasso(c1, X, policy)
+    n, d = X.n, X.d
+    A = X.entries
+    theta = np.zeros(d)
+    z = np.zeros(n)
+    for t in range(1, steps + 1):
+        g = (-2.0 / n) * (A.T @ (y - z))
+        noisy = np.concatenate((c1 * g, -c1 * g)) + rng.child(t).laplace(scale, 2 * d)
+        v = int(np.argmin(noisy))
+        col, sgn = (v, 1.0) if v < d else (v - d, -1.0)
+        step_size = 2.0 / (t + 1.0)
+        theta *= 1.0 - step_size
+        theta[col] += step_size * sgn * c1
+        z *= 1.0 - step_size
+        z += (step_size * sgn * c1) * A[:, col]
+    return SelectionResult(support(theta), theta, (), certify_budgets(steps, eta_step, delta),
+                           c1=c1)
+
+
+def select_noisy(spec, X: DesignMatrix, y, eta_step: float | None, delta: float,
+                 sigma: float, rng: RngStream) -> SelectionResult:
+    """The per-run selection dispatch over the scalar selectors."""
+    zero = (StabilityBudget(0.0, 0.0, 0.0),)
+    if spec.method == "fixed":
+        return SelectionResult(ModelSet.from_unordered(spec.fixed_model), None, (), zero)
+    if eta_step is None or eta_step <= 0:
+        raise ValueError(f"selector {spec.method!r} needs a positive eta_step")
+    if spec.method == "screen":
+        return screening_noisy(X, y, spec.k, delta, eta_step, sigma, rng)
+    if spec.method == "fs":
+        return fs_noisy(X, y, spec.k, delta, eta_step, sigma, rng)
+    # looked up in experiments, so a test's stand-in reaches the oracle too
+    c1 = spec.c1 if spec.lam is None else experiments.lambda_to_c1(X, y, spec.lam)
+    if c1 == 0.0:
+        return SelectionResult(ModelSet(), np.zeros(X.d), (), zero, c1=0.0)
+    return lasso_noisy(X, y, c1, delta, eta_step, sigma, rng, spec.steps)
+
+
+def score_model(cfg, X: DesignMatrix, y: np.ndarray, mu: np.ndarray, beta: np.ndarray,
+                sel: SelectionResult, trial_index: int) -> TrialRecord:
+    """One run's intervals and metrics through infer, which estimates sigma
+    itself in an estimated-sigma config."""
+    sigma = cfg.sigma if cfg.sigma_mode == "known" else None
+    ivals = infer(X, y, sel.model, sel.budgets, cfg.alpha, sigma)
+    risk = None
+    lam = cfg.selector.lam
+    if sel.theta is not None and lam is not None:
+        resid = y - X.entries @ sel.theta
+        risk = (0.5 * float(resid @ resid) + lam * float(np.abs(sel.theta).sum())) / X.n
+    fdr = sum(1 for j in sel.model if beta[j] == 0.0) / max(len(sel.model), 1)
+    targets = ivals.fit.coefficients(mu)
+    covered = bool(np.all((ivals.lower <= targets) & (targets <= ivals.upper)))
+    return TrialRecord(trial_index=trial_index, model=sel.model, covered=covered,
+                       widths=ivals.upper - ivals.lower, fdr=fdr, risk=risk,
+                       K=ivals.K, budget_used=ivals.budget)
+
+
+# ---------------------------------------------------------------------------
+# eta-major sweep
+
+
 def eta_major_sweep(cfg, eta_grid) -> list:
     """(eta, records) rows of an eta-major sweep: every (eta, trial) run
-    from scratch, regenerating the trial's data, resolving a `lam` radius,
-    estimating sigma inside `infer` and drawing from fresh selector
-    streams. The library's trial-major engine must give the same records,
-    field for field."""
+    from scratch through the scalar selectors and score_model, regenerating
+    the trial's data, resolving a `lam` radius, estimating sigma inside
+    `infer` and drawing from fresh selector streams. The library's block
+    engine must give the same records, field for field."""
     return [(eta, [_fresh_trial(cfg, t, eta) for t in range(cfg.trials)]) for eta in eta_grid]
 
 
@@ -100,8 +228,8 @@ def _fresh_trial(cfg, trial_index: int, eta_step):
     delta_sel = (alloc.tau + alloc.nu) / 2.0
     rng = RngStream(cfg.master_seed).child(experiments._PATH_TRIAL_SELECTOR, trial_index)
     try:
-        sel = run_selector(cfg.selector, X, y, eta_step, delta_sel, cfg.sigma, rng)
-        return experiments._score_model(cfg, X, y, mu, beta, sel, trial_index)
+        sel = select_noisy(cfg.selector, X, y, eta_step, delta_sel, cfg.sigma, rng)
+        return score_model(cfg, X, y, mu, beta, sel, trial_index)
     except (RankDeficient, AllCandidatesCollinear, NonConvergence, DegenerateLevel) as e:
         reason = re.sub(r"(?<!^)(?=[A-Z])", "_", type(e).__name__).lower()
         return TrialRecord(trial_index=trial_index, model=ModelSet(), covered=False,

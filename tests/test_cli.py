@@ -10,6 +10,7 @@ import math
 import re
 import warnings
 
+import jsonschema
 import numpy as np
 import pytest
 import scipy.stats
@@ -17,7 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stableci.cli import (CliParseError, main, read_matrix, read_selection,
+from stableci import cli
+from stableci.cli import (CliParseError, load_config, main, read_matrix, read_selection,
                           read_vector)
 from stableci.experiments import (ExperimentConfig, SelectorSpec, gen_synthetic, run_selector,
                                   run_trial)
@@ -648,6 +650,45 @@ def test_experiment_rejects_support_threshold(tmp_path, capsys):
     assert rc == 2
     assert "support_threshold" in capsys.readouterr().err
     assert not (out / "records.csv").exists()
+
+
+@pytest.mark.parametrize("overrides, knob", [
+    ({"selector": {"method": "screen", "k": 3, "fixed_model": [0, 1]}}, "fixed_model"),
+    ({"selector": {"method": "lasso", "c1": 1.0, "k": 3}}, "k"),
+    ({"selector": {"method": "fs", "k": 3, "steps": 5}}, "steps"),
+    ({"selector": {"method": "fixed", "fixed_model": [0], "lam": 0.5}}, "lam"),
+    ({"d": 5, "selector": {"method": "fixed", "fixed_model": [1, 7]}}, "fixed_model"),
+    ({"d": 5, "selector": {"method": "fs", "k": 6}}, "k=6"),
+])
+def test_experiment_rejects_dead_knobs_and_shapes_beyond_d(tmp_path, capsys, overrides, knob):
+    # before any trial runs: no output at all
+    rc, out = run_experiment(tmp_path, "knob", experiment_config(**overrides))
+    assert rc == 2
+    assert knob in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_select_rejects_a_knob_its_method_ignores(data, tmp_path, capsys):
+    out = tmp_path / "sel.csv"
+    assert main(["select", "--x", data["x"], "--y", data["y"], "--method", "screen",
+                 "--k", "2", "--steps", "5", "--eta", "1", "--out", str(out)]) == 2
+    assert "does not use steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_load_config_checks_no_schema(tmp_path, monkeypatch):
+    # the validator is built once; a call only validates the instance
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_config checked the schema again")
+    validator = jsonschema.validators.validator_for(cli._CONFIG_SCHEMA)
+    monkeypatch.setattr(validator, "check_schema", classmethod(refuse))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(experiment_config()))
+    assert load_config(str(path))[1] == [1.0, 5.0]
+    path.write_text(json.dumps(experiment_config(trials=0)))
+    with pytest.raises(CliParseError, match=r"cfg.json: 0 is less than the minimum of 1 "
+                                            r"\(at trials\)$"):
+        load_config(str(path))
 
 
 def test_experiment_all_flagged_names_reasons(tmp_path, capsys):

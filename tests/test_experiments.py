@@ -8,6 +8,7 @@ inflation a half-sample suffers under this row-normalized design.
 import dataclasses
 import math
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import scipy.stats
 from stableci import experiments
 from stableci.errors import EmptyInput, NonConvergence
 from stableci.experiments import (DEFAULT_ETA_GRID, ExperimentConfig,
-                                  SelectorSpec, TrialRecord, aggregate,
+                                  SelectorSpec, TrialRecord, aggregate, block_trials,
                                   eta_sweep, gen_synthetic, run_selector,
                                   run_trial, run_trials)
 from stableci.linmodel import DesignMatrix, ModelSet
@@ -24,7 +25,7 @@ from stableci.noise import RngStream
 from stableci.selectors import SelectionResult
 from stableci.stability import StabilityBudget
 
-from oracles import eta_major_sweep, screening_exact
+from oracles import eta_major_sweep, score_model, screening_exact
 
 
 def fixed_cfg(**kw):
@@ -54,6 +55,28 @@ def test_selector_spec_validation():
         SelectorSpec(method="ridge", k=1)
     SelectorSpec(method="lasso", lam=2.0)
     SelectorSpec(method="lasso", c1=1.0, steps=20)
+
+
+@pytest.mark.parametrize("spec, knob", [
+    (dict(method="lasso", c1=1.0, k=3), "k"),
+    (dict(method="fixed", fixed_model=(0,), k=3), "k"),
+    (dict(method="screen", k=3, c1=1.0), "c1"),
+    (dict(method="fs", k=3, lam=0.5), "lam"),
+    (dict(method="fixed", fixed_model=(0,), steps=5), "steps"),
+    (dict(method="screen", k=3, fixed_model=(0, 1)), "fixed_model"),
+    (dict(method="lasso", c1=1.0, fixed_model=(0,)), "fixed_model"),
+])
+def test_selector_spec_rejects_knobs_its_method_ignores(spec, knob):
+    with pytest.raises(ValueError, match=f"does not use {knob}"):
+        SelectorSpec(**spec)
+
+
+def test_experiment_config_rejects_shapes_beyond_d():
+    with pytest.raises(ValueError, match="k=11 exceeds d=10"):
+        fixed_cfg(selector=SelectorSpec(method="fs", k=11))
+    with pytest.raises(ValueError, match="fixed_model index 10"):
+        fixed_cfg(selector=SelectorSpec(method="fixed", fixed_model=(1, 10)))
+    fixed_cfg(selector=SelectorSpec(method="screen", k=10))
 
 
 @pytest.mark.parametrize("knob", ["c1", "lam"])
@@ -154,13 +177,18 @@ def test_run_trial_coverage_is_target_based():
 
 
 def test_run_trial_factors_each_model_once(svd_calls):
-    # one submodel SVD serves estimates, standard errors and targets
-    run_trial(fixed_cfg(), 0, [None])
-    assert svd_calls == [(200, 3)]
+    # one submodel SVD, a stack of one, serves estimates, standard errors
+    # and targets at every eta
+    run_trial(fixed_cfg(), 0, [None, None])
+    assert svd_calls == [(1, 200, 3)]
     svd_calls.clear()
     # an estimated scale adds the full model's factorization
     run_trial(fixed_cfg(sigma_mode="estimate"), 0, [None])
-    assert sorted(svd_calls) == [(200, 3), (200, 10)]
+    assert sorted(svd_calls) == [(1, 200, 3), (1, 200, 10)]
+    svd_calls.clear()
+    # a block factors its trials' distinct models in one stacked SVD per size
+    eta_sweep(fixed_cfg(), (0.5, 2.0))
+    assert svd_calls == [(4, 200, 3)]
 
 
 def test_run_trial_noisy_needs_eta():
@@ -283,8 +311,8 @@ def data_split_baseline(cfg: ExperimentConfig, split_fraction: float,
 
     X2 = DesignMatrix(X.entries[n_sel:])
     zero = StabilityBudget(0.0, 0.0, 0.0)
-    return experiments._score_model(cfg, X2, y[n_sel:], mu[n_sel:], beta,
-                                    SelectionResult(model, None, (), (zero,)), trial_index)
+    return score_model(cfg, X2, y[n_sel:], mu[n_sel:], beta,
+                       SelectionResult(model, None, (), (zero,)), trial_index)
 
 
 def test_data_split_matches_direct_classical_fit():
@@ -479,6 +507,19 @@ ENGINE_CASES = {
     # at eta_step 4 the default step count leaves no level: flagged records
     "flagged": (sweep_cfg(SelectorSpec(method="lasso", lam=0.5), n=100, d=20, trials=3,
                           beta_spec=(5.0, 0.15), sigma_mode="estimate"), (0.5, 4.0)),
+    # n < k: every run runs out of candidates at step n + 1
+    "fs-n<k": (sweep_cfg(SelectorSpec(method="fs", k=5), n=4, d=10), (0.5, 2.0)),
+    "screen-d>n": (sweep_cfg(SelectorSpec(method="screen", k=3), n=10, d=30), (0.5, 4.0)),
+    # the last round has a single candidate
+    "fs-k=d": (sweep_cfg(SelectorSpec(method="fs", k=6), n=30, d=6), (0.5, 2.0)),
+    "screen-k=d": (sweep_cfg(SelectorSpec(method="screen", k=6), n=30, d=6), (1.0,)),
+    "shared-design": (sweep_cfg(SelectorSpec(method="fs", k=3), regenerate_x_per_trial=False),
+                      (0.5, 2.0)),
+    "alpha-weights": (sweep_cfg(SelectorSpec(method="screen", k=3),
+                                alpha_weights=(0.5, 0.25, 0.25)), (0.5, 2.0)),
+    # three columns on two rows: every record flagged rank_deficient
+    "fixed-rank-deficient": (sweep_cfg(SelectorSpec(method="fixed", fixed_model=(0, 1, 2)),
+                                       n=2, d=5), (1.0,)),
 }
 
 
@@ -494,6 +535,59 @@ def test_eta_sweep_matches_eta_major_oracle(case):
     if case == "flagged":
         assert all(r.flagged.startswith("degenerate_level: ") for r in rows[1][1])
         assert all(r.flagged is None for r in rows[0][1])
+    if case == "fs-n<k":
+        assert all(r.flagged.startswith("all_candidates_collinear: step 5: ")
+                   for _, records, _ in rows for r in records)
+    if case == "fixed-rank-deficient":
+        assert all(r.flagged == "rank_deficient: columns (0, 1, 2): 3 columns on 2 rows"
+                   for _, records, _ in rows for r in records)
+
+
+@pytest.mark.parametrize("case", ["fs", "lasso-c1", "flagged", "lasso-lam-estimate"])
+def test_block_size_does_not_change_records(monkeypatch, case):
+    cfg, grid = ENGINE_CASES[case]
+    cfg = dataclasses.replace(cfg, trials=7)
+    sweeps = {}
+    for size in (1, 3, 16):
+        monkeypatch.setattr(experiments, "BLOCK_TRIALS", size)
+        sweeps[size] = eta_sweep(cfg, grid)
+    for size in (3, 16):
+        for (_, records, summary), (_, want, want_summary) in zip(sweeps[size], sweeps[1]):
+            assert summary == want_summary
+            assert_same_records(records, want)
+
+
+def test_sweep_sends_one_task_per_block():
+    tasks = []
+
+    def counting_map(fn, xs):
+        xs = list(xs)
+        tasks.append([len(x[2]) for x in xs])
+        return map(fn, xs)
+
+    cfg, grid = ENGINE_CASES["screen"]
+    eta_sweep(dataclasses.replace(cfg, trials=40), grid, counting_map)
+    assert tasks == [[16, 16, 8]]
+    # a block's largest array, runs x n x d doubles, stays within the budget
+    assert block_trials(dataclasses.replace(cfg, n=20000, d=300), (1.0,)) == 1
+    big = dataclasses.replace(cfg, n=1000, d=200)
+    assert block_trials(big, grid) == experiments.BLOCK_BYTES // (len(grid) * 1000 * 200 * 8)
+
+
+def test_lasso_sweep_holds_one_steps_draws_at_a_time():
+    # 2000 steps of 2d = 2000 draws: a trial's draws for every step at once
+    # would take 32 MB
+    cfg = ExperimentConfig(n=100, d=1000, selector=SelectorSpec(method="lasso", c1=20.0,
+                                                                steps=2000),
+                           trials=2, master_seed=8, beta_spec=(5.0, 0.01))
+    tracemalloc.start()
+    try:
+        rows = eta_sweep(cfg, (0.0005, 0.001))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(records) for _, records, _ in rows) == 4
+    assert peak < 12 * 2 ** 20, peak
 
 
 def test_eta_sweep_flags_nonconvergence_at_every_eta(monkeypatch):

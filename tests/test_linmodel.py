@@ -21,7 +21,6 @@ def test_design_matrix_norms():
     np.testing.assert_allclose(X.col_norms, [5.0, 5.0])
     assert X.l2inf_norm == 5.0
     assert X.linf_norm == 5.0
-    np.testing.assert_array_equal(X.submatrix(ModelSet((1,))), [[0.0], [-5.0]])
     # the largest magnitude is a negative entry
     assert DesignMatrix([[1.0, -7.5], [2.0, 0.5]]).linf_norm == 7.5
 
@@ -99,7 +98,7 @@ def test_ols_fit_matches_lstsq(seed):
     X = DesignMatrix(gen.standard_normal((30, 6)))
     y = gen.standard_normal(30)
     M = ModelSet((0, 2, 3, 5))
-    ref, *_ = np.linalg.lstsq(X.submatrix(M), y, rcond=None)
+    ref, *_ = np.linalg.lstsq(X.entries[:, list(M)], y, rcond=None)
     np.testing.assert_allclose(ols_fit(X, M, y), ref, rtol=1e-10)
 
 
@@ -132,7 +131,7 @@ def test_submodel_fit_serves_every_response_from_one_factorization(svd_calls):
     y, mu = gen.standard_normal(20), gen.standard_normal(20)
     fit = SubmodelFit(X, M)
     coef, tgt, se = fit.coefficients(y), fit.coefficients(mu), fit.stderrs(2.0)
-    assert svd_calls == [(20, 3)]
+    assert svd_calls == [(1, 20, 3)]  # a stack of one
     np.testing.assert_array_equal(coef, ols_fit(X, M, y))
     np.testing.assert_array_equal(tgt, target_coefficients(X, M, mu))
     np.testing.assert_array_equal(se, stderr_known_sigma(X, M, 2.0))
@@ -142,6 +141,14 @@ def test_ols_fit_rank_deficient():
     X = DesignMatrix([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     with pytest.raises(RankDeficient):
         ols_fit(X, ModelSet((0, 1)), [1.0, 2.0, 3.0])
+
+
+def test_more_columns_than_rows_is_rank_deficient():
+    # the thin SVD of a 2 x 3 submatrix has two nonzero singular values,
+    # but three coefficients are not identified by two rows
+    X = DesignMatrix([[1.0, 0.0, 2.0], [0.0, 1.0, 3.0]])
+    with pytest.raises(RankDeficient, match=r"columns \(0, 1, 2\): 3 columns on 2 rows"):
+        ols_fit(X, ModelSet((0, 1, 2)), [1.0, 2.0])
 
 
 def test_target_coefficients_projection():

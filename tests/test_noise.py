@@ -11,7 +11,7 @@ import pytest
 import scipy.stats
 
 from stableci.linmodel import DesignMatrix
-from stableci.noise import (NoisePolicy, ReplayStream, RngStream, log_descending_factorial,
+from stableci.noise import (NoisePolicy, RngStream, log_descending_factorial,
                             scale_forward_stepwise, scale_lasso, scale_screening)
 
 
@@ -104,19 +104,6 @@ def test_laplace_variance():
     # Var = 2 b^2 = 8 at b = 2
     v = RngStream(99, (2,)).laplace(2.0, 1_000_000).var()
     assert v == pytest.approx(8.0, abs=0.1)
-
-
-def test_replay_stream_gives_each_call_the_fresh_streams_draws():
-    # sizes shrink and grow, so later calls replay a prefix or extend it
-    replay = ReplayStream(RngStream(77, (2, 5)))
-    for scale, size in [(0.5, 3), (2.0, 7), (0.0, 2), (1.5, 7), (3.0, 10), (0.25, 1)]:
-        for step in (1, 2):
-            got = replay.child(step).laplace(scale, size)
-            want = RngStream(77, (2, 5, step)).laplace(scale, size)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert replay.child(1) is replay.child(1)
-    with pytest.raises(ValueError):
-        replay.child(1).laplace(-0.5, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,17 @@ import scipy.stats
 
 from stableci.errors import AllCandidatesCollinear, NonConvergence
 from stableci.linmodel import DesignMatrix, ModelSet
-from stableci.noise import RngStream
+from stableci.noise import (NoisePolicy, RngStream, scale_forward_stepwise, scale_lasso,
+                            scale_screening)
 from stableci.selectors import (FS_COLLINEAR_TOL, MAX_DEFAULT_FW_STEPS, SUPPORT_THRESHOLD,
-                                certify_budgets, lambda_to_c1,
-                                solve_penalized_lasso, stable_fs,
+                                certify_budgets, fs_runs, lambda_to_c1, lasso_runs,
+                                screen_runs, solve_penalized_lasso, stable_fs,
                                 stable_lasso, stable_screening, support,
                                 _default_fw_steps)
 from stableci.stability import StabilityBudget, compose_adaptive_advanced
 
-from oracles import fs_exact, lasso_exact_fw, screening_exact
+from oracles import (fs_exact, fs_noisy, lasso_exact_fw, lasso_noisy, screening_exact,
+                     screening_noisy)
 
 
 def random_instance(seed, n=25, d=8, snr=2.0):
@@ -481,3 +483,78 @@ def test_stable_fs_validation():
         stable_fs(X, y, 0, 0.05, 1.0, 1.0, rng=RngStream(0))
     with pytest.raises(ValueError):
         stable_screening(X, y, X.d + 1, 0.05, 1.0, 1.0, rng=RngStream(0))
+
+
+# ---------------------------------------------------------------------------
+# blocks of runs against the scalar selectors, one run at a time
+
+
+ETAS = (0.3, 1.0, 4.0)
+DELTA, SIGMA = 0.05, 1.0
+
+
+def block_of(designs, etas=ETAS):
+    """Every (trial, eta) run of a block, trial-major, with its stream."""
+    trial = np.repeat(np.arange(len(designs)), len(etas))
+    eta = np.tile(etas, len(designs))
+    streams = [RngStream(31, (2, b)) for b in range(len(designs))]
+    return trial, eta, streams
+
+
+def test_screen_runs_match_the_scalar_selector_run_by_run():
+    designs = [random_instance(seed, n=25, d=9) for seed in range(3)]
+    X, Y = [x for x, _ in designs], np.stack([y for _, y in designs])
+    trial, eta, streams = block_of(X)
+    scales = np.array([scale_screening(X[b], NoisePolicy(SIGMA, DELTA, e))
+                       for b, e in zip(trial, eta)])
+    block = screen_runs(X, Y, 4, trial, scales, streams)
+    for r, (b, e) in enumerate(zip(trial, eta)):
+        want = screening_noisy(X[b], Y[b], 4, DELTA, e, SIGMA, RngStream(31, (2, b)))
+        assert ModelSet.from_unordered(block.picks[r].tolist()) == want.model
+
+
+def test_fs_runs_fail_alone_and_match_the_scalar_selector():
+    gen = np.random.default_rng(4)
+    a, b = gen.standard_normal((6, 2)).T
+    # trial 0: three copies of one column, so step 2 keeps one candidate
+    # and step 3 none; trial 1 is a generic design
+    X = [DesignMatrix(np.column_stack([a, 2 * a, -a, b])),
+         DesignMatrix(gen.standard_normal((6, 4)))]
+    Y = gen.standard_normal((2, 6))
+    trial, eta, streams = block_of(X)
+    scales = np.array([scale_forward_stepwise(4, 3, NoisePolicy(SIGMA, DELTA, e)) for e in eta])
+    block = fs_runs(X, Y, 3, trial, scales, streams)
+    assert sorted(block.failed) == [0, 1, 2]
+    for r, (t, e) in enumerate(zip(trial, eta)):
+        rng = RngStream(31, (2, t))
+        if t == 0:
+            with pytest.raises(AllCandidatesCollinear) as want:
+                fs_noisy(X[t], Y[t], 3, DELTA, e, SIGMA, rng)
+            assert str(block.failed[r]) == str(want.value)
+        else:
+            want = fs_noisy(X[t], Y[t], 3, DELTA, e, SIGMA, rng)
+            assert ModelSet.from_unordered(block.picks[r].tolist()) == want.model
+
+
+def test_lasso_runs_retire_at_their_own_step_counts():
+    designs = [random_instance(seed, n=20, d=6) for seed in range(2)]
+    X, Y = [x for x, _ in designs], np.stack([y for _, y in designs])
+    trial, eta, streams = block_of(X)
+    c1 = np.array([1.5, 0.7])[trial]
+    steps = np.array([3, 9, 5, 1, 7, 9])
+    scales = np.array([scale_lasso(c, X[b], NoisePolicy(SIGMA, DELTA, e))
+                       for c, b, e in zip(c1, trial, eta)])
+    block = lasso_runs(X, Y, c1, steps, trial, scales, streams)
+    for r, (b, e) in enumerate(zip(trial, eta)):
+        want = lasso_noisy(X[b], Y[b], c1[r], DELTA, e, SIGMA, RngStream(31, (2, b)),
+                           int(steps[r]))
+        assert block.theta[r].tobytes() == want.theta.tobytes()
+
+
+def test_one_run_lasso_matches_the_scalar_selector_with_its_trace():
+    X, y = random_instance(5, n=30, d=7)
+    res = stable_lasso(X, y, 1.2, DELTA, 1.0, SIGMA, rng=RngStream(3), steps=6)
+    want = lasso_noisy(X, y, 1.2, DELTA, 1.0, SIGMA, RngStream(3), 6)
+    assert res.theta.tobytes() == want.theta.tobytes()
+    assert [s.step for s in res.trace] == list(range(1, 7))
+    assert all(s.best_exact <= s.exact_score for s in res.trace)
