@@ -220,6 +220,9 @@ def read_selection(path: str) -> tuple[ModelSet, list[StabilityBudget], dict]:
     if not budgets:
         raise CliParseError(f"{path}: no budget rows; a selection needs its certificate "
                             "(use --model for a model chosen without looking at the data)")
+    if meta.get("schema", str(SCHEMA_VERSION)) != str(SCHEMA_VERSION):
+        raise CliParseError(f"{path}: selection schema {meta['schema']!r}, "
+                            f"expected {SCHEMA_VERSION}")
     return ModelSet.from_unordered(indices), budgets, meta
 
 
@@ -288,7 +291,12 @@ def cmd_ci(args) -> int:
     X = DesignMatrix(read_matrix(args.x))
     y = read_vector(args.y)
     if args.selection is not None:
-        model, budgets, _ = read_selection(args.selection)
+        model, budgets, meta = read_selection(args.selection)
+        # the certificate's noise scales were calibrated on the selection's design
+        shape = (meta.get("n", str(X.n)), meta.get("d", str(X.d)))
+        if shape != (str(X.n), str(X.d)):
+            raise DimensionMismatch(f"{args.selection} was selected on a {shape[0]}x{shape[1]} "
+                                    f"design, but --x is {X.n}x{X.d}")
     else:
         indices = [int(p) for p in args.model.split(",")] if args.model.strip() else []
         model = ModelSet.from_unordered(indices)

@@ -3,20 +3,20 @@
 Each trial draws its own data and noise streams from (master_seed, path),
 so trials are independent tasks that parallelize without changing any
 result. The pipeline per trial: generate, select (noisy), certify budgets,
-pick the cheapest valid constant, fit, build intervals, score coverage /
-width / FDR / risk against the realized design of that trial.
+infer the intervals, score coverage / width / FDR / risk against the
+realized design of that trial.
 
-Sweeps run in blocks of consecutive trials, each over the whole eta grid.
-Arrays carry one leading axis of runs, a run being one (trial, eta) pair.
-The data, the `lam` radius and the estimated sigma depend on the trial
-alone and are computed once per trial; the selectors run every run of the
-block at once (selectors.screen_runs, fs_runs, lasso_runs), each trial's
-selector stream serving all of its etas; scoring factors each distinct
-(trial, model) pair once, by one stacked SVD per model size. No draw and
-no per-run arithmetic depends on the block, so every record is the one
-an eta-major loop, rerunning each (eta, trial) from scratch, would
-produce, whatever the block size and the worker count. `run_trial` is a
-one-trial block.
+Sweeps run in blocks of consecutive trials, each over the whole eta grid;
+a run is one (trial, eta) pair. The data, the `lam` radius and the
+estimated sigma depend on the trial alone and are computed once per trial.
+The selectors run every run of the block at once (selectors.screen_runs,
+fs_runs, lasso_runs), each trial's selector stream serving all of its
+etas, and stability.infer_runs, the inference of `ci`, makes the block's
+intervals; this module keeps the targets, the metrics and the records. No
+per-run number depends on the block, so every record is the one an
+eta-major loop, rerunning each (eta, trial) from scratch, would produce,
+whatever the block size and the worker count. `run_trial` is a one-trial
+block.
 """
 
 from __future__ import annotations
@@ -28,16 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllCandidatesCollinear, DegenerateLevel, EmptyInput, InsufficientSamples, \
-    NonConvergence, RankDeficient
-from .linmodel import DesignMatrix, ModelSet, SubmodelFits, sigma_hat_full_model
-# not called here: bound for perfbench/tracing.py, which wraps these names in this module
-from .linmodel import ols_fit, stderr_known_sigma, target_coefficients  # noqa: F401
+from .errors import EmptyInput, NonConvergence
+from .linmodel import DesignMatrix, ModelSet
 from .noise import NoisePolicy, RngStream, scale_forward_stepwise, scale_lasso, scale_screening
 from .selectors import SelectionResult, SelectorSpec, _default_fw_steps, certify_budgets, \
     fs_runs, lambda_to_c1, lasso_runs, screen_runs, stable_fs, stable_lasso, stable_screening, \
     support
-from .stability import StabilityBudget, alpha_split, best_posi_constant, interval_level
+from .stability import StabilityBudget, alpha_split, infer_runs
+# not called here: bound for perfbench/tracing.py, which wraps these names in this module
+from .linmodel import ols_fit, sigma_hat_full_model, stderr_known_sigma  # noqa: F401
+from .linmodel import target_coefficients  # noqa: F401
+from .stability import best_posi_constant  # noqa: F401
 
 # paths namespaces under the master seed
 _PATH_SHARED_DESIGN = 0
@@ -186,10 +187,6 @@ def _empty_lasso_selection(d: int) -> SelectionResult:
     return SelectionResult(ModelSet(), np.zeros(d), (), (_ZERO_BUDGET,), c1=0.0)
 
 
-# failures that flag a trial as `<reason>: <message>` instead of ending the sweep
-_FLAGGED_ERRORS = (RankDeficient, AllCandidatesCollinear, NonConvergence, DegenerateLevel)
-
-
 def _flagged_record(trial_index: int, error: Exception) -> TrialRecord:
     reason = re.sub(r"(?<!^)(?=[A-Z])", "_", type(error).__name__).lower()
     return TrialRecord(trial_index=trial_index, model=ModelSet(), covered=False,
@@ -246,17 +243,18 @@ def _run_block(cfg: ExperimentConfig, trials: range, eta_grid: list) -> list[lis
             c1s.append(None)
             out[-1] = [_flagged_record(t, e) for _ in eta_grid]
     live = [b for b, records in enumerate(out) if records[0] is None]
-    sels = _select_block(cfg, trials, data, live, c1s, eta_grid, delta_sel)
+    sels = _select_block(cfg, trials, data, live, c1s, eta_grid, delta_sel, out)
     _score_block(cfg, trials, data, sels, out)
     return out
 
 
 def _select_block(cfg: ExperimentConfig, trials: range, data: list, live: list[int],
-                  c1s: list, eta_grid: list, delta: float) -> dict:
+                  c1s: list, eta_grid: list, delta: float, out: list[list]) -> dict:
     """Selection for every run (b, e) of the live trials: a SelectionResult
-    without trace, or the AllCandidatesCollinear error that flags the run.
-    The noisy runs of the block go through one screen_runs, fs_runs or
-    lasso_runs call, on trial b's selector stream (2, trial)."""
+    without trace, or out[b][e] flagged with the AllCandidatesCollinear
+    error of the run. The noisy runs of the block go through one
+    screen_runs, fs_runs or lasso_runs call, on trial b's selector stream
+    (2, trial)."""
     spec = cfg.selector
     grid = range(len(eta_grid))
     if spec.method == "fixed":
@@ -297,7 +295,7 @@ def _select_block(cfg: ExperimentConfig, trials: range, data: list, live: list[i
     budgets: dict[tuple[int, int], tuple[StabilityBudget, ...]] = {}
     for r, (i, e) in enumerate(runs):
         if r in block.failed:
-            sels[noisy[i], e] = block.failed[r]
+            out[noisy[i]][e] = _flagged_record(trials[noisy[i]], block.failed[r])
             continue
         key = (rounds[r], e)
         if key not in budgets:
@@ -311,128 +309,35 @@ def _select_block(cfg: ExperimentConfig, trials: range, data: list, live: list[i
     return sels
 
 
-def _cached(cache: dict, key, fn, *args):
-    """fn(*args), memoized under key; an error that flags a run is memoized
-    and returned instead of raised."""
-    if key not in cache:
-        try:
-            cache[key] = fn(*args)
-        except _FLAGGED_ERRORS as e:
-            cache[key] = e
-    return cache[key]
-
-
 def _score_block(cfg: ExperimentConfig, trials: range, data: list, sels: dict,
                  out: list[list[TrialRecord | None]]) -> None:
-    """Intervals and metrics for every selected run of a block, written
-    into out[b][e].
-
-    The distinct (trial, model) pairs are grouped by model size, and each
-    group is factored by one stacked SVD (linmodel.SubmodelFits) that gives
-    every pair its estimates, targets and standard errors once. Each run
-    then goes through infer's checks in infer's order: rank, level
-    (interval_level), the trial's sigma estimate (made once per trial that
-    selects a nonempty model), then K, computed once per (size, level,
-    aligned budgets, dof) in the block. A failed check flags the run; an
-    estimate short of samples ends the sweep as infer would."""
-    lam = cfg.selector.lam
-    pairs: dict[tuple[int, tuple[int, ...]], int] = {}
-    groups: dict[int, list[tuple[int, ModelSet]]] = {}
-    for (b, _), sel in sels.items():
-        if isinstance(sel, SelectionResult) and len(sel.model):
-            key = (b, sel.model.indices)
-            if key not in pairs:
-                group = groups.setdefault(len(sel.model), [])
-                pairs[key] = len(group)
-                group.append((b, sel.model))
-    if cfg.sigma_mode == "known":
-        sigmas = {b: (cfg.sigma, None) for b in range(len(trials))}
-    else:
-        sigmas = {b: _full_model_estimate(data[b][0], data[b][3])
-                  for b in sorted({b for group in groups.values() for b, _ in group})}
-    fits = {size: SubmodelFits([data[b][0] for b, _ in group], [M for _, M in group])
-            for size, group in groups.items()}
-    levels: dict = {}
-    constants: dict = {}
-    scored: dict[int, list] = {size: [] for size in groups}
-    for b, t in enumerate(trials):
-        X, _, _, y = data[b]
-        for e, done in enumerate(out[b]):
-            if done is not None:
-                continue
-            sel = sels[b, e]
-            if isinstance(sel, Exception):
-                out[b][e] = _flagged_record(t, sel)
-                continue
-            size = len(sel.model)
-            pair = pairs.get((b, sel.model.indices))
-            outcome = _interval_constant(cfg, sel, fits[size].rank_error(pair) if size else None,
-                                         sigmas.get(b), levels, constants)
-            if isinstance(outcome, Exception):
-                out[b][e] = _flagged_record(t, outcome)
-            elif size == 0:
-                # an empty model has nothing to miss
-                out[b][e] = TrialRecord(trial_index=t, model=sel.model, covered=True,
-                                        widths=np.zeros(0), fdr=0.0,
-                                        risk=_risk(lam, X, y, sel.theta), K=0.0,
-                                        budget_used=outcome[1])
-            else:
-                scored[size].append((b, e, pair, outcome))
-    for size, runs in scored.items():
-        if not runs:
-            continue
-        group, fit = groups[size], fits[size]
-        est = fit.coefficients(np.stack([data[b][3] for b, _ in group]))
-        targets = fit.coefficients(np.stack([data[b][2] for b, _ in group]))
-        se = fit.stderrs(np.array([_sigma_or_one(sigmas[b]) for b, _ in group]))
-        p = np.array([pair for _, _, pair, _ in runs])
-        K = np.array([value for _, _, _, (value, _) in runs])[:, None]
-        lower = est[p] - K * se[p]
-        upper = est[p] + K * se[p]
-        widths = upper - lower
-        covered = np.all((lower <= targets[p]) & (targets[p] <= upper), axis=1)
-        for i, (b, e, _, (value, chosen)) in enumerate(runs):
+    """Intervals and metrics for every selected run (b, e) of a block not
+    yet flagged, written into out[b][e]. The intervals come from one
+    stability.infer_runs call over the block, whose fits also give the
+    targets X_M^+ mu; a run that fails an inference check is flagged."""
+    runs = [(b, e, sels[b, e]) for b, records in enumerate(out)
+            for e, done in enumerate(records) if done is None]
+    outcomes, intervals = infer_runs(
+        [X for X, _, _, _ in data], np.stack([y for _, _, _, y in data]),
+        [(b, sel.model, sel.budgets) for b, _, sel in runs], cfg.alpha,
+        cfg.sigma if cfg.sigma_mode == "known" else None, cfg.alpha_weights)
+    for (b, e, _), outcome in zip(runs, outcomes):
+        if isinstance(outcome, Exception):
+            out[b][e] = _flagged_record(trials[b], outcome)
+    for iv in intervals.values():
+        targets = iv.fits.coefficients(np.stack([data[b][2] for b in iv.trials]))[iv.pairs]
+        widths = iv.upper - iv.lower
+        covered = np.all((iv.lower <= targets) & (targets <= iv.upper), axis=1)
+        for i, r in enumerate(iv.runs):
+            b, e, sel = runs[r]
             X, beta, _, y = data[b]
-            sel = sels[b, e]
+            K, chosen, _, _ = outcomes[r]
+            false_picks = sum(1 for j in sel.model if beta[j] == 0.0)
             out[b][e] = TrialRecord(trial_index=trials[b], model=sel.model,
                                     covered=bool(covered[i]), widths=widths[i],
-                                    fdr=_fdr(sel.model, beta), risk=_risk(lam, X, y, sel.theta),
-                                    K=value, budget_used=chosen)
-
-
-def _interval_constant(cfg: ExperimentConfig, sel: SelectionResult,
-                       rank_error: RankDeficient | None, sigma, levels: dict, constants: dict):
-    """infer's checks for one selected run, in infer's order: the fit's
-    rank, the level, the trial's sigma estimate (sigma, dof), then K,
-    memoized by (size, level, aligned budgets, dof). Returns (K, the
-    certificate that gave it), K 0 for the empty model, or the error that
-    flags the run; an estimate short of samples is raised."""
-    if rank_error is not None:
-        return rank_error
-    level = _cached(levels, sel.budgets, interval_level, sel.budgets, cfg.alpha,
-                    cfg.alpha_weights)
-    if isinstance(level, Exception):
-        return level
-    aligned, lvl = level
-    size = len(sel.model)
-    if size == 0:
-        return 0.0, aligned[0]
-    if isinstance(sigma, InsufficientSamples):
-        raise sigma
-    if isinstance(sigma, Exception):
-        return sigma
-    dof = sigma[1]
-    return _cached(constants, (size, lvl, tuple(aligned), dof), best_posi_constant,
-                   size, lvl, aligned, dof)
-
-
-def _sigma_or_one(estimate) -> float:
-    """The trial's sigma, or 1 where its estimate failed (no run uses it)."""
-    return 1.0 if isinstance(estimate, Exception) else estimate[0]
-
-
-def _fdr(model: ModelSet, beta: np.ndarray) -> float:
-    return sum(1 for j in model if beta[j] == 0.0) / max(len(model), 1)
+                                    fdr=false_picks / max(len(sel.model), 1),
+                                    risk=_risk(cfg.selector.lam, X, y, sel.theta), K=K,
+                                    budget_used=chosen)
 
 
 def _risk(lam: float | None, X: DesignMatrix, y: np.ndarray, theta) -> float | None:
@@ -441,16 +346,6 @@ def _risk(lam: float | None, X: DesignMatrix, y: np.ndarray, theta) -> float | N
         return None
     resid = y - X.entries @ theta
     return (0.5 * float(resid @ resid) + lam * float(np.abs(theta).sum())) / X.n
-
-
-def _full_model_estimate(X: DesignMatrix, y: np.ndarray):
-    """sigma_hat_full_model(X, y) as (sigma_hat, dof), or the
-    InsufficientSamples or RankDeficient error it raised, which then ends
-    or flags each run at the sigma check, as infer would."""
-    try:
-        return sigma_hat_full_model(X, y)
-    except (InsufficientSamples, RankDeficient) as e:
-        return e
 
 
 def _nearest_rank(sorted_vals: np.ndarray, level: float) -> float:

@@ -159,22 +159,20 @@ class SubmodelFits:
         Ut_v = np.matmul(self._U.transpose(0, 2, 1), V[:, :, None])[:, :, 0]
         return np.matmul(self._V, (Ut_v / self._s)[:, :, None])[:, :, 0]
 
-    def stderrs(self, sigmas: np.ndarray) -> np.ndarray:
-        """Row p is sigmas[p] * sqrt(diag((X_M^T X_M)^{-1})) of pair p."""
-        if sigmas.min() <= 0:
-            raise ValueError(f"sigma must be positive, got {float(sigmas.min())}")
+    def stderrs(self) -> np.ndarray:
+        """Row p is sqrt(diag((X_M^T X_M)^{-1})) of pair p: its standard
+        errors at noise scale 1."""
         # diag of (X^T X)^{-1} = rowwise sum of (V / s)^2
-        inv_diag = ((self._V / self._s[:, None, :]) ** 2).sum(axis=2)
-        return sigmas[:, None] * np.sqrt(inv_diag)
+        return np.sqrt(((self._V / self._s[:, None, :]) ** 2).sum(axis=2))
 
 
 class SubmodelFit:
     """Least squares on the columns M of X, factored once: a stack of one
-    SubmodelFits. Raises RankDeficient for numerically collinear columns or
-    more columns than rows."""
+    SubmodelFits (fits, if already factored). Raises RankDeficient for
+    numerically collinear columns or more columns than rows."""
 
-    def __init__(self, X: DesignMatrix, M: ModelSet):
-        self._fits = SubmodelFits([X], [M])
+    def __init__(self, X: DesignMatrix, M: ModelSet, fits: SubmodelFits | None = None):
+        self._fits = SubmodelFits([X], [M]) if fits is None else fits
         error = self._fits.rank_error(0)
         if error is not None:
             raise error
@@ -187,7 +185,9 @@ class SubmodelFit:
 
     def stderrs(self, sigma: float) -> np.ndarray:
         """Per-coefficient sigma * sqrt(diag((X_M^T X_M)^{-1}))."""
-        return self._fits.stderrs(np.array([sigma], dtype=np.float64))[0]
+        if not sigma > 0:
+            raise ValueError(f"sigma must be positive, got {sigma}")
+        return sigma * self._fits.stderrs()[0]
 
 
 def ols_fit(X: DesignMatrix, M: ModelSet, y) -> np.ndarray:

@@ -7,19 +7,24 @@ of an atypical pair. Downstream, a classical simultaneous constant at level
 delta is repaired by shrinking the level to delta*(1-nu)*exp(-eta) and
 growing the reported miscoverage to delta + tau + nu. This module holds the
 budget algebra (composition, the sparse-selection universal bound), the
-corrected quantile constants, and interval assembly.
+corrected quantile constants, and inference: infer_runs turns a block of
+selected runs into intervals, and is the only implementation of the
+rank, level, sigma and K checks. `infer` (the `ci` command) is its one-run
+case; the experiment sweep scores whole blocks through it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, ndtri, stdtrit
 
-from .errors import BadWeights, DegenerateLevel, EmptyInput, MixedSlack
-from .linmodel import DesignMatrix, ModelSet, SubmodelFit, as_response, sigma_hat_full_model
+from .errors import BadWeights, DegenerateLevel, EmptyInput, MixedSlack, RankDeficient
+from .linmodel import DesignMatrix, ModelSet, SubmodelFit, SubmodelFits, as_response, \
+    sigma_hat_full_model
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -91,6 +96,24 @@ class IntervalSet:
     budget: StabilityBudget
     sigma: float | None
     fit: SubmodelFit
+
+
+@dataclass(frozen=True)
+class SizeIntervals:
+    """infer_runs' intervals for the runs of one model size that passed
+    every check. fits factors the distinct (trial, model) pairs of this
+    size, pair p on trial trials[p], and also serves the targets X_M^+ mu;
+    row i of estimates, stderrs, lower and upper is run runs[i], on pair
+    pairs[i]."""
+
+    fits: SubmodelFits
+    trials: list[int]
+    runs: list[int]
+    pairs: np.ndarray
+    estimates: np.ndarray
+    stderrs: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -280,34 +303,111 @@ def interval_level(budgets, alpha: float,
     return aligned, level
 
 
+def infer_runs(designs: Sequence[DesignMatrix], Y: np.ndarray, runs, alpha: float,
+               sigma: float | None, weights: tuple[float, float, float] | None = None,
+               ) -> tuple[list, dict[int, SizeIntervals]]:
+    """Simultaneous intervals at miscoverage alpha for a block of runs
+    (trial, model, budgets), each on designs[trial] and Y[trial].
+
+    The distinct (trial, model) pairs of each model size are factored by
+    one stacked SVD (linmodel.SubmodelFits). Each run's checks go in this
+    order: the model's rank, the level (interval_level), the sigma
+    estimate, then K, the smallest constant over the aligned certificates
+    at that level. sigma is the known noise scale (normal quantiles), or
+    None to estimate it once per trial from the full model's residuals
+    (Student-t quantiles). Each level and K is computed once per distinct
+    set of arguments. The empty model gets no intervals and K = 0.
+
+    Returns (outcomes, SizeIntervals by model size). outcomes[r] is run r's
+    (K, the certificate that gave it, level, sigma), sigma None for an
+    empty model whose scale was to be estimated, or the RankDeficient or
+    DegenerateLevel error of its failed check. An estimate short of
+    samples raises InsufficientSamples.
+    """
+    if sigma is not None and not (0 < sigma < math.inf):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    pairs: dict[tuple[int, tuple[int, ...]], int] = {}
+    groups: dict[int, list[tuple[int, ModelSet]]] = {}
+    for t, model, _ in runs:
+        if (t, model.indices) not in pairs:
+            group = groups.setdefault(len(model), [])
+            pairs[t, model.indices] = len(group)
+            group.append((t, model))
+    fits = {size: SubmodelFits([designs[t] for t, _ in group], [M for _, M in group])
+            for size, group in groups.items()}
+    levels: dict = {}
+    estimates: dict = {}
+    constants: dict = {}
+
+    def check(t: int, model: ModelSet, budgets, p: int) -> tuple:
+        error = fits[len(model)].rank_error(p)
+        if error is not None:
+            raise error
+        aligned, level = _memo(levels, tuple(budgets), interval_level, budgets, alpha, weights)
+        if len(model) == 0:
+            return 0.0, aligned[0], level, sigma
+        run_sigma, dof = (sigma, None) if sigma is not None else \
+            _memo(estimates, t, sigma_hat_full_model, designs[t], Y[t])
+        K, chosen = _memo(constants, (len(model), level, tuple(aligned), dof),
+                          best_posi_constant, len(model), level, aligned, dof)
+        return K, chosen, level, run_sigma
+
+    outcomes: list = []
+    scored: dict[int, list[tuple[int, int]]] = {}
+    for t, model, budgets in runs:
+        p = pairs[t, model.indices]
+        try:
+            outcome = check(t, model, budgets, p)
+        except (RankDeficient, DegenerateLevel) as e:
+            outcome = e
+        else:
+            scored.setdefault(len(model), []).append((len(outcomes), p))
+        outcomes.append(outcome)
+    out = {}
+    for size, rows in scored.items():
+        group, fit = groups[size], fits[size]
+        done = [r for r, _ in rows]
+        p = np.array([p for _, p in rows])
+        est = fit.coefficients(Y[[t for t, _ in group]])[p]
+        se = fit.stderrs()[p]
+        if size:  # each run's sigma; an empty model's may be None
+            se *= np.array([outcomes[r][3] for r in done])[:, None]
+        K = np.array([outcomes[r][0] for r in done])[:, None]
+        out[size] = SizeIntervals(fits=fit, trials=[t for t, _ in group], runs=done, pairs=p,
+                                  estimates=est, stderrs=se, lower=est - K * se,
+                                  upper=est + K * se)
+    return outcomes, out
+
+
+def _memo(cache: dict, key, fn, *args):
+    """fn(*args), memoized under key; a RankDeficient or DegenerateLevel
+    error is memoized too, and raised again on every lookup."""
+    value = cache.get(key)
+    if value is None:
+        try:
+            value = fn(*args)
+        except (RankDeficient, DegenerateLevel) as e:
+            value = e
+        cache[key] = value
+    if isinstance(value, Exception):
+        raise value.with_traceback(None)
+    return value
+
+
 def infer(X: DesignMatrix, y, model: ModelSet, budgets: list[StabilityBudget],
           alpha: float, sigma: float | None,
           weights: tuple[float, float, float] | None = None) -> IntervalSet:
-    """Simultaneous intervals over the selected model at miscoverage alpha.
-
-    The checks run in this order: the model's rank (the fit is a stack of
-    one linmodel.SubmodelFits), the level (interval_level), the sigma
-    estimate, the constant. K is the smallest constant over the aligned
-    certificates at that level. sigma is the known noise scale (normal
-    quantiles), or None to estimate it from the full model's residuals
-    (Student-t quantiles). The empty model gets no intervals and K = 0.
-    """
+    """Simultaneous intervals over the selected model at miscoverage alpha:
+    infer_runs on a block of one run, whose failed check is raised."""
     y = as_response(y, X.n)
-    fit = SubmodelFit(X, model)
-    aligned, level = interval_level(budgets, alpha, weights)
-    if len(model) == 0:
-        K, chosen = 0.0, aligned[0]
-        se = np.zeros(0)
-    else:
-        dof = None
-        if sigma is None:
-            sigma, dof = sigma_hat_full_model(X, y)
-        K, chosen = best_posi_constant(len(model), level, aligned, dof)
-        se = fit.stderrs(sigma)
-    est = fit.coefficients(y)
-    return IntervalSet(model=model, estimates=est, stderrs=se, K=K,
-                       lower=est - K * se, upper=est + K * se,
-                       level=level, budget=chosen, sigma=sigma, fit=fit)
+    [outcome], intervals = infer_runs([X], y[None], [(0, model, budgets)], alpha, sigma, weights)
+    if isinstance(outcome, Exception):
+        raise outcome
+    K, chosen, level, sigma = outcome
+    run = intervals[len(model)]
+    return IntervalSet(model=model, estimates=run.estimates[0], stderrs=run.stderrs[0], K=K,
+                       lower=run.lower[0], upper=run.upper[0], level=level, budget=chosen,
+                       sigma=sigma, fit=SubmodelFit(X, model, run.fits))
 
 
 def eta_step_for_total(k: int, delta: float, eta_total: float) -> float:

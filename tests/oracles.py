@@ -18,12 +18,14 @@ from stableci import experiments
 from stableci.errors import AllCandidatesCollinear, DegenerateLevel, NonConvergence, \
     RankDeficient
 from stableci.experiments import TrialRecord, gen_synthetic
-from stableci.linmodel import DesignMatrix, ModelSet, as_response
+from stableci.linmodel import DesignMatrix, ModelSet, SubmodelFit, as_response, \
+    sigma_hat_full_model
 from stableci.noise import NoisePolicy, RngStream, scale_forward_stepwise, scale_lasso, \
     scale_screening
 from stableci.selectors import FS_COLLINEAR_TOL, SelectionResult, _default_fw_steps, \
     certify_budgets, support
-from stableci.stability import StabilityBudget, alpha_split, infer
+from stableci.stability import StabilityBudget, alpha_split, best_posi_constant, \
+    interval_level
 
 
 def screening_exact(X: DesignMatrix, y, k: int) -> ModelSet:
@@ -192,21 +194,30 @@ def select_noisy(spec, X: DesignMatrix, y, eta_step: float | None, delta: float,
 
 def score_model(cfg, X: DesignMatrix, y: np.ndarray, mu: np.ndarray, beta: np.ndarray,
                 sel: SelectionResult, trial_index: int) -> TrialRecord:
-    """One run's intervals and metrics through infer, which estimates sigma
-    itself in an estimated-sigma config."""
-    sigma = cfg.sigma if cfg.sigma_mode == "known" else None
-    ivals = infer(X, y, sel.model, sel.budgets, cfg.alpha, sigma)
+    """One run's intervals and metrics, scored alone: the model's rank (its
+    own SubmodelFit), the level, the sigma estimate in an estimated-sigma
+    config, then K, without going through the library's inference."""
+    fit = SubmodelFit(X, sel.model)
+    aligned, level = interval_level(sel.budgets, cfg.alpha, cfg.alpha_weights)
+    if len(sel.model) == 0:
+        K, chosen, se = 0.0, aligned[0], np.zeros(0)
+    else:
+        sigma, dof = (cfg.sigma, None) if cfg.sigma_mode == "known" else \
+            sigma_hat_full_model(X, y)
+        K, chosen = best_posi_constant(len(sel.model), level, aligned, dof)
+        se = fit.stderrs(sigma)
+    est = fit.coefficients(y)
+    lower, upper = est - K * se, est + K * se
     risk = None
     lam = cfg.selector.lam
     if sel.theta is not None and lam is not None:
         resid = y - X.entries @ sel.theta
         risk = (0.5 * float(resid @ resid) + lam * float(np.abs(sel.theta).sum())) / X.n
     fdr = sum(1 for j in sel.model if beta[j] == 0.0) / max(len(sel.model), 1)
-    targets = ivals.fit.coefficients(mu)
-    covered = bool(np.all((ivals.lower <= targets) & (targets <= ivals.upper)))
+    targets = fit.coefficients(mu)
+    covered = bool(np.all((lower <= targets) & (targets <= upper)))
     return TrialRecord(trial_index=trial_index, model=sel.model, covered=covered,
-                       widths=ivals.upper - ivals.lower, fdr=fdr, risk=risk,
-                       K=ivals.K, budget_used=ivals.budget)
+                       widths=upper - lower, fdr=fdr, risk=risk, K=K, budget_used=chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +227,8 @@ def score_model(cfg, X: DesignMatrix, y: np.ndarray, mu: np.ndarray, beta: np.nd
 def eta_major_sweep(cfg, eta_grid) -> list:
     """(eta, records) rows of an eta-major sweep: every (eta, trial) run
     from scratch through the scalar selectors and score_model, regenerating
-    the trial's data, resolving a `lam` radius, estimating sigma inside
-    `infer` and drawing from fresh selector streams. The library's block
+    the trial's data, resolving a `lam` radius, estimating sigma in
+    score_model and drawing from fresh selector streams. The library's block
     engine must give the same records, field for field."""
     return [(eta, [_fresh_trial(cfg, t, eta) for t in range(cfg.trials)]) for eta in eta_grid]
 

@@ -20,12 +20,13 @@ from hypothesis.extra.numpy import arrays
 
 from stableci import cli
 from stableci.cli import (CliParseError, load_config, main, read_matrix, read_selection,
-                          read_vector)
+                          read_vector, write_selection)
 from stableci.experiments import (ExperimentConfig, SelectorSpec, gen_synthetic, run_selector,
                                   run_trial)
 from stableci.linmodel import DesignMatrix
 from stableci.noise import RngStream
 from stableci.selectors import lambda_to_c1
+from stableci.stability import alpha_split
 
 from oracles import screening_exact
 
@@ -387,6 +388,43 @@ def test_ci_selection_budget_shifts_constant(data):
         K, scipy.stats.norm.ppf(1 - 0.025 * math.exp(-1)), rtol=1e-12)
 
 
+def test_ci_rejects_a_selection_made_on_another_design(tmp_path, capsys):
+    # the certificate's noise scales were calibrated on the selection's n and d
+    gen = np.random.default_rng(5)
+    files = {}
+    for n, d in ((100, 20), (50, 12)):
+        X = gen.standard_normal((n, d)) / math.sqrt(n)
+        y = X[:, :3] @ np.full(3, 40.0) + gen.standard_normal(n)
+        files[n] = (str(tmp_path / f"x{n}.csv"), str(tmp_path / f"y{n}.csv"))
+        np.savetxt(files[n][0], X, delimiter=",")
+        np.savetxt(files[n][1], y[:, None], delimiter=",")
+    sel = str(tmp_path / "sel.csv")
+    assert main(["select", "--x", files[100][0], "--y", files[100][1], "--method", "screen",
+                 "--k", "3", "--eta", "5.0", "--out", sel]) == 0
+    assert max(read_selection(sel)[0]) < 12  # every index exists in the 50x12 design
+    capsys.readouterr()
+    out = tmp_path / "iv.csv"
+    assert main(["ci", "--x", files[50][0], "--y", files[50][1], "--selection", sel,
+                 "--sigma", "known:1.0", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "100x20" in err and "50x12" in err
+    assert not out.exists()
+
+
+def test_ci_rejects_another_selection_schema(data):
+    sel = data["dir"] / "schema2.csv"
+    sel.write_text("record,f1,f2,f3,f4,f5,f6\n"
+                   "meta,schema,2,,,,\n"
+                   "selected,0,,,,,\n"
+                   "budget,advanced,1.0,0.0,0.0,,\n")
+    with pytest.raises(CliParseError, match="schema '2'"):
+        read_selection(str(sel))
+    out = data["dir"] / "iv.csv"
+    assert main(["ci", "--x", data["x"], "--y", data["y"], "--selection", str(sel),
+                 "--sigma", "known:1.0", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_ci_selection_without_budget_rows(data):
     # a selection file must carry its certificate; --model is the explicit
     # no-selection path
@@ -475,23 +513,49 @@ def test_ci_estimate_needs_samples(tmp_path):
                  "--out", str(tmp_path / "o.csv")]) == 5
 
 
-@pytest.mark.parametrize("sigma_mode, sigma_flag", [("known", "known:1.0"),
-                                                    ("estimate", "estimate")])
-def test_ci_and_fixed_model_trial_share_one_inference_path(tmp_path, sigma_mode, sigma_flag):
-    cfg = ExperimentConfig(n=50, d=6, selector=SelectorSpec(method="fixed", fixed_model=(0, 2, 3)),
-                           trials=1, master_seed=8, alpha=0.1, alpha_weights=(1.0, 0.0, 0.0),
-                           sigma_mode=sigma_mode)
-    X, _, _, y = gen_synthetic(cfg, 0)
-    np.savetxt(tmp_path / "x.csv", X.entries, delimiter=",", fmt="%.17g")
-    np.savetxt(tmp_path / "y.csv", y[:, None], delimiter=",", fmt="%.17g")
-    out = tmp_path / "iv.csv"
-    assert main(["ci", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
-                 "--model", "0,2,3", "--alpha", "0.1", "--sigma", sigma_flag,
-                 "--out", str(out)]) == 0
-    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
-    rec = run_trial(cfg, 0, [None])[0]
-    assert {float(r[3]) for r in rows} == {rec.K}
-    np.testing.assert_array_equal([float(r[5]) - float(r[4]) for r in rows], rec.widths)
+_SIGMAS = (("known", "known:1.0"), ("estimate", "estimate"))
+
+
+@pytest.mark.parametrize("method, sigma_mode, sigma_flag", [
+    *(pytest.param("fixed", mode, flag, id=f"{mode}-{flag}") for mode, flag in _SIGMAS),
+    *(pytest.param(method, mode, flag, id=f"{method}-{mode}")
+      for method in ("screen", "lasso") for mode, flag in _SIGMAS)])
+def test_ci_and_fixed_model_trial_share_one_inference_path(tmp_path, method, sigma_mode,
+                                                           sigma_flag):
+    """ci on a trial's data and selection gives the trial record's K and
+    widths bit for bit: a fixed model at the all-on-delta split, and noisy
+    certificates at the default split."""
+    if method == "fixed":
+        cfg = ExperimentConfig(n=50, d=6,
+                               selector=SelectorSpec(method="fixed", fixed_model=(0, 2, 3)),
+                               trials=1, master_seed=8, alpha=0.1,
+                               alpha_weights=(1.0, 0.0, 0.0), sigma_mode=sigma_mode)
+        eta, choice = None, ["--model", "0,2,3"]
+    else:
+        spec, eta = (SelectorSpec(method="screen", k=3), 1.0) if method == "screen" else \
+            (SelectorSpec(method="lasso", lam=0.5, steps=20), 0.5)
+        cfg = ExperimentConfig(n=100, d=20, selector=spec, trials=3, master_seed=8,
+                               beta_spec=(5.0, 0.15), alpha=0.1, sigma_mode=sigma_mode)
+        alloc = alpha_split(cfg.alpha)
+        delta = (alloc.tau + alloc.nu) / 2.0
+    for t in range(cfg.trials):
+        X, _, _, y = gen_synthetic(cfg, t)
+        np.savetxt(tmp_path / "x.csv", X.entries, delimiter=",", fmt="%.17g")
+        np.savetxt(tmp_path / "y.csv", y[:, None], delimiter=",", fmt="%.17g")
+        if method != "fixed":
+            # the selection the trial makes, on its selector stream (2, t)
+            rng = RngStream(cfg.master_seed).child(2, t)
+            choice = ["--selection", str(tmp_path / "sel.csv")]
+            write_selection(choice[1], method, {"n": X.n, "d": X.d},
+                            run_selector(spec, X, y, eta, delta, cfg.sigma, rng))
+        out = tmp_path / "iv.csv"
+        assert main(["ci", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                     *choice, "--alpha", "0.1", "--sigma", sigma_flag, "--out", str(out)]) == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        rec = run_trial(cfg, t, [eta])[0]
+        assert rec.flagged is None and [int(r[0]) for r in rows] == list(rec.model)
+        assert {float(r[3]) for r in rows} == {rec.K}
+        np.testing.assert_array_equal([float(r[5]) - float(r[4]) for r in rows], rec.widths)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from stableci import experiments
+from stableci import experiments, stability
 from stableci.errors import EmptyInput, NonConvergence
 from stableci.experiments import (DEFAULT_ETA_GRID, ExperimentConfig,
                                   SelectorSpec, TrialRecord, aggregate, block_trials,
@@ -631,8 +631,9 @@ def test_eta_sweep_does_eta_free_work_once_per_trial(monkeypatch):
     monkeypatch.setattr(experiments, "gen_synthetic", counting("gen", gen_synthetic))
     monkeypatch.setattr(experiments, "lambda_to_c1",
                         counting("lam", experiments.lambda_to_c1))
-    monkeypatch.setattr(experiments, "sigma_hat_full_model",
-                        counting("sigma", experiments.sigma_hat_full_model))
+    # the sweep estimates sigma inside stability.infer_runs
+    monkeypatch.setattr(stability, "sigma_hat_full_model",
+                        counting("sigma", stability.sigma_hat_full_model))
     monkeypatch.setattr(np.random, "Philox", counting_philox)
     cfg, grid = ENGINE_CASES["lasso-lam-estimate"]
     eta_sweep(cfg, grid)
