@@ -9,14 +9,15 @@ realized design of that trial.
 Sweeps run in blocks of consecutive trials, each over the whole eta grid;
 a run is one (trial, eta) pair. The data, the `lam` radius and the
 estimated sigma depend on the trial alone and are computed once per trial.
-The selectors run every run of the block at once (selectors.screen_runs,
-fs_runs, lasso_runs), each trial's selector stream serving all of its
-etas, and stability.infer_runs, the inference of `ci`, makes the block's
-intervals; this module keeps the targets, the metrics and the records. No
-per-run number depends on the block, so every record is the one an
-eta-major loop, rerunning each (eta, trial) from scratch, would produce,
-whatever the block size and the worker count. `run_trial` is a one-trial
-block.
+selectors.select_runs, the selector dispatch `select` goes through too,
+selects for every run of the block at once, each trial's selector stream
+serving all of its etas, and stability.infer_runs, the inference of `ci`,
+makes the block's intervals; this module keeps the data, the streams, the
+targets, the metrics and the records. No per-run number depends on the
+block, so every record is the one an eta-major loop, rerunning each
+(eta, trial) from scratch, would produce, whatever the block size and the
+worker count. `run_trial` is a one-trial block; `run_selector`, which
+`select` calls, is a one-run call of select_runs.
 """
 
 from __future__ import annotations
@@ -30,14 +31,13 @@ import numpy as np
 
 from .errors import EmptyInput, NonConvergence
 from .linmodel import DesignMatrix, ModelSet
-from .noise import NoisePolicy, RngStream, scale_forward_stepwise, scale_lasso, scale_screening
-from .selectors import SelectionResult, SelectorSpec, _default_fw_steps, certify_budgets, \
-    fs_runs, lambda_to_c1, lasso_runs, screen_runs, stable_fs, stable_lasso, stable_screening, \
-    support
+from .noise import RngStream
+from .selectors import SelectionResult, SelectorSpec, _one_run, lambda_to_c1, select_runs
 from .stability import StabilityBudget, alpha_split, infer_runs
 # not called here: bound for perfbench/tracing.py, which wraps these names in this module
 from .linmodel import ols_fit, sigma_hat_full_model, stderr_known_sigma  # noqa: F401
 from .linmodel import target_coefficients  # noqa: F401
+from .selectors import stable_fs, stable_lasso, stable_screening  # noqa: F401
 from .stability import best_posi_constant  # noqa: F401
 
 # paths namespaces under the master seed
@@ -150,41 +150,19 @@ def gen_synthetic(cfg: ExperimentConfig, trial_index: int,
     return X, beta, mu, y
 
 
-def _check_eta(spec: SelectorSpec, eta_step: float | None) -> None:
-    if eta_step is None or eta_step <= 0:
-        raise ValueError(f"selector {spec.method!r} needs a positive eta_step")
-
-
 def run_selector(spec: SelectorSpec, X: DesignMatrix, y, eta_step: float | None,
-                 delta: float, sigma: float, rng: RngStream,
-                 c1: float | None = None) -> SelectionResult:
-    """The one-run selection dispatch of `select`: run spec's noisy selector
-    at per-step eta_step, slack delta and noise scale sigma. A fixed model,
-    and a penalty that zeroes every coordinate, are chosen without noise
-    and carry the zero certificate. c1 is the LASSO radius when the caller
-    has already resolved it (from spec.lam through lambda_to_c1); None
-    resolves it here. The sweep engine makes the same choices for a block
-    of runs."""
-    if spec.method == "fixed":
-        return _fixed_selection(spec)
-    _check_eta(spec, eta_step)
-    if spec.method == "screen":
-        return stable_screening(X, y, spec.k, delta, eta_step, sigma, rng=rng)
-    if spec.method == "fs":
-        return stable_fs(X, y, spec.k, delta, eta_step, sigma, rng=rng)
-    if c1 is None:
-        c1 = spec.c1 if spec.lam is None else lambda_to_c1(X, y, spec.lam)
-    if c1 == 0.0:
-        return _empty_lasso_selection(X.d)
-    return stable_lasso(X, y, c1, delta, eta_step, sigma, rng=rng, steps=spec.steps)
+                 delta: float, sigma: float, rng: RngStream) -> SelectionResult:
+    """The selection of `select`: spec's noisy selector at per-step
+    eta_step, slack delta and noise scale sigma, as one run of
+    selectors.select_runs with its trace. A `lam` penalty is resolved to
+    its radius here; a failed run raises its error."""
+    return _one_run(spec, X, y, eta_step, _radius(spec, X, y), delta, sigma, rng)
 
 
-def _fixed_selection(spec: SelectorSpec) -> SelectionResult:
-    return SelectionResult(ModelSet.from_unordered(spec.fixed_model), None, (), (_ZERO_BUDGET,))
-
-
-def _empty_lasso_selection(d: int) -> SelectionResult:
-    return SelectionResult(ModelSet(), np.zeros(d), (), (_ZERO_BUDGET,), c1=0.0)
+def _radius(spec: SelectorSpec, X: DesignMatrix, y) -> float | None:
+    """The LASSO radius of a trial: spec.c1, or its `lam` penalty resolved
+    on the trial's data (None for the other methods)."""
+    return spec.c1 if spec.lam is None else lambda_to_c1(X, y, spec.lam)
 
 
 def _flagged_record(trial_index: int, error: Exception) -> TrialRecord:
@@ -225,10 +203,6 @@ def _run_block(cfg: ExperimentConfig, trials: range, eta_grid: list) -> list[lis
     (tau + nu)/2 as their internal slack parameter so that, after slack
     alignment, the quantile budget comes out to exactly the allocated delta.
     """
-    spec = cfg.selector
-    if spec.method != "fixed":
-        for eta in eta_grid:
-            _check_eta(spec, eta)
     alloc = alpha_split(cfg.alpha, cfg.alpha_weights)
     delta_sel = (alloc.tau + alloc.nu) / 2.0
     data, c1s = [], []
@@ -238,7 +212,7 @@ def _run_block(cfg: ExperimentConfig, trials: range, eta_grid: list) -> list[lis
         data.append((X, beta, mu, y))
         out.append([None] * len(eta_grid))
         try:
-            c1s.append(spec.c1 if spec.lam is None else lambda_to_c1(X, y, spec.lam))
+            c1s.append(_radius(cfg.selector, X, y))
         except NonConvergence as e:
             c1s.append(None)
             out[-1] = [_flagged_record(t, e) for _ in eta_grid]
@@ -250,62 +224,23 @@ def _run_block(cfg: ExperimentConfig, trials: range, eta_grid: list) -> list[lis
 
 def _select_block(cfg: ExperimentConfig, trials: range, data: list, live: list[int],
                   c1s: list, eta_grid: list, delta: float, out: list[list]) -> dict:
-    """Selection for every run (b, e) of the live trials: a SelectionResult
-    without trace, or out[b][e] flagged with the AllCandidatesCollinear
-    error of the run. The noisy runs of the block go through one
-    screen_runs, fs_runs or lasso_runs call, on trial b's selector stream
-    (2, trial)."""
-    spec = cfg.selector
-    grid = range(len(eta_grid))
-    if spec.method == "fixed":
-        fixed = _fixed_selection(spec)
-        return {(b, e): fixed for b in live for e in grid}
+    """Selection for every run (b, e) of the live trials, one
+    selectors.select_runs call on trial b's selector stream (2, trial):
+    a SelectionResult without trace, or out[b][e] flagged with the error
+    of a run that failed."""
+    root = RngStream(cfg.master_seed)
+    results = select_runs(cfg.selector, [data[b][0] for b in live],
+                          np.array([data[b][3] for b in live]),
+                          [(i, eta, c1s[b]) for i, b in enumerate(live) for eta in eta_grid],
+                          delta, cfg.sigma,
+                          [root.child(_PATH_TRIAL_SELECTOR, trials[b]) for b in live])
     sels = {}
-    noisy = []
-    for b in live:
-        if spec.method == "lasso" and c1s[b] == 0.0:
-            empty = _empty_lasso_selection(cfg.d)
-            sels.update(((b, e), empty) for e in grid)
+    for r, result in enumerate(results):
+        b, e = live[r // len(eta_grid)], r % len(eta_grid)
+        if isinstance(result, Exception):
+            out[b][e] = _flagged_record(trials[b], result)
         else:
-            noisy.append(b)
-    if not noisy:
-        return sels
-    designs = [data[b][0] for b in noisy]
-    Y = np.stack([data[b][3] for b in noisy])
-    streams = [RngStream(cfg.master_seed).child(_PATH_TRIAL_SELECTOR, trials[b]) for b in noisy]
-    policies = [NoisePolicy(cfg.sigma, delta, eta) for eta in eta_grid]
-    runs = [(i, e) for i in range(len(noisy)) for e in grid]
-    trial = np.array([i for i, _ in runs], dtype=np.int64)
-    if spec.method == "screen":
-        scales = [scale_screening(designs[i], policies[e]) for i, e in runs]
-        rounds = [spec.k] * len(runs)
-        block = screen_runs(designs, Y, spec.k, trial, np.array(scales), streams)
-    elif spec.method == "fs":
-        per_eta = [scale_forward_stepwise(cfg.d, spec.k, policy) for policy in policies]
-        rounds = [spec.k] * len(runs)
-        block = fs_runs(designs, Y, spec.k, trial, np.array([per_eta[e] for _, e in runs]),
-                        streams)
-    else:
-        c1 = [c1s[noisy[i]] for i, _ in runs]
-        rounds = [spec.steps or _default_fw_steps(designs[i], c1[r], eta_grid[e], cfg.sigma)
-                  for r, (i, e) in enumerate(runs)]
-        scales = [scale_lasso(c1[r], designs[i], policies[e]) for r, (i, e) in enumerate(runs)]
-        block = lasso_runs(designs, Y, np.array(c1), np.array(rounds, dtype=np.int64), trial,
-                           np.array(scales), streams)
-    budgets: dict[tuple[int, int], tuple[StabilityBudget, ...]] = {}
-    for r, (i, e) in enumerate(runs):
-        if r in block.failed:
-            out[noisy[i]][e] = _flagged_record(trials[noisy[i]], block.failed[r])
-            continue
-        key = (rounds[r], e)
-        if key not in budgets:
-            budgets[key] = certify_budgets(rounds[r], eta_grid[e], delta)
-        if block.theta is None:
-            sels[noisy[i], e] = SelectionResult(ModelSet.from_unordered(block.picks[r].tolist()),
-                                                None, (), budgets[key])
-        else:
-            sels[noisy[i], e] = SelectionResult(support(block.theta[r]), block.theta[r], (),
-                                                budgets[key], c1=c1[r])
+            sels[b, e] = result
     return sels
 
 
@@ -399,35 +334,23 @@ def _block_task(args: tuple[ExperimentConfig, list, range]) -> list[list[TrialRe
     return _run_block(cfg, trials, eta_grid)
 
 
-def _run_grid(cfg: ExperimentConfig, eta_grid: list, map_fn) -> list[list[TrialRecord]]:
-    """Each trial over the whole grid, one task per block of trials; map_fn
-    may be a worker pool's map. Results come back in trial order, so
-    neither the block size nor parallelism can change them."""
-    size = block_trials(cfg, eta_grid)
-    tasks = [(cfg, eta_grid, range(start, min(start + size, cfg.trials)))
-             for start in range(0, cfg.trials, size)]
-    return [records for block in map_fn(_block_task, tasks) for records in block]
-
-
-def run_trials(cfg: ExperimentConfig, eta_step: float | None = None,
-               map_fn=map) -> list[TrialRecord]:
-    """All trials at one eta, in trial order; map_fn may be a worker pool's map."""
-    return [records[0] for records in _run_grid(cfg, [eta_step], map_fn)]
-
-
 def eta_sweep(cfg: ExperimentConfig, eta_grid=DEFAULT_ETA_GRID,
               map_fn=map) -> list[tuple[float, list[TrialRecord], ExperimentSummary]]:
     """Every trial at every eta over the same master seed, so trials are
     coupled across the grid for variance reduction. Runs in blocks of
-    trials (one task per block covers the whole grid) and regroups the
-    records by eta.
+    trials, one task per block over the whole grid; map_fn may be a worker
+    pool's map. The blocks come back in trial order, so neither the block
+    size nor parallelism can change the records, which are regrouped by eta.
     Returns (eta, records in trial order, summary) rows in grid order."""
     grid = [float(e) for e in eta_grid]
     if not grid:
         raise EmptyInput("eta grid must be nonempty")
     if not all(0 < e < math.inf for e in grid):
         raise ValueError(f"eta grid must be finite and positive, got {grid}")
-    by_trial = _run_grid(cfg, grid, map_fn)
+    size = block_trials(cfg, grid)
+    tasks = [(cfg, grid, range(start, min(start + size, cfg.trials)))
+             for start in range(0, cfg.trials, size)]
+    by_trial = [records for block in map_fn(_block_task, tasks) for records in block]
     out = []
     for i, eta in enumerate(grid):
         records = [trial_records[i] for trial_records in by_trial]

@@ -98,7 +98,7 @@ def as_response(y, n: int) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (n,):
         raise DimensionMismatch(f"response must be a vector of length n={n}, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("response entries must be finite")
     return y
 

@@ -3,11 +3,13 @@
 Three noisy procedures, one implementation each. Each runs a block of
 *runs* at once: run r selects on the data of trial trial[r] with its own
 Laplace scale scales[r], and every array carries the run axis first.
-`stable_screening`, `stable_fs` and `stable_lasso` are blocks of one run
-that also return the per-step decision trace. There are no separate exact
-variants: a noise scale of 0 (the `scale_override` test hook) is the exact
-algorithm, tie rule included, because the zero-scale Laplace draws are
-+-0.0 and move no argmin or argmax.
+`select_runs` is the one selector dispatch, called by `select`
+(experiments.run_selector), the sweep and `stable_screening`, `stable_fs`
+and `stable_lasso`, one-run calls that also return the per-step decision
+trace. There are no separate exact variants: a noise scale of 0 (the
+`scale_override` test hook) is the exact algorithm, tie rule included,
+because the zero-scale Laplace draws are +-0.0 and move no argmin or
+argmax.
 
 - LASSO over the l1 ball of radius C1, optimized by Frank-Wolfe, with
   every vertex score perturbed by fresh Laplace noise before the argmin.
@@ -35,6 +37,7 @@ returned on the SelectionResult for the interval stage to choose from.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +51,9 @@ from .stability import StabilityBudget, compose_adaptive_advanced
 SUPPORT_THRESHOLD = 1e-12
 FS_COLLINEAR_TOL = 1e-10
 MAX_DEFAULT_FW_STEPS = 10_000
+
+# the certificate of a model chosen without looking at the noise
+_ZERO_BUDGET = StabilityBudget(0.0, 0.0, 0.0)
 
 # the knobs each method reads; SelectorSpec rejects the others
 _METHOD_KNOBS = {"fixed": ("fixed_model",), "screen": ("k",), "fs": ("k",),
@@ -119,14 +125,22 @@ class SelectorSpec:
         for name, value in (("c1", self.c1), ("lam", self.lam)):
             if value is not None and not (0 < value < math.inf):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.steps is not None and self.steps < 1:
+            raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.method == "fixed" and len(self.fixed_model) == 0:
             raise ValueError("fixed method needs a nonempty fixed_model")
 
 
+# the spec of a one-run call, validated once per distinct set of knobs
+_spec = functools.lru_cache(maxsize=256)(SelectorSpec)
+
+
+@functools.lru_cache(maxsize=4096)
 def certify_budgets(k: int, eta_step: float, delta: float) -> tuple[StabilityBudget, ...]:
     """The two composed certificates a k-round noisy selector earns at
     per-round eta_step: the advanced rate (eta_a, delta, delta) and the
-    linear rate (k * eta_step, 0, delta)."""
+    linear rate (k * eta_step, 0, delta). Cached, as every block of a sweep
+    certifies the same few arguments."""
     eta_a = compose_adaptive_advanced(eta_step, k, delta)
     return (
         StabilityBudget(eta_a, delta, delta),
@@ -136,13 +150,6 @@ def certify_budgets(k: int, eta_step: float, delta: float) -> tuple[StabilityBud
 
 # ---------------------------------------------------------------------------
 # run-axis plumbing
-
-
-def _one_scale(scale: float) -> np.ndarray:
-    """The scales array of a one-run block."""
-    if scale < 0:
-        raise ValueError(f"scale must be >= 0, got {scale}")
-    return np.array([scale], dtype=np.float64)
 
 
 def _check_trace(trace: bool, trial: np.ndarray) -> None:
@@ -165,7 +172,6 @@ def _step_draws(streams: list[RngStream], step: int, sizes: list[int],
     return draws[trial]
 
 
-_ONE_RUN = np.zeros(1, dtype=np.int64)
 _VERTEX_SIGNS = np.array([1.0, -1.0])  # of the +c1 and the -c1 vertices
 
 
@@ -253,28 +259,16 @@ def stable_lasso(X: DesignMatrix, y, c1: float, delta: float, eta_step: float,
                  sigma: float, *,
                  rng: RngStream, steps: int | None = None,
                  scale_override: float | None = None) -> SelectionResult:
-    """Noisy Frank-Wolfe LASSO over the l1 ball of radius c1 (a block of
-    one run of lasso_runs, with its trace): every step perturbs all 2d
-    vertex scores with independent Laplace draws at scale_lasso, then takes
-    the argmin. steps defaults to the utility-optimal count for this design
-    and eta_step.
+    """Noisy Frank-Wolfe LASSO over the l1 ball of radius c1 (one run of
+    select_runs, with its trace): every step perturbs all 2d vertex scores
+    with independent Laplace draws at scale_lasso, then takes the argmin.
+    steps defaults to the utility-optimal count for this design and
+    eta_step.
 
     scale_override is a test hook; 0 gives the exact algorithm.
     """
-    if not (0 < c1 < math.inf):
-        raise ValueError(f"c1 must be finite and positive, got {c1}")
-    if steps is not None and steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    policy = NoisePolicy(sigma, delta, eta_step)
-    y = as_response(y, X.n)
-    if steps is None:
-        steps = _default_fw_steps(X, c1, eta_step, sigma)
-    scale = scale_lasso(c1, X, policy) if scale_override is None else scale_override
-    sel = lasso_runs([X], y[None], np.array([c1]), np.array([steps]), _ONE_RUN,
-                     _one_scale(scale), [rng], trace=True)
-    theta = sel.theta[0]
-    return SelectionResult(model=support(theta), theta=theta, trace=sel.trace,
-                           budgets=certify_budgets(steps, eta_step, delta), c1=c1)
+    return _one_run(_spec(method="lasso", c1=c1, steps=steps), X, y, eta_step, c1,
+                    delta, sigma, rng, scale_override)
 
 
 def support(theta) -> ModelSet:
@@ -388,14 +382,10 @@ def stable_screening(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
                      sigma: float, *,
                      rng: RngStream, scale_override: float | None = None,
                      ) -> SelectionResult:
-    """k rounds of noisy argmax over |c_i + xi| with c = X^T y / n (a block
-    of one run of screen_runs, with its trace)."""
-    y = as_response(y, X.n)
-    policy = NoisePolicy(sigma, delta, eta_step)
-    scale = scale_screening(X, policy) if scale_override is None else scale_override
-    sel = screen_runs([X], y[None], k, _ONE_RUN, _one_scale(scale), [rng], trace=True)
-    return SelectionResult(model=ModelSet.from_unordered(sel.picks[0].tolist()), theta=None,
-                           trace=sel.trace, budgets=certify_budgets(k, eta_step, delta))
+    """k rounds of noisy argmax over |c_i + xi| with c = X^T y / n (one run
+    of select_runs, with its trace)."""
+    return _one_run(_spec(method="screen", k=k), X, y, eta_step, None, delta, sigma,
+                    rng, scale_override)
 
 
 # ---------------------------------------------------------------------------
@@ -501,16 +491,100 @@ def stable_fs(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
               sigma: float, *,
               rng: RngStream, scale_override: float | None = None,
               ) -> SelectionResult:
-    """Noisy forward stepwise (a block of one run of fs_runs, with its
-    trace); raises AllCandidatesCollinear when the candidates run out. The
+    """Noisy forward stepwise (one run of select_runs, with its trace);
+    raises AllCandidatesCollinear when the candidates run out. The
     per-round scale is calibrated over ordered candidate sequences, so it
     uses the descending factorial (d)_k and no 1/n factor."""
-    y = as_response(y, X.n)
-    policy = NoisePolicy(sigma, delta, eta_step)
-    scale = scale_forward_stepwise(X.d, k, policy) if scale_override is None \
-        else scale_override
-    sel = fs_runs([X], y[None], k, _ONE_RUN, _one_scale(scale), [rng], trace=True)
-    if sel.failed:
-        raise sel.failed[0]
-    return SelectionResult(model=ModelSet.from_unordered(sel.picks[0].tolist()), theta=None,
-                           trace=sel.trace, budgets=certify_budgets(k, eta_step, delta))
+    return _one_run(_spec(method="fs", k=k), X, y, eta_step, None, delta, sigma, rng,
+                    scale_override)
+
+
+# ---------------------------------------------------------------------------
+# the one selection dispatch
+
+
+def select_runs(spec: SelectorSpec, designs: list[DesignMatrix], Y: np.ndarray,
+                runs: list[tuple[int, float | None, float | None]], delta: float, sigma: float,
+                streams: list[RngStream], *, trace: bool = False,
+                scale_override: float | None = None,
+                ) -> list[SelectionResult | AllCandidatesCollinear]:
+    """spec's selector for a block of runs: run (trial, eta_step, c1)
+    selects on designs[trial] and the finite response Y[trial] with the
+    stream streams[trial], at per-step eta_step, slack delta and noise
+    scale sigma; c1 is its LASSO radius (None for the other methods).
+    Returns, per run, its SelectionResult or the AllCandidatesCollinear
+    error of a forward stepwise run left without candidates.
+
+    A fixed model, and a zero radius, carry the one zero certificate; the
+    noisy runs go through one screen_runs, fs_runs or lasso_runs call,
+    with one NoisePolicy per distinct eta_step. trace keeps the decision
+    trace of a one-run block; scale_override, a test hook, replaces every
+    run's Laplace scale (0 gives the exact algorithm).
+    """
+    if spec.method == "fixed":
+        return [SelectionResult(ModelSet.from_unordered(spec.fixed_model), None, (),
+                                (_ZERO_BUDGET,))] * len(runs)
+    etas = {eta for _, eta, _ in runs}
+    for eta in etas:
+        if eta is None or eta <= 0:
+            raise ValueError(f"selector {spec.method!r} needs a positive eta_step")
+    policies = {eta: NoisePolicy(sigma, delta, eta) for eta in etas}
+    if scale_override is not None and scale_override < 0:
+        raise ValueError(f"scale must be >= 0, got {scale_override}")
+    out: list = [None] * len(runs)
+    noisy = [r for r, (_, _, c1) in enumerate(runs) if c1 != 0.0]
+    if len(noisy) < len(runs):
+        # a LASSO radius of 0 admits only theta = 0: nothing to randomize
+        out = [SelectionResult(ModelSet(), np.zeros(designs[0].d), (), (_ZERO_BUDGET,),
+                               c1=0.0)] * len(runs)
+    if not noisy:
+        return out
+    trials, eta_steps, radii = zip(*[runs[r] for r in noisy])
+    if spec.method == "screen":
+        rounds = [spec.k] * len(noisy)
+        scales = [scale_screening(designs[b], policies[e]) for b, e in zip(trials, eta_steps)]
+    elif spec.method == "fs":
+        rounds = [spec.k] * len(noisy)
+        per_eta = {e: scale_forward_stepwise(designs[0].d, spec.k, policy)
+                   for e, policy in policies.items()}
+        scales = [per_eta[e] for e in eta_steps]
+    else:
+        rounds = [spec.steps if spec.steps is not None
+                  else _default_fw_steps(designs[b], c, e, sigma)
+                  for b, c, e in zip(trials, radii, eta_steps)]
+        scales = [scale_lasso(c, designs[b], policies[e])
+                  for b, c, e in zip(trials, radii, eta_steps)]
+    if scale_override is not None:
+        scales = [scale_override] * len(noisy)
+    trial, scales = np.array(trials, dtype=np.int64), np.array(scales)
+    if spec.method == "screen":
+        block = screen_runs(designs, Y, spec.k, trial, scales, streams, trace)
+    elif spec.method == "fs":
+        block = fs_runs(designs, Y, spec.k, trial, scales, streams, trace)
+    else:
+        block = lasso_runs(designs, Y, np.array(radii), np.array(rounds, dtype=np.int64), trial,
+                           scales, streams, trace)
+    for i, r in enumerate(noisy):
+        if i in block.failed:
+            out[r] = block.failed[i]
+            continue
+        budgets = certify_budgets(rounds[i], eta_steps[i], delta)
+        if block.theta is None:
+            out[r] = SelectionResult(ModelSet.from_unordered(block.picks[i].tolist()), None,
+                                     block.trace, budgets)
+        else:
+            out[r] = SelectionResult(support(block.theta[i]), block.theta[i], block.trace,
+                                     budgets, c1=radii[i])
+    return out
+
+
+def _one_run(spec: SelectorSpec, X: DesignMatrix, y, eta_step: float | None,
+             c1: float | None, delta: float, sigma: float, rng: RngStream,
+             scale_override: float | None = None) -> SelectionResult:
+    """One run of select_runs on the response y, validated here, with its
+    trace; a failed run raises its error."""
+    [result] = select_runs(spec, [X], as_response(y, X.n)[None], [(0, eta_step, c1)], delta,
+                           sigma, [rng], trace=True, scale_override=scale_override)
+    if isinstance(result, Exception):
+        raise result
+    return result

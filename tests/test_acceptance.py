@@ -13,9 +13,7 @@ import numpy as np
 import pytest
 
 from stableci.cli import main
-from stableci.experiments import (ExperimentConfig, SelectorSpec, aggregate,
-                                  eta_sweep, gen_synthetic, run_trial,
-                                  run_trials)
+from stableci.experiments import ExperimentConfig, SelectorSpec, aggregate, eta_sweep
 from stableci.linmodel import DesignMatrix
 from stableci.noise import NoisePolicy, RngStream, scale_forward_stepwise, scale_screening
 from stableci.selectors import (solve_penalized_lasso, stable_fs, stable_lasso,
@@ -42,7 +40,9 @@ def test_criterion_01_classical_recovery():
         n=200, d=10, selector=SelectorSpec(method="fixed", fixed_model=(0, 1, 2)),
         trials=10_000, master_seed=101, alpha=0.1, alpha_weights=(1.0, 0.0, 0.0),
         beta_spec=(5.0, 0.3))
-    mis = miscoverage(run_trials(cfg))
+    # a fixed model's records do not depend on eta
+    [(_, records, _)] = eta_sweep(cfg, [1.0])
+    mis = miscoverage(records)
     elapsed = time.time() - start
     hi = 0.1 + 3 * math.sqrt(0.09 / 10_000)
     ok = 0.02 <= mis <= hi and elapsed < 30
@@ -63,7 +63,8 @@ def test_criterion_02_stable_selector_coverage():
         step = eta_step_for_total(k, delta_sel, 1.0)
         cfg = ExperimentConfig(n=100, d=20, selector=spec, trials=2000,
                                master_seed=202, alpha=0.1, beta_spec=(5.0, 0.15))
-        results[label] = miscoverage(run_trials(cfg, eta_step=step))
+        [(_, records, _)] = eta_sweep(cfg, [step])
+        results[label] = miscoverage(records)
     elapsed = time.time() - start
     hi = 0.1 + 3 * math.sqrt(0.09 / 2000)
     ok = all(v <= hi for v in results.values()) and elapsed < 180

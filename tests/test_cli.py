@@ -519,12 +519,12 @@ _SIGMAS = (("known", "known:1.0"), ("estimate", "estimate"))
 @pytest.mark.parametrize("method, sigma_mode, sigma_flag", [
     *(pytest.param("fixed", mode, flag, id=f"{mode}-{flag}") for mode, flag in _SIGMAS),
     *(pytest.param(method, mode, flag, id=f"{method}-{mode}")
-      for method in ("screen", "lasso") for mode, flag in _SIGMAS)])
+      for method in ("screen", "fs", "lasso", "lasso-c1") for mode, flag in _SIGMAS)])
 def test_ci_and_fixed_model_trial_share_one_inference_path(tmp_path, method, sigma_mode,
                                                            sigma_flag):
     """ci on a trial's data and selection gives the trial record's K and
-    widths bit for bit: a fixed model at the all-on-delta split, and noisy
-    certificates at the default split."""
+    widths bit for bit: a fixed model at the all-on-delta split, and every
+    noisy selector (LASSO by penalty and by radius) at the default split."""
     if method == "fixed":
         cfg = ExperimentConfig(n=50, d=6,
                                selector=SelectorSpec(method="fixed", fixed_model=(0, 2, 3)),
@@ -532,8 +532,10 @@ def test_ci_and_fixed_model_trial_share_one_inference_path(tmp_path, method, sig
                                alpha_weights=(1.0, 0.0, 0.0), sigma_mode=sigma_mode)
         eta, choice = None, ["--model", "0,2,3"]
     else:
-        spec, eta = (SelectorSpec(method="screen", k=3), 1.0) if method == "screen" else \
-            (SelectorSpec(method="lasso", lam=0.5, steps=20), 0.5)
+        spec, eta = {"screen": (SelectorSpec(method="screen", k=3), 1.0),
+                     "fs": (SelectorSpec(method="fs", k=3), 1.0),
+                     "lasso": (SelectorSpec(method="lasso", lam=0.5, steps=20), 0.5),
+                     "lasso-c1": (SelectorSpec(method="lasso", c1=2.0), 0.5)}[method]
         cfg = ExperimentConfig(n=100, d=20, selector=spec, trials=3, master_seed=8,
                                beta_spec=(5.0, 0.15), alpha=0.1, sigma_mode=sigma_mode)
         alloc = alpha_split(cfg.alpha)
@@ -546,7 +548,7 @@ def test_ci_and_fixed_model_trial_share_one_inference_path(tmp_path, method, sig
             # the selection the trial makes, on its selector stream (2, t)
             rng = RngStream(cfg.master_seed).child(2, t)
             choice = ["--selection", str(tmp_path / "sel.csv")]
-            write_selection(choice[1], method, {"n": X.n, "d": X.d},
+            write_selection(choice[1], spec.method, {"n": X.n, "d": X.d},
                             run_selector(spec, X, y, eta, delta, cfg.sigma, rng))
         out = tmp_path / "iv.csv"
         assert main(["ci", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),

@@ -15,14 +15,14 @@ import pytest
 import scipy.stats
 
 from stableci import experiments, stability
-from stableci.errors import EmptyInput, NonConvergence
+from stableci.errors import AllCandidatesCollinear, EmptyInput, NonConvergence
 from stableci.experiments import (DEFAULT_ETA_GRID, ExperimentConfig,
                                   SelectorSpec, TrialRecord, aggregate, block_trials,
                                   eta_sweep, gen_synthetic, run_selector,
-                                  run_trial, run_trials)
+                                  run_trial)
 from stableci.linmodel import DesignMatrix, ModelSet
 from stableci.noise import RngStream
-from stableci.selectors import SelectionResult
+from stableci.selectors import SelectionResult, lambda_to_c1, select_runs
 from stableci.stability import StabilityBudget
 
 from oracles import eta_major_sweep, score_model, screening_exact
@@ -69,6 +69,16 @@ def test_selector_spec_validation():
 def test_selector_spec_rejects_knobs_its_method_ignores(spec, knob):
     with pytest.raises(ValueError, match=f"does not use {knob}"):
         SelectorSpec(**spec)
+
+
+@pytest.mark.parametrize("steps", [0, -2])
+def test_lasso_steps_below_one_rejected_before_any_trial(monkeypatch, steps):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(experiments, "gen_synthetic", no_trial)
+    with pytest.raises(ValueError, match=f"steps must be >= 1, got {steps}"):
+        eta_sweep(fixed_cfg(selector=SelectorSpec(method="lasso", c1=1.0, steps=steps),
+                            alpha_weights=None), (1.0,))
 
 
 def test_experiment_config_rejects_shapes_beyond_d():
@@ -246,6 +256,45 @@ def test_run_selector_zero_certificate_for_noiseless_choices():
     assert len(zero.model) == 0 and zero.c1 == 0.0 and zero.trace == ()
     np.testing.assert_array_equal(zero.theta, np.zeros(8))
     assert zero.budgets == (StabilityBudget(0.0, 0.0, 0.0),)
+
+
+def test_select_runs_matches_one_run_selections():
+    """A block mixing a zero-radius LASSO trial with noisy ones, and a
+    forward stepwise block where one trial's runs fail alone, give each run
+    the result run_selector gives it alone, trace aside."""
+    cfg = fixed_cfg(n=30, d=8, beta_spec=(3.0, 0.25))
+    data = [(X, y) for X, _, _, y in (gen_synthetic(cfg, t) for t in range(3))]
+    data[1] = (data[1][0], np.zeros(cfg.n))  # lam zeroes every coordinate
+    rank3 = np.random.default_rng(4).standard_normal((cfg.n, 3)) @ data[2][0].entries[:3]
+    streams = [RngStream(7).child(2, b) for b in range(3)]
+    lasso, fs = SelectorSpec(method="lasso", lam=0.3), SelectorSpec(method="fs", k=4)
+    blocks = {
+        "lasso": (lasso, data, [(b, eta, lambda_to_c1(*data[b], 0.3)) for b in range(3)
+                                for eta in (0.5, 2.0)]),
+        "fs": (fs, [data[0], (DesignMatrix(rank3), data[2][1]), data[2]],
+               [(0, 1.0, None), (1, 1.0, None), (2, 0.5, None), (1, 2.0, None)]),
+    }
+    got = {}
+    for name, (spec, trials, runs) in blocks.items():
+        got[name] = select_runs(spec, [X for X, _ in trials], np.array([y for _, y in trials]),
+                                runs, 0.03, 1.0, streams)
+        for (b, eta, _), result in zip(runs, got[name]):
+            X, y = trials[b]
+            try:
+                want = run_selector(spec, X, y, eta, 0.03, 1.0, streams[b])
+            except AllCandidatesCollinear as e:
+                assert type(result) is AllCandidatesCollinear and str(result) == str(e)
+                continue
+            assert isinstance(result, SelectionResult) and result.trace == ()
+            assert result.model == want.model and result.budgets == want.budgets
+            assert result.c1 == want.c1
+            np.testing.assert_array_equal(result.theta, want.theta)
+    # the zero-radius trial took the zero certificate, the others noisy ones
+    assert [r.budgets == (StabilityBudget(0.0, 0.0, 0.0),) for r in got["lasso"]] == \
+        [False, False, True, True, False, False]
+    # both runs of the rank-3 trial failed, the others did not
+    assert [isinstance(r, AllCandidatesCollinear) for r in got["fs"]] == \
+        [False, True, False, True]
 
 
 def test_run_trial_flags_collinear_candidates():
@@ -429,10 +478,10 @@ def test_aggregate_empty_input():
 # sweeps
 
 
-def test_run_trials_accepts_custom_map():
+def test_eta_sweep_accepts_custom_map():
     cfg = fixed_cfg(trials=3)
-    default = run_trials(cfg)
-    listy = run_trials(cfg, map_fn=lambda f, xs: [f(x) for x in xs])
+    [(_, default, _)] = eta_sweep(cfg, [1.0])
+    [(_, listy, _)] = eta_sweep(cfg, [1.0], map_fn=lambda f, xs: [f(x) for x in xs])
     assert [r.model for r in default] == [r.model for r in listy]
     np.testing.assert_array_equal(default[1].widths, listy[1].widths)
 
