@@ -6,8 +6,9 @@ Subcommands:
   experiment  run a Monte Carlo eta sweep from a JSON config into a directory
   budget      print composed stability budgets for given step parameters
 
-Exit codes: 0 ok, 2 bad input / parameters / config schema, 3 dimension
-mismatch, 4 rank-deficient fit, 5 not enough rows to estimate sigma.
+Exit codes: 0 ok, 2 bad input, parameter or config key (found before any
+output is written), 3 dimension mismatch, 4 rank-deficient fit, 5 not
+enough rows to estimate sigma.
 
 All floats are written with repr() so files round-trip exactly; experiment
 outputs are byte-identical for any worker count and block size because
@@ -26,7 +27,6 @@ import os
 import sys
 import time
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -43,6 +43,7 @@ from .experiments import (
     WIDTH_QUANTILE_LEVELS,
     ExperimentConfig,
     SelectorSpec,
+    check_eta_grid,
     eta_sweep,
     run_selector,
 )
@@ -54,6 +55,7 @@ from .selectors import SelectionResult
 # not called here: bound for perfbench/tracing.py, which wraps these names in this module
 from .selectors import lambda_to_c1, stable_fs, stable_lasso, stable_screening  # noqa: F401
 from .stability import (
+    ZERO_BUDGET,
     StabilityBudget,
     compose_adaptive_advanced,
     compose_adaptive_simple,
@@ -300,7 +302,7 @@ def cmd_ci(args) -> int:
     else:
         indices = [int(p) for p in args.model.split(",")] if args.model.strip() else []
         model = ModelSet.from_unordered(indices)
-        budgets = [StabilityBudget(0.0, 0.0, 0.0)]
+        budgets = [ZERO_BUDGET]
     weights = _parse_weights(args.weights) if args.weights is not None else None
     sigma = _parse_sigma(args.sigma)
     ivals = infer(X, y, model, budgets, args.alpha, sigma, weights)
@@ -323,51 +325,10 @@ def cmd_ci(args) -> int:
 # ---------------------------------------------------------------------------
 # experiment
 
-_CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["n", "d", "trials", "master_seed", "selector"],
-    "additionalProperties": False,
-    "properties": {
-        "n": {"type": "integer", "minimum": 1},
-        "d": {"type": "integer", "minimum": 1},
-        "trials": {"type": "integer", "minimum": 1},
-        "master_seed": {"type": "integer", "minimum": 0},
-        "signal": {"type": "number"},
-        "active_fraction": {"type": "number", "minimum": 0, "maximum": 1},
-        "sigma": {"type": "number", "exclusiveMinimum": 0},
-        "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "regenerate_x_per_trial": {"type": "boolean"},
-        "sigma_mode": {"enum": ["known", "estimate"]},
-        "eta_grid": {
-            "type": "array", "minItems": 1,
-            "items": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "alpha_weights": {
-            "type": ["array", "null"], "minItems": 3, "maxItems": 3,
-            "items": {"type": "number", "minimum": 0},
-        },
-        "selector": {
-            "type": "object",
-            "required": ["method"],
-            "additionalProperties": False,
-            "properties": {
-                "method": {"enum": ["fixed", "screen", "fs", "lasso"]},
-                "k": {"type": "integer", "minimum": 1},
-                "c1": {"type": "number", "exclusiveMinimum": 0},
-                "lam": {"type": "number", "exclusiveMinimum": 0},
-                "steps": {"type": "integer", "minimum": 1},
-                "fixed_model": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-            },
-        },
-    },
-}
-
-
-# built once: jsonschema.validate would re-check the schema itself on every call
-_CONFIG_VALIDATOR = jsonschema.validators.validator_for(_CONFIG_SCHEMA)(_CONFIG_SCHEMA)
-
-
 def load_config(path: str) -> tuple[ExperimentConfig, list[float]]:
+    """An `experiment` JSON config as (ExperimentConfig, eta grid). Each key
+    is the field of the same name of ExperimentConfig or SelectorSpec, which
+    check it; here only the shape of the file is checked."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -375,28 +336,19 @@ def load_config(path: str) -> tuple[ExperimentConfig, list[float]]:
         raise CliParseError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise CliParseError(f"{path} is not valid JSON: {e}") from e
-    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(raw))
-    if error is not None:
-        raise CliParseError(f"{path}: {error.message} (at {'/'.join(map(str, error.path))})")
-    # the schema admits exactly SelectorSpec's fields
-    sel = raw["selector"]
-    spec = SelectorSpec(**{**sel, "fixed_model": tuple(sel.get("fixed_model", ()))})
-    weights = raw.get("alpha_weights")
-    cfg = ExperimentConfig(
-        n=raw["n"],
-        d=raw["d"],
-        selector=spec,
-        trials=raw["trials"],
-        master_seed=raw["master_seed"],
-        beta_spec=(raw.get("signal", 5.0), raw.get("active_fraction", 0.8)),
-        sigma=raw.get("sigma", 1.0),
-        alpha=raw.get("alpha", 0.1),
-        regenerate_x_per_trial=raw.get("regenerate_x_per_trial", True),
-        sigma_mode=raw.get("sigma_mode", "known"),
-        alpha_weights=tuple(weights) if weights is not None else None,
-    )
-    grid = [float(e) for e in raw.get("eta_grid", DEFAULT_ETA_GRID)]
-    return cfg, grid
+    if not (isinstance(raw, dict) and isinstance(raw.get("selector"), dict)):
+        raise CliParseError(f"{path}: a config is a JSON object with an object 'selector'")
+    if not isinstance(raw.get("eta_grid", []), list):
+        raise CliParseError(f"{path}: eta_grid must be an array, got {raw['eta_grid']!r}")
+    grid = check_eta_grid(raw.pop("eta_grid", DEFAULT_ETA_GRID))
+    sel = raw.pop("selector")
+    nulls = [key for key, value in sel.items() if value is None]
+    if nulls:  # SelectorSpec would read a null knob as an absent one
+        raise CliParseError(f"{path}: selector {nulls[0]} is null")
+    try:
+        return ExperimentConfig(**raw, selector=SelectorSpec(**sel)), grid
+    except TypeError as e:  # a missing or unknown key
+        raise CliParseError(f"{path}: {e}") from e
 
 
 def _records_rows(eta: float, records) -> list[list[str]]:

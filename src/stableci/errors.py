@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and check_number."""
+
+import numbers
 
 
 class StableCIError(Exception):
@@ -40,3 +42,12 @@ class NonConvergence(StableCIError):
 class AllCandidatesCollinear(StableCIError):
     """Every remaining forward-stepwise candidate is in the span of the
     selected columns."""
+
+
+def check_number(name: str, value, integer: bool = False) -> None:
+    """Raise ValueError naming the field unless value has a JSON number's
+    type: an int, or a float too unless integer. A bool is neither, and
+    50.0 is not an integer."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")

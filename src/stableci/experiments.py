@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, NonConvergence
+from .errors import BadWeights, EmptyInput, NonConvergence, check_number
 from .linmodel import DesignMatrix, ModelSet
 from .noise import RngStream
 from .selectors import SelectionResult, SelectorSpec, _one_run, lambda_to_c1, select_runs
-from .stability import StabilityBudget, alpha_split, infer_runs
+from .stability import ZERO_BUDGET, StabilityBudget, alpha_split, infer_runs
 # not called here: bound for perfbench/tracing.py, which wraps these names in this module
 from .linmodel import ols_fit, sigma_hat_full_model, stderr_known_sigma  # noqa: F401
 from .linmodel import target_coefficients  # noqa: F401
@@ -54,17 +54,19 @@ BLOCK_BYTES = 16 * 2 ** 20
 
 WIDTH_QUANTILE_LEVELS = (0.80, 0.85, 0.90, 1.00)
 
-_ZERO_BUDGET = StabilityBudget(0.0, 0.0, 0.0)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One Monte Carlo experiment: its fields are the keys of an `experiment`
+    config but eta_grid, each checked for its JSON type and range."""
+
     n: int
     d: int
     selector: SelectorSpec
     trials: int
     master_seed: int
-    beta_spec: tuple[float, float] = (5.0, 0.8)  # (signal value, active fraction)
+    signal: float = 5.0  # the value of each active coefficient
+    active_fraction: float = 0.8  # share of the d coefficients that are active
     sigma: float = 1.0
     alpha: float = 0.1
     regenerate_x_per_trial: bool = True
@@ -72,20 +74,37 @@ class ExperimentConfig:
     alpha_weights: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        if self.n < 1 or self.d < 1:
-            raise ValueError(f"n and d must be >= 1, got n={self.n}, d={self.d}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        for name, low in (("n", 1), ("d", 1), ("trials", 1), ("master_seed", 0)):
+            check_number(name, getattr(self, name), integer=True)
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.master_seed >= 2 ** 64:
+            raise ValueError(f"master_seed must be below 2**64, got {self.master_seed}")
+        for name in ("signal", "active_fraction", "sigma", "alpha"):
+            check_number(name, getattr(self, name))
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not (0.0 <= self.beta_spec[1] <= 1.0):
-            raise ValueError(f"active fraction must be in [0, 1], got {self.beta_spec[1]}")
+        if not (0.0 <= self.active_fraction <= 1.0):
+            raise ValueError(f"active_fraction must be in [0, 1], got {self.active_fraction}")
         if not (0 < self.sigma < math.inf):
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
-        if not math.isfinite(self.beta_spec[0]):
-            raise ValueError(f"signal must be finite, got {self.beta_spec[0]}")
+        if not math.isfinite(self.signal):
+            raise ValueError(f"signal must be finite, got {self.signal}")
+        if not isinstance(self.regenerate_x_per_trial, bool):
+            raise ValueError(f"regenerate_x_per_trial must be a bool, "
+                             f"got {self.regenerate_x_per_trial!r}")
         if self.sigma_mode not in ("known", "estimate"):
             raise ValueError(f"sigma_mode must be 'known' or 'estimate', got {self.sigma_mode!r}")
+        if self.alpha_weights is not None:
+            if not isinstance(self.alpha_weights, (list, tuple)):
+                raise ValueError(f"alpha_weights must be a list, got {self.alpha_weights!r}")
+            for w in self.alpha_weights:
+                check_number("alpha_weights entry", w)
+            object.__setattr__(self, "alpha_weights", tuple(self.alpha_weights))
+            try:
+                alpha_split(self.alpha, self.alpha_weights)
+            except (BadWeights, ValueError) as e:
+                raise ValueError(f"alpha_weights {list(self.alpha_weights)}: {e}") from e
         spec = self.selector
         if spec.k is not None and spec.k > self.d:
             raise ValueError(f"selector k={spec.k} exceeds d={self.d}")
@@ -140,10 +159,9 @@ def gen_synthetic(cfg: ExperimentConfig, trial_index: int,
         X_entries = data_rng.normal((cfg.n, cfg.d)) / math.sqrt(cfg.n)
     else:
         X_entries = root.child(_PATH_SHARED_DESIGN).normal((cfg.n, cfg.d)) / math.sqrt(cfg.n)
-    signal, fraction = cfg.beta_spec
-    active = min(cfg.d, int(math.floor(fraction * cfg.d + 0.5)))
+    active = min(cfg.d, int(math.floor(cfg.active_fraction * cfg.d + 0.5)))
     beta = np.zeros(cfg.d)
-    beta[:active] = signal
+    beta[:active] = cfg.signal
     X = DesignMatrix(X_entries)
     mu = X.entries @ beta
     y = mu + cfg.sigma * data_rng.normal(cfg.n)
@@ -169,7 +187,7 @@ def _flagged_record(trial_index: int, error: Exception) -> TrialRecord:
     reason = re.sub(r"(?<!^)(?=[A-Z])", "_", type(error).__name__).lower()
     return TrialRecord(trial_index=trial_index, model=ModelSet(), covered=False,
                        widths=np.zeros(0), fdr=0.0, risk=None, K=0.0,
-                       budget_used=_ZERO_BUDGET, flagged=f"{reason}: {error}")
+                       budget_used=ZERO_BUDGET, flagged=f"{reason}: {error}")
 
 
 def block_trials(cfg: ExperimentConfig, eta_grid) -> int:
@@ -283,12 +301,6 @@ def _risk(lam: float | None, X: DesignMatrix, y: np.ndarray, theta) -> float | N
     return (0.5 * float(resid @ resid) + lam * float(np.abs(theta).sum())) / X.n
 
 
-def _nearest_rank(sorted_vals: np.ndarray, level: float) -> float:
-    n = sorted_vals.shape[0]
-    idx = max(1, math.ceil(level * n)) - 1
-    return float(sorted_vals[min(idx, n - 1)])
-
-
 def aggregate(records: list[TrialRecord], eta_step: float | None = None,
               ) -> ExperimentSummary:
     """Coverage fraction, pooled nearest-rank width quantiles, mean FDR /
@@ -307,9 +319,10 @@ def aggregate(records: list[TrialRecord], eta_step: float | None = None,
             mean_fdr=None, mean_risk=None, mean_K=None, flag_reasons=reasons)
     pooled = np.concatenate([r.widths for r in kept])
     if pooled.size:
-        pooled = np.sort(pooled)
-        quantiles = {lvl: _nearest_rank(pooled, lvl) for lvl in WIDTH_QUANTILE_LEVELS}
-        width_max = float(pooled[-1])
+        # inverted_cdf is the nearest-rank quantile: the ceil(level * n)-th smallest
+        q = np.quantile(pooled, WIDTH_QUANTILE_LEVELS, method="inverted_cdf")
+        quantiles = dict(zip(WIDTH_QUANTILE_LEVELS, map(float, q)))
+        width_max = float(pooled.max())
     else:
         quantiles = {lvl: float("nan") for lvl in WIDTH_QUANTILE_LEVELS}
         width_max = float("nan")
@@ -329,6 +342,20 @@ def aggregate(records: list[TrialRecord], eta_step: float | None = None,
     )
 
 
+def check_eta_grid(eta_grid) -> list[float]:
+    """The per-step eta grid as floats, checked to be nonempty with every
+    eta a finite positive number (not a bool): the one grid check of the
+    sweep and the `experiment` config."""
+    grid = list(eta_grid)
+    if not grid:
+        raise EmptyInput("eta_grid must be nonempty")
+    for eta in grid:
+        check_number("eta_grid entry", eta)
+    if not all(0 < e < math.inf for e in grid):
+        raise ValueError(f"eta_grid must be finite and positive, got {grid}")
+    return [float(e) for e in grid]
+
+
 def _block_task(args: tuple[ExperimentConfig, list, range]) -> list[list[TrialRecord]]:
     cfg, eta_grid, trials = args
     return _run_block(cfg, trials, eta_grid)
@@ -342,11 +369,7 @@ def eta_sweep(cfg: ExperimentConfig, eta_grid=DEFAULT_ETA_GRID,
     pool's map. The blocks come back in trial order, so neither the block
     size nor parallelism can change the records, which are regrouped by eta.
     Returns (eta, records in trial order, summary) rows in grid order."""
-    grid = [float(e) for e in eta_grid]
-    if not grid:
-        raise EmptyInput("eta grid must be nonempty")
-    if not all(0 < e < math.inf for e in grid):
-        raise ValueError(f"eta grid must be finite and positive, got {grid}")
+    grid = check_eta_grid(eta_grid)
     size = block_trials(cfg, grid)
     tasks = [(cfg, grid, range(start, min(start + size, cfg.trials)))
              for start in range(0, cfg.trials, size)]

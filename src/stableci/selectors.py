@@ -43,17 +43,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllCandidatesCollinear, NonConvergence
+from .errors import AllCandidatesCollinear, NonConvergence, check_number
 from .linmodel import DesignMatrix, ModelSet, as_response
 from .noise import NoisePolicy, RngStream, scale_forward_stepwise, scale_lasso, scale_screening
-from .stability import StabilityBudget, compose_adaptive_advanced
+from .stability import ZERO_BUDGET, StabilityBudget, compose_adaptive_advanced
 
 SUPPORT_THRESHOLD = 1e-12
 FS_COLLINEAR_TOL = 1e-10
 MAX_DEFAULT_FW_STEPS = 10_000
-
-# the certificate of a model chosen without looking at the noise
-_ZERO_BUDGET = StabilityBudget(0.0, 0.0, 0.0)
 
 # the knobs each method reads; SelectorSpec rejects the others
 _METHOD_KNOBS = {"fixed": ("fixed_model",), "screen": ("k",), "fs": ("k",),
@@ -101,9 +98,9 @@ class RunSelections:
 
 @dataclass(frozen=True)
 class SelectorSpec:
-    """Which selector to run and its non-noise parameters: the one selector
-    description shared by `select` and the experiment runner. A knob the
-    method does not read is rejected, not ignored."""
+    """Which selector to run and its non-noise parameters, shared by `select`
+    and the experiment runner. Each field's JSON type and range is checked,
+    and a knob the method does not read is rejected, not ignored."""
 
     method: str  # "fixed" | "screen" | "fs" | "lasso"
     k: int | None = None
@@ -113,26 +110,36 @@ class SelectorSpec:
     fixed_model: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.method not in _METHOD_KNOBS:
+        if not isinstance(self.method, str) or self.method not in _METHOD_KNOBS:
             raise ValueError(f"unknown selector method {self.method!r}")
+        for name, integer in (("k", True), ("c1", False), ("lam", False), ("steps", True)):
+            value = getattr(self, name)
+            if value is not None:
+                check_number(name, value, integer)
+                if not (0 < value < math.inf):
+                    want = ">= 1" if integer else "finite and positive"
+                    raise ValueError(f"{name} must be {want}, got {value}")
+        if not isinstance(self.fixed_model, (list, tuple)):
+            raise ValueError(f"fixed_model must be a list, got {self.fixed_model!r}")
+        for j in self.fixed_model:
+            check_number("fixed_model index", j, integer=True)
+            if j < 0:
+                raise ValueError(f"fixed_model index {j} is negative")
+        object.__setattr__(self, "fixed_model", tuple(self.fixed_model))
         for knob in ("k", "c1", "lam", "steps", "fixed_model"):
             if knob not in _METHOD_KNOBS[self.method] and getattr(self, knob) not in (None, ()):
                 raise ValueError(f"method {self.method!r} does not use {knob}; remove it")
-        if self.method in ("screen", "fs") and (self.k is None or self.k < 1):
+        if self.method in ("screen", "fs") and self.k is None:
             raise ValueError(f"method {self.method!r} needs k >= 1")
         if self.method == "lasso" and (self.c1 is None) == (self.lam is None):
             raise ValueError("lasso needs exactly one of c1 or lam")
-        for name, value in (("c1", self.c1), ("lam", self.lam)):
-            if value is not None and not (0 < value < math.inf):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.steps is not None and self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.method == "fixed" and len(self.fixed_model) == 0:
             raise ValueError("fixed method needs a nonempty fixed_model")
 
 
 # the spec of a one-run call, validated once per distinct set of knobs
-_spec = functools.lru_cache(maxsize=256)(SelectorSpec)
+# (typed, so that k=3.0 or k=True is not served the spec of k=3 or k=1)
+_spec = functools.lru_cache(maxsize=256, typed=True)(SelectorSpec)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -523,7 +530,7 @@ def select_runs(spec: SelectorSpec, designs: list[DesignMatrix], Y: np.ndarray,
     """
     if spec.method == "fixed":
         return [SelectionResult(ModelSet.from_unordered(spec.fixed_model), None, (),
-                                (_ZERO_BUDGET,))] * len(runs)
+                                (ZERO_BUDGET,))] * len(runs)
     etas = {eta for _, eta, _ in runs}
     for eta in etas:
         if eta is None or eta <= 0:
@@ -535,7 +542,7 @@ def select_runs(spec: SelectorSpec, designs: list[DesignMatrix], Y: np.ndarray,
     noisy = [r for r, (_, _, c1) in enumerate(runs) if c1 != 0.0]
     if len(noisy) < len(runs):
         # a LASSO radius of 0 admits only theta = 0: nothing to randomize
-        out = [SelectionResult(ModelSet(), np.zeros(designs[0].d), (), (_ZERO_BUDGET,),
+        out = [SelectionResult(ModelSet(), np.zeros(designs[0].d), (), (ZERO_BUDGET,),
                                c1=0.0)] * len(runs)
     if not noisy:
         return out

@@ -56,6 +56,10 @@ class StabilityBudget:
         return self.tau + self.nu
 
 
+# the certificate of a model chosen without looking at the noise
+ZERO_BUDGET = StabilityBudget(0.0, 0.0, 0.0)
+
+
 @dataclass(frozen=True)
 class LevelAllocation:
     """How a user-facing miscoverage alpha is split: quantile budget delta,
@@ -270,7 +274,7 @@ def alpha_split(alpha: float, weights: tuple[float, float, float] | None = None,
     if len(weights) != 3:
         raise BadWeights(f"need exactly 3 weights, got {len(weights)}")
     w = tuple(float(x) for x in weights)
-    if any(x < 0 for x in w):
+    if not all(x >= 0 for x in w):  # a NaN weight fails too
         raise BadWeights(f"weights must be nonnegative, got {w}")
     if w[0] <= 0:
         raise BadWeights("the delta weight must be positive")

@@ -39,7 +39,7 @@ def test_criterion_01_classical_recovery():
     cfg = ExperimentConfig(
         n=200, d=10, selector=SelectorSpec(method="fixed", fixed_model=(0, 1, 2)),
         trials=10_000, master_seed=101, alpha=0.1, alpha_weights=(1.0, 0.0, 0.0),
-        beta_spec=(5.0, 0.3))
+        signal=5.0, active_fraction=0.3)
     # a fixed model's records do not depend on eta
     [(_, records, _)] = eta_sweep(cfg, [1.0])
     mis = miscoverage(records)
@@ -62,7 +62,7 @@ def test_criterion_02_stable_selector_coverage():
     ]:
         step = eta_step_for_total(k, delta_sel, 1.0)
         cfg = ExperimentConfig(n=100, d=20, selector=spec, trials=2000,
-                               master_seed=202, alpha=0.1, beta_spec=(5.0, 0.15))
+                               master_seed=202, alpha=0.1, signal=5.0, active_fraction=0.15)
         [(_, records, _)] = eta_sweep(cfg, [step])
         results[label] = miscoverage(records)
     elapsed = time.time() - start
@@ -257,7 +257,7 @@ def test_criterion_08_zero_noise_limits():
 def test_criterion_09_trend_reproduction():
     grid = (0.5, 2.0, 5.0, 10.0)
     base = dict(n=200, d=50, trials=300, master_seed=303, alpha=0.1,
-                beta_spec=(5.0, 0.8))
+                signal=5.0, active_fraction=0.8)
     trends = {}
     for label, spec in [("screen", SelectorSpec(method="screen", k=5)),
                         ("fs", SelectorSpec(method="fs", k=5)),

@@ -7,10 +7,12 @@ are asserted without spawning shells.
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
-import jsonschema
 import numpy as np
 import pytest
 import scipy.stats
@@ -21,8 +23,8 @@ from hypothesis.extra.numpy import arrays
 from stableci import cli
 from stableci.cli import (CliParseError, load_config, main, read_matrix, read_selection,
                           read_vector, write_selection)
-from stableci.experiments import (ExperimentConfig, SelectorSpec, gen_synthetic, run_selector,
-                                  run_trial)
+from stableci.experiments import (DEFAULT_ETA_GRID, ExperimentConfig, SelectorSpec,
+                                  gen_synthetic, run_selector, run_trial)
 from stableci.linmodel import DesignMatrix
 from stableci.noise import RngStream
 from stableci.selectors import lambda_to_c1
@@ -537,7 +539,7 @@ def test_ci_and_fixed_model_trial_share_one_inference_path(tmp_path, method, sig
                      "lasso": (SelectorSpec(method="lasso", lam=0.5, steps=20), 0.5),
                      "lasso-c1": (SelectorSpec(method="lasso", c1=2.0), 0.5)}[method]
         cfg = ExperimentConfig(n=100, d=20, selector=spec, trials=3, master_seed=8,
-                               beta_spec=(5.0, 0.15), alpha=0.1, sigma_mode=sigma_mode)
+                               signal=5.0, active_fraction=0.15, alpha=0.1, sigma_mode=sigma_mode)
         alloc = alpha_split(cfg.alpha)
         delta = (alloc.tau + alloc.nu) / 2.0
     for t in range(cfg.trials):
@@ -684,18 +686,6 @@ def test_experiment_workers_env(tmp_path, monkeypatch):
     assert manifest["parameters"]["workers"] == 2
 
 
-def test_experiment_schema_violations(tmp_path):
-    rc, _ = run_experiment(tmp_path, "bad1", experiment_config(unknown_key=1))
-    assert rc == 2
-    cfg = experiment_config()
-    del cfg["trials"]
-    rc, _ = run_experiment(tmp_path, "bad2", cfg)
-    assert rc == 2
-    rc, _ = run_experiment(tmp_path, "bad3",
-                           experiment_config(selector={"method": "svm"}))
-    assert rc == 2
-
-
 @pytest.mark.parametrize("overrides, knob", [
     ({"selector": {"method": "lasso", "c1": math.inf, "steps": 5}}, "c1"),
     ({"sigma": math.inf}, "sigma"),
@@ -742,19 +732,126 @@ def test_select_rejects_a_knob_its_method_ignores(data, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_load_config_checks_no_schema(tmp_path, monkeypatch):
-    # the validator is built once; a call only validates the instance
-    def refuse(*args, **kwargs):
-        raise AssertionError("load_config checked the schema again")
-    validator = jsonschema.validators.validator_for(cli._CONFIG_SCHEMA)
-    monkeypatch.setattr(validator, "check_schema", classmethod(refuse))
+def without(key, selector=False):
+    """experiment_config() less one top-level or selector key."""
+    cfg = experiment_config()
+    del (cfg["selector"] if selector else cfg)[key]
+    return cfg
+
+
+def assert_rejected_up_front(tmp_path, capsys, cfg, key):
+    # exit 2, the key named, and not even the output directory made
+    rc, out = run_experiment(tmp_path, "cfg", cfg)
+    assert rc == 2
+    err = capsys.readouterr().err.replace(str(tmp_path), "")
+    assert key is None or re.search(rf"(?<!\w){key}(?!\w)", err), err
+    assert not out.exists()
+
+
+_SCREEN = {"method": "screen", "k": 3}
+_LASSO = {"method": "lasso", "c1": 1.0}
+
+# one bad config per rule of the JSON schema that configs were once checked
+# against: (config, the key the error must name)
+CONFIG_RULES = {
+    "not-an-object": ([experiment_config()], None),
+    "n-type": (experiment_config(n="60"), "n"),
+    "n-range": (experiment_config(n=0), "n"),
+    "d-type": (experiment_config(d=[12]), "d"),
+    "d-range": (experiment_config(d=0), "d"),
+    "trials-type": (experiment_config(trials=True), "trials"),
+    "trials-range": (experiment_config(trials=0), "trials"),
+    "master_seed-type": (experiment_config(master_seed=3.5), "master_seed"),
+    "master_seed-range": (experiment_config(master_seed=-1), "master_seed"),
+    "signal-type": (experiment_config(signal="5"), "signal"),
+    "active_fraction-type": (experiment_config(active_fraction=None), "active_fraction"),
+    "active_fraction-range": (experiment_config(active_fraction=1.5), "active_fraction"),
+    "sigma-type": (experiment_config(sigma=False), "sigma"),
+    "sigma-range": (experiment_config(sigma=0), "sigma"),
+    "alpha-type": (experiment_config(alpha="0.1"), "alpha"),
+    "alpha-range": (experiment_config(alpha=1), "alpha"),
+    "regenerate_x_per_trial-type": (experiment_config(regenerate_x_per_trial=1),
+                                    "regenerate_x_per_trial"),
+    "sigma_mode-enum": (experiment_config(sigma_mode="plugin"), "sigma_mode"),
+    "eta_grid-type": (experiment_config(eta_grid=1.0), "eta_grid"),
+    "eta_grid-empty": (experiment_config(eta_grid=[]), "eta_grid"),
+    "eta_grid-item-type": (experiment_config(eta_grid=["1.0"]), "eta_grid"),
+    "eta_grid-item-range": (experiment_config(eta_grid=[1.0, 0]), "eta_grid"),
+    "alpha_weights-type": (experiment_config(alpha_weights="thirds"), "alpha_weights"),
+    "alpha_weights-length": (experiment_config(alpha_weights=[0.5, 0.5]), "alpha_weights"),
+    "alpha_weights-item-type": (experiment_config(alpha_weights=[1.0, 0, "0"]),
+                                "alpha_weights"),
+    "alpha_weights-item-range": (experiment_config(alpha_weights=[1.2, -0.1, -0.1]),
+                                 "alpha_weights"),
+    **{f"{key}-required": (without(key), key)
+       for key in ("n", "d", "trials", "master_seed", "selector")},
+    "unknown-key": (experiment_config(unknown_key=1), "unknown_key"),
+    "selector-type": (experiment_config(selector="screen"), "selector"),
+    "method-required": (without("method", selector=True), "method"),
+    "selector-unknown-key": (experiment_config(selector={**_SCREEN, "seed": 1}), "seed"),
+    "method-enum": (experiment_config(selector={"method": "svm"}), "method"),
+    "k-type": (experiment_config(selector={**_SCREEN, "k": "3"}), "k"),
+    "k-range": (experiment_config(selector={**_SCREEN, "k": 0}), "k"),
+    # null is no value of a selector key, not even of one the method leaves unset
+    "steps-null": (experiment_config(selector={**_SCREEN, "steps": None}), "steps"),
+    "c1-type": (experiment_config(selector={**_LASSO, "c1": "1"}), "c1"),
+    "c1-range": (experiment_config(selector={**_LASSO, "c1": 0}), "c1"),
+    "lam-type": (experiment_config(selector={"method": "lasso", "lam": [0.5]}), "lam"),
+    "lam-range": (experiment_config(selector={"method": "lasso", "lam": -0.5}), "lam"),
+    "steps-type": (experiment_config(selector={**_LASSO, "steps": "20"}), "steps"),
+    "steps-range": (experiment_config(selector={**_LASSO, "steps": 0}), "steps"),
+    "fixed_model-type": (experiment_config(selector={"method": "fixed", "fixed_model": 0}),
+                         "fixed_model"),
+    "fixed_model-item-type": (experiment_config(selector={"method": "fixed",
+                                                          "fixed_model": ["0"]}),
+                              "fixed_model"),
+    "fixed_model-item-range": (experiment_config(selector={"method": "fixed",
+                                                           "fixed_model": [-1]}),
+                               "fixed_model"),
+}
+
+
+@pytest.mark.parametrize("rule", CONFIG_RULES)
+def test_experiment_rejects_each_config_rule_up_front(tmp_path, capsys, rule):
+    cfg, key = CONFIG_RULES[rule]
+    assert_rejected_up_front(tmp_path, capsys, cfg, key)
+
+
+@pytest.mark.parametrize("cfg, key", [
+    # a float for an integer: once a TypeError traceback, or a silent truncation
+    (experiment_config(n=50.0), "n"),
+    (experiment_config(trials=2.0), "trials"),
+    (experiment_config(selector={**_SCREEN, "k": 2.0}), "k"),
+    (experiment_config(selector={"method": "fixed", "fixed_model": [0, 1.0]}), "fixed_model"),
+    # once rejected only after the output directory was made
+    (experiment_config(master_seed=2 ** 64), "master_seed"),
+    (experiment_config(alpha_weights=[0.5, 0.5, 0.5]), "alpha_weights"),
+    (experiment_config(alpha_weights=[math.nan, 0.5, 0.5]), "alpha_weights"),
+    (experiment_config(eta_grid=[math.nan]), "eta_grid"),
+], ids=["n-float", "trials-float", "k-float", "fixed_model-float", "master_seed-2**64",
+        "alpha_weights-sum", "alpha_weights-nan", "eta_grid-nan"])
+def test_experiment_rejects_up_front_what_once_got_through(tmp_path, capsys, cfg, key):
+    assert_rejected_up_front(tmp_path, capsys, cfg, key)
+
+
+def test_load_config_keys_are_the_fields(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(experiment_config()))
-    assert load_config(str(path))[1] == [1.0, 5.0]
-    path.write_text(json.dumps(experiment_config(trials=0)))
-    with pytest.raises(CliParseError, match=r"cfg.json: 0 is less than the minimum of 1 "
-                                            r"\(at trials\)$"):
-        load_config(str(path))
+    path.write_text(json.dumps(experiment_config(
+        selector={"method": "fixed", "fixed_model": [0, 2]}, alpha_weights=[1.0, 0, 0])))
+    cfg, grid = load_config(str(path))
+    assert grid == [1.0, 5.0]
+    assert (cfg.n, cfg.d, cfg.trials, cfg.master_seed, cfg.signal, cfg.active_fraction) == \
+        (60, 12, 5, 3, 5.0, 0.25)
+    assert cfg.selector.fixed_model == (0, 2) and cfg.alpha_weights == (1.0, 0, 0)
+    path.write_text(json.dumps(without("eta_grid")))
+    assert load_config(str(path))[1] == list(DEFAULT_ETA_GRID)
+
+
+def test_cli_imports_without_jsonschema():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys; sys.modules['jsonschema'] = None; import stableci.cli"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_experiment_all_flagged_names_reasons(tmp_path, capsys):

@@ -22,7 +22,7 @@ from stableci.experiments import (DEFAULT_ETA_GRID, ExperimentConfig,
                                   run_trial)
 from stableci.linmodel import DesignMatrix, ModelSet
 from stableci.noise import RngStream
-from stableci.selectors import SelectionResult, lambda_to_c1, select_runs
+from stableci.selectors import SelectionResult, lambda_to_c1, select_runs, stable_screening
 from stableci.stability import StabilityBudget
 
 from oracles import eta_major_sweep, score_model, screening_exact
@@ -31,7 +31,7 @@ from oracles import eta_major_sweep, score_model, screening_exact
 def fixed_cfg(**kw):
     base = dict(n=200, d=10, selector=SelectorSpec(method="fixed", fixed_model=(0, 1, 2)),
                 trials=4, master_seed=101, alpha=0.1, alpha_weights=(1.0, 0.0, 0.0),
-                beta_spec=(5.0, 0.3))
+                signal=5.0, active_fraction=0.3)
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -98,11 +98,60 @@ def test_selector_spec_rejects_nonfinite_radius(knob, value):
 
 @pytest.mark.parametrize("kw, name", [({"sigma": math.inf}, "sigma"),
                                       ({"sigma": math.nan}, "sigma"),
-                                      ({"beta_spec": (math.nan, 0.3)}, "signal"),
-                                      ({"beta_spec": (math.inf, 0.3)}, "signal")])
+                                      ({"signal": math.nan}, "signal"),
+                                      ({"signal": math.inf}, "signal")])
 def test_experiment_config_rejects_nonfinite(kw, name):
     with pytest.raises(ValueError, match=name):
         fixed_cfg(**kw)
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"n": 3.5}, "n must be an integer, got 3.5"),
+    ({"trials": 2.0}, "trials must be an integer, got 2.0"),
+    ({"d": True}, "d must be an integer, got True"),
+    ({"master_seed": 2 ** 64}, "master_seed must be below 2"),
+    ({"master_seed": -1}, "master_seed must be >= 0"),
+    ({"sigma": True}, "sigma must be a number, got True"),
+    ({"signal": "5"}, "signal must be a number"),
+    ({"regenerate_x_per_trial": 1}, "regenerate_x_per_trial must be a bool"),
+    ({"alpha_weights": (0.5, 0.5, 0.5)}, "alpha_weights .*sum to 1"),
+    ({"alpha_weights": (math.nan, 0.5, 0.5)}, "alpha_weights .*nonnegative"),
+    ({"alpha_weights": (1.0, 0.0, False)}, "alpha_weights entry must be a number"),
+])
+def test_experiment_config_names_the_bad_field(kw, message):
+    with pytest.raises(ValueError, match=message):
+        fixed_cfg(**kw)
+
+
+@pytest.mark.parametrize("spec, message", [
+    (dict(method="screen", k=True), "k must be an integer, got True"),
+    (dict(method="fs", k=2.0), "k must be an integer, got 2.0"),
+    (dict(method="lasso", c1=True), "c1 must be a number, got True"),
+    (dict(method="lasso", c1=1.0, steps=20.0), "steps must be an integer"),
+    (dict(method="fixed", fixed_model=(0, 1.0)), "fixed_model index must be an integer"),
+    (dict(method="fixed", fixed_model=(0, -1)), "fixed_model index -1 is negative"),
+    (dict(method="fixed", fixed_model=0), "fixed_model must be a list"),
+    (dict(method=["screen"], k=3), "unknown selector method"),
+])
+def test_selector_spec_names_the_bad_field(spec, message):
+    with pytest.raises(ValueError, match=message):
+        SelectorSpec(**spec)
+
+
+def test_config_lists_are_kept_as_tuples():
+    spec = SelectorSpec(method="fixed", fixed_model=[0, 2])
+    cfg = fixed_cfg(selector=spec, alpha_weights=[1.0, 0.0, 0.0])
+    assert spec.fixed_model == (0, 2) and cfg.alpha_weights == (1.0, 0.0, 0.0)
+    assert hash(cfg) == hash(fixed_cfg(selector=SelectorSpec(method="fixed",
+                                                             fixed_model=(0, 2))))
+
+
+def test_one_run_specs_are_cached_by_type():
+    X = DesignMatrix(np.eye(4))
+    y = np.arange(4.0)
+    stable_screening(X, y, 1, 0.05, 1.0, 1.0, rng=RngStream(0))
+    with pytest.raises(ValueError, match="k must be an integer, got True"):
+        stable_screening(X, y, True, 0.05, 1.0, 1.0, rng=RngStream(0))
 
 
 def test_experiment_config_validation():
@@ -111,7 +160,7 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError):
         fixed_cfg(alpha=1.0)
     with pytest.raises(ValueError):
-        fixed_cfg(beta_spec=(5.0, 1.2))
+        fixed_cfg(signal=5.0, active_fraction=1.2)
     with pytest.raises(ValueError):
         fixed_cfg(sigma=0.0)
     with pytest.raises(ValueError):
@@ -142,7 +191,7 @@ def test_gen_synthetic_shared_design():
 
 
 def test_gen_synthetic_beta_layout():
-    cfg = fixed_cfg(n=1000, d=500, beta_spec=(5.0, 0.8))
+    cfg = fixed_cfg(n=1000, d=500, signal=5.0, active_fraction=0.8)
     X, beta, mu, y = gen_synthetic(cfg, 0)
     assert (beta == 5.0).sum() == 400
     assert np.all(beta[:400] == 5.0) and np.all(beta[400:] == 0.0)
@@ -152,7 +201,7 @@ def test_gen_synthetic_beta_layout():
 
 
 def test_gen_synthetic_null_signal():
-    cfg = fixed_cfg(beta_spec=(5.0, 0.0))
+    cfg = fixed_cfg(signal=5.0, active_fraction=0.0)
     _, beta, mu, y = gen_synthetic(cfg, 0)
     assert np.all(beta == 0.0) and np.all(mu == 0.0)
 
@@ -209,7 +258,7 @@ def test_run_trial_noisy_needs_eta():
 
 def test_run_trial_null_beta_gives_unit_fdr():
     cfg = fixed_cfg(n=100, d=20, selector=SelectorSpec(method="screen", k=3),
-                    alpha_weights=None, beta_spec=(5.0, 0.0))
+                    alpha_weights=None, signal=5.0, active_fraction=0.0)
     rec = run_trial(cfg, 0, [1.0])[0]
     assert len(rec.model) == 3 and rec.fdr == 1.0
 
@@ -236,7 +285,7 @@ def test_run_trial_estimated_sigma_widens():
 def test_run_trial_screening_matches_exact_at_large_eta():
     cfg = ExperimentConfig(n=100, d=20, selector=SelectorSpec(method="screen", k=3),
                            trials=400, master_seed=505, alpha=0.1,
-                           beta_spec=(20.0, 0.15))
+                           signal=20.0, active_fraction=0.15)
     agree = 0
     for t in range(cfg.trials):
         X, _, _, y = gen_synthetic(cfg, t)
@@ -262,7 +311,7 @@ def test_select_runs_matches_one_run_selections():
     """A block mixing a zero-radius LASSO trial with noisy ones, and a
     forward stepwise block where one trial's runs fail alone, give each run
     the result run_selector gives it alone, trace aside."""
-    cfg = fixed_cfg(n=30, d=8, beta_spec=(3.0, 0.25))
+    cfg = fixed_cfg(n=30, d=8, signal=3.0, active_fraction=0.25)
     data = [(X, y) for X, _, _, y in (gen_synthetic(cfg, t) for t in range(3))]
     data[1] = (data[1][0], np.zeros(cfg.n))  # lam zeroes every coordinate
     rank3 = np.random.default_rng(4).standard_normal((cfg.n, 3)) @ data[2][0].entries[:3]
@@ -309,7 +358,7 @@ def test_run_trial_flags_degenerate_level():
     # default LASSO steps grow with eta: at eta_step 4 the certified eta
     # leaves no level for any certificate
     cfg = fixed_cfg(n=100, d=20, selector=SelectorSpec(method="lasso", lam=0.5),
-                    alpha_weights=None, beta_spec=(5.0, 0.15))
+                    alpha_weights=None, signal=5.0, active_fraction=0.15)
     assert run_trial(cfg, 0, [4.0])[0].flagged.startswith("degenerate_level: ")
     assert run_trial(cfg, 0, [0.5])[0].flagged is None
 
@@ -390,7 +439,7 @@ def test_data_split_selects_on_first_half_only():
 def test_data_split_width_inflation():
     # half the rows under entries ~ N(0,1)/sqrt(n): stderr grows ~ sqrt(2)
     cfg = fixed_cfg(n=400, d=5, selector=SelectorSpec(method="fixed", fixed_model=(0, 1, 2)),
-                    beta_spec=(2.0, 0.4), master_seed=606)
+                    signal=2.0, active_fraction=0.4, master_seed=606)
     ratios = []
     for t in range(40):
         full = run_trial(cfg, t, [None])[0]
@@ -488,7 +537,7 @@ def test_eta_sweep_accepts_custom_map():
 
 def test_eta_sweep_k_monotone():
     cfg = ExperimentConfig(n=60, d=12, selector=SelectorSpec(method="screen", k=3),
-                           trials=6, master_seed=9, alpha=0.1, beta_spec=(5.0, 0.25))
+                           trials=6, master_seed=9, alpha=0.1, signal=5.0, active_fraction=0.25)
     rows = eta_sweep(cfg, eta_grid=(0.5, 2.0, 5.0))
     assert [eta for eta, _, _ in rows] == [0.5, 2.0, 5.0]
     ks = [summary.mean_K for _, _, summary in rows]
@@ -499,7 +548,7 @@ def test_eta_sweep_k_monotone():
 
 def test_eta_sweep_trials_coupled_across_grid():
     cfg = ExperimentConfig(n=60, d=12, selector=SelectorSpec(method="screen", k=3),
-                           trials=3, master_seed=9, alpha=0.1, beta_spec=(5.0, 0.25))
+                           trials=3, master_seed=9, alpha=0.1, signal=5.0, active_fraction=0.25)
     rows = eta_sweep(cfg, eta_grid=(1.0, 4.0))
     # same trial index sees the same data at every eta
     for t in range(3):
@@ -528,7 +577,7 @@ def test_eta_sweep_rejects_nonfinite_grid(bad):
 
 def sweep_cfg(selector, **kw):
     base = dict(n=60, d=12, selector=selector, trials=5, master_seed=21, alpha=0.1,
-                beta_spec=(5.0, 0.25))
+                signal=5.0, active_fraction=0.25)
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -555,7 +604,7 @@ ENGINE_CASES = {
                                      sigma_mode="estimate"), (0.25, 0.5, 1.0)),
     # at eta_step 4 the default step count leaves no level: flagged records
     "flagged": (sweep_cfg(SelectorSpec(method="lasso", lam=0.5), n=100, d=20, trials=3,
-                          beta_spec=(5.0, 0.15), sigma_mode="estimate"), (0.5, 4.0)),
+                          signal=5.0, active_fraction=0.15, sigma_mode="estimate"), (0.5, 4.0)),
     # n < k: every run runs out of candidates at step n + 1
     "fs-n<k": (sweep_cfg(SelectorSpec(method="fs", k=5), n=4, d=10), (0.5, 2.0)),
     "screen-d>n": (sweep_cfg(SelectorSpec(method="screen", k=3), n=10, d=30), (0.5, 4.0)),
@@ -628,7 +677,7 @@ def test_lasso_sweep_holds_one_steps_draws_at_a_time():
     # would take 32 MB
     cfg = ExperimentConfig(n=100, d=1000, selector=SelectorSpec(method="lasso", c1=20.0,
                                                                 steps=2000),
-                           trials=2, master_seed=8, beta_spec=(5.0, 0.01))
+                           trials=2, master_seed=8, signal=5.0, active_fraction=0.01)
     tracemalloc.start()
     try:
         rows = eta_sweep(cfg, (0.0005, 0.001))

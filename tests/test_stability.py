@@ -138,7 +138,8 @@ def test_alpha_split_weights():
 
 
 @pytest.mark.parametrize("w", [(0.0, 0.5, 0.5), (-0.2, 0.6, 0.6),
-                               (0.5, 0.5, 0.5), (0.5, 0.5), (1.0, 0.0, 0.0, 0.0)])
+                               (0.5, 0.5, 0.5), (0.5, 0.5), (1.0, 0.0, 0.0, 0.0),
+                               (math.nan, 0.5, 0.5)])
 def test_alpha_split_bad_weights(w):
     with pytest.raises(BadWeights):
         alpha_split(0.1, w)
