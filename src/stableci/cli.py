@@ -233,6 +233,8 @@ def read_selection(path: str) -> tuple[ModelSet, list[StabilityBudget], dict]:
 
 def cmd_select(args) -> int:
     started = time.time()
+    if not 0 <= args.seed < 2 ** 64:
+        raise CliParseError(f"--seed must be in [0, 2**64), got {args.seed}")
     spec = SelectorSpec(method=args.method, k=args.k, c1=args.c1, lam=args.lam,
                         steps=args.steps)
     X = DesignMatrix(read_matrix(args.x))
@@ -261,6 +263,16 @@ def cmd_select(args) -> int:
 
 # ---------------------------------------------------------------------------
 # ci
+
+def _parse_number(name: str, text: str, kind=int):
+    """text as an int (or a float), or CliParseError naming the flag or
+    variable name it came from."""
+    try:
+        return kind(text)
+    except ValueError:
+        want = "an integer" if kind is int else "a number"
+        raise CliParseError(f"{name} needs {want}, got {text!r}") from None
+
 
 def _parse_sigma(text: str) -> float | None:
     """--sigma accepts 'estimate' (returned as None), 'known:VALUE', or a bare number."""
@@ -300,7 +312,8 @@ def cmd_ci(args) -> int:
             raise DimensionMismatch(f"{args.selection} was selected on a {shape[0]}x{shape[1]} "
                                     f"design, but --x is {X.n}x{X.d}")
     else:
-        indices = [int(p) for p in args.model.split(",")] if args.model.strip() else []
+        indices = ([_parse_number("--model", p) for p in args.model.split(",")]
+                   if args.model.strip() else [])
         model = ModelSet.from_unordered(indices)
         budgets = [ZERO_BUDGET]
     weights = _parse_weights(args.weights) if args.weights is not None else None
@@ -370,7 +383,7 @@ def cmd_experiment(args) -> int:
     cfg, grid = load_config(args.config)
     workers = args.workers
     if workers is None:
-        workers = int(os.environ.get("STABLECI_WORKERS", "1"))
+        workers = _parse_number("STABLECI_WORKERS", os.environ.get("STABLECI_WORKERS", "1"))
     if workers < 1:
         raise CliParseError(f"workers must be >= 1, got {workers}")
     os.makedirs(args.out_dir, exist_ok=True)
@@ -444,7 +457,8 @@ def cmd_budget(args) -> int:
               f"(k={args.k}, eta_step={args.eta_step!r}, delta={args.delta!r})")
         printed = True
     if args.sparse is not None:
-        d, s, tau = int(args.sparse[0]), int(args.sparse[1]), float(args.sparse[2])
+        d, s = (_parse_number("--sparse", text) for text in args.sparse[:2])
+        tau = _parse_number("--sparse", args.sparse[2], float)
         eta = sparse_selection_eta(d, s, tau)
         print(f"sparse eta={eta!r} (d={d}, s={s}, tau={tau!r})")
         printed = True

@@ -18,7 +18,8 @@ argmax.
   selected index removed from the residual candidate set.
 - Forward stepwise: k rounds of noisy argmax over residual-normalized
   absolute correlations, with numerically collinear candidates excluded
-  before noise. A run left without candidates fails alone.
+  before noise: a run's candidates are a mask over all d columns. A run
+  left without candidates fails alone.
 
 Noise: run r's step-t perturbation is scales[r] times the first m draws
 of its trial's step-t stream, where m is its candidate count. Each
@@ -28,8 +29,8 @@ time. Since a Laplace draw is its scale times a standard draw made from
 one uniform, and the first m uniforms of a stream are the same however
 many are drawn, every run sees exactly the draws a fresh stream at its
 path gives. Every per-run product (scores, norms, updates) is a separate
-BLAS call or an elementwise operation on a matrix laid out as in a one-run
-block, so a run's result does not depend on the block it ran in.
+BLAS call, einsum or elementwise operation on that run's own slice of a
+stacked array, so a run's result does not depend on the block it ran in.
 
 Every noisy run certifies the same two composed stability budgets,
 returned on the SelectionResult for the interval stage to choose from.
@@ -404,12 +405,15 @@ def fs_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.ndarra
             trace: bool = False) -> RunSelections:
     """k rounds of noisy argmax over residual-normalized correlations per
     run, with the columns of its trial's design residualized incrementally
-    against the selected ones and numerically collinear candidates excluded
-    before noise. A run left without candidates fails with
-    AllCandidatesCollinear and leaves the block; the others go on.
+    against the selected ones. A run's candidates are a mask over all d
+    columns: those not yet picked whose residual norm is above
+    FS_COLLINEAR_TOL times their own norm. A run left without candidates
+    fails with AllCandidatesCollinear and leaves the block; the others go
+    on.
 
-    Each run's scores are one gemv over exactly its kept candidates' rows
-    of the transposed residual matrix, as a one-run block computes them.
+    Each step scores every column of every run with one batched product
+    y_res . R; draw i of a run's step row goes to its i-th candidate in
+    ascending column order, and a column outside the mask never wins.
     """
     n, d = designs[0].n, designs[0].d
     if not (1 <= k <= d):
@@ -420,77 +424,51 @@ def fs_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.ndarra
     for r, b in enumerate(trial.tolist()):
         R[r] = designs[b].entries
     y_res = Y[trial]  # a copy
-    # each run's candidates and their column norms, ascending; a pick leaves both
-    cand = np.arange(d)[None].repeat(runs, axis=0)
-    cand_norms = np.array([X.col_norms for X in designs])[trial]
+    floor = FS_COLLINEAR_TOL * np.array([X.col_norms for X in designs])[trial]
+    picked = np.zeros((runs, d), dtype=bool)
     ids = np.arange(runs)  # block run of each state row
     picks = np.full((runs, k), -1, dtype=np.int64)
     failed: dict[int, Exception] = {}
     traced = []
     for t in range(1, k + 1):
-        m = d - t + 1
-        at = np.arange(len(ids))
-        # rows are the candidates' residual columns, laid out as R[:, cand].T
-        RT = R[at[:, None], :, cand]
-        norms = np.linalg.norm(RT, axis=2)
-        keep = norms > FS_COLLINEAR_TOL * cand_norms
-        kept = keep.sum(axis=1)
+        # einsum sums each column in row order wherever it sits, so copies
+        # of a column tie exactly; a gemv rounds its tail columns differently
+        norms = np.sqrt(np.einsum("rij,rij->rj", R, R))
+        live = (norms > floor) & ~picked
+        kept = live.sum(axis=1)
         if not kept.all():
             for r in np.nonzero(kept == 0)[0]:
                 failed[int(ids[r])] = AllCandidatesCollinear(
                     f"step {t}: every remaining candidate is numerically in the span "
                     f"of the {t - 1} selected columns")
             go = kept > 0
-            R, y_res, cand, cand_norms, ids = R[go], y_res[go], cand[go], cand_norms[go], ids[go]
-            RT, norms, keep, kept = RT[go], norms[go], keep[go], kept[go]
+            R, y_res, floor, picked, ids = R[go], y_res[go], floor[go], picked[go], ids[go]
+            norms, live, kept = norms[go], live[go], kept[go]
             if not len(ids):
                 break
-            at = np.arange(len(ids))
+        at = np.arange(len(ids))
         sizes = [0] * len(streams)
         for b, size in zip(trial[ids].tolist(), kept.tolist()):
             sizes[b] = max(sizes[b], size)
         xi = scales[ids, None] * _step_draws(streams, t, sizes, trial[ids])
-        pos = np.empty(len(ids), dtype=np.int64)  # the pick's place in cand
-        # runs that keep every candidate: one stacked gemv per run
-        full = kept == m
-        if full.all():
-            rows, sub, y_sub, norms_sub, xi_sub = at, RT, y_res, norms, xi
-        else:
-            rows = np.nonzero(full)[0]
-            sub, y_sub, norms_sub, xi_sub = RT[rows], y_res[rows], norms[rows], xi[rows, :m]
-        if len(rows):
-            signed = np.matmul(sub, y_sub[:, :, None])[:, :, 0] / norms_sub
-            noisy = np.abs(signed + xi_sub)
-            pos[rows] = noisy.argmax(axis=1)
-        # the others: a gemv over exactly their kept candidates
-        for r in np.nonzero(~full)[0]:
-            c = np.nonzero(keep[r])[0]
-            signed_r = (RT[r][c] @ y_res[r]) / norms[r][c]
-            noisy_r = np.abs(signed_r + xi[r, :len(c)])
-            pos[r] = c[int(np.argmax(noisy_r))]
+        signed = np.divide(np.einsum("rij,ri->rj", R, y_res), norms,
+                           out=np.zeros_like(norms), where=live)
+        noisy = signed.copy()
+        noisy[live] += xi[np.arange(xi.shape[1]) < kept[:, None]]
+        noisy = np.where(live, np.abs(noisy), -1.0)  # a dead column is below every |score|
+        chosen = noisy.argmax(axis=1)
         if trace:
-            if full[0]:
-                signed_r, noisy_r, jr = signed[0], noisy[0], int(pos[0])
-            else:
-                jr = int(np.argmax(noisy_r))
-            abs_exact = np.abs(signed_r)
-            traced.append(TraceStep(step=t, chosen=int(cand[0, pos[0]]),
-                                    exact_score=float(abs_exact[jr]),
-                                    noisy_score=float(noisy_r[jr]),
-                                    best_exact=float(abs_exact.max())))
-        RT = sub = None  # free the gather before the n x d update
-        chosen = cand[at, pos]
+            j, exact = int(chosen[0]), np.abs(signed[0])
+            traced.append(TraceStep(step=t, chosen=j, exact_score=float(exact[j]),
+                                    noisy_score=float(noisy[0, j]),
+                                    best_exact=float(exact[live[0]].max())))
         picks[ids, t - 1] = chosen
+        picked[at, chosen] = True
         # fold the winner into the basis; residualize everything once
         w = R[at, :, chosen]
         q = w / np.sqrt(np.matmul(w[:, None, :], w[:, :, None])[:, 0])
         R -= q[:, :, None] * np.matmul(q[:, None, :], R)
         y_res -= q * np.matmul(q[:, None, :], y_res[:, :, None])[:, 0]
-        if t < k:
-            rest = np.ones((len(ids), m), dtype=bool)
-            rest[at, pos] = False
-            cand = cand[rest].reshape(len(ids), m - 1)
-            cand_norms = cand_norms[rest].reshape(len(ids), m - 1)
     return RunSelections(picks=picks, theta=None, failed=failed, trace=tuple(traced))
 
 

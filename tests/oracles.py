@@ -56,7 +56,9 @@ def fs_exact(X: DesignMatrix, y, k: int) -> ModelSet:
         cand = cand_all[keep]
         if cand.size == 0:
             raise AllCandidatesCollinear(f"step {t}: no independent candidate")
-        scores = np.abs((R[:, cand].T @ y_res) / norms[keep])
+        # one dot per candidate: a gemv over all of them rounds its tail
+        # columns differently, which can split an exact tie
+        scores = np.abs(np.array([R[:, j] @ y_res for j in cand]) / norms[keep])
         i_t = int(cand[int(np.argmax(scores))])
         q = R[:, i_t] / np.linalg.norm(R[:, i_t])
         R -= np.outer(q, q @ R)

@@ -622,6 +622,33 @@ def test_budget_usage_errors():
     assert main(["budget", "--k", "5"]) == 2
 
 
+@pytest.mark.parametrize("argv, workers, name, text", [
+    (["ci", "--model", "0,a"], None, "--model", "'a'"),
+    (["ci", "--model", "0,,1"], None, "--model", "''"),
+    (["budget", "--sparse", "5", "x", "0.1"], None, "--sparse", "'x'"),
+    (["budget", "--sparse", "5", "2", "y"], None, "--sparse", "'y'"),
+    (["experiment"], "two", "STABLECI_WORKERS", "'two'"),
+    (["select", "--method", "screen", "--k", "2", "--eta", "1", "--seed", "-1"], None,
+     "--seed", "-1"),
+    (["select", "--method", "screen", "--k", "2", "--eta", "1", "--seed", str(2 ** 64)], None,
+     "--seed", str(2 ** 64)),
+], ids=["model-letter", "model-empty", "sparse-int", "sparse-float", "workers-env",
+        "seed-negative", "seed-2**64"])
+def test_a_bad_number_names_its_flag(data, monkeypatch, capsys, argv, workers, name, text):
+    out = data["dir"] / "out"
+    if argv[0] in ("ci", "select"):
+        argv = [*argv, "--x", data["x"], "--y", data["y"], "--out", str(out)]
+    elif argv[0] == "experiment":
+        cfg = data["dir"] / "cfg.json"
+        cfg.write_text(json.dumps(experiment_config()))
+        argv = [*argv, "--config", str(cfg), "--out-dir", str(out)]
+        monkeypatch.setenv("STABLECI_WORKERS", workers)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert name in err and text in err, err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # experiment
 

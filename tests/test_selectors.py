@@ -403,6 +403,22 @@ def test_fs_identity_order():
     assert fs_exact(X, [2.0, 1.0], 2).indices == (0, 1)
 
 
+def test_fs_zero_noise_breaks_an_exact_tie_by_lowest_index():
+    # column 18 is -column 1, so after the first pick their residuals are
+    # exact negatives and their scores tie exactly: column 1 must win
+    n, d = 60, 20
+    gen = np.random.default_rng(7)
+    A = gen.standard_normal((n, d)) / math.sqrt(n)
+    A[:, 18] = -A[:, 1]
+    y = A @ np.repeat([2.0, 0.0], [6, d - 6]) + gen.standard_normal(n)
+    order = zero_noise_fs_order(DesignMatrix(A), y, 2)
+    q = A[:, order[0]] / np.linalg.norm(A[:, order[0]])
+    R = A - np.outer(q, q @ A)
+    assert np.array_equal(R[:, 1], -R[:, 18])
+    assert order == [5, 1]
+    assert fs_exact(DesignMatrix(A), y, 2).indices == (1, 5)
+
+
 def test_fs_orthonormal_matches_screening():
     gen = np.random.default_rng(12)
     Q, _ = np.linalg.qr(gen.standard_normal((20, 6)))
@@ -516,24 +532,81 @@ def test_screen_runs_match_the_scalar_selector_run_by_run():
 def test_fs_runs_fail_alone_and_match_the_scalar_selector():
     gen = np.random.default_rng(4)
     a, b = gen.standard_normal((6, 2)).T
-    # trial 0: three copies of one column, so step 2 keeps one candidate
-    # and step 3 none; trial 1 is a generic design
-    X = [DesignMatrix(np.column_stack([a, 2 * a, -a, b])),
-         DesignMatrix(gen.standard_normal((6, 4)))]
+    G = gen.standard_normal((6, 4))
     Y = gen.standard_normal((2, 6))
-    trial, eta, streams = block_of(X)
-    scales = np.array([scale_forward_stepwise(4, 3, NoisePolicy(SIGMA, DELTA, e)) for e in eta])
-    block = fs_runs(X, Y, 3, trial, scales, streams)
-    assert sorted(block.failed) == [0, 1, 2]
-    for r, (t, e) in enumerate(zip(trial, eta)):
-        rng = RngStream(31, (2, t))
-        if t == 0:
-            with pytest.raises(AllCandidatesCollinear) as want:
-                fs_noisy(X[t], Y[t], 3, DELTA, e, SIGMA, rng)
-            assert str(block.failed[r]) == str(want.value)
-        else:
-            want = fs_noisy(X[t], Y[t], 3, DELTA, e, SIGMA, rng)
-            assert ModelSet.from_unordered(block.picks[r].tolist()) == want.model
+    Z = G.copy()
+    Z[:, 2] = 0.0  # a zero column is never a candidate
+    wide = [DesignMatrix(gen.standard_normal((4, 7))) for _ in range(2)]
+    Y_wide = gen.standard_normal((2, 4))
+    # (designs, responses, k, trial of each run, runs expected to fail)
+    blocks = [
+        # trial 0: three copies of one column, so step 2 keeps one candidate
+        # and step 3 none; trial 1 is a generic design
+        ([DesignMatrix(np.column_stack([a, 2 * a, -a, b])), DesignMatrix(G)], Y, 3,
+         np.repeat([0, 1], len(ETAS)), [0, 1, 2]),
+        # run 2 keeps 3 of its 4 candidates at step 1, the others all of theirs
+        ([DesignMatrix(G), DesignMatrix(Z)], Y, 3, np.array([0, 0, 1, 0]), []),
+        # d > n: n picks leave no candidate for a step n + 1
+        (wide, Y_wide, 4, np.repeat([0, 1], len(ETAS)), []),
+        (wide, Y_wide, 5, np.repeat([0, 1], len(ETAS)), list(range(6))),
+    ]
+    for X, Y, k, trial, failing in blocks:
+        eta = np.resize(ETAS, len(trial))
+        streams = [RngStream(31, (2, t)) for t in range(len(X))]
+        scales = np.array([scale_forward_stepwise(X[0].d, k, NoisePolicy(SIGMA, DELTA, e))
+                           for e in eta])
+        block = fs_runs(X, Y, k, trial, scales, streams)
+        assert sorted(block.failed) == failing
+        for r, (t, e) in enumerate(zip(trial, eta)):
+            rng = RngStream(31, (2, t))
+            if r in failing:
+                with pytest.raises(AllCandidatesCollinear) as want:
+                    fs_noisy(X[t], Y[t], k, DELTA, e, SIGMA, rng)
+                assert str(block.failed[r]) == str(want.value)
+            else:
+                want = fs_noisy(X[t], Y[t], k, DELTA, e, SIGMA, rng)
+                assert ModelSet.from_unordered(block.picks[r].tolist()) == want.model
+
+
+def test_stable_fs_trace_scores_live_candidates_only():
+    # column 3 duplicates column 0 and must not be scored once either is
+    # picked; the trace is checked against a direct recomputation over the
+    # live candidates. Off column 0, y is nearly orthogonal to every
+    # column, so the rounding-noise residual of a dead column would
+    # outscore the live ones.
+    gen = np.random.default_rng(8)
+    base = gen.standard_normal((8, 3))
+    e = gen.standard_normal(8)
+    e -= base @ np.linalg.lstsq(base, e, rcond=None)[0]
+    X = DesignMatrix(np.column_stack([base, base[:, 0]]))
+    y = 4.0 * base[:, 0] + e + 1e-3 * base[:, 1]
+    k, eta = 3, 100.0
+    res = stable_fs(X, y, k, DELTA, eta, SIGMA, rng=RngStream(6))
+    scale = scale_forward_stepwise(X.d, k, NoisePolicy(SIGMA, DELTA, eta))
+    R, y_res = X.entries.copy(), y.copy()
+    picked = []
+    # either copy's pick leaves the other's residual as rounding noise
+    twin = {0: 3, 3: 0}[res.trace[0].chosen]
+    for s in res.trace:
+        norms = np.linalg.norm(R, axis=0)
+        live = [j for j in np.nonzero(norms > FS_COLLINEAR_TOL * X.col_norms)[0]
+                if j not in picked]
+        if s.step > 1:
+            assert twin not in live
+        signed = (R[:, live].T @ y_res) / norms[live]
+        exact = np.abs(signed)
+        noisy = np.abs(signed + RngStream(6).child(s.step).laplace(scale, len(live)))
+        assert s.chosen in live
+        i = live.index(s.chosen)
+        assert i == int(np.argmax(noisy))
+        assert s.exact_score == pytest.approx(exact[i], rel=1e-12, abs=0)
+        assert s.noisy_score == pytest.approx(noisy[i], rel=1e-12, abs=0)
+        assert s.best_exact == pytest.approx(exact.max(), rel=1e-12, abs=0)
+        picked.append(s.chosen)
+        q = R[:, s.chosen] / np.linalg.norm(R[:, s.chosen])
+        R -= np.outer(q, q @ R)
+        y_res -= q * float(q @ y_res)
+    assert len(res.trace) == k
 
 
 def test_lasso_runs_retire_at_their_own_step_counts():
