@@ -52,6 +52,7 @@ from .stability import ZERO_BUDGET, StabilityBudget, compose_adaptive_advanced
 SUPPORT_THRESHOLD = 1e-12
 FS_COLLINEAR_TOL = 1e-10
 MAX_DEFAULT_FW_STEPS = 10_000
+GRAM_BLOCK = 16
 
 # the knobs each method reads; SelectorSpec rejects the others
 _METHOD_KNOBS = {"fixed": ("fixed_model",), "screen": ("k",), "fs": ("k",),
@@ -287,7 +288,7 @@ def support(theta) -> ModelSet:
 
 
 # ---------------------------------------------------------------------------
-# penalized-form solver (lambda -> c1 translation and test oracle)
+# penalized-form solver (the lambda -> c1 translation)
 
 
 def _soft_threshold(x: float, lam: float) -> float:
@@ -302,34 +303,63 @@ def solve_penalized_lasso(X: DesignMatrix, y, lam: float, gap_tol: float = 1e-8,
                           max_sweeps: int = 100_000) -> np.ndarray:
     """Cyclic coordinate descent with soft-thresholding for
     min 0.5 ||y - X theta||^2 + lam ||theta||_1, run until the duality gap
-    drops below gap_tol."""
-    if not (lam > 0):
-        raise ValueError(f"lam must be positive, got {lam}")
+    drops below gap_tol.
+
+    Covariance updates (Friedman, Hastie & Tibshirani, JSS 2010, sec. 2.2):
+    the loop keeps z_j = X_j^T r + ||X_j||^2 theta_j for the residual
+    r = y - X theta, so coordinate j's update reads z_j alone. When theta_j
+    moves, z changes by the off-diagonal Gram column X^T X_j times the
+    move; that column is made the first time j moves and kept for the
+    call. With more columns than rows (d > n), only the columns of
+    coordinates that move are made, so memory stays bounded. Otherwise all
+    d columns together are no bigger than X, and a missing column is made
+    together with the missing ones among the next GRAM_BLOCK - 1
+    coordinates, in one pass over X instead of one pass each. After each
+    sweep the duality gap is checked on the recomputed residual, and z is
+    rebuilt from that check's X^T r, so rounding does not build up across
+    sweeps.
+    """
+    if not (0 < lam < math.inf):
+        raise ValueError(f"lam must be finite and positive, got {lam}")
     A = X.entries
     y = as_response(y, X.n)
     d = X.d
     col_sq = X.col_norms ** 2
-    theta = np.zeros(d)
-    r = y.copy()
+    # the coordinate loop reads and writes Python floats: indexing numpy
+    # arrays per coordinate costs more than the arithmetic at small d
+    norm_sq = col_sq.tolist()
+    coords = [0.0] * d
+    z = A.T @ y
+    gram: list[np.ndarray | None] = [None] * d
+    block = GRAM_BLOCK if d <= X.n else 1
     yy = 0.5 * float(y @ y)
     for _ in range(max_sweeps):
         for j in range(d):
-            if col_sq[j] == 0.0:
+            if norm_sq[j] == 0.0:
                 continue
-            aj = A[:, j]
-            rho = float(aj @ r) + col_sq[j] * theta[j]
-            new = _soft_threshold(rho, lam) / col_sq[j]
-            if new != theta[j]:
-                r += aj * (theta[j] - new)
-                theta[j] = new
+            new = _soft_threshold(z.item(j), lam) / norm_sq[j]
+            if new != coords[j]:
+                g = gram[j]
+                if g is None:
+                    made = [k for k in range(j, min(j + block, d)) if gram[k] is None]
+                    rows = A[:, made].T @ A
+                    for i, k in enumerate(made):
+                        rows[i, k] = 0.0
+                        gram[k] = rows[i]
+                    g = gram[j]
+                z -= g * (new - coords[j])
+                coords[j] = new
+        theta = np.array(coords)
+        r = y - A @ theta
+        xr = A.T @ r
         # duality gap: scaled residual is dual-feasible
-        xr_inf = float(np.max(np.abs(A.T @ r))) if d else 0.0
-        s = max(1.0, xr_inf / lam)
-        u = r / s
+        s = max(1.0, float(np.abs(xr).max()) / lam)
+        y_u = y - r / s
         primal = 0.5 * float(r @ r) + lam * float(np.abs(theta).sum())
-        dual = yy - 0.5 * float((y - u) @ (y - u))
+        dual = yy - 0.5 * float(y_u @ y_u)
         if primal - dual <= gap_tol:
             return theta
+        z = xr + col_sq * theta
     raise NonConvergence(
         f"coordinate descent did not reach gap {gap_tol} in {max_sweeps} sweeps"
     )

@@ -1,5 +1,5 @@
-"""Exact selectors, scalar noisy selectors and the eta-major sweep, kept
-as test oracles.
+"""Exact selectors, scalar noisy selectors, the residual-form penalized
+LASSO and the eta-major sweep, kept as test oracles.
 
 The library ships only the noisy selectors; their exact forms are the
 zero-noise limits (`scale_override=0.0`). These plain noiseless loops are
@@ -8,6 +8,8 @@ included, without going through the library's loops. The scalar noisy
 selectors run one run per call, one fresh stream per step, and the
 eta-major sweep reruns every (eta, trial) from scratch through them: the
 reference for the library's run-axis selectors and block sweep engine.
+The penalized solver updates the residual itself, coordinate by
+coordinate: the reference for the library's covariance-update solver.
 """
 
 import re
@@ -23,7 +25,7 @@ from stableci.linmodel import DesignMatrix, ModelSet, SubmodelFit, as_response, 
 from stableci.noise import NoisePolicy, RngStream, scale_forward_stepwise, scale_lasso, \
     scale_screening
 from stableci.selectors import FS_COLLINEAR_TOL, SelectionResult, _default_fw_steps, \
-    certify_budgets, support
+    _soft_threshold, certify_budgets, support
 from stableci.stability import StabilityBudget, alpha_split, best_posi_constant, \
     interval_level
 
@@ -91,6 +93,44 @@ def lasso_exact_fw(X: DesignMatrix, y, c1: float, steps: int) -> np.ndarray:
         z *= 1.0 - step_size
         z += (step_size * sgn * c1) * A[:, col]
     return theta
+
+
+def penalized_lasso_residual(X: DesignMatrix, y, lam: float, gap_tol: float = 1e-8,
+                             max_sweeps: int = 100_000) -> np.ndarray:
+    """Cyclic coordinate descent with soft-thresholding for
+    min 0.5 ||y - X theta||^2 + lam ||theta||_1, run until the duality gap
+    drops below gap_tol, keeping the residual r = y - X theta: each
+    coordinate reads X_j^T r and a move updates r."""
+    if not (lam > 0):
+        raise ValueError(f"lam must be positive, got {lam}")
+    A = X.entries
+    y = as_response(y, X.n)
+    d = X.d
+    col_sq = X.col_norms ** 2
+    theta = np.zeros(d)
+    r = y.copy()
+    yy = 0.5 * float(y @ y)
+    for _ in range(max_sweeps):
+        for j in range(d):
+            if col_sq[j] == 0.0:
+                continue
+            aj = A[:, j]
+            rho = float(aj @ r) + col_sq[j] * theta[j]
+            new = _soft_threshold(rho, lam) / col_sq[j]
+            if new != theta[j]:
+                r += aj * (theta[j] - new)
+                theta[j] = new
+        # duality gap: scaled residual is dual-feasible
+        xr_inf = float(np.max(np.abs(A.T @ r))) if d else 0.0
+        s = max(1.0, xr_inf / lam)
+        u = r / s
+        primal = 0.5 * float(r @ r) + lam * float(np.abs(theta).sum())
+        dual = yy - 0.5 * float((y - u) @ (y - u))
+        if primal - dual <= gap_tol:
+            return theta
+    raise NonConvergence(
+        f"coordinate descent did not reach gap {gap_tol} in {max_sweeps} sweeps"
+    )
 
 
 # ---------------------------------------------------------------------------

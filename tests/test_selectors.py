@@ -5,7 +5,7 @@ closed form (scipy quadrature over Laplace densities) and compared to
 Monte Carlo frequencies over 1e5 seeded runs; the exact selectors in
 oracles.py, checked on fixtures small enough to enumerate by hand, are the
 zero-noise limits; the penalized solver is checked against its KKT
-conditions.
+conditions and against the residual-form loop in oracles.py.
 """
 
 import math
@@ -26,8 +26,8 @@ from stableci.selectors import (FS_COLLINEAR_TOL, MAX_DEFAULT_FW_STEPS, SUPPORT_
                                 _default_fw_steps)
 from stableci.stability import StabilityBudget, compose_adaptive_advanced
 
-from oracles import (fs_exact, fs_noisy, lasso_exact_fw, lasso_noisy, screening_exact,
-                     screening_noisy)
+from oracles import (fs_exact, fs_noisy, lasso_exact_fw, lasso_noisy,
+                     penalized_lasso_residual, screening_exact, screening_noisy)
 
 
 def random_instance(seed, n=25, d=8, snr=2.0):
@@ -241,8 +241,63 @@ def test_penalized_lasso_kkt():
 
 def test_penalized_lasso_nonconvergence():
     X, y = random_instance(6, n=50, d=20)
-    with pytest.raises(NonConvergence):
+    with pytest.raises(NonConvergence) as lib:
         solve_penalized_lasso(X, y, 1e-6, gap_tol=1e-14, max_sweeps=1)
+    with pytest.raises(NonConvergence) as ref:
+        penalized_lasso_residual(X, y, 1e-6, gap_tol=1e-14, max_sweeps=1)
+    assert str(lib.value) == str(ref.value) == \
+        "coordinate descent did not reach gap 1e-14 in 1 sweeps"
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan, 0.0, -1.0])
+def test_penalized_lasso_rejects_a_bad_lam_up_front(lam):
+    # an infinite penalty made the primal inf * 0 = nan, which never passed
+    # the gap test: every sweep ran before NonConvergence
+    X, y = random_instance(6, n=50, d=20)
+    with pytest.raises(ValueError, match=f"^lam must be finite and positive, got {lam}$"):
+        solve_penalized_lasso(X, y, lam, max_sweeps=1)
+
+
+def _penalized_instance(n, d, scale, column=None):
+    """X with N(0, scale^2) entries and y = X beta + N(0, 1) noise, beta 5
+    on the first three columns (the LASSO sweep benchmark's signal);
+    column "zero" zeroes column 1, "copy" makes column 2 a copy of
+    column 0."""
+    gen = np.random.default_rng(0)
+    A = gen.standard_normal((n, d)) * scale
+    beta = np.zeros(d)
+    beta[:3] = 5.0
+    y = A @ beta + gen.standard_normal(n)
+    if column == "zero":
+        A[:, 1] = 0.0
+    elif column == "copy":
+        A[:, 2] = A[:, 0]
+    return DesignMatrix(A), y
+
+
+@pytest.mark.parametrize("n, d, lam, scale, column, rel", [
+    pytest.param(100, 20, 0.5, 0.1, None, 1e-12, id="sweep-shape"),
+    pytest.param(50, 200, 0.5, 50 ** -0.5, None, 1e-12, id="d-above-n"),
+    pytest.param(2000, 300, 5.0, 1.0, None, 1e-12, id="tall"),
+    pytest.param(100, 20, 100.0, 0.1, None, 1e-12, id="all-zero"),
+    pytest.param(40, 10, 0.1, 40 ** -0.5, "zero", 1e-12, id="zero-column"),
+    pytest.param(40, 10, 0.1, 40 ** -0.5, "copy", 1e-12, id="copied-column"),
+    # thousands of sweeps on a square Gaussian design: rounding has longer
+    # to drift, so this point has its own bound
+    pytest.param(30, 30, 1e-3, 30 ** -0.5, None, 1e-10, id="ill-conditioned"),
+])
+def test_penalized_lasso_radius_matches_the_residual_oracle(n, d, lam, scale, column, rel):
+    X, y = _penalized_instance(n, d, scale, column)
+    theta = solve_penalized_lasso(X, y, lam)
+    c1 = float(np.abs(theta).sum())
+    ref = float(np.abs(penalized_lasso_residual(X, y, lam)).sum())
+    assert abs(c1 - ref) <= rel * ref
+    if lam >= np.max(np.abs(X.entries.T @ y)):
+        assert c1 == ref == 0.0
+    else:
+        assert c1 > 0.0
+    if column == "zero":
+        assert theta[1] == 0.0
 
 
 def test_lambda_to_c1():
