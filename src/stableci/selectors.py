@@ -14,23 +14,25 @@ argmax.
 - LASSO over the l1 ball of radius C1, optimized by Frank-Wolfe, with
   every vertex score perturbed by fresh Laplace noise before the argmin.
   Each run stops at its own step count.
-- Marginal screening: k rounds of noisy argmax over |X_i^T y / n|,
-  selected index removed from the residual candidate set.
+- Marginal screening: k rounds of noisy argmax over |X_i^T y / n|, each
+  winner removed from the run's candidate mask.
 - Forward stepwise: k rounds of noisy argmax over residual-normalized
   absolute correlations, with numerically collinear candidates excluded
   before noise: a run's candidates are a mask over all d columns. A run
   left without candidates fails alone.
 
-Noise: run r's step-t perturbation is scales[r] times the first m draws
-of its trial's step-t stream, where m is its candidate count. Each
-(trial, step) stream is built once and drawn once, at the longest length
-any live run of that trial needs, and only one step's draws are held at a
-time. Since a Laplace draw is its scale times a standard draw made from
-one uniform, and the first m uniforms of a stream are the same however
-many are drawn, every run sees exactly the draws a fresh stream at its
-path gives. Every per-run product (scores, norms, updates) is a separate
-BLAS call, einsum or elementwise operation on that run's own slice of a
-stacked array, so a run's result does not depend on the block it ran in.
+Noise: each round is a report-noisy-max (or -min) over a run's
+candidates. `_step_draws` lays out the draws: run r's step-t row starts
+with the first m draws of its trial's step-t stream, m its candidate
+count, each (trial, step) stream built and drawn once at the largest m
+among the trial's runs. As a Laplace draw is its scale times a standard
+draw made from one uniform, and a stream's first m uniforms do not depend
+on how many are drawn, every run sees exactly the draws a fresh stream at
+its path gives. Screening and forward stepwise keep a run's candidates as
+a mask over the d columns and share one pick, `_noisy_argmax`. Every
+per-run product (scores, norms, updates) is a separate BLAS call, einsum
+or elementwise operation on that run's own slice of a stacked array, so a
+run's result does not depend on the block it ran in.
 
 Every noisy run certifies the same two composed stability budgets,
 returned on the SelectionResult for the interval stage to choose from.
@@ -161,24 +163,45 @@ def certify_budgets(k: int, eta_step: float, delta: float) -> tuple[StabilityBud
 # run-axis plumbing
 
 
-def _check_trace(trace: bool, trial: np.ndarray) -> None:
-    if trace and len(trial) != 1:
-        raise ValueError(f"a trace is kept for a one-run block only, not {len(trial)} runs")
-
-
-def _step_draws(streams: list[RngStream], step: int, sizes: list[int],
+def _step_draws(streams: list[RngStream], step: int, counts: np.ndarray,
                 trial: np.ndarray) -> np.ndarray:
-    """Standard Laplace draws for one step, one row per run: trial b's row
-    holds the first sizes[b] draws of streams[b].child(step), zero-padded
-    to the largest size. A trial whose size is 0 is neither built nor drawn
-    from; a block of one trial gets its one row, which broadcasts."""
+    """Standard Laplace draws for one step, one row per run: run r's row
+    starts with the first counts[r] draws of streams[trial[r]].child(step),
+    zero-padded to the largest count. Each trial's stream is built and
+    drawn once, at the largest count among its runs, and a trial with no
+    runs is never built; a block of one trial gets its one row, which
+    broadcasts."""
     if len(streams) == 1:
-        return streams[0].child(step).standard_laplace(sizes[0])[None]
+        return streams[0].child(step).standard_laplace(max(counts.tolist()))[None]
+    most = np.zeros(len(streams), dtype=np.int64)
+    np.maximum.at(most, trial, counts)
+    sizes = most.tolist()
     draws = np.zeros((len(streams), max(sizes)))
     for b, size in enumerate(sizes):
         if size:
             draws[b, :size] = streams[b].child(step).standard_laplace(size)
     return draws[trial]
+
+
+def _noisy_argmax(t: int, exact: np.ndarray, live: np.ndarray, kept: np.ndarray,
+                  xi: np.ndarray, traced: list[TraceStep] | None) -> np.ndarray:
+    """Round t's noisy pick per run: draw i of run r's noise row xi[r] goes
+    to its i-th live column (kept[r] of them), and the largest
+    |exact + draw| wins, ties to the lowest column; a dead column never
+    wins. Appends run 0's TraceStep to traced unless it is None."""
+    if min(kept.tolist()) == exact.shape[1]:
+        noisy = np.abs(exact + xi)  # every column live: draw i is column i's
+    else:
+        noisy = exact.copy()
+        noisy[live] += xi[np.arange(xi.shape[1]) < kept[:, None]]
+        noisy = np.where(live, np.abs(noisy), -1.0)  # a dead column is below every |score|
+    chosen = noisy.argmax(axis=1)
+    if traced is not None:
+        j, score = int(chosen[0]), np.abs(exact[0])
+        traced.append(TraceStep(step=t, chosen=j, exact_score=float(score[j]),
+                                noisy_score=float(noisy[0, j]),
+                                best_exact=float(score[live[0]].max())))
+    return chosen
 
 
 _VERTEX_SIGNS = np.array([1.0, -1.0])  # of the +c1 and the -c1 vertices
@@ -209,7 +232,6 @@ def lasso_runs(designs: list[DesignMatrix], Y: np.ndarray, c1: np.ndarray, steps
     stream. Step size 2/(t+1), t = 1..steps, theta_1 = 0. Runs are kept
     longest first, so the runs still going at step t are a prefix.
     """
-    _check_trace(trace, trial)
     runs = len(trial)
     order = np.argsort(-steps, kind="stable") if runs > 1 else None
     if order is not None:
@@ -234,9 +256,7 @@ def lasso_runs(designs: list[DesignMatrix], Y: np.ndarray, c1: np.ndarray, steps
             theta_flat, row_d = theta[:live].reshape(-1), at * d
             exact = np.empty((live, 2 * d))
             plus, minus = exact[:, :d], exact[:, d:]
-            sizes = [0] * len(streams)
-            for b in triall.tolist():
-                sizes[b] = 2 * d
+            counts = np.full(live, 2 * d)
         r = Yl - zl
         # scores are vertex . gradient for the loss ||y - X theta||^2 / n,
         # whose gradient is -(2/n) X^T r; scale_lasso is calibrated to
@@ -244,7 +264,7 @@ def lasso_runs(designs: list[DesignMatrix], Y: np.ndarray, c1: np.ndarray, steps
         g = (-2.0 / n) * np.matmul(ATl, r[:, :, None])[:, :, 0]
         np.multiply(c1l[:, None], g, out=plus)
         np.negative(plus, out=minus)  # -(c1 * g) is -c1 * g exactly
-        noisy = exact + scale_col * _step_draws(streams, t, sizes, triall)
+        noisy = exact + scale_col * _step_draws(streams, t, counts, triall)
         v = noisy.argmin(axis=1)
         minus_vertex, col = np.divmod(v, d)
         step_size = 2.0 / (t + 1.0)
@@ -380,39 +400,25 @@ def screen_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.nd
                 scales: np.ndarray, streams: list[RngStream],
                 trace: bool = False) -> RunSelections:
     """k rounds of noisy argmax over |c_i + xi| per run, with
-    c = X_b^T Y[b] / n for its trial b = trial[r]; the winner leaves the
-    run's candidate set, noise is fresh each round."""
+    c = X_b^T Y[b] / n for its trial b = trial[r]; a run's candidates are
+    a mask over the d columns, the winner leaves it, noise is fresh each
+    round."""
     d = designs[0].d
-    if not (1 <= k <= d):
-        raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
-    _check_trace(trace, trial)
     runs = len(trial)
     at = np.arange(runs)
-    # each run's candidates and their scores, ascending; a pick leaves both
     c = np.array([(X.entries.T @ y) / X.n for X, y in zip(designs, Y)])[trial]
-    cand = None  # every column, until the first pick leaves
-    present = set(trial.tolist())
+    picked = np.zeros((runs, d), dtype=bool)
+    kept = np.full(runs, d)
     scale_col = scales[:, None]
     picks = np.empty((runs, k), dtype=np.int64)
-    traced = []
+    traced: list[TraceStep] = []
     for t in range(1, k + 1):
-        m = d - t + 1
-        sizes = [m if b in present else 0 for b in range(len(streams))]
-        noisy = np.abs(c + scale_col * _step_draws(streams, t, sizes, trial))
-        j = noisy.argmax(axis=1)
-        picks[:, t - 1] = j if cand is None else cand[at, j]
-        if trace:
-            j0, abs_exact = int(j[0]), np.abs(c[0])
-            traced.append(TraceStep(step=t, chosen=int(picks[0, t - 1]),
-                                    exact_score=float(abs_exact[j0]),
-                                    noisy_score=float(noisy[0, j0]),
-                                    best_exact=float(abs_exact.max())))
+        xi = scale_col * _step_draws(streams, t, kept, trial)
+        chosen = _noisy_argmax(t, c, ~picked, kept, xi, traced if trace else None)
+        picks[:, t - 1] = chosen
         if t < k:
-            if cand is None:
-                cand = np.arange(d)[None].repeat(runs, axis=0)
-            rest = np.ones((runs, m), dtype=bool)
-            rest[at, j] = False
-            c, cand = c[rest].reshape(runs, m - 1), cand[rest].reshape(runs, m - 1)
+            picked[at, chosen] = True
+            kept -= 1
     return RunSelections(picks=picks, theta=None, failed={}, trace=tuple(traced))
 
 
@@ -441,14 +447,10 @@ def fs_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.ndarra
     fails with AllCandidatesCollinear and leaves the block; the others go
     on.
 
-    Each step scores every column of every run with one batched product
-    y_res . R; draw i of a run's step row goes to its i-th candidate in
-    ascending column order, and a column outside the mask never wins.
+    Each step scores every column of every run with one einsum over the
+    stacked residuals, and `_noisy_argmax` picks among the live ones.
     """
     n, d = designs[0].n, designs[0].d
-    if not (1 <= k <= d):
-        raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
-    _check_trace(trace, trial)
     runs = len(trial)
     R = np.empty((runs, n, d))  # residualized columns of each run's design
     for r, b in enumerate(trial.tolist()):
@@ -459,7 +461,7 @@ def fs_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.ndarra
     ids = np.arange(runs)  # block run of each state row
     picks = np.full((runs, k), -1, dtype=np.int64)
     failed: dict[int, Exception] = {}
-    traced = []
+    traced: list[TraceStep] = []
     for t in range(1, k + 1):
         # einsum sums each column in row order wherever it sits, so copies
         # of a column tie exactly; a gemv rounds its tail columns differently
@@ -477,27 +479,17 @@ def fs_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.ndarra
             if not len(ids):
                 break
         at = np.arange(len(ids))
-        sizes = [0] * len(streams)
-        for b, size in zip(trial[ids].tolist(), kept.tolist()):
-            sizes[b] = max(sizes[b], size)
-        xi = scales[ids, None] * _step_draws(streams, t, sizes, trial[ids])
+        xi = scales[ids, None] * _step_draws(streams, t, kept, trial[ids])
         signed = np.divide(np.einsum("rij,ri->rj", R, y_res), norms,
                            out=np.zeros_like(norms), where=live)
-        noisy = signed.copy()
-        noisy[live] += xi[np.arange(xi.shape[1]) < kept[:, None]]
-        noisy = np.where(live, np.abs(noisy), -1.0)  # a dead column is below every |score|
-        chosen = noisy.argmax(axis=1)
-        if trace:
-            j, exact = int(chosen[0]), np.abs(signed[0])
-            traced.append(TraceStep(step=t, chosen=j, exact_score=float(exact[j]),
-                                    noisy_score=float(noisy[0, j]),
-                                    best_exact=float(exact[live[0]].max())))
+        chosen = _noisy_argmax(t, signed, live, kept, xi, traced if trace else None)
         picks[ids, t - 1] = chosen
         picked[at, chosen] = True
-        # fold the winner into the basis; residualize everything once
+        # fold the winner into the basis; residualize everything once, with
+        # an einsum for q . R, so that copies of a column stay equal
         w = R[at, :, chosen]
         q = w / np.sqrt(np.matmul(w[:, None, :], w[:, :, None])[:, 0])
-        R -= q[:, :, None] * np.matmul(q[:, None, :], R)
+        R -= q[:, :, None] * np.einsum("ri,rij->rj", q, R)[:, None, :]
         y_res -= q * np.matmul(q[:, None, :], y_res[:, :, None])[:, 0]
     return RunSelections(picks=picks, theta=None, failed=failed, trace=tuple(traced))
 
@@ -546,6 +538,10 @@ def select_runs(spec: SelectorSpec, designs: list[DesignMatrix], Y: np.ndarray,
     policies = {eta: NoisePolicy(sigma, delta, eta) for eta in etas}
     if scale_override is not None and scale_override < 0:
         raise ValueError(f"scale must be >= 0, got {scale_override}")
+    if trace and len(runs) != 1:
+        raise ValueError(f"a trace is kept for a one-run block only, not {len(runs)} runs")
+    if spec.k is not None and spec.k > designs[0].d:
+        raise ValueError(f"need 1 <= k <= d, got k={spec.k}, d={designs[0].d}")
     out: list = [None] * len(runs)
     noisy = [r for r, (_, _, c1) in enumerate(runs) if c1 != 0.0]
     if len(noisy) < len(runs):

@@ -150,17 +150,6 @@ def compose_adaptive_advanced(eta_step: float, k: int, delta: float) -> float:
     return 0.5 * k * eta_step ** 2 + math.sqrt(2.0 * k * math.log(1.0 / delta)) * eta_step
 
 
-def compose_nonadaptive(budgets: list[StabilityBudget]) -> StabilityBudget:
-    """Componentwise sums for independently randomized, non-adaptive runs;
-    tau and nu clamp at 1."""
-    if not budgets:
-        raise EmptyInput("compose_nonadaptive needs at least one budget")
-    eta = sum(b.eta for b in budgets)
-    tau = min(sum(b.tau for b in budgets), 1.0)
-    nu = min(sum(b.nu for b in budgets), 1.0)
-    return StabilityBudget(eta, tau, nu)
-
-
 def sparse_selection_eta(d: int, s: int, tau: float) -> float:
     """Universal eta for any selection rule confined to models of size <= s
     out of d features: log(sum_{k=1}^{s} C(d, k)) + log(1/tau).

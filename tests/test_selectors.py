@@ -20,10 +20,10 @@ from stableci.linmodel import DesignMatrix, ModelSet
 from stableci.noise import (NoisePolicy, RngStream, scale_forward_stepwise, scale_lasso,
                             scale_screening)
 from stableci.selectors import (FS_COLLINEAR_TOL, MAX_DEFAULT_FW_STEPS, SUPPORT_THRESHOLD,
-                                certify_budgets, fs_runs, lambda_to_c1, lasso_runs,
-                                screen_runs, solve_penalized_lasso, stable_fs,
-                                stable_lasso, stable_screening, support,
-                                _default_fw_steps)
+                                SelectorSpec, certify_budgets, fs_runs, lambda_to_c1,
+                                lasso_runs, screen_runs, select_runs,
+                                solve_penalized_lasso, stable_fs, stable_lasso,
+                                stable_screening, support, _default_fw_steps, _step_draws)
 from stableci.stability import StabilityBudget, compose_adaptive_advanced
 
 from oracles import (fs_exact, fs_noisy, lasso_exact_fw, lasso_noisy,
@@ -474,6 +474,18 @@ def test_fs_zero_noise_breaks_an_exact_tie_by_lowest_index():
     assert fs_exact(DesignMatrix(A), y, 2).indices == (1, 5)
 
 
+def test_fs_zero_noise_keeps_copies_of_a_column_tied():
+    # column 4 copies column 0. The residual update is an einsum, which
+    # rounds every column alike; a gemv rounds its tail columns differently,
+    # and here it gave the tie of step 2 to the copy, column 4
+    gen = np.random.default_rng(4)
+    A = gen.standard_normal((30, 5))
+    A[:, 4] = A[:, 0]
+    y = gen.standard_normal(30)
+    assert zero_noise_fs_order(DesignMatrix(A), y, 3) == [2, 0, 1]
+    assert fs_exact(DesignMatrix(A), y, 3).indices == (0, 1, 2)
+
+
 def test_fs_orthonormal_matches_screening():
     gen = np.random.default_rng(12)
     Q, _ = np.linalg.qr(gen.standard_normal((20, 6)))
@@ -570,6 +582,35 @@ def block_of(designs, etas=ETAS):
     eta = np.tile(etas, len(designs))
     streams = [RngStream(31, (2, b)) for b in range(len(designs))]
     return trial, eta, streams
+
+
+def test_step_draws_build_each_trial_stream_once_at_its_largest_count():
+    built = []
+
+    class CountingStream(RngStream):
+        def child(self, *indices):
+            built.append(self.path)
+            return super().child(*indices)
+
+    streams = [CountingStream(31, (2, b)) for b in range(3)]
+    trial, counts = np.array([0, 0, 2]), np.array([3, 5, 2])
+    draws = _step_draws(streams, 4, counts, trial)
+    assert sorted(built) == [(2, 0), (2, 2)]  # stream 1 has no run
+    assert draws.shape == (3, 5)
+    for row, b, m in zip(draws, trial, counts):
+        fresh = RngStream(31, (2, b)).child(4).standard_laplace(m)
+        assert row[:m].tobytes() == fresh.tobytes()
+
+
+def test_select_runs_checks_the_block_once():
+    X, y = random_instance(2)
+    Y, streams = y[None], [RngStream(0)]
+    with pytest.raises(ValueError, match=r"^need 1 <= k <= d, got k=9, d=8$"):
+        select_runs(SelectorSpec("screen", k=9), [X], Y, [(0, 1.0, None)], DELTA, SIGMA,
+                    streams)
+    with pytest.raises(ValueError, match=r"^a trace is kept for a one-run block only, not 2"):
+        select_runs(SelectorSpec("fs", k=2), [X], Y, [(0, 1.0, None)] * 2, DELTA, SIGMA,
+                    streams, trace=True)
 
 
 def test_screen_runs_match_the_scalar_selector_run_by_run():

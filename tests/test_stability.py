@@ -17,7 +17,7 @@ from stableci.errors import BadWeights, DegenerateLevel, EmptyInput, MixedSlack
 from stableci.linmodel import DesignMatrix, ModelSet
 from stableci.stability import (IntervalSet, LevelAllocation, StabilityBudget, align_slack,
                                 alpha_split, best_posi_constant, compose_adaptive_advanced,
-                                compose_adaptive_simple, compose_nonadaptive,
+                                compose_adaptive_simple,
                                 corrected_level, eta_step_for_total, infer, posi_constant,
                                 sparse_selection_eta)
 
@@ -176,31 +176,6 @@ def test_compose_advanced_validation():
         compose_adaptive_advanced(0.1, 10, 0.0)
     with pytest.raises(ValueError):
         compose_adaptive_advanced(-0.1, 10, 0.05)
-
-
-def test_compose_nonadaptive_sums():
-    out = compose_nonadaptive([StabilityBudget(1.0, 0.0, 0.05),
-                               StabilityBudget(0.5, 0.01, 0.05)])
-    assert out.eta == pytest.approx(1.5)
-    assert out.tau == pytest.approx(0.01)
-    assert out.nu == pytest.approx(0.10)
-
-
-def test_compose_nonadaptive_clamps():
-    out = compose_nonadaptive([StabilityBudget(0.0, 0.7, 0.8)] * 3)
-    assert out.tau == 1.0 and out.nu == 1.0
-    with pytest.raises(EmptyInput):
-        compose_nonadaptive([])
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(st.floats(0, 5), st.floats(0, 0.3), st.floats(0, 0.3)),
-                min_size=1, max_size=6))
-def test_compose_nonadaptive_permutation_invariant(triples):
-    budgets = [StabilityBudget(*t) for t in triples]
-    a = compose_nonadaptive(budgets)
-    b = compose_nonadaptive(budgets[::-1])
-    assert (a.eta, a.tau, a.nu) == pytest.approx((b.eta, b.tau, b.nu))
 
 
 def test_sparse_selection_eta_small():
