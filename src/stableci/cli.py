@@ -43,6 +43,7 @@ from .experiments import (
     WIDTH_QUANTILE_LEVELS,
     ExperimentConfig,
     SelectorSpec,
+    block_trials,
     check_eta_grid,
     eta_sweep,
     run_selector,
@@ -388,8 +389,10 @@ def cmd_experiment(args) -> int:
         raise CliParseError(f"workers must be >= 1, got {workers}")
     os.makedirs(args.out_dir, exist_ok=True)
 
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
+    # a process per block at most: a sweep has ceil(trials / block size) blocks
+    processes = min(workers, -(-cfg.trials // block_trials(cfg, grid)))
+    if processes > 1:
+        with multiprocessing.Pool(processes) as pool:
             sweep = eta_sweep(cfg, grid, pool.map)
     else:
         sweep = eta_sweep(cfg, grid, map)

@@ -7,17 +7,18 @@ infer the intervals, score coverage / width / FDR / risk against the
 realized design of that trial.
 
 Sweeps run in blocks of consecutive trials, each over the whole eta grid;
-a run is one (trial, eta) pair. The data, the `lam` radius and the
-estimated sigma depend on the trial alone and are computed once per trial.
-selectors.select_runs, the selector dispatch `select` goes through too,
-selects for every run of the block at once, each trial's selector stream
-serving all of its etas, and stability.infer_runs, the inference of `ci`,
-makes the block's intervals; this module keeps the data, the streams, the
-targets, the metrics and the records. No per-run number depends on the
-block, so every record is the one an eta-major loop, rerunning each
-(eta, trial) from scratch, would produce, whatever the block size and the
-worker count. `run_trial` is a one-trial block; `run_selector`, which
-`select` calls, is a one-run call of select_runs.
+a run is one (trial, eta) pair. `_run_block` takes a block in one pass:
+each trial's data and `lam` radius, which do not depend on eta, then one
+call of selectors.select_runs, the selector dispatch `select` goes through
+too, for every run, each trial's selector stream serving all of its etas,
+then one call of stability.infer_runs, the inference of `ci`, which
+estimates sigma once per trial, for the intervals of every run selected.
+This module keeps the data, the streams, the targets, the metrics and the
+records. No per-run number depends on the block, so every record is the
+one an eta-major loop, rerunning each (eta, trial) from scratch, would
+produce, whatever the block size and the worker count. `run_trial` is a
+one-trial block; `run_selector`, which `select` calls, is a one-run call
+of select_runs.
 """
 
 from __future__ import annotations
@@ -208,14 +209,17 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, eta_grid) -> list[TrialRe
 
 def _run_block(cfg: ExperimentConfig, trials: range, eta_grid: list) -> list[list[TrialRecord]]:
     """Consecutive trials, each at every eta of the grid, as one block of
-    runs (a run is one (trial, eta) pair). Returns one list of records per
-    trial, each in grid order.
+    runs: run (b, e) is trial trials[b] at eta_grid[e]. Returns one list
+    of records per trial, each in grid order.
 
-    Per trial, in a loop: the data and the `lam` radius, which do not
-    depend on eta. A non-converging penalty solve flags every eta of its
-    trial. Then selection and scoring each run once over the whole block
-    (_select_block, _score_block). Every run's record is the one the trial
-    run alone at that eta gives.
+    One pass. Per trial, the data and the `lam` radius, which do not
+    depend on eta; a non-converging penalty solve flags every eta of its
+    trial. Then one selectors.select_runs call selects for every other
+    run, trial b drawing from its selector stream (2, trials[b]), and one
+    stability.infer_runs call makes the intervals of every run selected,
+    whose fits also give the targets X_M^+ mu. A run whose selection or
+    inference check fails is flagged with its error. Every run's record is
+    the one the trial run alone at that eta gives.
 
     The level allocation follows alpha_split; noisy selectors spend
     (tau + nu)/2 as their internal slack parameter so that, after slack
@@ -223,74 +227,48 @@ def _run_block(cfg: ExperimentConfig, trials: range, eta_grid: list) -> list[lis
     """
     alloc = alpha_split(cfg.alpha, cfg.alpha_weights)
     delta_sel = (alloc.tau + alloc.nu) / 2.0
-    data, c1s = [], []
-    out: list[list[TrialRecord | None]] = []
-    for t in trials:
-        X, beta, mu, y = gen_synthetic(cfg, t)
-        data.append((X, beta, mu, y))
-        out.append([None] * len(eta_grid))
+    data = [gen_synthetic(cfg, t) for t in trials]
+    designs, Y = [X for X, _, _, _ in data], np.stack([y for _, _, _, y in data])
+    out: dict[tuple[int, int], TrialRecord] = {}
+    runs = []  # (b, e, c1) of every run not flagged yet
+    for b, (X, _, _, y) in enumerate(data):
         try:
-            c1s.append(_radius(cfg.selector, X, y))
-        except NonConvergence as e:
-            c1s.append(None)
-            out[-1] = [_flagged_record(t, e) for _ in eta_grid]
-    live = [b for b, records in enumerate(out) if records[0] is None]
-    sels = _select_block(cfg, trials, data, live, c1s, eta_grid, delta_sel, out)
-    _score_block(cfg, trials, data, sels, out)
-    return out
-
-
-def _select_block(cfg: ExperimentConfig, trials: range, data: list, live: list[int],
-                  c1s: list, eta_grid: list, delta: float, out: list[list]) -> dict:
-    """Selection for every run (b, e) of the live trials, one
-    selectors.select_runs call on trial b's selector stream (2, trial):
-    a SelectionResult without trace, or out[b][e] flagged with the error
-    of a run that failed."""
-    root = RngStream(cfg.master_seed)
-    results = select_runs(cfg.selector, [data[b][0] for b in live],
-                          np.array([data[b][3] for b in live]),
-                          [(i, eta, c1s[b]) for i, b in enumerate(live) for eta in eta_grid],
-                          delta, cfg.sigma,
-                          [root.child(_PATH_TRIAL_SELECTOR, trials[b]) for b in live])
-    sels = {}
-    for r, result in enumerate(results):
-        b, e = live[r // len(eta_grid)], r % len(eta_grid)
-        if isinstance(result, Exception):
-            out[b][e] = _flagged_record(trials[b], result)
+            c1 = _radius(cfg.selector, X, y)
+        except NonConvergence as error:
+            out.update(((b, e), _flagged_record(trials[b], error)) for e in range(len(eta_grid)))
         else:
-            sels[b, e] = result
-    return sels
-
-
-def _score_block(cfg: ExperimentConfig, trials: range, data: list, sels: dict,
-                 out: list[list[TrialRecord | None]]) -> None:
-    """Intervals and metrics for every selected run (b, e) of a block not
-    yet flagged, written into out[b][e]. The intervals come from one
-    stability.infer_runs call over the block, whose fits also give the
-    targets X_M^+ mu; a run that fails an inference check is flagged."""
-    runs = [(b, e, sels[b, e]) for b, records in enumerate(out)
-            for e, done in enumerate(records) if done is None]
+            runs += [(b, e, c1) for e in range(len(eta_grid))]
+    root = RngStream(cfg.master_seed)
+    sels = select_runs(cfg.selector, designs, Y, [(b, eta_grid[e], c1) for b, e, c1 in runs],
+                       delta_sel, cfg.sigma,
+                       [root.child(_PATH_TRIAL_SELECTOR, t) for t in trials])
+    selected = []  # (b, e, SelectionResult) of every run selected
+    for (b, e, _), sel in zip(runs, sels):
+        if isinstance(sel, Exception):
+            out[b, e] = _flagged_record(trials[b], sel)
+        else:
+            selected.append((b, e, sel))
     outcomes, intervals = infer_runs(
-        [X for X, _, _, _ in data], np.stack([y for _, _, _, y in data]),
-        [(b, sel.model, sel.budgets) for b, _, sel in runs], cfg.alpha,
+        designs, Y, [(b, sel.model, sel.budgets) for b, _, sel in selected], cfg.alpha,
         cfg.sigma if cfg.sigma_mode == "known" else None, cfg.alpha_weights)
-    for (b, e, _), outcome in zip(runs, outcomes):
+    for (b, e, _), outcome in zip(selected, outcomes):
         if isinstance(outcome, Exception):
-            out[b][e] = _flagged_record(trials[b], outcome)
+            out[b, e] = _flagged_record(trials[b], outcome)
     for iv in intervals.values():
         targets = iv.fits.coefficients(np.stack([data[b][2] for b in iv.trials]))[iv.pairs]
         widths = iv.upper - iv.lower
         covered = np.all((iv.lower <= targets) & (targets <= iv.upper), axis=1)
         for i, r in enumerate(iv.runs):
-            b, e, sel = runs[r]
+            b, e, sel = selected[r]
             X, beta, _, y = data[b]
             K, chosen, _, _ = outcomes[r]
             false_picks = sum(1 for j in sel.model if beta[j] == 0.0)
-            out[b][e] = TrialRecord(trial_index=trials[b], model=sel.model,
+            out[b, e] = TrialRecord(trial_index=trials[b], model=sel.model,
                                     covered=bool(covered[i]), widths=widths[i],
                                     fdr=false_picks / max(len(sel.model), 1),
                                     risk=_risk(cfg.selector.lam, X, y, sel.theta), K=K,
                                     budget_used=chosen)
+    return [[out[b, e] for e in range(len(eta_grid))] for b in range(len(trials))]
 
 
 def _risk(lam: float | None, X: DesignMatrix, y: np.ndarray, theta) -> float | None:

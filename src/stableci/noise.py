@@ -9,12 +9,8 @@ draw the whole candidate noise vector from it in ascending candidate
 order; Laplace variates come from the inverse CDF, exactly one uniform
 per draw, which keeps the stream layout deterministic.
 
-A sweep runs each trial at every eta of its grid. Only the Laplace scale
-depends on eta, so the selectors draw each (trial, step) stream's
-standard Laplace vector once, at the longest length any run of the trial
-needs, and scale its prefix per run; since `random(m)` is a prefix of
-`random(M)` and `laplace` is its scale times `standard_laplace`, every
-draw is bit for bit the one a fresh stream at the same path gives.
+selectors._step_draws owns the draw layout of a block of runs: how the
+runs at different etas share each (trial, step) stream.
 """
 
 from __future__ import annotations

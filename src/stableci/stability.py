@@ -328,29 +328,25 @@ def infer_runs(designs: Sequence[DesignMatrix], Y: np.ndarray, runs, alpha: floa
             group.append((t, model))
     fits = {size: SubmodelFits([designs[t] for t, _ in group], [M for _, M in group])
             for size, group in groups.items()}
-    levels: dict = {}
-    estimates: dict = {}
-    constants: dict = {}
-
-    def check(t: int, model: ModelSet, budgets, p: int) -> tuple:
-        error = fits[len(model)].rank_error(p)
-        if error is not None:
-            raise error
-        aligned, level = _memo(levels, tuple(budgets), interval_level, budgets, alpha, weights)
-        if len(model) == 0:
-            return 0.0, aligned[0], level, sigma
-        run_sigma, dof = (sigma, None) if sigma is not None else \
-            _memo(estimates, t, sigma_hat_full_model, designs[t], Y[t])
-        K, chosen = _memo(constants, (len(model), level, tuple(aligned), dof),
-                          best_posi_constant, len(model), level, aligned, dof)
-        return K, chosen, level, run_sigma
-
+    memo: dict = {}  # levels, sigma estimates and constants, by tagged key
     outcomes: list = []
     scored: dict[int, list[tuple[int, int]]] = {}
     for t, model, budgets in runs:
         p = pairs[t, model.indices]
         try:
-            outcome = check(t, model, budgets, p)
+            error = fits[len(model)].rank_error(p)
+            if error is not None:
+                raise error
+            aligned, level = _memo(memo, ("level", tuple(budgets)), interval_level, budgets,
+                                   alpha, weights)
+            if len(model) == 0:
+                outcome = 0.0, aligned[0], level, sigma
+            else:
+                run_sigma, dof = (sigma, None) if sigma is not None else \
+                    _memo(memo, ("sigma", t), sigma_hat_full_model, designs[t], Y[t])
+                K, chosen = _memo(memo, ("K", len(model), level, tuple(aligned), dof),
+                                  best_posi_constant, len(model), level, aligned, dof)
+                outcome = K, chosen, level, run_sigma
         except (RankDeficient, DegenerateLevel) as e:
             outcome = e
         else:

@@ -697,8 +697,9 @@ def test_experiment_rerun_byte_identical(tmp_path):
 
 
 def test_experiment_workers_do_not_change_results(tmp_path):
-    _, out1 = run_experiment(tmp_path, "w1", experiment_config())
-    rc, out2 = run_experiment(tmp_path, "w2", experiment_config(),
+    # 20 trials are two blocks, so two workers start a pool of two
+    _, out1 = run_experiment(tmp_path, "w1", experiment_config(trials=20))
+    rc, out2 = run_experiment(tmp_path, "w2", experiment_config(trials=20),
                               extra=("--workers", "2"))
     assert rc == 0
     for name in CSV_NAMES:
@@ -711,6 +712,38 @@ def test_experiment_workers_env(tmp_path, monkeypatch):
     assert rc == 0
     manifest = json.load(open(out / "manifest.json"))
     assert manifest["parameters"]["workers"] == 2
+
+
+def test_experiment_starts_a_process_per_block_at_most(tmp_path, monkeypatch, capsys):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+    # 3 trials are one block of 16: no pool
+    rc, _ = run_experiment(tmp_path, "one-block", experiment_config(trials=3),
+                           extra=("--workers", "4"))
+    assert rc == 0 and sizes == []
+    # 40 trials are three blocks
+    rc, pooled = run_experiment(tmp_path, "three-blocks", experiment_config(trials=40),
+                                extra=("--workers", "8"))
+    assert rc == 0 and sizes == [3]
+    assert "8 workers" in capsys.readouterr().out
+    assert json.load(open(pooled / "manifest.json"))["parameters"]["workers"] == 8
+    _, single = run_experiment(tmp_path, "single", experiment_config(trials=40),
+                               extra=("--workers", "1"))
+    assert (pooled / "records.csv").read_bytes() == (single / "records.csv").read_bytes()
 
 
 @pytest.mark.parametrize("overrides, knob", [

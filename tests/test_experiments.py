@@ -699,6 +699,37 @@ def test_eta_sweep_flags_nonconvergence_at_every_eta(monkeypatch):
         assert all(r.flagged.startswith("non_convergence: ") for r in records)
 
 
+def test_lam_block_flags_only_the_trials_whose_penalty_solve_fails(monkeypatch):
+    # trials 1 and 3 of a one-block sweep fail their penalty solve: only
+    # their records are flagged, and only the other trials build streams
+    cfg, grid = ENGINE_CASES["lasso-lam-estimate"]
+    assert block_trials(cfg, grid) >= cfg.trials == 5
+    failing = [gen_synthetic(cfg, t)[3] for t in (1, 3)]
+    solve = experiments.lambda_to_c1
+
+    def stuck_on_1_and_3(X, y, lam):
+        if any(np.array_equal(y, bad) for bad in failing):
+            raise NonConvergence("coordinate descent did not reach gap 1e-08")
+        return solve(X, y, lam)
+
+    built = set()
+    philox = np.random.Philox
+
+    def counting_philox(seed_seq):
+        if seed_seq.spawn_key[0] == experiments._PATH_TRIAL_SELECTOR:
+            built.add(seed_seq.spawn_key[1])
+        return philox(seed_seq)
+
+    monkeypatch.setattr(experiments, "lambda_to_c1", stuck_on_1_and_3)
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    rows = eta_sweep(cfg, grid)
+    assert built == {0, 2, 4}
+    for (_, records, _), (_, want) in zip(rows, eta_major_sweep(cfg, grid)):
+        assert_same_records(records, want)
+        assert [(r.flagged or "").split(":")[0] for r in records] == \
+            ["", "non_convergence", "", "non_convergence", ""]
+
+
 def test_eta_sweep_pool_equals_map():
     cfg, grid = ENGINE_CASES["screen"]
     with multiprocessing.get_context("spawn").Pool(2) as pool:

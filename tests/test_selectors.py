@@ -398,13 +398,17 @@ def test_stable_screening_selection_law():
     probs = np.array([win_prob(i) for i in range(3)])
     assert probs.sum() == pytest.approx(1.0, abs=1e-6)
 
+    # one block of 1e5 runs, run s on the stream of seed s
     trials = 100_000
-    counts = np.zeros(3)
-    for s in range(trials):
-        res = stable_screening(X, y, 1, 0.05, 1.0, 1.0, rng=RngStream(s, (7,)),
-                               scale_override=b)
-        counts[res.model.indices[0]] += 1
-    freqs = counts / trials
+    results = select_runs(SelectorSpec(method="screen", k=1), [X] * trials,
+                          np.broadcast_to(y, (trials, X.n)),
+                          [(s, 1.0, None) for s in range(trials)], 0.05, 1.0,
+                          [RngStream(s, (7,)) for s in range(trials)], scale_override=b)
+    picks = [res.model.indices[0] for res in results]
+    assert picks[:2000] == [
+        stable_screening(X, y, 1, 0.05, 1.0, 1.0, rng=RngStream(s, (7,)),
+                         scale_override=b).model.indices[0] for s in range(2000)]
+    freqs = np.bincount(picks, minlength=3) / trials
     sig = np.sqrt(probs * (1 - probs) / trials)
     assert np.all(np.abs(freqs - probs) <= 3 * sig), (freqs, probs)
 
@@ -431,13 +435,19 @@ def test_stable_lasso_selection_law():
     probs = np.array([win_prob(v) for v in range(4)])
     assert probs.sum() == pytest.approx(1.0, abs=1e-6)
 
+    # one block of 1e5 runs, run s on the stream of seed s; after one step
+    # theta is the chosen vertex, +-c1 on its column
     trials = 100_000
-    counts = np.zeros(4)
-    for s in range(trials):
-        res = stable_lasso(X, y, c1, 0.05, 1.0, 1.0, rng=RngStream(s, (8,)), steps=1,
-                           scale_override=b)
-        counts[res.trace[0].chosen] += 1
-    freqs = counts / trials
+    results = select_runs(SelectorSpec(method="lasso", c1=c1, steps=1), [X] * trials,
+                          np.broadcast_to(y, (trials, X.n)),
+                          [(s, 1.0, c1) for s in range(trials)], 0.05, 1.0,
+                          [RngStream(s, (8,)) for s in range(trials)], scale_override=b)
+    cols = [res.model.indices[0] for res in results]
+    picks = [j + X.d * int(res.theta[j] < 0) for j, res in zip(cols, results)]
+    assert picks[:2000] == [
+        stable_lasso(X, y, c1, 0.05, 1.0, 1.0, rng=RngStream(s, (8,)), steps=1,
+                     scale_override=b).trace[0].chosen for s in range(2000)]
+    freqs = np.bincount(picks, minlength=4) / trials
     sig = np.sqrt(probs * (1 - probs) / trials)
     assert np.all(np.abs(freqs - probs) <= 3 * sig), (freqs, probs)
 
