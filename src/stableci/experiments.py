@@ -12,13 +12,14 @@ each trial's data and `lam` radius, which do not depend on eta, then one
 call of selectors.select_runs, the selector dispatch `select` goes through
 too, for every run, each trial's selector stream serving all of its etas,
 then one call of stability.infer_runs, the inference of `ci`, which
-estimates sigma once per trial, for the intervals of every run selected.
-This module keeps the data, the streams, the targets, the metrics and the
-records. No per-run number depends on the block, so every record is the
-one an eta-major loop, rerunning each (eta, trial) from scratch, would
-produce, whatever the block size and the worker count. `run_trial` is a
-one-trial block; `run_selector`, which `select` calls, is a one-run call
-of select_runs.
+estimates sigma once per trial, for the intervals of every run selected;
+the two hand each other arrays over the runs (trial, support mask,
+certificate index). This module keeps the data, the streams, the targets,
+the metrics and the records. No per-run number depends on the block, so
+every record is the one an eta-major loop, rerunning each (eta, trial)
+from scratch, would produce, whatever the block size and the worker
+count. `run_trial` is a one-trial block; `run_selector`, which `select`
+calls, is a one-run call of select_runs.
 """
 
 from __future__ import annotations
@@ -217,7 +218,8 @@ def _run_block(cfg: ExperimentConfig, trials: range, eta_grid: list) -> list[lis
     trial. Then one selectors.select_runs call selects for every other
     run, trial b drawing from its selector stream (2, trials[b]), and one
     stability.infer_runs call makes the intervals of every run selected,
-    whose fits also give the targets X_M^+ mu. A run whose selection or
+    whose fits also give the targets X_M^+ mu; each distinct (trial,
+    model) pair gets one ModelSet and one FDR. A run whose selection or
     inference check fails is flagged with its error. Every run's record is
     the one the trial run alone at that eta gives.
 
@@ -239,35 +241,33 @@ def _run_block(cfg: ExperimentConfig, trials: range, eta_grid: list) -> list[lis
         else:
             runs += [(b, e, c1) for e in range(len(eta_grid))]
     root = RngStream(cfg.master_seed)
-    sels = select_runs(cfg.selector, designs, Y, [(b, eta_grid[e], c1) for b, e, c1 in runs],
-                       delta_sel, cfg.sigma,
-                       [root.child(_PATH_TRIAL_SELECTOR, t) for t in trials])
-    selected = []  # (b, e, SelectionResult) of every run selected
-    for (b, e, _), sel in zip(runs, sels):
-        if isinstance(sel, Exception):
-            out[b, e] = _flagged_record(trials[b], sel)
-        else:
-            selected.append((b, e, sel))
-    outcomes, intervals = infer_runs(
-        designs, Y, [(b, sel.model, sel.budgets) for b, _, sel in selected], cfg.alpha,
-        cfg.sigma if cfg.sigma_mode == "known" else None, cfg.alpha_weights)
-    for (b, e, _), outcome in zip(selected, outcomes):
-        if isinstance(outcome, Exception):
-            out[b, e] = _flagged_record(trials[b], outcome)
-    for iv in intervals.values():
-        targets = iv.fits.coefficients(np.stack([data[b][2] for b in iv.trials]))[iv.pairs]
-        widths = iv.upper - iv.lower
-        covered = np.all((iv.lower <= targets) & (targets <= iv.upper), axis=1)
-        for i, r in enumerate(iv.runs):
-            b, e, sel = selected[r]
-            X, beta, _, y = data[b]
-            K, chosen, _, _ = outcomes[r]
-            false_picks = sum(1 for j in sel.model if beta[j] == 0.0)
-            out[b, e] = TrialRecord(trial_index=trials[b], model=sel.model,
-                                    covered=bool(covered[i]), widths=widths[i],
-                                    fdr=false_picks / max(len(sel.model), 1),
-                                    risk=_risk(cfg.selector.lam, X, y, sel.theta), K=K,
-                                    budget_used=chosen)
+    sel = select_runs(cfg.selector, designs, Y, [(b, eta_grid[e], c1) for b, e, c1 in runs],
+                      delta_sel, cfg.sigma, [root.child(_PATH_TRIAL_SELECTOR, t) for t in trials])
+    kept = [r for r in range(len(runs)) if r not in sel.failed]  # infer_runs' run r is kept[r]
+    trial = np.array([b for b, _, _ in runs], dtype=np.int64)[kept]
+    iv = infer_runs(designs, Y, trial, sel.support[kept], sel.certs, sel.cert[kept], cfg.alpha,
+                    cfg.sigma if cfg.sigma_mode == "known" else None, cfg.alpha_weights)
+    failed = {**sel.failed, **{kept[i]: error for i, error in iv.failed.items()}}
+    for r, error in failed.items():
+        b, e, _ = runs[r]
+        out[b, e] = _flagged_record(trials[b], error)
+    K = iv.K.tolist()
+    for group in iv.sizes.values():
+        fits, pair_trials = group.fits, group.fits.trial.tolist()
+        targets = fits.coefficients(np.stack([data[b][2] for b in pair_trials]))[group.pairs]
+        widths = group.upper - group.lower
+        covered = np.all((group.lower <= targets) & (targets <= group.upper), axis=1).tolist()
+        models = [ModelSet(tuple(cols)) for cols in fits.cols.tolist()]
+        fdr = [sum(1 for j in M if data[b][1][j] == 0.0) / max(len(M), 1)
+               for b, M in zip(pair_trials, models)]
+        for i, (r, p) in enumerate(zip(group.runs.tolist(), group.pairs.tolist())):
+            b, e, _ = runs[kept[r]]
+            X, _, _, y = data[b]
+            theta = None if sel.theta is None else sel.theta[kept[r]]
+            out[b, e] = TrialRecord(trial_index=trials[b], model=models[p], covered=covered[i],
+                                    widths=widths[i], fdr=fdr[p],
+                                    risk=_risk(cfg.selector.lam, X, y, theta), K=K[r],
+                                    budget_used=iv.budgets[iv.budget[r]])
     return [[out[b, e] for e in range(len(eta_grid))] for b in range(len(trials))]
 
 

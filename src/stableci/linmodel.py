@@ -85,6 +85,12 @@ class ModelSet:
     def __len__(self):
         return len(self.indices)
 
+    def columns(self, d: int) -> np.ndarray:
+        """The indices as an array; DimensionMismatch if one is not below d."""
+        if self.indices and self.indices[-1] >= d:
+            raise DimensionMismatch(f"model index {self.indices[-1]} out of range for d={d}")
+        return np.array(self.indices, dtype=np.int64)
+
     def __iter__(self):
         return iter(self.indices)
 
@@ -104,53 +110,48 @@ def as_response(y, n: int) -> np.ndarray:
 
 
 class SubmodelFits:
-    """Least squares on the columns M_p of the design X_p for a stack of
-    pairs (X_p, M_p) that share n and the model size, all factored by one
-    stacked thin SVD of the X_p[:, M_p].
+    """Least squares on the columns cols[p] of the design designs[trial[p]]
+    for a stack of pairs p that share n and the model size (cols has one row
+    per pair), all factored by one stacked thin SVD of the submatrices.
 
     The factorization serves the coefficients X_M^+ v for a stack of
     responses (the data y, or the mean mu for projection targets) and the
     standard errors. Each pair gets exactly what a stack of one gives it.
     A pair with more columns than rows, or whose smallest singular value
     falls below RANK_TOL relative to its largest, is rank-deficient:
-    rank_error(p) returns its error, and its other results are meaningless.
-    Raises DimensionMismatch for an index out of range. The empty model has
-    no columns to factor.
+    deficient[p] is set, rank_error(p) returns its error, and its other
+    results are meaningless. The empty model has no columns to factor.
     """
 
-    def __init__(self, designs: Sequence[DesignMatrix], models: Sequence[ModelSet]):
-        n, size = designs[0].n, len(models[0])
-        for X, M in zip(designs, models):
-            if len(M) and max(M.indices) >= X.d:
-                raise DimensionMismatch(f"model index {max(M.indices)} out of range for d={X.d}")
-        self.models = list(models)
-        self.n = n
-        count = len(self.models)
+    def __init__(self, designs: Sequence[DesignMatrix], trial: np.ndarray, cols: np.ndarray):
+        n = designs[0].n
+        count, size = cols.shape
+        self.trial, self.cols, self.n = trial, cols, n
         if size == 0:
             self._U, self._s, self._V = np.zeros((count, n, 0)), np.zeros((count, 0)), \
                 np.zeros((count, 0, 0))
-            self._deficient = np.zeros(count, dtype=bool)
+            self.deficient = np.zeros(count, dtype=bool)
             return
         sub = np.empty((count, n, size))
-        for p, (X, M) in enumerate(zip(designs, self.models)):
-            # mode="clip" writes straight into sub (indices are checked above)
-            X.entries.take(M.indices, axis=1, out=sub[p], mode="clip")
+        for p, (b, M) in enumerate(zip(trial.tolist(), cols)):
+            # mode="clip" writes straight into sub (the indices are in range)
+            designs[b].entries.take(M, axis=1, out=sub[p], mode="clip")
         U, s, Vt = np.linalg.svd(sub, full_matrices=False)
         self._singular = s
-        self._deficient = (s[:, 0] == 0.0) | (s[:, -1] <= RANK_TOL * s[:, 0])
+        self.deficient = s[:, -1] <= RANK_TOL * s[:, 0]  # so is a zero matrix: all its s are 0
         if size > n:  # a thin SVD of more columns than rows has only n singular values
-            self._deficient[:] = True
-        if self._deficient.any():  # divide by 1 instead of a vanishing singular value
-            s = np.where(self._deficient[:, None], 1.0, s)
+            self.deficient[:] = True
+        if self.deficient.any():  # divide by 1 instead of a vanishing singular value
+            s = np.where(self.deficient[:, None], 1.0, s)
         self._U, self._s, self._V = U, s, Vt.transpose(0, 2, 1)
 
     def rank_error(self, p: int) -> RankDeficient | None:
-        if not self._deficient[p]:
+        if not self.deficient[p]:
             return None
-        M, s = self.models[p], self._singular[p]
+        M, s = tuple(self.cols[p].tolist()), self._singular[p]
         if len(M) > self.n:
-            return RankDeficient(f"columns {M.indices}: {len(M)} columns on {self.n} rows")
-        return RankDeficient(f"columns {M.indices}: singular value ratio "
+            return RankDeficient(f"columns {M}: {len(M)} columns on {self.n} rows")
+        return RankDeficient(f"columns {M}: singular value ratio "
                              f"{0.0 if s[0] == 0 else s[-1] / s[0]:.3e} below {RANK_TOL:.1e}")
 
     def coefficients(self, V: np.ndarray) -> np.ndarray:
@@ -168,11 +169,11 @@ class SubmodelFits:
 
 class SubmodelFit:
     """Least squares on the columns M of X, factored once: a stack of one
-    SubmodelFits (fits, if already factored). Raises RankDeficient for
-    numerically collinear columns or more columns than rows."""
+    SubmodelFits (fits, if already factored). Raises DimensionMismatch for
+    an index out of range, RankDeficient for collinear or too many columns."""
 
     def __init__(self, X: DesignMatrix, M: ModelSet, fits: SubmodelFits | None = None):
-        self._fits = SubmodelFits([X], [M]) if fits is None else fits
+        self._fits = fits or SubmodelFits([X], np.zeros(1, dtype=np.int64), M.columns(X.d)[None])
         error = self._fits.rank_error(0)
         if error is not None:
             raise error

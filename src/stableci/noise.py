@@ -60,8 +60,8 @@ class RngStream:
 
     def laplace(self, scale: float, size=None):
         """Laplace(scale) draws; scale 0 is the exact zero-noise test hook."""
-        if scale < 0:
-            raise ValueError(f"scale must be >= 0, got {scale}")
+        if not (0 <= scale < math.inf):
+            raise ValueError(f"scale must be finite and >= 0, got {scale}")
         return scale * self.standard_laplace(size)
 
     def normal(self, size=None):

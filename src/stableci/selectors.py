@@ -5,11 +5,12 @@ Three noisy procedures, one implementation each. Each runs a block of
 Laplace scale scales[r], and every array carries the run axis first.
 `select_runs` is the one selector dispatch, called by `select`
 (experiments.run_selector), the sweep and `stable_screening`, `stable_fs`
-and `stable_lasso`, one-run calls that also return the per-step decision
-trace. There are no separate exact variants: a noise scale of 0 (the
-`scale_override` test hook) is the exact algorithm, tie rule included,
-because the zero-scale Laplace draws are +-0.0 and move no argmin or
-argmax.
+and `stable_lasso`. It returns arrays over the runs (support masks,
+LASSO iterates, certificate indices); only a one-run call (`_one_run`)
+builds a SelectionResult, with the per-step decision trace. There are no
+separate exact variants: a noise scale of 0 (the `scale_override` test
+hook) is the exact algorithm, tie rule included, because the zero-scale
+Laplace draws are +-0.0 and move no argmin or argmax.
 
 - LASSO over the l1 ball of radius C1, optimized by Frank-Wolfe, with
   every vertex score perturbed by fresh Laplace noise before the argmin.
@@ -34,8 +35,8 @@ per-run product (scores, norms, updates) is a separate BLAS call, einsum
 or elementwise operation on that run's own slice of a stacked array, so a
 run's result does not depend on the block it ran in.
 
-Every noisy run certifies the same two composed stability budgets,
-returned on the SelectionResult for the interval stage to choose from.
+Every noisy run certifies the same two composed stability budgets, for
+the interval stage to choose from.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllCandidatesCollinear, NonConvergence, check_number
+from .errors import AllCandidatesCollinear, DimensionMismatch, NonConvergence, check_number
 from .linmodel import DesignMatrix, ModelSet, as_response
 from .noise import NoisePolicy, RngStream, scale_forward_stepwise, scale_lasso, scale_screening
 from .stability import ZERO_BUDGET, StabilityBudget, compose_adaptive_advanced
@@ -87,17 +88,20 @@ class SelectionResult:
     c1: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass  # not frozen: a container of arrays, built on every call
 class RunSelections:
-    """What a block of runs selected. picks[r] is run r's pick order
-    (screening and forward stepwise), theta[r] its LASSO iterate, and
-    failed maps a run that stopped early to its error. trace is the
-    decision trace of a one-run block that asked for it, else empty."""
+    """What a block of runs selected: run r's model as a mask support[r]
+    over the d columns, its LASSO iterate theta[r] (theta is None for the
+    other methods) and its certificates certs[cert[r]], set by select_runs;
+    failed maps a run that stopped early to its error (its support row is
+    empty), and trace is the decision trace of a one-run block, if kept."""
 
-    picks: np.ndarray | None
+    support: np.ndarray
     theta: np.ndarray | None
     failed: dict[int, Exception]
     trace: tuple[TraceStep, ...] = ()
+    certs: tuple[tuple[StabilityBudget, ...], ...] = ()
+    cert: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -230,7 +234,9 @@ def lasso_runs(designs: list[DesignMatrix], Y: np.ndarray, c1: np.ndarray, steps
     Vertex order is +c1*e_0 .. +c1*e_{d-1}, -c1*e_0 .. -c1*e_{d-1}; the
     per-step noise vector is drawn in that order from the step's child
     stream. Step size 2/(t+1), t = 1..steps, theta_1 = 0. Runs are kept
-    longest first, so the runs still going at step t are a prefix.
+    longest first, so the runs still going at step t are a prefix; a run
+    of 0 steps draws nothing. The support, |theta_j| > SUPPORT_THRESHOLD,
+    is post-processing that inherits theta's stability budget.
     """
     runs = len(trial)
     order = np.argsort(-steps, kind="stable") if runs > 1 else None
@@ -281,7 +287,7 @@ def lasso_runs(designs: list[DesignMatrix], Y: np.ndarray, c1: np.ndarray, steps
                                     objective=float(rr @ rr) / n))
     if order is not None:
         theta[order] = theta.copy()
-    return RunSelections(picks=None, theta=theta, failed={}, trace=tuple(traced))
+    return RunSelections(np.abs(theta) > SUPPORT_THRESHOLD, theta, {}, tuple(traced))
 
 
 def stable_lasso(X: DesignMatrix, y, c1: float, delta: float, eta_step: float,
@@ -298,13 +304,6 @@ def stable_lasso(X: DesignMatrix, y, c1: float, delta: float, eta_step: float,
     """
     return _one_run(_spec(method="lasso", c1=c1, steps=steps), X, y, eta_step, c1,
                     delta, sigma, rng, scale_override)
-
-
-def support(theta) -> ModelSet:
-    """Indices with |theta_j| > SUPPORT_THRESHOLD. Pure post-processing: the
-    result inherits theta's stability budget unchanged."""
-    theta = np.asarray(theta, dtype=np.float64).ravel()
-    return ModelSet(tuple(int(j) for j in np.nonzero(np.abs(theta) > SUPPORT_THRESHOLD)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -410,16 +409,13 @@ def screen_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.nd
     picked = np.zeros((runs, d), dtype=bool)
     kept = np.full(runs, d)
     scale_col = scales[:, None]
-    picks = np.empty((runs, k), dtype=np.int64)
     traced: list[TraceStep] = []
     for t in range(1, k + 1):
         xi = scale_col * _step_draws(streams, t, kept, trial)
         chosen = _noisy_argmax(t, c, ~picked, kept, xi, traced if trace else None)
-        picks[:, t - 1] = chosen
-        if t < k:
-            picked[at, chosen] = True
-            kept -= 1
-    return RunSelections(picks=picks, theta=None, failed={}, trace=tuple(traced))
+        picked[at, chosen] = True
+        kept -= 1
+    return RunSelections(picked, None, {}, tuple(traced))
 
 
 def stable_screening(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
@@ -459,7 +455,6 @@ def fs_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.ndarra
     floor = FS_COLLINEAR_TOL * np.array([X.col_norms for X in designs])[trial]
     picked = np.zeros((runs, d), dtype=bool)
     ids = np.arange(runs)  # block run of each state row
-    picks = np.full((runs, k), -1, dtype=np.int64)
     failed: dict[int, Exception] = {}
     traced: list[TraceStep] = []
     for t in range(1, k + 1):
@@ -483,7 +478,6 @@ def fs_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.ndarra
         signed = np.divide(np.einsum("rij,ri->rj", R, y_res), norms,
                            out=np.zeros_like(norms), where=live)
         chosen = _noisy_argmax(t, signed, live, kept, xi, traced if trace else None)
-        picks[ids, t - 1] = chosen
         picked[at, chosen] = True
         # fold the winner into the basis; residualize everything once, with
         # an einsum for q . R, so that copies of a column stay equal
@@ -491,7 +485,9 @@ def fs_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.ndarra
         q = w / np.sqrt(np.matmul(w[:, None, :], w[:, :, None])[:, 0])
         R -= q[:, :, None] * np.einsum("ri,rij->rj", q, R)[:, None, :]
         y_res -= q * np.matmul(q[:, None, :], y_res[:, :, None])[:, 0]
-    return RunSelections(picks=picks, theta=None, failed=failed, trace=tuple(traced))
+    support = np.zeros((runs, d), dtype=bool)
+    support[ids] = picked  # the rows of the runs that did not fail
+    return RunSelections(support, None, failed, tuple(traced))
 
 
 def stable_fs(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
@@ -513,89 +509,76 @@ def stable_fs(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
 def select_runs(spec: SelectorSpec, designs: list[DesignMatrix], Y: np.ndarray,
                 runs: list[tuple[int, float | None, float | None]], delta: float, sigma: float,
                 streams: list[RngStream], *, trace: bool = False,
-                scale_override: float | None = None,
-                ) -> list[SelectionResult | AllCandidatesCollinear]:
+                scale_override: float | None = None) -> RunSelections:
     """spec's selector for a block of runs: run (trial, eta_step, c1)
     selects on designs[trial] and the finite response Y[trial] with the
     stream streams[trial], at per-step eta_step, slack delta and noise
     scale sigma; c1 is its LASSO radius (None for the other methods).
-    Returns, per run, its SelectionResult or the AllCandidatesCollinear
-    error of a forward stepwise run left without candidates.
+    Returns the block's RunSelections, whose failed maps a forward
+    stepwise run left without candidates to its AllCandidatesCollinear.
 
     A fixed model, and a zero radius, carry the one zero certificate; the
-    noisy runs go through one screen_runs, fs_runs or lasso_runs call,
-    with one NoisePolicy per distinct eta_step. trace keeps the decision
-    trace of a one-run block; scale_override, a test hook, replaces every
-    run's Laplace scale (0 gives the exact algorithm).
+    other runs go through one screen_runs, fs_runs or lasso_runs call, with
+    one NoisePolicy per distinct eta_step and one certify_budgets entry in
+    certs per distinct (rounds, eta_step). trace keeps the decision trace
+    of a one-run block; scale_override, a test hook, replaces every run's
+    Laplace scale (0 gives the exact algorithm).
     """
-    if spec.method == "fixed":
-        return [SelectionResult(ModelSet.from_unordered(spec.fixed_model), None, (),
-                                (ZERO_BUDGET,))] * len(runs)
+    d = designs[0].d
+    if spec.method == "fixed" or not runs:  # no noise to draw
+        if spec.fixed_model and max(spec.fixed_model) >= d:
+            raise DimensionMismatch(f"fixed_model index {max(spec.fixed_model)} out of range "
+                                    f"for d={d}")
+        support = np.zeros((len(runs), d), dtype=bool)
+        support[:, list(spec.fixed_model)] = True
+        return RunSelections(support, None, {}, certs=((ZERO_BUDGET,),),
+                             cert=np.zeros(len(runs), dtype=np.int64))
     etas = {eta for _, eta, _ in runs}
     for eta in etas:
         if eta is None or eta <= 0:
             raise ValueError(f"selector {spec.method!r} needs a positive eta_step")
     policies = {eta: NoisePolicy(sigma, delta, eta) for eta in etas}
-    if scale_override is not None and scale_override < 0:
-        raise ValueError(f"scale must be >= 0, got {scale_override}")
+    if scale_override is not None and not (0 <= scale_override < math.inf):
+        raise ValueError(f"scale_override must be finite and >= 0, got {scale_override}")
     if trace and len(runs) != 1:
         raise ValueError(f"a trace is kept for a one-run block only, not {len(runs)} runs")
-    if spec.k is not None and spec.k > designs[0].d:
-        raise ValueError(f"need 1 <= k <= d, got k={spec.k}, d={designs[0].d}")
-    out: list = [None] * len(runs)
-    noisy = [r for r, (_, _, c1) in enumerate(runs) if c1 != 0.0]
-    if len(noisy) < len(runs):
-        # a LASSO radius of 0 admits only theta = 0: nothing to randomize
-        out = [SelectionResult(ModelSet(), np.zeros(designs[0].d), (), (ZERO_BUDGET,),
-                               c1=0.0)] * len(runs)
-    if not noisy:
-        return out
-    trials, eta_steps, radii = zip(*[runs[r] for r in noisy])
+    if spec.k is not None and spec.k > d:
+        raise ValueError(f"need 1 <= k <= d, got k={spec.k}, d={d}")
+    rounds = [spec.k] * len(runs)
     if spec.method == "screen":
-        rounds = [spec.k] * len(noisy)
-        scales = [scale_screening(designs[b], policies[e]) for b, e in zip(trials, eta_steps)]
+        scales = [scale_screening(designs[b], policies[e]) for b, e, _ in runs]
     elif spec.method == "fs":
-        rounds = [spec.k] * len(noisy)
-        per_eta = {e: scale_forward_stepwise(designs[0].d, spec.k, policy)
-                   for e, policy in policies.items()}
-        scales = [per_eta[e] for e in eta_steps]
+        per_eta = {e: scale_forward_stepwise(d, spec.k, policy) for e, policy in policies.items()}
+        scales = [per_eta[e] for _, e, _ in runs]
+    else:  # a radius of 0 admits only theta = 0: no step, nothing to randomize
+        rounds = [0 if c == 0 else spec.steps if spec.steps is not None
+                  else _default_fw_steps(designs[b], c, e, sigma) for b, e, c in runs]
+        scales = [0.0 if c == 0 else scale_lasso(c, designs[b], policies[e]) for b, e, c in runs]
+    trial = np.array([b for b, _, _ in runs], dtype=np.int64)
+    scales = np.array(scales if scale_override is None else [scale_override] * len(runs))
+    if spec.method == "lasso":
+        block = lasso_runs(designs, Y, np.array([c for _, _, c in runs]),
+                           np.array(rounds, dtype=np.int64), trial, scales, streams, trace)
     else:
-        rounds = [spec.steps if spec.steps is not None
-                  else _default_fw_steps(designs[b], c, e, sigma)
-                  for b, c, e in zip(trials, radii, eta_steps)]
-        scales = [scale_lasso(c, designs[b], policies[e])
-                  for b, c, e in zip(trials, radii, eta_steps)]
-    if scale_override is not None:
-        scales = [scale_override] * len(noisy)
-    trial, scales = np.array(trials, dtype=np.int64), np.array(scales)
-    if spec.method == "screen":
-        block = screen_runs(designs, Y, spec.k, trial, scales, streams, trace)
-    elif spec.method == "fs":
-        block = fs_runs(designs, Y, spec.k, trial, scales, streams, trace)
-    else:
-        block = lasso_runs(designs, Y, np.array(radii), np.array(rounds, dtype=np.int64), trial,
-                           scales, streams, trace)
-    for i, r in enumerate(noisy):
-        if i in block.failed:
-            out[r] = block.failed[i]
-            continue
-        budgets = certify_budgets(rounds[i], eta_steps[i], delta)
-        if block.theta is None:
-            out[r] = SelectionResult(ModelSet.from_unordered(block.picks[i].tolist()), None,
-                                     block.trace, budgets)
-        else:
-            out[r] = SelectionResult(support(block.theta[i]), block.theta[i], block.trace,
-                                     budgets, c1=radii[i])
-    return out
+        kernel = screen_runs if spec.method == "screen" else fs_runs
+        block = kernel(designs, Y, spec.k, trial, scales, streams, trace)
+    table: dict = {}  # (rounds, eta_step) -> certificate index; None for no round
+    block.cert = np.array([table.setdefault((k, e) if k else None, len(table))
+                           for k, (_, e, _) in zip(rounds, runs)], dtype=np.int64)
+    block.certs = tuple((ZERO_BUDGET,) if key is None else certify_budgets(*key, delta)
+                        for key in table)
+    return block
 
 
 def _one_run(spec: SelectorSpec, X: DesignMatrix, y, eta_step: float | None,
              c1: float | None, delta: float, sigma: float, rng: RngStream,
              scale_override: float | None = None) -> SelectionResult:
     """One run of select_runs on the response y, validated here, with its
-    trace; a failed run raises its error."""
-    [result] = select_runs(spec, [X], as_response(y, X.n)[None], [(0, eta_step, c1)], delta,
-                           sigma, [rng], trace=True, scale_override=scale_override)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    trace, as a SelectionResult; a failed run raises its error."""
+    block = select_runs(spec, [X], as_response(y, X.n)[None], [(0, eta_step, c1)], delta,
+                        sigma, [rng], trace=True, scale_override=scale_override)
+    if block.failed:
+        raise block.failed[0]
+    return SelectionResult(ModelSet(tuple(block.support[0].nonzero()[0].tolist())),
+                           None if block.theta is None else block.theta[0], block.trace,
+                           block.certs[block.cert[0]], c1=c1)

@@ -8,9 +8,9 @@ delta is repaired by shrinking the level to delta*(1-nu)*exp(-eta) and
 growing the reported miscoverage to delta + tau + nu. This module holds the
 budget algebra (composition, the sparse-selection universal bound), the
 corrected quantile constants, and inference: infer_runs turns a block of
-selected runs into intervals, and is the only implementation of the
-rank, level, sigma and K checks. `infer` (the `ci` command) is its one-run
-case; the experiment sweep scores whole blocks through it.
+selected runs, given as arrays, into intervals, and is the only
+implementation of the rank, level, sigma and K checks. `infer` (the `ci`
+command) is its one-run case; the experiment sweep scores whole blocks.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class LevelAllocation:
         return self.delta + self.tau + self.nu
 
 
-@dataclass(frozen=True)
+@dataclass  # not frozen: a container of arrays, built on every call
 class IntervalSet:
     """Simultaneous intervals estimate_j +/- K * stderr_j over a model.
 
@@ -102,22 +102,38 @@ class IntervalSet:
     fit: SubmodelFit
 
 
-@dataclass(frozen=True)
+@dataclass  # not frozen: a container of arrays, built on every call
 class SizeIntervals:
     """infer_runs' intervals for the runs of one model size that passed
     every check. fits factors the distinct (trial, model) pairs of this
-    size, pair p on trial trials[p], and also serves the targets X_M^+ mu;
-    row i of estimates, stderrs, lower and upper is run runs[i], on pair
-    pairs[i]."""
+    size, pair p on the columns fits.cols[p] of trial fits.trial[p], and
+    also serves the targets X_M^+ mu; row i of estimates, stderrs, lower
+    and upper is run runs[i], on pair pairs[i]."""
 
     fits: SubmodelFits
-    trials: list[int]
-    runs: list[int]
+    runs: np.ndarray
     pairs: np.ndarray
     estimates: np.ndarray
     stderrs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+
+
+@dataclass  # not frozen: a container of arrays, built on every call
+class RunIntervals:
+    """infer_runs' results for a block of runs: run r's constant K[r], level
+    level[r], noise scale sigma[r] (NaN for an empty model of unknown
+    scale) and budgets[budget[r]], the aligned certificate that gave K[r];
+    failed maps a run whose check failed to its error, and sizes holds the
+    intervals of the other runs by model size."""
+
+    K: np.ndarray
+    level: np.ndarray
+    sigma: np.ndarray
+    budget: np.ndarray
+    budgets: list[StabilityBudget]
+    failed: dict[int, Exception]
+    sizes: dict[int, SizeIntervals]
 
 
 # ---------------------------------------------------------------------------
@@ -296,76 +312,85 @@ def interval_level(budgets, alpha: float,
     return aligned, level
 
 
-def infer_runs(designs: Sequence[DesignMatrix], Y: np.ndarray, runs, alpha: float,
+def infer_runs(designs: Sequence[DesignMatrix], Y: np.ndarray, trial: np.ndarray,
+               support: np.ndarray, certs, cert: np.ndarray, alpha: float,
                sigma: float | None, weights: tuple[float, float, float] | None = None,
-               ) -> tuple[list, dict[int, SizeIntervals]]:
-    """Simultaneous intervals at miscoverage alpha for a block of runs
-    (trial, model, budgets), each on designs[trial] and Y[trial].
+               ) -> RunIntervals:
+    """Simultaneous intervals at miscoverage alpha for a block of runs: run
+    r selects the columns support[r] (a mask) of designs[trial[r]], on
+    Y[trial[r]], with the certificates certs[cert[r]].
 
-    The distinct (trial, model) pairs of each model size are factored by
-    one stacked SVD (linmodel.SubmodelFits). Each run's checks go in this
-    order: the model's rank, the level (interval_level), the sigma
-    estimate, then K, the smallest constant over the aligned certificates
-    at that level. sigma is the known noise scale (normal quantiles), or
-    None to estimate it once per trial from the full model's residuals
-    (Student-t quantiles). Each level and K is computed once per distinct
-    set of arguments. The empty model gets no intervals and K = 0.
-
-    Returns (outcomes, SizeIntervals by model size). outcomes[r] is run r's
-    (K, the certificate that gave it, level, sigma), sigma None for an
-    empty model whose scale was to be estimated, or the RankDeficient or
-    DegenerateLevel error of its failed check. An estimate short of
-    samples raises InsufficientSamples.
+    The distinct (trial, support row) pairs of each model size are factored
+    by one stacked SVD (linmodel.SubmodelFits). Each run's checks go in
+    this order: the model's rank, the level (interval_level, once per
+    certificate index), sigma, then K (once per model size, certificate
+    index and dof), the smallest constant over the aligned certificates.
+    sigma is the known noise scale (normal quantiles), or None to estimate
+    it once per trial from the full model's residuals (Student-t
+    quantiles), for a trial with a run that gets that far with a nonempty
+    model; one short of samples raises InsufficientSamples. The empty
+    model gets no intervals and K = 0.
     """
     if sigma is not None and not (0 < sigma < math.inf):
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
-    pairs: dict[tuple[int, tuple[int, ...]], int] = {}
-    groups: dict[int, list[tuple[int, ModelSet]]] = {}
-    for t, model, _ in runs:
-        if (t, model.indices) not in pairs:
-            group = groups.setdefault(len(model), [])
-            pairs[t, model.indices] = len(group)
-            group.append((t, model))
-    fits = {size: SubmodelFits([designs[t] for t, _ in group], [M for _, M in group])
-            for size, group in groups.items()}
-    memo: dict = {}  # levels, sigma estimates and constants, by tagged key
-    outcomes: list = []
-    scored: dict[int, list[tuple[int, int]]] = {}
-    for t, model, budgets in runs:
-        p = pairs[t, model.indices]
+    runs = len(trial)
+    if runs == 1:  # one run is one pair
+        pair = first = np.zeros(1, dtype=np.int64)
+        size, bounds = np.array([np.count_nonzero(support)]), [0, 1]
+    else:  # the distinct pairs, sorted so that those of one model size are a range
+        size = support.sum(axis=1)
+        packed = np.concatenate([np.stack([size, trial], axis=1).astype(np.int64).view(np.uint8),
+                                 np.packbits(support, axis=1)], axis=1)
+        # each packed row as one opaque field: np.unique(packed, axis=0) sorts
+        # a field per byte, 8 times slower on a sweep block
+        _, first, pair = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1),
+                                   return_index=True, return_inverse=True)
+        cuts = (np.diff(size[first]).nonzero()[0] + 1).tolist()
+        bounds = [0, *cuts, len(first)] if runs else []
+    fits: dict[int, SubmodelFits] = {}
+    lo: dict[int, int] = {}  # the first pair of each size's range
+    for a, b in zip(bounds, bounds[1:]):
+        rows = first[a:b]
+        m = int(size[rows[0]])
+        lo[m] = a
+        fits[m] = SubmodelFits(designs, trial[rows], support[rows].nonzero()[1].reshape(b - a, m))
+    levels: dict = {}  # by certificate index
+    estimates: dict = {}  # by trial
+    constants: dict = {}  # by (model size, certificate index, dof)
+    chosen: dict = {}  # the same keys: (entry in the table, the certificate that gave K)
+    failed: dict[int, Exception] = {}
+    scored: dict[int, list] = {}  # (run, its pair's place in the stack) by model size
+    outcomes = []  # (K, level, sigma, budget entry) per run
+    for r, (t, p, m, c) in enumerate(zip(trial.tolist(), pair.tolist(), size.tolist(),
+                                         cert.tolist())):
+        s, dof = sigma, None
         try:
-            error = fits[len(model)].rank_error(p)
-            if error is not None:
-                raise error
-            aligned, level = _memo(memo, ("level", tuple(budgets)), interval_level, budgets,
-                                   alpha, weights)
-            if len(model) == 0:
-                outcome = 0.0, aligned[0], level, sigma
-            else:
-                run_sigma, dof = (sigma, None) if sigma is not None else \
-                    _memo(memo, ("sigma", t), sigma_hat_full_model, designs[t], Y[t])
-                K, chosen = _memo(memo, ("K", len(model), level, tuple(aligned), dof),
-                                  best_posi_constant, len(model), level, aligned, dof)
-                outcome = K, chosen, level, run_sigma
+            if fits[m].deficient[p - lo[m]]:
+                raise fits[m].rank_error(p - lo[m])
+            aligned, at = _memo(levels, c, interval_level, certs[c], alpha, weights)
+            if m and sigma is None:
+                s, dof = _memo(estimates, t, sigma_hat_full_model, designs[t], Y[t])
+            key = (m, c, dof)
+            value, best = _memo(constants, key, best_posi_constant, m, at, aligned, dof) \
+                if m else (0.0, aligned[0])
+            b = chosen.setdefault(key, (len(chosen), best))[0]
         except (RankDeficient, DegenerateLevel) as e:
-            outcome = e
+            failed[r] = e
+            value, at, s, b = 0.0, math.nan, math.nan, -1
         else:
-            scored.setdefault(len(model), []).append((len(outcomes), p))
-        outcomes.append(outcome)
+            scored.setdefault(m, []).append((r, p - lo[m]))
+        outcomes.append((value, at, s, b))  # s is None for an empty model of unknown scale
+    K, level, run_sigma, budget = np.array(outcomes, dtype=np.float64).reshape(runs, 4).T
     out = {}
-    for size, rows in scored.items():
-        group, fit = groups[size], fits[size]
-        done = [r for r, _ in rows]
-        p = np.array([p for _, p in rows])
-        est = fit.coefficients(Y[[t for t, _ in group]])[p]
-        se = fit.stderrs()[p]
-        if size:  # each run's sigma; an empty model's may be None
-            se *= np.array([outcomes[r][3] for r in done])[:, None]
-        K = np.array([outcomes[r][0] for r in done])[:, None]
-        out[size] = SizeIntervals(fits=fit, trials=[t for t, _ in group], runs=done, pairs=p,
-                                  estimates=est, stderrs=se, lower=est - K * se,
-                                  upper=est + K * se)
-    return outcomes, out
+    for m, rows in scored.items():
+        fit, (done, p) = fits[m], np.array(rows).T
+        est = fit.coefficients(Y[fit.trial])[p]
+        se = fit.stderrs()[p] * run_sigma[done][:, None]  # an empty model has no entry
+        half = K[done][:, None] * se
+        out[m] = SizeIntervals(fits=fit, runs=done, pairs=p, estimates=est, stderrs=se,
+                               lower=est - half, upper=est + half)
+    return RunIntervals(K=K, level=level, sigma=run_sigma, budget=budget.astype(np.int64),
+                        budgets=[best for _, best in chosen.values()], failed=failed, sizes=out)
 
 
 def _memo(cache: dict, key, fn, *args):
@@ -389,14 +414,17 @@ def infer(X: DesignMatrix, y, model: ModelSet, budgets: list[StabilityBudget],
     """Simultaneous intervals over the selected model at miscoverage alpha:
     infer_runs on a block of one run, whose failed check is raised."""
     y = as_response(y, X.n)
-    [outcome], intervals = infer_runs([X], y[None], [(0, model, budgets)], alpha, sigma, weights)
-    if isinstance(outcome, Exception):
-        raise outcome
-    K, chosen, level, sigma = outcome
-    run = intervals[len(model)]
-    return IntervalSet(model=model, estimates=run.estimates[0], stderrs=run.stderrs[0], K=K,
-                       lower=run.lower[0], upper=run.upper[0], level=level, budget=chosen,
-                       sigma=sigma, fit=SubmodelFit(X, model, run.fits))
+    zero, support = np.zeros(1, dtype=np.int64), np.zeros((1, X.d), dtype=bool)
+    support[0, model.columns(X.d)] = True
+    out = infer_runs([X], y[None], zero, support, [budgets], zero, alpha, sigma, weights)
+    if out.failed:
+        raise out.failed[0]
+    run, sigma = out.sizes[len(model)], float(out.sigma[0])
+    return IntervalSet(model=model, estimates=run.estimates[0], stderrs=run.stderrs[0],
+                       K=float(out.K[0]), lower=run.lower[0], upper=run.upper[0],
+                       level=float(out.level[0]), budget=out.budgets[out.budget[0]],
+                       sigma=None if math.isnan(sigma) else sigma,
+                       fit=SubmodelFit(X, model, run.fits))
 
 
 def eta_step_for_total(k: int, delta: float, eta_total: float) -> float:

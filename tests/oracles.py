@@ -10,6 +10,8 @@ eta-major sweep reruns every (eta, trial) from scratch through them: the
 reference for the library's run-axis selectors and block sweep engine.
 The penalized solver updates the residual itself, coordinate by
 coordinate: the reference for the library's covariance-update solver.
+`support` is the LASSO model of one iterate, the reference for the
+library's support mask over a block.
 """
 
 import re
@@ -24,8 +26,8 @@ from stableci.linmodel import DesignMatrix, ModelSet, SubmodelFit, as_response, 
     sigma_hat_full_model
 from stableci.noise import NoisePolicy, RngStream, scale_forward_stepwise, scale_lasso, \
     scale_screening
-from stableci.selectors import FS_COLLINEAR_TOL, SelectionResult, _default_fw_steps, \
-    _soft_threshold, certify_budgets, support
+from stableci.selectors import FS_COLLINEAR_TOL, SUPPORT_THRESHOLD, SelectionResult, \
+    _default_fw_steps, _soft_threshold, certify_budgets
 from stableci.stability import StabilityBudget, alpha_split, best_posi_constant, \
     interval_level
 
@@ -68,6 +70,13 @@ def fs_exact(X: DesignMatrix, y, k: int) -> ModelSet:
         available[i_t] = False
         chosen.append(i_t)
     return ModelSet.from_unordered(chosen)
+
+
+def support(theta) -> ModelSet:
+    """Indices with |theta_j| > SUPPORT_THRESHOLD. Pure post-processing: the
+    result inherits theta's stability budget unchanged."""
+    theta = np.asarray(theta, dtype=np.float64).ravel()
+    return ModelSet(tuple(int(j) for j in np.nonzero(np.abs(theta) > SUPPORT_THRESHOLD)[0]))
 
 
 def lasso_exact_fw(X: DesignMatrix, y, c1: float, steps: int) -> np.ndarray:

@@ -16,13 +16,12 @@ from stableci.cli import main
 from stableci.experiments import ExperimentConfig, SelectorSpec, aggregate, eta_sweep
 from stableci.linmodel import DesignMatrix
 from stableci.noise import NoisePolicy, RngStream, scale_forward_stepwise, scale_screening
-from stableci.selectors import (solve_penalized_lasso, stable_fs, stable_lasso,
-                                stable_screening, support)
+from stableci.selectors import solve_penalized_lasso, stable_fs, stable_lasso, stable_screening
 from stableci.stability import (StabilityBudget, compose_adaptive_advanced,
                                 compose_adaptive_simple,
                                 eta_step_for_total, sparse_selection_eta)
 
-from oracles import fs_exact, lasso_exact_fw, screening_exact
+from oracles import fs_exact, lasso_exact_fw, screening_exact, support
 
 
 def report(num, name, ok, detail):

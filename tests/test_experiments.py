@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from stableci import experiments, stability
+from stableci import experiments, linmodel, selectors, stability
 from stableci.errors import AllCandidatesCollinear, EmptyInput, NonConvergence
 from stableci.experiments import (DEFAULT_ETA_GRID, ExperimentConfig,
                                   SelectorSpec, TrialRecord, aggregate, block_trials,
@@ -310,7 +310,8 @@ def test_run_selector_zero_certificate_for_noiseless_choices():
 def test_select_runs_matches_one_run_selections():
     """A block mixing a zero-radius LASSO trial with noisy ones, and a
     forward stepwise block where one trial's runs fail alone, give each run
-    the result run_selector gives it alone, trace aside."""
+    the result run_selector gives it alone, trace aside, and certify one
+    table entry per distinct (rounds, eta_step)."""
     cfg = fixed_cfg(n=30, d=8, signal=3.0, active_fraction=0.25)
     data = [(X, y) for X, _, _, y in (gen_synthetic(cfg, t) for t in range(3))]
     data[1] = (data[1][0], np.zeros(cfg.n))  # lam zeroes every coordinate
@@ -325,25 +326,36 @@ def test_select_runs_matches_one_run_selections():
     }
     got = {}
     for name, (spec, trials, runs) in blocks.items():
-        got[name] = select_runs(spec, [X for X, _ in trials], np.array([y for _, y in trials]),
-                                runs, 0.03, 1.0, streams)
-        for (b, eta, _), result in zip(runs, got[name]):
+        block = got[name] = select_runs(spec, [X for X, _ in trials],
+                                        np.array([y for _, y in trials]), runs, 0.03, 1.0,
+                                        streams)
+        assert block.trace == ()
+        distinct = set()  # (rounds, eta_step) of each noisy run, None of a zero-radius one
+        for r, (b, eta, c1) in enumerate(runs):
             X, y = trials[b]
             try:
                 want = run_selector(spec, X, y, eta, 0.03, 1.0, streams[b])
             except AllCandidatesCollinear as e:
-                assert type(result) is AllCandidatesCollinear and str(result) == str(e)
+                assert type(block.failed[r]) is AllCandidatesCollinear
+                assert str(block.failed[r]) == str(e) and not block.support[r].any()
+                distinct.add((spec.k, eta))
                 continue
-            assert isinstance(result, SelectionResult) and result.trace == ()
-            assert result.model == want.model and result.budgets == want.budgets
-            assert result.c1 == want.c1
-            np.testing.assert_array_equal(result.theta, want.theta)
+            assert r not in block.failed
+            assert tuple(np.flatnonzero(block.support[r])) == want.model.indices
+            assert block.certs[block.cert[r]] == want.budgets
+            assert c1 == want.c1
+            if want.theta is None:
+                assert block.theta is None
+            else:
+                np.testing.assert_array_equal(block.theta[r], want.theta)
+            distinct.add((len(want.trace), eta) if want.trace else None)
+        assert len(block.certs) == len(distinct)
     # the zero-radius trial took the zero certificate, the others noisy ones
-    assert [r.budgets == (StabilityBudget(0.0, 0.0, 0.0),) for r in got["lasso"]] == \
-        [False, False, True, True, False, False]
+    lasso_block = got["lasso"]
+    assert [lasso_block.certs[c] == (StabilityBudget(0.0, 0.0, 0.0),)
+            for c in lasso_block.cert] == [False, False, True, True, False, False]
     # both runs of the rank-3 trial failed, the others did not
-    assert [isinstance(r, AllCandidatesCollinear) for r in got["fs"]] == \
-        [False, True, False, True]
+    assert [r in got["fs"].failed for r in range(4)] == [False, True, False, True]
 
 
 def test_run_trial_flags_collinear_candidates():
@@ -639,6 +651,24 @@ def test_eta_sweep_matches_eta_major_oracle(case):
     if case == "fixed-rank-deficient":
         assert all(r.flagged == "rank_deficient: columns (0, 1, 2): 3 columns on 2 rows"
                    for _, records, _ in rows for r in records)
+
+
+def test_sweep_hands_arrays_from_selection_to_inference(monkeypatch):
+    """With SelectionResult and ModelSet.from_unordered made to raise, the
+    sweep returns the same records: it builds no per-run selection."""
+    cases = ("screen", "fs", "lasso-c1", "fixed")
+    want = {case: eta_sweep(*ENGINE_CASES[case]) for case in cases}
+
+    def per_run_object(*args, **kwargs):
+        raise AssertionError("a per-run selection object was built")
+
+    monkeypatch.setattr(selectors, "SelectionResult", per_run_object)
+    monkeypatch.setattr(linmodel.ModelSet, "from_unordered", per_run_object)
+    for case in cases:
+        for (eta, records, summary), (want_eta, want_records, want_summary) in \
+                zip(eta_sweep(*ENGINE_CASES[case]), want[case]):
+            assert eta == want_eta and summary == want_summary
+            assert_same_records(records, want_records)
 
 
 @pytest.mark.parametrize("case", ["fs", "lasso-c1", "flagged", "lasso-lam-estimate"])

@@ -16,18 +16,18 @@ import scipy.integrate
 import scipy.stats
 
 from stableci.errors import AllCandidatesCollinear, NonConvergence
-from stableci.linmodel import DesignMatrix, ModelSet
+from stableci.linmodel import DesignMatrix
 from stableci.noise import (NoisePolicy, RngStream, scale_forward_stepwise, scale_lasso,
                             scale_screening)
 from stableci.selectors import (FS_COLLINEAR_TOL, MAX_DEFAULT_FW_STEPS, SUPPORT_THRESHOLD,
                                 SelectorSpec, certify_budgets, fs_runs, lambda_to_c1,
                                 lasso_runs, screen_runs, select_runs,
                                 solve_penalized_lasso, stable_fs, stable_lasso,
-                                stable_screening, support, _default_fw_steps, _step_draws)
+                                stable_screening, _default_fw_steps, _step_draws)
 from stableci.stability import StabilityBudget, compose_adaptive_advanced
 
 from oracles import (fs_exact, fs_noisy, lasso_exact_fw, lasso_noisy,
-                     penalized_lasso_residual, screening_exact, screening_noisy)
+                     penalized_lasso_residual, screening_exact, screening_noisy, support)
 
 
 def random_instance(seed, n=25, d=8, snr=2.0):
@@ -400,12 +400,13 @@ def test_stable_screening_selection_law():
 
     # one block of 1e5 runs, run s on the stream of seed s
     trials = 100_000
-    results = select_runs(SelectorSpec(method="screen", k=1), [X] * trials,
-                          np.broadcast_to(y, (trials, X.n)),
-                          [(s, 1.0, None) for s in range(trials)], 0.05, 1.0,
-                          [RngStream(s, (7,)) for s in range(trials)], scale_override=b)
-    picks = [res.model.indices[0] for res in results]
-    assert picks[:2000] == [
+    block = select_runs(SelectorSpec(method="screen", k=1), [X] * trials,
+                        np.broadcast_to(y, (trials, X.n)),
+                        [(s, 1.0, None) for s in range(trials)], 0.05, 1.0,
+                        [RngStream(s, (7,)) for s in range(trials)], scale_override=b)
+    assert np.all(block.support.sum(axis=1) == 1)
+    picks = block.support.argmax(axis=1)
+    assert picks[:2000].tolist() == [
         stable_screening(X, y, 1, 0.05, 1.0, 1.0, rng=RngStream(s, (7,)),
                          scale_override=b).model.indices[0] for s in range(2000)]
     freqs = np.bincount(picks, minlength=3) / trials
@@ -438,13 +439,14 @@ def test_stable_lasso_selection_law():
     # one block of 1e5 runs, run s on the stream of seed s; after one step
     # theta is the chosen vertex, +-c1 on its column
     trials = 100_000
-    results = select_runs(SelectorSpec(method="lasso", c1=c1, steps=1), [X] * trials,
-                          np.broadcast_to(y, (trials, X.n)),
-                          [(s, 1.0, c1) for s in range(trials)], 0.05, 1.0,
-                          [RngStream(s, (8,)) for s in range(trials)], scale_override=b)
-    cols = [res.model.indices[0] for res in results]
-    picks = [j + X.d * int(res.theta[j] < 0) for j, res in zip(cols, results)]
-    assert picks[:2000] == [
+    block = select_runs(SelectorSpec(method="lasso", c1=c1, steps=1), [X] * trials,
+                        np.broadcast_to(y, (trials, X.n)),
+                        [(s, 1.0, c1) for s in range(trials)], 0.05, 1.0,
+                        [RngStream(s, (8,)) for s in range(trials)], scale_override=b)
+    assert np.all(block.support.sum(axis=1) == 1)
+    cols = block.support.argmax(axis=1)
+    picks = cols + X.d * (block.theta[np.arange(trials), cols] < 0)
+    assert picks[:2000].tolist() == [
         stable_lasso(X, y, c1, 0.05, 1.0, 1.0, rng=RngStream(s, (8,)), steps=1,
                      scale_override=b).trace[0].chosen for s in range(2000)]
     freqs = np.bincount(picks, minlength=4) / trials
@@ -623,6 +625,23 @@ def test_select_runs_checks_the_block_once():
                     streams, trace=True)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("call", ["screening", "fs", "lasso", "laplace"])
+def test_nonfinite_noise_scale_is_rejected(call, bad):
+    X, y = random_instance(3, n=50, d=6)
+    rng = RngStream(0)
+    calls = {
+        "screening": lambda: stable_screening(X, y, 2, DELTA, 1.0, SIGMA, rng=rng,
+                                              scale_override=bad),
+        "fs": lambda: stable_fs(X, y, 2, DELTA, 1.0, SIGMA, rng=rng, scale_override=bad),
+        "lasso": lambda: stable_lasso(X, y, 1.0, DELTA, 1.0, SIGMA, rng=rng, steps=5,
+                                      scale_override=bad),
+        "laplace": lambda: rng.laplace(bad, 4),
+    }
+    with pytest.raises(ValueError, match=f"must be finite and >= 0, got {bad}$"):
+        calls[call]()
+
+
 def test_screen_runs_match_the_scalar_selector_run_by_run():
     designs = [random_instance(seed, n=25, d=9) for seed in range(3)]
     X, Y = [x for x, _ in designs], np.stack([y for _, y in designs])
@@ -632,7 +651,7 @@ def test_screen_runs_match_the_scalar_selector_run_by_run():
     block = screen_runs(X, Y, 4, trial, scales, streams)
     for r, (b, e) in enumerate(zip(trial, eta)):
         want = screening_noisy(X[b], Y[b], 4, DELTA, e, SIGMA, RngStream(31, (2, b)))
-        assert ModelSet.from_unordered(block.picks[r].tolist()) == want.model
+        assert tuple(np.flatnonzero(block.support[r])) == want.model.indices
 
 
 def test_fs_runs_fail_alone_and_match_the_scalar_selector():
@@ -671,7 +690,7 @@ def test_fs_runs_fail_alone_and_match_the_scalar_selector():
                 assert str(block.failed[r]) == str(want.value)
             else:
                 want = fs_noisy(X[t], Y[t], k, DELTA, e, SIGMA, rng)
-                assert ModelSet.from_unordered(block.picks[r].tolist()) == want.model
+                assert tuple(np.flatnonzero(block.support[r])) == want.model.indices
 
 
 def test_stable_fs_trace_scores_live_candidates_only():
