@@ -7,8 +7,8 @@ Subcommands:
   budget      print composed stability budgets for given step parameters
 
 Exit codes: 0 ok, 2 bad input, parameter or config key (found before any
-output is written), 3 dimension mismatch, 4 rank-deficient fit, 5 not
-enough rows to estimate sigma.
+output is written) or an output path that cannot be written, 3 dimension
+mismatch, 4 rank-deficient fit, 5 not enough rows to estimate sigma.
 
 All floats are written with repr() so files round-trip exactly; experiment
 outputs are byte-identical for any worker count and block size because
@@ -18,6 +18,7 @@ trials are keyed by (master_seed, path), not by scheduling order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -92,8 +93,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn an OSError of the block into CliParseError (exit 2) naming path."""
+    try:
+        yield
+    except OSError as e:
+        raise CliParseError(f"cannot write {path}: {e}") from e
+
+
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", newline="") as fh:
+    with _writing(path), open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -168,7 +178,7 @@ def _write_manifest(path: str, command: str, params: dict, outputs: list[str],
         "outputs": outputs,
         "wall_clock_sec": time.time() - started,
     }
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -387,7 +397,8 @@ def cmd_experiment(args) -> int:
         workers = _parse_number("STABLECI_WORKERS", os.environ.get("STABLECI_WORKERS", "1"))
     if workers < 1:
         raise CliParseError(f"workers must be >= 1, got {workers}")
-    os.makedirs(args.out_dir, exist_ok=True)
+    with _writing(args.out_dir):
+        os.makedirs(args.out_dir, exist_ok=True)
 
     # a process per block at most: a sweep has ceil(trials / block size) blocks
     processes = min(workers, -(-cfg.trials // block_trials(cfg, grid)))

@@ -48,6 +48,8 @@ def check_number(name: str, value, integer: bool = False) -> None:
     """Raise ValueError naming the field unless value has a JSON number's
     type: an int, or a float too unless integer. A bool is neither, and
     50.0 is not an integer."""
+    if type(value) is int or (type(value) is float and not integer):
+        return  # the common case, without the ABC checks below
     kind = numbers.Integral if integer else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")

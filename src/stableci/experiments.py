@@ -35,7 +35,7 @@ from .errors import BadWeights, EmptyInput, NonConvergence, check_number
 from .linmodel import DesignMatrix, ModelSet
 from .noise import RngStream
 from .selectors import SelectionResult, SelectorSpec, _one_run, lambda_to_c1, select_runs
-from .stability import ZERO_BUDGET, StabilityBudget, alpha_split, infer_runs
+from .stability import ZERO_BUDGET, StabilityBudget, infer_runs, slack_allowance
 # not called here: bound for perfbench/tracing.py, which wraps these names in this module
 from .linmodel import ols_fit, sigma_hat_full_model, stderr_known_sigma  # noqa: F401
 from .linmodel import target_coefficients  # noqa: F401
@@ -84,8 +84,6 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be below 2**64, got {self.master_seed}")
         for name in ("signal", "active_fraction", "sigma", "alpha"):
             check_number(name, getattr(self, name))
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not (0.0 <= self.active_fraction <= 1.0):
             raise ValueError(f"active_fraction must be in [0, 1], got {self.active_fraction}")
         if not (0 < self.sigma < math.inf):
@@ -103,10 +101,10 @@ class ExperimentConfig:
             for w in self.alpha_weights:
                 check_number("alpha_weights entry", w)
             object.__setattr__(self, "alpha_weights", tuple(self.alpha_weights))
-            try:
-                alpha_split(self.alpha, self.alpha_weights)
-            except (BadWeights, ValueError) as e:
-                raise ValueError(f"alpha_weights {list(self.alpha_weights)}: {e}") from e
+        try:
+            slack_allowance(self.alpha, self.alpha_weights)  # checks alpha and the weights
+        except BadWeights as e:
+            raise ValueError(f"alpha_weights {list(self.alpha_weights)}: {e}") from e
         spec = self.selector
         if spec.k is not None and spec.k > self.d:
             raise ValueError(f"selector k={spec.k} exceeds d={self.d}")
@@ -223,12 +221,11 @@ def _run_block(cfg: ExperimentConfig, trials: range, eta_grid: list) -> list[lis
     inference check fails is flagged with its error. Every run's record is
     the one the trial run alone at that eta gives.
 
-    The level allocation follows alpha_split; noisy selectors spend
-    (tau + nu)/2 as their internal slack parameter so that, after slack
-    alignment, the quantile budget comes out to exactly the allocated delta.
+    Noisy selectors spend half of stability.slack_allowance, the tau + nu
+    share of alpha, as their slack parameter: the aligned certificates'
+    slack is then that share, and the quantile level what the split leaves.
     """
-    alloc = alpha_split(cfg.alpha, cfg.alpha_weights)
-    delta_sel = (alloc.tau + alloc.nu) / 2.0
+    delta_sel = slack_allowance(cfg.alpha, cfg.alpha_weights) / 2.0
     data = [gen_synthetic(cfg, t) for t in trials]
     designs, Y = [X for X, _, _, _ in data], np.stack([y for _, _, _, y in data])
     out: dict[tuple[int, int], TrialRecord] = {}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientSamples, RankDeficient
+from .errors import DimensionMismatch, InsufficientSamples, RankDeficient, check_number
 
 # Relative singular-value cutoff below which a submatrix counts as
 # rank-deficient.
@@ -71,7 +71,11 @@ class ModelSet:
     indices: tuple[int, ...] = ()
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(self.indices)
+        if not all(type(i) is int for i in idx):  # numpy integers pass; 2.0 and True do not
+            for i in idx:
+                check_number("feature index", i, integer=True)
+            idx = tuple(int(i) for i in idx)
         if any(i < 0 for i in idx):
             raise ValueError(f"negative feature index in {idx}")
         if any(b <= a for a, b in zip(idx, idx[1:])):
@@ -80,7 +84,7 @@ class ModelSet:
 
     @classmethod
     def from_unordered(cls, indices) -> "ModelSet":
-        return cls(tuple(sorted(set(int(i) for i in indices))))
+        return cls(tuple(sorted(set(indices))))
 
     def __len__(self):
         return len(self.indices)

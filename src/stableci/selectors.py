@@ -35,8 +35,7 @@ per-run product (scores, norms, updates) is a separate BLAS call, einsum
 or elementwise operation on that run's own slice of a stacked array, so a
 run's result does not depend on the block it ran in.
 
-Every noisy run certifies the same two composed stability budgets, for
-the interval stage to choose from.
+Every noisy run gets stability.certify_budgets' two composed certificates.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import numpy as np
 from .errors import AllCandidatesCollinear, DimensionMismatch, NonConvergence, check_number
 from .linmodel import DesignMatrix, ModelSet, as_response
 from .noise import NoisePolicy, RngStream, scale_forward_stepwise, scale_lasso, scale_screening
-from .stability import ZERO_BUDGET, StabilityBudget, compose_adaptive_advanced
+from .stability import ZERO_BUDGET, StabilityBudget, certify_budgets
 
 SUPPORT_THRESHOLD = 1e-12
 FS_COLLINEAR_TOL = 1e-10
@@ -148,19 +147,6 @@ class SelectorSpec:
 # the spec of a one-run call, validated once per distinct set of knobs
 # (typed, so that k=3.0 or k=True is not served the spec of k=3 or k=1)
 _spec = functools.lru_cache(maxsize=256, typed=True)(SelectorSpec)
-
-
-@functools.lru_cache(maxsize=4096)
-def certify_budgets(k: int, eta_step: float, delta: float) -> tuple[StabilityBudget, ...]:
-    """The two composed certificates a k-round noisy selector earns at
-    per-round eta_step: the advanced rate (eta_a, delta, delta) and the
-    linear rate (k * eta_step, 0, delta). Cached, as every block of a sweep
-    certifies the same few arguments."""
-    eta_a = compose_adaptive_advanced(eta_step, k, delta)
-    return (
-        StabilityBudget(eta_a, delta, delta),
-        StabilityBudget(k * eta_step, 0.0, delta),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +326,10 @@ def solve_penalized_lasso(X: DesignMatrix, y, lam: float, gap_tol: float = 1e-8,
     """
     if not (0 < lam < math.inf):
         raise ValueError(f"lam must be finite and positive, got {lam}")
+    if not gap_tol >= 0:  # a NaN gap_tol fails too
+        raise ValueError(f"gap_tol must be >= 0, got {gap_tol}")
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     A = X.entries
     y = as_response(y, X.n)
     d = X.d

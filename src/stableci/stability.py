@@ -6,15 +6,18 @@ inputs, tau is additive indistinguishability slack, and nu the probability
 of an atypical pair. Downstream, a classical simultaneous constant at level
 delta is repaired by shrinking the level to delta*(1-nu)*exp(-eta) and
 growing the reported miscoverage to delta + tau + nu. This module holds the
-budget algebra (composition, the sparse-selection universal bound), the
-corrected quantile constants, and inference: infer_runs turns a block of
-selected runs, given as arrays, into intervals, and is the only
-implementation of the rank, level, sigma and K checks. `infer` (the `ci`
-command) is its one-run case; the experiment sweep scores whole blocks.
+whole budget algebra: composition (certify_budgets, and eta_step_for_total,
+its inverse), the sparse-selection universal bound, the tau + nu share of
+alpha (slack_allowance); the corrected quantile constants; and inference:
+infer_runs turns a block of selected runs, given as arrays, into
+intervals, and is the only implementation of the rank, level, sigma and K
+checks. `infer` (the `ci` command) is its one-run case; the experiment
+sweep scores whole blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -22,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp, ndtri, stdtrit
 
-from .errors import BadWeights, DegenerateLevel, EmptyInput, MixedSlack, RankDeficient
+from .errors import BadWeights, DegenerateLevel, EmptyInput, MixedSlack, RankDeficient, \
+    check_number
 from .linmodel import DesignMatrix, ModelSet, SubmodelFit, SubmodelFits, as_response, \
     sigma_hat_full_model
 
@@ -58,26 +62,6 @@ class StabilityBudget:
 
 # the certificate of a model chosen without looking at the noise
 ZERO_BUDGET = StabilityBudget(0.0, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class LevelAllocation:
-    """How a user-facing miscoverage alpha is split: quantile budget delta,
-    indistinguishability slack tau, atypicality slack nu."""
-
-    delta: float
-    tau: float
-    nu: float
-
-    def __post_init__(self):
-        if not (self.delta > 0 and self.tau >= 0 and self.nu >= 0):
-            raise ValueError("delta must be positive; tau, nu nonnegative")
-        if not (self.delta + self.tau + self.nu < 1):
-            raise ValueError("delta + tau + nu must be < 1")
-
-    @property
-    def alpha(self) -> float:
-        return self.delta + self.tau + self.nu
 
 
 @dataclass  # not frozen: a container of arrays, built on every call
@@ -166,6 +150,17 @@ def compose_adaptive_advanced(eta_step: float, k: int, delta: float) -> float:
     return 0.5 * k * eta_step ** 2 + math.sqrt(2.0 * k * math.log(1.0 / delta)) * eta_step
 
 
+@functools.lru_cache(maxsize=4096)
+def certify_budgets(k: int, eta_step: float, delta: float) -> tuple[StabilityBudget, ...]:
+    """The two composed certificates a k-round noisy selector earns at
+    per-round eta_step: the advanced rate (eta_a, delta, delta) and the
+    linear rate (k * eta_step, 0, delta). Cached, as every block of a sweep
+    certifies the same few arguments."""
+    eta_a = compose_adaptive_advanced(eta_step, k, delta)
+    eta_s, _ = compose_adaptive_simple(eta_step, 0.0, k)
+    return StabilityBudget(eta_a, delta, delta), StabilityBudget(eta_s, 0.0, delta)
+
+
 def sparse_selection_eta(d: int, s: int, tau: float) -> float:
     """Universal eta for any selection rule confined to models of size <= s
     out of d features: log(sum_{k=1}^{s} C(d, k)) + log(1/tau).
@@ -203,10 +198,10 @@ def posi_constant(model_size: int, delta: float, budget: StabilityBudget,
     1 - corrected_level / (2 * model_size). Bonferroni over the selected
     set is built in.
     """
-    if model_size < 1:
-        raise ValueError(f"model_size must be >= 1, got {model_size}")
-    if dof is not None and dof < 1:
-        raise ValueError(f"dof must be >= 1, got {dof}")
+    for name, value in (("model_size", model_size), ("dof", 1 if dof is None else dof)):
+        check_number(name, value, integer=True)
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     q = corrected_level(delta, budget) / (2.0 * model_size)
     if not (0.0 < q < 0.5):
         raise DegenerateLevel(f"two-sided tail mass {q} outside (0, 0.5)")
@@ -263,19 +258,17 @@ def best_posi_constant(model_size: int, delta: float,
     return best
 
 
-def alpha_split(alpha: float, weights: tuple[float, float, float] | None = None,
-                ) -> LevelAllocation:
-    """Split a target miscoverage alpha into (delta, tau, nu).
-
-    Default is the equal-thirds split. A weight triple overrides it; weights
-    must be nonnegative, sum to 1, and put positive mass on delta (the
-    all-on-delta split (1, 0, 0) is the classical, no-selection allocation).
-    """
+def slack_allowance(alpha: float, weights: tuple[float, float, float] | None = None) -> float:
+    """The tau + nu share of a target miscoverage alpha split into (delta,
+    tau, nu): two equal thirds of it by default, or alpha * w1 + alpha * w2
+    for a weight triple w, which must be nonnegative, sum to 1 and put
+    positive mass on delta (the all-on-delta split (1, 0, 0) is the
+    classical, no-selection allocation)."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if weights is None:
         third = alpha / 3.0
-        return LevelAllocation(third, third, third)
+        return third + third
     if len(weights) != 3:
         raise BadWeights(f"need exactly 3 weights, got {len(weights)}")
     w = tuple(float(x) for x in weights)
@@ -285,7 +278,7 @@ def alpha_split(alpha: float, weights: tuple[float, float, float] | None = None,
         raise BadWeights("the delta weight must be positive")
     if abs(sum(w) - 1.0) > 1e-9:
         raise BadWeights(f"weights must sum to 1, got sum {sum(w)}")
-    return LevelAllocation(alpha * w[0], alpha * w[1], alpha * w[2])
+    return alpha * w[1] + alpha * w[2]
 
 
 def interval_level(budgets, alpha: float,
@@ -299,14 +292,13 @@ def interval_level(budgets, alpha: float,
     BadWeights for weights that cannot pay the slack."""
     aligned = align_slack(list(budgets))
     slack = aligned[0].slack
-    alpha_split(alpha, weights)  # validates alpha and the weights
+    allowance = slack_allowance(alpha, weights)  # validates alpha and the weights
     if weights is None:
         level = alpha - slack
         if level <= 0:
             raise DegenerateLevel(f"budget slack {slack} leaves no level within alpha={alpha}")
     else:
         level = weights[0] * alpha
-        allowance = (weights[1] + weights[2]) * alpha
         if slack > allowance + 1e-12:
             raise BadWeights(f"budget slack {slack} exceeds the tau+nu weight allowance {allowance}")
     return aligned, level
@@ -434,6 +426,8 @@ def eta_step_for_total(k: int, delta: float, eta_total: float) -> float:
     Convenience for experiment planning: both composed rates increase in the
     per-step eta, so the minimum crosses eta_total exactly once.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if eta_total <= 0:
         raise ValueError(f"eta_total must be positive, got {eta_total}")
     step_b = eta_total / k

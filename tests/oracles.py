@@ -27,9 +27,9 @@ from stableci.linmodel import DesignMatrix, ModelSet, SubmodelFit, as_response, 
 from stableci.noise import NoisePolicy, RngStream, scale_forward_stepwise, scale_lasso, \
     scale_screening
 from stableci.selectors import FS_COLLINEAR_TOL, SUPPORT_THRESHOLD, SelectionResult, \
-    _default_fw_steps, _soft_threshold, certify_budgets
-from stableci.stability import StabilityBudget, alpha_split, best_posi_constant, \
-    interval_level
+    _default_fw_steps, _soft_threshold
+from stableci.stability import StabilityBudget, best_posi_constant, certify_budgets, \
+    interval_level, slack_allowance
 
 
 def screening_exact(X: DesignMatrix, y, k: int) -> ModelSet:
@@ -286,8 +286,7 @@ def eta_major_sweep(cfg, eta_grid) -> list:
 
 def _fresh_trial(cfg, trial_index: int, eta_step):
     X, beta, mu, y = gen_synthetic(cfg, trial_index)
-    alloc = alpha_split(cfg.alpha, cfg.alpha_weights)
-    delta_sel = (alloc.tau + alloc.nu) / 2.0
+    delta_sel = slack_allowance(cfg.alpha, cfg.alpha_weights) / 2.0
     rng = RngStream(cfg.master_seed).child(experiments._PATH_TRIAL_SELECTOR, trial_index)
     try:
         sel = select_noisy(cfg.selector, X, y, eta_step, delta_sel, cfg.sigma, rng)

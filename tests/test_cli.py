@@ -28,7 +28,7 @@ from stableci.experiments import (DEFAULT_ETA_GRID, ExperimentConfig, SelectorSp
 from stableci.linmodel import DesignMatrix
 from stableci.noise import RngStream
 from stableci.selectors import lambda_to_c1
-from stableci.stability import alpha_split
+from stableci.stability import slack_allowance
 
 from oracles import screening_exact
 
@@ -487,6 +487,16 @@ def test_ci_exit_codes(data, tmp_path):
         main(base)  # neither --model nor --selection
 
 
+@pytest.mark.parametrize("command", ["select", "ci"])
+def test_an_unwritable_out_path_exits_2(data, tmp_path, capsys, command):
+    # a missing directory raised FileNotFoundError (exit 1) after the work
+    out = tmp_path / "missing" / "o.csv"
+    flags = ["--method", "screen", "--k", "2", "--eta", "1.0"] if command == "select" else \
+        ["--model", "0", "--sigma", "known:1.0"]
+    assert main([command, "--x", data["x"], "--y", data["y"], *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
 @pytest.mark.parametrize("sigma", ["inf", "known:inf", "nan", "known:-inf"])
 def test_ci_rejects_nonfinite_sigma(data, sigma):
     out = data["dir"] / "iv.csv"
@@ -540,8 +550,7 @@ def test_ci_and_fixed_model_trial_share_one_inference_path(tmp_path, method, sig
                      "lasso-c1": (SelectorSpec(method="lasso", c1=2.0), 0.5)}[method]
         cfg = ExperimentConfig(n=100, d=20, selector=spec, trials=3, master_seed=8,
                                signal=5.0, active_fraction=0.15, alpha=0.1, sigma_mode=sigma_mode)
-        alloc = alpha_split(cfg.alpha)
-        delta = (alloc.tau + alloc.nu) / 2.0
+        delta = slack_allowance(cfg.alpha) / 2.0
     for t in range(cfg.trials):
         X, _, _, y = gen_synthetic(cfg, t)
         np.savetxt(tmp_path / "x.csv", X.entries, delimiter=",", fmt="%.17g")
@@ -952,6 +961,18 @@ def test_experiment_bad_json(tmp_path):
     p.write_text("{not json")
     assert main(["experiment", "--config", str(p),
                  "--out-dir", str(tmp_path / "nowhere")]) == 2
+
+
+@pytest.mark.parametrize("where", ["a file", "under a file"])
+def test_experiment_unwritable_out_dir_exits_2(tmp_path, capsys, where):
+    # an --out-dir that is a file raised FileExistsError from os.makedirs
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out_dir = blocker if where == "a file" else blocker / "sub"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(experiment_config(trials=1, eta_grid=[1.0])))
+    assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out_dir}: ")
 
 
 def test_experiment_fixed_selector_with_weights(tmp_path):

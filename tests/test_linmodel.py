@@ -75,6 +75,14 @@ def test_model_set_ordering():
         ModelSet((1, 1))
     with pytest.raises(ValueError):
         ModelSet((-1, 0))
+    # a float or a bool was cast with int(): (1.7, 3.2) became (1, 3)
+    for bad in [(1.7, 3.2), (True,), (0.9,), (2.0,), (np.float64(1.0),), (np.bool_(True),)]:
+        with pytest.raises(ValueError, match="^feature index must be an integer"):
+            ModelSet(bad)
+        with pytest.raises(ValueError, match="^feature index must be an integer"):
+            ModelSet.from_unordered(bad)
+    M = ModelSet((np.int64(1), np.int32(4)))
+    assert M.indices == (1, 4) and all(type(i) is int for i in M.indices)
 
 
 def test_model_set_from_unordered_sorts_and_dedups():

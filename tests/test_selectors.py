@@ -20,11 +20,11 @@ from stableci.linmodel import DesignMatrix
 from stableci.noise import (NoisePolicy, RngStream, scale_forward_stepwise, scale_lasso,
                             scale_screening)
 from stableci.selectors import (FS_COLLINEAR_TOL, MAX_DEFAULT_FW_STEPS, SUPPORT_THRESHOLD,
-                                SelectorSpec, certify_budgets, fs_runs, lambda_to_c1,
+                                SelectorSpec, fs_runs, lambda_to_c1,
                                 lasso_runs, screen_runs, select_runs,
                                 solve_penalized_lasso, stable_fs, stable_lasso,
                                 stable_screening, _default_fw_steps, _step_draws)
-from stableci.stability import StabilityBudget, compose_adaptive_advanced
+from stableci.stability import StabilityBudget, certify_budgets, compose_adaptive_advanced
 
 from oracles import (fs_exact, fs_noisy, lasso_exact_fw, lasso_noisy,
                      penalized_lasso_residual, screening_exact, screening_noisy, support)
@@ -256,6 +256,17 @@ def test_penalized_lasso_rejects_a_bad_lam_up_front(lam):
     X, y = random_instance(6, n=50, d=20)
     with pytest.raises(ValueError, match=f"^lam must be finite and positive, got {lam}$"):
         solve_penalized_lasso(X, y, lam, max_sweeps=1)
+
+
+@pytest.mark.parametrize("knob, value, want", [
+    ("gap_tol", math.nan, "gap_tol must be >= 0"), ("gap_tol", -1e-8, "gap_tol must be >= 0"),
+    ("max_sweeps", 0, "max_sweeps must be >= 1"), ("max_sweeps", -3, "max_sweeps must be >= 1")])
+def test_penalized_lasso_rejects_a_bad_stopping_rule_up_front(knob, value, want):
+    # a NaN or negative gap_tol ran every sweep before NonConvergence, and
+    # max_sweeps=0 reported a gap missed "in 0 sweeps"
+    X, y = random_instance(6, n=50, d=20)
+    with pytest.raises(ValueError, match=f"^{want}, got {value}$"):
+        solve_penalized_lasso(X, y, 0.05, **{knob: value})
 
 
 def _penalized_instance(n, d, scale, column=None):

@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 
 from stableci.errors import BadWeights, DegenerateLevel, EmptyInput, MixedSlack
 from stableci.linmodel import DesignMatrix, ModelSet
-from stableci.stability import (IntervalSet, LevelAllocation, StabilityBudget, align_slack,
-                                alpha_split, best_posi_constant, compose_adaptive_advanced,
+from stableci.stability import (IntervalSet, StabilityBudget, align_slack, best_posi_constant,
+                                certify_budgets, compose_adaptive_advanced,
                                 compose_adaptive_simple,
                                 corrected_level, eta_step_for_total, infer, posi_constant,
-                                sparse_selection_eta)
+                                slack_allowance, sparse_selection_eta)
 
 B0 = StabilityBudget(0.0, 0.0, 0.0)
 
@@ -93,6 +93,18 @@ def test_t_quantile_needs_a_degree_of_freedom():
         posi_constant(1, 0.05, B0, 0)
     with pytest.raises(ValueError, match="dof"):
         best_posi_constant(1, 0.05, [B0], 0)
+    # a NaN dof gave K = nan, and a fractional dof or model size a K
+    for dof in (math.nan, math.inf, 2.5, 3.0, True):
+        with pytest.raises(ValueError, match="^dof must be an integer"):
+            posi_constant(1, 0.05, B0, dof)
+        with pytest.raises(ValueError, match="^dof must be an integer"):
+            best_posi_constant(1, 0.05, [B0], dof)
+    for size in (1.5, 2.0, math.nan, True):
+        with pytest.raises(ValueError, match="^model_size must be an integer"):
+            posi_constant(size, 0.05, B0)
+        with pytest.raises(ValueError, match="^model_size must be an integer"):
+            best_posi_constant(size, 0.05, [B0], 5)
+    assert posi_constant(np.int64(2), 0.05, B0, np.int64(5)) == posi_constant(2, 0.05, B0, 5)
 
 
 @settings(deadline=None)
@@ -116,25 +128,16 @@ def test_stability_budget_validation():
             StabilityBudget(*bad)
 
 
-def test_level_allocation_validation():
-    a = LevelAllocation(0.05, 0.02, 0.03)
-    assert a.alpha == pytest.approx(0.10)
-    with pytest.raises(ValueError):
-        LevelAllocation(0.0, 0.1, 0.1)
-    with pytest.raises(ValueError):
-        LevelAllocation(0.5, 0.3, 0.2)  # sums to 1
-
-
 def test_alpha_split_default_thirds():
-    alloc = alpha_split(0.1)
-    assert alloc.delta == alloc.tau == alloc.nu == pytest.approx(0.1 / 3)
+    # the tau and nu thirds, added: the sweep halves this sum bit for bit
+    third = 0.1 / 3.0
+    assert slack_allowance(0.1) == third + third
 
 
 def test_alpha_split_weights():
-    alloc = alpha_split(0.05, (1.0, 0.0, 0.0))
-    assert (alloc.delta, alloc.tau, alloc.nu) == (0.05, 0.0, 0.0)
-    alloc = alpha_split(0.1, (0.5, 0.25, 0.25))
-    assert alloc.tau == pytest.approx(0.025)
+    assert slack_allowance(0.05, (1.0, 0.0, 0.0)) == 0.0
+    assert slack_allowance(0.1, (0.5, 0.25, 0.25)) == 0.1 * 0.25 + 0.1 * 0.25
+    assert slack_allowance(0.3, (0.2, 0.1, 0.7)) == 0.3 * 0.1 + 0.3 * 0.7
 
 
 @pytest.mark.parametrize("w", [(0.0, 0.5, 0.5), (-0.2, 0.6, 0.6),
@@ -142,12 +145,13 @@ def test_alpha_split_weights():
                                (math.nan, 0.5, 0.5)])
 def test_alpha_split_bad_weights(w):
     with pytest.raises(BadWeights):
-        alpha_split(0.1, w)
+        slack_allowance(0.1, w)
 
 
 def test_alpha_split_bad_alpha():
-    with pytest.raises(ValueError):
-        alpha_split(1.5)
+    for alpha in (1.5, 0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="^alpha must be in"):
+            slack_allowance(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +216,13 @@ def test_eta_step_for_total_hits_target():
 def test_eta_step_for_total_linear_branch():
     # at k=3 the linear certificate governs and the step is total/k
     assert eta_step_for_total(3, 1 / 30, 1.0) == pytest.approx(1 / 3)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_eta_step_for_total_needs_a_round(k):
+    # k = 0 divided by zero
+    with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
+        eta_step_for_total(k, 0.05, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +313,6 @@ def test_align_slack_equalizes(triples):
 
 
 def test_best_posi_constant_prefers_advanced_rate():
-    from stableci.selectors import certify_budgets
     cands = align_slack(certify_budgets(10, 0.1, 0.05))
     K, chosen = best_posi_constant(1, 0.05, cands)
     assert chosen.eta == pytest.approx(0.82404551204099, abs=1e-11)
