@@ -25,6 +25,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import sys
 import time
 
@@ -73,6 +74,10 @@ _SELECTION_COLUMNS = ["record", "f1", "f2", "f3", "f4", "f5", "f6"]
 
 _LOADTXT = dict(dtype=np.float64, delimiter=",", quotechar='"', comments=None, ndmin=2)
 
+# a line of nothing but whitespace, commas and quotes; re's \s is str.strip()'s
+# whitespace, and the match stops at a data line's first data character
+_FILLER = re.compile(r'[\s,"]*\Z').match
+
 
 class CliParseError(ValueError):
     """Malformed file or option combination; maps to exit code 2."""
@@ -112,8 +117,7 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
 def _data_lines(fh):
     """(line number from 1, line) for each line of fh holding more than whitespace,
     commas and quotes, less a first such line with a non-numeric field: the header."""
-    lines = ((n, line) for n, line in enumerate(fh, 1)
-             if line.replace(",", "").replace('"', "").strip())
+    lines = ((n, line) for n, line in enumerate(fh, 1) if not _FILLER(line))
     for n, line in lines:  # the first line only
         try:
             [float(c) for c in next(csv.reader([line]))]

@@ -3,8 +3,10 @@
 Least squares restricted to a column subset, factored once per submodel and
 serving estimates, projection-defined targets, and the standard errors that
 interval construction multiplies by. Submodels of one size are factored as a
-stack, by one stacked SVD; a single submodel is a stack of one. Nothing here
-draws randomness.
+stack, by one stacked SVD; a single submodel is a stack of one. The
+full-model noise estimate needs no fit, only the residual norm and the
+design's singular values, and takes both from an R-only QR of [X y].
+Nothing here draws randomness.
 """
 
 from __future__ import annotations
@@ -113,6 +115,17 @@ def as_response(y, n: int) -> np.ndarray:
     return y
 
 
+def _collinear(M: tuple[int, ...], s: np.ndarray) -> RankDeficient | None:
+    """The RankDeficient error for the columns M of a matrix with descending
+    singular values s, or None: the matrix is rank-deficient when its
+    smallest singular value is at most RANK_TOL times its largest, as a
+    zero matrix's is."""
+    if s[-1] > RANK_TOL * s[0]:
+        return None
+    return RankDeficient(f"columns {M}: singular value ratio "
+                         f"{0.0 if s[0] == 0 else s[-1] / s[0]:.3e} below {RANK_TOL:.1e}")
+
+
 class SubmodelFits:
     """Least squares on the columns cols[p] of the design designs[trial[p]]
     for a stack of pairs p that share n and the model size (cols has one row
@@ -155,8 +168,7 @@ class SubmodelFits:
         M, s = tuple(self.cols[p].tolist()), self._singular[p]
         if len(M) > self.n:
             return RankDeficient(f"columns {M}: {len(M)} columns on {self.n} rows")
-        return RankDeficient(f"columns {M}: singular value ratio "
-                             f"{0.0 if s[0] == 0 else s[-1] / s[0]:.3e} below {RANK_TOL:.1e}")
+        return _collinear(M, s)
 
     def coefficients(self, V: np.ndarray) -> np.ndarray:
         """Row p is the |M|-vector (X_M^T X_M)^{-1} X_M^T V[p] of pair p;
@@ -215,13 +227,20 @@ def stderr_known_sigma(X: DesignMatrix, M: ModelSet, sigma: float) -> np.ndarray
 def sigma_hat_full_model(X: DesignMatrix, y) -> tuple[float, int]:
     """Full-model residual noise estimate (sigma_hat, dof = n - d).
 
-    Requires n > d and a full-rank design; raises InsufficientSamples
-    otherwise.
+    One R-only Householder QR of [X y]: its last diagonal entry R[d, d] is
+    the norm of y's residual off the span of X, so RSS = R[d, d]**2, and the
+    singular values of the d x d block R[:d, :d] are X's. Raises
+    RankDeficient when the smallest of them is at most RANK_TOL times the
+    largest, the rule SubmodelFits applies to every submodel, and
+    InsufficientSamples unless n > d.
     """
     if X.n <= X.d:
         raise InsufficientSamples(f"need n > d for the full-model estimate, got n={X.n}, d={X.d}")
     y = as_response(y, X.n)
-    beta = ols_fit(X, ModelSet(tuple(range(X.d))), y)
-    rss = float(np.sum((y - X.entries @ beta) ** 2))
-    dof = X.n - X.d
-    return float(np.sqrt(rss / dof)), dof
+    d = X.d
+    R = np.linalg.qr(np.column_stack([X.entries, y]), mode="r")
+    error = _collinear(tuple(range(d)), np.linalg.svd(R[:d, :d], compute_uv=False))
+    if error is not None:
+        raise error
+    dof = X.n - d
+    return float(np.sqrt(R[d, d] ** 2 / dof)), dof

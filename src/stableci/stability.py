@@ -124,11 +124,17 @@ class RunIntervals:
 # composition
 
 
+def _check_count(name: str, value) -> None:
+    """ValueError naming the field unless value is an integer >= 1."""
+    check_number(name, value, integer=True)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def compose_adaptive_simple(eta_step: float, tau_step: float, k: int) -> tuple[float, float]:
     """k adaptive rounds, each (eta_step, tau_step)-indistinguishable on the
     typical pair: the certificates simply add."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_count("k", k)
     if not (0 <= eta_step < math.inf and 0 <= tau_step < math.inf):
         raise ValueError(f"step parameters must be finite and >= 0, got {eta_step}, {tau_step}")
     return (k * eta_step, k * tau_step)
@@ -141,8 +147,7 @@ def compose_adaptive_advanced(eta_step: float, k: int, delta: float) -> float:
     extra additive slack: delta joins the tau side, on top of k*tau_step when
     the rounds carry their own tau.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_count("k", k)
     if not (0 <= eta_step < math.inf):
         raise ValueError(f"eta_step must be finite and >= 0, got {eta_step}")
     if not (0.0 < delta < 1.0):
@@ -150,12 +155,13 @@ def compose_adaptive_advanced(eta_step: float, k: int, delta: float) -> float:
     return 0.5 * k * eta_step ** 2 + math.sqrt(2.0 * k * math.log(1.0 / delta)) * eta_step
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=4096, typed=True)
 def certify_budgets(k: int, eta_step: float, delta: float) -> tuple[StabilityBudget, ...]:
     """The two composed certificates a k-round noisy selector earns at
     per-round eta_step: the advanced rate (eta_a, delta, delta) and the
     linear rate (k * eta_step, 0, delta). Cached, as every block of a sweep
-    certifies the same few arguments."""
+    certifies the same few arguments; typed, so that a k of 2.0 or True is
+    checked and rejected even after a k of 2 or 1 was cached."""
     eta_a = compose_adaptive_advanced(eta_step, k, delta)
     eta_s, _ = compose_adaptive_simple(eta_step, 0.0, k)
     return StabilityBudget(eta_a, delta, delta), StabilityBudget(eta_s, 0.0, delta)
@@ -199,9 +205,7 @@ def posi_constant(model_size: int, delta: float, budget: StabilityBudget,
     set is built in.
     """
     for name, value in (("model_size", model_size), ("dof", 1 if dof is None else dof)):
-        check_number(name, value, integer=True)
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+        _check_count(name, value)
     q = corrected_level(delta, budget) / (2.0 * model_size)
     if not (0.0 < q < 0.5):
         raise DegenerateLevel(f"two-sided tail mass {q} outside (0, 0.5)")
@@ -426,8 +430,7 @@ def eta_step_for_total(k: int, delta: float, eta_total: float) -> float:
     Convenience for experiment planning: both composed rates increase in the
     per-step eta, so the minimum crosses eta_total exactly once.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_count("k", k)
     if eta_total <= 0:
         raise ValueError(f"eta_total must be positive, got {eta_total}")
     step_b = eta_total / k

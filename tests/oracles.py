@@ -10,6 +10,8 @@ eta-major sweep reruns every (eta, trial) from scratch through them: the
 reference for the library's run-axis selectors and block sweep engine.
 The penalized solver updates the residual itself, coordinate by
 coordinate: the reference for the library's covariance-update solver.
+The full-model sigma estimate fits through a thin SVD of the design and
+sums the squared residuals: the reference for the library's R-only QR.
 `support` is the LASSO model of one iterate, the reference for the
 library's support mask over a block.
 """
@@ -19,8 +21,8 @@ import re
 import numpy as np
 
 from stableci import experiments
-from stableci.errors import AllCandidatesCollinear, DegenerateLevel, NonConvergence, \
-    RankDeficient
+from stableci.errors import AllCandidatesCollinear, DegenerateLevel, InsufficientSamples, \
+    NonConvergence, RankDeficient
 from stableci.experiments import TrialRecord, gen_synthetic
 from stableci.linmodel import DesignMatrix, ModelSet, SubmodelFit, as_response, \
     sigma_hat_full_model
@@ -140,6 +142,20 @@ def penalized_lasso_residual(X: DesignMatrix, y, lam: float, gap_tol: float = 1e
     raise NonConvergence(
         f"coordinate descent did not reach gap {gap_tol} in {max_sweeps} sweeps"
     )
+
+
+def sigma_hat_svd(X: DesignMatrix, y) -> tuple[float, int]:
+    """Full-model residual noise estimate (sigma_hat, dof = n - d) through a
+    rank-checked thin SVD of X: the least-squares fit on all d columns, then
+    the sum of squared residuals. The reference for the library's R-only QR
+    of [X y]."""
+    if X.n <= X.d:
+        raise InsufficientSamples(f"need n > d for the full-model estimate, got n={X.n}, d={X.d}")
+    y = as_response(y, X.n)
+    beta = SubmodelFit(X, ModelSet(tuple(range(X.d)))).coefficients(y)
+    rss = float(np.sum((y - X.entries @ beta) ** 2))
+    dof = X.n - X.d
+    return float(np.sqrt(rss / dof)), dof
 
 
 # ---------------------------------------------------------------------------

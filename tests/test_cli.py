@@ -111,8 +111,9 @@ def test_read_matrix_round_trips_doubles(tmp_path, a, header):
     (" 1.0 , 2.0 \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
     ("1,2,3\n", [[1.0, 2.0, 3.0]]),
     ("y\n1\n2\n3\n", [[1.0], [2.0], [3.0]]),
+    ("1,2\n\u00a0,\u2003,\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
 ], ids=["header", "blank-lines", "commas-only-line", "crlf", "quoted", "padded",
-        "single-row", "single-column"])
+        "single-row", "single-column", "unicode-space-line"])
 def test_read_matrix_accepted_layouts(tmp_path, text, expected):
     p = tmp_path / "m.csv"
     p.write_bytes(text.encode())
@@ -123,6 +124,7 @@ def test_read_matrix_accepted_layouts(tmp_path, text, expected):
 
 @pytest.mark.parametrize("text, where", [
     ("1,2\n# note\n3,4\n", "line 2 "),
+    ("1,2\n #\n3,4\n", "line 2 "),
     ("1.0,2.0\n3.0\n", "line 2 "),
     ("1.0,2.0\n3.0,oops\n", "line 2 "),
     ("1,2,\n3,4,\n", "line 2 "),
@@ -130,8 +132,8 @@ def test_read_matrix_accepted_layouts(tmp_path, text, expected):
     ("", "no numeric rows"),
     ("\n  \n", "no numeric rows"),
     ("a,b\n", "no numeric rows"),
-], ids=["hash-line", "ragged", "non-numeric", "trailing-comma", "underscore-literal",
-        "empty", "blank-only", "header-only"])
+], ids=["hash-line", "space-hash-line", "ragged", "non-numeric", "trailing-comma",
+        "underscore-literal", "empty", "blank-only", "header-only"])
 def test_read_matrix_rejections_name_the_path(tmp_path, text, where):
     p = tmp_path / "m.csv"
     p.write_bytes(text.encode())
@@ -139,6 +141,21 @@ def test_read_matrix_rejections_name_the_path(tmp_path, text, where):
         warnings.simplefilter("error")
         with pytest.raises(CliParseError, match=re.escape(f"{p}: {where}")):
             read_matrix(str(p))
+
+
+def test_filler_lines_are_those_the_strip_test_skipped():
+    # the reader's filler test must skip exactly the lines that the
+    # replace/replace/strip expression it stands for skipped
+    def stripped_empty(line):
+        return not line.replace(",", "").replace('"', "").strip()
+
+    pieces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    pieces += [",", '"', "#", "\x00", "7"]
+    for a in pieces:
+        for b in ["", *pieces]:
+            for end in ("\n", "\r\n"):
+                line = a + b + end
+                assert bool(cli._FILLER(line)) == stripped_empty(line), repr(line)
 
 
 def test_read_matrix_missing_file(tmp_path):
@@ -523,6 +540,32 @@ def test_ci_estimate_needs_samples(tmp_path):
     assert main(["ci", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
                  "--model", "0", "--sigma", "estimate",
                  "--out", str(tmp_path / "o.csv")]) == 5
+
+
+def test_ci_estimate_checks_the_full_model(tmp_path, capsys):
+    # the model 0,1 is full rank; the full model repeats column 1 as column 3
+    gen = np.random.default_rng(4)
+    X = gen.standard_normal((30, 4))
+    X[:, 3] = X[:, 1]
+    np.savetxt(tmp_path / "x.csv", X, delimiter=",")
+    np.savetxt(tmp_path / "y.csv", gen.standard_normal((30, 1)), delimiter=",")
+    out = tmp_path / "o.csv"
+    base = ["ci", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+            "--model", "0,1", "--out", str(out)]
+    assert main(base + ["--sigma", "known:1.0"]) == 0
+    out.unlink()
+    capsys.readouterr()
+    assert main(base + ["--sigma", "estimate"]) == 4
+    assert re.fullmatch(r"error: columns \(0, 1, 2, 3\): singular value ratio "
+                        r"\d\.\d{3}e-\d\d below 1\.0e-10\n", capsys.readouterr().err)
+    assert not out.exists()
+    # n <= d: four rows of the same design
+    np.savetxt(tmp_path / "x.csv", X[:4], delimiter=",")
+    np.savetxt(tmp_path / "y.csv", gen.standard_normal((4, 1)), delimiter=",")
+    assert main(base + ["--sigma", "estimate"]) == 5
+    assert capsys.readouterr().err == \
+        "error: need n > d for the full-model estimate, got n=4, d=4\n"
+    assert not out.exists()
 
 
 _SIGMAS = (("known", "known:1.0"), ("estimate", "estimate"))
@@ -919,6 +962,15 @@ def test_load_config_keys_are_the_fields(tmp_path):
 def test_cli_imports_without_jsonschema():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = "import sys; sys.modules['jsonschema'] = None; import stableci.cli"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_cli_imports_without_scipy_linalg():
+    # the sigma estimate's QR is numpy's: importing scipy.linalg would add
+    # tens of milliseconds to every select and ci
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, stableci.cli; sys.exit('scipy.linalg' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 

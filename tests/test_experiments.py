@@ -241,9 +241,10 @@ def test_run_trial_factors_each_model_once(svd_calls):
     run_trial(fixed_cfg(), 0, [None, None])
     assert svd_calls == [(1, 200, 3)]
     svd_calls.clear()
-    # an estimated scale adds the full model's factorization
+    # an estimated scale adds the full model's rank check: the singular
+    # values of the d x d block of the R of [X y], not an SVD of X
     run_trial(fixed_cfg(sigma_mode="estimate"), 0, [None])
-    assert sorted(svd_calls) == [(1, 200, 3), (1, 200, 10)]
+    assert sorted(svd_calls) == [(1, 200, 3), (10, 10)]
     svd_calls.clear()
     # a block factors its trials' distinct models in one stacked SVD per size
     eta_sweep(fixed_cfg(), (0.5, 2.0))

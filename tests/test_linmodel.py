@@ -1,6 +1,7 @@
 """Design/model containers and the OLS layer against closed-form and
 numpy.linalg.lstsq oracles."""
 
+import re
 import warnings
 
 import numpy as np
@@ -8,9 +9,11 @@ import pytest
 
 from stableci.errors import (DimensionMismatch, InsufficientSamples,
                              RankDeficient)
-from stableci.linmodel import (DesignMatrix, ModelSet, SubmodelFit,
+from stableci.linmodel import (RANK_TOL, DesignMatrix, ModelSet, SubmodelFit,
                                as_response, ols_fit, sigma_hat_full_model,
                                stderr_known_sigma, target_coefficients)
+
+from oracles import sigma_hat_svd
 
 LINE = DesignMatrix([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
 
@@ -200,3 +203,87 @@ def test_sigma_hat_full_model():
 def test_sigma_hat_needs_extra_samples():
     with pytest.raises(InsufficientSamples):
         sigma_hat_full_model(DesignMatrix([[1.0, 0.0], [0.0, 1.0]]), [1.0, 2.0])
+
+
+def _cond_1e8(gen, n: int, d: int) -> np.ndarray:
+    U, _, Vt = np.linalg.svd(gen.standard_normal((n, d)), full_matrices=False)
+    return (U * np.logspace(0, -8, d)) @ Vt
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", ["random", "n=d+1", "cond-1e8"])
+def test_sigma_hat_matches_the_svd_oracle(shape, seed):
+    gen = np.random.default_rng(seed)
+    n, d = (9, 8) if shape == "n=d+1" else (60, 8)
+    if shape == "cond-1e8":
+        # noise off the column space keeps the coefficients of order one, so
+        # the estimate is well-conditioned although the design is not
+        A = _cond_1e8(gen, n, d)
+        g = gen.standard_normal(n)
+        Q = np.linalg.qr(A)[0]
+        noise = g - Q @ (Q.T @ g)
+    else:
+        A = gen.standard_normal((n, d))
+        noise = gen.standard_normal(n)
+    X, y = DesignMatrix(A), A @ gen.standard_normal(d) + noise
+    got, dof = sigma_hat_full_model(X, y)
+    want, want_dof = sigma_hat_svd(X, y)
+    assert dof == want_dof == n - d
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sigma_hat_on_an_ill_conditioned_fit_is_as_good_as_the_svd_oracle(seed):
+    # with generic noise the coefficients reach ~1e8 on a cond-1e8 design,
+    # and any backward-stable method may move the RSS by about
+    # eps * ||X|| * ||beta|| / ||r|| relative: both estimates, not just one,
+    # land ~1e-11 from the exact value, so they are held to that bound
+    # around a 60-digit reference instead of 1e-12 around each other
+    mpmath = pytest.importorskip("mpmath")
+    gen = np.random.default_rng(seed)
+    n, d = 60, 8
+    A = _cond_1e8(gen, n, d)
+    y = A @ gen.standard_normal(d) + gen.standard_normal(n)
+    with mpmath.workdps(60):
+        M, Y = mpmath.matrix(A.tolist()), mpmath.matrix(y.tolist())
+        beta = mpmath.lu_solve(M.T * M, M.T * Y)
+        r = Y - M * beta
+        exact = float(mpmath.norm(r) / mpmath.sqrt(n - d))
+        bound = float(np.finfo(float).eps * np.linalg.norm(A, 2) * mpmath.norm(beta)
+                      / mpmath.norm(r))
+    for estimate in (sigma_hat_full_model, sigma_hat_svd):
+        assert abs(estimate(DesignMatrix(A), y)[0] - exact) <= bound * exact, estimate
+
+
+@pytest.mark.parametrize("defect", ["duplicated", "scaled-1e-12", "zero", "near-copy-1e-12"])
+def test_sigma_hat_flags_what_the_svd_oracle_flags(defect):
+    # the near copy is what a rank check on X^T X cannot read: it squares the
+    # ratio to 1e-24, far below rounding
+    gen = np.random.default_rng(5)
+    A = gen.standard_normal((40, 6))
+    A[:, 4] = {"duplicated": A[:, 1], "scaled-1e-12": 1e-12 * A[:, 4], "zero": 0.0,
+               "near-copy-1e-12": A[:, 1] + 1e-12 * A[:, 4]}[defect]
+    X, y = DesignMatrix(A), gen.standard_normal(40)
+    ratios = []
+    for estimate in (sigma_hat_full_model, sigma_hat_svd):
+        with pytest.raises(RankDeficient) as e:
+            estimate(X, y)
+        m = re.fullmatch(r"columns \(0, 1, 2, 3, 4, 5\): "
+                         r"singular value ratio (\S+) below 1\.0e-10", str(e.value))
+        assert m, str(e.value)
+        ratios.append(float(m[1]))
+    assert max(ratios) <= RANK_TOL
+    if defect.endswith("1e-12"):  # a ratio well above rounding: both read the same one
+        assert ratios[0] == pytest.approx(ratios[1], rel=1e-2)
+
+
+def test_sigma_hat_keeps_a_near_copy_above_the_cutoff():
+    # singular value ratio ~5e-9, above RANK_TOL: the SVD oracle fits it, and
+    # so must the QR estimate (X^T X, of condition ~4e16, is not numerically
+    # positive definite here, so a Cholesky of it fails)
+    gen = np.random.default_rng(0)
+    A = gen.standard_normal((40, 6))
+    A[:, 4] = A[:, 1] + 1e-8 * A[:, 4]
+    X, y = DesignMatrix(A), gen.standard_normal(40)
+    # generic noise on a cond-2e8 fit: the two agree to ~cond * eps
+    np.testing.assert_allclose(sigma_hat_full_model(X, y), sigma_hat_svd(X, y), rtol=1e-7)

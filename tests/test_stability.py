@@ -225,6 +225,24 @@ def test_eta_step_for_total_needs_a_round(k):
         eta_step_for_total(k, 0.05, 1.0)
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "3"])
+def test_round_count_must_be_an_integer(k):
+    # 2.5 rounds gave a 2.5-round certificate and eta_step_for_total 0.4;
+    # 2.0 and True equal a cached 2 and 1
+    certify_budgets(2, 0.1, 0.05), certify_budgets(1, 0.1, 0.05)
+    for call in (lambda: compose_adaptive_simple(0.1, 0.0, k),
+                 lambda: compose_adaptive_advanced(0.1, k, 0.05),
+                 lambda: certify_budgets(k, 0.1, 0.05),
+                 lambda: eta_step_for_total(k, 0.05, 1.0)):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {k!r}$"):
+            call()
+
+
+def test_round_count_may_be_a_numpy_integer():
+    assert certify_budgets(np.int64(3), 0.1, 0.05) == certify_budgets(3, 0.1, 0.05)
+    assert eta_step_for_total(np.int64(3), 1 / 30, 1.0) == eta_step_for_total(3, 1 / 30, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # corrected levels and constants
 
