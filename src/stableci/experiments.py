@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BadWeights, EmptyInput, NonConvergence, check_number
 from .linmodel import DesignMatrix, ModelSet
-from .noise import RngStream
+from .noise import KeyedGenerator, RngStream, philox_keys
 from .selectors import SelectionResult, SelectorSpec, _one_run, lambda_to_c1, select_runs
 from .stability import ZERO_BUDGET, StabilityBudget, infer_runs, slack_allowance
 # not called here: bound for perfbench/tracing.py, which wraps these names in this module
@@ -82,6 +82,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.master_seed >= 2 ** 64:
             raise ValueError(f"master_seed must be below 2**64, got {self.master_seed}")
+        if self.trials > 2 ** 32:  # a trial index is one word of its stream paths
+            raise ValueError(f"trials must be at most 2**32, got {self.trials}")
         for name in ("signal", "active_fraction", "sigma", "alpha"):
             check_number(name, getattr(self, name))
         if not (0.0 <= self.active_fraction <= 1.0):
@@ -145,18 +147,22 @@ class ExperimentSummary:
 
 
 def gen_synthetic(cfg: ExperimentConfig, trial_index: int,
+                  data: np.random.Generator | None = None,
                   ) -> tuple[DesignMatrix, np.ndarray, np.ndarray, np.ndarray]:
     """Draw (X, beta, mu, y) for one trial.
 
     X entries are N(0,1)/sqrt(n); beta puts the signal value on the first
     round(fraction * d) coordinates; y = mu + sigma * N(0, I) with mu = X beta.
     Deterministic given (master_seed, trial_index); the design is either
-    redrawn per trial or shared from its own reserved stream.
+    redrawn per trial or shared from its own reserved stream. data, if
+    given, is a generator at the start of the trial's data stream (a block
+    keys them together); by default the stream is built here.
     """
     root = RngStream(cfg.master_seed)
-    data_rng = root.child(_PATH_TRIAL_DATA, trial_index)
+    if data is None:
+        data = root.child(_PATH_TRIAL_DATA, trial_index).generator
     if cfg.regenerate_x_per_trial:
-        X_entries = data_rng.normal((cfg.n, cfg.d)) / math.sqrt(cfg.n)
+        X_entries = data.standard_normal((cfg.n, cfg.d)) / math.sqrt(cfg.n)
     else:
         X_entries = root.child(_PATH_SHARED_DESIGN).normal((cfg.n, cfg.d)) / math.sqrt(cfg.n)
     active = min(cfg.d, int(math.floor(cfg.active_fraction * cfg.d + 0.5)))
@@ -164,7 +170,7 @@ def gen_synthetic(cfg: ExperimentConfig, trial_index: int,
     beta[:active] = cfg.signal
     X = DesignMatrix(X_entries)
     mu = X.entries @ beta
-    y = mu + cfg.sigma * data_rng.normal(cfg.n)
+    y = mu + cfg.sigma * data.standard_normal(cfg.n)
     return X, beta, mu, y
 
 
@@ -212,21 +218,25 @@ def _run_block(cfg: ExperimentConfig, trials: range, eta_grid: list) -> list[lis
     of records per trial, each in grid order.
 
     One pass. Per trial, the data and the `lam` radius, which do not
-    depend on eta; a non-converging penalty solve flags every eta of its
-    trial. Then one selectors.select_runs call selects for every other
-    run, trial b drawing from its selector stream (2, trials[b]), and one
-    stability.infer_runs call makes the intervals of every run selected,
-    whose fits also give the targets X_M^+ mu; each distinct (trial,
-    model) pair gets one ModelSet and one FDR. A run whose selection or
-    inference check fails is flagged with its error. Every run's record is
-    the one the trial run alone at that eta gives.
+    depend on eta; the trials' data streams (1, t) are keyed in one
+    noise.philox_keys pass and drawn through one re-keyed Philox, with the
+    draws of their RngStreams. A non-converging penalty solve flags every
+    eta of its trial. Then one selectors.select_runs call selects for
+    every other run, trial b drawing from its selector stream
+    (2, trials[b]), and one stability.infer_runs call makes the intervals
+    of every run selected, whose fits also give the targets X_M^+ mu; each
+    distinct (trial, model) pair gets one ModelSet and one FDR. A run whose
+    selection or inference check fails is flagged with its error. Every
+    run's record is the one the trial run alone at that eta gives.
 
     Noisy selectors spend half of stability.slack_allowance, the tau + nu
     share of alpha, as their slack parameter: the aligned certificates'
     slack is then that share, and the quantile level what the split leaves.
     """
     delta_sel = slack_allowance(cfg.alpha, cfg.alpha_weights) / 2.0
-    data = [gen_synthetic(cfg, t) for t in trials]
+    keys = philox_keys([cfg.master_seed] * len(trials), [(_PATH_TRIAL_DATA, t) for t in trials])
+    gen = KeyedGenerator()
+    data = [gen_synthetic(cfg, t, gen.start(key)) for t, key in zip(trials, keys.tolist())]
     designs, Y = [X for X, _, _, _ in data], np.stack([y for _, _, _, y in data])
     out: dict[tuple[int, int], TrialRecord] = {}
     runs = []  # (b, e, c1) of every run not flagged yet

@@ -23,14 +23,18 @@ Laplace draws are +-0.0 and move no argmin or argmax.
   left without candidates fails alone.
 
 Noise: each round is a report-noisy-max (or -min) over a run's
-candidates. `_step_draws` lays out the draws: run r's step-t row starts
+candidates. `_StepDraws` lays out the draws: run r's step-t row starts
 with the first m draws of its trial's step-t stream, m its candidate
-count, each (trial, step) stream built and drawn once at the largest m
-among the trial's runs. As a Laplace draw is its scale times a standard
-draw made from one uniform, and a stream's first m uniforms do not depend
-on how many are drawn, every run sees exactly the draws a fresh stream at
-its path gives. Screening and forward stepwise keep a run's candidates as
-a mask over the d columns and share one pick, `_noisy_argmax`. Every
+count, each (trial, step) stream keyed and drawn once at the largest m
+among the trial's runs. A block of several trials derives the keys of
+all its step streams in one noise.philox_keys pass and re-keys one
+Philox per stream, instead of building an RngStream child each; a block
+of one trial draws from the child streams. As a Laplace draw is its
+scale times a standard draw made from one uniform, and a stream's first
+m uniforms do not depend on how many are drawn, every run sees exactly
+the draws a fresh RngStream at its path gives. Screening and forward
+stepwise keep a run's candidates as a mask over the d columns and share
+one pick, `_noisy_argmax`. Every
 per-run product (scores, norms, updates) is a separate BLAS call, einsum
 or elementwise operation on that run's own slice of a stacked array, so a
 run's result does not depend on the block it ran in.
@@ -48,7 +52,8 @@ import numpy as np
 
 from .errors import AllCandidatesCollinear, DimensionMismatch, NonConvergence, check_number
 from .linmodel import DesignMatrix, ModelSet, as_response
-from .noise import NoisePolicy, RngStream, scale_forward_stepwise, scale_lasso, scale_screening
+from .noise import (KeyedGenerator, NoisePolicy, RngStream, laplace_of_uniform, philox_keys,
+                    scale_forward_stepwise, scale_lasso, scale_screening)
 from .stability import ZERO_BUDGET, StabilityBudget, certify_budgets
 
 SUPPORT_THRESHOLD = 1e-12
@@ -153,24 +158,48 @@ _spec = functools.lru_cache(maxsize=256, typed=True)(SelectorSpec)
 # run-axis plumbing
 
 
-def _step_draws(streams: list[RngStream], step: int, counts: np.ndarray,
-                trial: np.ndarray) -> np.ndarray:
-    """Standard Laplace draws for one step, one row per run: run r's row
-    starts with the first counts[r] draws of streams[trial[r]].child(step),
-    zero-padded to the largest count. Each trial's stream is built and
-    drawn once, at the largest count among its runs, and a trial with no
-    runs is never built; a block of one trial gets its one row, which
-    broadcasts."""
-    if len(streams) == 1:
-        return streams[0].child(step).standard_laplace(max(counts.tolist()))[None]
-    most = np.zeros(len(streams), dtype=np.int64)
-    np.maximum.at(most, trial, counts)
-    sizes = most.tolist()
-    draws = np.zeros((len(streams), max(sizes)))
-    for b, size in enumerate(sizes):
-        if size:
-            draws[b, :size] = streams[b].child(step).standard_laplace(size)
-    return draws[trial]
+class _StepDraws:
+    """Standard Laplace draws, step by step, for a block of runs: run r
+    draws from streams[trial[r]] for rounds[r] steps. Called with a step,
+    the candidate counts of the runs drawing at it and their trials, it
+    returns one row per run: run r's row starts with the first counts[r]
+    draws of streams[trial[r]].child(step), padded with +0.0 to the
+    largest count. A block of one trial gets its one row, which
+    broadcasts, from the child stream.
+
+    A larger block keys, in one philox_keys call, the step streams
+    1 .. R_b of each trial b with runs, R_b the most rounds among them (a
+    trial with no runs is never keyed). Each step then draws each of its
+    trials' streams once, at the largest count among its runs, into one
+    table of uniforms, re-keying one Philox per trial, and the Laplace
+    transform runs once over the table.
+    """
+
+    def __init__(self, streams: list[RngStream], trial: np.ndarray, rounds):
+        self.streams = streams
+        if len(streams) == 1:
+            return
+        last = np.zeros(len(streams), dtype=np.int64)
+        np.maximum.at(last, trial, rounds)
+        self.first = np.cumsum(last) - last  # trial b's step t: key first[b] + t - 1
+        b = np.repeat(np.arange(len(streams)), last)
+        step = (np.arange(len(b)) - self.first[b] + 1).astype(np.uint64)
+        paths = np.array([s.path for s in streams], dtype=np.uint64)
+        seeds = np.array([s.master_seed for s in streams], dtype=np.uint64)
+        self.keys = philox_keys(seeds[b], np.column_stack((paths[b], step)))
+        self.gen = KeyedGenerator()
+
+    def __call__(self, step: int, counts: np.ndarray, trial: np.ndarray) -> np.ndarray:
+        if len(self.streams) == 1:
+            return self.streams[0].child(step).standard_laplace(max(counts.tolist()))[None]
+        most = np.zeros(len(self.streams), dtype=np.int64)
+        np.maximum.at(most, trial, counts)
+        live = np.flatnonzero(most)
+        u = np.full((len(most), most.max()), 0.5)  # a uniform of 0.5 is the draw +0.0
+        keys = self.keys[self.first[live] + step - 1].tolist()
+        for b, size, key in zip(live.tolist(), most[live].tolist(), keys):
+            self.gen.start(key).random(out=u[b, :size])
+        return laplace_of_uniform(u)[trial]
 
 
 def _noisy_argmax(t: int, exact: np.ndarray, live: np.ndarray, kept: np.ndarray,
@@ -237,6 +266,7 @@ def lasso_runs(designs: list[DesignMatrix], Y: np.ndarray, c1: np.ndarray, steps
     theta = np.zeros((runs, d))
     z = np.zeros((runs, n))  # X @ theta, updated incrementally
     ends = steps.tolist()
+    draws = _StepDraws(streams, trial, steps)
     live = 0
     traced = []
     for t in range(1, ends[0] + 1):
@@ -256,7 +286,7 @@ def lasso_runs(designs: list[DesignMatrix], Y: np.ndarray, c1: np.ndarray, steps
         g = (-2.0 / n) * np.matmul(ATl, r[:, :, None])[:, :, 0]
         np.multiply(c1l[:, None], g, out=plus)
         np.negative(plus, out=minus)  # -(c1 * g) is -c1 * g exactly
-        noisy = exact + scale_col * _step_draws(streams, t, counts, triall)
+        noisy = exact + scale_col * draws(t, counts, triall)
         v = noisy.argmin(axis=1)
         minus_vertex, col = np.divmod(v, d)
         step_size = 2.0 / (t + 1.0)
@@ -395,13 +425,14 @@ def screen_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.nd
     d = designs[0].d
     runs = len(trial)
     at = np.arange(runs)
+    draws = _StepDraws(streams, trial, k)
     c = np.array([(X.entries.T @ y) / X.n for X, y in zip(designs, Y)])[trial]
     picked = np.zeros((runs, d), dtype=bool)
     kept = np.full(runs, d)
     scale_col = scales[:, None]
     traced: list[TraceStep] = []
     for t in range(1, k + 1):
-        xi = scale_col * _step_draws(streams, t, kept, trial)
+        xi = scale_col * draws(t, kept, trial)
         chosen = _noisy_argmax(t, c, ~picked, kept, xi, traced if trace else None)
         picked[at, chosen] = True
         kept -= 1
@@ -445,6 +476,7 @@ def fs_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.ndarra
     floor = FS_COLLINEAR_TOL * np.array([X.col_norms for X in designs])[trial]
     picked = np.zeros((runs, d), dtype=bool)
     ids = np.arange(runs)  # block run of each state row
+    draws = _StepDraws(streams, trial, k)
     failed: dict[int, Exception] = {}
     traced: list[TraceStep] = []
     for t in range(1, k + 1):
@@ -464,7 +496,7 @@ def fs_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.ndarra
             if not len(ids):
                 break
         at = np.arange(len(ids))
-        xi = scales[ids, None] * _step_draws(streams, t, kept, trial[ids])
+        xi = scales[ids, None] * draws(t, kept, trial[ids])
         signed = np.divide(np.einsum("rij,ri->rj", R, y_res), norms,
                            out=np.zeros_like(norms), where=live)
         chosen = _noisy_argmax(t, signed, live, kept, xi, traced if trace else None)

@@ -937,11 +937,13 @@ def test_experiment_rejects_each_config_rule_up_front(tmp_path, capsys, rule):
     (experiment_config(selector={"method": "fixed", "fixed_model": [0, 1.0]}), "fixed_model"),
     # once rejected only after the output directory was made
     (experiment_config(master_seed=2 ** 64), "master_seed"),
+    # a trial index must fit one word of a stream path
+    (experiment_config(trials=2 ** 32 + 1), "trials"),
     (experiment_config(alpha_weights=[0.5, 0.5, 0.5]), "alpha_weights"),
     (experiment_config(alpha_weights=[math.nan, 0.5, 0.5]), "alpha_weights"),
     (experiment_config(eta_grid=[math.nan]), "eta_grid"),
 ], ids=["n-float", "trials-float", "k-float", "fixed_model-float", "master_seed-2**64",
-        "alpha_weights-sum", "alpha_weights-nan", "eta_grid-nan"])
+        "trials-2**32+1", "alpha_weights-sum", "alpha_weights-nan", "eta_grid-nan"])
 def test_experiment_rejects_up_front_what_once_got_through(tmp_path, capsys, cfg, key):
     assert_rejected_up_front(tmp_path, capsys, cfg, key)
 

@@ -21,7 +21,7 @@ from stableci.experiments import (DEFAULT_ETA_GRID, ExperimentConfig,
                                   eta_sweep, gen_synthetic, run_selector,
                                   run_trial)
 from stableci.linmodel import DesignMatrix, ModelSet
-from stableci.noise import RngStream
+from stableci.noise import RngStream, philox_keys
 from stableci.selectors import SelectionResult, lambda_to_c1, select_runs, stable_screening
 from stableci.stability import StabilityBudget
 
@@ -117,10 +117,16 @@ def test_experiment_config_rejects_nonfinite(kw, name):
     ({"alpha_weights": (0.5, 0.5, 0.5)}, "alpha_weights .*sum to 1"),
     ({"alpha_weights": (math.nan, 0.5, 0.5)}, "alpha_weights .*nonnegative"),
     ({"alpha_weights": (1.0, 0.0, False)}, "alpha_weights entry must be a number"),
+    ({"trials": 2 ** 32 + 1}, r"trials must be at most 2\*\*32, got 4294967297"),
 ])
 def test_experiment_config_names_the_bad_field(kw, message):
     with pytest.raises(ValueError, match=message):
         fixed_cfg(**kw)
+
+
+def test_experiment_config_takes_trial_indices_up_to_one_path_word():
+    # trial indices 0 .. 2**32 - 1 each fit the one uint32 word of a path
+    assert fixed_cfg(trials=2 ** 32).trials == 2 ** 32
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -730,9 +736,19 @@ def test_eta_sweep_flags_nonconvergence_at_every_eta(monkeypatch):
         assert all(r.flagged.startswith("non_convergence: ") for r in records)
 
 
+def counting_keys(monkeypatch, module, keyed):
+    """Record in keyed the path of each stream that module keys through
+    noise.philox_keys: the selectors key (2, trial, step) streams, the
+    sweep block (1, trial) data streams."""
+    def counting(seeds, paths):
+        keyed.extend(map(tuple, paths))
+        return philox_keys(seeds, paths)
+    monkeypatch.setattr(module, "philox_keys", counting)
+
+
 def test_lam_block_flags_only_the_trials_whose_penalty_solve_fails(monkeypatch):
     # trials 1 and 3 of a one-block sweep fail their penalty solve: only
-    # their records are flagged, and only the other trials build streams
+    # their records are flagged, and only the other trials key selector streams
     cfg, grid = ENGINE_CASES["lasso-lam-estimate"]
     assert block_trials(cfg, grid) >= cfg.trials == 5
     failing = [gen_synthetic(cfg, t)[3] for t in (1, 3)]
@@ -743,18 +759,11 @@ def test_lam_block_flags_only_the_trials_whose_penalty_solve_fails(monkeypatch):
             raise NonConvergence("coordinate descent did not reach gap 1e-08")
         return solve(X, y, lam)
 
-    built = set()
-    philox = np.random.Philox
-
-    def counting_philox(seed_seq):
-        if seed_seq.spawn_key[0] == experiments._PATH_TRIAL_SELECTOR:
-            built.add(seed_seq.spawn_key[1])
-        return philox(seed_seq)
-
+    keyed = []
     monkeypatch.setattr(experiments, "lambda_to_c1", stuck_on_1_and_3)
-    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    counting_keys(monkeypatch, selectors, keyed)
     rows = eta_sweep(cfg, grid)
-    assert built == {0, 2, 4}
+    assert {path[1] for path in keyed} == {0, 2, 4}
     for (_, records, _), (_, want) in zip(rows, eta_major_sweep(cfg, grid)):
         assert_same_records(records, want)
         assert [(r.flagged or "").split(":")[0] for r in records] == \
@@ -781,22 +790,18 @@ def test_eta_sweep_does_eta_free_work_once_per_trial(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    philox = np.random.Philox
-
-    def counting_philox(seed_seq):
-        if seed_seq.spawn_key[0] == experiments._PATH_TRIAL_SELECTOR:
-            selector_streams.append(seed_seq.spawn_key)
-        return philox(seed_seq)
-
     monkeypatch.setattr(experiments, "gen_synthetic", counting("gen", gen_synthetic))
     monkeypatch.setattr(experiments, "lambda_to_c1",
                         counting("lam", experiments.lambda_to_c1))
     # the sweep estimates sigma inside stability.infer_runs
     monkeypatch.setattr(stability, "sigma_hat_full_model",
                         counting("sigma", stability.sigma_hat_full_model))
-    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    counting_keys(monkeypatch, selectors, selector_streams)
+    data_streams = []
+    counting_keys(monkeypatch, experiments, data_streams)
     cfg, grid = ENGINE_CASES["lasso-lam-estimate"]
     eta_sweep(cfg, grid)
     assert calls == {"gen": cfg.trials, "lam": cfg.trials, "sigma": cfg.trials}
+    assert data_streams == [(experiments._PATH_TRIAL_DATA, t) for t in range(cfg.trials)]
     # one stream per (trial, step), however many etas replay it
     assert len(selector_streams) == len(set(selector_streams)) == cfg.trials * cfg.selector.steps

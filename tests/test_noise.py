@@ -11,8 +11,8 @@ import pytest
 import scipy.stats
 
 from stableci.linmodel import DesignMatrix
-from stableci.noise import (NoisePolicy, RngStream, log_descending_factorial,
-                            scale_forward_stepwise, scale_lasso, scale_screening)
+from stableci.noise import (KeyedGenerator, NoisePolicy, RngStream, log_descending_factorial,
+                            philox_keys, scale_forward_stepwise, scale_lasso, scale_screening)
 
 
 def unit_norm_design(n: int = 1000, d: int = 500) -> DesignMatrix:
@@ -54,6 +54,55 @@ def test_stream_matches_seed_sequence_spawn_key():
     ref = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=42, spawn_key=(3, 1)))).standard_normal(5)
     np.testing.assert_array_equal(RngStream(42, (3, 1)).normal(5), ref)
+
+
+SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)
+PATHS = ((0,), (3,), (0, 0), (2, 7), (1, 0, 5), (2, 2 ** 32 - 1, 0), (0, 0, 0, 0), (4, 1, 0, 9))
+
+
+def seed_sequence_key(seed, path):
+    return np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_philox_keys_are_seed_sequence_keys(seed):
+    for length in range(1, 5):
+        paths = [p for p in PATHS if len(p) == length]
+        keys = philox_keys([seed] * len(paths), paths)
+        assert keys.dtype == np.uint64 and keys.shape == (len(paths), 2)
+        for key, path in zip(keys, paths):
+            assert key.tobytes() == seed_sequence_key(seed, path).tobytes(), path
+
+
+def test_philox_keys_of_mixed_seeds_in_one_batch():
+    seeds = [SEEDS[i % len(SEEDS)] for i in range(12)] + list(range(100, 120))
+    paths = [(i % 3, i, 0) for i in range(len(seeds))]
+    keys = philox_keys(seeds, paths)
+    for key, seed, path in zip(keys, seeds, paths):
+        assert key.tobytes() == seed_sequence_key(seed, path).tobytes(), (seed, path)
+
+
+def test_philox_keys_of_the_empty_path_are_the_seeds_keys():
+    keys = philox_keys(SEEDS, np.zeros((len(SEEDS), 0), dtype=np.uint64))
+    for key, seed in zip(keys, SEEDS):
+        assert key.tobytes() == seed_sequence_key(seed, ()).tobytes()
+    assert philox_keys([], np.zeros((0, 2), dtype=np.uint64)).shape == (0, 2)
+
+
+def test_philox_keys_reject_a_two_word_path_entry_and_ragged_shapes():
+    with pytest.raises(ValueError, match=r"^path entries must be below 2\*\*32, got 4294967296$"):
+        philox_keys([1], [(0, 2 ** 32)])
+    with pytest.raises(ValueError, match="need N seeds"):
+        philox_keys([1, 2], [(0, 1)])
+
+
+def test_keyed_generator_draws_the_fresh_streams_draws():
+    seeds, paths = [7, 2 ** 64 - 1, 7], [(1, 0), (1, 1), (2, 5)]
+    keyed = KeyedGenerator()
+    for key, seed, path in zip(philox_keys(seeds, paths), seeds, paths):
+        gen, fresh = keyed.start(key), RngStream(seed, path)
+        assert gen.standard_normal(5).tobytes() == fresh.normal(5).tobytes()
+        assert gen.random(3).tobytes() == fresh.random(3).tobytes()
 
 
 def test_stream_validation():

@@ -15,15 +15,16 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
+from stableci import selectors
 from stableci.errors import AllCandidatesCollinear, NonConvergence
 from stableci.linmodel import DesignMatrix
-from stableci.noise import (NoisePolicy, RngStream, scale_forward_stepwise, scale_lasso,
-                            scale_screening)
+from stableci.noise import (NoisePolicy, RngStream, philox_keys, scale_forward_stepwise,
+                            scale_lasso, scale_screening)
 from stableci.selectors import (FS_COLLINEAR_TOL, MAX_DEFAULT_FW_STEPS, SUPPORT_THRESHOLD,
                                 SelectorSpec, fs_runs, lambda_to_c1,
                                 lasso_runs, screen_runs, select_runs,
                                 solve_penalized_lasso, stable_fs, stable_lasso,
-                                stable_screening, _default_fw_steps, _step_draws)
+                                stable_screening, _default_fw_steps, _StepDraws)
 from stableci.stability import StabilityBudget, certify_budgets, compose_adaptive_advanced
 
 from oracles import (fs_exact, fs_noisy, lasso_exact_fw, lasso_noisy,
@@ -607,22 +608,48 @@ def block_of(designs, etas=ETAS):
     return trial, eta, streams
 
 
-def test_step_draws_build_each_trial_stream_once_at_its_largest_count():
-    built = []
+def counting_keys(monkeypatch, keyed):
+    """Record in keyed each (seed, path) the selectors key a stream for."""
+    def counting(seeds, paths):
+        keyed.extend(zip(list(seeds), map(tuple, paths)))
+        return philox_keys(seeds, paths)
+    monkeypatch.setattr(selectors, "philox_keys", counting)
 
-    class CountingStream(RngStream):
-        def child(self, *indices):
-            built.append(self.path)
-            return super().child(*indices)
 
-    streams = [CountingStream(31, (2, b)) for b in range(3)]
+def test_step_draws_build_each_trial_stream_once_at_its_largest_count(monkeypatch):
+    keyed = []
+    counting_keys(monkeypatch, keyed)
+    streams = [RngStream(31, (2, b)) for b in range(3)]
     trial, counts = np.array([0, 0, 2]), np.array([3, 5, 2])
-    draws = _step_draws(streams, 4, counts, trial)
-    assert sorted(built) == [(2, 0), (2, 2)]  # stream 1 has no run
-    assert draws.shape == (3, 5)
+    draws = _StepDraws(streams, trial, np.array([4, 6, 4]))
+    # each step stream of a trial with runs, up to its most rounds; stream 1 has no run
+    assert sorted(keyed) == [(31, (2, 0, t)) for t in range(1, 7)] + \
+        [(31, (2, 2, t)) for t in range(1, 5)]
+    for step in (1, 4):
+        rows = draws(step, counts, trial)
+        assert rows.shape == (3, 5)
+        for row, b, m in zip(rows, trial, counts):
+            fresh = RngStream(31, (2, b)).child(step).standard_laplace(m)
+            assert row[:m].tobytes() == fresh.tobytes()
+    assert len(keyed) == 10  # drawing keys nothing more
+
+
+def test_step_draws_of_a_block_are_the_fresh_streams_draws():
+    # a seed per trial, the 64-bit extremes included; each run's row is
+    # its fresh child stream's draws, padded with +0.0
+    seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+    streams = [RngStream(seed, (2, b)) for b, seed in enumerate(seeds)]
+    trial = np.array([4, 0, 3, 0, 2, 1, 4])
+    counts = np.array([7, 2, 1, 6, 3, 5, 4])
+    draws = _StepDraws(streams, trial, 9)(9, counts, trial)
+    assert draws.shape == (7, 7)
     for row, b, m in zip(draws, trial, counts):
-        fresh = RngStream(31, (2, b)).child(4).standard_laplace(m)
+        fresh = RngStream(seeds[b], (2, b)).child(9).standard_laplace(m)
         assert row[:m].tobytes() == fresh.tobytes()
+    biggest = np.zeros(5, dtype=np.int64)
+    np.maximum.at(biggest, trial, counts)
+    pads = np.arange(7) >= biggest[trial][:, None]
+    assert draws[pads].tobytes() == np.zeros(pads.sum()).tobytes()  # +0.0, not -0.0
 
 
 def test_select_runs_checks_the_block_once():
