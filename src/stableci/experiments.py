@@ -24,6 +24,7 @@ calls, is a one-run call of select_runs.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections import Counter
@@ -158,20 +159,26 @@ def gen_synthetic(cfg: ExperimentConfig, trial_index: int,
     given, is a generator at the start of the trial's data stream (a block
     keys them together); by default the stream is built here.
     """
-    root = RngStream(cfg.master_seed)
     if data is None:
-        data = root.child(_PATH_TRIAL_DATA, trial_index).generator
+        data = RngStream(cfg.master_seed, (_PATH_TRIAL_DATA, trial_index)).generator
     if cfg.regenerate_x_per_trial:
-        X_entries = data.standard_normal((cfg.n, cfg.d)) / math.sqrt(cfg.n)
+        X = DesignMatrix(data.standard_normal((cfg.n, cfg.d)) / math.sqrt(cfg.n))
     else:
-        X_entries = root.child(_PATH_SHARED_DESIGN).normal((cfg.n, cfg.d)) / math.sqrt(cfg.n)
+        X = _shared_design(cfg.master_seed, cfg.n, cfg.d)
     active = min(cfg.d, int(math.floor(cfg.active_fraction * cfg.d + 0.5)))
     beta = np.zeros(cfg.d)
     beta[:active] = cfg.signal
-    X = DesignMatrix(X_entries)
     mu = X.entries @ beta
     y = mu + cfg.sigma * data.standard_normal(cfg.n)
     return X, beta, mu, y
+
+
+@functools.lru_cache(maxsize=1)
+def _shared_design(master_seed: int, n: int, d: int) -> DesignMatrix:
+    """The design of every trial of a config that does not redraw it, from
+    stream (0,), drawn once and kept, as a DesignMatrix is immutable."""
+    stream = RngStream(master_seed, (_PATH_SHARED_DESIGN,))
+    return DesignMatrix(stream.normal((n, d)) / math.sqrt(n))
 
 
 def run_selector(spec: SelectorSpec, X: DesignMatrix, y, eta_step: float | None,

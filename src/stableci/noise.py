@@ -206,13 +206,15 @@ def scale_lasso(c1: float, X: DesignMatrix, policy: NoisePolicy) -> float:
     if not (c1 > 0):
         raise ValueError(f"c1 must be positive, got {c1}")
     base = c1 * X.l2inf_norm / (X.n * policy.eta_step)
-    return 8.0 * math.sqrt(math.log(4.0 * X.d) - math.log(policy.delta)) * policy.sigma * base
+    return _finite(8.0 * math.sqrt(math.log(4.0 * X.d) - math.log(policy.delta))
+                   * policy.sigma * base, policy)
 
 
 def scale_screening(X: DesignMatrix, policy: NoisePolicy) -> float:
     """Per-draw Laplace scale for noisy correlation screening rounds."""
     base = X.l2inf_norm / (X.n * policy.eta_step)
-    return 4.0 * math.sqrt(math.log(2.0 * X.d) - math.log(policy.delta)) * policy.sigma * base
+    return _finite(4.0 * math.sqrt(math.log(2.0 * X.d) - math.log(policy.delta))
+                   * policy.sigma * base, policy)
 
 
 def scale_forward_stepwise(d: int, k: int, policy: NoisePolicy) -> float:
@@ -225,7 +227,16 @@ def scale_forward_stepwise(d: int, k: int, policy: NoisePolicy) -> float:
     if not (1 <= k <= d):
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
     log_arg = math.log(2.0) + log_descending_factorial(d, k) - math.log(policy.delta)
-    return 4.0 * math.sqrt(log_arg) * policy.sigma / policy.eta_step
+    return _finite(4.0 * math.sqrt(log_arg) * policy.sigma / policy.eta_step, policy)
+
+
+def _finite(scale: float, policy: NoisePolicy) -> float:
+    """scale, checked: a tiny eta_step can overflow it to inf, which would
+    drown every score and leave the lowest columns to win."""
+    if not math.isfinite(scale):
+        raise ValueError(f"the Laplace scale overflows at eta_step={policy.eta_step!r}; "
+                         f"raise eta_step")
+    return scale
 
 
 def log_descending_factorial(d: int, k: int) -> float:

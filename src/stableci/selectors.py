@@ -23,18 +23,18 @@ Laplace draws are +-0.0 and move no argmin or argmax.
   left without candidates fails alone.
 
 Noise: each round is a report-noisy-max (or -min) over a run's
-candidates. `_StepDraws` lays out the draws: run r's step-t row starts
-with the first m draws of its trial's step-t stream, m its candidate
-count, each (trial, step) stream keyed and drawn once at the largest m
-among the trial's runs. A block of several trials derives the keys of
-all its step streams in one noise.philox_keys pass and re-keys one
-Philox per stream, instead of building an RngStream child each; a block
-of one trial draws from the child streams. As a Laplace draw is its
-scale times a standard draw made from one uniform, and a stream's first
-m uniforms do not depend on how many are drawn, every run sees exactly
-the draws a fresh RngStream at its path gives. Screening and forward
-stepwise keep a run's candidates as a mask over the d columns and share
-one pick, `_noisy_argmax`. Every
+candidates. `_StepDraws` lays out the draws: a step's row has the
+selector's candidate count for that step, d - t + 1 at step t for
+screening and forward stepwise and 2d for LASSO, drawn once per (trial,
+step) stream, and a run's i-th candidate takes draw i of its trial's
+row. A block of several trials derives the keys of all its step streams
+in one noise.philox_keys pass and re-keys one Philox per stream, instead
+of building an RngStream child each; a block of one trial draws from the
+child streams. A stream's drawn length depends on its selector and step
+alone, and a Laplace draw is its scale times a standard draw made from
+one uniform, so every run sees exactly the draws a fresh RngStream at
+its path gives. Screening and forward stepwise keep a run's candidates
+as a mask over the d columns and share one pick, `_noisy_argmax`. Every
 per-run product (scores, norms, updates) is a separate BLAS call, einsum
 or elementwise operation on that run's own slice of a stacked array, so a
 run's result does not depend on the block it ran in.
@@ -161,44 +161,40 @@ _spec = functools.lru_cache(maxsize=256, typed=True)(SelectorSpec)
 class _StepDraws:
     """Standard Laplace draws, step by step, for a block of runs: run r
     draws from streams[trial[r]] for rounds[r] steps. Called with a step,
-    the candidate counts of the runs drawing at it and their trials, it
-    returns one row per run: run r's row starts with the first counts[r]
-    draws of streams[trial[r]].child(step), padded with +0.0 to the
-    largest count. A block of one trial gets its one row, which
-    broadcasts, from the child stream.
+    the trials of the runs drawing at it and the selector's candidate
+    count for that step, width, it returns one row per run: run r's row is
+    the first width draws of streams[trial[r]].child(step). A block of
+    one trial gets its one row, which broadcasts, from the child stream.
 
     A larger block keys, in one philox_keys call, the step streams
     1 .. R_b of each trial b with runs, R_b the most rounds among them (a
-    trial with no runs is never keyed). Each step then draws each of its
-    trials' streams once, at the largest count among its runs, into one
-    table of uniforms, re-keying one Philox per trial, and the Laplace
-    transform runs once over the table.
+    trial with no runs is never keyed). Each step then draws the stream
+    of every trial with R_b >= step into one table of uniforms,
+    re-keying one Philox per trial, and the Laplace transform runs once
+    over the table.
     """
 
     def __init__(self, streams: list[RngStream], trial: np.ndarray, rounds):
         self.streams = streams
         if len(streams) == 1:
             return
-        last = np.zeros(len(streams), dtype=np.int64)
-        np.maximum.at(last, trial, rounds)
-        self.first = np.cumsum(last) - last  # trial b's step t: key first[b] + t - 1
-        b = np.repeat(np.arange(len(streams)), last)
+        self.last = np.zeros(len(streams), dtype=np.int64)
+        np.maximum.at(self.last, trial, rounds)
+        self.first = np.cumsum(self.last) - self.last  # trial b's step t: key first[b] + t - 1
+        b = np.repeat(np.arange(len(streams)), self.last)
         step = (np.arange(len(b)) - self.first[b] + 1).astype(np.uint64)
         paths = np.array([s.path for s in streams], dtype=np.uint64)
         seeds = np.array([s.master_seed for s in streams], dtype=np.uint64)
         self.keys = philox_keys(seeds[b], np.column_stack((paths[b], step)))
         self.gen = KeyedGenerator()
 
-    def __call__(self, step: int, counts: np.ndarray, trial: np.ndarray) -> np.ndarray:
+    def __call__(self, step: int, trial: np.ndarray, width: int) -> np.ndarray:
         if len(self.streams) == 1:
-            return self.streams[0].child(step).standard_laplace(max(counts.tolist()))[None]
-        most = np.zeros(len(self.streams), dtype=np.int64)
-        np.maximum.at(most, trial, counts)
-        live = np.flatnonzero(most)
-        u = np.full((len(most), most.max()), 0.5)  # a uniform of 0.5 is the draw +0.0
-        keys = self.keys[self.first[live] + step - 1].tolist()
-        for b, size, key in zip(live.tolist(), most[live].tolist(), keys):
-            self.gen.start(key).random(out=u[b, :size])
+            return self.streams[0].child(step).standard_laplace(width)[None]
+        live = np.flatnonzero(self.last >= step)
+        u = np.zeros((len(self.streams), width))  # the rows of other trials are not read
+        for b, key in zip(live.tolist(), self.keys[self.first[live] + step - 1].tolist()):
+            self.gen.start(key).random(out=u[b])
         return laplace_of_uniform(u)[trial]
 
 
@@ -278,7 +274,6 @@ def lasso_runs(designs: list[DesignMatrix], Y: np.ndarray, c1: np.ndarray, steps
             theta_flat, row_d = theta[:live].reshape(-1), at * d
             exact = np.empty((live, 2 * d))
             plus, minus = exact[:, :d], exact[:, d:]
-            counts = np.full(live, 2 * d)
         r = Yl - zl
         # scores are vertex . gradient for the loss ||y - X theta||^2 / n,
         # whose gradient is -(2/n) X^T r; scale_lasso is calibrated to
@@ -286,7 +281,7 @@ def lasso_runs(designs: list[DesignMatrix], Y: np.ndarray, c1: np.ndarray, steps
         g = (-2.0 / n) * np.matmul(ATl, r[:, :, None])[:, :, 0]
         np.multiply(c1l[:, None], g, out=plus)
         np.negative(plus, out=minus)  # -(c1 * g) is -c1 * g exactly
-        noisy = exact + scale_col * draws(t, counts, triall)
+        noisy = exact + scale_col * draws(t, triall, 2 * d)
         v = noisy.argmin(axis=1)
         minus_vertex, col = np.divmod(v, d)
         step_size = 2.0 / (t + 1.0)
@@ -432,7 +427,7 @@ def screen_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.nd
     scale_col = scales[:, None]
     traced: list[TraceStep] = []
     for t in range(1, k + 1):
-        xi = scale_col * draws(t, kept, trial)
+        xi = scale_col * draws(t, trial, d - t + 1)
         chosen = _noisy_argmax(t, c, ~picked, kept, xi, traced if trace else None)
         picked[at, chosen] = True
         kept -= 1
@@ -496,7 +491,7 @@ def fs_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.ndarra
             if not len(ids):
                 break
         at = np.arange(len(ids))
-        xi = scales[ids, None] * draws(t, kept, trial[ids])
+        xi = scales[ids, None] * draws(t, trial[ids], d - t + 1)
         signed = np.divide(np.einsum("rij,ri->rj", R, y_res), norms,
                            out=np.zeros_like(norms), where=live)
         chosen = _noisy_argmax(t, signed, live, kept, xi, traced if trace else None)

@@ -137,7 +137,11 @@ def compose_adaptive_simple(eta_step: float, tau_step: float, k: int) -> tuple[f
     _check_count("k", k)
     if not (0 <= eta_step < math.inf and 0 <= tau_step < math.inf):
         raise ValueError(f"step parameters must be finite and >= 0, got {eta_step}, {tau_step}")
-    return (k * eta_step, k * tau_step)
+    eta, tau = k * eta_step, k * tau_step
+    if not (math.isfinite(eta) and math.isfinite(tau)):
+        raise ValueError(f"composing k={k} rounds at eta_step={eta_step!r}, "
+                         f"tau_step={tau_step!r} overflows; lower them or k")
+    return (eta, tau)
 
 
 def compose_adaptive_advanced(eta_step: float, k: int, delta: float) -> float:
@@ -152,7 +156,14 @@ def compose_adaptive_advanced(eta_step: float, k: int, delta: float) -> float:
         raise ValueError(f"eta_step must be finite and >= 0, got {eta_step}")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    return 0.5 * k * eta_step ** 2 + math.sqrt(2.0 * k * math.log(1.0 / delta)) * eta_step
+    try:
+        eta = 0.5 * k * eta_step ** 2 + math.sqrt(2.0 * k * math.log(1.0 / delta)) * eta_step
+    except OverflowError:  # a float ** raises where * returns inf
+        eta = math.inf
+    if not math.isfinite(eta):
+        raise ValueError(f"advanced composition of k={k} rounds at eta_step={eta_step!r} "
+                         f"overflows; lower eta_step or k")
+    return eta
 
 
 @functools.lru_cache(maxsize=4096, typed=True)

@@ -655,6 +655,33 @@ def test_budget_rejects_nonfinite_step(step, capsys):
     assert "nan" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["select", "--method", "screen", "--k", "2", "--eta", "1e200"],
+    ["budget", "--k", "3", "--eta-step", "1e308"],
+    ["experiment", 1e200],
+    ["select", "--method", "screen", "--k", "2", "--eta", "1e-310"],
+    ["select", "--method", "fs", "--k", "2", "--eta", "1e-310"],
+    ["select", "--method", "lasso", "--c1", "1", "--eta", "1e-310"],
+], ids=["select-huge", "budget-huge", "experiment-huge", "screen-tiny", "fs-tiny",
+        "lasso-tiny"])
+def test_an_overflowing_eta_step_exits_2(data, capsys, argv):
+    # a composed eta or a Laplace scale that overflows is rejected, naming
+    # eta_step, where it once left a traceback or an inf scale that picks
+    # the lowest columns whatever y is
+    out = data["dir"] / "out"
+    if argv[0] == "select":
+        argv = [*argv, "--x", data["x"], "--y", data["y"], "--out", str(out)]
+    elif argv[0] == "experiment":
+        cfg = data["dir"] / "cfg.json"
+        cfg.write_text(json.dumps(experiment_config(eta_grid=[1.0, argv[1]])))
+        argv = ["experiment", "--config", str(cfg), "--out-dir", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "eta_step" in captured.err and "Traceback" not in captured.err
+    assert "inf" not in captured.out
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_budget_defaults_match_default_select(data, capsys):
     # the certificate `budget` prints is the one a default `select` writes
     sel = str(data["dir"] / "sel.csv")

@@ -194,6 +194,9 @@ def test_gen_synthetic_shared_design():
     Xb, _, _, yb = gen_synthetic(cfg, 1)
     np.testing.assert_array_equal(Xa.entries, Xb.entries)
     assert not np.array_equal(ya, yb)
+    # drawn from its reserved stream (0,)
+    fresh = RngStream(cfg.master_seed, (0,)).normal((cfg.n, cfg.d)) / math.sqrt(cfg.n)
+    assert Xa.entries.tobytes() == fresh.tobytes()
 
 
 def test_gen_synthetic_beta_layout():
@@ -690,6 +693,26 @@ def test_block_size_does_not_change_records(monkeypatch, case):
         for (_, records, summary), (_, want, want_summary) in zip(sweeps[size], sweeps[1]):
             assert summary == want_summary
             assert_same_records(records, want)
+
+
+def test_shared_design_sweep_draws_the_design_at_most_once_per_block(monkeypatch):
+    cfg, grid = ENGINE_CASES["shared-design"]
+    cfg = dataclasses.replace(cfg, trials=7)
+    built = []
+
+    def counting(entries):
+        built.append(1)
+        return DesignMatrix(entries)
+    monkeypatch.setattr(experiments, "DesignMatrix", counting)
+    want = eta_major_sweep(cfg, grid)
+    for size in (1, 3, 16):
+        monkeypatch.setattr(experiments, "BLOCK_TRIALS", size)
+        experiments._shared_design.cache_clear()
+        built.clear()
+        rows = eta_sweep(cfg, grid)
+        assert 1 <= len(built) <= -(-cfg.trials // size)
+        for (_, records, _), (_, want_records) in zip(rows, want):
+            assert_same_records(records, want_records)
 
 
 def test_sweep_sends_one_task_per_block():

@@ -219,6 +219,12 @@ def test_scale_validation():
         scale_lasso(0.0, X, policy)
     with pytest.raises(ValueError):
         scale_forward_stepwise(4, 5, policy)
+    # a subnormal eta_step overflows every scale to inf
+    tiny = NoisePolicy(1.0, delta=0.05, eta_step=1e-310)
+    for call in (lambda: scale_lasso(1.0, X, tiny), lambda: scale_screening(X, tiny),
+                 lambda: scale_forward_stepwise(4, 2, tiny)):
+        with pytest.raises(ValueError, match=r"^the Laplace scale overflows at eta_step=1e-310"):
+            call()
 
 
 def test_descending_factorial():

@@ -616,40 +616,47 @@ def counting_keys(monkeypatch, keyed):
     monkeypatch.setattr(selectors, "philox_keys", counting)
 
 
-def test_step_draws_build_each_trial_stream_once_at_its_largest_count(monkeypatch):
+def test_step_draws_build_each_trial_stream_once_at_the_step_width(monkeypatch):
     keyed = []
     counting_keys(monkeypatch, keyed)
     streams = [RngStream(31, (2, b)) for b in range(3)]
-    trial, counts = np.array([0, 0, 2]), np.array([3, 5, 2])
+    trial = np.array([0, 0, 2])
     draws = _StepDraws(streams, trial, np.array([4, 6, 4]))
     # each step stream of a trial with runs, up to its most rounds; stream 1 has no run
     assert sorted(keyed) == [(31, (2, 0, t)) for t in range(1, 7)] + \
         [(31, (2, 2, t)) for t in range(1, 5)]
-    for step in (1, 4):
-        rows = draws(step, counts, trial)
-        assert rows.shape == (3, 5)
-        for row, b, m in zip(rows, trial, counts):
-            fresh = RngStream(31, (2, b)).child(step).standard_laplace(m)
-            assert row[:m].tobytes() == fresh.tobytes()
+    for step, width in ((1, 5), (4, 2)):
+        rows = draws(step, trial, width)
+        assert rows.shape == (3, width)
+        for row, b in zip(rows, trial):
+            fresh = RngStream(31, (2, b)).child(step).standard_laplace(width)
+            assert row.tobytes() == fresh.tobytes()
     assert len(keyed) == 10  # drawing keys nothing more
 
 
 def test_step_draws_of_a_block_are_the_fresh_streams_draws():
     # a seed per trial, the 64-bit extremes included; each run's row is
-    # its fresh child stream's draws, padded with +0.0
+    # its fresh child stream's draws at the full width
     seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
     streams = [RngStream(seed, (2, b)) for b, seed in enumerate(seeds)]
     trial = np.array([4, 0, 3, 0, 2, 1, 4])
-    counts = np.array([7, 2, 1, 6, 3, 5, 4])
-    draws = _StepDraws(streams, trial, 9)(9, counts, trial)
+    draws = _StepDraws(streams, trial, 9)(9, trial, 7)
     assert draws.shape == (7, 7)
-    for row, b, m in zip(draws, trial, counts):
-        fresh = RngStream(seeds[b], (2, b)).child(9).standard_laplace(m)
-        assert row[:m].tobytes() == fresh.tobytes()
-    biggest = np.zeros(5, dtype=np.int64)
-    np.maximum.at(biggest, trial, counts)
-    pads = np.arange(7) >= biggest[trial][:, None]
-    assert draws[pads].tobytes() == np.zeros(pads.sum()).tobytes()  # +0.0, not -0.0
+    for row, b in zip(draws, trial):
+        fresh = RngStream(seeds[b], (2, b)).child(9).standard_laplace(7)
+        assert row.tobytes() == fresh.tobytes()
+
+
+def test_a_step_row_does_not_depend_on_the_block():
+    # trial 2's step-3 row: alone (the one-trial branch), the only trial
+    # with runs in a block of four, and beside runs of every other trial
+    streams = [RngStream(31, (2, b)) for b in range(4)]
+    alone = _StepDraws(streams[2:3], np.array([0]), 3)(3, np.array([0]), 6)
+    only = _StepDraws(streams, np.array([2, 2]), np.array([3, 5]))(3, np.array([2, 2]), 6)
+    trial = np.array([0, 1, 2, 3, 2])
+    mixed = _StepDraws(streams, trial, np.array([9, 3, 4, 7, 3]))(3, trial, 6)
+    assert alone[0].tobytes() == only[0].tobytes() == only[1].tobytes() == \
+        mixed[2].tobytes() == mixed[4].tobytes()
 
 
 def test_select_runs_checks_the_block_once():

@@ -225,6 +225,21 @@ def test_eta_step_for_total_needs_a_round(k):
         eta_step_for_total(k, 0.05, 1.0)
 
 
+def test_composition_that_overflows_names_eta_step():
+    # k * eta_step overflows to inf, eta_step ** 2 raises OverflowError, and
+    # 0.5 * k * eta_step ** 2 overflows to inf only after the square
+    for call in (lambda: compose_adaptive_simple(1e308, 0.0, 3),
+                 lambda: compose_adaptive_advanced(1e200, 2, 0.05),
+                 lambda: compose_adaptive_advanced(1e154, 10 ** 9, 0.05),
+                 lambda: certify_budgets(2, 1e200, 0.05)):
+        with pytest.raises(ValueError, match=r"eta_step=1e\+\d+.* overflows"):
+            call()
+    # the largest finite results are the formula's, unchanged
+    assert compose_adaptive_simple(1e308, 0.0, 1) == (1e308, 0.0)
+    assert compose_adaptive_advanced(1e150, 2, 0.05) == \
+        0.5 * 2 * 1e150 ** 2 + math.sqrt(2.0 * 2 * math.log(1.0 / 0.05)) * 1e150
+
+
 @pytest.mark.parametrize("k", [2.5, 2.0, True, "3"])
 def test_round_count_must_be_an_integer(k):
     # 2.5 rounds gave a 2.5-round certificate and eta_step_for_total 0.4;
