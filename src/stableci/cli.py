@@ -49,11 +49,12 @@ from .experiments import (
     check_eta_grid,
     eta_sweep,
     run_selector,
+    selector_slack,
 )
 from .linmodel import DesignMatrix, ModelSet
 # not called here: bound for perfbench/tracing.py, which wraps these names in this module
 from .linmodel import ols_fit, sigma_hat_full_model, stderr_known_sigma  # noqa: F401
-from .noise import RngStream
+from .noise import STREAM_LAYOUT, RngStream
 from .selectors import SelectionResult
 # not called here: bound for perfbench/tracing.py, which wraps these names in this module
 from .selectors import lambda_to_c1, stable_fs, stable_lasso, stable_screening  # noqa: F401
@@ -62,6 +63,7 @@ from .stability import (
     StabilityBudget,
     compose_adaptive_advanced,
     compose_adaptive_simple,
+    certify_budgets,
     infer,
     sparse_selection_eta,
 )
@@ -177,6 +179,7 @@ def _write_manifest(path: str, command: str, params: dict, outputs: list[str],
     doc = {
         "command": command,
         "schema_version": SCHEMA_VERSION,
+        "stream_layout": STREAM_LAYOUT,
         "package_version": __version__,
         "parameters": params,
         "outputs": outputs,
@@ -191,7 +194,8 @@ def _write_manifest(path: str, command: str, params: dict, outputs: list[str],
 # selection file round trip
 
 def write_selection(path: str, method: str, params: dict, result: SelectionResult) -> None:
-    rows: list[list[str]] = [["meta", "schema", str(SCHEMA_VERSION)], ["meta", "method", method]]
+    rows: list[list[str]] = [["meta", "schema", str(SCHEMA_VERSION)], ["meta", "method", method],
+                             ["meta", "stream_layout", str(STREAM_LAYOUT)]]
     for key in sorted(params):
         rows.append(["meta", key, _fmt(params[key])])
     for j in result.model:
@@ -356,7 +360,9 @@ def cmd_ci(args) -> int:
 def load_config(path: str) -> tuple[ExperimentConfig, list[float]]:
     """An `experiment` JSON config as (ExperimentConfig, eta grid). Each key
     is the field of the same name of ExperimentConfig or SelectorSpec, which
-    check it; here only the shape of the file is checked."""
+    check it; here the shape of the file is checked, and, where the config
+    fixes the round count (screening, forward stepwise, LASSO `steps`),
+    that every eta of the grid certifies at the sweep's selector slack."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -374,9 +380,16 @@ def load_config(path: str) -> tuple[ExperimentConfig, list[float]]:
     if nulls:  # SelectorSpec would read a null knob as an absent one
         raise CliParseError(f"{path}: selector {nulls[0]} is null")
     try:
-        return ExperimentConfig(**raw, selector=SelectorSpec(**sel)), grid
+        cfg = ExperimentConfig(**raw, selector=SelectorSpec(**sel))
     except TypeError as e:  # a missing or unknown key
         raise CliParseError(f"{path}: {e}") from e
+    rounds = cfg.selector.k or cfg.selector.steps  # None for a fixed model or default steps
+    for eta in grid if rounds else ():
+        try:
+            certify_budgets(rounds, eta, selector_slack(cfg))
+        except ValueError as e:
+            raise CliParseError(f"{path}: eta_grid entry {eta!r}: {e}") from e
+    return cfg, grid
 
 
 def _records_rows(eta: float, records) -> list[list[str]]:

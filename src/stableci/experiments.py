@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import BadWeights, EmptyInput, NonConvergence, check_number
 from .linmodel import DesignMatrix, ModelSet
-from .noise import KeyedGenerator, RngStream, philox_keys
+from .noise import RngStream, keyed
 from .selectors import SelectionResult, SelectorSpec, _one_run, lambda_to_c1, select_runs
 from .stability import ZERO_BUDGET, StabilityBudget, infer_runs, slack_allowance
 # not called here: bound for perfbench/tracing.py, which wraps these names in this module
@@ -83,8 +83,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.master_seed >= 2 ** 64:
             raise ValueError(f"master_seed must be below 2**64, got {self.master_seed}")
-        if self.trials > 2 ** 32:  # a trial index is one word of its stream paths
-            raise ValueError(f"trials must be at most 2**32, got {self.trials}")
+        if self.trials > 2 ** 64 - 1:  # a trial index is one word of its stream paths
+            raise ValueError(f"trials must be at most 2**64 - 1, got {self.trials}")
         for name in ("signal", "active_fraction", "sigma", "alpha"):
             check_number(name, getattr(self, name))
         if not (0.0 <= self.active_fraction <= 1.0):
@@ -148,19 +148,16 @@ class ExperimentSummary:
 
 
 def gen_synthetic(cfg: ExperimentConfig, trial_index: int,
-                  data: np.random.Generator | None = None,
                   ) -> tuple[DesignMatrix, np.ndarray, np.ndarray, np.ndarray]:
     """Draw (X, beta, mu, y) for one trial.
 
     X entries are N(0,1)/sqrt(n); beta puts the signal value on the first
     round(fraction * d) coordinates; y = mu + sigma * N(0, I) with mu = X beta.
-    Deterministic given (master_seed, trial_index); the design is either
-    redrawn per trial or shared from its own reserved stream. data, if
-    given, is a generator at the start of the trial's data stream (a block
-    keys them together); by default the stream is built here.
+    Deterministic given (master_seed, trial_index): the data come from
+    stream (1, trial_index), drawn through noise.keyed; the design is
+    either redrawn per trial or shared from its own reserved stream.
     """
-    if data is None:
-        data = RngStream(cfg.master_seed, (_PATH_TRIAL_DATA, trial_index)).generator
+    data = keyed.start(cfg.master_seed, (_PATH_TRIAL_DATA, trial_index))
     if cfg.regenerate_x_per_trial:
         X = DesignMatrix(data.standard_normal((cfg.n, cfg.d)) / math.sqrt(cfg.n))
     else:
@@ -203,6 +200,14 @@ def _flagged_record(trial_index: int, error: Exception) -> TrialRecord:
                        budget_used=ZERO_BUDGET, flagged=f"{reason}: {error}")
 
 
+def selector_slack(cfg: ExperimentConfig) -> float:
+    """The slack delta a sweep's noisy selectors run at: half of
+    stability.slack_allowance, the tau + nu share of alpha, so that the
+    aligned certificates' slack is that share and the quantile level what
+    the split leaves."""
+    return slack_allowance(cfg.alpha, cfg.alpha_weights) / 2.0
+
+
 def block_trials(cfg: ExperimentConfig, eta_grid) -> int:
     """Trials per block: BLOCK_TRIALS, cut so that a block's largest array
     (runs x n x d doubles: the forward-stepwise residuals, or the LASSO
@@ -225,25 +230,16 @@ def _run_block(cfg: ExperimentConfig, trials: range, eta_grid: list) -> list[lis
     of records per trial, each in grid order.
 
     One pass. Per trial, the data and the `lam` radius, which do not
-    depend on eta; the trials' data streams (1, t) are keyed in one
-    noise.philox_keys pass and drawn through one re-keyed Philox, with the
-    draws of their RngStreams. A non-converging penalty solve flags every
-    eta of its trial. Then one selectors.select_runs call selects for
-    every other run, trial b drawing from its selector stream
+    depend on eta; a non-converging penalty solve flags every eta of its
+    trial. Then one selectors.select_runs call selects for every other
+    run at selector_slack(cfg), trial b drawing from its selector stream
     (2, trials[b]), and one stability.infer_runs call makes the intervals
     of every run selected, whose fits also give the targets X_M^+ mu; each
     distinct (trial, model) pair gets one ModelSet and one FDR. A run whose
     selection or inference check fails is flagged with its error. Every
     run's record is the one the trial run alone at that eta gives.
-
-    Noisy selectors spend half of stability.slack_allowance, the tau + nu
-    share of alpha, as their slack parameter: the aligned certificates'
-    slack is then that share, and the quantile level what the split leaves.
     """
-    delta_sel = slack_allowance(cfg.alpha, cfg.alpha_weights) / 2.0
-    keys = philox_keys([cfg.master_seed] * len(trials), [(_PATH_TRIAL_DATA, t) for t in trials])
-    gen = KeyedGenerator()
-    data = [gen_synthetic(cfg, t, gen.start(key)) for t, key in zip(trials, keys.tolist())]
+    data = [gen_synthetic(cfg, t) for t in trials]
     designs, Y = [X for X, _, _, _ in data], np.stack([y for _, _, _, y in data])
     out: dict[tuple[int, int], TrialRecord] = {}
     runs = []  # (b, e, c1) of every run not flagged yet
@@ -254,9 +250,9 @@ def _run_block(cfg: ExperimentConfig, trials: range, eta_grid: list) -> list[lis
             out.update(((b, e), _flagged_record(trials[b], error)) for e in range(len(eta_grid)))
         else:
             runs += [(b, e, c1) for e in range(len(eta_grid))]
-    root = RngStream(cfg.master_seed)
+    streams = [RngStream(cfg.master_seed, (_PATH_TRIAL_SELECTOR, t)) for t in trials]
     sel = select_runs(cfg.selector, designs, Y, [(b, eta_grid[e], c1) for b, e, c1 in runs],
-                      delta_sel, cfg.sigma, [root.child(_PATH_TRIAL_SELECTOR, t) for t in trials])
+                      selector_slack(cfg), cfg.sigma, streams)
     kept = [r for r in range(len(runs)) if r not in sel.failed]  # infer_runs' run r is kept[r]
     trial = np.array([b for b, _, _ in runs], dtype=np.int64)[kept]
     iv = infer_runs(designs, Y, trial, sel.support[kept], sel.certs, sel.cert[kept], cfg.alpha,

@@ -26,18 +26,15 @@ Noise: each round is a report-noisy-max (or -min) over a run's
 candidates. `_StepDraws` lays out the draws: a step's row has the
 selector's candidate count for that step, d - t + 1 at step t for
 screening and forward stepwise and 2d for LASSO, drawn once per (trial,
-step) stream, and a run's i-th candidate takes draw i of its trial's
-row. A block of several trials derives the keys of all its step streams
-in one noise.philox_keys pass and re-keys one Philox per stream, instead
-of building an RngStream child each; a block of one trial draws from the
-child streams. A stream's drawn length depends on its selector and step
-alone, and a Laplace draw is its scale times a standard draw made from
-one uniform, so every run sees exactly the draws a fresh RngStream at
-its path gives. Screening and forward stepwise keep a run's candidates
-as a mask over the d columns and share one pick, `_noisy_argmax`. Every
-per-run product (scores, norms, updates) is a separate BLAS call, einsum
-or elementwise operation on that run's own slice of a stacked array, so a
-run's result does not depend on the block it ran in.
+step) stream through noise.keyed, whatever the block, and a run's i-th
+candidate takes draw i of its trial's row. A Laplace draw is its scale
+times a standard draw made from one uniform, so every run sees exactly
+the draws a fresh RngStream at its path gives. Screening and forward
+stepwise keep a run's candidates as a mask over the d columns and share
+one pick, `_noisy_argmax`. Every per-run product (scores, norms,
+updates) is a separate BLAS call, einsum or elementwise operation on
+that run's own slice of a stacked array, so a run's result does not
+depend on the block it ran in.
 
 Every noisy run gets stability.certify_budgets' two composed certificates.
 """
@@ -52,8 +49,8 @@ import numpy as np
 
 from .errors import AllCandidatesCollinear, DimensionMismatch, NonConvergence, check_number
 from .linmodel import DesignMatrix, ModelSet, as_response
-from .noise import (KeyedGenerator, NoisePolicy, RngStream, laplace_of_uniform, philox_keys,
-                    scale_forward_stepwise, scale_lasso, scale_screening)
+from .noise import (NoisePolicy, RngStream, keyed, laplace_of_uniform, scale_forward_stepwise,
+                    scale_lasso, scale_screening)
 from .stability import ZERO_BUDGET, StabilityBudget, certify_budgets
 
 SUPPORT_THRESHOLD = 1e-12
@@ -163,38 +160,24 @@ class _StepDraws:
     draws from streams[trial[r]] for rounds[r] steps. Called with a step,
     the trials of the runs drawing at it and the selector's candidate
     count for that step, width, it returns one row per run: run r's row is
-    the first width draws of streams[trial[r]].child(step). A block of
-    one trial gets its one row, which broadcasts, from the child stream.
+    the first width draws of streams[trial[r]].child(step).
 
-    A larger block keys, in one philox_keys call, the step streams
-    1 .. R_b of each trial b with runs, R_b the most rounds among them (a
-    trial with no runs is never keyed). Each step then draws the stream
-    of every trial with R_b >= step into one table of uniforms,
-    re-keying one Philox per trial, and the Laplace transform runs once
-    over the table.
+    Each step draws the stream of every trial with a run still going
+    (one with at least step rounds) into one table of uniforms, moving
+    noise.keyed to each stream in turn, and the Laplace transform runs
+    once over the table; a trial with no runs is never drawn.
     """
 
     def __init__(self, streams: list[RngStream], trial: np.ndarray, rounds):
         self.streams = streams
-        if len(streams) == 1:
-            return
         self.last = np.zeros(len(streams), dtype=np.int64)
         np.maximum.at(self.last, trial, rounds)
-        self.first = np.cumsum(self.last) - self.last  # trial b's step t: key first[b] + t - 1
-        b = np.repeat(np.arange(len(streams)), self.last)
-        step = (np.arange(len(b)) - self.first[b] + 1).astype(np.uint64)
-        paths = np.array([s.path for s in streams], dtype=np.uint64)
-        seeds = np.array([s.master_seed for s in streams], dtype=np.uint64)
-        self.keys = philox_keys(seeds[b], np.column_stack((paths[b], step)))
-        self.gen = KeyedGenerator()
 
     def __call__(self, step: int, trial: np.ndarray, width: int) -> np.ndarray:
-        if len(self.streams) == 1:
-            return self.streams[0].child(step).standard_laplace(width)[None]
-        live = np.flatnonzero(self.last >= step)
         u = np.zeros((len(self.streams), width))  # the rows of other trials are not read
-        for b, key in zip(live.tolist(), self.keys[self.first[live] + step - 1].tolist()):
-            self.gen.start(key).random(out=u[b])
+        for b in np.flatnonzero(self.last >= step).tolist():
+            s = self.streams[b]
+            keyed.start(s.master_seed, s.path + (step,)).random(out=u[b])
         return laplace_of_uniform(u)[trial]
 
 

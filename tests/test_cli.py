@@ -251,6 +251,8 @@ def test_select_ci_round_trip(data, capsys):
     model, budgets, meta = read_selection(sel)
     assert len(model) == 2 and len(budgets) == 2
     assert meta["method"] == "screen" and meta["schema"] == "1"
+    assert meta["stream_layout"] == "2"  # ci ignores this meta row
+    assert json.load(open(sel + ".manifest.json"))["stream_layout"] == 2
 
     out = str(data["dir"] / "intervals.csv")
     rc = main(["ci", "--x", data["x"], "--y", data["y"], "--selection", sel,
@@ -264,6 +266,7 @@ def test_select_ci_round_trip(data, capsys):
     # leaves 0.06 on the quantile side
     assert manifest["parameters"]["delta_level"] == pytest.approx(0.06)
     assert manifest["command"] == "ci" and manifest["schema_version"] == 1
+    assert manifest["stream_layout"] == 2
     for row in lines[1:]:
         f = row.split(",")
         assert float(f[4]) <= float(f[1]) <= float(f[5])
@@ -766,6 +769,7 @@ def test_experiment_outputs(tmp_path):
     assert len(summary) == 3
     manifest = json.load(open(out / "manifest.json"))
     assert manifest["parameters"]["eta_grid"] == [1.0, 5.0]
+    assert manifest["stream_layout"] == 2
 
 
 def test_experiment_rerun_byte_identical(tmp_path):
@@ -965,14 +969,23 @@ def test_experiment_rejects_each_config_rule_up_front(tmp_path, capsys, rule):
     # once rejected only after the output directory was made
     (experiment_config(master_seed=2 ** 64), "master_seed"),
     # a trial index must fit one word of a stream path
-    (experiment_config(trials=2 ** 32 + 1), "trials"),
+    (experiment_config(trials=2 ** 64), "trials"),
     (experiment_config(alpha_weights=[0.5, 0.5, 0.5]), "alpha_weights"),
     (experiment_config(alpha_weights=[math.nan, 0.5, 0.5]), "alpha_weights"),
     (experiment_config(eta_grid=[math.nan]), "eta_grid"),
 ], ids=["n-float", "trials-float", "k-float", "fixed_model-float", "master_seed-2**64",
-        "trials-2**32+1", "alpha_weights-sum", "alpha_weights-nan", "eta_grid-nan"])
+        "trials-2**64", "alpha_weights-sum", "alpha_weights-nan", "eta_grid-nan"])
 def test_experiment_rejects_up_front_what_once_got_through(tmp_path, capsys, cfg, key):
     assert_rejected_up_front(tmp_path, capsys, cfg, key)
+
+
+@pytest.mark.parametrize("selector", [_SCREEN, {"method": "fs", "k": 3},
+                                      {**_LASSO, "steps": 5}], ids=["screen", "fs", "lasso-steps"])
+def test_an_overflowing_eta_grid_entry_exits_2_before_the_out_dir(tmp_path, capsys, selector):
+    # a round count the config fixes is certified at every eta on load; the
+    # overflow once surfaced in the first block, after the directory was made
+    cfg = experiment_config(selector=selector, eta_grid=[1.0, 1e200])
+    assert_rejected_up_front(tmp_path, capsys, cfg, r"eta_grid entry 1e\+200")
 
 
 def test_load_config_keys_are_the_fields(tmp_path):

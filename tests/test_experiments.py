@@ -21,7 +21,7 @@ from stableci.experiments import (DEFAULT_ETA_GRID, ExperimentConfig,
                                   eta_sweep, gen_synthetic, run_selector,
                                   run_trial)
 from stableci.linmodel import DesignMatrix, ModelSet
-from stableci.noise import RngStream, philox_keys
+from stableci.noise import KeyedGenerator, RngStream
 from stableci.selectors import SelectionResult, lambda_to_c1, select_runs, stable_screening
 from stableci.stability import StabilityBudget
 
@@ -117,7 +117,7 @@ def test_experiment_config_rejects_nonfinite(kw, name):
     ({"alpha_weights": (0.5, 0.5, 0.5)}, "alpha_weights .*sum to 1"),
     ({"alpha_weights": (math.nan, 0.5, 0.5)}, "alpha_weights .*nonnegative"),
     ({"alpha_weights": (1.0, 0.0, False)}, "alpha_weights entry must be a number"),
-    ({"trials": 2 ** 32 + 1}, r"trials must be at most 2\*\*32, got 4294967297"),
+    ({"trials": 2 ** 64}, r"trials must be at most 2\*\*64 - 1, got 18446744073709551616"),
 ])
 def test_experiment_config_names_the_bad_field(kw, message):
     with pytest.raises(ValueError, match=message):
@@ -125,8 +125,8 @@ def test_experiment_config_names_the_bad_field(kw, message):
 
 
 def test_experiment_config_takes_trial_indices_up_to_one_path_word():
-    # trial indices 0 .. 2**32 - 1 each fit the one uint32 word of a path
-    assert fixed_cfg(trials=2 ** 32).trials == 2 ** 32
+    # trial indices 0 .. 2**64 - 2 each fit one word of a path
+    assert fixed_cfg(trials=2 ** 64 - 1).trials == 2 ** 64 - 1
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -759,14 +759,16 @@ def test_eta_sweep_flags_nonconvergence_at_every_eta(monkeypatch):
         assert all(r.flagged.startswith("non_convergence: ") for r in records)
 
 
-def counting_keys(monkeypatch, module, keyed):
-    """Record in keyed the path of each stream that module keys through
-    noise.philox_keys: the selectors key (2, trial, step) streams, the
-    sweep block (1, trial) data streams."""
-    def counting(seeds, paths):
-        keyed.extend(map(tuple, paths))
-        return philox_keys(seeds, paths)
-    monkeypatch.setattr(module, "philox_keys", counting)
+def counting_starts(monkeypatch, started):
+    """Record in started the path of each stream started through
+    noise.KeyedGenerator: the selectors' (2, trial, step) streams and the
+    (1, trial) data streams."""
+    start = KeyedGenerator.start
+
+    def counting(self, seed, path):
+        started.append(path)
+        return start(self, seed, path)
+    monkeypatch.setattr(KeyedGenerator, "start", counting)
 
 
 def test_lam_block_flags_only_the_trials_whose_penalty_solve_fails(monkeypatch):
@@ -782,11 +784,12 @@ def test_lam_block_flags_only_the_trials_whose_penalty_solve_fails(monkeypatch):
             raise NonConvergence("coordinate descent did not reach gap 1e-08")
         return solve(X, y, lam)
 
-    keyed = []
+    started = []
     monkeypatch.setattr(experiments, "lambda_to_c1", stuck_on_1_and_3)
-    counting_keys(monkeypatch, selectors, keyed)
+    counting_starts(monkeypatch, started)
     rows = eta_sweep(cfg, grid)
-    assert {path[1] for path in keyed} == {0, 2, 4}
+    assert {path[1] for path in started if path[0] == experiments._PATH_TRIAL_SELECTOR} == \
+        {0, 2, 4}
     for (_, records, _), (_, want) in zip(rows, eta_major_sweep(cfg, grid)):
         assert_same_records(records, want)
         assert [(r.flagged or "").split(":")[0] for r in records] == \
@@ -805,7 +808,6 @@ def test_eta_sweep_pool_equals_map():
 
 def test_eta_sweep_does_eta_free_work_once_per_trial(monkeypatch):
     calls = {"gen": 0, "lam": 0, "sigma": 0}
-    selector_streams = []
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -819,11 +821,12 @@ def test_eta_sweep_does_eta_free_work_once_per_trial(monkeypatch):
     # the sweep estimates sigma inside stability.infer_runs
     monkeypatch.setattr(stability, "sigma_hat_full_model",
                         counting("sigma", stability.sigma_hat_full_model))
-    counting_keys(monkeypatch, selectors, selector_streams)
-    data_streams = []
-    counting_keys(monkeypatch, experiments, data_streams)
+    started = []
+    counting_starts(monkeypatch, started)
     cfg, grid = ENGINE_CASES["lasso-lam-estimate"]
     eta_sweep(cfg, grid)
+    data_streams = [p for p in started if p[0] == experiments._PATH_TRIAL_DATA]
+    selector_streams = [p for p in started if p[0] == experiments._PATH_TRIAL_SELECTOR]
     assert calls == {"gen": cfg.trials, "lam": cfg.trials, "sigma": cfg.trials}
     assert data_streams == [(experiments._PATH_TRIAL_DATA, t) for t in range(cfg.trials)]
     # one stream per (trial, step), however many etas replay it

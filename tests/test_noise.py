@@ -12,7 +12,7 @@ import scipy.stats
 
 from stableci.linmodel import DesignMatrix
 from stableci.noise import (KeyedGenerator, NoisePolicy, RngStream, log_descending_factorial,
-                            philox_keys, scale_forward_stepwise, scale_lasso, scale_screening)
+                            scale_forward_stepwise, scale_lasso, scale_screening, stream_name)
 
 
 def unit_norm_design(n: int = 1000, d: int = 500) -> DesignMatrix:
@@ -49,60 +49,49 @@ def test_stream_continuation():
     np.testing.assert_array_equal(two_calls, RngStream(9, (3,)).random(8))
 
 
-def test_stream_matches_seed_sequence_spawn_key():
-    # the documented derivation: Philox keyed by SeedSequence spawn keys
+def test_stream_is_philox_at_its_key_and_counter():
+    # the documented layout: key (seed, path[0] + 1), counter
+    # (0, path[1] + 1, path[2] + 1, path[3] + 1), an absent word 0
     ref = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=42, spawn_key=(3, 1)))).standard_normal(5)
+        key=np.array([42, 4], dtype=np.uint64),
+        counter=np.array([0, 2, 0, 0], dtype=np.uint64))).standard_normal(5)
     np.testing.assert_array_equal(RngStream(42, (3, 1)).normal(5), ref)
+    assert stream_name(42, ()) == ((42, 0), (0, 0, 0, 0))
+    assert stream_name(42, (3, 1, 0, 7)) == ((42, 4), (0, 2, 1, 8))
 
 
-SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)
-PATHS = ((0,), (3,), (0, 0), (2, 7), (1, 0, 5), (2, 2 ** 32 - 1, 0), (0, 0, 0, 0), (4, 1, 0, 9))
-
-
-def seed_sequence_key(seed, path):
-    return np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_philox_keys_are_seed_sequence_keys(seed):
-    for length in range(1, 5):
-        paths = [p for p in PATHS if len(p) == length]
-        keys = philox_keys([seed] * len(paths), paths)
-        assert keys.dtype == np.uint64 and keys.shape == (len(paths), 2)
-        for key, path in zip(keys, paths):
-            assert key.tobytes() == seed_sequence_key(seed, path).tobytes(), path
-
-
-def test_philox_keys_of_mixed_seeds_in_one_batch():
-    seeds = [SEEDS[i % len(SEEDS)] for i in range(12)] + list(range(100, 120))
-    paths = [(i % 3, i, 0) for i in range(len(seeds))]
-    keys = philox_keys(seeds, paths)
-    for key, seed, path in zip(keys, seeds, paths):
-        assert key.tobytes() == seed_sequence_key(seed, path).tobytes(), (seed, path)
-
-
-def test_philox_keys_of_the_empty_path_are_the_seeds_keys():
-    keys = philox_keys(SEEDS, np.zeros((len(SEEDS), 0), dtype=np.uint64))
-    for key, seed in zip(keys, SEEDS):
-        assert key.tobytes() == seed_sequence_key(seed, ()).tobytes()
-    assert philox_keys([], np.zeros((0, 2), dtype=np.uint64)).shape == (0, 2)
-
-
-def test_philox_keys_reject_a_two_word_path_entry_and_ragged_shapes():
-    with pytest.raises(ValueError, match=r"^path entries must be below 2\*\*32, got 4294967296$"):
-        philox_keys([1], [(0, 2 ** 32)])
-    with pytest.raises(ValueError, match="need N seeds"):
-        philox_keys([1, 2], [(0, 1)])
+def test_stream_names_of_the_production_paths_are_distinct():
+    # the shared design, trial data, selector and step streams of a sweep,
+    # criterion 07's step streams, and a path against its zero-extension;
+    # draws advance counter word 0 alone, so distinct names share no block
+    paths = [(0,), (3,), (3, 0)]
+    for t in (0, 1, 2 ** 32, 2 ** 64 - 2):
+        paths += [(1, t), (2, t)] + [(2, t, s) for s in (0, 1, 2 ** 64 - 2)]
+        paths += [(0, t, 2, s) for s in (1, 2 ** 64 - 2)]
+    names = set()
+    for path in paths:
+        key, counter = stream_name(2 ** 64 - 1, path)
+        assert counter[0] == 0
+        names.add((key, counter[1:]))
+    assert len(names) == len(paths)
 
 
 def test_keyed_generator_draws_the_fresh_streams_draws():
-    seeds, paths = [7, 2 ** 64 - 1, 7], [(1, 0), (1, 1), (2, 5)]
     keyed = KeyedGenerator()
-    for key, seed, path in zip(philox_keys(seeds, paths), seeds, paths):
-        gen, fresh = keyed.start(key), RngStream(seed, path)
+    for seed, path in [(7, (1, 0)), (2 ** 64 - 1, (1, 1)), (7, (2, 5)), (0, ()),
+                       (2 ** 64 - 1, (2 ** 64 - 2,) * 4)]:
+        gen, fresh = keyed.start(seed, path), RngStream(seed, path)
         assert gen.standard_normal(5).tobytes() == fresh.normal(5).tobytes()
         assert gen.random(3).tobytes() == fresh.random(3).tobytes()
+
+
+def test_stream_rejects_a_five_word_path_and_a_full_word_entry():
+    with pytest.raises(ValueError, match=r"^a path has at most 4 entries"):
+        RngStream(1, (0, 1, 2, 3, 4))
+    with pytest.raises(ValueError, match=r"^a path has at most 4 entries"):
+        RngStream(1, (0, 2 ** 64 - 1))
+    with pytest.raises(ValueError, match=r"^a path has at most 4 entries"):
+        KeyedGenerator().start(1, (0, 1, 2, 3, 4))
 
 
 def test_stream_validation():

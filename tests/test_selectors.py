@@ -15,10 +15,9 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
-from stableci import selectors
 from stableci.errors import AllCandidatesCollinear, NonConvergence
 from stableci.linmodel import DesignMatrix
-from stableci.noise import (NoisePolicy, RngStream, philox_keys, scale_forward_stepwise,
+from stableci.noise import (KeyedGenerator, NoisePolicy, RngStream, scale_forward_stepwise,
                             scale_lasso, scale_screening)
 from stableci.selectors import (FS_COLLINEAR_TOL, MAX_DEFAULT_FW_STEPS, SUPPORT_THRESHOLD,
                                 SelectorSpec, fs_runs, lambda_to_c1,
@@ -608,30 +607,33 @@ def block_of(designs, etas=ETAS):
     return trial, eta, streams
 
 
-def counting_keys(monkeypatch, keyed):
-    """Record in keyed each (seed, path) the selectors key a stream for."""
-    def counting(seeds, paths):
-        keyed.extend(zip(list(seeds), map(tuple, paths)))
-        return philox_keys(seeds, paths)
-    monkeypatch.setattr(selectors, "philox_keys", counting)
+def counting_starts(monkeypatch, started):
+    """Record in started each (seed, path) a stream is started at."""
+    start = KeyedGenerator.start
+
+    def counting(self, seed, path):
+        started.append((seed, path))
+        return start(self, seed, path)
+    monkeypatch.setattr(KeyedGenerator, "start", counting)
 
 
 def test_step_draws_build_each_trial_stream_once_at_the_step_width(monkeypatch):
-    keyed = []
-    counting_keys(monkeypatch, keyed)
+    started = []
+    counting_starts(monkeypatch, started)
     streams = [RngStream(31, (2, b)) for b in range(3)]
-    trial = np.array([0, 0, 2])
-    draws = _StepDraws(streams, trial, np.array([4, 6, 4]))
-    # each step stream of a trial with runs, up to its most rounds; stream 1 has no run
-    assert sorted(keyed) == [(31, (2, 0, t)) for t in range(1, 7)] + \
-        [(31, (2, 2, t)) for t in range(1, 5)]
-    for step, width in ((1, 5), (4, 2)):
-        rows = draws(step, trial, width)
-        assert rows.shape == (3, width)
-        for row, b in zip(rows, trial):
-            fresh = RngStream(31, (2, b)).child(step).standard_laplace(width)
+    trial, rounds = np.array([0, 0, 2]), np.array([4, 6, 4])
+    draws = _StepDraws(streams, trial, rounds)
+    for step in range(1, 7):
+        going = trial[rounds >= step]
+        rows = draws(step, going, 8 - step)
+        assert rows.shape == (len(going), 8 - step)
+        for row, b in zip(rows, going):
+            fresh = RngStream(31, (2, b)).child(step).standard_laplace(8 - step)
             assert row.tobytes() == fresh.tobytes()
-    assert len(keyed) == 10  # drawing keys nothing more
+    # each step stream of a trial with runs, up to its most rounds, once;
+    # stream 1 has no run
+    assert sorted(started) == [(31, (2, 0, t)) for t in range(1, 7)] + \
+        [(31, (2, 2, t)) for t in range(1, 5)]
 
 
 def test_step_draws_of_a_block_are_the_fresh_streams_draws():
