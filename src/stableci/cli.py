@@ -54,7 +54,7 @@ from .experiments import (
 from .linmodel import DesignMatrix, ModelSet
 # not called here: bound for perfbench/tracing.py, which wraps these names in this module
 from .linmodel import ols_fit, sigma_hat_full_model, stderr_known_sigma  # noqa: F401
-from .noise import STREAM_LAYOUT, RngStream
+from .noise import STREAM_LAYOUT, NoisePolicy, RngStream, scale_forward_stepwise
 from .selectors import SelectionResult
 # not called here: bound for perfbench/tracing.py, which wraps these names in this module
 from .selectors import lambda_to_c1, stable_fs, stable_lasso, stable_screening  # noqa: F401
@@ -362,7 +362,9 @@ def load_config(path: str) -> tuple[ExperimentConfig, list[float]]:
     is the field of the same name of ExperimentConfig or SelectorSpec, which
     check it; here the shape of the file is checked, and, where the config
     fixes the round count (screening, forward stepwise, LASSO `steps`),
-    that every eta of the grid certifies at the sweep's selector slack."""
+    that every eta of the grid certifies at the sweep's selector slack;
+    for forward stepwise, whose Laplace scale the config alone fixes, also
+    that the scale is finite."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -384,9 +386,12 @@ def load_config(path: str) -> tuple[ExperimentConfig, list[float]]:
     except TypeError as e:  # a missing or unknown key
         raise CliParseError(f"{path}: {e}") from e
     rounds = cfg.selector.k or cfg.selector.steps  # None for a fixed model or default steps
+    slack = selector_slack(cfg)
     for eta in grid if rounds else ():
         try:
-            certify_budgets(rounds, eta, selector_slack(cfg))
+            certify_budgets(rounds, eta, slack)
+            if cfg.selector.method == "fs":
+                scale_forward_stepwise(cfg.d, rounds, NoisePolicy(cfg.sigma, slack, eta))
         except ValueError as e:
             raise CliParseError(f"{path}: eta_grid entry {eta!r}: {e}") from e
     return cfg, grid
@@ -414,16 +419,26 @@ def cmd_experiment(args) -> int:
         workers = _parse_number("STABLECI_WORKERS", os.environ.get("STABLECI_WORKERS", "1"))
     if workers < 1:
         raise CliParseError(f"workers must be >= 1, got {workers}")
+    made = not os.path.isdir(args.out_dir)
     with _writing(args.out_dir):
         os.makedirs(args.out_dir, exist_ok=True)
 
     # a process per block at most: a sweep has ceil(trials / block size) blocks
     processes = min(workers, -(-cfg.trials // block_trials(cfg, grid)))
-    if processes > 1:
-        with multiprocessing.Pool(processes) as pool:
-            sweep = eta_sweep(cfg, grid, pool.map)
-    else:
-        sweep = eta_sweep(cfg, grid, map)
+    try:
+        if processes > 1:
+            with multiprocessing.Pool(processes) as pool:
+                sweep = eta_sweep(cfg, grid, pool.map)
+        else:
+            sweep = eta_sweep(cfg, grid, map)
+    except BaseException:
+        # a failure that only the data shows (a screening or LASSO scale, a
+        # default LASSO step count) leaves no directory behind that this
+        # call made; nothing is written before the sweep ends, so it is empty
+        if made:
+            with contextlib.suppress(OSError):
+                os.rmdir(args.out_dir)
+        raise
 
     record_rows: list[list[str]] = []
     summary_rows: list[list[str]] = []

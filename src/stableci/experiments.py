@@ -210,9 +210,9 @@ def selector_slack(cfg: ExperimentConfig) -> float:
 
 def block_trials(cfg: ExperimentConfig, eta_grid) -> int:
     """Trials per block: BLOCK_TRIALS, cut so that a block's largest array
-    (runs x n x d doubles: the forward-stepwise residuals, or the LASSO
-    designs) stays within BLOCK_BYTES; at least 1. Records do not depend
-    on it."""
+    (runs x n x d doubles: the LASSO designs, or at most that for the
+    forward-stepwise residuals, one per distinct state) stays within
+    BLOCK_BYTES; at least 1. Records do not depend on it."""
     per_trial = max(len(eta_grid), 1) * cfg.n * cfg.d * 8
     return max(1, min(BLOCK_TRIALS, BLOCK_BYTES // per_trial))
 

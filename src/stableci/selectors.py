@@ -31,10 +31,13 @@ candidate takes draw i of its trial's row. A Laplace draw is its scale
 times a standard draw made from one uniform, so every run sees exactly
 the draws a fresh RngStream at its path gives. Screening and forward
 stepwise keep a run's candidates as a mask over the d columns and share
-one pick, `_noisy_argmax`. Every per-run product (scores, norms,
-updates) is a separate BLAS call, einsum or elementwise operation on
-that run's own slice of a stacked array, so a run's result does not
-depend on the block it ran in.
+one pick, `_noisy_argmax`. Forward stepwise keeps its residuals per
+state, a distinct (trial, picks so far), which the runs of a trial share
+until their picks part. Every product (scores, norms, updates) is a
+separate BLAS call, einsum or elementwise operation on one run's or one
+state's own slice of a stacked array, and a state's row holds exactly
+what each of its runs' rows would, so a run's result does not depend on
+the block it ran in.
 
 Every noisy run gets stability.certify_budgets' two composed certificates.
 """
@@ -442,18 +445,30 @@ def fs_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.ndarra
     fails with AllCandidatesCollinear and leaves the block; the others go
     on.
 
-    Each step scores every column of every run with one einsum over the
-    stacked residuals, and `_noisy_argmax` picks among the live ones.
+    The residuals are kept per *state*, a distinct (trial, ordered picks
+    so far), and each run holds the index of its state: the runs of one
+    trial at different scales share a state until their picks diverge.
+    Each step scores every column of every state with one einsum over the
+    stacked residuals, `_noisy_argmax` picks per run among its state's
+    live columns with the run's own draws and scale, and the distinct
+    (state, pick) pairs become the next states, each residualized from a
+    copy of its parent row. The last pick residualizes nothing. While
+    every state has one run (always in a one-run block), the states are
+    the runs, and no np.unique or gather is made.
     """
     n, d = designs[0].n, designs[0].d
     runs = len(trial)
-    R = np.empty((runs, n, d))  # residualized columns of each run's design
-    for r, b in enumerate(trial.tolist()):
-        R[r] = designs[b].entries
-    y_res = Y[trial]  # a copy
-    floor = FS_COLLINEAR_TOL * np.array([X.col_norms for X in designs])[trial]
-    picked = np.zeros((runs, d), dtype=bool)
-    ids = np.arange(runs)  # block run of each state row
+    state = None  # each run's state row; None while the states are the runs
+    first = trial  # the trial of each state row
+    if runs > 1 and np.bincount(trial).max() > 1:
+        first, state = np.unique(trial, return_inverse=True)
+    R = np.empty((len(first), n, d))  # residualized columns of each state's design
+    for s, b in enumerate(first.tolist()):
+        R[s] = designs[b].entries
+    y_res = Y[first]  # a copy
+    floor = FS_COLLINEAR_TOL * np.array([X.col_norms for X in designs])[first]
+    picked = np.zeros((len(first), d), dtype=bool)
+    ids = np.arange(runs)  # block run of each run still going
     draws = _StepDraws(streams, trial, k)
     failed: dict[int, Exception] = {}
     traced: list[TraceStep] = []
@@ -464,29 +479,46 @@ def fs_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.ndarra
         live = (norms > floor) & ~picked
         kept = live.sum(axis=1)
         if not kept.all():
-            for r in np.nonzero(kept == 0)[0]:
-                failed[int(ids[r])] = AllCandidatesCollinear(
+            go = kept > 0
+            run_go = go if state is None else go[state]
+            for r in ids[~run_go].tolist():
+                failed[r] = AllCandidatesCollinear(
                     f"step {t}: every remaining candidate is numerically in the span "
                     f"of the {t - 1} selected columns")
-            go = kept > 0
-            R, y_res, floor, picked, ids = R[go], y_res[go], floor[go], picked[go], ids[go]
-            norms, live, kept = norms[go], live[go], kept[go]
+            R, y_res, floor, picked = R[go], y_res[go], floor[go], picked[go]
+            norms, live, kept, ids = norms[go], live[go], kept[go], ids[run_go]
+            if state is not None:
+                state = (np.cumsum(go) - 1)[state[run_go]]
             if not len(ids):
                 break
-        at = np.arange(len(ids))
         xi = scales[ids, None] * draws(t, trial[ids], d - t + 1)
         signed = np.divide(np.einsum("rij,ri->rj", R, y_res), norms,
                            out=np.zeros_like(norms), where=live)
+        if state is not None:
+            signed, live, kept = signed[state], live[state], kept[state]
         chosen = _noisy_argmax(t, signed, live, kept, xi, traced if trace else None)
+        if t == k:
+            break
+        if state is not None:  # the next states: the distinct (state, chosen) pairs
+            pairs, state = np.unique(state * d + chosen, return_inverse=True)
+            parent, chosen = np.divmod(pairs, d)
+            if len(pairs) == len(ids):  # unshared from here on: a state per run, in run order
+                parent, chosen, state = parent[state], chosen[state], None
+            R, y_res, floor, picked = R[parent], y_res[parent], floor[parent], picked[parent]
+        at = np.arange(len(R))
         picked[at, chosen] = True
         # fold the winner into the basis; residualize everything once, with
-        # an einsum for q . R, so that copies of a column stay equal
+        # an einsum for q . R, so that copies of a column stay equal; the
+        # outer-product einsum rounds each product once, as a broadcast
+        # multiply would, in fewer and longer inner loops
         w = R[at, :, chosen]
         q = w / np.sqrt(np.matmul(w[:, None, :], w[:, :, None])[:, 0])
-        R -= q[:, :, None] * np.einsum("ri,rij->rj", q, R)[:, None, :]
+        R -= np.einsum("ri,rj->rij", q, np.einsum("ri,rij->rj", q, R))
         y_res -= q * np.matmul(q[:, None, :], y_res[:, :, None])[:, 0]
     support = np.zeros((runs, d), dtype=bool)
-    support[ids] = picked  # the rows of the runs that did not fail
+    if len(ids):  # the rows of the runs that did not fail, with their last pick
+        support[ids] = picked if state is None else picked[state]
+        support[ids, chosen] = True
     return RunSelections(support, None, failed, tuple(traced))
 
 

@@ -182,11 +182,13 @@ def screening_noisy(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
 
 
 def fs_noisy(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
-             sigma: float, rng: RngStream) -> SelectionResult:
+             sigma: float, rng: RngStream, scale: float | None = None) -> SelectionResult:
     """k rounds of noisy argmax over residual-normalized correlations, the
-    columns residualized against each winner, collinear candidates out."""
+    columns residualized against each winner, collinear candidates out;
+    scale replaces eta_step's Laplace scale (0 is the exact selector)."""
     y = as_response(y, X.n)
-    scale = scale_forward_stepwise(X.d, k, NoisePolicy(sigma, delta, eta_step))
+    if scale is None:
+        scale = scale_forward_stepwise(X.d, k, NoisePolicy(sigma, delta, eta_step))
     R = X.entries.copy()
     y_res = y.astype(np.float64, copy=True)
     available = np.ones(X.d, dtype=bool)

@@ -661,28 +661,44 @@ def test_budget_rejects_nonfinite_step(step, capsys):
 @pytest.mark.parametrize("argv", [
     ["select", "--method", "screen", "--k", "2", "--eta", "1e200"],
     ["budget", "--k", "3", "--eta-step", "1e308"],
-    ["experiment", 1e200],
+    ["experiment", 1e200, {"method": "screen", "k": 3}],
     ["select", "--method", "screen", "--k", "2", "--eta", "1e-310"],
     ["select", "--method", "fs", "--k", "2", "--eta", "1e-310"],
     ["select", "--method", "lasso", "--c1", "1", "--eta", "1e-310"],
+    ["experiment", 1e-310, {"method": "screen", "k": 3}],
+    ["experiment", 1e-310, {"method": "fs", "k": 3}],
+    ["experiment", 1e200, {"method": "lasso", "c1": 1.0}],
 ], ids=["select-huge", "budget-huge", "experiment-huge", "screen-tiny", "fs-tiny",
-        "lasso-tiny"])
+        "lasso-tiny", "experiment-screen-tiny", "experiment-fs-tiny",
+        "experiment-lasso-default-steps-huge"])
 def test_an_overflowing_eta_step_exits_2(data, capsys, argv):
     # a composed eta or a Laplace scale that overflows is rejected, naming
     # eta_step, where it once left a traceback or an inf scale that picks
-    # the lowest columns whatever y is
+    # the lowest columns whatever y is; an experiment leaves no output
+    # directory, also where only the first block's data shows the failure
     out = data["dir"] / "out"
     if argv[0] == "select":
         argv = [*argv, "--x", data["x"], "--y", data["y"], "--out", str(out)]
     elif argv[0] == "experiment":
         cfg = data["dir"] / "cfg.json"
-        cfg.write_text(json.dumps(experiment_config(eta_grid=[1.0, argv[1]])))
+        cfg.write_text(json.dumps(experiment_config(eta_grid=[1.0, argv[1]], selector=argv[2])))
         argv = ["experiment", "--config", str(cfg), "--out-dir", str(out)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "eta_step" in captured.err and "Traceback" not in captured.err
     assert "inf" not in captured.out
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
+
+
+def test_a_failed_sweep_keeps_an_out_dir_that_existed(tmp_path, capsys):
+    # the directory is removed only if the failed call made it
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(experiment_config(eta_grid=[1.0, 1e-310])))
+    assert main(["experiment", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "the Laplace scale overflows" in capsys.readouterr().err
+    assert out.is_dir() and not any(out.iterdir())
 
 
 def test_budget_defaults_match_default_select(data, capsys):
@@ -979,13 +995,19 @@ def test_experiment_rejects_up_front_what_once_got_through(tmp_path, capsys, cfg
     assert_rejected_up_front(tmp_path, capsys, cfg, key)
 
 
-@pytest.mark.parametrize("selector", [_SCREEN, {"method": "fs", "k": 3},
-                                      {**_LASSO, "steps": 5}], ids=["screen", "fs", "lasso-steps"])
-def test_an_overflowing_eta_grid_entry_exits_2_before_the_out_dir(tmp_path, capsys, selector):
+@pytest.mark.parametrize("selector, eta, key", [
+    (_SCREEN, 1e200, r"eta_grid entry 1e\+200"),
+    ({"method": "fs", "k": 3}, 1e200, r"eta_grid entry 1e\+200"),
+    ({**_LASSO, "steps": 5}, 1e200, r"eta_grid entry 1e\+200"),
+    # the fs Laplace scale depends on the config alone
+    ({"method": "fs", "k": 3}, 1e-310, r"eta_grid entry 1e-310"),
+], ids=["screen", "fs", "lasso-steps", "fs-scale"])
+def test_an_overflowing_eta_grid_entry_exits_2_before_the_out_dir(tmp_path, capsys, selector,
+                                                                  eta, key):
     # a round count the config fixes is certified at every eta on load; the
     # overflow once surfaced in the first block, after the directory was made
-    cfg = experiment_config(selector=selector, eta_grid=[1.0, 1e200])
-    assert_rejected_up_front(tmp_path, capsys, cfg, r"eta_grid entry 1e\+200")
+    cfg = experiment_config(selector=selector, eta_grid=[1.0, eta])
+    assert_rejected_up_front(tmp_path, capsys, cfg, key)
 
 
 def test_load_config_keys_are_the_fields(tmp_path):

@@ -509,6 +509,25 @@ def test_fs_zero_noise_keeps_copies_of_a_column_tied():
     assert fs_exact(DesignMatrix(A), y, 3).indices == (0, 1, 2)
 
 
+def test_fs_zero_noise_keeps_copies_of_a_column_tied_in_shared_states():
+    # the design above in a block: its scale-0 runs share one state, which
+    # is gathered away from the state of a noisy run of the same trial, and
+    # the tie of step 2 still goes to column 0
+    gen = np.random.default_rng(4)
+    A = gen.standard_normal((30, 5))
+    A[:, 4] = A[:, 0]
+    y = gen.standard_normal(30)
+    X = [DesignMatrix(gen.standard_normal((30, 5))), DesignMatrix(A)]
+    Y = np.stack([gen.standard_normal(30), y])
+    trial = np.array([1, 0, 1, 1, 0])
+    scales = np.array([0.0, 0.0, 2.0, 0.0, 0.5])
+    assert _fs_order(X[1], y, 3, 2.0, 1)[0] != 2  # run 2 leaves the others at step 1
+    block = fs_runs(X, Y, 3, trial, scales, [RngStream(31, (2, t)) for t in range(2)])
+    assert not block.failed
+    for r in (0, 3):
+        assert np.flatnonzero(block.support[r]).tolist() == [0, 1, 2]
+
+
 def test_fs_orthonormal_matches_screening():
     gen = np.random.default_rng(12)
     Q, _ = np.linalg.qr(gen.standard_normal((20, 6)))
@@ -710,34 +729,90 @@ def test_fs_runs_fail_alone_and_match_the_scalar_selector():
     Z[:, 2] = 0.0  # a zero column is never a candidate
     wide = [DesignMatrix(gen.standard_normal((4, 7))) for _ in range(2)]
     Y_wide = gen.standard_normal((2, 4))
-    # (designs, responses, k, trial of each run, runs expected to fail)
+    # shared states: trials unsorted and repeated, scale-0 runs among noisy
+    # ones. Trial 0 has rank 2 (copies of two columns), so its two scale-0
+    # runs share one state that fails at step 3; of trial 2's runs, the two
+    # first share every pick and the third leaves them at step 2; trial
+    # 1's two runs part at step 1
+    gen = np.random.default_rng(27)
+    u, v = gen.standard_normal((8, 2)).T
+    shared = [DesignMatrix(np.column_stack([u, 2 * u, -u, v, -v, 0.5 * u])),
+              *map(DesignMatrix, gen.standard_normal((2, 8, 6)))]
+    Y_shared = gen.standard_normal((3, 8))
+    shared_scales = [0.0, 0.0, _fs_scale(6, 30.0), 0.0, 0.0, _fs_scale(6, 3.0),
+                     _fs_scale(6, 0.3)]
+    # (designs, responses, k, trial of each run, runs expected to fail,
+    # scales, or None for the scale of eta ETAS[r % 3] at run r)
     blocks = [
         # trial 0: three copies of one column, so step 2 keeps one candidate
         # and step 3 none; trial 1 is a generic design
         ([DesignMatrix(np.column_stack([a, 2 * a, -a, b])), DesignMatrix(G)], Y, 3,
-         np.repeat([0, 1], len(ETAS)), [0, 1, 2]),
+         np.repeat([0, 1], len(ETAS)), [0, 1, 2], None),
         # run 2 keeps 3 of its 4 candidates at step 1, the others all of theirs
-        ([DesignMatrix(G), DesignMatrix(Z)], Y, 3, np.array([0, 0, 1, 0]), []),
+        ([DesignMatrix(G), DesignMatrix(Z)], Y, 3, np.array([0, 0, 1, 0]), [], None),
         # d > n: n picks leave no candidate for a step n + 1
-        (wide, Y_wide, 4, np.repeat([0, 1], len(ETAS)), []),
-        (wide, Y_wide, 5, np.repeat([0, 1], len(ETAS)), list(range(6))),
+        (wide, Y_wide, 4, np.repeat([0, 1], len(ETAS)), [], None),
+        (wide, Y_wide, 5, np.repeat([0, 1], len(ETAS)), list(range(6)), None),
+        (shared, Y_shared, 3, np.array([2, 0, 2, 1, 0, 2, 1]), [1, 4], shared_scales),
+        # trial 1's runs part at step 1, after which every state has one run
+        # and the states are put back in run order
+        (shared, Y_shared, 3, np.array([1, 2, 1]), [], [0.0, _fs_scale(6, 3.0),
+                                                         _fs_scale(6, 0.3)]),
     ]
-    for X, Y, k, trial, failing in blocks:
-        eta = np.resize(ETAS, len(trial))
+    orders = [_fs_order(shared[t], Y_shared[t], 3, s, t)
+              for t, s in zip([2, 0, 2, 1, 0, 2, 1], shared_scales)]
+    assert orders[0] == orders[2]
+    assert orders[5][0] == orders[0][0] and orders[5][1] != orders[0][1]
+    assert orders[3][0] != orders[6][0] and orders[1] == orders[4] == []
+    assert orders[3][0] != _fs_order(shared[1], Y_shared[1], 3, _fs_scale(6, 0.3), 1)[0]
+    for X, Y, k, trial, failing, scales in blocks:
+        if scales is None:
+            scales = [_fs_scale(X[0].d, e, k) for e in np.resize(ETAS, len(trial))]
         streams = [RngStream(31, (2, t)) for t in range(len(X))]
-        scales = np.array([scale_forward_stepwise(X[0].d, k, NoisePolicy(SIGMA, DELTA, e))
-                           for e in eta])
-        block = fs_runs(X, Y, k, trial, scales, streams)
+        block = fs_runs(X, Y, k, trial, np.array(scales), streams)
         assert sorted(block.failed) == failing
-        for r, (t, e) in enumerate(zip(trial, eta)):
+        for r, (t, scale) in enumerate(zip(trial, scales)):
             rng = RngStream(31, (2, t))
             if r in failing:
                 with pytest.raises(AllCandidatesCollinear) as want:
-                    fs_noisy(X[t], Y[t], k, DELTA, e, SIGMA, rng)
+                    fs_noisy(X[t], Y[t], k, DELTA, 1.0, SIGMA, rng, scale)
                 assert str(block.failed[r]) == str(want.value)
             else:
-                want = fs_noisy(X[t], Y[t], k, DELTA, e, SIGMA, rng)
+                want = fs_noisy(X[t], Y[t], k, DELTA, 1.0, SIGMA, rng, scale)
                 assert tuple(np.flatnonzero(block.support[r])) == want.model.indices
+
+
+def test_fs_runs_of_unshared_states_take_no_unique(monkeypatch):
+    # while every state has one run, the states are the runs: a one-run
+    # block, or a block whose trials each have one run, makes no np.unique
+    designs = [random_instance(seed, n=20, d=6) for seed in range(3)]
+    X, Y = [x for x, _ in designs], np.stack([y for _, y in designs])
+    trial, scales = np.array([2, 0, 1]), np.array([_fs_scale(6, e) for e in ETAS])
+    streams = [RngStream(31, (2, t)) for t in range(3)]
+    want = fs_runs(X, Y, 3, trial, scales, streams).support
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called on a block of unshared states")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    assert np.array_equal(fs_runs(X, Y, 3, trial, scales, streams).support, want)
+    one = stable_fs(X[1], Y[1], 3, DELTA, ETAS[2], SIGMA, rng=streams[1])
+    assert one.model.indices == tuple(np.flatnonzero(want[2]))
+
+
+def _fs_scale(d: int, eta: float, k: int = 3) -> float:
+    return scale_forward_stepwise(d, k, NoisePolicy(SIGMA, DELTA, eta))
+
+
+def _fs_order(X: DesignMatrix, y, k: int, scale: float, t: int) -> list[int]:
+    """The pick order of a one-run forward stepwise on stream (31, (2, t)),
+    or [] if it fails."""
+    try:
+        res = stable_fs(X, y, k, DELTA, 1.0, SIGMA, rng=RngStream(31, (2, t)),
+                        scale_override=scale)
+    except AllCandidatesCollinear:
+        return []
+    return [s.chosen for s in res.trace]
 
 
 def test_stable_fs_trace_scores_live_candidates_only():
