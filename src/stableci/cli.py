@@ -54,8 +54,8 @@ from .experiments import (
 from .linmodel import DesignMatrix, ModelSet
 # not called here: bound for perfbench/tracing.py, which wraps these names in this module
 from .linmodel import ols_fit, sigma_hat_full_model, stderr_known_sigma  # noqa: F401
-from .noise import STREAM_LAYOUT, NoisePolicy, RngStream, scale_forward_stepwise
-from .selectors import SelectionResult
+from .noise import STREAM_LAYOUT, RngStream
+from .selectors import SelectionResult, fs_scale
 # not called here: bound for perfbench/tracing.py, which wraps these names in this module
 from .selectors import lambda_to_c1, stable_fs, stable_lasso, stable_screening  # noqa: F401
 from .stability import (
@@ -391,7 +391,7 @@ def load_config(path: str) -> tuple[ExperimentConfig, list[float]]:
         try:
             certify_budgets(rounds, eta, slack)
             if cfg.selector.method == "fs":
-                scale_forward_stepwise(cfg.d, rounds, NoisePolicy(cfg.sigma, slack, eta))
+                fs_scale(cfg.d, rounds, eta, slack, cfg.sigma)  # what select_runs will compute
         except ValueError as e:
             raise CliParseError(f"{path}: eta_grid entry {eta!r}: {e}") from e
     return cfg, grid

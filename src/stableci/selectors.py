@@ -434,6 +434,13 @@ def stable_screening(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
 # forward stepwise
 
 
+def fs_scale(d: int, k: int, eta_step: float, delta: float, sigma: float) -> float:
+    """The per-round Laplace scale of k-step forward stepwise over d
+    columns at per-step eta_step, slack delta and noise scale sigma; no
+    data enters it, so a config fixes it."""
+    return scale_forward_stepwise(d, k, NoisePolicy(sigma, delta, eta_step))
+
+
 def fs_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.ndarray,
             scales: np.ndarray, streams: list[RngStream],
             trace: bool = False) -> RunSelections:
@@ -452,15 +459,14 @@ def fs_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.ndarra
     stacked residuals, `_noisy_argmax` picks per run among its state's
     live columns with the run's own draws and scale, and the distinct
     (state, pick) pairs become the next states, each residualized from a
-    copy of its parent row. The last pick residualizes nothing. While
-    every state has one run (always in a one-run block), the states are
-    the runs, and no np.unique or gather is made.
+    copy of its parent row. The last pick residualizes nothing. A one-run
+    block's state is its run, and it makes no np.unique or gather.
     """
     n, d = designs[0].n, designs[0].d
     runs = len(trial)
-    state = None  # each run's state row; None while the states are the runs
+    state = None  # each run's state row; None in a one-run block
     first = trial  # the trial of each state row
-    if runs > 1 and np.bincount(trial).max() > 1:
+    if runs > 1:
         first, state = np.unique(trial, return_inverse=True)
     R = np.empty((len(first), n, d))  # residualized columns of each state's design
     for s, b in enumerate(first.tolist()):
@@ -502,8 +508,6 @@ def fs_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.ndarra
         if state is not None:  # the next states: the distinct (state, chosen) pairs
             pairs, state = np.unique(state * d + chosen, return_inverse=True)
             parent, chosen = np.divmod(pairs, d)
-            if len(pairs) == len(ids):  # unshared from here on: a state per run, in run order
-                parent, chosen, state = parent[state], chosen[state], None
             R, y_res, floor, picked = R[parent], y_res[parent], floor[parent], picked[parent]
         at = np.arange(len(R))
         picked[at, chosen] = True
@@ -580,7 +584,7 @@ def select_runs(spec: SelectorSpec, designs: list[DesignMatrix], Y: np.ndarray,
     if spec.method == "screen":
         scales = [scale_screening(designs[b], policies[e]) for b, e, _ in runs]
     elif spec.method == "fs":
-        per_eta = {e: scale_forward_stepwise(d, spec.k, policy) for e, policy in policies.items()}
+        per_eta = {e: fs_scale(d, spec.k, e, delta, sigma) for e in etas}
         scales = [per_eta[e] for _, e, _ in runs]
     else:  # a radius of 0 admits only theta = 0: no step, nothing to randomize
         rounds = [0 if c == 0 else spec.steps if spec.steps is not None

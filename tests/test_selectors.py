@@ -755,7 +755,6 @@ def test_fs_runs_fail_alone_and_match_the_scalar_selector():
         (wide, Y_wide, 5, np.repeat([0, 1], len(ETAS)), list(range(6)), None),
         (shared, Y_shared, 3, np.array([2, 0, 2, 1, 0, 2, 1]), [1, 4], shared_scales),
         # trial 1's runs part at step 1, after which every state has one run
-        # and the states are put back in run order
         (shared, Y_shared, 3, np.array([1, 2, 1]), [], [0.0, _fs_scale(6, 3.0),
                                                          _fs_scale(6, 0.3)]),
     ]
@@ -782,22 +781,19 @@ def test_fs_runs_fail_alone_and_match_the_scalar_selector():
                 assert tuple(np.flatnonzero(block.support[r])) == want.model.indices
 
 
-def test_fs_runs_of_unshared_states_take_no_unique(monkeypatch):
-    # while every state has one run, the states are the runs: a one-run
-    # block, or a block whose trials each have one run, makes no np.unique
-    designs = [random_instance(seed, n=20, d=6) for seed in range(3)]
-    X, Y = [x for x, _ in designs], np.stack([y for _, y in designs])
-    trial, scales = np.array([2, 0, 1]), np.array([_fs_scale(6, e) for e in ETAS])
-    streams = [RngStream(31, (2, t)) for t in range(3)]
-    want = fs_runs(X, Y, 3, trial, scales, streams).support
+def test_fs_runs_of_one_run_take_no_unique(monkeypatch):
+    # a one-run block's state is its run: it makes no np.unique
+    X, y = random_instance(2, n=20, d=6)
+    stream = RngStream(31, (2, 0))
+    want = fs_runs([X], y[None], 3, np.array([0]), np.array([_fs_scale(6, ETAS[2])]),
+                   [stream]).support
 
     def refuse(*args, **kwargs):
-        raise AssertionError("np.unique called on a block of unshared states")
+        raise AssertionError("np.unique called on a one-run block")
 
     monkeypatch.setattr(np, "unique", refuse)
-    assert np.array_equal(fs_runs(X, Y, 3, trial, scales, streams).support, want)
-    one = stable_fs(X[1], Y[1], 3, DELTA, ETAS[2], SIGMA, rng=streams[1])
-    assert one.model.indices == tuple(np.flatnonzero(want[2]))
+    one = stable_fs(X, y, 3, DELTA, ETAS[2], SIGMA, rng=stream)
+    assert one.model.indices == tuple(np.flatnonzero(want[0]))
 
 
 def _fs_scale(d: int, eta: float, k: int = 3) -> float:
