@@ -65,6 +65,7 @@ from .stability import (
     compose_adaptive_simple,
     certify_budgets,
     infer,
+    scipy_special,
     sparse_selection_eta,
 )
 # not called here: bound for perfbench/tracing.py, which wraps this name in this module
@@ -419,7 +420,11 @@ def cmd_experiment(args) -> int:
         workers = _parse_number("STABLECI_WORKERS", os.environ.get("STABLECI_WORKERS", "1"))
     if workers < 1:
         raise CliParseError(f"workers must be >= 1, got {workers}")
-    made = not os.path.isdir(args.out_dir)
+    made = []  # the directories makedirs makes, deepest first
+    path = os.path.abspath(args.out_dir)
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     with _writing(args.out_dir):
         os.makedirs(args.out_dir, exist_ok=True)
 
@@ -427,6 +432,7 @@ def cmd_experiment(args) -> int:
     processes = min(workers, -(-cfg.trials // block_trials(cfg, grid)))
     try:
         if processes > 1:
+            scipy_special()  # once here, not once per forked worker
             with multiprocessing.Pool(processes) as pool:
                 sweep = eta_sweep(cfg, grid, pool.map)
         else:
@@ -434,10 +440,11 @@ def cmd_experiment(args) -> int:
     except BaseException:
         # a failure that only the data shows (a screening or LASSO scale, a
         # default LASSO step count) leaves no directory behind that this
-        # call made; nothing is written before the sweep ends, so it is empty
-        if made:
+        # call made; nothing is written before the sweep ends, so they are
+        # empty, and rmdir refuses one that is not
+        for path in made:
             with contextlib.suppress(OSError):
-                os.rmdir(args.out_dir)
+                os.rmdir(path)
         raise
 
     record_rows: list[list[str]] = []

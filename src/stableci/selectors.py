@@ -590,6 +590,13 @@ def select_runs(spec: SelectorSpec, designs: list[DesignMatrix], Y: np.ndarray,
         rounds = [0 if c == 0 else spec.steps if spec.steps is not None
                   else _default_fw_steps(designs[b], c, e, sigma) for b, e, c in runs]
         scales = [0.0 if c == 0 else scale_lasso(c, designs[b], policies[e]) for b, e, c in runs]
+    # certified before the kernel runs, so a certificate that overflows
+    # fails the block without its selection work
+    table: dict = {}  # (rounds, eta_step) -> certificate index; None for no round
+    cert = np.array([table.setdefault((k, e) if k else None, len(table))
+                     for k, (_, e, _) in zip(rounds, runs)], dtype=np.int64)
+    certs = tuple((ZERO_BUDGET,) if key is None else certify_budgets(*key, delta)
+                  for key in table)
     trial = np.array([b for b, _, _ in runs], dtype=np.int64)
     scales = np.array(scales if scale_override is None else [scale_override] * len(runs))
     if spec.method == "lasso":
@@ -598,11 +605,7 @@ def select_runs(spec: SelectorSpec, designs: list[DesignMatrix], Y: np.ndarray,
     else:
         kernel = screen_runs if spec.method == "screen" else fs_runs
         block = kernel(designs, Y, spec.k, trial, scales, streams, trace)
-    table: dict = {}  # (rounds, eta_step) -> certificate index; None for no round
-    block.cert = np.array([table.setdefault((k, e) if k else None, len(table))
-                           for k, (_, e, _) in zip(rounds, runs)], dtype=np.int64)
-    block.certs = tuple((ZERO_BUDGET,) if key is None else certify_budgets(*key, delta)
-                        for key in table)
+    block.cert, block.certs = cert, certs
     return block
 
 

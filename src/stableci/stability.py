@@ -13,6 +13,11 @@ infer_runs turns a block of selected runs, given as arrays, into
 intervals, and is the only implementation of the rank, level, sigma and K
 checks. `infer` (the `ci` command) is its one-run case; the experiment
 sweep scores whole blocks.
+
+scipy.special is imported on the first quantile or log-binomial
+(scipy_special), not with this module: its import takes about 0.2 s, most
+of a cold `import stableci.cli`, and `select`, `budget --k` and
+load_config never evaluate either.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, ndtri, stdtrit
 
 from .errors import BadWeights, DegenerateLevel, EmptyInput, MixedSlack, RankDeficient, \
     check_number
@@ -178,6 +182,15 @@ def certify_budgets(k: int, eta_step: float, delta: float) -> tuple[StabilityBud
     return StabilityBudget(eta_a, delta, delta), StabilityBudget(eta_s, 0.0, delta)
 
 
+@functools.cache
+def scipy_special():
+    """The scipy.special module, imported on the first call. Cached: a
+    lookup costs less than an import statement, and one-run `infer` needs a
+    quantile per certificate."""
+    import scipy.special
+    return scipy.special
+
+
 def sparse_selection_eta(d: int, s: int, tau: float) -> float:
     """Universal eta for any selection rule confined to models of size <= s
     out of d features: log(sum_{k=1}^{s} C(d, k)) + log(1/tau).
@@ -190,8 +203,9 @@ def sparse_selection_eta(d: int, s: int, tau: float) -> float:
     if not (0.0 < tau <= 1.0):
         raise ValueError(f"tau must be in (0, 1], got {tau}")
     ks = np.arange(1, s + 1, dtype=np.float64)
-    log_binom = gammaln(d + 1.0) - gammaln(ks + 1.0) - gammaln(d - ks + 1.0)
-    return float(logsumexp(log_binom)) - math.log(tau)
+    sp = scipy_special()
+    log_binom = sp.gammaln(d + 1.0) - sp.gammaln(ks + 1.0) - sp.gammaln(d - ks + 1.0)
+    return float(sp.logsumexp(log_binom)) - math.log(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +236,8 @@ def posi_constant(model_size: int, delta: float, budget: StabilityBudget,
         raise DegenerateLevel(f"two-sided tail mass {q} outside (0, 0.5)")
     # quantile of the lower tail, negated: avoids computing 1 - q at all
     if dof is not None:
-        return -float(stdtrit(dof, q))
-    return -float(ndtri(q))
+        return -float(scipy_special().stdtrit(dof, q))
+    return -float(scipy_special().ndtri(q))
 
 
 def align_slack(budgets: list[StabilityBudget]) -> list[StabilityBudget]:

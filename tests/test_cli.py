@@ -668,15 +668,17 @@ def test_budget_rejects_nonfinite_step(step, capsys):
     ["experiment", 1e-310, {"method": "screen", "k": 3}],
     ["experiment", 1e-310, {"method": "fs", "k": 3}],
     ["experiment", 1e200, {"method": "lasso", "c1": 1.0}],
+    ["experiment", 1e-310, {"method": "screen", "k": 3}, "a/b/out"],
 ], ids=["select-huge", "budget-huge", "experiment-huge", "screen-tiny", "fs-tiny",
         "lasso-tiny", "experiment-screen-tiny", "experiment-fs-tiny",
-        "experiment-lasso-default-steps-huge"])
+        "experiment-lasso-default-steps-huge", "experiment-screen-tiny-nested-out-dir"])
 def test_an_overflowing_eta_step_exits_2(data, capsys, argv):
     # a composed eta or a Laplace scale that overflows is rejected, naming
     # eta_step, where it once left a traceback or an inf scale that picks
-    # the lowest columns whatever y is; an experiment leaves no output
-    # directory, also where only the first block's data shows the failure
-    out = data["dir"] / "out"
+    # the lowest columns whatever y is; an experiment leaves no directory
+    # that it made, also where only the first block's data shows the failure
+    made = argv[3] if len(argv) > 3 else "out"  # the --out-dir below data["dir"]
+    out = data["dir"] / made
     if argv[0] == "select":
         argv = [*argv, "--x", data["x"], "--y", data["y"], "--out", str(out)]
     elif argv[0] == "experiment":
@@ -687,7 +689,7 @@ def test_an_overflowing_eta_step_exits_2(data, capsys, argv):
     captured = capsys.readouterr()
     assert "eta_step" in captured.err and "Traceback" not in captured.err
     assert "inf" not in captured.out
-    assert not out.exists()
+    assert not (data["dir"] / made.split("/")[0]).exists() and data["dir"].is_dir()
 
 
 def test_a_failed_sweep_keeps_an_out_dir_that_existed(tmp_path, capsys):
@@ -1023,20 +1025,74 @@ def test_load_config_keys_are_the_fields(tmp_path):
     assert load_config(str(path))[1] == list(DEFAULT_ETA_GRID)
 
 
+def run_fresh(code, *args):
+    """The stdout of a fresh interpreter that runs code with args as
+    sys.argv[1:], importing this checkout's package."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def test_cli_imports_without_jsonschema():
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys; sys.modules['jsonschema'] = None; import stableci.cli"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    run_fresh("import sys; sys.modules['jsonschema'] = None; import stableci.cli")
 
 
-def test_cli_imports_without_scipy_linalg():
-    # the sigma estimate's QR is numpy's: importing scipy.linalg would add
-    # tens of milliseconds to every select and ci
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys, stableci.cli; sys.exit('scipy.linalg' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+MAIN = "from stableci.cli import main\nif main(sys.argv[1:]): sys.exit('exit 2')"
+
+
+@pytest.mark.parametrize("statement, args, loads_special", [
+    ("import stableci", [], False),
+    ("import stableci.cli", [], False),
+    (MAIN, ["select", "--method", "screen", "--k", "2"], False),
+    (MAIN, ["select", "--method", "fs", "--k", "2"], False),
+    (MAIN, ["select", "--method", "lasso", "--c1", "1.0"], False),
+    (MAIN, ["select", "--method", "lasso", "--lam", "0.5"], False),
+    (MAIN, ["budget", "--k", "3", "--eta-step", "0.5"], False),
+    ("from stableci.cli import load_config\nload_config(sys.argv[1])", ["{cfg}"], False),
+    (MAIN, ["ci", "--x", "{x}", "--y", "{y}", "--model", "0,1", "--out", "{dir}/iv.csv"],
+     True),
+    (MAIN, ["budget", "--sparse", "10", "3", "0.05"], True),
+], ids=["import-stableci", "import-cli", "select-screen", "select-fs", "select-lasso-c1",
+        "select-lasso-lam", "budget-k", "load-config", "ci", "budget-sparse"])
+def test_only_a_quantile_or_log_binomial_loads_scipy_special(data, statement, args,
+                                                             loads_special):
+    # importing scipy.special takes about 0.2 s, most of a cold start, and
+    # only K and the sparse bound need it; scipy.linalg is never needed
+    # (the sigma estimate's QR is numpy's)
+    if args[:1] == ["select"]:
+        args = [*args, "--x", "{x}", "--y", "{y}", "--eta", "1.0", "--out", "{dir}/sel.csv"]
+    cfg = data["dir"] / "cfg.json"
+    cfg.write_text(json.dumps(experiment_config(selector={"method": "fs", "k": 3})))
+    args = [a.format(x=data["x"], y=data["y"], dir=data["dir"], cfg=cfg) for a in args]
+    code = f"import sys\n{statement}\nprint('scipy.special' in sys.modules, " \
+           "'scipy.linalg' in sys.modules)"
+    assert run_fresh(code, *args).split()[-2:] == [str(loads_special), "False"]
+
+
+def test_a_pooled_sweep_loads_scipy_special_before_it_forks(tmp_path):
+    # forked workers inherit the parent's modules: loaded before the pool,
+    # scipy.special is imported once, not once per worker
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(experiment_config(trials=40)))
+    code = """import sys, types
+from stableci import cli
+seen = []
+class Pool:
+    def __init__(self, processes):
+        seen.append('scipy.special' in sys.modules)
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        return False
+    def map(self, fn, tasks):
+        return list(map(fn, tasks))
+cli.multiprocessing = types.SimpleNamespace(Pool=Pool)
+if cli.main(sys.argv[1:]): sys.exit('exit 2')
+print(seen)"""
+    out = run_fresh(code, "experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+                    "--workers", "2")
+    assert out.splitlines()[-1] == "[True]"
 
 
 def test_experiment_all_flagged_names_reasons(tmp_path, capsys):

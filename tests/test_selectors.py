@@ -15,6 +15,7 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
+from stableci import selectors
 from stableci.errors import AllCandidatesCollinear, NonConvergence
 from stableci.linmodel import DesignMatrix
 from stableci.noise import (KeyedGenerator, NoisePolicy, RngStream, scale_forward_stepwise,
@@ -689,6 +690,20 @@ def test_select_runs_checks_the_block_once():
     with pytest.raises(ValueError, match=r"^a trace is kept for a one-run block only, not 2"):
         select_runs(SelectorSpec("fs", k=2), [X], Y, [(0, 1.0, None)] * 2, DELTA, SIGMA,
                     streams, trace=True)
+
+
+def test_select_runs_certifies_before_the_kernel(monkeypatch):
+    # a LASSO certificate that overflows at the default step count fails
+    # without running the 10000 Frank-Wolfe steps first
+    def refuse(*args):
+        raise AssertionError("lasso_runs ran for a block that cannot be certified")
+
+    monkeypatch.setattr(selectors, "lasso_runs", refuse)
+    X, y = random_instance(2)
+    with pytest.raises(ValueError, match=r"^advanced composition of k=10000 rounds "
+                                         r"at eta_step=1e\+200 overflows"):
+        select_runs(SelectorSpec("lasso", c1=1.0), [X], y[None], [(0, 1e200, 1.0)], DELTA,
+                    SIGMA, [RngStream(0)])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
