@@ -41,21 +41,18 @@ from .errors import (
     StableCIError,
 )
 from .experiments import (
-    DEFAULT_ETA_GRID,
     WIDTH_QUANTILE_LEVELS,
     ExperimentConfig,
     SelectorSpec,
     block_trials,
-    check_eta_grid,
     eta_sweep,
     run_selector,
-    selector_slack,
 )
 from .linmodel import DesignMatrix, ModelSet
 # not called here: bound for perfbench/tracing.py, which wraps these names in this module
 from .linmodel import ols_fit, sigma_hat_full_model, stderr_known_sigma  # noqa: F401
 from .noise import STREAM_LAYOUT, RngStream
-from .selectors import SelectionResult, fs_scale
+from .selectors import SelectionResult
 # not called here: bound for perfbench/tracing.py, which wraps these names in this module
 from .selectors import lambda_to_c1, stable_fs, stable_lasso, stable_screening  # noqa: F401
 from .stability import (
@@ -63,7 +60,6 @@ from .stability import (
     StabilityBudget,
     compose_adaptive_advanced,
     compose_adaptive_simple,
-    certify_budgets,
     infer,
     scipy_special,
     sparse_selection_eta,
@@ -135,7 +131,7 @@ def _first_bad_line(path: str) -> str | None:
     """Why loadtxt rejects path, naming the file line: the first data line
     that does not parse alone, or that is not as wide as the first one."""
     width = None
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for n, line in _data_lines(fh):
             try:
                 w = np.loadtxt([line], **_LOADTXT).shape[1]
@@ -152,7 +148,7 @@ def read_matrix(path: str) -> np.ndarray:
     commas and quotes are skipped, fields may be quoted, and '#' is data,
     not a comment. A rejection names the first bad line of the file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # Excel starts a CSV with a BOM
             lines = (line for _, line in _data_lines(fh))
             first = next(lines, None)
             if first is None:
@@ -358,14 +354,10 @@ def cmd_ci(args) -> int:
 # ---------------------------------------------------------------------------
 # experiment
 
-def load_config(path: str) -> tuple[ExperimentConfig, list[float]]:
-    """An `experiment` JSON config as (ExperimentConfig, eta grid). Each key
-    is the field of the same name of ExperimentConfig or SelectorSpec, which
-    check it; here the shape of the file is checked, and, where the config
-    fixes the round count (screening, forward stepwise, LASSO `steps`),
-    that every eta of the grid certifies at the sweep's selector slack;
-    for forward stepwise, whose Laplace scale the config alone fixes, also
-    that the scale is finite."""
+def load_config(path: str) -> ExperimentConfig:
+    """An `experiment` JSON config as an ExperimentConfig. Each key is the
+    field of the same name of ExperimentConfig or SelectorSpec, which check
+    it, the eta grid included; here only the shape of the file is checked."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -375,27 +367,14 @@ def load_config(path: str) -> tuple[ExperimentConfig, list[float]]:
         raise CliParseError(f"{path} is not valid JSON: {e}") from e
     if not (isinstance(raw, dict) and isinstance(raw.get("selector"), dict)):
         raise CliParseError(f"{path}: a config is a JSON object with an object 'selector'")
-    if not isinstance(raw.get("eta_grid", []), list):
-        raise CliParseError(f"{path}: eta_grid must be an array, got {raw['eta_grid']!r}")
-    grid = check_eta_grid(raw.pop("eta_grid", DEFAULT_ETA_GRID))
     sel = raw.pop("selector")
     nulls = [key for key, value in sel.items() if value is None]
     if nulls:  # SelectorSpec would read a null knob as an absent one
         raise CliParseError(f"{path}: selector {nulls[0]} is null")
     try:
-        cfg = ExperimentConfig(**raw, selector=SelectorSpec(**sel))
+        return ExperimentConfig(**raw, selector=SelectorSpec(**sel))
     except TypeError as e:  # a missing or unknown key
         raise CliParseError(f"{path}: {e}") from e
-    rounds = cfg.selector.k or cfg.selector.steps  # None for a fixed model or default steps
-    slack = selector_slack(cfg)
-    for eta in grid if rounds else ():
-        try:
-            certify_budgets(rounds, eta, slack)
-            if cfg.selector.method == "fs":
-                fs_scale(cfg.d, rounds, eta, slack, cfg.sigma)  # what select_runs will compute
-        except ValueError as e:
-            raise CliParseError(f"{path}: eta_grid entry {eta!r}: {e}") from e
-    return cfg, grid
 
 
 def _records_rows(eta: float, records) -> list[list[str]]:
@@ -414,7 +393,7 @@ def _records_rows(eta: float, records) -> list[list[str]]:
 
 def cmd_experiment(args) -> int:
     started = time.time()
-    cfg, grid = load_config(args.config)
+    cfg = load_config(args.config)
     workers = args.workers
     if workers is None:
         workers = _parse_number("STABLECI_WORKERS", os.environ.get("STABLECI_WORKERS", "1"))
@@ -429,14 +408,14 @@ def cmd_experiment(args) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
 
     # a process per block at most: a sweep has ceil(trials / block size) blocks
-    processes = min(workers, -(-cfg.trials // block_trials(cfg, grid)))
+    processes = min(workers, -(-cfg.trials // block_trials(cfg)))
     try:
         if processes > 1:
             scipy_special()  # once here, not once per forked worker
             with multiprocessing.Pool(processes) as pool:
-                sweep = eta_sweep(cfg, grid, pool.map)
+                sweep = eta_sweep(cfg, pool.map)
         else:
-            sweep = eta_sweep(cfg, grid, map)
+            sweep = eta_sweep(cfg)
     except BaseException:
         # a failure that only the data shows (a screening or LASSO scale, a
         # default LASSO step count) leaves no directory behind that this
@@ -484,11 +463,11 @@ def cmd_experiment(args) -> int:
     for name, (header, rows) in paths.items():
         _write_csv(os.path.join(args.out_dir, name), header, rows)
     _write_manifest(os.path.join(args.out_dir, "manifest.json"), "experiment",
-                    {"config_path": args.config, "eta_grid": grid, "workers": workers,
+                    {"config_path": args.config, "eta_grid": cfg.eta_grid, "workers": workers,
                      "trials": cfg.trials, "master_seed": cfg.master_seed},
                     sorted(paths), started)
     print(f"wrote {', '.join(sorted(paths))} to {args.out_dir} "
-          f"({len(grid)} etas x {cfg.trials} trials, {workers} workers)")
+          f"({len(cfg.eta_grid)} etas x {cfg.trials} trials, {workers} workers)")
     if all_flagged:
         raise EmptyInput("; ".join(all_flagged))
     return 0

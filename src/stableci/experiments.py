@@ -6,20 +6,24 @@ result. The pipeline per trial: generate, select (noisy), certify budgets,
 infer the intervals, score coverage / width / FDR / risk against the
 realized design of that trial.
 
-Sweeps run in blocks of consecutive trials, each over the whole eta grid;
-a run is one (trial, eta) pair. `_run_block` takes a block in one pass:
-each trial's data and `lam` radius, which do not depend on eta, then one
-call of selectors.select_runs, the selector dispatch `select` goes through
-too, for every run, each trial's selector stream serving all of its etas,
-then one call of stability.infer_runs, the inference of `ci`, which
-estimates sigma once per trial, for the intervals of every run selected;
-the two hand each other arrays over the runs (trial, support mask,
-certificate index). This module keeps the data, the streams, the targets,
-the metrics and the records. No per-run number depends on the block, so
-every record is the one an eta-major loop, rerunning each (eta, trial)
-from scratch, would produce, whatever the block size and the worker
-count. `run_trial` is a one-trial block; `run_selector`, which `select`
-calls, is a one-run call of select_runs.
+An ExperimentConfig is the whole experiment, its eta grid included, and
+its construction is the one check of a config, for the `experiment`
+command and a library caller alike.
+
+Sweeps run in blocks of consecutive trials, each over the config's whole
+eta grid; a run is one (trial, eta) pair. `_run_block` takes a block in
+one pass: each trial's data and `lam` radius, which do not depend on eta,
+then one call of selectors.select_runs, the selector dispatch `select`
+goes through too, for every run, each trial's selector stream serving all
+of its etas, then one call of stability.infer_runs, the inference of
+`ci`, which estimates sigma once per trial, for the intervals of every
+run selected; the two hand each other arrays over the runs (trial,
+support mask, certificate index). This module keeps the data, the
+streams, the targets, the metrics and the records. No per-run number
+depends on the block, so every record is the one an eta-major loop,
+rerunning each (eta, trial) from scratch, would produce, whatever the
+block size and the worker count. `run_trial` is a one-trial block;
+`run_selector`, which `select` calls, is a one-run call of select_runs.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ import numpy as np
 
 from .errors import BadWeights, EmptyInput, NonConvergence, check_number
 from .linmodel import DesignMatrix, ModelSet
-from .noise import RngStream, keyed
+from .noise import NoisePolicy, RngStream, keyed, scale_forward_stepwise
 from .selectors import SelectionResult, SelectorSpec, _one_run, lambda_to_c1, select_runs
-from .stability import ZERO_BUDGET, StabilityBudget, infer_runs, slack_allowance
+from .stability import ZERO_BUDGET, StabilityBudget, certify_budgets, infer_runs, slack_allowance
 # not called here: bound for perfbench/tracing.py, which wraps these names in this module
 from .linmodel import ols_fit, sigma_hat_full_model, stderr_known_sigma  # noqa: F401
 from .linmodel import target_coefficients  # noqa: F401
@@ -61,7 +65,11 @@ WIDTH_QUANTILE_LEVELS = (0.80, 0.85, 0.90, 1.00)
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One Monte Carlo experiment: its fields are the keys of an `experiment`
-    config but eta_grid, each checked for its JSON type and range."""
+    config, each checked for its JSON type and range here, the one check of
+    a config for the command line and a library caller alike. A noisy
+    selector needs a positive tau + nu share of alpha_weights, and where the
+    selector fixes its round count (k, or LASSO steps) every eta of eta_grid
+    must certify at selector_slack, with a finite forward-stepwise scale."""
 
     n: int
     d: int
@@ -75,6 +83,7 @@ class ExperimentConfig:
     regenerate_x_per_trial: bool = True
     sigma_mode: str = "known"  # "known" | "estimate"
     alpha_weights: tuple[float, float, float] | None = None
+    eta_grid: tuple[float, ...] = DEFAULT_ETA_GRID  # the per-step etas of the sweep
 
     def __post_init__(self):
         for name, low in (("n", 1), ("d", 1), ("trials", 1), ("master_seed", 0)):
@@ -104,8 +113,17 @@ class ExperimentConfig:
             for w in self.alpha_weights:
                 check_number("alpha_weights entry", w)
             object.__setattr__(self, "alpha_weights", tuple(self.alpha_weights))
+        if not isinstance(self.eta_grid, (list, tuple)):
+            raise ValueError(f"eta_grid must be a list, got {self.eta_grid!r}")
+        if not self.eta_grid:
+            raise EmptyInput("eta_grid must be nonempty")
+        for eta in self.eta_grid:
+            check_number("eta_grid entry", eta)
+        if not all(0 < eta < math.inf for eta in self.eta_grid):
+            raise ValueError(f"eta_grid must be finite and positive, got {list(self.eta_grid)}")
+        object.__setattr__(self, "eta_grid", tuple(float(eta) for eta in self.eta_grid))
         try:
-            slack_allowance(self.alpha, self.alpha_weights)  # checks alpha and the weights
+            slack = selector_slack(self)  # checks alpha and the weights
         except BadWeights as e:
             raise ValueError(f"alpha_weights {list(self.alpha_weights)}: {e}") from e
         spec = self.selector
@@ -114,6 +132,19 @@ class ExperimentConfig:
         if spec.fixed_model and max(spec.fixed_model) >= self.d:
             raise ValueError(f"fixed_model index {max(spec.fixed_model)} out of range "
                              f"for d={self.d}")
+        if slack == 0 and spec.method != "fixed":
+            raise ValueError(f"alpha_weights {list(self.alpha_weights)} give tau + nu no share "
+                             f"of alpha, which the noisy selector {spec.method!r} needs as "
+                             f"its slack")
+        # None for a fixed model, and for LASSO's default steps, which the data fix
+        rounds = spec.k or spec.steps
+        for eta in self.eta_grid if rounds else ():
+            try:
+                certify_budgets(rounds, eta, slack)
+                if spec.method == "fs":  # its Laplace scale depends on the config alone
+                    scale_forward_stepwise(self.d, rounds, NoisePolicy(self.sigma, slack, eta))
+            except ValueError as e:
+                raise ValueError(f"eta_grid entry {eta!r}: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -157,11 +188,11 @@ def gen_synthetic(cfg: ExperimentConfig, trial_index: int,
     stream (1, trial_index), drawn through noise.keyed; the design is
     either redrawn per trial or shared from its own reserved stream.
     """
+    # the shared design first: its first draw moves noise.keyed to its own stream
+    X = None if cfg.regenerate_x_per_trial else _shared_design(cfg.master_seed, cfg.n, cfg.d)
     data = keyed.start(cfg.master_seed, (_PATH_TRIAL_DATA, trial_index))
-    if cfg.regenerate_x_per_trial:
+    if X is None:
         X = DesignMatrix(data.standard_normal((cfg.n, cfg.d)) / math.sqrt(cfg.n))
-    else:
-        X = _shared_design(cfg.master_seed, cfg.n, cfg.d)
     active = min(cfg.d, int(math.floor(cfg.active_fraction * cfg.d + 0.5)))
     beta = np.zeros(cfg.d)
     beta[:active] = cfg.signal
@@ -174,8 +205,8 @@ def gen_synthetic(cfg: ExperimentConfig, trial_index: int,
 def _shared_design(master_seed: int, n: int, d: int) -> DesignMatrix:
     """The design of every trial of a config that does not redraw it, from
     stream (0,), drawn once and kept, as a DesignMatrix is immutable."""
-    stream = RngStream(master_seed, (_PATH_SHARED_DESIGN,))
-    return DesignMatrix(stream.normal((n, d)) / math.sqrt(n))
+    draws = keyed.start(master_seed, (_PATH_SHARED_DESIGN,)).standard_normal((n, d))
+    return DesignMatrix(draws / math.sqrt(n))
 
 
 def run_selector(spec: SelectorSpec, X: DesignMatrix, y, eta_step: float | None,
@@ -208,26 +239,26 @@ def selector_slack(cfg: ExperimentConfig) -> float:
     return slack_allowance(cfg.alpha, cfg.alpha_weights) / 2.0
 
 
-def block_trials(cfg: ExperimentConfig, eta_grid) -> int:
+def block_trials(cfg: ExperimentConfig) -> int:
     """Trials per block: BLOCK_TRIALS, cut so that a block's largest array
     (runs x n x d doubles: the LASSO designs, or at most that for the
     forward-stepwise residuals, one per distinct state) stays within
     BLOCK_BYTES; at least 1. Records do not depend on it."""
-    per_trial = max(len(eta_grid), 1) * cfg.n * cfg.d * 8
+    per_trial = len(cfg.eta_grid) * cfg.n * cfg.d * 8
     return max(1, min(BLOCK_TRIALS, BLOCK_BYTES // per_trial))
 
 
-def run_trial(cfg: ExperimentConfig, trial_index: int, eta_grid) -> list[TrialRecord]:
-    """One trial at every per-step eta of eta_grid (a one-trial block):
+def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
+    """One trial at every per-step eta of cfg.eta_grid (a one-trial block):
     generate, select, certify, fit, score. Returns one record per eta, in
     grid order."""
-    return _run_block(cfg, range(trial_index, trial_index + 1), list(eta_grid))[0]
+    return _run_block(cfg, range(trial_index, trial_index + 1))[0]
 
 
-def _run_block(cfg: ExperimentConfig, trials: range, eta_grid: list) -> list[list[TrialRecord]]:
-    """Consecutive trials, each at every eta of the grid, as one block of
-    runs: run (b, e) is trial trials[b] at eta_grid[e]. Returns one list
-    of records per trial, each in grid order.
+def _run_block(cfg: ExperimentConfig, trials: range) -> list[list[TrialRecord]]:
+    """Consecutive trials, each at every eta of cfg.eta_grid, as one block
+    of runs: run (b, e) is trial trials[b] at cfg.eta_grid[e]. Returns one
+    list of records per trial, each in grid order.
 
     One pass. Per trial, the data and the `lam` radius, which do not
     depend on eta; a non-converging penalty solve flags every eta of its
@@ -241,17 +272,18 @@ def _run_block(cfg: ExperimentConfig, trials: range, eta_grid: list) -> list[lis
     """
     data = [gen_synthetic(cfg, t) for t in trials]
     designs, Y = [X for X, _, _, _ in data], np.stack([y for _, _, _, y in data])
+    etas = range(len(cfg.eta_grid))
     out: dict[tuple[int, int], TrialRecord] = {}
     runs = []  # (b, e, c1) of every run not flagged yet
     for b, (X, _, _, y) in enumerate(data):
         try:
             c1 = _radius(cfg.selector, X, y)
         except NonConvergence as error:
-            out.update(((b, e), _flagged_record(trials[b], error)) for e in range(len(eta_grid)))
+            out.update(((b, e), _flagged_record(trials[b], error)) for e in etas)
         else:
-            runs += [(b, e, c1) for e in range(len(eta_grid))]
+            runs += [(b, e, c1) for e in etas]
     streams = [RngStream(cfg.master_seed, (_PATH_TRIAL_SELECTOR, t)) for t in trials]
-    sel = select_runs(cfg.selector, designs, Y, [(b, eta_grid[e], c1) for b, e, c1 in runs],
+    sel = select_runs(cfg.selector, designs, Y, [(b, cfg.eta_grid[e], c1) for b, e, c1 in runs],
                       selector_slack(cfg), cfg.sigma, streams)
     kept = [r for r in range(len(runs)) if r not in sel.failed]  # infer_runs' run r is kept[r]
     trial = np.array([b for b, _, _ in runs], dtype=np.int64)[kept]
@@ -278,7 +310,7 @@ def _run_block(cfg: ExperimentConfig, trials: range, eta_grid: list) -> list[lis
                                     widths=widths[i], fdr=fdr[p],
                                     risk=_risk(cfg.selector.lam, X, y, theta), K=K[r],
                                     budget_used=iv.budgets[iv.budget[r]])
-    return [[out[b, e] for e in range(len(eta_grid))] for b in range(len(trials))]
+    return [[out[b, e] for e in etas] for b in range(len(trials))]
 
 
 def _risk(lam: float | None, X: DesignMatrix, y: np.ndarray, theta) -> float | None:
@@ -330,40 +362,25 @@ def aggregate(records: list[TrialRecord], eta_step: float | None = None,
     )
 
 
-def check_eta_grid(eta_grid) -> list[float]:
-    """The per-step eta grid as floats, checked to be nonempty with every
-    eta a finite positive number (not a bool): the one grid check of the
-    sweep and the `experiment` config."""
-    grid = list(eta_grid)
-    if not grid:
-        raise EmptyInput("eta_grid must be nonempty")
-    for eta in grid:
-        check_number("eta_grid entry", eta)
-    if not all(0 < e < math.inf for e in grid):
-        raise ValueError(f"eta_grid must be finite and positive, got {grid}")
-    return [float(e) for e in grid]
+def _block_task(args: tuple[ExperimentConfig, range]) -> list[list[TrialRecord]]:
+    return _run_block(*args)
 
 
-def _block_task(args: tuple[ExperimentConfig, list, range]) -> list[list[TrialRecord]]:
-    cfg, eta_grid, trials = args
-    return _run_block(cfg, trials, eta_grid)
-
-
-def eta_sweep(cfg: ExperimentConfig, eta_grid=DEFAULT_ETA_GRID,
+def eta_sweep(cfg: ExperimentConfig,
               map_fn=map) -> list[tuple[float, list[TrialRecord], ExperimentSummary]]:
-    """Every trial at every eta over the same master seed, so trials are
-    coupled across the grid for variance reduction. Runs in blocks of
-    trials, one task per block over the whole grid; map_fn may be a worker
-    pool's map. The blocks come back in trial order, so neither the block
-    size nor parallelism can change the records, which are regrouped by eta.
-    Returns (eta, records in trial order, summary) rows in grid order."""
-    grid = check_eta_grid(eta_grid)
-    size = block_trials(cfg, grid)
-    tasks = [(cfg, grid, range(start, min(start + size, cfg.trials)))
+    """Every trial at every eta of cfg.eta_grid over the same master seed,
+    so trials are coupled across the grid for variance reduction. Runs in
+    blocks of trials, one task per block over the whole grid; map_fn may be
+    a worker pool's map. The blocks come back in trial order, so neither
+    the block size nor parallelism can change the records, which are
+    regrouped by eta. Returns (eta, records in trial order, summary) rows
+    in grid order."""
+    size = block_trials(cfg)
+    tasks = [(cfg, range(start, min(start + size, cfg.trials)))
              for start in range(0, cfg.trials, size)]
     by_trial = [records for block in map_fn(_block_task, tasks) for records in block]
     out = []
-    for i, eta in enumerate(grid):
+    for i, eta in enumerate(cfg.eta_grid):
         records = [trial_records[i] for trial_records in by_trial]
         out.append((eta, records, aggregate(records, eta)))
     return out

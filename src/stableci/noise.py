@@ -14,10 +14,11 @@ candidate noise vector in ascending candidate order; Laplace variates
 come from the inverse CDF, exactly one uniform per draw, which keeps the
 stream layout deterministic.
 
-The sweep engine and the selectors build no object per stream:
-`keyed.start(master_seed, path)` sets the process's one Philox to the
-stream's key and counter, so it draws what RngStream(master_seed, path)
-draws.
+A Philox is put at a stream's name one way, by KeyedGenerator.start,
+which sets its key and counter. The sweep engine, the selectors and the
+shared design build no object per stream: `keyed.start(master_seed,
+path)` moves the process's one Philox to the stream. An RngStream starts
+a KeyedGenerator of its own on its first draw.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class RngStream:
     def __init__(self, master_seed: int, path: tuple[int, ...] = ()):
         self.master_seed = int(master_seed)
         self.path = tuple(int(i) for i in path)
-        self._name = stream_name(self.master_seed, self.path)
+        stream_name(self.master_seed, self.path)  # checks the name
         self._gen: np.random.Generator | None = None
 
     def child(self, *indices: int) -> "RngStream":
@@ -62,9 +63,7 @@ class RngStream:
     @property
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            # uint64 arrays: numpy warns casting a Python int of 2**64 - 1 as a key
-            key, counter = (np.array(words, dtype=np.uint64) for words in self._name)
-            self._gen = np.random.Generator(np.random.Philox(counter=counter, key=key))
+            self._gen = KeyedGenerator().start(self.master_seed, self.path)
         return self._gen
 
     def random(self, size=None):
@@ -98,8 +97,8 @@ def laplace_of_uniform(u: np.ndarray) -> np.ndarray:
 class KeyedGenerator:
     """One Generator over one Philox, moved from stream to stream:
     start(master_seed, path) sets its key and counter to the stream's and
-    empties its buffer, so it draws what RngStream(master_seed, path)
-    draws. The generator start returns is valid until its next call."""
+    empties its buffer. The generator start returns is valid until its
+    next call."""
 
     def __init__(self):
         self._bitgen = np.random.Philox(0)

@@ -434,13 +434,6 @@ def stable_screening(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
 # forward stepwise
 
 
-def fs_scale(d: int, k: int, eta_step: float, delta: float, sigma: float) -> float:
-    """The per-round Laplace scale of k-step forward stepwise over d
-    columns at per-step eta_step, slack delta and noise scale sigma; no
-    data enters it, so a config fixes it."""
-    return scale_forward_stepwise(d, k, NoisePolicy(sigma, delta, eta_step))
-
-
 def fs_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.ndarray,
             scales: np.ndarray, streams: list[RngStream],
             trace: bool = False) -> RunSelections:
@@ -584,7 +577,7 @@ def select_runs(spec: SelectorSpec, designs: list[DesignMatrix], Y: np.ndarray,
     if spec.method == "screen":
         scales = [scale_screening(designs[b], policies[e]) for b, e, _ in runs]
     elif spec.method == "fs":
-        per_eta = {e: fs_scale(d, spec.k, e, delta, sigma) for e in etas}
+        per_eta = {e: scale_forward_stepwise(d, spec.k, policies[e]) for e in etas}
         scales = [per_eta[e] for _, e, _ in runs]
     else:  # a radius of 0 admits only theta = 0: no step, nothing to randomize
         rounds = [0 if c == 0 else spec.steps if spec.steps is not None

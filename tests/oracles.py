@@ -293,13 +293,15 @@ def score_model(cfg, X: DesignMatrix, y: np.ndarray, mu: np.ndarray, beta: np.nd
 # eta-major sweep
 
 
-def eta_major_sweep(cfg, eta_grid) -> list:
-    """(eta, records) rows of an eta-major sweep: every (eta, trial) run
-    from scratch through the scalar selectors and score_model, regenerating
-    the trial's data, resolving a `lam` radius, estimating sigma in
-    score_model and drawing from fresh selector streams. The library's block
-    engine must give the same records, field for field."""
-    return [(eta, [_fresh_trial(cfg, t, eta) for t in range(cfg.trials)]) for eta in eta_grid]
+def eta_major_sweep(cfg) -> list:
+    """(eta, records) rows of an eta-major sweep over cfg.eta_grid: every
+    (eta, trial) run from scratch through the scalar selectors and
+    score_model, regenerating the trial's data, resolving a `lam` radius,
+    estimating sigma in score_model and drawing from fresh selector
+    streams. The library's block engine must give the same records, field
+    for field."""
+    return [(eta, [_fresh_trial(cfg, t, eta) for t in range(cfg.trials)])
+            for eta in cfg.eta_grid]
 
 
 def _fresh_trial(cfg, trial_index: int, eta_step):

@@ -38,9 +38,9 @@ def test_criterion_01_classical_recovery():
     cfg = ExperimentConfig(
         n=200, d=10, selector=SelectorSpec(method="fixed", fixed_model=(0, 1, 2)),
         trials=10_000, master_seed=101, alpha=0.1, alpha_weights=(1.0, 0.0, 0.0),
-        signal=5.0, active_fraction=0.3)
+        signal=5.0, active_fraction=0.3, eta_grid=(1.0,))
     # a fixed model's records do not depend on eta
-    [(_, records, _)] = eta_sweep(cfg, [1.0])
+    [(_, records, _)] = eta_sweep(cfg)
     mis = miscoverage(records)
     elapsed = time.time() - start
     hi = 0.1 + 3 * math.sqrt(0.09 / 10_000)
@@ -61,8 +61,9 @@ def test_criterion_02_stable_selector_coverage():
     ]:
         step = eta_step_for_total(k, delta_sel, 1.0)
         cfg = ExperimentConfig(n=100, d=20, selector=spec, trials=2000,
-                               master_seed=202, alpha=0.1, signal=5.0, active_fraction=0.15)
-        [(_, records, _)] = eta_sweep(cfg, [step])
+                               master_seed=202, alpha=0.1, signal=5.0, active_fraction=0.15,
+                               eta_grid=(step,))
+        [(_, records, _)] = eta_sweep(cfg)
         results[label] = miscoverage(records)
     elapsed = time.time() - start
     hi = 0.1 + 3 * math.sqrt(0.09 / 2000)
@@ -257,8 +258,7 @@ def test_criterion_09_trend_reproduction():
     for label, spec in [("screen", SelectorSpec(method="screen", k=5)),
                         ("fs", SelectorSpec(method="fs", k=5)),
                         ("lasso", SelectorSpec(method="lasso", lam=3.0, steps=20))]:
-        cfg = ExperimentConfig(selector=spec, **base)
-        rows = eta_sweep(cfg, grid)
+        rows = eta_sweep(ExperimentConfig(selector=spec, eta_grid=grid, **base))
         trends[label] = [summary for _, _, summary in rows]
     k_monotone = {lbl: all(a.mean_K < b.mean_K for a, b in zip(t, t[1:]))
                   for lbl, t in trends.items()}

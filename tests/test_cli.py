@@ -23,6 +23,7 @@ from hypothesis.extra.numpy import arrays
 from stableci import cli
 from stableci.cli import (CliParseError, load_config, main, read_matrix, read_selection,
                           read_vector, write_selection)
+from stableci.errors import StableCIError
 from stableci.experiments import (DEFAULT_ETA_GRID, ExperimentConfig, SelectorSpec,
                                   gen_synthetic, run_selector, run_trial)
 from stableci.linmodel import DesignMatrix
@@ -120,6 +121,20 @@ def test_read_matrix_accepted_layouts(tmp_path, text, expected):
     got = read_matrix(str(p))
     assert got.dtype == np.float64 and got.shape == np.shape(expected)
     np.testing.assert_array_equal(got, expected)
+
+
+def test_read_matrix_reads_past_a_byte_order_mark(tmp_path):
+    # Excel writes a UTF-8 CSV with a BOM; it once made a header-less
+    # file's first row fail float(), which then skipped it as a header
+    p = tmp_path / "m.csv"
+    p.write_bytes(b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n5.0,6.5\n")
+    np.testing.assert_array_equal(read_matrix(str(p)), [[1.0, 2.0], [3.0, 4.0], [5.0, 6.5]])
+    p.write_bytes(b"\xef\xbb\xbfa,b\n1.0,2.0\n3.0,4.0\n")
+    np.testing.assert_array_equal(read_matrix(str(p)), [[1.0, 2.0], [3.0, 4.0]])
+    # the rescan that names a bad line reads the first row as data too
+    p.write_bytes(b"\xef\xbb\xbf1.0,2.0\n3.0\n")
+    with pytest.raises(CliParseError, match="line 2 has 1 field"):
+        read_matrix(str(p))
 
 
 @pytest.mark.parametrize("text, where", [
@@ -595,7 +610,8 @@ def test_ci_and_fixed_model_trial_share_one_inference_path(tmp_path, method, sig
                      "lasso": (SelectorSpec(method="lasso", lam=0.5, steps=20), 0.5),
                      "lasso-c1": (SelectorSpec(method="lasso", c1=2.0), 0.5)}[method]
         cfg = ExperimentConfig(n=100, d=20, selector=spec, trials=3, master_seed=8,
-                               signal=5.0, active_fraction=0.15, alpha=0.1, sigma_mode=sigma_mode)
+                               signal=5.0, active_fraction=0.15, alpha=0.1, sigma_mode=sigma_mode,
+                               eta_grid=(eta,))
         delta = slack_allowance(cfg.alpha) / 2.0
     for t in range(cfg.trials):
         X, _, _, y = gen_synthetic(cfg, t)
@@ -611,7 +627,7 @@ def test_ci_and_fixed_model_trial_share_one_inference_path(tmp_path, method, sig
         assert main(["ci", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
                      *choice, "--alpha", "0.1", "--sigma", sigma_flag, "--out", str(out)]) == 0
         rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
-        rec = run_trial(cfg, t, [eta])[0]
+        rec = run_trial(cfg, t)[0]
         assert rec.flagged is None and [int(r[0]) for r in rows] == list(rec.model)
         assert {float(r[3]) for r in rows} == {rec.K}
         np.testing.assert_array_equal([float(r[5]) - float(r[4]) for r in rows], rec.widths)
@@ -978,51 +994,103 @@ def test_experiment_rejects_each_config_rule_up_front(tmp_path, capsys, rule):
     assert_rejected_up_front(tmp_path, capsys, cfg, key)
 
 
-@pytest.mark.parametrize("cfg, key", [
+ONCE_GOT_THROUGH = {
     # a float for an integer: once a TypeError traceback, or a silent truncation
-    (experiment_config(n=50.0), "n"),
-    (experiment_config(trials=2.0), "trials"),
-    (experiment_config(selector={**_SCREEN, "k": 2.0}), "k"),
-    (experiment_config(selector={"method": "fixed", "fixed_model": [0, 1.0]}), "fixed_model"),
+    "n-float": (experiment_config(n=50.0), "n"),
+    "trials-float": (experiment_config(trials=2.0), "trials"),
+    "k-float": (experiment_config(selector={**_SCREEN, "k": 2.0}), "k"),
+    "fixed_model-float": (experiment_config(selector={"method": "fixed",
+                                                      "fixed_model": [0, 1.0]}), "fixed_model"),
     # once rejected only after the output directory was made
-    (experiment_config(master_seed=2 ** 64), "master_seed"),
+    "master_seed-2**64": (experiment_config(master_seed=2 ** 64), "master_seed"),
     # a trial index must fit one word of a stream path
-    (experiment_config(trials=2 ** 64), "trials"),
-    (experiment_config(alpha_weights=[0.5, 0.5, 0.5]), "alpha_weights"),
-    (experiment_config(alpha_weights=[math.nan, 0.5, 0.5]), "alpha_weights"),
-    (experiment_config(eta_grid=[math.nan]), "eta_grid"),
-], ids=["n-float", "trials-float", "k-float", "fixed_model-float", "master_seed-2**64",
-        "trials-2**64", "alpha_weights-sum", "alpha_weights-nan", "eta_grid-nan"])
-def test_experiment_rejects_up_front_what_once_got_through(tmp_path, capsys, cfg, key):
+    "trials-2**64": (experiment_config(trials=2 ** 64), "trials"),
+    "alpha_weights-sum": (experiment_config(alpha_weights=[0.5, 0.5, 0.5]), "alpha_weights"),
+    "alpha_weights-nan": (experiment_config(alpha_weights=[math.nan, 0.5, 0.5]),
+                          "alpha_weights"),
+    "eta_grid-nan": (experiment_config(eta_grid=[math.nan]), "eta_grid"),
+}
+
+
+@pytest.mark.parametrize("rule", ONCE_GOT_THROUGH)
+def test_experiment_rejects_up_front_what_once_got_through(tmp_path, capsys, rule):
+    cfg, key = ONCE_GOT_THROUGH[rule]
     assert_rejected_up_front(tmp_path, capsys, cfg, key)
 
 
-@pytest.mark.parametrize("selector, eta, key", [
-    (_SCREEN, 1e200, r"eta_grid entry 1e\+200"),
-    ({"method": "fs", "k": 3}, 1e200, r"eta_grid entry 1e\+200"),
-    ({**_LASSO, "steps": 5}, 1e200, r"eta_grid entry 1e\+200"),
+# a round count the config fixes is certified at every eta on load; the
+# overflow once surfaced in the first block, after the directory was made
+OVERFLOWING_ETA_GRID_ENTRIES = {
+    "screen": (experiment_config(selector=_SCREEN, eta_grid=[1.0, 1e200]),
+               r"eta_grid entry 1e\+200"),
+    "fs": (experiment_config(selector={"method": "fs", "k": 3}, eta_grid=[1.0, 1e200]),
+           r"eta_grid entry 1e\+200"),
+    "lasso-steps": (experiment_config(selector={**_LASSO, "steps": 5}, eta_grid=[1.0, 1e200]),
+                    r"eta_grid entry 1e\+200"),
     # the fs Laplace scale depends on the config alone
-    ({"method": "fs", "k": 3}, 1e-310, r"eta_grid entry 1e-310"),
-], ids=["screen", "fs", "lasso-steps", "fs-scale"])
-def test_an_overflowing_eta_grid_entry_exits_2_before_the_out_dir(tmp_path, capsys, selector,
-                                                                  eta, key):
-    # a round count the config fixes is certified at every eta on load; the
-    # overflow once surfaced in the first block, after the directory was made
-    cfg = experiment_config(selector=selector, eta_grid=[1.0, eta])
+    "fs-scale": (experiment_config(selector={"method": "fs", "k": 3}, eta_grid=[1.0, 1e-310]),
+                 r"eta_grid entry 1e-310"),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWING_ETA_GRID_ENTRIES)
+def test_an_overflowing_eta_grid_entry_exits_2_before_the_out_dir(tmp_path, capsys, case):
+    cfg, key = OVERFLOWING_ETA_GRID_ENTRIES[case]
     assert_rejected_up_front(tmp_path, capsys, cfg, key)
+
+
+# the all-on-delta split leaves a noisy selector no slack: the error once
+# blamed an eta_grid entry, or came from the first block, naming only delta
+NO_SLACK = {
+    "screen": experiment_config(alpha_weights=[1, 0, 0]),
+    "lasso-default-steps": experiment_config(selector={"method": "lasso", "lam": 0.5},
+                                             alpha_weights=[1, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("case", NO_SLACK)
+def test_weights_that_leave_a_noisy_selector_no_slack_are_named(tmp_path, capsys, case):
+    assert_rejected_up_front(tmp_path, capsys, NO_SLACK[case], r"alpha_weights \[1, 0, 0\]")
+
+
+REJECTED_UP_FRONT = {
+    **CONFIG_RULES, **ONCE_GOT_THROUGH,
+    **{f"eta_grid-entry-{case}": v for case, v in OVERFLOWING_ETA_GRID_ENTRIES.items()},
+    **{f"alpha_weights-no-slack-{case}": (cfg, None) for case, cfg in NO_SLACK.items()},
+}
+
+
+def library_form(raw) -> bool:
+    """Whether a config's file has the shape load_config checks: a JSON
+    object whose selector is an object with no null value."""
+    return isinstance(raw, dict) and isinstance(raw.get("selector"), dict) and \
+        None not in raw["selector"].values()
+
+
+@pytest.mark.parametrize("case", [case for case, (raw, _) in REJECTED_UP_FRONT.items()
+                                  if library_form(raw)])
+def test_the_library_rejects_each_config_with_the_command_lines_message(tmp_path, capsys,
+                                                                         case):
+    raw = dict(REJECTED_UP_FRONT[case][0])
+    assert run_experiment(tmp_path, "cfg", raw)[0] == 2
+    err = capsys.readouterr().err
+    sel = raw.pop("selector")
+    with pytest.raises((TypeError, ValueError, StableCIError)) as info:
+        ExperimentConfig(**raw, selector=SelectorSpec(**sel))
+    assert str(info.value) in err, err
 
 
 def test_load_config_keys_are_the_fields(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(experiment_config(
         selector={"method": "fixed", "fixed_model": [0, 2]}, alpha_weights=[1.0, 0, 0])))
-    cfg, grid = load_config(str(path))
-    assert grid == [1.0, 5.0]
+    cfg = load_config(str(path))
+    assert cfg.eta_grid == (1.0, 5.0)
     assert (cfg.n, cfg.d, cfg.trials, cfg.master_seed, cfg.signal, cfg.active_fraction) == \
         (60, 12, 5, 3, 5.0, 0.25)
     assert cfg.selector.fixed_model == (0, 2) and cfg.alpha_weights == (1.0, 0, 0)
     path.write_text(json.dumps(without("eta_grid")))
-    assert load_config(str(path))[1] == list(DEFAULT_ETA_GRID)
+    assert load_config(str(path)).eta_grid == DEFAULT_ETA_GRID
 
 
 def run_fresh(code, *args):

@@ -31,7 +31,7 @@ from oracles import eta_major_sweep, score_model, screening_exact
 def fixed_cfg(**kw):
     base = dict(n=200, d=10, selector=SelectorSpec(method="fixed", fixed_model=(0, 1, 2)),
                 trials=4, master_seed=101, alpha=0.1, alpha_weights=(1.0, 0.0, 0.0),
-                signal=5.0, active_fraction=0.3)
+                signal=5.0, active_fraction=0.3, eta_grid=(1.0,))
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -78,7 +78,7 @@ def test_lasso_steps_below_one_rejected_before_any_trial(monkeypatch, steps):
     monkeypatch.setattr(experiments, "gen_synthetic", no_trial)
     with pytest.raises(ValueError, match=f"steps must be >= 1, got {steps}"):
         eta_sweep(fixed_cfg(selector=SelectorSpec(method="lasso", c1=1.0, steps=steps),
-                            alpha_weights=None), (1.0,))
+                            alpha_weights=None))
 
 
 def test_experiment_config_rejects_shapes_beyond_d():
@@ -86,7 +86,7 @@ def test_experiment_config_rejects_shapes_beyond_d():
         fixed_cfg(selector=SelectorSpec(method="fs", k=11))
     with pytest.raises(ValueError, match="fixed_model index 10"):
         fixed_cfg(selector=SelectorSpec(method="fixed", fixed_model=(1, 10)))
-    fixed_cfg(selector=SelectorSpec(method="screen", k=10))
+    fixed_cfg(selector=SelectorSpec(method="screen", k=10), alpha_weights=None)
 
 
 @pytest.mark.parametrize("knob", ["c1", "lam"])
@@ -221,7 +221,7 @@ def test_gen_synthetic_null_signal():
 
 def test_run_trial_fixed_model_classical():
     cfg = fixed_cfg()
-    rec = run_trial(cfg, 0, [None])[0]
+    rec = run_trial(cfg, 0)[0]
     assert rec.model.indices == (0, 1, 2)
     assert rec.flagged is None
     assert rec.budget_used == StabilityBudget(0.0, 0.0, 0.0)
@@ -236,7 +236,7 @@ def test_run_trial_fixed_model_classical():
 def test_run_trial_coverage_is_target_based():
     cfg = fixed_cfg()
     X, beta, mu, y = gen_synthetic(cfg, 0)
-    rec = run_trial(cfg, 0, [None])[0]
+    rec = run_trial(cfg, 0)[0]
     from stableci.linmodel import ols_fit, target_coefficients
     est = ols_fit(X, rec.model, y)
     tgt = target_coefficients(X, rec.model, mu)
@@ -247,36 +247,36 @@ def test_run_trial_coverage_is_target_based():
 def test_run_trial_factors_each_model_once(svd_calls):
     # one submodel SVD, a stack of one, serves estimates, standard errors
     # and targets at every eta
-    run_trial(fixed_cfg(), 0, [None, None])
+    run_trial(fixed_cfg(eta_grid=(0.5, 2.0)), 0)
     assert svd_calls == [(1, 200, 3)]
     svd_calls.clear()
     # an estimated scale adds the full model's rank check: the singular
     # values of the d x d block of the R of [X y], not an SVD of X
-    run_trial(fixed_cfg(sigma_mode="estimate"), 0, [None])
+    run_trial(fixed_cfg(sigma_mode="estimate"), 0)
     assert sorted(svd_calls) == [(1, 200, 3), (10, 10)]
     svd_calls.clear()
     # a block factors its trials' distinct models in one stacked SVD per size
-    eta_sweep(fixed_cfg(), (0.5, 2.0))
+    eta_sweep(fixed_cfg(eta_grid=(0.5, 2.0)))
     assert svd_calls == [(4, 200, 3)]
 
 
 def test_run_trial_noisy_needs_eta():
-    cfg = fixed_cfg(selector=SelectorSpec(method="screen", k=3))
-    with pytest.raises(ValueError):
-        run_trial(cfg, 0, [None])
+    with pytest.raises(ValueError, match="eta_grid entry must be a number, got None"):
+        fixed_cfg(selector=SelectorSpec(method="screen", k=3), alpha_weights=None,
+                  eta_grid=(None,))
 
 
 def test_run_trial_null_beta_gives_unit_fdr():
     cfg = fixed_cfg(n=100, d=20, selector=SelectorSpec(method="screen", k=3),
                     alpha_weights=None, signal=5.0, active_fraction=0.0)
-    rec = run_trial(cfg, 0, [1.0])[0]
+    rec = run_trial(cfg, 0)[0]
     assert len(rec.model) == 3 and rec.fdr == 1.0
 
 
 def test_run_trial_huge_penalty_empties_model():
     cfg = fixed_cfg(n=50, d=8, selector=SelectorSpec(method="lasso", lam=1e9),
                     alpha_weights=None)
-    rec = run_trial(cfg, 0, [1.0])[0]
+    rec = run_trial(cfg, 0)[0]
     assert len(rec.model) == 0
     assert rec.covered and rec.K == 0.0 and rec.widths.size == 0
 
@@ -285,8 +285,8 @@ def test_run_trial_estimated_sigma_widens():
     known = fixed_cfg(n=30, d=4, selector=SelectorSpec(method="fixed", fixed_model=(0, 1)))
     est = fixed_cfg(n=30, d=4, selector=SelectorSpec(method="fixed", fixed_model=(0, 1)),
                     sigma_mode="estimate")
-    K_known = run_trial(known, 0, [None])[0].K
-    K_est = run_trial(est, 0, [None])[0].K
+    K_known = run_trial(known, 0)[0].K
+    K_est = run_trial(est, 0)[0].K
     # same level, t vs z quantile at dof = 26
     np.testing.assert_allclose(K_known, scipy.stats.norm.ppf(1 - 0.1 / 4), rtol=1e-12)
     np.testing.assert_allclose(K_est, scipy.stats.t.ppf(1 - 0.1 / 4, 26), rtol=1e-9)
@@ -295,11 +295,11 @@ def test_run_trial_estimated_sigma_widens():
 def test_run_trial_screening_matches_exact_at_large_eta():
     cfg = ExperimentConfig(n=100, d=20, selector=SelectorSpec(method="screen", k=3),
                            trials=400, master_seed=505, alpha=0.1,
-                           signal=20.0, active_fraction=0.15)
+                           signal=20.0, active_fraction=0.15, eta_grid=(10.0,))
     agree = 0
     for t in range(cfg.trials):
         X, _, _, y = gen_synthetic(cfg, t)
-        agree += run_trial(cfg, t, [10.0])[0].model == screening_exact(X, y, 3)
+        agree += run_trial(cfg, t)[0].model == screening_exact(X, y, 3)
     assert agree / cfg.trials >= 0.95
 
 
@@ -371,7 +371,7 @@ def test_select_runs_matches_one_run_selections():
 def test_run_trial_flags_collinear_candidates():
     # n=3 rows span only 3 directions, so forward stepwise runs out at step 4
     cfg = fixed_cfg(n=3, d=10, selector=SelectorSpec(method="fs", k=5), alpha_weights=None)
-    rec = run_trial(cfg, 0, [1.0])[0]
+    rec = run_trial(cfg, 0)[0]
     assert rec.flagged.startswith("all_candidates_collinear: step 4: ")
     assert len(rec.model) == 0 and rec.K == 0.0 and rec.widths.size == 0
 
@@ -380,9 +380,9 @@ def test_run_trial_flags_degenerate_level():
     # default LASSO steps grow with eta: at eta_step 4 the certified eta
     # leaves no level for any certificate
     cfg = fixed_cfg(n=100, d=20, selector=SelectorSpec(method="lasso", lam=0.5),
-                    alpha_weights=None, signal=5.0, active_fraction=0.15)
-    assert run_trial(cfg, 0, [4.0])[0].flagged.startswith("degenerate_level: ")
-    assert run_trial(cfg, 0, [0.5])[0].flagged is None
+                    alpha_weights=None, signal=5.0, active_fraction=0.15, eta_grid=(4.0, 0.5))
+    high, low = run_trial(cfg, 0)
+    assert high.flagged.startswith("degenerate_level: ") and low.flagged is None
 
 
 def test_run_trial_flags_nonconvergence(monkeypatch):
@@ -391,14 +391,14 @@ def test_run_trial_flags_nonconvergence(monkeypatch):
     monkeypatch.setattr(experiments, "lambda_to_c1", stuck)
     cfg = fixed_cfg(n=50, d=8, selector=SelectorSpec(method="lasso", lam=0.5),
                     alpha_weights=None)
-    rec = run_trial(cfg, 0, [1.0])[0]
+    rec = run_trial(cfg, 0)[0]
     assert rec.flagged == "non_convergence: coordinate descent did not reach gap 1e-08"
 
 
 def test_all_flagged_sweep_names_reasons():
     cfg = fixed_cfg(n=3, d=10, selector=SelectorSpec(method="fs", k=5), alpha_weights=None,
                     trials=3)
-    [(_, records, summary)] = eta_sweep(cfg, eta_grid=(1.0,))
+    [(_, records, summary)] = eta_sweep(cfg)
     assert len(records) == 3
     assert summary.trials == 0 and summary.flagged == 3
     assert summary.flag_reasons == {"all_candidates_collinear": 3}
@@ -450,7 +450,7 @@ def test_data_split_matches_direct_classical_fit():
 
 
 def test_data_split_selects_on_first_half_only():
-    cfg = fixed_cfg(n=60, d=6, selector=SelectorSpec(method="screen", k=2))
+    cfg = fixed_cfg(n=60, d=6, selector=SelectorSpec(method="screen", k=2), alpha_weights=None)
     rec = data_split_baseline(cfg, 0.5, 1)
     X, _, _, y = gen_synthetic(cfg, 1)
     from stableci.linmodel import DesignMatrix
@@ -464,7 +464,7 @@ def test_data_split_width_inflation():
                     signal=2.0, active_fraction=0.4, master_seed=606)
     ratios = []
     for t in range(40):
-        full = run_trial(cfg, t, [None])[0]
+        full = run_trial(cfg, t)[0]
         half = data_split_baseline(cfg, 0.5, t)
         assert half.K == full.K
         ratios.append(half.widths.mean() / full.widths.mean())
@@ -551,16 +551,17 @@ def test_aggregate_empty_input():
 
 def test_eta_sweep_accepts_custom_map():
     cfg = fixed_cfg(trials=3)
-    [(_, default, _)] = eta_sweep(cfg, [1.0])
-    [(_, listy, _)] = eta_sweep(cfg, [1.0], map_fn=lambda f, xs: [f(x) for x in xs])
+    [(_, default, _)] = eta_sweep(cfg)
+    [(_, listy, _)] = eta_sweep(cfg, map_fn=lambda f, xs: [f(x) for x in xs])
     assert [r.model for r in default] == [r.model for r in listy]
     np.testing.assert_array_equal(default[1].widths, listy[1].widths)
 
 
 def test_eta_sweep_k_monotone():
     cfg = ExperimentConfig(n=60, d=12, selector=SelectorSpec(method="screen", k=3),
-                           trials=6, master_seed=9, alpha=0.1, signal=5.0, active_fraction=0.25)
-    rows = eta_sweep(cfg, eta_grid=(0.5, 2.0, 5.0))
+                           trials=6, master_seed=9, alpha=0.1, signal=5.0, active_fraction=0.25,
+                           eta_grid=(0.5, 2.0, 5.0))
+    rows = eta_sweep(cfg)
     assert [eta for eta, _, _ in rows] == [0.5, 2.0, 5.0]
     ks = [summary.mean_K for _, _, summary in rows]
     assert ks[0] < ks[1] < ks[2]
@@ -570,19 +571,20 @@ def test_eta_sweep_k_monotone():
 
 def test_eta_sweep_trials_coupled_across_grid():
     cfg = ExperimentConfig(n=60, d=12, selector=SelectorSpec(method="screen", k=3),
-                           trials=3, master_seed=9, alpha=0.1, signal=5.0, active_fraction=0.25)
-    rows = eta_sweep(cfg, eta_grid=(1.0, 4.0))
+                           trials=3, master_seed=9, alpha=0.1, signal=5.0, active_fraction=0.25,
+                           eta_grid=(1.0, 4.0))
+    rows = eta_sweep(cfg)
     # same trial index sees the same data at every eta
     for t in range(3):
         assert rows[0][1][t].trial_index == rows[1][1][t].trial_index == t
 
 
 def test_eta_sweep_validation():
-    cfg = fixed_cfg()
     with pytest.raises(EmptyInput):
-        eta_sweep(cfg, eta_grid=())
+        fixed_cfg(eta_grid=())
     with pytest.raises(ValueError):
-        eta_sweep(cfg, eta_grid=(0.5, -1.0))
+        fixed_cfg(eta_grid=(0.5, -1.0))
+    assert fixed_cfg(eta_grid=[1, 2]).eta_grid == (1.0, 2.0)
     assert len(DEFAULT_ETA_GRID) == 20
     assert DEFAULT_ETA_GRID[0] == 0.5 and DEFAULT_ETA_GRID[-1] == 10.0
 
@@ -590,7 +592,7 @@ def test_eta_sweep_validation():
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_eta_sweep_rejects_nonfinite_grid(bad):
     with pytest.raises(ValueError, match="finite"):
-        eta_sweep(fixed_cfg(), eta_grid=(0.5, bad))
+        fixed_cfg(eta_grid=(0.5, bad))
 
 
 # ---------------------------------------------------------------------------
@@ -617,38 +619,40 @@ def assert_same_records(got, want):
 
 
 ENGINE_CASES = {
-    "fixed": (sweep_cfg(SelectorSpec(method="fixed", fixed_model=(0, 3))), (0.5, 2.0)),
-    "screen": (sweep_cfg(SelectorSpec(method="screen", k=3)), (0.5, 1.0, 4.0)),
-    "fs": (sweep_cfg(SelectorSpec(method="fs", k=5)), (0.5, 2.0, 4.0)),
+    "fixed": sweep_cfg(SelectorSpec(method="fixed", fixed_model=(0, 3)), eta_grid=(0.5, 2.0)),
+    "screen": sweep_cfg(SelectorSpec(method="screen", k=3), eta_grid=(0.5, 1.0, 4.0)),
+    "fs": sweep_cfg(SelectorSpec(method="fs", k=5), eta_grid=(0.5, 2.0, 4.0)),
     # default steps grow with eta, so later etas extend the replayed steps
-    "lasso-c1": (sweep_cfg(SelectorSpec(method="lasso", c1=3.0)), (0.25, 1.0, 0.5)),
-    "lasso-lam-estimate": (sweep_cfg(SelectorSpec(method="lasso", lam=0.5, steps=8),
-                                     sigma_mode="estimate"), (0.25, 0.5, 1.0)),
+    "lasso-c1": sweep_cfg(SelectorSpec(method="lasso", c1=3.0), eta_grid=(0.25, 1.0, 0.5)),
+    "lasso-lam-estimate": sweep_cfg(SelectorSpec(method="lasso", lam=0.5, steps=8),
+                                    sigma_mode="estimate", eta_grid=(0.25, 0.5, 1.0)),
     # at eta_step 4 the default step count leaves no level: flagged records
-    "flagged": (sweep_cfg(SelectorSpec(method="lasso", lam=0.5), n=100, d=20, trials=3,
-                          signal=5.0, active_fraction=0.15, sigma_mode="estimate"), (0.5, 4.0)),
+    "flagged": sweep_cfg(SelectorSpec(method="lasso", lam=0.5), n=100, d=20, trials=3,
+                         signal=5.0, active_fraction=0.15, sigma_mode="estimate",
+                         eta_grid=(0.5, 4.0)),
     # n < k: every run runs out of candidates at step n + 1
-    "fs-n<k": (sweep_cfg(SelectorSpec(method="fs", k=5), n=4, d=10), (0.5, 2.0)),
-    "screen-d>n": (sweep_cfg(SelectorSpec(method="screen", k=3), n=10, d=30), (0.5, 4.0)),
+    "fs-n<k": sweep_cfg(SelectorSpec(method="fs", k=5), n=4, d=10, eta_grid=(0.5, 2.0)),
+    "screen-d>n": sweep_cfg(SelectorSpec(method="screen", k=3), n=10, d=30,
+                            eta_grid=(0.5, 4.0)),
     # the last round has a single candidate
-    "fs-k=d": (sweep_cfg(SelectorSpec(method="fs", k=6), n=30, d=6), (0.5, 2.0)),
-    "screen-k=d": (sweep_cfg(SelectorSpec(method="screen", k=6), n=30, d=6), (1.0,)),
-    "shared-design": (sweep_cfg(SelectorSpec(method="fs", k=3), regenerate_x_per_trial=False),
-                      (0.5, 2.0)),
-    "alpha-weights": (sweep_cfg(SelectorSpec(method="screen", k=3),
-                                alpha_weights=(0.5, 0.25, 0.25)), (0.5, 2.0)),
+    "fs-k=d": sweep_cfg(SelectorSpec(method="fs", k=6), n=30, d=6, eta_grid=(0.5, 2.0)),
+    "screen-k=d": sweep_cfg(SelectorSpec(method="screen", k=6), n=30, d=6, eta_grid=(1.0,)),
+    "shared-design": sweep_cfg(SelectorSpec(method="fs", k=3), regenerate_x_per_trial=False,
+                               eta_grid=(0.5, 2.0)),
+    "alpha-weights": sweep_cfg(SelectorSpec(method="screen", k=3),
+                               alpha_weights=(0.5, 0.25, 0.25), eta_grid=(0.5, 2.0)),
     # three columns on two rows: every record flagged rank_deficient
-    "fixed-rank-deficient": (sweep_cfg(SelectorSpec(method="fixed", fixed_model=(0, 1, 2)),
-                                       n=2, d=5), (1.0,)),
+    "fixed-rank-deficient": sweep_cfg(SelectorSpec(method="fixed", fixed_model=(0, 1, 2)),
+                                      n=2, d=5, eta_grid=(1.0,)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
 def test_eta_sweep_matches_eta_major_oracle(case):
-    cfg, grid = ENGINE_CASES[case]
-    rows = eta_sweep(cfg, grid)
-    oracle = eta_major_sweep(cfg, grid)
-    assert [eta for eta, _, _ in rows] == [eta for eta, _ in oracle] == list(grid)
+    cfg = ENGINE_CASES[case]
+    rows = eta_sweep(cfg)
+    oracle = eta_major_sweep(cfg)
+    assert [eta for eta, _, _ in rows] == [eta for eta, _ in oracle] == list(cfg.eta_grid)
     for (_, records, summary), (_, want) in zip(rows, oracle):
         assert_same_records(records, want)
         assert summary == aggregate(want, summary.eta_step)
@@ -667,7 +671,7 @@ def test_sweep_hands_arrays_from_selection_to_inference(monkeypatch):
     """With SelectionResult and ModelSet.from_unordered made to raise, the
     sweep returns the same records: it builds no per-run selection."""
     cases = ("screen", "fs", "lasso-c1", "fixed")
-    want = {case: eta_sweep(*ENGINE_CASES[case]) for case in cases}
+    want = {case: eta_sweep(ENGINE_CASES[case]) for case in cases}
 
     def per_run_object(*args, **kwargs):
         raise AssertionError("a per-run selection object was built")
@@ -676,19 +680,18 @@ def test_sweep_hands_arrays_from_selection_to_inference(monkeypatch):
     monkeypatch.setattr(linmodel.ModelSet, "from_unordered", per_run_object)
     for case in cases:
         for (eta, records, summary), (want_eta, want_records, want_summary) in \
-                zip(eta_sweep(*ENGINE_CASES[case]), want[case]):
+                zip(eta_sweep(ENGINE_CASES[case]), want[case]):
             assert eta == want_eta and summary == want_summary
             assert_same_records(records, want_records)
 
 
 @pytest.mark.parametrize("case", ["fs", "lasso-c1", "flagged", "lasso-lam-estimate"])
 def test_block_size_does_not_change_records(monkeypatch, case):
-    cfg, grid = ENGINE_CASES[case]
-    cfg = dataclasses.replace(cfg, trials=7)
+    cfg = dataclasses.replace(ENGINE_CASES[case], trials=7)
     sweeps = {}
     for size in (1, 3, 16):
         monkeypatch.setattr(experiments, "BLOCK_TRIALS", size)
-        sweeps[size] = eta_sweep(cfg, grid)
+        sweeps[size] = eta_sweep(cfg)
     for size in (3, 16):
         for (_, records, summary), (_, want, want_summary) in zip(sweeps[size], sweeps[1]):
             assert summary == want_summary
@@ -696,20 +699,19 @@ def test_block_size_does_not_change_records(monkeypatch, case):
 
 
 def test_shared_design_sweep_draws_the_design_at_most_once_per_block(monkeypatch):
-    cfg, grid = ENGINE_CASES["shared-design"]
-    cfg = dataclasses.replace(cfg, trials=7)
+    cfg = dataclasses.replace(ENGINE_CASES["shared-design"], trials=7)
     built = []
 
     def counting(entries):
         built.append(1)
         return DesignMatrix(entries)
     monkeypatch.setattr(experiments, "DesignMatrix", counting)
-    want = eta_major_sweep(cfg, grid)
+    want = eta_major_sweep(cfg)
     for size in (1, 3, 16):
         monkeypatch.setattr(experiments, "BLOCK_TRIALS", size)
         experiments._shared_design.cache_clear()
         built.clear()
-        rows = eta_sweep(cfg, grid)
+        rows = eta_sweep(cfg)
         assert 1 <= len(built) <= -(-cfg.trials // size)
         for (_, records, _), (_, want_records) in zip(rows, want):
             assert_same_records(records, want_records)
@@ -720,16 +722,16 @@ def test_sweep_sends_one_task_per_block():
 
     def counting_map(fn, xs):
         xs = list(xs)
-        tasks.append([len(x[2]) for x in xs])
+        tasks.append([len(x[1]) for x in xs])
         return map(fn, xs)
 
-    cfg, grid = ENGINE_CASES["screen"]
-    eta_sweep(dataclasses.replace(cfg, trials=40), grid, counting_map)
+    cfg = ENGINE_CASES["screen"]
+    eta_sweep(dataclasses.replace(cfg, trials=40), counting_map)
     assert tasks == [[16, 16, 8]]
     # a block's largest array, runs x n x d doubles, stays within the budget
-    assert block_trials(dataclasses.replace(cfg, n=20000, d=300), (1.0,)) == 1
+    assert block_trials(dataclasses.replace(cfg, n=20000, d=300, eta_grid=(1.0,))) == 1
     big = dataclasses.replace(cfg, n=1000, d=200)
-    assert block_trials(big, grid) == experiments.BLOCK_BYTES // (len(grid) * 1000 * 200 * 8)
+    assert block_trials(big) == experiments.BLOCK_BYTES // (len(cfg.eta_grid) * 1000 * 200 * 8)
 
 
 def test_lasso_sweep_holds_one_steps_draws_at_a_time():
@@ -737,10 +739,11 @@ def test_lasso_sweep_holds_one_steps_draws_at_a_time():
     # would take 32 MB
     cfg = ExperimentConfig(n=100, d=1000, selector=SelectorSpec(method="lasso", c1=20.0,
                                                                 steps=2000),
-                           trials=2, master_seed=8, signal=5.0, active_fraction=0.01)
+                           trials=2, master_seed=8, signal=5.0, active_fraction=0.01,
+                           eta_grid=(0.0005, 0.001))
     tracemalloc.start()
     try:
-        rows = eta_sweep(cfg, (0.0005, 0.001))
+        rows = eta_sweep(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -752,9 +755,9 @@ def test_eta_sweep_flags_nonconvergence_at_every_eta(monkeypatch):
     def stuck(X, y, lam):
         raise NonConvergence("coordinate descent did not reach gap 1e-08")
     monkeypatch.setattr(experiments, "lambda_to_c1", stuck)
-    cfg, grid = ENGINE_CASES["lasso-lam-estimate"]
-    rows = eta_sweep(cfg, grid)
-    for (_, records, _), (_, want) in zip(rows, eta_major_sweep(cfg, grid)):
+    cfg = ENGINE_CASES["lasso-lam-estimate"]
+    rows = eta_sweep(cfg)
+    for (_, records, _), (_, want) in zip(rows, eta_major_sweep(cfg)):
         assert_same_records(records, want)
         assert all(r.flagged.startswith("non_convergence: ") for r in records)
 
@@ -774,8 +777,8 @@ def counting_starts(monkeypatch, started):
 def test_lam_block_flags_only_the_trials_whose_penalty_solve_fails(monkeypatch):
     # trials 1 and 3 of a one-block sweep fail their penalty solve: only
     # their records are flagged, and only the other trials key selector streams
-    cfg, grid = ENGINE_CASES["lasso-lam-estimate"]
-    assert block_trials(cfg, grid) >= cfg.trials == 5
+    cfg = ENGINE_CASES["lasso-lam-estimate"]
+    assert block_trials(cfg) >= cfg.trials == 5
     failing = [gen_synthetic(cfg, t)[3] for t in (1, 3)]
     solve = experiments.lambda_to_c1
 
@@ -787,21 +790,21 @@ def test_lam_block_flags_only_the_trials_whose_penalty_solve_fails(monkeypatch):
     started = []
     monkeypatch.setattr(experiments, "lambda_to_c1", stuck_on_1_and_3)
     counting_starts(monkeypatch, started)
-    rows = eta_sweep(cfg, grid)
+    rows = eta_sweep(cfg)
     assert {path[1] for path in started if path[0] == experiments._PATH_TRIAL_SELECTOR} == \
         {0, 2, 4}
-    for (_, records, _), (_, want) in zip(rows, eta_major_sweep(cfg, grid)):
+    for (_, records, _), (_, want) in zip(rows, eta_major_sweep(cfg)):
         assert_same_records(records, want)
         assert [(r.flagged or "").split(":")[0] for r in records] == \
             ["", "non_convergence", "", "non_convergence", ""]
 
 
 def test_eta_sweep_pool_equals_map():
-    cfg, grid = ENGINE_CASES["screen"]
+    cfg = ENGINE_CASES["screen"]
     with multiprocessing.get_context("spawn").Pool(2) as pool:
-        pooled = eta_sweep(cfg, grid, lambda f, xs: pool.map_async(f, xs).get(timeout=120))
+        pooled = eta_sweep(cfg, lambda f, xs: pool.map_async(f, xs).get(timeout=120))
     for (eta_a, records_a, summary_a), (eta_b, records_b, summary_b) in \
-            zip(pooled, eta_sweep(cfg, grid)):
+            zip(pooled, eta_sweep(cfg)):
         assert eta_a == eta_b and summary_a == summary_b
         assert_same_records(records_a, records_b)
 
@@ -823,8 +826,8 @@ def test_eta_sweep_does_eta_free_work_once_per_trial(monkeypatch):
                         counting("sigma", stability.sigma_hat_full_model))
     started = []
     counting_starts(monkeypatch, started)
-    cfg, grid = ENGINE_CASES["lasso-lam-estimate"]
-    eta_sweep(cfg, grid)
+    cfg = ENGINE_CASES["lasso-lam-estimate"]
+    eta_sweep(cfg)
     data_streams = [p for p in started if p[0] == experiments._PATH_TRIAL_DATA]
     selector_streams = [p for p in started if p[0] == experiments._PATH_TRIAL_SELECTOR]
     assert calls == {"gen": cfg.trials, "lam": cfg.trials, "sigma": cfg.trials}

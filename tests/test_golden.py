@@ -32,7 +32,6 @@ RTOL = 1e-9
 
 def records(case: str) -> list[dict]:
     """One row per eta of the case's sweep: its records as JSON values."""
-    cfg, grid = ENGINE_CASES[case]
     return [{"eta": eta, "records": [{
         "model": list(r.model.indices),
         "covered": r.covered,
@@ -42,7 +41,7 @@ def records(case: str) -> list[dict]:
         "risk": r.risk,
         "budget": [r.budget_used.eta, r.budget_used.tau, r.budget_used.nu],
         "widths": r.widths.tolist(),
-    } for r in rows]} for eta, rows, _ in eta_sweep(cfg, grid)]
+    } for r in rows]} for eta, rows, _ in eta_sweep(ENGINE_CASES[case])]
 
 
 @pytest.mark.parametrize("case", CASES)

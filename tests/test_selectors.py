@@ -15,7 +15,7 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
-from stableci import selectors
+from stableci import noise, selectors
 from stableci.errors import AllCandidatesCollinear, NonConvergence
 from stableci.linmodel import DesignMatrix
 from stableci.noise import (KeyedGenerator, NoisePolicy, RngStream, scale_forward_stepwise,
@@ -628,11 +628,13 @@ def block_of(designs, etas=ETAS):
 
 
 def counting_starts(monkeypatch, started):
-    """Record in started each (seed, path) a stream is started at."""
+    """Record in started each (seed, path) that noise.keyed, the selectors'
+    generator, is started at; an RngStream starts a generator of its own."""
     start = KeyedGenerator.start
 
     def counting(self, seed, path):
-        started.append((seed, path))
+        if self is noise.keyed:
+            started.append((seed, path))
         return start(self, seed, path)
     monkeypatch.setattr(KeyedGenerator, "start", counting)
 
