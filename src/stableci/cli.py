@@ -377,18 +377,19 @@ def load_config(path: str) -> ExperimentConfig:
         raise CliParseError(f"{path}: {e}") from e
 
 
-def _records_rows(eta: float, records) -> list[list[str]]:
-    rows = []
-    for r in records:
-        rows.append([
-            repr(eta), str(r.trial_index), r.flagged or "",
-            str(len(r.model)), "|".join(str(j) for j in r.model),
-            "1" if r.covered else "0", repr(r.fdr),
-            "" if r.risk is None else repr(r.risk), repr(r.K),
-            repr(r.budget_used.eta), repr(r.budget_used.tau), repr(r.budget_used.nu),
-            "|".join(repr(float(w)) for w in r.widths),
-        ])
-    return rows
+def _records_rows(eta: float, runs) -> list[list[str]]:
+    """records.csv rows of one eta's Runs: one repr per float of a column,
+    and per certificate row that a run uses."""
+    eta, offsets, cert = repr(eta), runs.offsets.tolist(), runs.cert.tolist()
+    cols, widths = list(map(str, runs.cols.tolist())), list(map(repr, runs.widths.tolist()))
+    rows = runs.certs.tolist()
+    certs = {c: list(map(repr, rows[c])) for c in set(cert)}
+    risk = ["" if math.isnan(v) else repr(v) for v in runs.risk.tolist()]
+    columns = zip(map(str, runs.trial.tolist()), offsets, offsets[1:], runs.covered.tolist(),
+                  map(repr, runs.fdr.tolist()), risk, map(repr, runs.K.tolist()), cert)
+    return [[eta, trial, runs.flagged.get(r, ""), str(b - a), "|".join(cols[a:b]),
+             "1" if covered else "0", fdr, risk, K, *certs[c], "|".join(widths[a:b])]
+            for r, (trial, a, b, covered, fdr, risk, K, c) in enumerate(columns)]
 
 
 def cmd_experiment(args) -> int:
@@ -430,8 +431,8 @@ def cmd_experiment(args) -> int:
     summary_rows: list[list[str]] = []
     plot_width, plot_fdr, plot_risk = [], [], []
     all_flagged: list[str] = []
-    for eta, records, summary in sweep:
-        record_rows.extend(_records_rows(eta, records))
+    for eta, runs, summary in sweep:
+        record_rows.extend(_records_rows(eta, runs))
         q = summary.width_quantiles
         # an eta whose every trial was flagged keeps its row, with empty statistics
         summary_rows.append([
@@ -464,7 +465,8 @@ def cmd_experiment(args) -> int:
         _write_csv(os.path.join(args.out_dir, name), header, rows)
     _write_manifest(os.path.join(args.out_dir, "manifest.json"), "experiment",
                     {"config_path": args.config, "eta_grid": cfg.eta_grid, "workers": workers,
-                     "trials": cfg.trials, "master_seed": cfg.master_seed},
+                     "processes": processes, "trials": cfg.trials,
+                     "master_seed": cfg.master_seed},
                     sorted(paths), started)
     print(f"wrote {', '.join(sorted(paths))} to {args.out_dir} "
           f"({len(cfg.eta_grid)} etas x {cfg.trials} trials, {workers} workers)")

@@ -19,11 +19,16 @@ of its etas, then one call of stability.infer_runs, the inference of
 `ci`, which estimates sigma once per trial, for the intervals of every
 run selected; the two hand each other arrays over the runs (trial,
 support mask, certificate index). This module keeps the data, the
-streams, the targets, the metrics and the records. No per-run number
-depends on the block, so every record is the one an eta-major loop,
-rerunning each (eta, trial) from scratch, would produce, whatever the
-block size and the worker count. `run_trial` is a one-trial block;
-`run_selector`, which `select` calls, is a one-run call of select_runs.
+streams, the targets, the metrics and the records. A block hands back
+its records as one Runs, per-run arrays (model columns and widths flat,
+with offsets; coverage, FDR, risk, K, a certificate index) and one dict
+of flag reasons, so no per-run object crosses a worker pool; `aggregate`
+and the `experiment` command read those arrays, and a TrialRecord is
+only a row view of them. No per-run number depends on the block, so
+every record is the one an eta-major loop, rerunning each (eta, trial)
+from scratch, would produce, whatever the block size and the worker
+count. `run_trial` is a one-trial block; `run_selector`, which `select`
+calls, is a one-run call of select_runs.
 """
 
 from __future__ import annotations
@@ -149,6 +154,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One run's record, a row view of Runs for run_trial and the tests."""
+
     trial_index: int
     model: ModelSet
     covered: bool
@@ -158,6 +165,78 @@ class TrialRecord:
     K: float
     budget_used: StabilityBudget
     flagged: str | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class Runs:
+    """The records of a sequence of runs as per-run columns: a block's runs
+    in trial-major (trial, eta) order, or one eta's runs of a sweep in
+    trial order. Run r is trial trial[r]; its model is the strictly
+    increasing columns cols[offsets[r]:offsets[r + 1]], whose interval
+    widths are widths over the same range; covered[r], fdr[r], risk[r]
+    (the penalized LASSO objective of a `lam` run, NaN for any other) and
+    K[r] are its metrics, and certs[cert[r]] is the (eta, tau, nu) row of
+    the certificate that gave K[r]. flagged maps a flagged run to its
+    reason; such a run has an empty model, K and FDR 0, the zero
+    certificate and is not covered. runs[r] is run r as a TrialRecord."""
+
+    trial: np.ndarray  # uint64: a trial index is below 2**64 - 1
+    offsets: np.ndarray  # int64, one more than the runs
+    cols: np.ndarray  # int64
+    widths: np.ndarray
+    covered: np.ndarray  # bool
+    fdr: np.ndarray
+    risk: np.ndarray
+    K: np.ndarray
+    cert: np.ndarray  # int64
+    certs: np.ndarray  # (certificates, 3)
+    flagged: dict[int, str]
+
+    def __len__(self) -> int:
+        return len(self.trial)
+
+    def __getitem__(self, r: int) -> TrialRecord:
+        r = range(len(self))[r]
+        a, b = self.offsets[r:r + 2].tolist()
+        risk = self.risk[r].item()
+        return TrialRecord(trial_index=self.trial[r].item(),
+                           model=ModelSet(tuple(self.cols[a:b].tolist())),
+                           covered=self.covered[r].item(), widths=self.widths[a:b],
+                           fdr=self.fdr[r].item(), risk=None if math.isnan(risk) else risk,
+                           K=self.K[r].item(),
+                           budget_used=StabilityBudget(*self.certs[self.cert[r]].tolist()),
+                           flagged=self.flagged.get(r))
+
+    def take(self, index: np.ndarray) -> Runs:
+        """The runs index (distinct run numbers), in that order."""
+        sizes = np.diff(self.offsets)[index]
+        offsets = np.zeros(len(index) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        flat = np.repeat(self.offsets[index] - offsets[:-1], sizes) + np.arange(offsets[-1])
+        flagged = {}
+        if self.flagged:
+            place = np.full(len(self), -1)
+            place[index] = np.arange(len(index))
+            flagged = {int(place[r]): reason for r, reason in self.flagged.items()
+                       if place[r] >= 0}
+        return Runs(self.trial[index], offsets, self.cols[flat], self.widths[flat],
+                    self.covered[index], self.fdr[index], self.risk[index], self.K[index],
+                    self.cert[index], self.certs, flagged)
+
+    @staticmethod
+    def concat(parts: list[Runs]) -> Runs:
+        """parts' runs one after another."""
+        starts = np.cumsum([0] + [len(p) for p in parts]).tolist()
+        offsets = np.cumsum([0] + [p.offsets[-1] for p in parts]).tolist()
+        first = np.cumsum([0] + [len(p.certs) for p in parts]).tolist()
+        return Runs(
+            np.concatenate([p.trial for p in parts]),
+            np.concatenate([[0]] + [p.offsets[1:] + o for p, o in zip(parts, offsets)]),
+            *(np.concatenate([getattr(p, name) for p in parts])
+              for name in ("cols", "widths", "covered", "fdr", "risk", "K")),
+            np.concatenate([p.cert + c for p, c in zip(parts, first)]),
+            np.concatenate([p.certs for p in parts]),
+            {r + s: reason for p, s in zip(parts, starts) for r, reason in p.flagged.items()})
 
 
 @dataclass(frozen=True)
@@ -224,11 +303,9 @@ def _radius(spec: SelectorSpec, X: DesignMatrix, y) -> float | None:
     return spec.c1 if spec.lam is None else lambda_to_c1(X, y, spec.lam)
 
 
-def _flagged_record(trial_index: int, error: Exception) -> TrialRecord:
-    reason = re.sub(r"(?<!^)(?=[A-Z])", "_", type(error).__name__).lower()
-    return TrialRecord(trial_index=trial_index, model=ModelSet(), covered=False,
-                       widths=np.zeros(0), fdr=0.0, risk=None, K=0.0,
-                       budget_used=ZERO_BUDGET, flagged=f"{reason}: {error}")
+def _flag(error: Exception) -> str:
+    """A flagged run's reason: the error's type in snake case, its message."""
+    return re.sub(r"(?<!^)(?=[A-Z])", "_", type(error).__name__).lower() + f": {error}"
 
 
 def selector_slack(cfg: ExperimentConfig) -> float:
@@ -252,92 +329,102 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
     """One trial at every per-step eta of cfg.eta_grid (a one-trial block):
     generate, select, certify, fit, score. Returns one record per eta, in
     grid order."""
-    return _run_block(cfg, range(trial_index, trial_index + 1))[0]
+    return list(_run_block(cfg, range(trial_index, trial_index + 1)))
 
 
-def _run_block(cfg: ExperimentConfig, trials: range) -> list[list[TrialRecord]]:
+def _run_block(cfg: ExperimentConfig, trials: range) -> Runs:
     """Consecutive trials, each at every eta of cfg.eta_grid, as one block
-    of runs: run (b, e) is trial trials[b] at cfg.eta_grid[e]. Returns one
-    list of records per trial, each in grid order.
+    of runs: run b * len(cfg.eta_grid) + e is trial trials[b] at
+    cfg.eta_grid[e]. Returns their Runs, in that trial-major order.
 
     One pass. Per trial, the data and the `lam` radius, which do not
     depend on eta; a non-converging penalty solve flags every eta of its
     trial. Then one selectors.select_runs call selects for every other
     run at selector_slack(cfg), trial b drawing from its selector stream
     (2, trials[b]), and one stability.infer_runs call makes the intervals
-    of every run selected, whose fits also give the targets X_M^+ mu; each
-    distinct (trial, model) pair gets one ModelSet and one FDR. A run whose
-    selection or inference check fails is flagged with its error. Every
-    run's record is the one the trial run alone at that eta gives.
+    of every run selected, whose fits also give the targets X_M^+ mu and
+    the FDR of each distinct (trial, model) pair. A run whose selection or
+    inference check fails is flagged with its error. Every run's record is
+    the one the trial run alone at that eta gives.
     """
     data = [gen_synthetic(cfg, t) for t in trials]
     designs, Y = [X for X, _, _, _ in data], np.stack([y for _, _, _, y in data])
-    etas = range(len(cfg.eta_grid))
-    out: dict[tuple[int, int], TrialRecord] = {}
-    runs = []  # (b, e, c1) of every run not flagged yet
+    etas = len(cfg.eta_grid)
+    failed: dict[int, Exception] = {}  # by run
+    live = []  # (trial's place b, eta's place e, c1) of every run not flagged yet
     for b, (X, _, _, y) in enumerate(data):
         try:
             c1 = _radius(cfg.selector, X, y)
         except NonConvergence as error:
-            out.update(((b, e), _flagged_record(trials[b], error)) for e in etas)
+            failed.update((b * etas + e, error) for e in range(etas))
         else:
-            runs += [(b, e, c1) for e in etas]
+            live += [(b, e, c1) for e in range(etas)]
     streams = [RngStream(cfg.master_seed, (_PATH_TRIAL_SELECTOR, t)) for t in trials]
-    sel = select_runs(cfg.selector, designs, Y, [(b, cfg.eta_grid[e], c1) for b, e, c1 in runs],
+    sel = select_runs(cfg.selector, designs, Y, [(b, cfg.eta_grid[e], c1) for b, e, c1 in live],
                       selector_slack(cfg), cfg.sigma, streams)
-    kept = [r for r in range(len(runs)) if r not in sel.failed]  # infer_runs' run r is kept[r]
-    trial = np.array([b for b, _, _ in runs], dtype=np.int64)[kept]
+    run = [b * etas + e for b, e, _ in live]
+    failed.update((run[i], error) for i, error in sel.failed.items())
+    kept = np.array([i for i in range(len(live)) if i not in sel.failed], dtype=np.int64)
+    trial = np.array([b for b, _, _ in live], dtype=np.int64)[kept]
     iv = infer_runs(designs, Y, trial, sel.support[kept], sel.certs, sel.cert[kept], cfg.alpha,
                     cfg.sigma if cfg.sigma_mode == "known" else None, cfg.alpha_weights)
-    failed = {**sel.failed, **{kept[i]: error for i, error in iv.failed.items()}}
-    for r, error in failed.items():
-        b, e, _ = runs[r]
-        out[b, e] = _flagged_record(trials[b], error)
-    K = iv.K.tolist()
-    for group in iv.sizes.values():
-        fits, pair_trials = group.fits, group.fits.trial.tolist()
-        targets = fits.coefficients(np.stack([data[b][2] for b in pair_trials]))[group.pairs]
-        widths = group.upper - group.lower
-        covered = np.all((group.lower <= targets) & (targets <= group.upper), axis=1).tolist()
-        models = [ModelSet(tuple(cols)) for cols in fits.cols.tolist()]
-        fdr = [sum(1 for j in M if data[b][1][j] == 0.0) / max(len(M), 1)
-               for b, M in zip(pair_trials, models)]
-        for i, (r, p) in enumerate(zip(group.runs.tolist(), group.pairs.tolist())):
-            b, e, _ = runs[kept[r]]
-            X, _, _, y = data[b]
-            theta = None if sel.theta is None else sel.theta[kept[r]]
-            out[b, e] = TrialRecord(trial_index=trials[b], model=models[p], covered=covered[i],
-                                    widths=widths[i], fdr=fdr[p],
-                                    risk=_risk(cfg.selector.lam, X, y, theta), K=K[r],
-                                    budget_used=iv.budgets[iv.budget[r]])
-    return [[out[b, e] for e in etas] for b in range(len(trials))]
+    at = np.array(run, dtype=np.int64)[kept]  # infer_runs' run i is run at[i] of the block
+    failed.update((int(at[i]), error) for i, error in iv.failed.items())
+
+    count = len(trials) * etas
+    size = np.zeros(count, dtype=np.int64)
+    for m, group in iv.sizes.items():
+        size[at[group.runs]] = m
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(size, out=offsets[1:])
+    cols, widths = np.zeros(offsets[-1], dtype=np.int64), np.zeros(offsets[-1])
+    covered, fdr, risk = np.zeros(count, dtype=bool), np.zeros(count), np.full(count, math.nan)
+    K, cert = np.zeros(count), np.zeros(count, dtype=np.int64)
+    K[at], cert[at] = iv.K, iv.budget + 1  # certificate 0 is the zero one, of a flagged run
+    for m, group in iv.sizes.items():
+        fits, runs = group.fits, at[group.runs]
+        targets = fits.coefficients(np.stack([data[b][2] for b in fits.trial.tolist()]))
+        covered[runs] = np.all((group.lower <= targets[group.pairs])
+                               & (targets[group.pairs] <= group.upper), axis=1)
+        betas = np.stack([data[b][1] for b in fits.trial.tolist()])
+        nulls = np.count_nonzero(np.take_along_axis(betas, fits.cols, axis=1) == 0.0, axis=1)
+        fdr[runs] = (nulls / max(m, 1))[group.pairs]
+        flat = offsets[runs][:, None] + np.arange(m)
+        cols[flat], widths[flat] = fits.cols[group.pairs], group.upper - group.lower
+        if sel.theta is not None and cfg.selector.lam is not None:
+            for r, i in zip(runs.tolist(), kept[group.runs].tolist()):
+                X, _, _, y = data[r // etas]
+                risk[r] = _risk(cfg.selector.lam, X, y, sel.theta[i])
+    certs = np.array([(c.eta, c.tau, c.nu) for c in (ZERO_BUDGET, *iv.budgets)], dtype=np.float64)
+    return Runs(np.repeat(np.arange(trials.start, trials.stop, dtype=np.uint64), etas), offsets,
+                cols, widths, covered, fdr, risk, K, cert, certs,
+                {r: _flag(error) for r, error in failed.items()})
 
 
-def _risk(lam: float | None, X: DesignMatrix, y: np.ndarray, theta) -> float | None:
+def _risk(lam: float, X: DesignMatrix, y: np.ndarray, theta: np.ndarray) -> float:
     """The penalized LASSO objective of theta, for a `lam` run."""
-    if theta is None or lam is None:
-        return None
     resid = y - X.entries @ theta
     return (0.5 * float(resid @ resid) + lam * float(np.abs(theta).sum())) / X.n
 
 
-def aggregate(records: list[TrialRecord], eta_step: float | None = None,
-              ) -> ExperimentSummary:
+def aggregate(runs: Runs, eta_step: float | None = None) -> ExperimentSummary:
     """Coverage fraction, pooled nearest-rank width quantiles, mean FDR /
-    risk / K. Flagged trials are excluded and counted by reason."""
-    if not records:
+    risk / K of runs. Flagged runs are excluded and counted by reason."""
+    if not len(runs):
         raise EmptyInput("aggregate needs at least one record")
-    kept = [r for r in records if r.flagged is None]
-    flagged = len(records) - len(kept)
-    reasons = dict(sorted(Counter(r.flagged.split(":", 1)[0]
-                                  for r in records if r.flagged is not None).items()))
-    if not kept:
+    flagged = len(runs.flagged)
+    reasons = dict(sorted(Counter(r.split(":", 1)[0] for r in runs.flagged.values()).items()))
+    if flagged == len(runs):
         return ExperimentSummary(
             eta_step=eta_step, trials=0, flagged=flagged, empty_models=0,
             empirical_coverage=None, width_max=None,
             width_quantiles={lvl: None for lvl in WIDTH_QUANTILE_LEVELS},
             mean_fdr=None, mean_risk=None, mean_K=None, flag_reasons=reasons)
-    pooled = np.concatenate([r.widths for r in kept])
+    if flagged:
+        kept = np.ones(len(runs), dtype=bool)
+        kept[list(runs.flagged)] = False
+        runs = runs.take(kept.nonzero()[0])
+    pooled = runs.widths
     if pooled.size:
         # inverted_cdf is the nearest-rank quantile: the ceil(level * n)-th smallest
         q = np.quantile(pooled, WIDTH_QUANTILE_LEVELS, method="inverted_cdf")
@@ -346,41 +433,42 @@ def aggregate(records: list[TrialRecord], eta_step: float | None = None,
     else:
         quantiles = {lvl: float("nan") for lvl in WIDTH_QUANTILE_LEVELS}
         width_max = float("nan")
-    risks = [r.risk for r in kept if r.risk is not None]
+    risks = runs.risk[~np.isnan(runs.risk)]
     return ExperimentSummary(
         eta_step=eta_step,
-        trials=len(kept),
+        trials=len(runs),
         flagged=flagged,
-        empty_models=sum(1 for r in kept if len(r.model) == 0),
-        empirical_coverage=sum(r.covered for r in kept) / len(kept),
+        empty_models=int(np.count_nonzero(np.diff(runs.offsets) == 0)),
+        empirical_coverage=int(np.count_nonzero(runs.covered)) / len(runs),
         width_max=width_max,
         width_quantiles=quantiles,
-        mean_fdr=float(np.mean([r.fdr for r in kept])),
-        mean_risk=float(np.mean(risks)) if risks else None,
-        mean_K=float(np.mean([r.K for r in kept])),
+        mean_fdr=float(np.mean(runs.fdr)),
+        mean_risk=float(np.mean(risks)) if risks.size else None,
+        mean_K=float(np.mean(runs.K)),
         flag_reasons=reasons,
     )
 
 
-def _block_task(args: tuple[ExperimentConfig, range]) -> list[list[TrialRecord]]:
+def _block_task(args: tuple[ExperimentConfig, range]) -> Runs:
     return _run_block(*args)
 
 
-def eta_sweep(cfg: ExperimentConfig,
-              map_fn=map) -> list[tuple[float, list[TrialRecord], ExperimentSummary]]:
+def eta_sweep(cfg: ExperimentConfig, map_fn=map) -> list[tuple[float, Runs, ExperimentSummary]]:
     """Every trial at every eta of cfg.eta_grid over the same master seed,
     so trials are coupled across the grid for variance reduction. Runs in
     blocks of trials, one task per block over the whole grid; map_fn may be
-    a worker pool's map. The blocks come back in trial order, so neither
-    the block size nor parallelism can change the records, which are
-    regrouped by eta. Returns (eta, records in trial order, summary) rows
-    in grid order."""
+    a worker pool's map, and each block comes back as its Runs, arrays and
+    one dict of flag reasons. The blocks come back in trial order, so
+    neither the block size nor parallelism can change the records, which
+    are regrouped by eta. Returns (eta, its Runs in trial order, summary)
+    rows in grid order."""
     size = block_trials(cfg)
     tasks = [(cfg, range(start, min(start + size, cfg.trials)))
              for start in range(0, cfg.trials, size)]
-    by_trial = [records for block in map_fn(_block_task, tasks) for records in block]
+    runs = Runs.concat(list(map_fn(_block_task, tasks)))
+    etas = len(cfg.eta_grid)
     out = []
-    for i, eta in enumerate(cfg.eta_grid):
-        records = [trial_records[i] for trial_records in by_trial]
-        out.append((eta, records, aggregate(records, eta)))
+    for e, eta in enumerate(cfg.eta_grid):
+        at_eta = runs.take(np.arange(e, len(runs), etas))
+        out.append((eta, at_eta, aggregate(at_eta, eta)))
     return out

@@ -13,9 +13,13 @@ coordinate: the reference for the library's covariance-update solver.
 The full-model sigma estimate fits through a thin SVD of the design and
 sums the squared residuals: the reference for the library's R-only QR.
 `support` is the LASSO model of one iterate, the reference for the
-library's support mask over a block.
+library's support mask over a block. `records_rows` formats records one
+field at a time, the reference for the `experiment` command's columnar
+records.csv writer, and `columns` packs records into the columns that
+`aggregate` reads.
 """
 
+import math
 import re
 
 import numpy as np
@@ -23,7 +27,7 @@ import numpy as np
 from stableci import experiments
 from stableci.errors import AllCandidatesCollinear, DegenerateLevel, InsufficientSamples, \
     NonConvergence, RankDeficient
-from stableci.experiments import TrialRecord, gen_synthetic
+from stableci.experiments import Runs, TrialRecord, gen_synthetic
 from stableci.linmodel import DesignMatrix, ModelSet, SubmodelFit, as_response, \
     sigma_hat_full_model
 from stableci.noise import NoisePolicy, RngStream, scale_forward_stepwise, scale_lasso, \
@@ -317,3 +321,41 @@ def _fresh_trial(cfg, trial_index: int, eta_step):
                            widths=np.zeros(0), fdr=0.0, risk=None, K=0.0,
                            budget_used=StabilityBudget(0.0, 0.0, 0.0),
                            flagged=f"{reason}: {e}")
+
+
+# ---------------------------------------------------------------------------
+# records as rows and as columns
+
+
+def records_rows(eta: float, records) -> list[list[str]]:
+    """records.csv rows of one eta's records, each field formatted alone."""
+    rows = []
+    for r in records:
+        rows.append([
+            repr(eta), str(r.trial_index), r.flagged or "",
+            str(len(r.model)), "|".join(str(j) for j in r.model),
+            "1" if r.covered else "0", repr(r.fdr),
+            "" if r.risk is None else repr(r.risk), repr(r.K),
+            repr(r.budget_used.eta), repr(r.budget_used.tau), repr(r.budget_used.nu),
+            "|".join(repr(float(w)) for w in r.widths),
+        ])
+    return rows
+
+
+def columns(records) -> Runs:
+    """records, each with one width per model column, as Runs with one
+    certificate row per record."""
+    assert all(len(r.widths) == len(r.model) for r in records)
+    return Runs(trial=np.array([r.trial_index for r in records], dtype=np.uint64),
+                offsets=np.cumsum([0] + [len(r.model) for r in records], dtype=np.int64),
+                cols=np.array([j for r in records for j in r.model], dtype=np.int64),
+                widths=np.concatenate([np.zeros(0)] + [r.widths for r in records]),
+                covered=np.array([r.covered for r in records], dtype=bool),
+                fdr=np.array([r.fdr for r in records], dtype=np.float64),
+                risk=np.array([math.nan if r.risk is None else r.risk for r in records],
+                              dtype=np.float64),
+                K=np.array([r.K for r in records], dtype=np.float64),
+                cert=np.arange(len(records), dtype=np.int64),
+                certs=np.array([(r.budget_used.eta, r.budget_used.tau, r.budget_used.nu)
+                                for r in records], dtype=np.float64).reshape(-1, 3),
+                flagged={i: r.flagged for i, r in enumerate(records) if r.flagged is not None})

@@ -5,6 +5,8 @@ are asserted without spawning shells.
 """
 
 import csv
+import dataclasses
+import io
 import json
 import math
 import os
@@ -20,18 +22,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stableci import cli
+from stableci import cli, experiments
 from stableci.cli import (CliParseError, load_config, main, read_matrix, read_selection,
                           read_vector, write_selection)
 from stableci.errors import StableCIError
 from stableci.experiments import (DEFAULT_ETA_GRID, ExperimentConfig, SelectorSpec,
-                                  gen_synthetic, run_selector, run_trial)
+                                  eta_sweep, gen_synthetic, run_selector, run_trial)
 from stableci.linmodel import DesignMatrix
 from stableci.noise import RngStream
 from stableci.selectors import lambda_to_c1
 from stableci.stability import slack_allowance
 
-from oracles import screening_exact
+from oracles import records_rows, screening_exact
+from test_experiments import ENGINE_CASES
 
 
 @pytest.fixture
@@ -849,18 +852,88 @@ def test_experiment_starts_a_process_per_block_at_most(tmp_path, monkeypatch, ca
 
     monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
     # 3 trials are one block of 16: no pool
-    rc, _ = run_experiment(tmp_path, "one-block", experiment_config(trials=3),
-                           extra=("--workers", "4"))
+    rc, one = run_experiment(tmp_path, "one-block", experiment_config(trials=3),
+                             extra=("--workers", "4"))
     assert rc == 0 and sizes == []
+    assert json.load(open(one / "manifest.json"))["parameters"]["processes"] == 1
     # 40 trials are three blocks
     rc, pooled = run_experiment(tmp_path, "three-blocks", experiment_config(trials=40),
                                 extra=("--workers", "8"))
     assert rc == 0 and sizes == [3]
     assert "8 workers" in capsys.readouterr().out
-    assert json.load(open(pooled / "manifest.json"))["parameters"]["workers"] == 8
+    params = json.load(open(pooled / "manifest.json"))["parameters"]
+    assert (params["workers"], params["processes"]) == (8, 3)
     _, single = run_experiment(tmp_path, "single", experiment_config(trials=40),
                                extra=("--workers", "1"))
     assert (pooled / "records.csv").read_bytes() == (single / "records.csv").read_bytes()
+
+
+def config_json(cfg: ExperimentConfig, **overrides) -> dict:
+    """cfg as an `experiment` config: every field, and the selector's knobs
+    that are set."""
+    raw = dataclasses.asdict(cfg)
+    raw["selector"] = {k: v for k, v in raw["selector"].items() if v not in (None, ())}
+    return {**raw, **overrides}
+
+
+RECORDS_HEADER = ("eta,trial,flagged,model_size,model,covered,fdr,risk,K,budget_eta,"
+                  "budget_tau,budget_nu,widths\n")
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_records_csv_is_the_field_by_field_format_of_the_sweep(tmp_path, case):
+    # the columnar writer against the oracle that formats each record's
+    # fields one at a time: repr floats, quoted flag reasons with commas,
+    # empty risk, model and widths fields
+    cfg = ENGINE_CASES[case]
+    rows = eta_sweep(cfg)
+    rc, out = run_experiment(tmp_path, "case", config_json(cfg))
+    assert rc == (2 if any(summary.trials == 0 for _, _, summary in rows) else 0)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    for eta, records, _ in rows:
+        writer.writerows(records_rows(eta, records))
+    assert (out / "records.csv").read_text() == RECORDS_HEADER + want.getvalue()
+
+
+def test_pooled_experiment_builds_no_per_run_object(tmp_path, monkeypatch):
+    """With TrialRecord, ModelSet and StabilityBudget made to raise inside
+    experiments, a pooled experiment writes the same files: a block hands
+    back columns, and the command formats them."""
+    configs = {"screen": experiment_config(trials=40),
+               "lam": config_json(ENGINE_CASES["lasso-lam-estimate"], trials=40),
+               "flagged": config_json(ENGINE_CASES["fixed-rank-deficient"], trials=40)}
+    want = {name: run_experiment(tmp_path, f"want-{name}", cfg) for name, cfg in configs.items()}
+
+    def per_run_object(*args, **kwargs):
+        raise AssertionError("a per-run object was built")
+
+    for name in ("TrialRecord", "ModelSet", "StabilityBudget"):
+        monkeypatch.setattr(experiments, name, per_run_object)
+    for name, cfg in configs.items():
+        rc, out = run_experiment(tmp_path, f"got-{name}", cfg, extra=("--workers", "2"))
+        assert rc == want[name][0]
+        assert json.load(open(out / "manifest.json"))["parameters"]["processes"] == 2
+        for csv_name in CSV_NAMES:
+            assert (out / csv_name).read_bytes() == (want[name][1] / csv_name).read_bytes()
+
+
+@pytest.mark.parametrize("case, reason", [("fixed-rank-deficient", "rank_deficient"),
+                                          ("flagged", "degenerate_level")])
+def test_flagged_runs_across_blocks_do_not_depend_on_workers(tmp_path, case, reason):
+    # 40 trials are three blocks of 16, so three workers start a pool of three
+    cfg = config_json(ENGINE_CASES[case], trials=40)
+    outs = {}
+    for workers in (1, 3):
+        rc, outs[workers] = run_experiment(tmp_path, f"w{workers}", cfg,
+                                           extra=("--workers", str(workers)))
+        assert rc == 2
+        params = json.load(open(outs[workers] / "manifest.json"))["parameters"]
+        assert params["processes"] == workers
+    for name in CSV_NAMES:
+        assert (outs[1] / name).read_bytes() == (outs[3] / name).read_bytes(), name
+    flags = [row["flagged"] for row in csv.DictReader(open(outs[3] / "records.csv"))]
+    assert sum(f.startswith(reason + ": ") for f in flags) == 40
 
 
 @pytest.mark.parametrize("overrides, knob", [

@@ -25,7 +25,7 @@ from stableci.noise import KeyedGenerator, RngStream
 from stableci.selectors import SelectionResult, lambda_to_c1, select_runs, stable_screening
 from stableci.stability import StabilityBudget
 
-from oracles import eta_major_sweep, score_model, screening_exact
+from oracles import columns, eta_major_sweep, score_model, screening_exact
 
 
 def fixed_cfg(**kw):
@@ -485,6 +485,7 @@ def test_data_split_fraction_validation():
 
 def make_record(trial, widths, covered=True, fdr=0.0, risk=None, K=1.0,
                 model=(0,), flagged=None):
+    """A record with one width per model column."""
     return TrialRecord(trial_index=trial, model=ModelSet(model), covered=covered,
                        widths=np.asarray(widths, dtype=float), fdr=fdr, risk=risk,
                        K=K, budget_used=StabilityBudget(0.0, 0.0, 0.0),
@@ -493,7 +494,7 @@ def make_record(trial, widths, covered=True, fdr=0.0, risk=None, K=1.0,
 
 def test_aggregate_nearest_rank_quantiles():
     recs = [make_record(t, [float(t + 1)]) for t in range(10)]
-    s = aggregate(recs)
+    s = aggregate(columns(recs))
     assert s.width_quantiles[0.90] == 9.0
     assert s.width_quantiles[0.80] == 8.0
     assert s.width_quantiles[1.00] == 10.0 == s.width_max
@@ -502,7 +503,7 @@ def test_aggregate_nearest_rank_quantiles():
 
 
 def test_aggregate_single_record():
-    s = aggregate([make_record(0, [5.0])])
+    s = aggregate(columns([make_record(0, [5.0])]))
     assert s.width_max == 5.0
     assert all(v == 5.0 for v in s.width_quantiles.values())
 
@@ -511,7 +512,7 @@ def test_aggregate_counts_flagged_and_empty():
     recs = [make_record(0, [1.0], fdr=1.0, risk=2.0),
             make_record(1, [], model=(), K=0.0),
             make_record(2, [9.9], flagged="rank_deficient: synthetic")]
-    s = aggregate(recs)
+    s = aggregate(columns(recs))
     assert s.trials == 2 and s.flagged == 1 and s.empty_models == 1
     assert s.width_max == 1.0  # flagged widths never pool
     assert s.mean_fdr == pytest.approx(0.5)
@@ -520,7 +521,7 @@ def test_aggregate_counts_flagged_and_empty():
 
 
 def test_aggregate_all_empty_models():
-    s = aggregate([make_record(0, [], model=(), K=0.0)])
+    s = aggregate(columns([make_record(0, [], model=(), K=0.0)]))
     assert math.isnan(s.width_max)
     assert all(math.isnan(v) for v in s.width_quantiles.values())
     assert s.mean_risk is None
@@ -530,16 +531,17 @@ def test_aggregate_counts_flag_reasons():
     records = [make_record(0, [1.0], flagged="rank_deficient: a"),
                make_record(1, [1.0], flagged="degenerate_level: b"),
                make_record(2, [1.0], flagged="rank_deficient: c")]
-    s = aggregate(records)
+    s = aggregate(columns(records))
     assert list(s.flag_reasons.items()) == [("degenerate_level", 1), ("rank_deficient", 2)]
-    assert aggregate(records[:1] + [make_record(3, [2.0])]).flag_reasons == {"rank_deficient": 1}
+    assert aggregate(columns(records[:1] + [make_record(3, [2.0])])).flag_reasons == \
+        {"rank_deficient": 1}
 
 
 def test_aggregate_empty_input():
     with pytest.raises(EmptyInput):
-        aggregate([])
+        aggregate(columns([]))
     # every trial flagged: no statistic, the flags still counted
-    s = aggregate([make_record(0, [1.0], flagged="rank_deficient: synthetic")], 2.0)
+    s = aggregate(columns([make_record(0, [1.0], flagged="rank_deficient: synthetic")]), 2.0)
     assert (s.eta_step, s.trials, s.flagged, s.empty_models) == (2.0, 0, 1, 0)
     assert s.empirical_coverage is s.width_max is s.mean_fdr is s.mean_risk is s.mean_K is None
     assert set(s.width_quantiles.values()) == {None}
@@ -655,7 +657,7 @@ def test_eta_sweep_matches_eta_major_oracle(case):
     assert [eta for eta, _, _ in rows] == [eta for eta, _ in oracle] == list(cfg.eta_grid)
     for (_, records, summary), (_, want) in zip(rows, oracle):
         assert_same_records(records, want)
-        assert summary == aggregate(want, summary.eta_step)
+        assert summary == aggregate(columns(want), summary.eta_step)
     if case == "flagged":
         assert all(r.flagged.startswith("degenerate_level: ") for r in rows[1][1])
         assert all(r.flagged is None for r in rows[0][1])
