@@ -28,6 +28,7 @@ import os
 import re
 import sys
 import time
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -106,7 +107,7 @@ def _writing(path: str):
         raise CliParseError(f"cannot write {path}: {e}") from e
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
+def _write_csv(path: str, header: list[str], rows: Iterable[list[str]]) -> None:
     with _writing(path), open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -427,12 +428,12 @@ def cmd_experiment(args) -> int:
                 os.rmdir(path)
         raise
 
-    record_rows: list[list[str]] = []
+    # records.csv rows one eta at a time, as the writer reaches them
+    record_rows = itertools.chain.from_iterable(_records_rows(eta, runs) for eta, runs, _ in sweep)
     summary_rows: list[list[str]] = []
     plot_width, plot_fdr, plot_risk = [], [], []
     all_flagged: list[str] = []
-    for eta, runs, summary in sweep:
-        record_rows.extend(_records_rows(eta, runs))
+    for eta, _, summary in sweep:
         q = summary.width_quantiles
         # an eta whose every trial was flagged keeps its row, with empty statistics
         summary_rows.append([
@@ -479,25 +480,23 @@ def cmd_experiment(args) -> int:
 # budget
 
 def cmd_budget(args) -> int:
-    printed = False
+    lines = []  # every line is computed, so checked, before any is printed
     if args.k is not None:
         if args.eta_step is None:
             raise CliParseError("--eta-step is required with --k")
         eta_s, tau_s = compose_adaptive_simple(args.eta_step, args.tau_step, args.k)
-        print(f"simple eta={eta_s!r} tau={tau_s!r} "
-              f"(k={args.k}, eta_step={args.eta_step!r}, tau_step={args.tau_step!r})")
+        lines.append(f"simple eta={eta_s!r} tau={tau_s!r} "
+                     f"(k={args.k}, eta_step={args.eta_step!r}, tau_step={args.tau_step!r})")
         eta_a = compose_adaptive_advanced(args.eta_step, args.k, args.delta)
-        print(f"advanced eta={eta_a!r} nu={args.delta!r} "
-              f"(k={args.k}, eta_step={args.eta_step!r}, delta={args.delta!r})")
-        printed = True
+        lines.append(f"advanced eta={eta_a!r} nu={args.delta!r} "
+                     f"(k={args.k}, eta_step={args.eta_step!r}, delta={args.delta!r})")
     if args.sparse is not None:
         d, s = (_parse_number("--sparse", text) for text in args.sparse[:2])
         tau = _parse_number("--sparse", args.sparse[2], float)
-        eta = sparse_selection_eta(d, s, tau)
-        print(f"sparse eta={eta!r} (d={d}, s={s}, tau={tau!r})")
-        printed = True
-    if not printed:
+        lines.append(f"sparse eta={sparse_selection_eta(d, s, tau)!r} (d={d}, s={s}, tau={tau!r})")
+    if not lines:
         raise CliParseError("nothing to do: give --k/--eta-step and/or --sparse D S TAU")
+    print("\n".join(lines))
     return 0
 
 

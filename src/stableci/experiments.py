@@ -12,23 +12,16 @@ command and a library caller alike.
 
 Sweeps run in blocks of consecutive trials, each over the config's whole
 eta grid; a run is one (trial, eta) pair. `_run_block` takes a block in
-one pass: each trial's data and `lam` radius, which do not depend on eta,
-then one call of selectors.select_runs, the selector dispatch `select`
-goes through too, for every run, each trial's selector stream serving all
-of its etas, then one call of stability.infer_runs, the inference of
-`ci`, which estimates sigma once per trial, for the intervals of every
-run selected; the two hand each other arrays over the runs (trial,
-support mask, certificate index). This module keeps the data, the
-streams, the targets, the metrics and the records. A block hands back
-its records as one Runs, per-run arrays (model columns and widths flat,
-with offsets; coverage, FDR, risk, K, a certificate index) and one dict
-of flag reasons, so no per-run object crosses a worker pool; `aggregate`
-and the `experiment` command read those arrays, and a TrialRecord is
-only a row view of them. No per-run number depends on the block, so
-every record is the one an eta-major loop, rerunning each (eta, trial)
-from scratch, would produce, whatever the block size and the worker
-count. `run_trial` is a one-trial block; `run_selector`, which `select`
-calls, is a one-run call of select_runs.
+one pass, its data one (trials, n, d) DesignStack checked once, through
+one selectors.select_runs call (the dispatch of `select` too) and one
+stability.infer_runs call (the inference of `ci`), which hand each other
+arrays over the runs, and hands back its records as one Runs, per-run
+arrays and one dict of flag reasons, so no per-run object crosses a
+worker pool; a TrialRecord is only a row view of them. No per-run number
+depends on the block, so every record is the one an eta-major loop,
+rerunning each (eta, trial) from scratch, would produce, whatever the
+block size and the worker count. `run_trial` is a one-trial block;
+`run_selector`, which `select` calls, is a one-run call of select_runs.
 """
 
 from __future__ import annotations
@@ -42,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadWeights, EmptyInput, NonConvergence, check_number
-from .linmodel import DesignMatrix, ModelSet
+from .linmodel import DesignMatrix, DesignStack, ModelSet
 from .noise import NoisePolicy, RngStream, keyed, scale_forward_stepwise
 from .selectors import SelectionResult, SelectorSpec, _one_run, lambda_to_c1, select_runs
 from .stability import ZERO_BUDGET, StabilityBudget, certify_budgets, infer_runs, slack_allowance
@@ -257,27 +250,32 @@ class ExperimentSummary:
     flag_reasons: dict[str, int]  # reason -> flagged trials, sorted by reason
 
 
-def gen_synthetic(cfg: ExperimentConfig, trial_index: int,
-                  ) -> tuple[DesignMatrix, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw (X, beta, mu, y) for one trial.
+def gen_synthetic(cfg: ExperimentConfig, trials: range,
+                  ) -> tuple[DesignStack, np.ndarray, np.ndarray, np.ndarray]:
+    """Draw (X, beta, mu, Y) for a block of trials, trial trials[b] in row b.
 
     X entries are N(0,1)/sqrt(n); beta puts the signal value on the first
-    round(fraction * d) coordinates; y = mu + sigma * N(0, I) with mu = X beta.
-    Deterministic given (master_seed, trial_index): the data come from
-    stream (1, trial_index), drawn through noise.keyed; the design is
-    either redrawn per trial or shared from its own reserved stream.
+    round(fraction * d) coordinates; Y[b] = mu[b] + sigma * N(0, I) with
+    mu[b] = X[b] beta. Trial t draws from stream (1, t), design then noise,
+    straight into row b. The design is redrawn per trial, one stack checked
+    once, or shared: drawn from its own stream and broadcast over the block.
     """
     # the shared design first: its first draw moves noise.keyed to its own stream
-    X = None if cfg.regenerate_x_per_trial else _shared_design(cfg.master_seed, cfg.n, cfg.d)
-    data = keyed.start(cfg.master_seed, (_PATH_TRIAL_DATA, trial_index))
-    if X is None:
-        X = DesignMatrix(data.standard_normal((cfg.n, cfg.d)) / math.sqrt(cfg.n))
+    shared = None if cfg.regenerate_x_per_trial else _shared_design(cfg.master_seed, cfg.n, cfg.d)
+    entries = np.empty((len(trials) if shared is None else 0, cfg.n, cfg.d))
+    noise = np.empty((len(trials), cfg.n))
+    for b, t in enumerate(trials):
+        data = keyed.start(cfg.master_seed, (_PATH_TRIAL_DATA, t))
+        if shared is None:
+            data.standard_normal(out=entries[b])
+        data.standard_normal(out=noise[b])
+    X = DesignStack.checked(np.divide(entries, math.sqrt(cfg.n), out=entries)) \
+        if shared is None else shared.stack.broadcast(len(trials))
     active = min(cfg.d, int(math.floor(cfg.active_fraction * cfg.d + 0.5)))
     beta = np.zeros(cfg.d)
     beta[:active] = cfg.signal
     mu = X.entries @ beta
-    y = mu + cfg.sigma * data.standard_normal(cfg.n)
-    return X, beta, mu, y
+    return X, beta, mu, mu + cfg.sigma * noise
 
 
 @functools.lru_cache(maxsize=1)
@@ -294,13 +292,8 @@ def run_selector(spec: SelectorSpec, X: DesignMatrix, y, eta_step: float | None,
     eta_step, slack delta and noise scale sigma, as one run of
     selectors.select_runs with its trace. A `lam` penalty is resolved to
     its radius here; a failed run raises its error."""
-    return _one_run(spec, X, y, eta_step, _radius(spec, X, y), delta, sigma, rng)
-
-
-def _radius(spec: SelectorSpec, X: DesignMatrix, y) -> float | None:
-    """The LASSO radius of a trial: spec.c1, or its `lam` penalty resolved
-    on the trial's data (None for the other methods)."""
-    return spec.c1 if spec.lam is None else lambda_to_c1(X, y, spec.lam)
+    c1 = spec.c1 if spec.lam is None else lambda_to_c1(X.stack, y, spec.lam)
+    return _one_run(spec, X, y, eta_step, c1, delta, sigma, rng)
 
 
 def _flag(error: Exception) -> str:
@@ -337,41 +330,41 @@ def _run_block(cfg: ExperimentConfig, trials: range) -> Runs:
     of runs: run b * len(cfg.eta_grid) + e is trial trials[b] at
     cfg.eta_grid[e]. Returns their Runs, in that trial-major order.
 
-    One pass. Per trial, the data and the `lam` radius, which do not
-    depend on eta; a non-converging penalty solve flags every eta of its
-    trial. Then one selectors.select_runs call selects for every other
-    run at selector_slack(cfg), trial b drawing from its selector stream
-    (2, trials[b]), and one stability.infer_runs call makes the intervals
-    of every run selected, whose fits also give the targets X_M^+ mu and
-    the FDR of each distinct (trial, model) pair. A run whose selection or
-    inference check fails is flagged with its error. Every run's record is
-    the one the trial run alone at that eta gives.
+    One pass. The data, one stack (gen_synthetic), and each `lam` radius,
+    which do not depend on eta; a non-converging penalty solve flags every
+    eta of its trial. Then one selectors.select_runs call selects for every
+    other run at selector_slack(cfg), trial b drawing from its selector
+    stream (2, trials[b]), and one stability.infer_runs call makes the
+    intervals of every run selected, whose fits also give the targets
+    X_M^+ mu and the FDR of each distinct (trial, model) pair. A run whose
+    selection or inference check fails is flagged with its error. Every
+    run's record is the one the trial run alone at that eta gives.
     """
-    data = [gen_synthetic(cfg, t) for t in trials]
-    designs, Y = [X for X, _, _, _ in data], np.stack([y for _, _, _, y in data])
-    etas = len(cfg.eta_grid)
+    X, beta, mu, Y = gen_synthetic(cfg, trials)
+    etas, lam = len(cfg.eta_grid), cfg.selector.lam
+    count = len(trials) * etas
     failed: dict[int, Exception] = {}  # by run
-    live = []  # (trial's place b, eta's place e, c1) of every run not flagged yet
-    for b, (X, _, _, y) in enumerate(data):
+    # each trial's LASSO radius: the spec's, or its `lam` penalty resolved
+    c1 = np.full(len(trials), cfg.selector.c1 or math.nan) \
+        if cfg.selector.method == "lasso" else None
+    for b in range(len(trials)) if lam is not None else ():
         try:
-            c1 = _radius(cfg.selector, X, y)
+            c1[b] = lambda_to_c1(X[b:b + 1], Y[b], lam)
         except NonConvergence as error:
             failed.update((b * etas + e, error) for e in range(etas))
-        else:
-            live += [(b, e, c1) for e in range(etas)]
-    streams = [RngStream(cfg.master_seed, (_PATH_TRIAL_SELECTOR, t)) for t in trials]
-    sel = select_runs(cfg.selector, designs, Y, [(b, cfg.eta_grid[e], c1) for b, e, c1 in live],
-                      selector_slack(cfg), cfg.sigma, streams)
-    run = [b * etas + e for b, e, _ in live]
-    failed.update((run[i], error) for i, error in sel.failed.items())
-    kept = np.array([i for i in range(len(live)) if i not in sel.failed], dtype=np.int64)
-    trial = np.array([b for b, _, _ in live], dtype=np.int64)[kept]
-    iv = infer_runs(designs, Y, trial, sel.support[kept], sel.certs, sel.cert[kept], cfg.alpha,
-                    cfg.sigma if cfg.sigma_mode == "known" else None, cfg.alpha_weights)
-    at = np.array(run, dtype=np.int64)[kept]  # infer_runs' run i is run at[i] of the block
+    run = np.delete(np.arange(count), list(failed))  # the runs not flagged yet
+    trial, eta = np.divmod(run, etas)
+    sel = select_runs(cfg.selector, X, Y, trial, np.array(cfg.eta_grid)[eta],
+                      None if c1 is None else c1[trial], selector_slack(cfg), cfg.sigma,
+                      cfg.master_seed, [(_PATH_TRIAL_SELECTOR, t) for t in trials])
+    failed.update((int(run[i]), error) for i, error in sel.failed.items())
+    kept = np.delete(np.arange(len(run)), list(sel.failed))
+    at = run[kept]  # infer_runs' run i is run at[i] of the block
+    iv = infer_runs(X.entries, Y, trial[kept], sel.support[kept], sel.certs, sel.cert[kept],
+                    cfg.alpha, cfg.sigma if cfg.sigma_mode == "known" else None,
+                    cfg.alpha_weights)
     failed.update((int(at[i]), error) for i, error in iv.failed.items())
 
-    count = len(trials) * etas
     size = np.zeros(count, dtype=np.int64)
     for m, group in iv.sizes.items():
         size[at[group.runs]] = m
@@ -383,28 +376,23 @@ def _run_block(cfg: ExperimentConfig, trials: range) -> Runs:
     K[at], cert[at] = iv.K, iv.budget + 1  # certificate 0 is the zero one, of a flagged run
     for m, group in iv.sizes.items():
         fits, runs = group.fits, at[group.runs]
-        targets = fits.coefficients(np.stack([data[b][2] for b in fits.trial.tolist()]))
+        targets = fits.coefficients(mu[fits.trial])
         covered[runs] = np.all((group.lower <= targets[group.pairs])
                                & (targets[group.pairs] <= group.upper), axis=1)
-        betas = np.stack([data[b][1] for b in fits.trial.tolist()])
-        nulls = np.count_nonzero(np.take_along_axis(betas, fits.cols, axis=1) == 0.0, axis=1)
+        nulls = np.count_nonzero(beta[fits.cols] == 0.0, axis=1)
         fdr[runs] = (nulls / max(m, 1))[group.pairs]
         flat = offsets[runs][:, None] + np.arange(m)
         cols[flat], widths[flat] = fits.cols[group.pairs], group.upper - group.lower
-        if sel.theta is not None and cfg.selector.lam is not None:
+        if sel.theta is not None and lam is not None:
             for r, i in zip(runs.tolist(), kept[group.runs].tolist()):
-                X, _, _, y = data[r // etas]
-                risk[r] = _risk(cfg.selector.lam, X, y, sel.theta[i])
+                # the penalized LASSO objective of the run's iterate
+                theta, b = sel.theta[i], r // etas
+                resid = Y[b] - X.entries[b] @ theta
+                risk[r] = (0.5 * float(resid @ resid) + lam * float(np.abs(theta).sum())) / cfg.n
     certs = np.array([(c.eta, c.tau, c.nu) for c in (ZERO_BUDGET, *iv.budgets)], dtype=np.float64)
     return Runs(np.repeat(np.arange(trials.start, trials.stop, dtype=np.uint64), etas), offsets,
                 cols, widths, covered, fdr, risk, K, cert, certs,
                 {r: _flag(error) for r, error in failed.items()})
-
-
-def _risk(lam: float, X: DesignMatrix, y: np.ndarray, theta: np.ndarray) -> float:
-    """The penalized LASSO objective of theta, for a `lam` run."""
-    resid = y - X.entries @ theta
-    return (0.5 * float(resid @ resid) + lam * float(np.abs(theta).sum())) / X.n
 
 
 def aggregate(runs: Runs, eta_step: float | None = None) -> ExperimentSummary:

@@ -2,17 +2,18 @@
 
 Least squares restricted to a column subset, factored once per submodel and
 serving estimates, projection-defined targets, and the standard errors that
-interval construction multiplies by. Submodels of one size are factored as a
-stack, by one stacked SVD; a single submodel is a stack of one. The
-full-model noise estimate needs no fit, only the residual norm and the
-design's singular values, and takes both from an R-only QR of [X y].
-Nothing here draws randomness.
+interval construction multiplies by. A sweep block's designs are one
+DesignStack, (trials, n, d), checked once; a DesignMatrix, the design of
+the command line and of a one-run call, is a stack of one. Submodels of
+one size are gathered from the stack by one indexing operation and
+factored by one stacked SVD. The full-model noise estimates need no fit,
+only the residual norms and the designs' singular values, and take both
+from one stacked R-only QR of [X y]. Nothing here draws randomness.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,16 +25,54 @@ from .errors import DimensionMismatch, InsufficientSamples, RankDeficient, check
 RANK_TOL = 1e-10
 
 
-class DesignMatrix:
-    """Fixed n x d design with cached column norms.
+class DesignStack:
+    """A sweep block's n x d designs with their checked norms: entries[b] is
+    design b, col_norms[b] its column norms, l2inf[b] = max_i ||X_i||_2 and
+    linf[b] = max |X_ij|, the two norms noise scales use. X[index] is the
+    stack of the designs at index (views, for a slice)."""
 
-    Parameters
-    ----------
-    entries : array_like, shape (n, d)
-        Feature matrix. Copied, cast to float64, and frozen; must be finite
-        with at least one nonzero entry, and its largest column norm must be
-        finite and nonzero in float64.
-    """
+    def __init__(self, entries: np.ndarray, col_norms: np.ndarray, l2inf: np.ndarray,
+                 linf: np.ndarray):
+        self.entries, self.col_norms, self.l2inf, self.linf = entries, col_norms, l2inf, linf
+        _, self.n, self.d = entries.shape
+
+    @classmethod
+    def checked(cls, entries: np.ndarray) -> DesignStack:
+        """The float64 designs entries (trials, n, d) with their norms, checked
+        at once: ValueError unless each is finite, with a nonzero entry and a
+        finite, nonzero largest column norm."""
+        # max and min propagate NaN, so both are finite iff every entry is;
+        # neither reduction allocates a temporary of the stack's size
+        hi, lo = entries.max(axis=(1, 2)), entries.min(axis=(1, 2))
+        if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
+            raise ValueError("design entries must be finite")
+        if ((hi == 0.0) & (lo == 0.0)).any():
+            raise ValueError("design has no nonzero entry")
+        # an overflowing or underflowing norm is rejected below, not warned about
+        with np.errstate(over="ignore", under="ignore"):
+            col_norms = np.linalg.norm(entries, axis=1)
+        l2inf = col_norms.max(axis=1)
+        # finite entries can still overflow or underflow a column norm
+        bad = ~((0.0 < l2inf) & (l2inf < math.inf))
+        if bad.any():
+            raise ValueError(f"largest design column norm is {l2inf[bad][0].item()}; "
+                             f"rescale the design")
+        return cls(entries, col_norms, l2inf, np.maximum(hi, -lo))
+
+    def __getitem__(self, index) -> DesignStack:
+        return DesignStack(self.entries[index], self.col_norms[index], self.l2inf[index],
+                           self.linf[index])
+
+    def broadcast(self, trials: int) -> DesignStack:
+        """This stack of one as trials views of its design."""
+        return DesignStack(*(np.broadcast_to(a, (trials, *a.shape[1:])) for a in
+                             (self.entries, self.col_norms, self.l2inf, self.linf)))
+
+
+class DesignMatrix:
+    """Fixed n x d design of the command line and of a one-run call: entries
+    copied, cast to float64, frozen and checked as a stack of one; stack is
+    that DesignStack (views), with the design's norms."""
 
     def __init__(self, entries):
         a = np.array(entries, dtype=np.float64, order="C")
@@ -41,29 +80,10 @@ class DesignMatrix:
             raise DimensionMismatch(f"design must be 2-D, got ndim={a.ndim}")
         if a.shape[0] < 1 or a.shape[1] < 1:
             raise DimensionMismatch(f"design must be at least 1x1, got {a.shape}")
-        # max and min propagate NaN, so both are finite iff every entry is;
-        # neither reduction allocates an n x d temporary
-        hi, lo = float(a.max()), float(a.min())
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise ValueError("design entries must be finite")
-        if hi == 0.0 and lo == 0.0:
-            raise ValueError("design has no nonzero entry")
         a.setflags(write=False)
+        self.stack = DesignStack.checked(a[None])
         self.entries = a
         self.n, self.d = a.shape
-        # an overflowing or underflowing norm is rejected below, not warned about
-        with np.errstate(over="ignore", under="ignore"):
-            self.col_norms = np.linalg.norm(a, axis=0)
-        self.col_norms.setflags(write=False)
-        # max_i ||X_i||_2 and max |X_ij|, the two norms noise scales use
-        self.l2inf_norm = float(self.col_norms.max())
-        # finite entries can still overflow or underflow a column norm
-        if not (0.0 < self.l2inf_norm < math.inf):
-            raise ValueError(f"largest design column norm is {self.l2inf_norm}; rescale the design")
-        self.linf_norm = max(hi, -lo)
-
-    def __repr__(self):
-        return f"DesignMatrix(n={self.n}, d={self.d})"
 
 
 @dataclass(frozen=True)
@@ -115,60 +135,50 @@ def as_response(y, n: int) -> np.ndarray:
     return y
 
 
-def _collinear(M: tuple[int, ...], s: np.ndarray) -> RankDeficient | None:
-    """The RankDeficient error for the columns M of a matrix with descending
-    singular values s, or None: the matrix is rank-deficient when its
+def _rank_error(M: tuple[int, ...], n: int, s: np.ndarray) -> RankDeficient:
+    """The RankDeficient error of the columns M of a matrix of n rows with
+    descending singular values s: it has more columns than rows, or its
     smallest singular value is at most RANK_TOL times its largest, as a
     zero matrix's is."""
-    if s[-1] > RANK_TOL * s[0]:
-        return None
+    if len(M) > n:
+        return RankDeficient(f"columns {M}: {len(M)} columns on {n} rows")
     return RankDeficient(f"columns {M}: singular value ratio "
                          f"{0.0 if s[0] == 0 else s[-1] / s[0]:.3e} below {RANK_TOL:.1e}")
 
 
 class SubmodelFits:
-    """Least squares on the columns cols[p] of the design designs[trial[p]]
-    for a stack of pairs p that share n and the model size (cols has one row
-    per pair), all factored by one stacked thin SVD of the submatrices.
+    """Least squares on the columns cols[p] of the design X[trial[p]] of the
+    stack X (trials, n, d), for a stack of pairs p of one model size (cols
+    has one row per pair), all factored by one stacked thin SVD.
 
     The factorization serves the coefficients X_M^+ v for a stack of
     responses (the data y, or the mean mu for projection targets) and the
     standard errors. Each pair gets exactly what a stack of one gives it.
     A pair with more columns than rows, or whose smallest singular value
     falls below RANK_TOL relative to its largest, is rank-deficient:
-    deficient[p] is set, rank_error(p) returns its error, and its other
-    results are meaningless. The empty model has no columns to factor.
+    errors maps it to its RankDeficient, and its other results are
+    meaningless. The empty model has no columns to factor.
     """
 
-    def __init__(self, designs: Sequence[DesignMatrix], trial: np.ndarray, cols: np.ndarray):
-        n = designs[0].n
+    def __init__(self, X: np.ndarray, trial: np.ndarray, cols: np.ndarray):
+        n = X.shape[1]
         count, size = cols.shape
-        self.trial, self.cols, self.n = trial, cols, n
+        self.trial, self.cols = trial, cols
+        self.errors: dict[int, RankDeficient] = {}
         if size == 0:
             self._U, self._s, self._V = np.zeros((count, n, 0)), np.zeros((count, 0)), \
                 np.zeros((count, 0, 0))
-            self.deficient = np.zeros(count, dtype=bool)
             return
-        sub = np.empty((count, n, size))
-        for p, (b, M) in enumerate(zip(trial.tolist(), cols)):
-            # mode="clip" writes straight into sub (the indices are in range)
-            designs[b].entries.take(M, axis=1, out=sub[p], mode="clip")
+        # the SVD copies each submatrix, so this view's strides do not matter
+        sub = X[trial[:, None], :, cols].transpose(0, 2, 1)
         U, s, Vt = np.linalg.svd(sub, full_matrices=False)
-        self._singular = s
-        self.deficient = s[:, -1] <= RANK_TOL * s[:, 0]  # so is a zero matrix: all its s are 0
-        if size > n:  # a thin SVD of more columns than rows has only n singular values
-            self.deficient[:] = True
-        if self.deficient.any():  # divide by 1 instead of a vanishing singular value
-            s = np.where(self.deficient[:, None], 1.0, s)
+        # a thin SVD of more columns than rows has only n singular values
+        deficient = s[:, -1] <= RANK_TOL * s[:, 0] if size <= n else np.ones(count, dtype=bool)
+        if deficient.any():  # so is a zero matrix: all its s are 0
+            self.errors = {p: _rank_error(tuple(cols[p].tolist()), n, s[p])
+                           for p in np.flatnonzero(deficient).tolist()}
+            s = np.where(deficient[:, None], 1.0, s)  # divide by 1, not a vanishing value
         self._U, self._s, self._V = U, s, Vt.transpose(0, 2, 1)
-
-    def rank_error(self, p: int) -> RankDeficient | None:
-        if not self.deficient[p]:
-            return None
-        M, s = tuple(self.cols[p].tolist()), self._singular[p]
-        if len(M) > self.n:
-            return RankDeficient(f"columns {M}: {len(M)} columns on {self.n} rows")
-        return _collinear(M, s)
 
     def coefficients(self, V: np.ndarray) -> np.ndarray:
         """Row p is the |M|-vector (X_M^T X_M)^{-1} X_M^T V[p] of pair p;
@@ -180,7 +190,7 @@ class SubmodelFits:
         """Row p is sqrt(diag((X_M^T X_M)^{-1})) of pair p: its standard
         errors at noise scale 1."""
         # diag of (X^T X)^{-1} = rowwise sum of (V / s)^2
-        return np.sqrt(((self._V / self._s[:, None, :]) ** 2).sum(axis=2))
+        return np.sqrt(np.add.reduce((self._V / self._s[:, None, :]) ** 2, axis=2))
 
 
 class SubmodelFit:
@@ -189,10 +199,10 @@ class SubmodelFit:
     an index out of range, RankDeficient for collinear or too many columns."""
 
     def __init__(self, X: DesignMatrix, M: ModelSet, fits: SubmodelFits | None = None):
-        self._fits = fits or SubmodelFits([X], np.zeros(1, dtype=np.int64), M.columns(X.d)[None])
-        error = self._fits.rank_error(0)
-        if error is not None:
-            raise error
+        self._fits = fits or SubmodelFits(X.stack.entries, np.zeros(1, dtype=np.int64),
+                                          M.columns(X.d)[None])
+        if self._fits.errors:
+            raise self._fits.errors[0]
         self.model = M
         self.n = X.n
 
@@ -224,23 +234,21 @@ def stderr_known_sigma(X: DesignMatrix, M: ModelSet, sigma: float) -> np.ndarray
     return SubmodelFit(X, M).stderrs(sigma)
 
 
-def sigma_hat_full_model(X: DesignMatrix, y) -> tuple[float, int]:
-    """Full-model residual noise estimate (sigma_hat, dof = n - d).
-
-    One R-only Householder QR of [X y]: its last diagonal entry R[d, d] is
-    the norm of y's residual off the span of X, so RSS = R[d, d]**2, and the
-    singular values of the d x d block R[:d, :d] are X's. Raises
-    RankDeficient when the smallest of them is at most RANK_TOL times the
-    largest, the rule SubmodelFits applies to every submodel, and
-    InsufficientSamples unless n > d.
+def sigma_hat_full_model(X: np.ndarray, Y: np.ndarray,
+                         ) -> tuple[np.ndarray, int, dict[int, RankDeficient]]:
+    """Full-model residual noise estimates (sigma_hat, dof = n - d, errors)
+    of the designs X (trials, n, d) and finite responses Y, by one stacked
+    R-only Householder QR of [X y]: a trial's last diagonal entry R[d, d]
+    is the norm of y's residual off the span of X, so RSS = R[d, d]**2, and
+    the singular values of R[:d, :d] are X's. errors maps a trial where they
+    fail SubmodelFits' rank rule to its RankDeficient (its sigma_hat is
+    meaningless). Raises InsufficientSamples unless n > d.
     """
-    if X.n <= X.d:
-        raise InsufficientSamples(f"need n > d for the full-model estimate, got n={X.n}, d={X.d}")
-    y = as_response(y, X.n)
-    d = X.d
-    R = np.linalg.qr(np.column_stack([X.entries, y]), mode="r")
-    error = _collinear(tuple(range(d)), np.linalg.svd(R[:d, :d], compute_uv=False))
-    if error is not None:
-        raise error
-    dof = X.n - d
-    return float(np.sqrt(R[d, d] ** 2 / dof)), dof
+    _, n, d = X.shape
+    if n <= d:
+        raise InsufficientSamples(f"need n > d for the full-model estimate, got n={n}, d={d}")
+    R = np.linalg.qr(np.concatenate([X, Y[:, :, None]], axis=2), mode="r")
+    s = np.linalg.svd(R[:, :d, :d], compute_uv=False)
+    errors = {b: _rank_error(tuple(range(d)), n, s[b])
+              for b in np.flatnonzero(s[:, -1] <= RANK_TOL * s[:, 0]).tolist()}
+    return np.sqrt(R[:, d, d] ** 2 / (n - d)), n - d, errors

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linmodel import DesignMatrix
+from .linmodel import DesignStack
 
 _HALF_OPEN = float(np.nextafter(0.5, 0.0))  # largest double < 0.5
 
@@ -137,20 +137,29 @@ class NoisePolicy:
             raise ValueError(f"eta_step must be finite and positive, got {self.eta_step}")
 
 
-def scale_lasso(c1: float, X: DesignMatrix, policy: NoisePolicy) -> float:
-    """Per-draw Laplace scale for the noisy Frank-Wolfe vertex scores."""
-    if not (c1 > 0):
+def scale_lasso(c1, X: DesignStack, trial, sigma: float, delta: float, eta_step) -> np.ndarray:
+    """Per-draw Laplace scales for the noisy Frank-Wolfe vertex scores, run
+    r's at radius c1[r] on the design X[trial[r]] at per-step eta_step[r]
+    (the arguments broadcast), with slack delta and noise scale sigma."""
+    if not np.minimum.reduce(c1, axis=None, initial=math.inf) > 0:  # a NaN fails too
         raise ValueError(f"c1 must be positive, got {c1}")
-    base = c1 * X.l2inf_norm / (X.n * policy.eta_step)
-    return _finite(8.0 * math.sqrt(math.log(4.0 * X.d) - math.log(policy.delta))
-                   * policy.sigma * base, policy)
+    return _lasso_scales(c1, X, trial, sigma, delta, eta_step)
 
 
-def scale_screening(X: DesignMatrix, policy: NoisePolicy) -> float:
-    """Per-draw Laplace scale for noisy correlation screening rounds."""
-    base = X.l2inf_norm / (X.n * policy.eta_step)
-    return _finite(4.0 * math.sqrt(math.log(2.0 * X.d) - math.log(policy.delta))
-                   * policy.sigma * base, policy)
+@np.errstate(over="ignore")  # an overflow is _finite's to report
+def _lasso_scales(c1, X: DesignStack, trial, sigma: float, delta: float, eta_step):
+    """scale_lasso's formula, where a radius of 0 gets scale 0."""
+    return _finite(8.0 * math.sqrt(math.log(4.0 * X.d) - math.log(delta)) * sigma
+                   * (c1 * X.l2inf[trial] / (X.n * eta_step)), eta_step)
+
+
+@np.errstate(over="ignore")  # an overflow is _finite's to report
+def scale_screening(X: DesignStack, trial, sigma: float, delta: float, eta_step) -> np.ndarray:
+    """Per-draw Laplace scales for noisy correlation screening rounds, run
+    r's on the design X[trial[r]] at per-step eta_step[r] (the arguments
+    broadcast), with slack delta and noise scale sigma."""
+    return _finite(4.0 * math.sqrt(math.log(2.0 * X.d) - math.log(delta)) * sigma
+                   * (X.l2inf[trial] / (X.n * eta_step)), eta_step)
 
 
 def scale_forward_stepwise(d: int, k: int, policy: NoisePolicy) -> float:
@@ -163,15 +172,16 @@ def scale_forward_stepwise(d: int, k: int, policy: NoisePolicy) -> float:
     if not (1 <= k <= d):
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
     log_arg = math.log(2.0) + log_descending_factorial(d, k) - math.log(policy.delta)
-    return _finite(4.0 * math.sqrt(log_arg) * policy.sigma / policy.eta_step, policy)
+    return _finite(4.0 * math.sqrt(log_arg) * policy.sigma / policy.eta_step, policy.eta_step)
 
 
-def _finite(scale: float, policy: NoisePolicy) -> float:
+def _finite(scale, eta_step):
     """scale, checked: a tiny eta_step can overflow it to inf, which would
-    drown every score and leave the lowest columns to win."""
-    if not math.isfinite(scale):
-        raise ValueError(f"the Laplace scale overflows at eta_step={policy.eta_step!r}; "
-                         f"raise eta_step")
+    drown every score and leave the lowest columns to win. The error names
+    the eta_step of the first run whose scale overflows."""
+    if not math.isfinite(np.maximum.reduce(scale, axis=None, initial=0.0)):
+        eta = np.broadcast_to(eta_step, np.shape(scale))[~np.isfinite(scale)][0].item()
+        raise ValueError(f"the Laplace scale overflows at eta_step={eta!r}; raise eta_step")
     return scale
 
 

@@ -1,16 +1,18 @@
 """Stability-randomized model selectors, run on a leading axis of runs.
 
 Three noisy procedures, one implementation each. Each runs a block of
-*runs* at once: run r selects on the data of trial trial[r] with its own
-Laplace scale scales[r], and every array carries the run axis first.
-`select_runs` is the one selector dispatch, called by `select`
-(experiments.run_selector), the sweep and `stable_screening`, `stable_fs`
-and `stable_lasso`. It returns arrays over the runs (support masks,
-LASSO iterates, certificate indices); only a one-run call (`_one_run`)
-builds a SelectionResult, with the per-step decision trace. There are no
-separate exact variants: a noise scale of 0 (the `scale_override` test
-hook) is the exact algorithm, tie rule included, because the zero-scale
-Laplace draws are +-0.0 and move no argmin or argmax.
+*runs* at once: run r selects on the design of trial trial[r], one of a
+linmodel.DesignStack (a DesignMatrix's stack of one in a one-run call),
+with its own Laplace scale scales[r], and every array carries the run
+axis first. `select_runs` is the one selector dispatch, called by
+`select` (experiments.run_selector), the sweep and `stable_screening`,
+`stable_fs` and `stable_lasso`. It returns arrays over the runs (support
+masks, LASSO iterates, certificate indices); only a one-run call
+(`_one_run`) builds a SelectionResult, with the per-step decision trace.
+There are no separate exact variants: a noise scale of 0 (the
+`scale_override` test hook) is the exact algorithm, tie rule included,
+because the zero-scale Laplace draws are +-0.0 and move no argmin or
+argmax.
 
 - LASSO over the l1 ball of radius C1, optimized by Frank-Wolfe, with
   every vertex score perturbed by fresh Laplace noise before the argmin.
@@ -23,21 +25,14 @@ Laplace draws are +-0.0 and move no argmin or argmax.
   left without candidates fails alone.
 
 Noise: each round is a report-noisy-max (or -min) over a run's
-candidates. `_StepDraws` lays out the draws: a step's row has the
-selector's candidate count for that step, d - t + 1 at step t for
-screening and forward stepwise and 2d for LASSO, drawn once per (trial,
-step) stream through noise.keyed, whatever the block, and a run's i-th
-candidate takes draw i of its trial's row. A Laplace draw is its scale
-times a standard draw made from one uniform, so every run sees exactly
-the draws a fresh RngStream at its path gives. Screening and forward
-stepwise keep a run's candidates as a mask over the d columns and share
-one pick, `_noisy_argmax`. Forward stepwise keeps its residuals per
-state, a distinct (trial, picks so far), which the runs of a trial share
-until their picks part. Every product (scores, norms, updates) is a
-separate BLAS call, einsum or elementwise operation on one run's or one
-state's own slice of a stacked array, and a state's row holds exactly
-what each of its runs' rows would, so a run's result does not depend on
-the block it ran in.
+candidates, its draws laid out by `_StepDraws`: one stream per (trial,
+step), whatever the block, and a run's i-th candidate takes draw i of
+its trial's row. A Laplace draw is its scale times a standard draw made
+from one uniform, so every run sees exactly the draws a fresh RngStream
+at its path gives. Every product (scores, norms, updates) is a separate
+BLAS call, einsum or elementwise operation on one run's or one forward
+stepwise state's own slice of a stacked array, so a run's result does
+not depend on the block it ran in.
 
 Every noisy run gets stability.certify_budgets' two composed certificates.
 """
@@ -51,9 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllCandidatesCollinear, DimensionMismatch, NonConvergence, check_number
-from .linmodel import DesignMatrix, ModelSet, as_response
-from .noise import (NoisePolicy, RngStream, keyed, laplace_of_uniform, scale_forward_stepwise,
-                    scale_lasso, scale_screening)
+from .linmodel import DesignMatrix, DesignStack, ModelSet, as_response
+from .noise import (NoisePolicy, RngStream, _lasso_scales, keyed, laplace_of_uniform,
+                    scale_forward_stepwise, scale_screening)
 from .stability import ZERO_BUDGET, StabilityBudget, certify_budgets
 
 SUPPORT_THRESHOLD = 1e-12
@@ -160,27 +155,24 @@ _spec = functools.lru_cache(maxsize=256, typed=True)(SelectorSpec)
 
 class _StepDraws:
     """Standard Laplace draws, step by step, for a block of runs: run r
-    draws from streams[trial[r]] for rounds[r] steps. Called with a step,
-    the trials of the runs drawing at it and the selector's candidate
-    count for that step, width, it returns one row per run: run r's row is
-    the first width draws of streams[trial[r]].child(step).
+    draws for rounds[r] steps. Called with a step, the trials of the runs
+    drawing at it and width, the selector's candidate count at that step
+    (d - t + 1 at step t for screening and forward stepwise, 2d for LASSO),
+    it returns run r's row: the first width draws of stream (master_seed,
+    paths[trial[r]] + (step,)). Each step draws every trial with a run
+    still going into one table of uniforms, moving noise.keyed from stream
+    to stream, and the Laplace transform runs once over the table."""
 
-    Each step draws the stream of every trial with a run still going
-    (one with at least step rounds) into one table of uniforms, moving
-    noise.keyed to each stream in turn, and the Laplace transform runs
-    once over the table; a trial with no runs is never drawn.
-    """
-
-    def __init__(self, streams: list[RngStream], trial: np.ndarray, rounds):
-        self.streams = streams
-        self.last = np.zeros(len(streams), dtype=np.int64)
+    def __init__(self, master_seed: int, paths: list[tuple[int, ...]], trial: np.ndarray,
+                 rounds):
+        self.master_seed, self.paths = master_seed, paths
+        self.last = np.zeros(len(paths), dtype=np.int64)
         np.maximum.at(self.last, trial, rounds)
 
     def __call__(self, step: int, trial: np.ndarray, width: int) -> np.ndarray:
-        u = np.zeros((len(self.streams), width))  # the rows of other trials are not read
-        for b in np.flatnonzero(self.last >= step).tolist():
-            s = self.streams[b]
-            keyed.start(s.master_seed, s.path + (step,)).random(out=u[b])
+        u = np.zeros((len(self.paths), width))  # the rows of other trials are not read
+        for b in (self.last >= step).nonzero()[0].tolist():
+            keyed.start(self.master_seed, self.paths[b] + (step,)).random(out=u[b])
         return laplace_of_uniform(u)[trial]
 
 
@@ -212,21 +204,23 @@ _VERTEX_SIGNS = np.array([1.0, -1.0])  # of the +c1 and the -c1 vertices
 # LASSO via Frank-Wolfe
 
 
-def _default_fw_steps(X: DesignMatrix, c1: float, eta_step: float, sigma: float) -> int:
-    """The utility-optimal step count
-    ceil(n ||X||_inf^2 c1 eta / (sigma ||X||_{2,inf})), capped. Capping
-    before the ceil also caps a raw count that overflows to inf."""
-    raw = X.n * X.linf_norm ** 2 * c1 * eta_step / (sigma * X.l2inf_norm)
-    return max(1, math.ceil(min(raw, MAX_DEFAULT_FW_STEPS)))
+@np.errstate(over="ignore", invalid="ignore")  # fmin caps inf, and the NaN of c1 = 0
+def _default_fw_steps(X: DesignStack, trial, c1, eta_step, sigma: float) -> np.ndarray:
+    """The utility-optimal step counts
+    ceil(n ||X||_inf^2 c1 eta / (sigma ||X||_{2,inf})), capped, run r's on
+    X[trial[r]] at c1[r] and eta_step[r] (broadcast). Capping before the
+    ceil also caps a raw count that overflows to inf."""
+    raw = X.n * X.linf[trial] ** 2 * c1 * eta_step / (sigma * X.l2inf[trial])
+    return np.maximum(1, np.ceil(np.fmin(raw, MAX_DEFAULT_FW_STEPS))).astype(np.int64)
 
 
-def lasso_runs(designs: list[DesignMatrix], Y: np.ndarray, c1: np.ndarray, steps: np.ndarray,
-               trial: np.ndarray, scales: np.ndarray, streams: list[RngStream],
-               trace: bool = False) -> RunSelections:
+def lasso_runs(X: DesignStack, Y: np.ndarray, c1: np.ndarray, steps: np.ndarray,
+               trial: np.ndarray, scales: np.ndarray, master_seed: int,
+               paths: list[tuple[int, ...]], trace: bool = False) -> RunSelections:
     """Noisy Frank-Wolfe LASSO for a block of runs: run r minimizes
     ||Y[b] - X_b theta||^2 / n over the l1 ball of radius c1[r] on trial
-    b = trial[r] for steps[r] steps, perturbing all 2d vertex scores of
-    each step with Laplace draws at scales[r] before the argmin.
+    b = trial[r] (X_b = X[b]) for steps[r] steps, perturbing all 2d vertex
+    scores of each step with Laplace draws at scales[r] before the argmin.
 
     Vertex order is +c1*e_0 .. +c1*e_{d-1}, -c1*e_0 .. -c1*e_{d-1}; the
     per-step noise vector is drawn in that order from the step's child
@@ -239,16 +233,15 @@ def lasso_runs(designs: list[DesignMatrix], Y: np.ndarray, c1: np.ndarray, steps
     order = np.argsort(-steps, kind="stable") if runs > 1 else None
     if order is not None:
         trial, c1, steps, scales = trial[order], c1[order], steps[order], scales[order]
-    n, d = designs[0].n, designs[0].d
-    # one run reads its design in place; a block stacks one copy per run
-    A = designs[trial[0]].entries[None] if runs == 1 else \
-        np.stack([designs[b].entries for b in trial])
+    n, d = X.n, X.d
+    # one run reads its design in place; a block gathers one copy per run
+    A = X.entries[trial[0]][None] if runs == 1 else X.entries[trial]
     AT = A.transpose(0, 2, 1)
     Yr = Y[trial]
     theta = np.zeros((runs, d))
     z = np.zeros((runs, n))  # X @ theta, updated incrementally
     ends = steps.tolist()
-    draws = _StepDraws(streams, trial, steps)
+    draws = _StepDraws(master_seed, paths, trial, steps)
     live = 0
     traced = []
     for t in range(1, ends[0] + 1):
@@ -315,11 +308,11 @@ def _soft_threshold(x: float, lam: float) -> float:
     return 0.0
 
 
-def solve_penalized_lasso(X: DesignMatrix, y, lam: float, gap_tol: float = 1e-8,
+def solve_penalized_lasso(X: DesignStack, y, lam: float, gap_tol: float = 1e-8,
                           max_sweeps: int = 100_000) -> np.ndarray:
     """Cyclic coordinate descent with soft-thresholding for
-    min 0.5 ||y - X theta||^2 + lam ||theta||_1, run until the duality gap
-    drops below gap_tol.
+    min 0.5 ||y - X theta||^2 + lam ||theta||_1 on the design of the stack
+    of one X, run until the duality gap drops below gap_tol.
 
     Covariance updates (Friedman, Hastie & Tibshirani, JSS 2010, sec. 2.2):
     the loop keeps z_j = X_j^T r + ||X_j||^2 theta_j for the residual
@@ -341,17 +334,16 @@ def solve_penalized_lasso(X: DesignMatrix, y, lam: float, gap_tol: float = 1e-8,
         raise ValueError(f"gap_tol must be >= 0, got {gap_tol}")
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
-    A = X.entries
-    y = as_response(y, X.n)
-    d = X.d
-    col_sq = X.col_norms ** 2
+    A, (n, d) = X.entries[0], X.entries.shape[1:]
+    y = as_response(y, n)
+    col_sq = X.col_norms[0] ** 2
     # the coordinate loop reads and writes Python floats: indexing numpy
     # arrays per coordinate costs more than the arithmetic at small d
     norm_sq = col_sq.tolist()
     coords = [0.0] * d
     z = A.T @ y
     gram: list[np.ndarray | None] = [None] * d
-    block = GRAM_BLOCK if d <= X.n else 1
+    block = GRAM_BLOCK if d <= n else 1
     yy = 0.5 * float(y @ y)
     for _ in range(max_sweeps):
         for j in range(d):
@@ -385,9 +377,10 @@ def solve_penalized_lasso(X: DesignMatrix, y, lam: float, gap_tol: float = 1e-8,
     )
 
 
-def lambda_to_c1(X: DesignMatrix, y, lam: float) -> float:
-    """l1 norm of the penalized-form solution at penalty lam; translates a
-    penalty magnitude into a constraint radius for the constrained form."""
+def lambda_to_c1(X: DesignStack, y, lam: float) -> float:
+    """l1 norm of the penalized-form solution at penalty lam on the design
+    of the stack of one X; translates a penalty magnitude into a constraint
+    radius for the constrained form."""
     theta = solve_penalized_lasso(X, y, lam)
     return float(np.abs(theta).sum())
 
@@ -396,18 +389,18 @@ def lambda_to_c1(X: DesignMatrix, y, lam: float) -> float:
 # marginal screening
 
 
-def screen_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.ndarray,
-                scales: np.ndarray, streams: list[RngStream],
+def screen_runs(X: DesignStack, Y: np.ndarray, k: int, trial: np.ndarray, scales: np.ndarray,
+                master_seed: int, paths: list[tuple[int, ...]],
                 trace: bool = False) -> RunSelections:
     """k rounds of noisy argmax over |c_i + xi| per run, with
     c = X_b^T Y[b] / n for its trial b = trial[r]; a run's candidates are
     a mask over the d columns, the winner leaves it, noise is fresh each
     round."""
-    d = designs[0].d
+    d = X.d
     runs = len(trial)
     at = np.arange(runs)
-    draws = _StepDraws(streams, trial, k)
-    c = np.array([(X.entries.T @ y) / X.n for X, y in zip(designs, Y)])[trial]
+    draws = _StepDraws(master_seed, paths, trial, k)
+    c = (np.matmul(X.entries.transpose(0, 2, 1), Y[:, :, None])[:, :, 0] / X.n)[trial]
     picked = np.zeros((runs, d), dtype=bool)
     kept = np.full(runs, d)
     scale_col = scales[:, None]
@@ -434,8 +427,8 @@ def stable_screening(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
 # forward stepwise
 
 
-def fs_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.ndarray,
-            scales: np.ndarray, streams: list[RngStream],
+def fs_runs(X: DesignStack, Y: np.ndarray, k: int, trial: np.ndarray, scales: np.ndarray,
+            master_seed: int, paths: list[tuple[int, ...]],
             trace: bool = False) -> RunSelections:
     """k rounds of noisy argmax over residual-normalized correlations per
     run, with the columns of its trial's design residualized incrementally
@@ -455,20 +448,18 @@ def fs_runs(designs: list[DesignMatrix], Y: np.ndarray, k: int, trial: np.ndarra
     copy of its parent row. The last pick residualizes nothing. A one-run
     block's state is its run, and it makes no np.unique or gather.
     """
-    n, d = designs[0].n, designs[0].d
+    d = X.d
     runs = len(trial)
     state = None  # each run's state row; None in a one-run block
     first = trial  # the trial of each state row
     if runs > 1:
         first, state = np.unique(trial, return_inverse=True)
-    R = np.empty((len(first), n, d))  # residualized columns of each state's design
-    for s, b in enumerate(first.tolist()):
-        R[s] = designs[b].entries
+    R = X.entries[first]  # residualized columns of each state's design, a copy
     y_res = Y[first]  # a copy
-    floor = FS_COLLINEAR_TOL * np.array([X.col_norms for X in designs])[first]
+    floor = FS_COLLINEAR_TOL * X.col_norms[first]
     picked = np.zeros((len(first), d), dtype=bool)
     ids = np.arange(runs)  # block run of each run still going
-    draws = _StepDraws(streams, trial, k)
+    draws = _StepDraws(master_seed, paths, trial, k)
     failed: dict[int, Exception] = {}
     traced: list[TraceStep] = []
     for t in range(1, k + 1):
@@ -535,71 +526,73 @@ def stable_fs(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
 # the one selection dispatch
 
 
-def select_runs(spec: SelectorSpec, designs: list[DesignMatrix], Y: np.ndarray,
-                runs: list[tuple[int, float | None, float | None]], delta: float, sigma: float,
-                streams: list[RngStream], *, trace: bool = False,
+def select_runs(spec: SelectorSpec, X: DesignStack, Y: np.ndarray, trial: np.ndarray,
+                eta_step: np.ndarray, c1: np.ndarray | None, delta: float, sigma: float,
+                master_seed: int, paths: list[tuple[int, ...]], *, trace: bool = False,
                 scale_override: float | None = None) -> RunSelections:
-    """spec's selector for a block of runs: run (trial, eta_step, c1)
-    selects on designs[trial] and the finite response Y[trial] with the
-    stream streams[trial], at per-step eta_step, slack delta and noise
-    scale sigma; c1 is its LASSO radius (None for the other methods).
-    Returns the block's RunSelections, whose failed maps a forward
-    stepwise run left without candidates to its AllCandidatesCollinear.
+    """spec's selector for a block of runs: run r selects on X[trial[r]]
+    and the finite response Y[trial[r]], from stream (master_seed,
+    paths[trial[r]]), at per-step eta_step[r], slack delta, noise scale
+    sigma and LASSO radius c1[r] (c1 is None for the other methods).
+    Returns the block's RunSelections, whose failed maps a forward stepwise
+    run left without candidates to its AllCandidatesCollinear.
 
     A fixed model, and a zero radius, carry the one zero certificate; the
     other runs go through one screen_runs, fs_runs or lasso_runs call, with
-    one NoisePolicy per distinct eta_step and one certify_budgets entry in
-    certs per distinct (rounds, eta_step). trace keeps the decision trace
-    of a one-run block; scale_override, a test hook, replaces every run's
-    Laplace scale (0 gives the exact algorithm).
+    each distinct eta_step checked once (NoisePolicy), the Laplace scales
+    and default LASSO steps one array expression over the runs, and one
+    certify_budgets entry in certs per distinct (rounds, eta_step). trace
+    keeps the decision trace of a one-run block; scale_override, a test
+    hook, replaces every run's Laplace scale (0 gives the exact algorithm).
     """
-    d = designs[0].d
+    d, runs = X.d, len(trial)
     if spec.method == "fixed" or not runs:  # no noise to draw
         if spec.fixed_model and max(spec.fixed_model) >= d:
             raise DimensionMismatch(f"fixed_model index {max(spec.fixed_model)} out of range "
                                     f"for d={d}")
-        support = np.zeros((len(runs), d), dtype=bool)
+        support = np.zeros((runs, d), dtype=bool)
         support[:, list(spec.fixed_model)] = True
         return RunSelections(support, None, {}, certs=((ZERO_BUDGET,),),
-                             cert=np.zeros(len(runs), dtype=np.int64))
-    etas = {eta for _, eta, _ in runs}
-    for eta in etas:
-        if eta is None or eta <= 0:
-            raise ValueError(f"selector {spec.method!r} needs a positive eta_step")
-    policies = {eta: NoisePolicy(sigma, delta, eta) for eta in etas}
+                             cert=np.zeros(runs, dtype=np.int64))
+    etas = eta_step.tolist()
+    if any(eta is None or eta <= 0 for eta in set(etas)):
+        raise ValueError(f"selector {spec.method!r} needs a positive eta_step")
+    policies = {eta: NoisePolicy(sigma, delta, eta) for eta in set(etas)}
     if scale_override is not None and not (0 <= scale_override < math.inf):
         raise ValueError(f"scale_override must be finite and >= 0, got {scale_override}")
-    if trace and len(runs) != 1:
-        raise ValueError(f"a trace is kept for a one-run block only, not {len(runs)} runs")
+    if trace and runs != 1:
+        raise ValueError(f"a trace is kept for a one-run block only, not {runs} runs")
     if spec.k is not None and spec.k > d:
         raise ValueError(f"need 1 <= k <= d, got k={spec.k}, d={d}")
-    rounds = [spec.k] * len(runs)
+    rounds = [spec.k] * runs
     if spec.method == "screen":
-        scales = [scale_screening(designs[b], policies[e]) for b, e, _ in runs]
+        scales = scale_screening(X, trial, sigma, delta, eta_step)
     elif spec.method == "fs":
-        per_eta = {e: scale_forward_stepwise(d, spec.k, policies[e]) for e in etas}
-        scales = [per_eta[e] for _, e, _ in runs]
+        per_eta = {e: scale_forward_stepwise(d, spec.k, policy) for e, policy in policies.items()}
+        scales = np.array([per_eta[e] for e in etas])
     else:  # a radius of 0 admits only theta = 0: no step, nothing to randomize
-        rounds = [0 if c == 0 else spec.steps if spec.steps is not None
-                  else _default_fw_steps(designs[b], c, e, sigma) for b, e, c in runs]
-        scales = [0.0 if c == 0 else scale_lasso(c, designs[b], policies[e]) for b, e, c in runs]
+        steps = (c1 > 0) * (spec.steps or _default_fw_steps(X, trial, c1, eta_step, sigma))
+        scales, rounds = _lasso_scales(c1, X, trial, sigma, delta, eta_step), steps.tolist()
     # certified before the kernel runs, so a certificate that overflows
     # fails the block without its selection work
     table: dict = {}  # (rounds, eta_step) -> certificate index; None for no round
     cert = np.array([table.setdefault((k, e) if k else None, len(table))
-                     for k, (_, e, _) in zip(rounds, runs)], dtype=np.int64)
+                     for k, e in zip(rounds, etas)], dtype=np.int64)
     certs = tuple((ZERO_BUDGET,) if key is None else certify_budgets(*key, delta)
                   for key in table)
-    trial = np.array([b for b, _, _ in runs], dtype=np.int64)
-    scales = np.array(scales if scale_override is None else [scale_override] * len(runs))
+    if scale_override is not None:
+        scales = np.full(runs, scale_override)
     if spec.method == "lasso":
-        block = lasso_runs(designs, Y, np.array([c for _, _, c in runs]),
-                           np.array(rounds, dtype=np.int64), trial, scales, streams, trace)
+        block = lasso_runs(X, Y, c1, steps, trial, scales, master_seed, paths, trace)
     else:
         kernel = screen_runs if spec.method == "screen" else fs_runs
-        block = kernel(designs, Y, spec.k, trial, scales, streams, trace)
+        block = kernel(X, Y, spec.k, trial, scales, master_seed, paths, trace)
     block.cert, block.certs = cert, certs
     return block
+
+
+_ONE_RUN = np.zeros(1, dtype=np.int64)  # the trial of a one-run block's run
+_ONE_RUN.setflags(write=False)
 
 
 def _one_run(spec: SelectorSpec, X: DesignMatrix, y, eta_step: float | None,
@@ -607,8 +600,10 @@ def _one_run(spec: SelectorSpec, X: DesignMatrix, y, eta_step: float | None,
              scale_override: float | None = None) -> SelectionResult:
     """One run of select_runs on the response y, validated here, with its
     trace, as a SelectionResult; a failed run raises its error."""
-    block = select_runs(spec, [X], as_response(y, X.n)[None], [(0, eta_step, c1)], delta,
-                        sigma, [rng], trace=True, scale_override=scale_override)
+    block = select_runs(spec, X.stack, as_response(y, X.n)[None], _ONE_RUN,
+                        np.array([eta_step]), None if c1 is None else np.array([c1]), delta,
+                        sigma, rng.master_seed, [rng.path], trace=True,
+                        scale_override=scale_override)
     if block.failed:
         raise block.failed[0]
     return SelectionResult(ModelSet(tuple(block.support[0].nonzero()[0].tolist())),

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -333,24 +332,24 @@ def interval_level(budgets, alpha: float,
     return aligned, level
 
 
-def infer_runs(designs: Sequence[DesignMatrix], Y: np.ndarray, trial: np.ndarray,
+def infer_runs(X: np.ndarray, Y: np.ndarray, trial: np.ndarray,
                support: np.ndarray, certs, cert: np.ndarray, alpha: float,
                sigma: float | None, weights: tuple[float, float, float] | None = None,
                ) -> RunIntervals:
     """Simultaneous intervals at miscoverage alpha for a block of runs: run
-    r selects the columns support[r] (a mask) of designs[trial[r]], on
-    Y[trial[r]], with the certificates certs[cert[r]].
+    r selects the columns support[r] (a mask) of the design X[trial[r]] of
+    the stack X, on Y[trial[r]], with the certificates certs[cert[r]].
 
     The distinct (trial, support row) pairs of each model size are factored
-    by one stacked SVD (linmodel.SubmodelFits). Each run's checks go in
-    this order: the model's rank, the level (interval_level, once per
-    certificate index), sigma, then K (once per model size, certificate
-    index and dof), the smallest constant over the aligned certificates.
+    by one stacked SVD (linmodel.SubmodelFits). The checks go in the order
+    rank, level (interval_level), sigma, K (the smallest constant over the
+    aligned certificates), each once per distinct key among the runs that
+    passed the checks before it, its results scattered to those runs.
     sigma is the known noise scale (normal quantiles), or None to estimate
-    it once per trial from the full model's residuals (Student-t
-    quantiles), for a trial with a run that gets that far with a nonempty
-    model; one short of samples raises InsufficientSamples. The empty
-    model gets no intervals and K = 0.
+    it per trial from the full model's residuals (Student-t quantiles), by
+    one stacked call once a run with a nonempty model gets that far; one
+    short of samples raises InsufficientSamples. The empty model gets no
+    intervals and K = 0.
     """
     if sigma is not None and not (0 < sigma < math.inf):
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
@@ -374,33 +373,31 @@ def infer_runs(designs: Sequence[DesignMatrix], Y: np.ndarray, trial: np.ndarray
         rows = first[a:b]
         m = int(size[rows[0]])
         lo[m] = a
-        fits[m] = SubmodelFits(designs, trial[rows], support[rows].nonzero()[1].reshape(b - a, m))
-    levels: dict = {}  # by certificate index
-    estimates: dict = {}  # by trial
-    constants: dict = {}  # by (model size, certificate index, dof)
-    chosen: dict = {}  # the same keys: (entry in the table, the certificate that gave K)
-    failed: dict[int, Exception] = {}
-    scored: dict[int, list] = {}  # (run, its pair's place in the stack) by model size
-    outcomes = []  # (K, level, sigma, budget entry) per run
-    for r, (t, p, m, c) in enumerate(zip(trial.tolist(), pair.tolist(), size.tolist(),
-                                         cert.tolist())):
-        s, dof = sigma, None
-        try:
-            if fits[m].deficient[p - lo[m]]:
-                raise fits[m].rank_error(p - lo[m])
-            aligned, at = _memo(levels, c, interval_level, certs[c], alpha, weights)
-            if m and sigma is None:
-                s, dof = _memo(estimates, t, sigma_hat_full_model, designs[t], Y[t])
-            key = (m, c, dof)
-            value, best = _memo(constants, key, best_posi_constant, m, at, aligned, dof) \
-                if m else (0.0, aligned[0])
-            b = chosen.setdefault(key, (len(chosen), best))[0]
-        except (RankDeficient, DegenerateLevel) as e:
-            failed[r] = e
-            value, at, s, b = 0.0, math.nan, math.nan, -1
-        else:
-            scored.setdefault(m, []).append((r, p - lo[m]))
-        outcomes.append((value, at, s, b))  # s is None for an empty model of unknown scale
+        fits[m] = SubmodelFits(X, trial[rows], support[rows].nonzero()[1].reshape(b - a, m))
+    # a run gets its first failure, K 0, NaN level and sigma and no budget
+    ts, ps, ms, cs = trial.tolist(), pair.tolist(), size.tolist(), cert.tolist()
+    rank = {lo[m] + p: e for m, fit in fits.items() for p, e in fit.errors.items()}
+    failed = {r: rank[p] for r, p in enumerate(ps) if p in rank} if rank else {}
+    levels = _each(failed, cs, lambda c: interval_level(certs[c], alpha, weights))
+    estimate, dof = None, None
+    if sigma is None and any(m and r not in failed for r, m in enumerate(ms)):
+        estimate, dof, errors = sigma_hat_full_model(X, Y)
+        estimate = estimate.tolist()
+        failed.update({r: errors[t] for r, (t, m) in enumerate(zip(ts, ms))
+                       if m and t in errors and r not in failed})
+    keys = list(zip(ms, cs))  # (model size, certificate index)
+    table = _each(failed, keys, lambda key: best_posi_constant(
+        key[0], levels[key[1]][1], levels[key[1]][0], dof) if key[0] else
+        (0.0, levels[key[1]][0][0]))
+    place = {key: i for i, key in enumerate(table)}
+    outcomes, scored = [], {}  # (K, level, sigma, budget) per run; (run, pair) by size
+    for r, (t, p, (m, c)) in enumerate(zip(ts, ps, keys)):
+        if r in failed:
+            outcomes.append((0.0, math.nan, math.nan, -1))
+            continue
+        outcomes.append((table[m, c][0], levels[c][1], sigma if sigma is not None else
+                         estimate[t] if m else math.nan, place[m, c]))
+        scored.setdefault(m, []).append((r, p - lo[m]))
     K, level, run_sigma, budget = np.array(outcomes, dtype=np.float64).reshape(runs, 4).T
     out = {}
     for m, rows in scored.items():
@@ -411,22 +408,23 @@ def infer_runs(designs: Sequence[DesignMatrix], Y: np.ndarray, trial: np.ndarray
         out[m] = SizeIntervals(fits=fit, runs=done, pairs=p, estimates=est, stderrs=se,
                                lower=est - half, upper=est + half)
     return RunIntervals(K=K, level=level, sigma=run_sigma, budget=budget.astype(np.int64),
-                        budgets=[best for _, best in chosen.values()], failed=failed, sizes=out)
+                        budgets=[best for _, best in table.values()], failed=failed, sizes=out)
 
 
-def _memo(cache: dict, key, fn, *args):
-    """fn(*args), memoized under key; a RankDeficient or DegenerateLevel
-    error is memoized too, and raised again on every lookup."""
-    value = cache.get(key)
-    if value is None:
+def _each(failed: dict, keys: list, check) -> dict:
+    """check(key) by key, once per distinct keys[r] of a run r not in
+    failed; a key's RankDeficient or DegenerateLevel error is not in the
+    table but fails its runs: failed maps each to it."""
+    table, errors = {}, {}
+    for key in {key for r, key in enumerate(keys) if r not in failed} if failed else set(keys):
         try:
-            value = fn(*args)
+            table[key] = check(key)
         except (RankDeficient, DegenerateLevel) as e:
-            value = e
-        cache[key] = value
-    if isinstance(value, Exception):
-        raise value.with_traceback(None)
-    return value
+            errors[key] = e
+    if errors:
+        failed.update({r: errors[k] for r, k in enumerate(keys)
+                       if k in errors and r not in failed})
+    return table
 
 
 def infer(X: DesignMatrix, y, model: ModelSet, budgets: list[StabilityBudget],
@@ -437,7 +435,8 @@ def infer(X: DesignMatrix, y, model: ModelSet, budgets: list[StabilityBudget],
     y = as_response(y, X.n)
     zero, support = np.zeros(1, dtype=np.int64), np.zeros((1, X.d), dtype=bool)
     support[0, model.columns(X.d)] = True
-    out = infer_runs([X], y[None], zero, support, [budgets], zero, alpha, sigma, weights)
+    out = infer_runs(X.stack.entries, y[None], zero, support, [budgets], zero, alpha, sigma,
+                     weights)
     if out.failed:
         raise out.failed[0]
     run, sigma = out.sizes[len(model)], float(out.sigma[0])

@@ -12,6 +12,8 @@ The penalized solver updates the residual itself, coordinate by
 coordinate: the reference for the library's covariance-update solver.
 The full-model sigma estimate fits through a thin SVD of the design and
 sums the squared residuals: the reference for the library's R-only QR.
+`sigma_hat`, `stack` and `one_trial` hand one design to the library's
+stacked calls and take one trial out of its block draw.
 `support` is the LASSO model of one iterate, the reference for the
 library's support mask over a block. `records_rows` formats records one
 field at a time, the reference for the `experiment` command's columnar
@@ -28,7 +30,7 @@ from stableci import experiments
 from stableci.errors import AllCandidatesCollinear, DegenerateLevel, InsufficientSamples, \
     NonConvergence, RankDeficient
 from stableci.experiments import Runs, TrialRecord, gen_synthetic
-from stableci.linmodel import DesignMatrix, ModelSet, SubmodelFit, as_response, \
+from stableci.linmodel import DesignMatrix, DesignStack, ModelSet, SubmodelFit, as_response, \
     sigma_hat_full_model
 from stableci.noise import NoisePolicy, RngStream, scale_forward_stepwise, scale_lasso, \
     scale_screening
@@ -62,7 +64,7 @@ def fs_exact(X: DesignMatrix, y, k: int) -> ModelSet:
     for t in range(1, k + 1):
         cand_all = np.nonzero(available)[0]
         norms = np.linalg.norm(R[:, cand_all], axis=0)
-        keep = norms > FS_COLLINEAR_TOL * X.col_norms[cand_all]
+        keep = norms > FS_COLLINEAR_TOL * X.stack.col_norms[0][cand_all]
         cand = cand_all[keep]
         if cand.size == 0:
             raise AllCandidatesCollinear(f"step {t}: no independent candidate")
@@ -121,7 +123,7 @@ def penalized_lasso_residual(X: DesignMatrix, y, lam: float, gap_tol: float = 1e
     A = X.entries
     y = as_response(y, X.n)
     d = X.d
-    col_sq = X.col_norms ** 2
+    col_sq = X.stack.col_norms[0] ** 2
     theta = np.zeros(d)
     r = y.copy()
     yy = 0.5 * float(y @ y)
@@ -148,6 +150,27 @@ def penalized_lasso_residual(X: DesignMatrix, y, lam: float, gap_tol: float = 1e
     )
 
 
+def sigma_hat(X: DesignMatrix, y) -> tuple[float, int]:
+    """The library's full-model sigma estimate of one design, as a stack of
+    one: (sigma_hat, dof), or its RankDeficient raised."""
+    sigma, dof, errors = sigma_hat_full_model(X.stack.entries, as_response(y, X.n)[None])
+    if errors:
+        raise errors[0]
+    return float(sigma[0]), dof
+
+
+def stack(designs) -> DesignStack:
+    """DesignMatrix designs as one checked DesignStack."""
+    return DesignStack.checked(np.stack([X.entries for X in designs]))
+
+
+def one_trial(cfg, trial_index: int):
+    """(X, beta, mu, y) of one trial, from the library's block draw of that
+    trial alone, with X as a DesignMatrix."""
+    X, beta, mu, Y = gen_synthetic(cfg, range(trial_index, trial_index + 1))
+    return DesignMatrix(X.entries[0]), beta, mu[0], Y[0]
+
+
 def sigma_hat_svd(X: DesignMatrix, y) -> tuple[float, int]:
     """Full-model residual noise estimate (sigma_hat, dof = n - d) through a
     rank-checked thin SVD of X: the least-squares fit on all d columns, then
@@ -171,7 +194,7 @@ def screening_noisy(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
                     sigma: float, rng: RngStream) -> SelectionResult:
     """k rounds of noisy argmax over |c_i + xi| with c = X^T y / n."""
     y = as_response(y, X.n)
-    scale = scale_screening(X, NoisePolicy(sigma, delta, eta_step))
+    scale = scale_screening(X.stack, 0, sigma, delta, eta_step)
     c = (X.entries.T @ y) / X.n
     available = np.ones(X.d, dtype=bool)
     chosen_order = []
@@ -200,7 +223,7 @@ def fs_noisy(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
     for t in range(1, k + 1):
         cand_all = np.nonzero(available)[0]
         norms = np.linalg.norm(R[:, cand_all], axis=0)
-        keep = norms > FS_COLLINEAR_TOL * X.col_norms[cand_all]
+        keep = norms > FS_COLLINEAR_TOL * X.stack.col_norms[0][cand_all]
         cand = cand_all[keep]
         if cand.size == 0:
             raise AllCandidatesCollinear(
@@ -224,10 +247,10 @@ def lasso_noisy(X: DesignMatrix, y, c1: float, delta: float, eta_step: float,
     """Noisy Frank-Wolfe over the l1 ball of radius c1: every step perturbs
     all 2d vertex scores with fresh Laplace draws before the argmin."""
     y = as_response(y, X.n)
-    policy = NoisePolicy(sigma, delta, eta_step)
+    NoisePolicy(sigma, delta, eta_step)  # checks the three
     if steps is None:
-        steps = _default_fw_steps(X, c1, eta_step, sigma)
-    scale = scale_lasso(c1, X, policy)
+        steps = int(_default_fw_steps(X.stack, 0, c1, eta_step, sigma))
+    scale = scale_lasso(c1, X.stack, 0, sigma, delta, eta_step)
     n, d = X.n, X.d
     A = X.entries
     theta = np.zeros(d)
@@ -259,7 +282,7 @@ def select_noisy(spec, X: DesignMatrix, y, eta_step: float | None, delta: float,
     if spec.method == "fs":
         return fs_noisy(X, y, spec.k, delta, eta_step, sigma, rng)
     # looked up in experiments, so a test's stand-in reaches the oracle too
-    c1 = spec.c1 if spec.lam is None else experiments.lambda_to_c1(X, y, spec.lam)
+    c1 = spec.c1 if spec.lam is None else experiments.lambda_to_c1(X.stack, y, spec.lam)
     if c1 == 0.0:
         return SelectionResult(ModelSet(), np.zeros(X.d), (), zero, c1=0.0)
     return lasso_noisy(X, y, c1, delta, eta_step, sigma, rng, spec.steps)
@@ -275,8 +298,7 @@ def score_model(cfg, X: DesignMatrix, y: np.ndarray, mu: np.ndarray, beta: np.nd
     if len(sel.model) == 0:
         K, chosen, se = 0.0, aligned[0], np.zeros(0)
     else:
-        sigma, dof = (cfg.sigma, None) if cfg.sigma_mode == "known" else \
-            sigma_hat_full_model(X, y)
+        sigma, dof = (cfg.sigma, None) if cfg.sigma_mode == "known" else sigma_hat(X, y)
         K, chosen = best_posi_constant(len(sel.model), level, aligned, dof)
         se = fit.stderrs(sigma)
     est = fit.coefficients(y)
@@ -309,7 +331,7 @@ def eta_major_sweep(cfg) -> list:
 
 
 def _fresh_trial(cfg, trial_index: int, eta_step):
-    X, beta, mu, y = gen_synthetic(cfg, trial_index)
+    X, beta, mu, y = one_trial(cfg, trial_index)
     delta_sel = slack_allowance(cfg.alpha, cfg.alpha_weights) / 2.0
     rng = RngStream(cfg.master_seed).child(experiments._PATH_TRIAL_SELECTOR, trial_index)
     try:

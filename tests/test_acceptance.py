@@ -80,7 +80,7 @@ def test_criterion_03_indistinguishability_ratio():
     Q, _ = np.linalg.qr(gen.standard_normal((20, 4)))
     X = DesignMatrix(Q)
     sigma, delta, eta = 1.0, 0.05, 0.5
-    thr = 2.0 * math.sqrt(math.log(2 * X.d / delta)) * sigma * X.l2inf_norm / X.n
+    thr = 2.0 * math.sqrt(math.log(2 * X.d / delta)) * sigma * X.stack.l2inf[0] / X.n
     y = gen.standard_normal(20)
     y_prime = y + 0.999 * thr * X.n * X.entries[:, 0]
     # the pair sits inside the typical set the certificate quantifies over
@@ -143,7 +143,7 @@ def constrained_lstar_lower(X, y, c1):
     best = -math.inf
     for _ in range(60):
         lam = 0.5 * (lo + hi)
-        th = solve_penalized_lasso(X, y, lam, gap_tol=1e-10)
+        th = solve_penalized_lasso(X.stack, y, lam, gap_tol=1e-10)
         r = y - X.entries @ th
         s = max(1.0, float(np.max(np.abs(X.entries.T @ r))) / lam)
         u = r / s
@@ -171,7 +171,7 @@ def test_criterion_06_frank_wolfe_convergence():
         lstar = constrained_lstar_lower(X, y, c1)
         res = stable_lasso(X, y, c1, 0.05, 1.0, 1.0, rng=r.child(2), steps=200,
                            scale_override=0.0)
-        cap = 8.0 * X.linf_norm ** 2 * c1 ** 2
+        cap = 8.0 * X.stack.linf[0] ** 2 * c1 ** 2
         for s in res.trace:
             worst = max(worst, (s.objective - lstar) / (cap / (s.step + 2)))
     ok = worst <= 1.0
@@ -193,7 +193,7 @@ def test_criterion_07_selector_utility():
         beta[:3] = 5.0
         y = X.entries @ beta + r.child(1).normal(100)
 
-        b_screen = scale_screening(X, policy)
+        b_screen = scale_screening(X.stack, 0, policy.sigma, policy.delta, policy.eta_step)
         res = stable_screening(X, y, k, delta_sel, eta, 1.0,
                                rng=r.child(2))
         gap = max(s.best_exact - s.exact_score for s in res.trace)

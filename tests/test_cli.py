@@ -27,13 +27,13 @@ from stableci.cli import (CliParseError, load_config, main, read_matrix, read_se
                           read_vector, write_selection)
 from stableci.errors import StableCIError
 from stableci.experiments import (DEFAULT_ETA_GRID, ExperimentConfig, SelectorSpec,
-                                  eta_sweep, gen_synthetic, run_selector, run_trial)
+                                  eta_sweep, run_selector, run_trial)
 from stableci.linmodel import DesignMatrix
 from stableci.noise import RngStream
 from stableci.selectors import lambda_to_c1
 from stableci.stability import slack_allowance
 
-from oracles import records_rows, screening_exact
+from oracles import one_trial, records_rows, screening_exact
 from test_experiments import ENGINE_CASES
 
 
@@ -307,7 +307,7 @@ def test_select_lasso_lambda_resolves_c1(data):
     params = manifest["parameters"]
     X = DesignMatrix(data["X"])
     assert params["lam"] == 0.05
-    assert params["c1"] == pytest.approx(lambda_to_c1(X, data["y_arr"], 0.05), rel=1e-9)
+    assert params["c1"] == pytest.approx(lambda_to_c1(X.stack, data["y_arr"], 0.05), rel=1e-9)
     assert params["steps"] == 25
     rows = [l.split(",") for l in open(sel).read().splitlines()]
     assert any(r[0] == "theta" for r in rows)
@@ -617,7 +617,7 @@ def test_ci_and_fixed_model_trial_share_one_inference_path(tmp_path, method, sig
                                eta_grid=(eta,))
         delta = slack_allowance(cfg.alpha) / 2.0
     for t in range(cfg.trials):
-        X, _, _, y = gen_synthetic(cfg, t)
+        X, _, _, y = one_trial(cfg, t)
         np.savetxt(tmp_path / "x.csv", X.entries, delimiter=",", fmt="%.17g")
         np.savetxt(tmp_path / "y.csv", y[:, None], delimiter=",", fmt="%.17g")
         if method != "fixed":
@@ -675,6 +675,17 @@ def test_budget_zero_step(capsys):
 def test_budget_rejects_nonfinite_step(step, capsys):
     assert main(["budget", "--k", "3", *step]) == 2
     assert "nan" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--k", "3", "--eta-step", "1", "--delta", "0"],
+                                  ["--k", "3", "--eta-step", "1", "--sparse", "5", "3", "0"]],
+                         ids=["advanced-delta-0", "sparse-tau-0"])
+def test_budget_checks_every_line_before_printing_any(argv, capsys):
+    # the simple line used to be printed before the advanced line's delta,
+    # or the sparse line's tau, was rejected
+    assert main(["budget", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -916,6 +927,29 @@ def test_pooled_experiment_builds_no_per_run_object(tmp_path, monkeypatch):
         assert json.load(open(out / "manifest.json"))["parameters"]["processes"] == 2
         for csv_name in CSV_NAMES:
             assert (out / csv_name).read_bytes() == (want[name][1] / csv_name).read_bytes()
+
+
+def test_redrawn_design_sweeps_build_no_design_matrix(tmp_path, monkeypatch):
+    """With DesignMatrix made to raise inside experiments, serial and
+    pooled sweeps that redraw the design per trial write the same files: a
+    block draws, checks and scales its designs as one stack."""
+    configs = {"screen": experiment_config(trials=40),
+               "fs": config_json(ENGINE_CASES["fs"], trials=40),
+               "lam": config_json(ENGINE_CASES["lasso-lam-estimate"], trials=40)}
+    assert all(cfg.get("regenerate_x_per_trial", True) for cfg in configs.values())
+    want = {name: run_experiment(tmp_path, f"want-{name}", cfg) for name, cfg in configs.items()}
+
+    def design_matrix(*args, **kwargs):
+        raise AssertionError("a DesignMatrix was built")
+
+    monkeypatch.setattr(experiments, "DesignMatrix", design_matrix)
+    for name, cfg in configs.items():
+        for workers in ("1", "2"):
+            rc, out = run_experiment(tmp_path, f"got-{name}-{workers}", cfg,
+                                     extra=("--workers", workers))
+            assert rc == want[name][0]
+            for csv_name in CSV_NAMES:
+                assert (out / csv_name).read_bytes() == (want[name][1] / csv_name).read_bytes()
 
 
 @pytest.mark.parametrize("case, reason", [("fixed-rank-deficient", "rank_deficient"),

@@ -25,7 +25,7 @@ from stableci.noise import KeyedGenerator, RngStream
 from stableci.selectors import SelectionResult, lambda_to_c1, select_runs, stable_screening
 from stableci.stability import StabilityBudget
 
-from oracles import columns, eta_major_sweep, score_model, screening_exact
+from oracles import columns, eta_major_sweep, one_trial, score_model, screening_exact, stack
 
 
 def fixed_cfg(**kw):
@@ -179,19 +179,19 @@ def test_experiment_config_validation():
 
 def test_gen_synthetic_deterministic():
     cfg = fixed_cfg()
-    X1, b1, mu1, y1 = gen_synthetic(cfg, 3)
-    X2, b2, mu2, y2 = gen_synthetic(cfg, 3)
+    X1, b1, mu1, y1 = one_trial(cfg, 3)
+    X2, b2, mu2, y2 = one_trial(cfg, 3)
     np.testing.assert_array_equal(X1.entries, X2.entries)
     np.testing.assert_array_equal(y1, y2)
-    X3, _, _, y3 = gen_synthetic(cfg, 4)
+    X3, _, _, y3 = one_trial(cfg, 4)
     assert not np.array_equal(y1, y3)
     assert not np.array_equal(X1.entries, X3.entries)
 
 
 def test_gen_synthetic_shared_design():
     cfg = fixed_cfg(regenerate_x_per_trial=False)
-    Xa, _, _, ya = gen_synthetic(cfg, 0)
-    Xb, _, _, yb = gen_synthetic(cfg, 1)
+    Xa, _, _, ya = one_trial(cfg, 0)
+    Xb, _, _, yb = one_trial(cfg, 1)
     np.testing.assert_array_equal(Xa.entries, Xb.entries)
     assert not np.array_equal(ya, yb)
     # drawn from its reserved stream (0,)
@@ -199,19 +199,33 @@ def test_gen_synthetic_shared_design():
     assert Xa.entries.tobytes() == fresh.tobytes()
 
 
+@pytest.mark.parametrize("regenerate", [True, False])
+def test_gen_synthetic_block_rows_are_each_trials_own_draw(regenerate):
+    # a block draws its trials straight into one stack; row b is what the
+    # trial drawn alone gives, and a shared design is one broadcast array
+    cfg = fixed_cfg(regenerate_x_per_trial=regenerate, n=30, d=6)
+    X, beta, mu, Y = gen_synthetic(cfg, range(3, 8))
+    assert X.entries.shape == (5, 30, 6) and (X.entries.strides[0] == 0) != regenerate
+    for b, t in enumerate(range(3, 8)):
+        X1, beta1, mu1, y1 = gen_synthetic(cfg, range(t, t + 1))
+        for got, want in ((X.entries[b], X1.entries[0]), (X.col_norms[b], X1.col_norms[0]),
+                          (X.l2inf[b], X1.l2inf[0]), (mu[b], mu1[0]), (Y[b], y1[0])):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_gen_synthetic_beta_layout():
     cfg = fixed_cfg(n=1000, d=500, signal=5.0, active_fraction=0.8)
-    X, beta, mu, y = gen_synthetic(cfg, 0)
+    X, beta, mu, y = one_trial(cfg, 0)
     assert (beta == 5.0).sum() == 400
     assert np.all(beta[:400] == 5.0) and np.all(beta[400:] == 0.0)
     np.testing.assert_array_equal(mu, X.entries @ beta)
     # entries N(0,1)/sqrt(n): column norms concentrate near 1
-    assert 0.8 <= X.col_norms.mean() <= 1.2
+    assert 0.8 <= X.stack.col_norms[0].mean() <= 1.2
 
 
 def test_gen_synthetic_null_signal():
     cfg = fixed_cfg(signal=5.0, active_fraction=0.0)
-    _, beta, mu, y = gen_synthetic(cfg, 0)
+    _, beta, mu, y = one_trial(cfg, 0)
     assert np.all(beta == 0.0) and np.all(mu == 0.0)
 
 
@@ -227,7 +241,7 @@ def test_run_trial_fixed_model_classical():
     assert rec.budget_used == StabilityBudget(0.0, 0.0, 0.0)
     # all-on-delta weights: K is the plain Bonferroni z at alpha/(2m)
     np.testing.assert_allclose(rec.K, scipy.stats.norm.ppf(1 - 0.1 / 6), rtol=1e-12)
-    X, _, _, _ = gen_synthetic(cfg, 0)
+    X, _, _, _ = one_trial(cfg, 0)
     sub = X.entries[:, :3]
     se = np.sqrt(np.diag(np.linalg.inv(sub.T @ sub)))
     np.testing.assert_allclose(rec.widths, 2 * rec.K * se, rtol=1e-9)
@@ -235,7 +249,7 @@ def test_run_trial_fixed_model_classical():
 
 def test_run_trial_coverage_is_target_based():
     cfg = fixed_cfg()
-    X, beta, mu, y = gen_synthetic(cfg, 0)
+    X, beta, mu, y = one_trial(cfg, 0)
     rec = run_trial(cfg, 0)[0]
     from stableci.linmodel import ols_fit, target_coefficients
     est = ols_fit(X, rec.model, y)
@@ -253,7 +267,7 @@ def test_run_trial_factors_each_model_once(svd_calls):
     # an estimated scale adds the full model's rank check: the singular
     # values of the d x d block of the R of [X y], not an SVD of X
     run_trial(fixed_cfg(sigma_mode="estimate"), 0)
-    assert sorted(svd_calls) == [(1, 200, 3), (10, 10)]
+    assert sorted(svd_calls) == [(1, 10, 10), (1, 200, 3)]
     svd_calls.clear()
     # a block factors its trials' distinct models in one stacked SVD per size
     eta_sweep(fixed_cfg(eta_grid=(0.5, 2.0)))
@@ -298,13 +312,13 @@ def test_run_trial_screening_matches_exact_at_large_eta():
                            signal=20.0, active_fraction=0.15, eta_grid=(10.0,))
     agree = 0
     for t in range(cfg.trials):
-        X, _, _, y = gen_synthetic(cfg, t)
+        X, _, _, y = one_trial(cfg, t)
         agree += run_trial(cfg, t)[0].model == screening_exact(X, y, 3)
     assert agree / cfg.trials >= 0.95
 
 
 def test_run_selector_zero_certificate_for_noiseless_choices():
-    X, _, _, y = gen_synthetic(fixed_cfg(n=50, d=8), 0)
+    X, _, _, y = one_trial(fixed_cfg(n=50, d=8), 0)
     fixed = run_selector(SelectorSpec(method="fixed", fixed_model=(3, 1)), X, y,
                          None, 0.05, 1.0, RngStream(0))
     assert fixed.model.indices == (1, 3) and fixed.theta is None and fixed.trace == ()
@@ -323,28 +337,29 @@ def test_select_runs_matches_one_run_selections():
     the result run_selector gives it alone, trace aside, and certify one
     table entry per distinct (rounds, eta_step)."""
     cfg = fixed_cfg(n=30, d=8, signal=3.0, active_fraction=0.25)
-    data = [(X, y) for X, _, _, y in (gen_synthetic(cfg, t) for t in range(3))]
+    data = [(X, y) for X, _, _, y in (one_trial(cfg, t) for t in range(3))]
     data[1] = (data[1][0], np.zeros(cfg.n))  # lam zeroes every coordinate
     rank3 = np.random.default_rng(4).standard_normal((cfg.n, 3)) @ data[2][0].entries[:3]
-    streams = [RngStream(7).child(2, b) for b in range(3)]
+    paths = [(2, b) for b in range(3)]
     lasso, fs = SelectorSpec(method="lasso", lam=0.3), SelectorSpec(method="fs", k=4)
     blocks = {
-        "lasso": (lasso, data, [(b, eta, lambda_to_c1(*data[b], 0.3)) for b in range(3)
-                                for eta in (0.5, 2.0)]),
+        "lasso": (lasso, data, [(b, eta, lambda_to_c1(data[b][0].stack, data[b][1], 0.3))
+                                for b in range(3) for eta in (0.5, 2.0)]),
         "fs": (fs, [data[0], (DesignMatrix(rank3), data[2][1]), data[2]],
                [(0, 1.0, None), (1, 1.0, None), (2, 0.5, None), (1, 2.0, None)]),
     }
     got = {}
     for name, (spec, trials, runs) in blocks.items():
-        block = got[name] = select_runs(spec, [X for X, _ in trials],
-                                        np.array([y for _, y in trials]), runs, 0.03, 1.0,
-                                        streams)
+        trial, eta, c1 = map(np.array, zip(*runs))
+        block = got[name] = select_runs(spec, stack([X for X, _ in trials]),
+                                        np.array([y for _, y in trials]), trial,
+                                        eta, None if name == "fs" else c1, 0.03, 1.0, 7, paths)
         assert block.trace == ()
         distinct = set()  # (rounds, eta_step) of each noisy run, None of a zero-radius one
         for r, (b, eta, c1) in enumerate(runs):
             X, y = trials[b]
             try:
-                want = run_selector(spec, X, y, eta, 0.03, 1.0, streams[b])
+                want = run_selector(spec, X, y, eta, 0.03, 1.0, RngStream(7, paths[b]))
             except AllCandidatesCollinear as e:
                 assert type(block.failed[r]) is AllCandidatesCollinear
                 assert str(block.failed[r]) == str(e) and not block.support[r].any()
@@ -416,7 +431,7 @@ def data_split_baseline(cfg: ExperimentConfig, split_fraction: float,
     inference half's design."""
     if not (0.0 < split_fraction < 1.0):
         raise ValueError(f"split_fraction must be in (0, 1), got {split_fraction}")
-    X, beta, mu, y = gen_synthetic(cfg, trial_index)
+    X, beta, mu, y = one_trial(cfg, trial_index)
     n_sel = math.ceil(split_fraction * cfg.n)
     if not (1 <= n_sel < cfg.n):
         raise ValueError(f"split leaves an empty half: n_sel={n_sel} of n={cfg.n}")
@@ -439,7 +454,7 @@ def test_data_split_matches_direct_classical_fit():
     cfg = fixed_cfg(n=50, d=5)
     rec = data_split_baseline(cfg, 0.5, 2)
     assert rec.budget_used == StabilityBudget(0.0, 0.0, 0.0)
-    X, beta, mu, y = gen_synthetic(cfg, 2)
+    X, beta, mu, y = one_trial(cfg, 2)
     X2, y2 = X.entries[25:], y[25:]
     M = list(rec.model)
     coef, *_ = np.linalg.lstsq(X2[:, M], y2, rcond=None)
@@ -452,7 +467,7 @@ def test_data_split_matches_direct_classical_fit():
 def test_data_split_selects_on_first_half_only():
     cfg = fixed_cfg(n=60, d=6, selector=SelectorSpec(method="screen", k=2), alpha_weights=None)
     rec = data_split_baseline(cfg, 0.5, 1)
-    X, _, _, y = gen_synthetic(cfg, 1)
+    X, _, _, y = one_trial(cfg, 1)
     from stableci.linmodel import DesignMatrix
     expect = screening_exact(DesignMatrix(X.entries[:30]), y[:30], 2)
     assert rec.model == expect
@@ -781,7 +796,7 @@ def test_lam_block_flags_only_the_trials_whose_penalty_solve_fails(monkeypatch):
     # their records are flagged, and only the other trials key selector streams
     cfg = ENGINE_CASES["lasso-lam-estimate"]
     assert block_trials(cfg) >= cfg.trials == 5
-    failing = [gen_synthetic(cfg, t)[3] for t in (1, 3)]
+    failing = [one_trial(cfg, t)[3] for t in (1, 3)]
     solve = experiments.lambda_to_c1
 
     def stuck_on_1_and_3(X, y, lam):
@@ -812,20 +827,22 @@ def test_eta_sweep_pool_equals_map():
 
 
 def test_eta_sweep_does_eta_free_work_once_per_trial(monkeypatch):
-    calls = {"gen": 0, "lam": 0, "sigma": 0}
+    calls = {"gen": 0, "lam": 0, "sigma": 0}  # trials each was evaluated for
 
-    def counting(key, fn):
+    def counting(key, fn, trials=lambda args: 1):
         def wrapped(*args, **kwargs):
-            calls[key] += 1
+            calls[key] += trials(args)
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(experiments, "gen_synthetic", counting("gen", gen_synthetic))
+    # the block draws its trials, and estimates their sigma inside
+    # stability.infer_runs, as one stack per call
+    monkeypatch.setattr(experiments, "gen_synthetic",
+                        counting("gen", gen_synthetic, lambda args: len(args[1])))
     monkeypatch.setattr(experiments, "lambda_to_c1",
                         counting("lam", experiments.lambda_to_c1))
-    # the sweep estimates sigma inside stability.infer_runs
-    monkeypatch.setattr(stability, "sigma_hat_full_model",
-                        counting("sigma", stability.sigma_hat_full_model))
+    monkeypatch.setattr(stability, "sigma_hat_full_model", counting(
+        "sigma", stability.sigma_hat_full_model, lambda args: len(args[0])))
     started = []
     counting_starts(monkeypatch, started)
     cfg = ENGINE_CASES["lasso-lam-estimate"]

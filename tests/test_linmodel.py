@@ -9,11 +9,11 @@ import pytest
 
 from stableci.errors import (DimensionMismatch, InsufficientSamples,
                              RankDeficient)
-from stableci.linmodel import (RANK_TOL, DesignMatrix, ModelSet, SubmodelFit,
+from stableci.linmodel import (RANK_TOL, DesignMatrix, DesignStack, ModelSet, SubmodelFit,
                                as_response, ols_fit, sigma_hat_full_model,
                                stderr_known_sigma, target_coefficients)
 
-from oracles import sigma_hat_svd
+from oracles import sigma_hat, sigma_hat_svd
 
 LINE = DesignMatrix([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
 
@@ -21,11 +21,11 @@ LINE = DesignMatrix([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
 def test_design_matrix_norms():
     X = DesignMatrix([[3.0, 0.0], [4.0, -5.0]])
     assert X.n == 2 and X.d == 2
-    np.testing.assert_allclose(X.col_norms, [5.0, 5.0])
-    assert X.l2inf_norm == 5.0
-    assert X.linf_norm == 5.0
+    np.testing.assert_allclose(X.stack.col_norms[0], [5.0, 5.0])
+    assert X.stack.l2inf[0] == 5.0
+    assert X.stack.linf[0] == 5.0
     # the largest magnitude is a negative entry
-    assert DesignMatrix([[1.0, -7.5], [2.0, 0.5]]).linf_norm == 7.5
+    assert DesignMatrix([[1.0, -7.5], [2.0, 0.5]]).stack.linf[0] == 7.5
 
 
 def test_design_matrix_is_frozen():
@@ -55,7 +55,7 @@ def test_design_matrix_rejects_column_norm_out_of_range(entry):
     # finite entries whose column norm overflows to inf or underflows to 0
     with pytest.raises(ValueError, match="rescale the design"):
         DesignMatrix([[entry, entry], [entry, 0.0]])
-    assert DesignMatrix([[1e154, 1.0], [0.0, 1.0]]).l2inf_norm == 1e154
+    assert DesignMatrix([[1e154, 1.0], [0.0, 1.0]]).stack.l2inf[0] == 1e154
 
 
 @pytest.mark.parametrize("entry", [1e200, 1e-200])
@@ -66,6 +66,54 @@ def test_design_matrix_norm_out_of_range_raises_without_a_warning(entry):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="rescale the design"):
             DesignMatrix([[entry, entry], [entry, 0.0]])
+
+
+@pytest.mark.parametrize("defect", ["nan", "all-zero", "norm-overflow"])
+def test_design_stack_check_raises_the_design_matrix_message(defect):
+    # a block's designs are checked once, as one stack: the first bad
+    # trial's error is DesignMatrix's for that design, word for word, and
+    # no numpy warning comes first
+    stack = np.random.default_rng(1).standard_normal((4, 6, 3))
+    if defect == "nan":
+        stack[1, 2, 0] = np.nan
+    elif defect == "all-zero":
+        stack[1] = 0.0
+    else:  # finite entries whose column norm overflows; trial 3's underflows
+        stack[1, :, 2], stack[3] = 1e200, 1e-200
+    with pytest.raises(ValueError) as want:
+        DesignMatrix(stack[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as got:
+            DesignStack.checked(stack)
+    assert str(got.value) == str(want.value)
+    DesignStack.checked(np.delete(stack, [1, 3], axis=0))  # the other trials pass
+
+
+def test_design_stack_norms_are_each_design_matrix_norms():
+    stack = np.random.default_rng(2).standard_normal((5, 7, 4))
+    X = DesignStack.checked(stack)
+    for b in range(5):
+        one = DesignMatrix(stack[b])
+        assert X.col_norms[b].tobytes() == one.stack.col_norms[0].tobytes()
+        assert (X.l2inf[b], X.linf[b]) == (one.stack.l2inf[0], one.stack.linf[0])
+    shared = one.stack.broadcast(3)
+    assert shared.entries.shape == (3, 7, 4) and shared.entries.strides[0] == 0
+    assert shared[1:2].entries[0].tobytes() == one.entries.tobytes()
+
+
+def test_sigma_hat_of_a_stack_is_each_designs_and_flags_only_the_deficient_one():
+    gen = np.random.default_rng(3)
+    stack, Y = gen.standard_normal((3, 30, 5)), gen.standard_normal((3, 30))
+    stack[1, :, 4] = stack[1, :, 0]
+    sigma, dof, errors = sigma_hat_full_model(stack, Y)
+    assert dof == 25 and list(errors) == [1]
+    for b in (0, 2):
+        one, _, none = sigma_hat_full_model(stack[b:b + 1], Y[b:b + 1])
+        assert one[0] == sigma[b] and none == {}
+    with pytest.raises(RankDeficient) as want:
+        sigma_hat(DesignMatrix(stack[1]), Y[1])
+    assert str(errors[1]) == str(want.value)
 
 
 def test_model_set_ordering():
@@ -194,7 +242,7 @@ def test_stderr_scales_with_sigma():
 
 def test_sigma_hat_full_model():
     X = DesignMatrix([[1.0], [1.0], [1.0]])
-    sig, dof = sigma_hat_full_model(X, [0.0, 0.0, 3.0])
+    sig, dof = sigma_hat(X, [0.0, 0.0, 3.0])
     # fit is ybar = 1, residuals (-1,-1,2), RSS = 6, dof = 2
     assert dof == 2
     np.testing.assert_allclose(sig, np.sqrt(3.0), rtol=1e-12)
@@ -202,7 +250,7 @@ def test_sigma_hat_full_model():
 
 def test_sigma_hat_needs_extra_samples():
     with pytest.raises(InsufficientSamples):
-        sigma_hat_full_model(DesignMatrix([[1.0, 0.0], [0.0, 1.0]]), [1.0, 2.0])
+        sigma_hat(DesignMatrix([[1.0, 0.0], [0.0, 1.0]]), [1.0, 2.0])
 
 
 def _cond_1e8(gen, n: int, d: int) -> np.ndarray:
@@ -226,7 +274,7 @@ def test_sigma_hat_matches_the_svd_oracle(shape, seed):
         A = gen.standard_normal((n, d))
         noise = gen.standard_normal(n)
     X, y = DesignMatrix(A), A @ gen.standard_normal(d) + noise
-    got, dof = sigma_hat_full_model(X, y)
+    got, dof = sigma_hat(X, y)
     want, want_dof = sigma_hat_svd(X, y)
     assert dof == want_dof == n - d
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -251,7 +299,7 @@ def test_sigma_hat_on_an_ill_conditioned_fit_is_as_good_as_the_svd_oracle(seed):
         exact = float(mpmath.norm(r) / mpmath.sqrt(n - d))
         bound = float(np.finfo(float).eps * np.linalg.norm(A, 2) * mpmath.norm(beta)
                       / mpmath.norm(r))
-    for estimate in (sigma_hat_full_model, sigma_hat_svd):
+    for estimate in (sigma_hat, sigma_hat_svd):
         assert abs(estimate(DesignMatrix(A), y)[0] - exact) <= bound * exact, estimate
 
 
@@ -265,7 +313,7 @@ def test_sigma_hat_flags_what_the_svd_oracle_flags(defect):
                "near-copy-1e-12": A[:, 1] + 1e-12 * A[:, 4]}[defect]
     X, y = DesignMatrix(A), gen.standard_normal(40)
     ratios = []
-    for estimate in (sigma_hat_full_model, sigma_hat_svd):
+    for estimate in (sigma_hat, sigma_hat_svd):
         with pytest.raises(RankDeficient) as e:
             estimate(X, y)
         m = re.fullmatch(r"columns \(0, 1, 2, 3, 4, 5\): "
@@ -286,4 +334,4 @@ def test_sigma_hat_keeps_a_near_copy_above_the_cutoff():
     A[:, 4] = A[:, 1] + 1e-8 * A[:, 4]
     X, y = DesignMatrix(A), gen.standard_normal(40)
     # generic noise on a cond-2e8 fit: the two agree to ~cond * eps
-    np.testing.assert_allclose(sigma_hat_full_model(X, y), sigma_hat_svd(X, y), rtol=1e-7)
+    np.testing.assert_allclose(sigma_hat(X, y), sigma_hat_svd(X, y), rtol=1e-7)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from stableci.linmodel import DesignMatrix
+from stableci.linmodel import DesignMatrix, DesignStack
 from stableci.noise import (KeyedGenerator, NoisePolicy, RngStream, log_descending_factorial,
                             scale_forward_stepwise, scale_lasso, scale_screening, stream_name)
 
@@ -164,7 +164,7 @@ def test_policy_rejects_bad_sigma(sigma):
 def test_scale_screening_value():
     X = unit_norm_design()
     policy = NoisePolicy(1.0, delta=0.05, eta_step=1.0)
-    got = scale_screening(X, policy)
+    got = scale_screening(X.stack, 0, policy.sigma, policy.delta, policy.eta_step)
     ref = 4.0 * math.sqrt(math.log(2 * 500 / 0.05)) / 1000
     assert got == pytest.approx(ref, rel=1e-14)
     assert got == pytest.approx(0.012587922816754877, abs=1e-15)
@@ -173,7 +173,7 @@ def test_scale_screening_value():
 def test_scale_lasso_value():
     X = unit_norm_design()
     policy = NoisePolicy(1.0, delta=0.05, eta_step=1.0)
-    got = scale_lasso(1.0, X, policy)
+    got = scale_lasso(1.0, X.stack, 0, policy.sigma, policy.delta, policy.eta_step)
     ref = 8.0 * math.sqrt(math.log(4 * 500 / 0.05)) / 1000
     assert got == pytest.approx(ref, rel=1e-14)
     assert got == pytest.approx(0.02604197809149967, abs=1e-15)
@@ -189,30 +189,54 @@ def test_scale_forward_stepwise_value():
 
 
 def test_scales_shrink_with_eta_and_n():
-    X1, X2 = unit_norm_design(1000), unit_norm_design(2000)
+    X1, X2 = unit_norm_design(1000).stack, unit_norm_design(2000).stack
     p1 = NoisePolicy(1.0, delta=0.05, eta_step=1.0)
     p2 = NoisePolicy(1.0, delta=0.05, eta_step=2.0)
-    assert scale_screening(X1, p2) == pytest.approx(scale_screening(X1, p1) / 2)
-    assert scale_lasso(1.0, X1, p2) == pytest.approx(scale_lasso(1.0, X1, p1) / 2)
+    assert scale_screening(X1, 0, p2.sigma, p2.delta, p2.eta_step) == pytest.approx(
+        scale_screening(X1, 0, p1.sigma, p1.delta, p1.eta_step) / 2)
+    assert scale_lasso(1.0, X1, 0, p2.sigma, p2.delta, p2.eta_step) == pytest.approx(
+        scale_lasso(1.0, X1, 0, p1.sigma, p1.delta, p1.eta_step) / 2)
     assert scale_forward_stepwise(500, 5, p2) == pytest.approx(
         scale_forward_stepwise(500, 5, p1) / 2)
     # 1/n enters screening and lasso through the design, never fs
-    assert scale_screening(X2, p1) == pytest.approx(scale_screening(X1, p1) / 2)
-    assert scale_lasso(1.0, X2, p1) == pytest.approx(scale_lasso(1.0, X1, p1) / 2)
+    assert scale_screening(X2, 0, p1.sigma, p1.delta, p1.eta_step) == pytest.approx(
+        scale_screening(X1, 0, p1.sigma, p1.delta, p1.eta_step) / 2)
+    assert scale_lasso(1.0, X2, 0, p1.sigma, p1.delta, p1.eta_step) == pytest.approx(
+        scale_lasso(1.0, X1, 0, p1.sigma, p1.delta, p1.eta_step) / 2)
 
 
 def test_scale_validation():
-    X = unit_norm_design(10, 4)
+    X = unit_norm_design(10, 4).stack
     policy = NoisePolicy(1.0, delta=0.05, eta_step=1.0)
     with pytest.raises(ValueError):
-        scale_lasso(0.0, X, policy)
+        scale_lasso(0.0, X, 0, policy.sigma, policy.delta, policy.eta_step)
     with pytest.raises(ValueError):
         scale_forward_stepwise(4, 5, policy)
     # a subnormal eta_step overflows every scale to inf
     tiny = NoisePolicy(1.0, delta=0.05, eta_step=1e-310)
-    for call in (lambda: scale_lasso(1.0, X, tiny), lambda: scale_screening(X, tiny),
+    for call in (lambda: scale_lasso(1.0, X, 0, tiny.sigma, tiny.delta, tiny.eta_step),
+                 lambda: scale_screening(X, 0, tiny.sigma, tiny.delta, tiny.eta_step),
                  lambda: scale_forward_stepwise(4, 2, tiny)):
         with pytest.raises(ValueError, match=r"^the Laplace scale overflows at eta_step=1e-310"):
+            call()
+
+
+def test_scales_of_a_block_are_each_runs_scale_and_name_the_first_overflow():
+    # one array expression over per-trial norms and per-run etas gives each
+    # run, bit for bit, what a block of that run alone gives it
+    gen = np.random.default_rng(3)
+    X = DesignStack.checked(gen.standard_normal((3, 12, 5)))
+    trial, eta = np.array([2, 0, 0, 1, 2]), np.array([0.5, 1.0, 4.0, 0.25, 2.0])
+    c1 = np.array([1.5, 0.2, 0.2, 3.0, 1.5])
+    block = scale_screening(X, trial, 1.0, 0.05, eta), scale_lasso(c1, X, trial, 1.0, 0.05, eta)
+    for r in range(5):
+        alone = (scale_screening(X, trial[r:r + 1], 1.0, 0.05, eta[r:r + 1]),
+                 scale_lasso(c1[r:r + 1], X, trial[r:r + 1], 1.0, 0.05, eta[r:r + 1]))
+        assert [b[r] for b in block] == [a[0] for a in alone]
+    eta[3:] = [1e-310, 2e-310]
+    for call in (lambda: scale_screening(X, trial, 1.0, 0.05, eta),
+                 lambda: scale_lasso(c1, X, trial, 1.0, 0.05, eta)):
+        with pytest.raises(ValueError, match=r"^the Laplace scale overflows at eta_step=1e-310;"):
             call()
 
 

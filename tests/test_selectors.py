@@ -28,7 +28,7 @@ from stableci.selectors import (FS_COLLINEAR_TOL, MAX_DEFAULT_FW_STEPS, SUPPORT_
 from stableci.stability import StabilityBudget, certify_budgets, compose_adaptive_advanced
 
 from oracles import (fs_exact, fs_noisy, lasso_exact_fw, lasso_noisy,
-                     penalized_lasso_residual, screening_exact, screening_noisy, support)
+                     penalized_lasso_residual, screening_exact, screening_noisy, stack, support)
 
 
 def random_instance(seed, n=25, d=8, snr=2.0):
@@ -76,18 +76,18 @@ def test_lasso_config_validation():
 def test_lasso_resolved_steps():
     X = DesignMatrix([[2.0, 0.0], [0.0, 1.0]])
     # ceil(n linf^2 c1 eta / (sigma l2inf)) = ceil(2*4*3*1 / (1*2)) = 12
-    assert _default_fw_steps(X, 3.0, 1.0, 1.0) == 12
+    assert _default_fw_steps(X.stack, 0, 3.0, 1.0, 1.0) == 12
     assert len(stable_lasso(X, [1.0, 1.0], 3.0, 0.05, 1.0, 1.0, rng=RngStream(0)).trace) == 12
     assert len(stable_lasso(X, [1.0, 1.0], 3.0, 0.05, 1.0, 1.0, rng=RngStream(0),
                             steps=7).trace) == 7
-    assert _default_fw_steps(X, 1e9, 1.0, 1.0) == 10_000
-    assert _default_fw_steps(X, 1e-12, 1.0, 1.0) == 1
+    assert _default_fw_steps(X.stack, 0, 1e9, 1.0, 1.0) == 10_000
+    assert _default_fw_steps(X.stack, 0, 1e-12, 1.0, 1.0) == 1
 
 
 def test_default_fw_steps_caps_a_count_that_overflows():
     # norms are finite, but n ||X||_inf^2 c1 eta / (sigma ||X||_{2,inf}) is not
     X = DesignMatrix([[1e154, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    assert _default_fw_steps(X, 10.0, 1.0, 1.0) == MAX_DEFAULT_FW_STEPS
+    assert _default_fw_steps(X.stack, 0, 10.0, 1.0, 1.0) == MAX_DEFAULT_FW_STEPS
 
 
 def test_fw_one_dimensional():
@@ -103,7 +103,7 @@ def test_fw_zero_response_stays_near_optimal():
     X, _ = random_instance(0)
     res = stable_lasso(X, np.zeros(X.n), 1.0, 0.05, 1.0, 1.0, rng=RngStream(0), steps=100,
                        scale_override=0.0)
-    bound = [8.0 * X.linf_norm ** 2 / (t + 2) for t in range(1, 101)]
+    bound = [8.0 * X.stack.linf[0] ** 2 / (t + 2) for t in range(1, 101)]
     assert all(s.objective <= b + 1e-12 for s, b in zip(res.trace, bound))
 
 
@@ -117,7 +117,7 @@ def test_fw_orthonormal_reaches_projection():
     steps = 3000
     theta = lasso_exact_fw(X, y, c1, steps)
     # for orthonormal X the gap is ||theta - Q^T y||^2 / n
-    gap_bound = 2 * 4.0 * X.linf_norm ** 2 * c1 ** 2 / (steps + 2)
+    gap_bound = 2 * 4.0 * X.stack.linf[0] ** 2 * c1 ** 2 / (steps + 2)
     assert np.max(np.abs(theta - target)) <= math.sqrt(30 * gap_bound)
 
 
@@ -143,7 +143,7 @@ def test_fw_gap_bound_against_cd_oracle():
         lstar = constrained_lstar_lower(X, y, c1)
         res = stable_lasso(X, y, c1, 0.05, 1.0, 1.0, rng=RngStream(0), steps=150,
                            scale_override=0.0)
-        bound = 8.0 * X.linf_norm ** 2 * c1 ** 2
+        bound = 8.0 * X.stack.linf[0] ** 2 * c1 ** 2
         for s in res.trace:
             assert s.objective - lstar <= bound / (s.step + 2) + 1e-9
 
@@ -161,7 +161,7 @@ def constrained_lstar_lower(X: DesignMatrix, y, c1: float) -> float:
     best = -math.inf
     for _ in range(60):
         lam = 0.5 * (lo + hi)
-        th = solve_penalized_lasso(X, y, lam, gap_tol=1e-10)
+        th = solve_penalized_lasso(X.stack, y, lam, gap_tol=1e-10)
         r = y - X.entries @ th
         s = max(1.0, float(np.max(np.abs(X.entries.T @ r))) / lam)
         u = r / s
@@ -224,14 +224,14 @@ def test_support_threshold():
 
 def test_penalized_lasso_one_dimensional():
     X = DesignMatrix([[1.0]])
-    np.testing.assert_allclose(solve_penalized_lasso(X, [3.0], 1.0), [2.0],
+    np.testing.assert_allclose(solve_penalized_lasso(X.stack, [3.0], 1.0), [2.0],
                                atol=1e-10)
 
 
 def test_penalized_lasso_kkt():
     X, y = random_instance(4, n=40, d=10)
     lam = 0.05
-    theta = solve_penalized_lasso(X, y, lam, gap_tol=1e-12)
+    theta = solve_penalized_lasso(X.stack, y, lam, gap_tol=1e-12)
     grad = X.entries.T @ (y - X.entries @ theta)
     for j in range(X.d):
         if theta[j] == 0.0:
@@ -243,7 +243,7 @@ def test_penalized_lasso_kkt():
 def test_penalized_lasso_nonconvergence():
     X, y = random_instance(6, n=50, d=20)
     with pytest.raises(NonConvergence) as lib:
-        solve_penalized_lasso(X, y, 1e-6, gap_tol=1e-14, max_sweeps=1)
+        solve_penalized_lasso(X.stack, y, 1e-6, gap_tol=1e-14, max_sweeps=1)
     with pytest.raises(NonConvergence) as ref:
         penalized_lasso_residual(X, y, 1e-6, gap_tol=1e-14, max_sweeps=1)
     assert str(lib.value) == str(ref.value) == \
@@ -256,7 +256,7 @@ def test_penalized_lasso_rejects_a_bad_lam_up_front(lam):
     # the gap test: every sweep ran before NonConvergence
     X, y = random_instance(6, n=50, d=20)
     with pytest.raises(ValueError, match=f"^lam must be finite and positive, got {lam}$"):
-        solve_penalized_lasso(X, y, lam, max_sweeps=1)
+        solve_penalized_lasso(X.stack, y, lam, max_sweeps=1)
 
 
 @pytest.mark.parametrize("knob, value, want", [
@@ -267,7 +267,7 @@ def test_penalized_lasso_rejects_a_bad_stopping_rule_up_front(knob, value, want)
     # max_sweeps=0 reported a gap missed "in 0 sweeps"
     X, y = random_instance(6, n=50, d=20)
     with pytest.raises(ValueError, match=f"^{want}, got {value}$"):
-        solve_penalized_lasso(X, y, 0.05, **{knob: value})
+        solve_penalized_lasso(X.stack, y, 0.05, **{knob: value})
 
 
 def _penalized_instance(n, d, scale, column=None):
@@ -300,7 +300,7 @@ def _penalized_instance(n, d, scale, column=None):
 ])
 def test_penalized_lasso_radius_matches_the_residual_oracle(n, d, lam, scale, column, rel):
     X, y = _penalized_instance(n, d, scale, column)
-    theta = solve_penalized_lasso(X, y, lam)
+    theta = solve_penalized_lasso(X.stack, y, lam)
     c1 = float(np.abs(theta).sum())
     ref = float(np.abs(penalized_lasso_residual(X, y, lam)).sum())
     assert abs(c1 - ref) <= rel * ref
@@ -314,17 +314,17 @@ def test_penalized_lasso_radius_matches_the_residual_oracle(n, d, lam, scale, co
 
 def test_lambda_to_c1():
     X = DesignMatrix([[1.0]])
-    assert lambda_to_c1(X, [3.0], 1.0) == pytest.approx(2.0, abs=1e-10)
-    assert lambda_to_c1(X, [3.0], 3.5) == 0.0
+    assert lambda_to_c1(X.stack, [3.0], 1.0) == pytest.approx(2.0, abs=1e-10)
+    assert lambda_to_c1(X.stack, [3.0], 3.5) == 0.0
     # lam -> 0 recovers the interpolating solution on a square system
     gen = np.random.default_rng(8)
     A = gen.standard_normal((5, 5))
     Xs = DesignMatrix(A)
     ys = gen.standard_normal(5)
     full = np.abs(np.linalg.solve(A, ys)).sum()
-    assert lambda_to_c1(Xs, ys, 1e-8) == pytest.approx(full, rel=1e-4)
+    assert lambda_to_c1(Xs.stack, ys, 1e-8) == pytest.approx(full, rel=1e-4)
     with pytest.raises(ValueError):
-        lambda_to_c1(X, [3.0], 0.0)
+        lambda_to_c1(X.stack, [3.0], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -410,16 +410,16 @@ def test_stable_screening_selection_law():
     probs = np.array([win_prob(i) for i in range(3)])
     assert probs.sum() == pytest.approx(1.0, abs=1e-6)
 
-    # one block of 1e5 runs, run s on the stream of seed s
+    # one block of 1e5 runs, run s on the stream of path (7, s)
     trials = 100_000
-    block = select_runs(SelectorSpec(method="screen", k=1), [X] * trials,
-                        np.broadcast_to(y, (trials, X.n)),
-                        [(s, 1.0, None) for s in range(trials)], 0.05, 1.0,
-                        [RngStream(s, (7,)) for s in range(trials)], scale_override=b)
+    block = select_runs(SelectorSpec(method="screen", k=1), X.stack.broadcast(trials),
+                        np.broadcast_to(y, (trials, X.n)), np.arange(trials),
+                        np.ones(trials), None, 0.05, 1.0, 0,
+                        [(7, s) for s in range(trials)], scale_override=b)
     assert np.all(block.support.sum(axis=1) == 1)
     picks = block.support.argmax(axis=1)
     assert picks[:2000].tolist() == [
-        stable_screening(X, y, 1, 0.05, 1.0, 1.0, rng=RngStream(s, (7,)),
+        stable_screening(X, y, 1, 0.05, 1.0, 1.0, rng=RngStream(0, (7, s)),
                          scale_override=b).model.indices[0] for s in range(2000)]
     freqs = np.bincount(picks, minlength=3) / trials
     sig = np.sqrt(probs * (1 - probs) / trials)
@@ -448,18 +448,18 @@ def test_stable_lasso_selection_law():
     probs = np.array([win_prob(v) for v in range(4)])
     assert probs.sum() == pytest.approx(1.0, abs=1e-6)
 
-    # one block of 1e5 runs, run s on the stream of seed s; after one step
-    # theta is the chosen vertex, +-c1 on its column
+    # one block of 1e5 runs, run s on the stream of path (8, s); after one
+    # step theta is the chosen vertex, +-c1 on its column
     trials = 100_000
-    block = select_runs(SelectorSpec(method="lasso", c1=c1, steps=1), [X] * trials,
-                        np.broadcast_to(y, (trials, X.n)),
-                        [(s, 1.0, c1) for s in range(trials)], 0.05, 1.0,
-                        [RngStream(s, (8,)) for s in range(trials)], scale_override=b)
+    block = select_runs(SelectorSpec(method="lasso", c1=c1, steps=1), X.stack.broadcast(trials),
+                        np.broadcast_to(y, (trials, X.n)), np.arange(trials),
+                        np.ones(trials), np.full(trials, c1), 0.05, 1.0, 0,
+                        [(8, s) for s in range(trials)], scale_override=b)
     assert np.all(block.support.sum(axis=1) == 1)
     cols = block.support.argmax(axis=1)
     picks = cols + X.d * (block.theta[np.arange(trials), cols] < 0)
     assert picks[:2000].tolist() == [
-        stable_lasso(X, y, c1, 0.05, 1.0, 1.0, rng=RngStream(s, (8,)), steps=1,
+        stable_lasso(X, y, c1, 0.05, 1.0, 1.0, rng=RngStream(0, (8, s)), steps=1,
                      scale_override=b).trace[0].chosen for s in range(2000)]
     freqs = np.bincount(picks, minlength=4) / trials
     sig = np.sqrt(probs * (1 - probs) / trials)
@@ -523,7 +523,7 @@ def test_fs_zero_noise_keeps_copies_of_a_column_tied_in_shared_states():
     trial = np.array([1, 0, 1, 1, 0])
     scales = np.array([0.0, 0.0, 2.0, 0.0, 0.5])
     assert _fs_order(X[1], y, 3, 2.0, 1)[0] != 2  # run 2 leaves the others at step 1
-    block = fs_runs(X, Y, 3, trial, scales, [RngStream(31, (2, t)) for t in range(2)])
+    block = fs_runs(stack(X), Y, 3, trial, scales, 31, [(2, t) for t in range(2)])
     assert not block.failed
     for r in (0, 3):
         assert np.flatnonzero(block.support[r]).tolist() == [0, 1, 2]
@@ -620,11 +620,11 @@ DELTA, SIGMA = 0.05, 1.0
 
 
 def block_of(designs, etas=ETAS):
-    """Every (trial, eta) run of a block, trial-major, with its stream."""
+    """Every (trial, eta) run of a block, trial-major, with the paths of the
+    trials' streams under master seed 31."""
     trial = np.repeat(np.arange(len(designs)), len(etas))
     eta = np.tile(etas, len(designs))
-    streams = [RngStream(31, (2, b)) for b in range(len(designs))]
-    return trial, eta, streams
+    return trial, eta, [(2, b) for b in range(len(designs))]
 
 
 def counting_starts(monkeypatch, started):
@@ -642,9 +642,8 @@ def counting_starts(monkeypatch, started):
 def test_step_draws_build_each_trial_stream_once_at_the_step_width(monkeypatch):
     started = []
     counting_starts(monkeypatch, started)
-    streams = [RngStream(31, (2, b)) for b in range(3)]
     trial, rounds = np.array([0, 0, 2]), np.array([4, 6, 4])
-    draws = _StepDraws(streams, trial, rounds)
+    draws = _StepDraws(31, [(2, b) for b in range(3)], trial, rounds)
     for step in range(1, 7):
         going = trial[rounds >= step]
         rows = draws(step, going, 8 - step)
@@ -659,39 +658,38 @@ def test_step_draws_build_each_trial_stream_once_at_the_step_width(monkeypatch):
 
 
 def test_step_draws_of_a_block_are_the_fresh_streams_draws():
-    # a seed per trial, the 64-bit extremes included; each run's row is
-    # its fresh child stream's draws at the full width
-    seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
-    streams = [RngStream(seed, (2, b)) for b, seed in enumerate(seeds)]
+    # a block per master seed, the 64-bit extremes included; each run's
+    # row is its fresh child stream's draws at the full width
     trial = np.array([4, 0, 3, 0, 2, 1, 4])
-    draws = _StepDraws(streams, trial, 9)(9, trial, 7)
-    assert draws.shape == (7, 7)
-    for row, b in zip(draws, trial):
-        fresh = RngStream(seeds[b], (2, b)).child(9).standard_laplace(7)
-        assert row.tobytes() == fresh.tobytes()
+    for seed in [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]:
+        draws = _StepDraws(seed, [(2, b) for b in range(5)], trial, 9)(9, trial, 7)
+        assert draws.shape == (7, 7)
+        for row, b in zip(draws, trial):
+            fresh = RngStream(seed, (2, b)).child(9).standard_laplace(7)
+            assert row.tobytes() == fresh.tobytes()
 
 
 def test_a_step_row_does_not_depend_on_the_block():
     # trial 2's step-3 row: alone (the one-trial branch), the only trial
     # with runs in a block of four, and beside runs of every other trial
-    streams = [RngStream(31, (2, b)) for b in range(4)]
-    alone = _StepDraws(streams[2:3], np.array([0]), 3)(3, np.array([0]), 6)
-    only = _StepDraws(streams, np.array([2, 2]), np.array([3, 5]))(3, np.array([2, 2]), 6)
+    paths = [(2, b) for b in range(4)]
+    alone = _StepDraws(31, paths[2:3], np.array([0]), 3)(3, np.array([0]), 6)
+    only = _StepDraws(31, paths, np.array([2, 2]), np.array([3, 5]))(3, np.array([2, 2]), 6)
     trial = np.array([0, 1, 2, 3, 2])
-    mixed = _StepDraws(streams, trial, np.array([9, 3, 4, 7, 3]))(3, trial, 6)
+    mixed = _StepDraws(31, paths, trial, np.array([9, 3, 4, 7, 3]))(3, trial, 6)
     assert alone[0].tobytes() == only[0].tobytes() == only[1].tobytes() == \
         mixed[2].tobytes() == mixed[4].tobytes()
 
 
 def test_select_runs_checks_the_block_once():
     X, y = random_instance(2)
-    Y, streams = y[None], [RngStream(0)]
+    Y, one, two = y[None], np.zeros(1, dtype=np.int64), np.zeros(2, dtype=np.int64)
     with pytest.raises(ValueError, match=r"^need 1 <= k <= d, got k=9, d=8$"):
-        select_runs(SelectorSpec("screen", k=9), [X], Y, [(0, 1.0, None)], DELTA, SIGMA,
-                    streams)
+        select_runs(SelectorSpec("screen", k=9), X.stack, Y, one, np.ones(1), None, DELTA,
+                    SIGMA, 0, [()])
     with pytest.raises(ValueError, match=r"^a trace is kept for a one-run block only, not 2"):
-        select_runs(SelectorSpec("fs", k=2), [X], Y, [(0, 1.0, None)] * 2, DELTA, SIGMA,
-                    streams, trace=True)
+        select_runs(SelectorSpec("fs", k=2), X.stack, Y, two, np.ones(2), None, DELTA, SIGMA,
+                    0, [()], trace=True)
 
 
 def test_select_runs_certifies_before_the_kernel(monkeypatch):
@@ -704,8 +702,8 @@ def test_select_runs_certifies_before_the_kernel(monkeypatch):
     X, y = random_instance(2)
     with pytest.raises(ValueError, match=r"^advanced composition of k=10000 rounds "
                                          r"at eta_step=1e\+200 overflows"):
-        select_runs(SelectorSpec("lasso", c1=1.0), [X], y[None], [(0, 1e200, 1.0)], DELTA,
-                    SIGMA, [RngStream(0)])
+        select_runs(SelectorSpec("lasso", c1=1.0), X.stack, y[None], np.zeros(1, dtype=np.int64),
+                    np.array([1e200]), np.ones(1), DELTA, SIGMA, 0, [()])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -728,10 +726,10 @@ def test_nonfinite_noise_scale_is_rejected(call, bad):
 def test_screen_runs_match_the_scalar_selector_run_by_run():
     designs = [random_instance(seed, n=25, d=9) for seed in range(3)]
     X, Y = [x for x, _ in designs], np.stack([y for _, y in designs])
-    trial, eta, streams = block_of(X)
-    scales = np.array([scale_screening(X[b], NoisePolicy(SIGMA, DELTA, e))
+    trial, eta, paths = block_of(X)
+    scales = np.array([scale_screening(X[b].stack, 0, SIGMA, DELTA, e)
                        for b, e in zip(trial, eta)])
-    block = screen_runs(X, Y, 4, trial, scales, streams)
+    block = screen_runs(stack(X), Y, 4, trial, scales, 31, paths)
     for r, (b, e) in enumerate(zip(trial, eta)):
         want = screening_noisy(X[b], Y[b], 4, DELTA, e, SIGMA, RngStream(31, (2, b)))
         assert tuple(np.flatnonzero(block.support[r])) == want.model.indices
@@ -784,8 +782,8 @@ def test_fs_runs_fail_alone_and_match_the_scalar_selector():
     for X, Y, k, trial, failing, scales in blocks:
         if scales is None:
             scales = [_fs_scale(X[0].d, e, k) for e in np.resize(ETAS, len(trial))]
-        streams = [RngStream(31, (2, t)) for t in range(len(X))]
-        block = fs_runs(X, Y, k, trial, np.array(scales), streams)
+        paths = [(2, t) for t in range(len(X))]
+        block = fs_runs(stack(X), Y, k, trial, np.array(scales), 31, paths)
         assert sorted(block.failed) == failing
         for r, (t, scale) in enumerate(zip(trial, scales)):
             rng = RngStream(31, (2, t))
@@ -802,8 +800,8 @@ def test_fs_runs_of_one_run_take_no_unique(monkeypatch):
     # a one-run block's state is its run: it makes no np.unique
     X, y = random_instance(2, n=20, d=6)
     stream = RngStream(31, (2, 0))
-    want = fs_runs([X], y[None], 3, np.array([0]), np.array([_fs_scale(6, ETAS[2])]),
-                   [stream]).support
+    want = fs_runs(X.stack, y[None], 3, np.array([0]), np.array([_fs_scale(6, ETAS[2])]), 31,
+                   [(2, 0)]).support
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.unique called on a one-run block")
@@ -849,7 +847,7 @@ def test_stable_fs_trace_scores_live_candidates_only():
     twin = {0: 3, 3: 0}[res.trace[0].chosen]
     for s in res.trace:
         norms = np.linalg.norm(R, axis=0)
-        live = [j for j in np.nonzero(norms > FS_COLLINEAR_TOL * X.col_norms)[0]
+        live = [j for j in np.nonzero(norms > FS_COLLINEAR_TOL * X.stack.col_norms[0])[0]
                 if j not in picked]
         if s.step > 1:
             assert twin not in live
@@ -872,12 +870,12 @@ def test_stable_fs_trace_scores_live_candidates_only():
 def test_lasso_runs_retire_at_their_own_step_counts():
     designs = [random_instance(seed, n=20, d=6) for seed in range(2)]
     X, Y = [x for x, _ in designs], np.stack([y for _, y in designs])
-    trial, eta, streams = block_of(X)
+    trial, eta, paths = block_of(X)
     c1 = np.array([1.5, 0.7])[trial]
     steps = np.array([3, 9, 5, 1, 7, 9])
-    scales = np.array([scale_lasso(c, X[b], NoisePolicy(SIGMA, DELTA, e))
+    scales = np.array([scale_lasso(c, X[b].stack, 0, SIGMA, DELTA, e)
                        for c, b, e in zip(c1, trial, eta)])
-    block = lasso_runs(X, Y, c1, steps, trial, scales, streams)
+    block = lasso_runs(stack(X), Y, c1, steps, trial, scales, 31, paths)
     for r, (b, e) in enumerate(zip(trial, eta)):
         want = lasso_noisy(X[b], Y[b], c1[r], DELTA, e, SIGMA, RngStream(31, (2, b)),
                            int(steps[r]))

@@ -13,12 +13,13 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stableci.errors import BadWeights, DegenerateLevel, EmptyInput, MixedSlack
+from stableci.errors import BadWeights, DegenerateLevel, EmptyInput, MixedSlack, RankDeficient
 from stableci.linmodel import DesignMatrix, ModelSet
 from stableci.stability import (IntervalSet, StabilityBudget, align_slack, best_posi_constant,
                                 certify_budgets, compose_adaptive_advanced,
                                 compose_adaptive_simple,
-                                corrected_level, eta_step_for_total, infer, posi_constant,
+                                corrected_level, eta_step_for_total, infer, infer_runs,
+                                posi_constant,
                                 slack_allowance, sparse_selection_eta)
 
 B0 = StabilityBudget(0.0, 0.0, 0.0)
@@ -414,3 +415,40 @@ def test_infer_estimated_sigma_and_empty_model():
     assert empty.K == 0.0 and empty.sigma is None and empty.lower.size == 0
     with pytest.raises(ValueError):
         infer(X, np.where(np.arange(12) == 3, np.nan, y), ModelSet((1,)), [B0], 0.1, 1.0)
+
+
+def test_infer_runs_gives_each_run_its_first_failure_or_its_one_run_intervals():
+    # a block whose runs fail at each check in turn: the model's rank (run
+    # 1, whose certificate would fail the level too), the level (run 2),
+    # sigma (run 3, on a trial whose full model is collinear) and K (run
+    # 4); every run gets what infer gives it alone, each check having run
+    # once per distinct key
+    gen = np.random.default_rng(6)
+    X = gen.standard_normal((3, 12, 4))
+    X[1, :, 3] = X[1, :, 0]
+    Y = gen.standard_normal((3, 12))
+    certs = [certify_budgets(2, 0.5, 0.01), (StabilityBudget(0.0, 0.06, 0.06),),
+             (StabilityBudget(800.0, 0.01, 0.01),)]
+    runs = [(0, (0, 1), 0), (1, (0, 3), 1), (0, (1,), 1), (1, (1, 2), 0), (2, (2,), 2),
+            (2, (), 0), (1, (), 2), (0, (0, 1), 0)]
+    trial = np.array([t for t, _, _ in runs])
+    support = np.zeros((len(runs), 4), dtype=bool)
+    for r, (_, cols, _) in enumerate(runs):
+        support[r, list(cols)] = True
+    out = infer_runs(X, Y, trial, support, certs, np.array([c for _, _, c in runs]), 0.1, None)
+    assert sorted(out.failed) == [1, 2, 3, 4]
+    for r, (t, cols, c) in enumerate(runs):
+        try:
+            want = infer(DesignMatrix(X[t]), Y[t], ModelSet(cols), list(certs[c]), 0.1, None)
+        except (RankDeficient, DegenerateLevel) as e:
+            assert type(out.failed[r]) is type(e) and str(out.failed[r]) == str(e)
+            assert (out.K[r], out.budget[r]) == (0.0, -1)
+            assert math.isnan(out.level[r]) and math.isnan(out.sigma[r])
+            continue
+        assert (out.K[r], out.level[r], out.budgets[out.budget[r]]) == \
+            (want.K, want.level, want.budget)
+        assert out.sigma[r] == want.sigma or want.sigma is None and math.isnan(out.sigma[r])
+        group = out.sizes[len(cols)]
+        i = group.runs.tolist().index(r)
+        assert group.lower[i].tobytes() == want.lower.tobytes()
+        assert group.upper[i].tobytes() == want.upper.tobytes()
