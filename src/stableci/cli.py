@@ -53,7 +53,7 @@ from .linmodel import DesignMatrix, ModelSet
 # not called here: bound for perfbench/tracing.py, which wraps these names in this module
 from .linmodel import ols_fit, sigma_hat_full_model, stderr_known_sigma  # noqa: F401
 from .noise import STREAM_LAYOUT, RngStream
-from .selectors import SelectionResult
+from .selectors import MECHANISMS, SelectionResult
 # not called here: bound for perfbench/tracing.py, which wraps these names in this module
 from .selectors import lambda_to_c1, stable_fs, stable_lasso, stable_screening  # noqa: F401
 from .stability import (
@@ -512,7 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("select", help="run a noisy selector on CSV data")
     ps.add_argument("--x", required=True, help="design matrix CSV")
     ps.add_argument("--y", required=True, help="response CSV (single column)")
-    ps.add_argument("--method", required=True, choices=["screen", "fs", "lasso"])
+    ps.add_argument("--method", required=True,
+                    choices=[name for name, mech in MECHANISMS.items() if mech.kernel])
     ps.add_argument("--k", type=int, default=None, help="rounds (screen/fs)")
     ps.add_argument("--c1", type=float, default=None, help="lasso l1 radius")
     ps.add_argument("--lam", type=float, default=None,

@@ -36,9 +36,10 @@ import numpy as np
 
 from .errors import BadWeights, EmptyInput, NonConvergence, check_number
 from .linmodel import DesignMatrix, DesignStack, ModelSet
-from .noise import NoisePolicy, RngStream, keyed, scale_forward_stepwise
-from .selectors import SelectionResult, SelectorSpec, _one_run, lambda_to_c1, select_runs
-from .stability import ZERO_BUDGET, StabilityBudget, certify_budgets, infer_runs, slack_allowance
+from .noise import RngStream, keyed
+from .selectors import (MECHANISMS, SelectionResult, SelectorSpec, _one_run, lambda_to_c1,
+                        select_runs)
+from .stability import ZERO_BUDGET, StabilityBudget, infer_runs, slack_allowance
 # not called here: bound for perfbench/tracing.py, which wraps these names in this module
 from .linmodel import ols_fit, sigma_hat_full_model, stderr_known_sigma  # noqa: F401
 from .linmodel import target_coefficients  # noqa: F401
@@ -64,10 +65,11 @@ WIDTH_QUANTILE_LEVELS = (0.80, 0.85, 0.90, 1.00)
 class ExperimentConfig:
     """One Monte Carlo experiment: its fields are the keys of an `experiment`
     config, each checked for its JSON type and range here, the one check of
-    a config for the command line and a library caller alike. A noisy
-    selector needs a positive tau + nu share of alpha_weights, and where the
-    selector fixes its round count (k, or LASSO steps) every eta of eta_grid
-    must certify at selector_slack, with a finite forward-stepwise scale."""
+    a config for the command line and a library caller alike. An estimated
+    sigma needs n > d. A noisy selector (its Mechanism has a kernel) needs
+    a positive tau + nu share of alpha_weights, and where the spec fixes
+    its round count (k, or LASSO steps) every eta of eta_grid must certify
+    at selector_slack, with a finite Laplace scale where that reads no data."""
 
     n: int
     d: int
@@ -105,6 +107,9 @@ class ExperimentConfig:
                              f"got {self.regenerate_x_per_trial!r}")
         if self.sigma_mode not in ("known", "estimate"):
             raise ValueError(f"sigma_mode must be 'known' or 'estimate', got {self.sigma_mode!r}")
+        if self.sigma_mode == "estimate" and self.n <= self.d:
+            raise ValueError(f"sigma_mode 'estimate' needs n > d for the full-model estimate, "
+                             f"got n={self.n}, d={self.d}")
         if self.alpha_weights is not None:
             if not isinstance(self.alpha_weights, (list, tuple)):
                 raise ValueError(f"alpha_weights must be a list, got {self.alpha_weights!r}")
@@ -124,23 +129,20 @@ class ExperimentConfig:
             slack = selector_slack(self)  # checks alpha and the weights
         except BadWeights as e:
             raise ValueError(f"alpha_weights {list(self.alpha_weights)}: {e}") from e
-        spec = self.selector
-        if spec.k is not None and spec.k > self.d:
-            raise ValueError(f"selector k={spec.k} exceeds d={self.d}")
-        if spec.fixed_model and max(spec.fixed_model) >= self.d:
-            raise ValueError(f"fixed_model index {max(spec.fixed_model)} out of range "
-                             f"for d={self.d}")
-        if slack == 0 and spec.method != "fixed":
+        spec, mech = self.selector, MECHANISMS[self.selector.method]
+        spec.check_d(self.d)
+        if slack == 0 and mech.kernel:
             raise ValueError(f"alpha_weights {list(self.alpha_weights)} give tau + nu no share "
                              f"of alpha, which the noisy selector {spec.method!r} needs as "
                              f"its slack")
         # None for a fixed model, and for LASSO's default steps, which the data fix
         rounds = spec.k or spec.steps
+        # a block of no runs: on it, only a scale that reads no data has a value
+        empty, no_runs = DesignStack.checked(np.zeros((0, self.n, self.d))), np.zeros(0, dtype=int)
         for eta in self.eta_grid if rounds else ():
             try:
-                certify_budgets(rounds, eta, slack)
-                if spec.method == "fs":  # its Laplace scale depends on the config alone
-                    scale_forward_stepwise(self.d, rounds, NoisePolicy(self.sigma, slack, eta))
+                mech.certify(rounds, eta, slack)
+                mech.scale(empty, no_runs, rounds, no_runs, self.sigma, slack, eta)
             except ValueError as e:
                 raise ValueError(f"eta_grid entry {eta!r}: {e}") from e
 
@@ -345,8 +347,8 @@ def _run_block(cfg: ExperimentConfig, trials: range) -> Runs:
     count = len(trials) * etas
     failed: dict[int, Exception] = {}  # by run
     # each trial's LASSO radius: the spec's, or its `lam` penalty resolved
-    c1 = np.full(len(trials), cfg.selector.c1 or math.nan) \
-        if cfg.selector.method == "lasso" else None
+    # (NaN for a method that reads none)
+    c1 = np.full(len(trials), cfg.selector.c1 or math.nan)
     for b in range(len(trials)) if lam is not None else ():
         try:
             c1[b] = lambda_to_c1(X[b:b + 1], Y[b], lam)
@@ -354,8 +356,8 @@ def _run_block(cfg: ExperimentConfig, trials: range) -> Runs:
             failed.update((b * etas + e, error) for e in range(etas))
     run = np.delete(np.arange(count), list(failed))  # the runs not flagged yet
     trial, eta = np.divmod(run, etas)
-    sel = select_runs(cfg.selector, X, Y, trial, np.array(cfg.eta_grid)[eta],
-                      None if c1 is None else c1[trial], selector_slack(cfg), cfg.sigma,
+    sel = select_runs(cfg.selector, X, Y, trial, np.array(cfg.eta_grid)[eta], c1[trial],
+                      selector_slack(cfg), cfg.sigma,
                       cfg.master_seed, [(_PATH_TRIAL_SELECTOR, t) for t in trials])
     failed.update((int(run[i]), error) for i, error in sel.failed.items())
     kept = np.delete(np.arange(len(run)), list(sel.failed))

@@ -137,42 +137,42 @@ class NoisePolicy:
             raise ValueError(f"eta_step must be finite and positive, got {self.eta_step}")
 
 
-def scale_lasso(c1, X: DesignStack, trial, sigma: float, delta: float, eta_step) -> np.ndarray:
-    """Per-draw Laplace scales for the noisy Frank-Wolfe vertex scores, run
-    r's at radius c1[r] on the design X[trial[r]] at per-step eta_step[r]
-    (the arguments broadcast), with slack delta and noise scale sigma."""
+# Per-draw Laplace scales, one signature (selectors.Mechanism names the typical
+# set each is calibrated to): scale(X, trial, k, c1, sigma, delta, eta_step) is
+# run r's on X[trial[r]], for k rounds at radius c1[r] and per-step eta_step[r]
+# (broadcast). An overflow raises, naming the first such run's eta_step.
+
+
+def scale_lasso(X: DesignStack, trial, k, c1, sigma: float, delta: float,
+                eta_step) -> np.ndarray:
+    """The noisy Frank-Wolfe vertex scores' scales, for a positive c1."""
     if not np.minimum.reduce(c1, axis=None, initial=math.inf) > 0:  # a NaN fails too
         raise ValueError(f"c1 must be positive, got {c1}")
-    return _lasso_scales(c1, X, trial, sigma, delta, eta_step)
+    return _lasso_scales(X, trial, k, c1, sigma, delta, eta_step)
 
 
 @np.errstate(over="ignore")  # an overflow is _finite's to report
-def _lasso_scales(c1, X: DesignStack, trial, sigma: float, delta: float, eta_step):
+def _lasso_scales(X: DesignStack, trial, k, c1, sigma: float, delta: float, eta_step):
     """scale_lasso's formula, where a radius of 0 gets scale 0."""
     return _finite(8.0 * math.sqrt(math.log(4.0 * X.d) - math.log(delta)) * sigma
                    * (c1 * X.l2inf[trial] / (X.n * eta_step)), eta_step)
 
 
 @np.errstate(over="ignore")  # an overflow is _finite's to report
-def scale_screening(X: DesignStack, trial, sigma: float, delta: float, eta_step) -> np.ndarray:
-    """Per-draw Laplace scales for noisy correlation screening rounds, run
-    r's on the design X[trial[r]] at per-step eta_step[r] (the arguments
-    broadcast), with slack delta and noise scale sigma."""
+def scale_screening(X: DesignStack, trial, k, c1, sigma: float, delta: float,
+                    eta_step) -> np.ndarray:
+    """The noisy correlation screening rounds' scales."""
     return _finite(4.0 * math.sqrt(math.log(2.0 * X.d) - math.log(delta)) * sigma
                    * (X.l2inf[trial] / (X.n * eta_step)), eta_step)
 
 
-def scale_forward_stepwise(d: int, k: int, policy: NoisePolicy) -> float:
-    """Per-draw Laplace scale for noisy forward stepwise.
-
-    The statistic is already residual-normalized, so no 1/n factor; the
-    union bound runs over ordered candidate sequences, hence the descending
-    factorial, evaluated in log space because (d)_k overflows quickly.
-    """
-    if not (1 <= k <= d):
-        raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
-    log_arg = math.log(2.0) + log_descending_factorial(d, k) - math.log(policy.delta)
-    return _finite(4.0 * math.sqrt(log_arg) * policy.sigma / policy.eta_step, policy.eta_step)
+@np.errstate(over="ignore")  # an overflow is _finite's to report
+def scale_forward_stepwise(X: DesignStack, trial, k: int, c1, sigma: float, delta: float,
+                           eta_step) -> np.ndarray:
+    """The noisy forward stepwise rounds' scales, which read only X's d:
+    (d)_k, in log space, as it overflows quickly."""
+    log_arg = math.log(2.0) + log_descending_factorial(X.d, k) - math.log(delta)
+    return _finite(4.0 * math.sqrt(log_arg) * sigma / eta_step, eta_step)
 
 
 def _finite(scale, eta_step):

@@ -1,7 +1,9 @@
 """Stability-randomized model selectors, run on a leading axis of runs.
 
-Three noisy procedures, one implementation each. Each runs a block of
-*runs* at once: run r selects on the design of trial trial[r], one of a
+Each method is one Mechanism record in MECHANISMS, which holds its
+knobs, kernel, round count, Laplace scale and certificate; nothing else
+branches on a method name. A noisy kernel runs a block of *runs* at
+once: run r selects on the design of trial trial[r], one of a
 linmodel.DesignStack (a DesignMatrix's stack of one in a one-run call),
 with its own Laplace scale scales[r], and every array carries the run
 axis first. `select_runs` is the one selector dispatch, called by
@@ -34,18 +36,20 @@ BLAS call, einsum or elementwise operation on one run's or one forward
 stepwise state's own slice of a stacked array, so a run's result does
 not depend on the block it ran in.
 
-Every noisy run gets stability.certify_budgets' two composed certificates.
+Every noisy run gets its Mechanism's certificates; for each method here,
+those are stability.certify_budgets' two composed ones.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllCandidatesCollinear, DimensionMismatch, NonConvergence, check_number
+from .errors import AllCandidatesCollinear, NonConvergence, check_number
 from .linmodel import DesignMatrix, DesignStack, ModelSet, as_response
 from .noise import (NoisePolicy, RngStream, _lasso_scales, keyed, laplace_of_uniform,
                     scale_forward_stepwise, scale_screening)
@@ -55,10 +59,6 @@ SUPPORT_THRESHOLD = 1e-12
 FS_COLLINEAR_TOL = 1e-10
 MAX_DEFAULT_FW_STEPS = 10_000
 GRAM_BLOCK = 16
-
-# the knobs each method reads; SelectorSpec rejects the others
-_METHOD_KNOBS = {"fixed": ("fixed_model",), "screen": ("k",), "fs": ("k",),
-                 "lasso": ("c1", "lam", "steps")}
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ class SelectorSpec:
     and the experiment runner. Each field's JSON type and range is checked,
     and a knob the method does not read is rejected, not ignored."""
 
-    method: str  # "fixed" | "screen" | "fs" | "lasso"
+    method: str  # a key of MECHANISMS
     k: int | None = None
     c1: float | None = None
     lam: float | None = None
@@ -117,7 +117,7 @@ class SelectorSpec:
     fixed_model: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.method, str) or self.method not in _METHOD_KNOBS:
+        if not isinstance(self.method, str) or self.method not in MECHANISMS:
             raise ValueError(f"unknown selector method {self.method!r}")
         for name, integer in (("k", True), ("c1", False), ("lam", False), ("steps", True)):
             value = getattr(self, name)
@@ -133,15 +133,23 @@ class SelectorSpec:
             if j < 0:
                 raise ValueError(f"fixed_model index {j} is negative")
         object.__setattr__(self, "fixed_model", tuple(self.fixed_model))
+        mech = MECHANISMS[self.method]
         for knob in ("k", "c1", "lam", "steps", "fixed_model"):
-            if knob not in _METHOD_KNOBS[self.method] and getattr(self, knob) not in (None, ()):
+            if knob not in mech.knobs and getattr(self, knob) not in (None, ()):
                 raise ValueError(f"method {self.method!r} does not use {knob}; remove it")
-        if self.method in ("screen", "fs") and self.k is None:
-            raise ValueError(f"method {self.method!r} needs k >= 1")
-        if self.method == "lasso" and (self.c1 is None) == (self.lam is None):
-            raise ValueError("lasso needs exactly one of c1 or lam")
-        if self.method == "fixed" and len(self.fixed_model) == 0:
-            raise ValueError("fixed method needs a nonempty fixed_model")
+        given = [knob for knob in mech.needs if getattr(self, knob) not in (None, ())]
+        if len(given) != 1:
+            raise ValueError(f"method {self.method!r} needs {' or '.join(mech.needs)}"
+                             + (", not both" if given else ""))
+
+    def check_d(self, d: int) -> None:
+        """ValueError unless the spec fits a design of d columns: k <= d, and
+        every fixed_model index below d."""
+        if (self.k or 0) > d:
+            raise ValueError(f"selector k={self.k} exceeds d={d}")
+        if self.fixed_model and max(self.fixed_model) >= d:
+            raise ValueError(f"fixed_model index {max(self.fixed_model)} out of range "
+                             f"for d={d}")
 
 
 # the spec of a one-run call, validated once per distinct set of knobs
@@ -204,18 +212,22 @@ _VERTEX_SIGNS = np.array([1.0, -1.0])  # of the +c1 and the -c1 vertices
 # LASSO via Frank-Wolfe
 
 
-@np.errstate(over="ignore", invalid="ignore")  # fmin caps inf, and the NaN of c1 = 0
-def _default_fw_steps(X: DesignStack, trial, c1, eta_step, sigma: float) -> np.ndarray:
-    """The utility-optimal step counts
-    ceil(n ||X||_inf^2 c1 eta / (sigma ||X||_{2,inf})), capped, run r's on
-    X[trial[r]] at c1[r] and eta_step[r] (broadcast). Capping before the
-    ceil also caps a raw count that overflows to inf."""
-    raw = X.n * X.linf[trial] ** 2 * c1 * eta_step / (sigma * X.l2inf[trial])
-    return np.maximum(1, np.ceil(np.fmin(raw, MAX_DEFAULT_FW_STEPS))).astype(np.int64)
+def _lasso_steps(spec: SelectorSpec, X: DesignStack, trial, c1, eta_step,
+                 sigma: float) -> np.ndarray:
+    """LASSO's round counts: run r's is spec.steps, or the utility-optimal
+    ceil(n ||X||_inf^2 c1 eta / (sigma ||X||_{2,inf})), capped, on
+    X[trial[r]] at c1[r] and eta_step[r] (broadcast), and 0 at a radius of
+    0, which admits only theta = 0. Capping before the ceil also caps a
+    raw count that overflows to inf."""
+    if spec.steps:
+        return (c1 > 0) * spec.steps
+    with np.errstate(over="ignore", invalid="ignore"):  # fmin caps inf, and the NaN of c1 = 0
+        raw = X.n * X.linf[trial] ** 2 * c1 * eta_step / (sigma * X.l2inf[trial])
+    return (c1 > 0) * np.maximum(1, np.ceil(np.fmin(raw, MAX_DEFAULT_FW_STEPS))).astype(np.int64)
 
 
-def lasso_runs(X: DesignStack, Y: np.ndarray, c1: np.ndarray, steps: np.ndarray,
-               trial: np.ndarray, scales: np.ndarray, master_seed: int,
+def lasso_runs(X: DesignStack, Y: np.ndarray, steps: np.ndarray, trial: np.ndarray,
+               scales: np.ndarray, c1: np.ndarray, master_seed: int,
                paths: list[tuple[int, ...]], trace: bool = False) -> RunSelections:
     """Noisy Frank-Wolfe LASSO for a block of runs: run r minimizes
     ||Y[b] - X_b theta||^2 / n over the l1 ball of radius c1[r] on trial
@@ -390,12 +402,12 @@ def lambda_to_c1(X: DesignStack, y, lam: float) -> float:
 
 
 def screen_runs(X: DesignStack, Y: np.ndarray, k: int, trial: np.ndarray, scales: np.ndarray,
-                master_seed: int, paths: list[tuple[int, ...]],
+                c1, master_seed: int, paths: list[tuple[int, ...]],
                 trace: bool = False) -> RunSelections:
     """k rounds of noisy argmax over |c_i + xi| per run, with
     c = X_b^T Y[b] / n for its trial b = trial[r]; a run's candidates are
     a mask over the d columns, the winner leaves it, noise is fresh each
-    round."""
+    round. c1 is not read."""
     d = X.d
     runs = len(trial)
     at = np.arange(runs)
@@ -428,7 +440,7 @@ def stable_screening(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
 
 
 def fs_runs(X: DesignStack, Y: np.ndarray, k: int, trial: np.ndarray, scales: np.ndarray,
-            master_seed: int, paths: list[tuple[int, ...]],
+            c1, master_seed: int, paths: list[tuple[int, ...]],
             trace: bool = False) -> RunSelections:
     """k rounds of noisy argmax over residual-normalized correlations per
     run, with the columns of its trial's design residualized incrementally
@@ -436,7 +448,7 @@ def fs_runs(X: DesignStack, Y: np.ndarray, k: int, trial: np.ndarray, scales: np
     columns: those not yet picked whose residual norm is above
     FS_COLLINEAR_TOL times their own norm. A run left without candidates
     fails with AllCandidatesCollinear and leaves the block; the others go
-    on.
+    on. c1 is not read.
 
     The residuals are kept per *state*, a distinct (trial, ordered picks
     so far), and each run holds the index of its state: the runs of one
@@ -515,15 +527,55 @@ def stable_fs(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
               rng: RngStream, scale_override: float | None = None,
               ) -> SelectionResult:
     """Noisy forward stepwise (one run of select_runs, with its trace);
-    raises AllCandidatesCollinear when the candidates run out. The
-    per-round scale is calibrated over ordered candidate sequences, so it
-    uses the descending factorial (d)_k and no 1/n factor."""
+    raises AllCandidatesCollinear when the candidates run out."""
     return _one_run(_spec(method="fs", k=k), X, y, eta_step, None, delta, sigma, rng,
                     scale_override)
 
 
 # ---------------------------------------------------------------------------
-# the one selection dispatch
+# the methods, and the one selection dispatch
+
+
+@dataclass(frozen=True)
+class Mechanism:
+    """A selector method's stability facts, in one place: MECHANISMS maps
+    each method name to its record. knobs are the SelectorSpec fields it
+    reads, and exactly one of needs must be set. Without a kernel (fixed)
+    it looks at no data and carries the zero certificate. A noisy one runs
+    rounds of report-noisy-max (or -min): kernel(X, Y, rounds, trial,
+    scales, c1, master_seed, paths, trace) selects for a block of runs;
+    rounds(spec, X, trial, c1, eta_step, sigma) is the array of the runs'
+    round counts where the data fix them (None: the spec's k); scale(X,
+    trial, k, c1, sigma, delta, eta_step), in noise.py, gives each run's
+    Laplace scale; certify(rounds, eta_step, delta) gives the certificates
+    the rounds compose into.
+
+    Each scale is calibrated to a typical set of responses y, of
+    probability at least 1 - delta for noise y - mu subgaussian at scale
+    sigma: |v^T (y - mu)| <= 2 sigma ||v|| sqrt(log(2N / delta)) for each
+    of N score directions v. A scale is the set's width in score units
+    over eta_step, so each round is eta_step-indistinguishable on the set.
+    Screening: v = X_j / n, the d columns (N = d). Forward stepwise: v is
+    the unit residual of a column off those picked before it, over the
+    ordered choices of up to k columns (N = (d)_k). LASSO: v = 2 c1 X_j / n,
+    the 2d vertex scores (N = 2d).
+    """
+
+    knobs: tuple[str, ...]
+    needs: tuple[str, ...]
+    kernel: Callable | None = None
+    rounds: Callable | None = None
+    scale: Callable | None = None
+    certify: Callable = certify_budgets
+
+
+MECHANISMS = {
+    "fixed": Mechanism(("fixed_model",), ("fixed_model",)),
+    "screen": Mechanism(("k",), ("k",), screen_runs, None, scale_screening),
+    "fs": Mechanism(("k",), ("k",), fs_runs, None, scale_forward_stepwise),
+    "lasso": Mechanism(("c1", "lam", "steps"), ("c1", "lam"), lasso_runs, _lasso_steps,
+                       _lasso_scales),
+}
 
 
 def select_runs(spec: SelectorSpec, X: DesignStack, Y: np.ndarray, trial: np.ndarray,
@@ -533,60 +585,45 @@ def select_runs(spec: SelectorSpec, X: DesignStack, Y: np.ndarray, trial: np.nda
     """spec's selector for a block of runs: run r selects on X[trial[r]]
     and the finite response Y[trial[r]], from stream (master_seed,
     paths[trial[r]]), at per-step eta_step[r], slack delta, noise scale
-    sigma and LASSO radius c1[r] (c1 is None for the other methods).
-    Returns the block's RunSelections, whose failed maps a forward stepwise
-    run left without candidates to its AllCandidatesCollinear.
+    sigma and LASSO radius c1[r] (read by LASSO only). Returns the block's
+    RunSelections, whose failed maps a forward stepwise run left without
+    candidates to its AllCandidatesCollinear.
 
-    A fixed model, and a zero radius, carry the one zero certificate; the
-    other runs go through one screen_runs, fs_runs or lasso_runs call, with
-    each distinct eta_step checked once (NoisePolicy), the Laplace scales
-    and default LASSO steps one array expression over the runs, and one
-    certify_budgets entry in certs per distinct (rounds, eta_step). trace
-    keeps the decision trace of a one-run block; scale_override, a test
-    hook, replaces every run's Laplace scale (0 gives the exact algorithm).
+    A method without a kernel carries the one zero certificate. For the
+    others, with each distinct eta_step checked once (NoisePolicy), the
+    round counts and Laplace scales of spec's Mechanism are array
+    expressions over the runs, and the runs are certified, one certs entry
+    per distinct (rounds, eta_step), before the kernel runs. trace keeps
+    the decision trace of a one-run block; scale_override, a test hook,
+    replaces every run's Laplace scale (0 gives the exact algorithm).
     """
-    d, runs = X.d, len(trial)
-    if spec.method == "fixed" or not runs:  # no noise to draw
-        if spec.fixed_model and max(spec.fixed_model) >= d:
-            raise DimensionMismatch(f"fixed_model index {max(spec.fixed_model)} out of range "
-                                    f"for d={d}")
+    d, runs, mech = X.d, len(trial), MECHANISMS[spec.method]
+    spec.check_d(d)
+    if mech.kernel is None or not runs:  # no noise to draw
         support = np.zeros((runs, d), dtype=bool)
         support[:, list(spec.fixed_model)] = True
         return RunSelections(support, None, {}, certs=((ZERO_BUDGET,),),
                              cert=np.zeros(runs, dtype=np.int64))
     etas = eta_step.tolist()
-    if any(eta is None or eta <= 0 for eta in set(etas)):
-        raise ValueError(f"selector {spec.method!r} needs a positive eta_step")
-    policies = {eta: NoisePolicy(sigma, delta, eta) for eta in set(etas)}
+    for eta in set(etas):  # sigma and delta, with each distinct eta_step
+        NoisePolicy(sigma, delta, eta)
     if scale_override is not None and not (0 <= scale_override < math.inf):
         raise ValueError(f"scale_override must be finite and >= 0, got {scale_override}")
     if trace and runs != 1:
         raise ValueError(f"a trace is kept for a one-run block only, not {runs} runs")
-    if spec.k is not None and spec.k > d:
-        raise ValueError(f"need 1 <= k <= d, got k={spec.k}, d={d}")
-    rounds = [spec.k] * runs
-    if spec.method == "screen":
-        scales = scale_screening(X, trial, sigma, delta, eta_step)
-    elif spec.method == "fs":
-        per_eta = {e: scale_forward_stepwise(d, spec.k, policy) for e, policy in policies.items()}
-        scales = np.array([per_eta[e] for e in etas])
-    else:  # a radius of 0 admits only theta = 0: no step, nothing to randomize
-        steps = (c1 > 0) * (spec.steps or _default_fw_steps(X, trial, c1, eta_step, sigma))
-        scales, rounds = _lasso_scales(c1, X, trial, sigma, delta, eta_step), steps.tolist()
+    rounds = spec.k if mech.rounds is None else mech.rounds(spec, X, trial, c1, eta_step, sigma)
+    scales = mech.scale(X, trial, spec.k, c1, sigma, delta, eta_step)
     # certified before the kernel runs, so a certificate that overflows
     # fails the block without its selection work
     table: dict = {}  # (rounds, eta_step) -> certificate index; None for no round
-    cert = np.array([table.setdefault((k, e) if k else None, len(table))
-                     for k, e in zip(rounds, etas)], dtype=np.int64)
-    certs = tuple((ZERO_BUDGET,) if key is None else certify_budgets(*key, delta)
+    cert = np.array([table.setdefault((k, e) if k else None, len(table)) for k, e in
+                     zip([rounds] * runs if mech.rounds is None else rounds.tolist(), etas)],
+                    dtype=np.int64)
+    certs = tuple((ZERO_BUDGET,) if key is None else mech.certify(*key, delta)
                   for key in table)
     if scale_override is not None:
         scales = np.full(runs, scale_override)
-    if spec.method == "lasso":
-        block = lasso_runs(X, Y, c1, steps, trial, scales, master_seed, paths, trace)
-    else:
-        kernel = screen_runs if spec.method == "screen" else fs_runs
-        block = kernel(X, Y, spec.k, trial, scales, master_seed, paths, trace)
+    block = mech.kernel(X, Y, rounds, trial, scales, c1, master_seed, paths, trace)
     block.cert, block.certs = cert, certs
     return block
 
@@ -601,8 +638,8 @@ def _one_run(spec: SelectorSpec, X: DesignMatrix, y, eta_step: float | None,
     """One run of select_runs on the response y, validated here, with its
     trace, as a SelectionResult; a failed run raises its error."""
     block = select_runs(spec, X.stack, as_response(y, X.n)[None], _ONE_RUN,
-                        np.array([eta_step]), None if c1 is None else np.array([c1]), delta,
-                        sigma, rng.master_seed, [rng.path], trace=True,
+                        np.array([eta_step], dtype=float), None if c1 is None else np.array([c1]),
+                        delta, sigma, rng.master_seed, [rng.path], trace=True,
                         scale_override=scale_override)
     if block.failed:
         raise block.failed[0]

@@ -136,7 +136,8 @@ def _check_count(name: str, value) -> None:
 
 def compose_adaptive_simple(eta_step: float, tau_step: float, k: int) -> tuple[float, float]:
     """k adaptive rounds, each (eta_step, tau_step)-indistinguishable on the
-    typical pair: the certificates simply add."""
+    typical pair: the certificates simply add. A tau above 1, which no
+    certificate carries, is an error."""
     _check_count("k", k)
     if not (0 <= eta_step < math.inf and 0 <= tau_step < math.inf):
         raise ValueError(f"step parameters must be finite and >= 0, got {eta_step}, {tau_step}")
@@ -144,6 +145,9 @@ def compose_adaptive_simple(eta_step: float, tau_step: float, k: int) -> tuple[f
     if not (math.isfinite(eta) and math.isfinite(tau)):
         raise ValueError(f"composing k={k} rounds at eta_step={eta_step!r}, "
                          f"tau_step={tau_step!r} overflows; lower them or k")
+    if tau > 1:
+        raise ValueError(f"composing k={k} rounds at tau_step={tau_step!r} gives tau={tau!r}, "
+                         f"above 1; lower tau_step or k")
     return (eta, tau)
 
 

@@ -35,7 +35,7 @@ from stableci.linmodel import DesignMatrix, DesignStack, ModelSet, SubmodelFit, 
 from stableci.noise import NoisePolicy, RngStream, scale_forward_stepwise, scale_lasso, \
     scale_screening
 from stableci.selectors import FS_COLLINEAR_TOL, SUPPORT_THRESHOLD, SelectionResult, \
-    _default_fw_steps, _soft_threshold
+    SelectorSpec, _lasso_steps, _soft_threshold
 from stableci.stability import StabilityBudget, best_posi_constant, certify_budgets, \
     interval_level, slack_allowance
 
@@ -194,7 +194,7 @@ def screening_noisy(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
                     sigma: float, rng: RngStream) -> SelectionResult:
     """k rounds of noisy argmax over |c_i + xi| with c = X^T y / n."""
     y = as_response(y, X.n)
-    scale = scale_screening(X.stack, 0, sigma, delta, eta_step)
+    scale = scale_screening(X.stack, 0, k, None, sigma, delta, eta_step)
     c = (X.entries.T @ y) / X.n
     available = np.ones(X.d, dtype=bool)
     chosen_order = []
@@ -215,7 +215,7 @@ def fs_noisy(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
     scale replaces eta_step's Laplace scale (0 is the exact selector)."""
     y = as_response(y, X.n)
     if scale is None:
-        scale = scale_forward_stepwise(X.d, k, NoisePolicy(sigma, delta, eta_step))
+        scale = scale_forward_stepwise(X.stack, 0, k, None, sigma, delta, eta_step)
     R = X.entries.copy()
     y_res = y.astype(np.float64, copy=True)
     available = np.ones(X.d, dtype=bool)
@@ -249,8 +249,9 @@ def lasso_noisy(X: DesignMatrix, y, c1: float, delta: float, eta_step: float,
     y = as_response(y, X.n)
     NoisePolicy(sigma, delta, eta_step)  # checks the three
     if steps is None:
-        steps = int(_default_fw_steps(X.stack, 0, c1, eta_step, sigma))
-    scale = scale_lasso(c1, X.stack, 0, sigma, delta, eta_step)
+        steps = int(_lasso_steps(SelectorSpec(method="lasso", c1=c1), X.stack, 0, c1, eta_step,
+                                 sigma))
+    scale = scale_lasso(X.stack, 0, None, c1, sigma, delta, eta_step)
     n, d = X.n, X.d
     A = X.entries
     theta = np.zeros(d)

@@ -193,13 +193,15 @@ def test_criterion_07_selector_utility():
         beta[:3] = 5.0
         y = X.entries @ beta + r.child(1).normal(100)
 
-        b_screen = scale_screening(X.stack, 0, policy.sigma, policy.delta, policy.eta_step)
+        b_screen = scale_screening(X.stack, 0, k, None, policy.sigma, policy.delta,
+                                   policy.eta_step)
         res = stable_screening(X, y, k, delta_sel, eta, 1.0,
                                rng=r.child(2))
         gap = max(s.best_exact - s.exact_score for s in res.trace)
         hits_screen += gap <= 2 * b_screen * math.log(d * k / delta_fail)
 
-        b_fs = scale_forward_stepwise(d, k, policy)
+        b_fs = scale_forward_stepwise(X.stack, 0, k, None, policy.sigma, policy.delta,
+                                      policy.eta_step)
         res = stable_fs(X, y, k, delta_sel, eta, 1.0, rng=r.child(3))
         s2 = res.trace[1]
         hits_fs += (s2.best_exact - s2.exact_score) <= 2 * b_fs * math.log(d / delta_fail)

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stableci import cli, experiments
+from stableci import cli, experiments, selectors
 from stableci.cli import (CliParseError, load_config, main, read_matrix, read_selection,
                           read_vector, write_selection)
 from stableci.errors import StableCIError
@@ -34,7 +34,7 @@ from stableci.selectors import lambda_to_c1
 from stableci.stability import slack_allowance
 
 from oracles import one_trial, records_rows, screening_exact
-from test_experiments import ENGINE_CASES
+from test_experiments import ENGINE_CASES, ONE_ROUND
 
 
 @pytest.fixture
@@ -677,6 +677,16 @@ def test_budget_rejects_nonfinite_step(step, capsys):
     assert "nan" not in capsys.readouterr().out
 
 
+def test_budget_rejects_a_tau_above_one(capsys):
+    # 3 rounds at tau_step 0.5 compose to tau 1.5, which no certificate
+    # carries: once printed as a `simple` line with exit 0
+    assert main(["budget", "--k", "3", "--eta-step", "1", "--tau-step", "0.5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and re.search(r"k=3\b.*tau_step=0\.5\b", err), err
+    assert main(["budget", "--k", "2", "--eta-step", "1", "--tau-step", "0.5"]) == 0
+    assert parse_budget_lines(capsys.readouterr().out)["simple"]["tau"] == "1.0"
+
+
 @pytest.mark.parametrize("argv", [["--k", "3", "--eta-step", "1", "--delta", "0"],
                                   ["--k", "3", "--eta-step", "1", "--sparse", "5", "3", "0"]],
                          ids=["advanced-delta-0", "sparse-tau-0"])
@@ -1016,6 +1026,22 @@ def test_select_rejects_a_knob_its_method_ignores(data, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_select_method_choices_are_the_tables_noisy_methods(monkeypatch, capsys):
+    # a method is a choice of `select --method` exactly when its record has
+    # a kernel: fixed is not one, and a registered noisy record is
+    monkeypatch.setitem(selectors.MECHANISMS, "screen-once", ONE_ROUND)
+    argv = ["select", "--x", "x.csv", "--y", "y.csv", "--eta", "1", "--method"]
+    noisy = [name for name, mech in selectors.MECHANISMS.items() if mech.kernel]
+    assert noisy == ["screen", "fs", "lasso", "screen-once"]
+    for name in [*selectors.MECHANISMS, "ridge"]:
+        if name in noisy:
+            assert cli.build_parser().parse_args(argv + [name]).method == name
+        else:
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args(argv + [name])
+            assert "invalid choice" in capsys.readouterr().err
+
+
 def without(key, selector=False):
     """experiment_config() less one top-level or selector key."""
     cfg = experiment_config()
@@ -1116,6 +1142,10 @@ ONCE_GOT_THROUGH = {
     "alpha_weights-nan": (experiment_config(alpha_weights=[math.nan, 0.5, 0.5]),
                           "alpha_weights"),
     "eta_grid-nan": (experiment_config(eta_grid=[math.nan]), "eta_grid"),
+    # once ran the first block's selection, then exited 5 and removed the
+    # directory: no trial gets an interval for a nonempty model
+    "sigma_mode-estimate-n<=d": (experiment_config(n=10, d=20, trials=3, master_seed=1,
+                                                   sigma_mode="estimate"), "sigma_mode"),
 }
 
 

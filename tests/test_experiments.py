@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from stableci import experiments, linmodel, selectors, stability
+from stableci import experiments, linmodel, noise, selectors, stability
 from stableci.errors import AllCandidatesCollinear, EmptyInput, NonConvergence
 from stableci.experiments import (DEFAULT_ETA_GRID, ExperimentConfig,
                                   SelectorSpec, TrialRecord, aggregate, block_trials,
@@ -23,7 +23,7 @@ from stableci.experiments import (DEFAULT_ETA_GRID, ExperimentConfig,
 from stableci.linmodel import DesignMatrix, ModelSet
 from stableci.noise import KeyedGenerator, RngStream
 from stableci.selectors import SelectionResult, lambda_to_c1, select_runs, stable_screening
-from stableci.stability import StabilityBudget
+from stableci.stability import StabilityBudget, certify_budgets
 
 from oracles import columns, eta_major_sweep, one_trial, score_model, screening_exact, stack
 
@@ -682,6 +682,48 @@ def test_eta_sweep_matches_eta_major_oracle(case):
     if case == "fixed-rank-deficient":
         assert all(r.flagged == "rank_deficient: columns (0, 1, 2): 3 columns on 2 rows"
                    for _, records, _ in rows for r in records)
+
+
+def _one_round_screen_runs(X, Y, rounds, trial, scales, c1, master_seed, paths, trace=False):
+    return selectors.screen_runs(X, Y, 1, trial, scales, c1, master_seed, paths, trace)
+
+
+def _one_round(spec, X, trial, *data):
+    return np.ones(len(trial), dtype=np.int64)
+
+
+# one-round screening: a method defined here alone, as a record of a kernel,
+# a round count and a scale, whatever its spec's k
+ONE_ROUND = selectors.Mechanism(("k",), ("k",), _one_round_screen_runs, _one_round,
+                                noise.scale_screening)
+
+
+def test_a_registered_mechanism_runs_through_every_layer(monkeypatch):
+    # registered in MECHANISMS and nowhere else, the method is a checked
+    # SelectorSpec, a select_runs block, an ExperimentConfig and an eta
+    # sweep, and selects exactly what screening with k=1 does
+    monkeypatch.setitem(selectors.MECHANISMS, "screen-once", ONE_ROUND)
+    with pytest.raises(ValueError, match="^method 'screen-once' does not use c1; remove it$"):
+        SelectorSpec(method="screen-once", k=1, c1=1.0)
+    with pytest.raises(ValueError, match="^method 'screen-once' needs k$"):
+        SelectorSpec(method="screen-once")
+    with pytest.raises(ValueError, match="^selector k=13 exceeds d=12$"):
+        sweep_cfg(SelectorSpec(method="screen-once", k=13))
+    once, screen = SelectorSpec(method="screen-once", k=4), SelectorSpec(method="screen", k=1)
+    trials = [one_trial(sweep_cfg(screen), t) for t in range(3)]
+    X, Y = stack([X for X, *_ in trials]), np.stack([y for _, _, _, y in trials])
+    trial, eta = np.repeat(np.arange(3), 2), np.tile([0.5, 2.0], 3)
+    paths = [(2, t) for t in range(3)]
+    got, want = (select_runs(spec, X, Y, trial, eta, None, 0.05, 1.0, 21, paths)
+                 for spec in (once, screen))
+    assert (got.support.sum(axis=1) == 1).all()
+    assert got.support.tobytes() == want.support.tobytes()
+    assert got.certs == want.certs == tuple(certify_budgets(1, e, 0.05) for e in (0.5, 2.0))
+    for (_, records, summary), (_, want_records, want_summary) in zip(
+            eta_sweep(sweep_cfg(once, eta_grid=(0.5, 2.0))),
+            eta_sweep(sweep_cfg(screen, eta_grid=(0.5, 2.0)))):
+        assert_same_records(records, want_records)
+        assert summary == want_summary
 
 
 def test_sweep_hands_arrays_from_selection_to_inference(monkeypatch):

@@ -164,7 +164,7 @@ def test_policy_rejects_bad_sigma(sigma):
 def test_scale_screening_value():
     X = unit_norm_design()
     policy = NoisePolicy(1.0, delta=0.05, eta_step=1.0)
-    got = scale_screening(X.stack, 0, policy.sigma, policy.delta, policy.eta_step)
+    got = scale_screening(X.stack, 0, None, None, policy.sigma, policy.delta, policy.eta_step)
     ref = 4.0 * math.sqrt(math.log(2 * 500 / 0.05)) / 1000
     assert got == pytest.approx(ref, rel=1e-14)
     assert got == pytest.approx(0.012587922816754877, abs=1e-15)
@@ -173,7 +173,7 @@ def test_scale_screening_value():
 def test_scale_lasso_value():
     X = unit_norm_design()
     policy = NoisePolicy(1.0, delta=0.05, eta_step=1.0)
-    got = scale_lasso(1.0, X.stack, 0, policy.sigma, policy.delta, policy.eta_step)
+    got = scale_lasso(X.stack, 0, None, 1.0, policy.sigma, policy.delta, policy.eta_step)
     ref = 8.0 * math.sqrt(math.log(4 * 500 / 0.05)) / 1000
     assert got == pytest.approx(ref, rel=1e-14)
     assert got == pytest.approx(0.02604197809149967, abs=1e-15)
@@ -181,7 +181,8 @@ def test_scale_lasso_value():
 
 def test_scale_forward_stepwise_value():
     policy = NoisePolicy(1.0, delta=0.05, eta_step=1.0)
-    got = scale_forward_stepwise(500, 5, policy)
+    got = scale_forward_stepwise(unit_norm_design().stack, 0, 5, None, policy.sigma,
+                                 policy.delta, policy.eta_step)
     exact = math.perm(500, 5)
     ref = 4.0 * math.sqrt(math.log(2 * exact / 0.05))
     assert got == pytest.approx(ref, rel=1e-12)
@@ -192,33 +193,27 @@ def test_scales_shrink_with_eta_and_n():
     X1, X2 = unit_norm_design(1000).stack, unit_norm_design(2000).stack
     p1 = NoisePolicy(1.0, delta=0.05, eta_step=1.0)
     p2 = NoisePolicy(1.0, delta=0.05, eta_step=2.0)
-    assert scale_screening(X1, 0, p2.sigma, p2.delta, p2.eta_step) == pytest.approx(
-        scale_screening(X1, 0, p1.sigma, p1.delta, p1.eta_step) / 2)
-    assert scale_lasso(1.0, X1, 0, p2.sigma, p2.delta, p2.eta_step) == pytest.approx(
-        scale_lasso(1.0, X1, 0, p1.sigma, p1.delta, p1.eta_step) / 2)
-    assert scale_forward_stepwise(500, 5, p2) == pytest.approx(
-        scale_forward_stepwise(500, 5, p1) / 2)
+    for scale in (scale_screening, scale_lasso, scale_forward_stepwise):
+        assert scale(X1, 0, 5, 1.0, p2.sigma, p2.delta, p2.eta_step) == pytest.approx(
+            scale(X1, 0, 5, 1.0, p1.sigma, p1.delta, p1.eta_step) / 2)
     # 1/n enters screening and lasso through the design, never fs
-    assert scale_screening(X2, 0, p1.sigma, p1.delta, p1.eta_step) == pytest.approx(
-        scale_screening(X1, 0, p1.sigma, p1.delta, p1.eta_step) / 2)
-    assert scale_lasso(1.0, X2, 0, p1.sigma, p1.delta, p1.eta_step) == pytest.approx(
-        scale_lasso(1.0, X1, 0, p1.sigma, p1.delta, p1.eta_step) / 2)
+    for scale, ratio in ((scale_screening, 2), (scale_lasso, 2), (scale_forward_stepwise, 1)):
+        assert scale(X2, 0, 5, 1.0, p1.sigma, p1.delta, p1.eta_step) == pytest.approx(
+            scale(X1, 0, 5, 1.0, p1.sigma, p1.delta, p1.eta_step) / ratio)
 
 
 def test_scale_validation():
     X = unit_norm_design(10, 4).stack
     policy = NoisePolicy(1.0, delta=0.05, eta_step=1.0)
     with pytest.raises(ValueError):
-        scale_lasso(0.0, X, 0, policy.sigma, policy.delta, policy.eta_step)
+        scale_lasso(X, 0, None, 0.0, policy.sigma, policy.delta, policy.eta_step)
     with pytest.raises(ValueError):
-        scale_forward_stepwise(4, 5, policy)
+        scale_forward_stepwise(X, 0, 5, None, policy.sigma, policy.delta, policy.eta_step)
     # a subnormal eta_step overflows every scale to inf
     tiny = NoisePolicy(1.0, delta=0.05, eta_step=1e-310)
-    for call in (lambda: scale_lasso(1.0, X, 0, tiny.sigma, tiny.delta, tiny.eta_step),
-                 lambda: scale_screening(X, 0, tiny.sigma, tiny.delta, tiny.eta_step),
-                 lambda: scale_forward_stepwise(4, 2, tiny)):
+    for scale in (scale_lasso, scale_screening, scale_forward_stepwise):
         with pytest.raises(ValueError, match=r"^the Laplace scale overflows at eta_step=1e-310"):
-            call()
+            scale(X, 0, 2, 1.0, tiny.sigma, tiny.delta, tiny.eta_step)
 
 
 def test_scales_of_a_block_are_each_runs_scale_and_name_the_first_overflow():
@@ -228,16 +223,16 @@ def test_scales_of_a_block_are_each_runs_scale_and_name_the_first_overflow():
     X = DesignStack.checked(gen.standard_normal((3, 12, 5)))
     trial, eta = np.array([2, 0, 0, 1, 2]), np.array([0.5, 1.0, 4.0, 0.25, 2.0])
     c1 = np.array([1.5, 0.2, 0.2, 3.0, 1.5])
-    block = scale_screening(X, trial, 1.0, 0.05, eta), scale_lasso(c1, X, trial, 1.0, 0.05, eta)
+    scales = (scale_screening, scale_lasso, scale_forward_stepwise)
+    block = [scale(X, trial, 2, c1, 1.0, 0.05, eta) for scale in scales]
     for r in range(5):
-        alone = (scale_screening(X, trial[r:r + 1], 1.0, 0.05, eta[r:r + 1]),
-                 scale_lasso(c1[r:r + 1], X, trial[r:r + 1], 1.0, 0.05, eta[r:r + 1]))
+        alone = [scale(X, trial[r:r + 1], 2, c1[r:r + 1], 1.0, 0.05, eta[r:r + 1])
+                 for scale in scales]
         assert [b[r] for b in block] == [a[0] for a in alone]
     eta[3:] = [1e-310, 2e-310]
-    for call in (lambda: scale_screening(X, trial, 1.0, 0.05, eta),
-                 lambda: scale_lasso(c1, X, trial, 1.0, 0.05, eta)):
+    for scale in scales:
         with pytest.raises(ValueError, match=r"^the Laplace scale overflows at eta_step=1e-310;"):
-            call()
+            scale(X, trial, 2, c1, 1.0, 0.05, eta)
 
 
 def test_descending_factorial():

@@ -18,13 +18,13 @@ import scipy.stats
 from stableci import noise, selectors
 from stableci.errors import AllCandidatesCollinear, NonConvergence
 from stableci.linmodel import DesignMatrix
-from stableci.noise import (KeyedGenerator, NoisePolicy, RngStream, scale_forward_stepwise,
+from stableci.noise import (KeyedGenerator, RngStream, scale_forward_stepwise,
                             scale_lasso, scale_screening)
 from stableci.selectors import (FS_COLLINEAR_TOL, MAX_DEFAULT_FW_STEPS, SUPPORT_THRESHOLD,
                                 SelectorSpec, fs_runs, lambda_to_c1,
                                 lasso_runs, screen_runs, select_runs,
                                 solve_penalized_lasso, stable_fs, stable_lasso,
-                                stable_screening, _default_fw_steps, _StepDraws)
+                                stable_screening, _lasso_steps, _StepDraws)
 from stableci.stability import StabilityBudget, certify_budgets, compose_adaptive_advanced
 
 from oracles import (fs_exact, fs_noisy, lasso_exact_fw, lasso_noisy,
@@ -73,21 +73,27 @@ def test_lasso_config_validation():
             stable_lasso(X, y, c1, 0.05, 1.0, 1.0, rng=RngStream(0))
 
 
+DEFAULT_STEPS = SelectorSpec(method="lasso", c1=1.0)  # steps left to the data
+
+
 def test_lasso_resolved_steps():
     X = DesignMatrix([[2.0, 0.0], [0.0, 1.0]])
     # ceil(n linf^2 c1 eta / (sigma l2inf)) = ceil(2*4*3*1 / (1*2)) = 12
-    assert _default_fw_steps(X.stack, 0, 3.0, 1.0, 1.0) == 12
+    assert _lasso_steps(DEFAULT_STEPS, X.stack, 0, 3.0, 1.0, 1.0) == 12
     assert len(stable_lasso(X, [1.0, 1.0], 3.0, 0.05, 1.0, 1.0, rng=RngStream(0)).trace) == 12
     assert len(stable_lasso(X, [1.0, 1.0], 3.0, 0.05, 1.0, 1.0, rng=RngStream(0),
                             steps=7).trace) == 7
-    assert _default_fw_steps(X.stack, 0, 1e9, 1.0, 1.0) == 10_000
-    assert _default_fw_steps(X.stack, 0, 1e-12, 1.0, 1.0) == 1
+    assert _lasso_steps(DEFAULT_STEPS, X.stack, 0, 1e9, 1.0, 1.0) == 10_000
+    assert _lasso_steps(DEFAULT_STEPS, X.stack, 0, 1e-12, 1.0, 1.0) == 1
+    # the spec's steps, and none at a radius of 0
+    assert _lasso_steps(SelectorSpec(method="lasso", c1=1.0, steps=7), X.stack, 0,
+                        np.array([3.0, 0.0]), 1.0, 1.0).tolist() == [7, 0]
 
 
 def test_default_fw_steps_caps_a_count_that_overflows():
     # norms are finite, but n ||X||_inf^2 c1 eta / (sigma ||X||_{2,inf}) is not
     X = DesignMatrix([[1e154, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    assert _default_fw_steps(X.stack, 0, 10.0, 1.0, 1.0) == MAX_DEFAULT_FW_STEPS
+    assert _lasso_steps(DEFAULT_STEPS, X.stack, 0, 10.0, 1.0, 1.0) == MAX_DEFAULT_FW_STEPS
 
 
 def test_fw_one_dimensional():
@@ -523,7 +529,7 @@ def test_fs_zero_noise_keeps_copies_of_a_column_tied_in_shared_states():
     trial = np.array([1, 0, 1, 1, 0])
     scales = np.array([0.0, 0.0, 2.0, 0.0, 0.5])
     assert _fs_order(X[1], y, 3, 2.0, 1)[0] != 2  # run 2 leaves the others at step 1
-    block = fs_runs(stack(X), Y, 3, trial, scales, 31, [(2, t) for t in range(2)])
+    block = fs_runs(stack(X), Y, 3, trial, scales, None, 31, [(2, t) for t in range(2)])
     assert not block.failed
     for r in (0, 3):
         assert np.flatnonzero(block.support[r]).tolist() == [0, 1, 2]
@@ -684,7 +690,7 @@ def test_a_step_row_does_not_depend_on_the_block():
 def test_select_runs_checks_the_block_once():
     X, y = random_instance(2)
     Y, one, two = y[None], np.zeros(1, dtype=np.int64), np.zeros(2, dtype=np.int64)
-    with pytest.raises(ValueError, match=r"^need 1 <= k <= d, got k=9, d=8$"):
+    with pytest.raises(ValueError, match=r"^selector k=9 exceeds d=8$"):
         select_runs(SelectorSpec("screen", k=9), X.stack, Y, one, np.ones(1), None, DELTA,
                     SIGMA, 0, [()])
     with pytest.raises(ValueError, match=r"^a trace is kept for a one-run block only, not 2"):
@@ -727,9 +733,9 @@ def test_screen_runs_match_the_scalar_selector_run_by_run():
     designs = [random_instance(seed, n=25, d=9) for seed in range(3)]
     X, Y = [x for x, _ in designs], np.stack([y for _, y in designs])
     trial, eta, paths = block_of(X)
-    scales = np.array([scale_screening(X[b].stack, 0, SIGMA, DELTA, e)
+    scales = np.array([scale_screening(X[b].stack, 0, 4, None, SIGMA, DELTA, e)
                        for b, e in zip(trial, eta)])
-    block = screen_runs(stack(X), Y, 4, trial, scales, 31, paths)
+    block = screen_runs(stack(X), Y, 4, trial, scales, None, 31, paths)
     for r, (b, e) in enumerate(zip(trial, eta)):
         want = screening_noisy(X[b], Y[b], 4, DELTA, e, SIGMA, RngStream(31, (2, b)))
         assert tuple(np.flatnonzero(block.support[r])) == want.model.indices
@@ -783,7 +789,7 @@ def test_fs_runs_fail_alone_and_match_the_scalar_selector():
         if scales is None:
             scales = [_fs_scale(X[0].d, e, k) for e in np.resize(ETAS, len(trial))]
         paths = [(2, t) for t in range(len(X))]
-        block = fs_runs(stack(X), Y, k, trial, np.array(scales), 31, paths)
+        block = fs_runs(stack(X), Y, k, trial, np.array(scales), None, 31, paths)
         assert sorted(block.failed) == failing
         for r, (t, scale) in enumerate(zip(trial, scales)):
             rng = RngStream(31, (2, t))
@@ -800,8 +806,8 @@ def test_fs_runs_of_one_run_take_no_unique(monkeypatch):
     # a one-run block's state is its run: it makes no np.unique
     X, y = random_instance(2, n=20, d=6)
     stream = RngStream(31, (2, 0))
-    want = fs_runs(X.stack, y[None], 3, np.array([0]), np.array([_fs_scale(6, ETAS[2])]), 31,
-                   [(2, 0)]).support
+    want = fs_runs(X.stack, y[None], 3, np.array([0]), np.array([_fs_scale(6, ETAS[2])]), None,
+                   31, [(2, 0)]).support
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.unique called on a one-run block")
@@ -812,7 +818,8 @@ def test_fs_runs_of_one_run_take_no_unique(monkeypatch):
 
 
 def _fs_scale(d: int, eta: float, k: int = 3) -> float:
-    return scale_forward_stepwise(d, k, NoisePolicy(SIGMA, DELTA, eta))
+    return scale_forward_stepwise(DesignMatrix(np.ones((1, d))).stack, 0, k, None, SIGMA, DELTA,
+                                  eta)
 
 
 def _fs_order(X: DesignMatrix, y, k: int, scale: float, t: int) -> list[int]:
@@ -840,7 +847,7 @@ def test_stable_fs_trace_scores_live_candidates_only():
     y = 4.0 * base[:, 0] + e + 1e-3 * base[:, 1]
     k, eta = 3, 100.0
     res = stable_fs(X, y, k, DELTA, eta, SIGMA, rng=RngStream(6))
-    scale = scale_forward_stepwise(X.d, k, NoisePolicy(SIGMA, DELTA, eta))
+    scale = scale_forward_stepwise(X.stack, 0, k, None, SIGMA, DELTA, eta)
     R, y_res = X.entries.copy(), y.copy()
     picked = []
     # either copy's pick leaves the other's residual as rounding noise
@@ -873,9 +880,9 @@ def test_lasso_runs_retire_at_their_own_step_counts():
     trial, eta, paths = block_of(X)
     c1 = np.array([1.5, 0.7])[trial]
     steps = np.array([3, 9, 5, 1, 7, 9])
-    scales = np.array([scale_lasso(c, X[b].stack, 0, SIGMA, DELTA, e)
+    scales = np.array([scale_lasso(X[b].stack, 0, None, c, SIGMA, DELTA, e)
                        for c, b, e in zip(c1, trial, eta)])
-    block = lasso_runs(stack(X), Y, c1, steps, trial, scales, 31, paths)
+    block = lasso_runs(stack(X), Y, steps, trial, scales, c1, 31, paths)
     for r, (b, e) in enumerate(zip(trial, eta)):
         want = lasso_noisy(X[b], Y[b], c1[r], DELTA, e, SIGMA, RngStream(31, (2, b)),
                            int(steps[r]))
