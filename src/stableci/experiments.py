@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadWeights, EmptyInput, NonConvergence, check_number
-from .linmodel import DesignMatrix, DesignStack, ModelSet
+from .errors import BadWeights, EmptyInput, check_number
+from .linmodel import DesignMatrix, DesignStack, ModelSet, as_response
 from .noise import RngStream, keyed
 from .selectors import (MECHANISMS, SelectionResult, SelectorSpec, _one_run, lambda_to_c1,
                         select_runs)
@@ -294,7 +294,12 @@ def run_selector(spec: SelectorSpec, X: DesignMatrix, y, eta_step: float | None,
     eta_step, slack delta and noise scale sigma, as one run of
     selectors.select_runs with its trace. A `lam` penalty is resolved to
     its radius here; a failed run raises its error."""
-    c1 = spec.c1 if spec.lam is None else lambda_to_c1(X.stack, y, spec.lam)
+    c1 = spec.c1
+    if spec.lam is not None:
+        radius, failed = lambda_to_c1(X.stack, as_response(y, X.n)[None], spec.lam)
+        if failed:
+            raise failed[0]
+        c1 = radius.item()
     return _one_run(spec, X, y, eta_step, c1, delta, sigma, rng)
 
 
@@ -332,28 +337,32 @@ def _run_block(cfg: ExperimentConfig, trials: range) -> Runs:
     of runs: run b * len(cfg.eta_grid) + e is trial trials[b] at
     cfg.eta_grid[e]. Returns their Runs, in that trial-major order.
 
-    One pass. The data, one stack (gen_synthetic), and each `lam` radius,
-    which do not depend on eta; a non-converging penalty solve flags every
-    eta of its trial. Then one selectors.select_runs call selects for every
-    other run at selector_slack(cfg), trial b drawing from its selector
-    stream (2, trials[b]), and one stability.infer_runs call makes the
+    One pass. The data, one stack (gen_synthetic), and the `lam` radii of
+    all its trials, one lambda_to_c1 call on that stack (the penalty solve
+    sweeps them together while enough of them are live, see
+    selectors.solve_penalized_lasso), which do not depend on eta; a trial
+    whose penalty solve does not converge is flagged at every eta. Then one
+    selectors.select_runs call selects for every other run at
+    selector_slack(cfg), trial b drawing from its selector stream
+    (2, trials[b]), and one stability.infer_runs call makes the
     intervals of every run selected, whose fits also give the targets
-    X_M^+ mu and the FDR of each distinct (trial, model) pair. A run whose
-    selection or inference check fails is flagged with its error. Every
-    run's record is the one the trial run alone at that eta gives.
+    X_M^+ mu and the FDR of each distinct (trial, model) pair; a `lam`
+    run's risk, the penalized objective of its iterate, is one stacked
+    expression over the runs scored. A run whose selection or inference
+    check fails is flagged with its error. Every run's record is the one
+    the trial run alone at that eta gives.
     """
     X, beta, mu, Y = gen_synthetic(cfg, trials)
     etas, lam = len(cfg.eta_grid), cfg.selector.lam
     count = len(trials) * etas
     failed: dict[int, Exception] = {}  # by run
-    # each trial's LASSO radius: the spec's, or its `lam` penalty resolved
-    # (NaN for a method that reads none)
-    c1 = np.full(len(trials), cfg.selector.c1 or math.nan)
-    for b in range(len(trials)) if lam is not None else ():
-        try:
-            c1[b] = lambda_to_c1(X[b:b + 1], Y[b], lam)
-        except NonConvergence as error:
-            failed.update((b * etas + e, error) for e in range(etas))
+    # each trial's LASSO radius: the spec's (NaN for a method that reads
+    # none), or its `lam` penalty resolved
+    if lam is None:
+        c1 = np.full(len(trials), cfg.selector.c1 or math.nan)
+    else:
+        c1, stuck = lambda_to_c1(X, Y, lam)
+        failed.update((b * etas + e, error) for b, error in stuck.items() for e in range(etas))
     run = np.delete(np.arange(count), list(failed))  # the runs not flagged yet
     trial, eta = np.divmod(run, etas)
     sel = select_runs(cfg.selector, X, Y, trial, np.array(cfg.eta_grid)[eta], c1[trial],
@@ -385,12 +394,13 @@ def _run_block(cfg: ExperimentConfig, trials: range) -> Runs:
         fdr[runs] = (nulls / max(m, 1))[group.pairs]
         flat = offsets[runs][:, None] + np.arange(m)
         cols[flat], widths[flat] = fits.cols[group.pairs], group.upper - group.lower
-        if sel.theta is not None and lam is not None:
-            for r, i in zip(runs.tolist(), kept[group.runs].tolist()):
-                # the penalized LASSO objective of the run's iterate
-                theta, b = sel.theta[i], r // etas
-                resid = Y[b] - X.entries[b] @ theta
-                risk[r] = (0.5 * float(resid @ resid) + lam * float(np.abs(theta).sum())) / cfg.n
+    if lam is not None and iv.sizes:
+        # the penalized LASSO objective of each scored run's iterate
+        scored = np.concatenate([group.runs for group in iv.sizes.values()])
+        theta, b = sel.theta[kept[scored]], trial[kept[scored]]
+        resid = Y[b] - np.matmul(X.entries[b], theta[:, :, None])[:, :, 0]
+        risk[at[scored]] = (0.5 * np.matmul(resid[:, None, :], resid[:, :, None])[:, 0, 0]
+                            + lam * np.abs(theta).sum(axis=1)) / cfg.n
     certs = np.array([(c.eta, c.tau, c.nu) for c in (ZERO_BUDGET, *iv.budgets)], dtype=np.float64)
     return Runs(np.repeat(np.arange(trials.start, trials.stop, dtype=np.uint64), etas), offsets,
                 cols, widths, covered, fdr, risk, K, cert, certs,

@@ -164,6 +164,15 @@ def stack(designs) -> DesignStack:
     return DesignStack.checked(np.stack([X.entries for X in designs]))
 
 
+def alone(solve, X: DesignMatrix, y, lam: float, **knobs):
+    """solve (solve_penalized_lasso or lambda_to_c1) on the stack of one
+    design X with the response y: its one result, or its failure raised."""
+    (result,), failed = solve(X.stack, np.asarray(y, dtype=np.float64)[None], lam, **knobs)
+    if failed:
+        raise failed[0]
+    return result
+
+
 def one_trial(cfg, trial_index: int):
     """(X, beta, mu, y) of one trial, from the library's block draw of that
     trial alone, with X as a DesignMatrix."""
@@ -283,7 +292,7 @@ def select_noisy(spec, X: DesignMatrix, y, eta_step: float | None, delta: float,
     if spec.method == "fs":
         return fs_noisy(X, y, spec.k, delta, eta_step, sigma, rng)
     # looked up in experiments, so a test's stand-in reaches the oracle too
-    c1 = spec.c1 if spec.lam is None else experiments.lambda_to_c1(X.stack, y, spec.lam)
+    c1 = spec.c1 if spec.lam is None else float(alone(experiments.lambda_to_c1, X, y, spec.lam))
     if c1 == 0.0:
         return SelectionResult(ModelSet(), np.zeros(X.d), (), zero, c1=0.0)
     return lasso_noisy(X, y, c1, delta, eta_step, sigma, rng, spec.steps)

@@ -21,7 +21,7 @@ from stableci.stability import (StabilityBudget, compose_adaptive_advanced,
                                 compose_adaptive_simple,
                                 eta_step_for_total, sparse_selection_eta)
 
-from oracles import fs_exact, lasso_exact_fw, screening_exact, support
+from oracles import alone, fs_exact, lasso_exact_fw, screening_exact, support
 
 
 def report(num, name, ok, detail):
@@ -143,7 +143,7 @@ def constrained_lstar_lower(X, y, c1):
     best = -math.inf
     for _ in range(60):
         lam = 0.5 * (lo + hi)
-        th = solve_penalized_lasso(X.stack, y, lam, gap_tol=1e-10)
+        th = alone(solve_penalized_lasso, X, y, lam, gap_tol=1e-10)
         r = y - X.entries @ th
         s = max(1.0, float(np.max(np.abs(X.entries.T @ r))) / lam)
         u = r / s

@@ -33,7 +33,7 @@ from stableci.noise import RngStream
 from stableci.selectors import lambda_to_c1
 from stableci.stability import slack_allowance
 
-from oracles import one_trial, records_rows, screening_exact
+from oracles import alone, one_trial, records_rows, screening_exact
 from test_experiments import ENGINE_CASES, ONE_ROUND
 
 
@@ -307,7 +307,7 @@ def test_select_lasso_lambda_resolves_c1(data):
     params = manifest["parameters"]
     X = DesignMatrix(data["X"])
     assert params["lam"] == 0.05
-    assert params["c1"] == pytest.approx(lambda_to_c1(X.stack, data["y_arr"], 0.05), rel=1e-9)
+    assert params["c1"] == pytest.approx(alone(lambda_to_c1, X, data["y_arr"], 0.05), rel=1e-9)
     assert params["steps"] == 25
     rows = [l.split(",") for l in open(sel).read().splitlines()]
     assert any(r[0] == "theta" for r in rows)

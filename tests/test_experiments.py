@@ -25,7 +25,7 @@ from stableci.noise import KeyedGenerator, RngStream
 from stableci.selectors import SelectionResult, lambda_to_c1, select_runs, stable_screening
 from stableci.stability import StabilityBudget, certify_budgets
 
-from oracles import columns, eta_major_sweep, one_trial, score_model, screening_exact, stack
+from oracles import alone, columns, eta_major_sweep, one_trial, score_model, screening_exact, stack
 
 
 def fixed_cfg(**kw):
@@ -343,7 +343,7 @@ def test_select_runs_matches_one_run_selections():
     paths = [(2, b) for b in range(3)]
     lasso, fs = SelectorSpec(method="lasso", lam=0.3), SelectorSpec(method="fs", k=4)
     blocks = {
-        "lasso": (lasso, data, [(b, eta, lambda_to_c1(data[b][0].stack, data[b][1], 0.3))
+        "lasso": (lasso, data, [(b, eta, alone(lambda_to_c1, *data[b], 0.3))
                                 for b in range(3) for eta in (0.5, 2.0)]),
         "fs": (fs, [data[0], (DesignMatrix(rank3), data[2][1]), data[2]],
                [(0, 1.0, None), (1, 1.0, None), (2, 0.5, None), (1, 2.0, None)]),
@@ -400,9 +400,14 @@ def test_run_trial_flags_degenerate_level():
     assert high.flagged.startswith("degenerate_level: ") and low.flagged is None
 
 
+def stuck(X, Y, lam):
+    """A stand-in for experiments.lambda_to_c1 whose penalty solve fails on
+    every trial of the block."""
+    error = NonConvergence("coordinate descent did not reach gap 1e-08")
+    return np.full(len(Y), math.nan), dict.fromkeys(range(len(Y)), error)
+
+
 def test_run_trial_flags_nonconvergence(monkeypatch):
-    def stuck(X, y, lam):
-        raise NonConvergence("coordinate descent did not reach gap 1e-08")
     monkeypatch.setattr(experiments, "lambda_to_c1", stuck)
     cfg = fixed_cfg(n=50, d=8, selector=SelectorSpec(method="lasso", lam=0.5),
                     alpha_weights=None)
@@ -811,8 +816,6 @@ def test_lasso_sweep_holds_one_steps_draws_at_a_time():
 
 
 def test_eta_sweep_flags_nonconvergence_at_every_eta(monkeypatch):
-    def stuck(X, y, lam):
-        raise NonConvergence("coordinate descent did not reach gap 1e-08")
     monkeypatch.setattr(experiments, "lambda_to_c1", stuck)
     cfg = ENGINE_CASES["lasso-lam-estimate"]
     rows = eta_sweep(cfg)
@@ -841,10 +844,13 @@ def test_lam_block_flags_only_the_trials_whose_penalty_solve_fails(monkeypatch):
     failing = [one_trial(cfg, t)[3] for t in (1, 3)]
     solve = experiments.lambda_to_c1
 
-    def stuck_on_1_and_3(X, y, lam):
-        if any(np.array_equal(y, bad) for bad in failing):
-            raise NonConvergence("coordinate descent did not reach gap 1e-08")
-        return solve(X, y, lam)
+    def stuck_on_1_and_3(X, Y, lam):
+        radii, failed = solve(X, Y, lam)
+        for b, y in enumerate(Y):
+            if any(np.array_equal(y, bad) for bad in failing):
+                radii[b] = math.nan
+                failed[b] = NonConvergence("coordinate descent did not reach gap 1e-08")
+        return radii, failed
 
     started = []
     monkeypatch.setattr(experiments, "lambda_to_c1", stuck_on_1_and_3)
@@ -877,12 +883,12 @@ def test_eta_sweep_does_eta_free_work_once_per_trial(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    # the block draws its trials, and estimates their sigma inside
-    # stability.infer_runs, as one stack per call
+    # the block draws its trials, resolves their `lam` radii, and estimates
+    # their sigma inside stability.infer_runs, as one stack per call
     monkeypatch.setattr(experiments, "gen_synthetic",
                         counting("gen", gen_synthetic, lambda args: len(args[1])))
     monkeypatch.setattr(experiments, "lambda_to_c1",
-                        counting("lam", experiments.lambda_to_c1))
+                        counting("lam", experiments.lambda_to_c1, lambda args: len(args[1])))
     monkeypatch.setattr(stability, "sigma_hat_full_model", counting(
         "sigma", stability.sigma_hat_full_model, lambda args: len(args[0])))
     started = []

@@ -17,17 +17,19 @@ import scipy.stats
 
 from stableci import noise, selectors
 from stableci.errors import AllCandidatesCollinear, NonConvergence
-from stableci.linmodel import DesignMatrix
+from stableci.experiments import ExperimentConfig, block_trials, gen_synthetic
+from stableci.linmodel import DesignMatrix, DesignStack
 from stableci.noise import (KeyedGenerator, RngStream, scale_forward_stepwise,
                             scale_lasso, scale_screening)
-from stableci.selectors import (FS_COLLINEAR_TOL, MAX_DEFAULT_FW_STEPS, SUPPORT_THRESHOLD,
+from stableci.selectors import (CD_STACK_TRIALS, FS_COLLINEAR_TOL, MAX_DEFAULT_FW_STEPS,
+                                SUPPORT_THRESHOLD,
                                 SelectorSpec, fs_runs, lambda_to_c1,
                                 lasso_runs, screen_runs, select_runs,
                                 solve_penalized_lasso, stable_fs, stable_lasso,
                                 stable_screening, _lasso_steps, _StepDraws)
 from stableci.stability import StabilityBudget, certify_budgets, compose_adaptive_advanced
 
-from oracles import (fs_exact, fs_noisy, lasso_exact_fw, lasso_noisy,
+from oracles import (alone, fs_exact, fs_noisy, lasso_exact_fw, lasso_noisy,
                      penalized_lasso_residual, screening_exact, screening_noisy, stack, support)
 
 
@@ -167,7 +169,7 @@ def constrained_lstar_lower(X: DesignMatrix, y, c1: float) -> float:
     best = -math.inf
     for _ in range(60):
         lam = 0.5 * (lo + hi)
-        th = solve_penalized_lasso(X.stack, y, lam, gap_tol=1e-10)
+        th = alone(solve_penalized_lasso, X, y, lam, gap_tol=1e-10)
         r = y - X.entries @ th
         s = max(1.0, float(np.max(np.abs(X.entries.T @ r))) / lam)
         u = r / s
@@ -230,14 +232,13 @@ def test_support_threshold():
 
 def test_penalized_lasso_one_dimensional():
     X = DesignMatrix([[1.0]])
-    np.testing.assert_allclose(solve_penalized_lasso(X.stack, [3.0], 1.0), [2.0],
-                               atol=1e-10)
+    np.testing.assert_allclose(alone(solve_penalized_lasso, X, [3.0], 1.0), [2.0], atol=1e-10)
 
 
 def test_penalized_lasso_kkt():
     X, y = random_instance(4, n=40, d=10)
     lam = 0.05
-    theta = solve_penalized_lasso(X.stack, y, lam, gap_tol=1e-12)
+    theta = alone(solve_penalized_lasso, X, y, lam, gap_tol=1e-12)
     grad = X.entries.T @ (y - X.entries @ theta)
     for j in range(X.d):
         if theta[j] == 0.0:
@@ -249,7 +250,7 @@ def test_penalized_lasso_kkt():
 def test_penalized_lasso_nonconvergence():
     X, y = random_instance(6, n=50, d=20)
     with pytest.raises(NonConvergence) as lib:
-        solve_penalized_lasso(X.stack, y, 1e-6, gap_tol=1e-14, max_sweeps=1)
+        alone(solve_penalized_lasso, X, y, 1e-6, gap_tol=1e-14, max_sweeps=1)
     with pytest.raises(NonConvergence) as ref:
         penalized_lasso_residual(X, y, 1e-6, gap_tol=1e-14, max_sweeps=1)
     assert str(lib.value) == str(ref.value) == \
@@ -262,7 +263,7 @@ def test_penalized_lasso_rejects_a_bad_lam_up_front(lam):
     # the gap test: every sweep ran before NonConvergence
     X, y = random_instance(6, n=50, d=20)
     with pytest.raises(ValueError, match=f"^lam must be finite and positive, got {lam}$"):
-        solve_penalized_lasso(X.stack, y, lam, max_sweeps=1)
+        alone(solve_penalized_lasso, X, y, lam, max_sweeps=1)
 
 
 @pytest.mark.parametrize("knob, value, want", [
@@ -273,7 +274,7 @@ def test_penalized_lasso_rejects_a_bad_stopping_rule_up_front(knob, value, want)
     # max_sweeps=0 reported a gap missed "in 0 sweeps"
     X, y = random_instance(6, n=50, d=20)
     with pytest.raises(ValueError, match=f"^{want}, got {value}$"):
-        solve_penalized_lasso(X.stack, y, 0.05, **{knob: value})
+        alone(solve_penalized_lasso, X, y, 0.05, **{knob: value})
 
 
 def _penalized_instance(n, d, scale, column=None):
@@ -293,7 +294,7 @@ def _penalized_instance(n, d, scale, column=None):
     return DesignMatrix(A), y
 
 
-@pytest.mark.parametrize("n, d, lam, scale, column, rel", [
+PENALIZED_SHAPES = [
     pytest.param(100, 20, 0.5, 0.1, None, 1e-12, id="sweep-shape"),
     pytest.param(50, 200, 0.5, 50 ** -0.5, None, 1e-12, id="d-above-n"),
     pytest.param(2000, 300, 5.0, 1.0, None, 1e-12, id="tall"),
@@ -303,10 +304,13 @@ def _penalized_instance(n, d, scale, column=None):
     # thousands of sweeps on a square Gaussian design: rounding has longer
     # to drift, so this point has its own bound
     pytest.param(30, 30, 1e-3, 30 ** -0.5, None, 1e-10, id="ill-conditioned"),
-])
+]
+
+
+@pytest.mark.parametrize("n, d, lam, scale, column, rel", PENALIZED_SHAPES)
 def test_penalized_lasso_radius_matches_the_residual_oracle(n, d, lam, scale, column, rel):
     X, y = _penalized_instance(n, d, scale, column)
-    theta = solve_penalized_lasso(X.stack, y, lam)
+    theta = alone(solve_penalized_lasso, X, y, lam)
     c1 = float(np.abs(theta).sum())
     ref = float(np.abs(penalized_lasso_residual(X, y, lam)).sum())
     assert abs(c1 - ref) <= rel * ref
@@ -320,17 +324,134 @@ def test_penalized_lasso_radius_matches_the_residual_oracle(n, d, lam, scale, co
 
 def test_lambda_to_c1():
     X = DesignMatrix([[1.0]])
-    assert lambda_to_c1(X.stack, [3.0], 1.0) == pytest.approx(2.0, abs=1e-10)
-    assert lambda_to_c1(X.stack, [3.0], 3.5) == 0.0
+    assert alone(lambda_to_c1, X, [3.0], 1.0) == pytest.approx(2.0, abs=1e-10)
+    assert alone(lambda_to_c1, X, [3.0], 3.5) == 0.0
     # lam -> 0 recovers the interpolating solution on a square system
     gen = np.random.default_rng(8)
     A = gen.standard_normal((5, 5))
     Xs = DesignMatrix(A)
     ys = gen.standard_normal(5)
     full = np.abs(np.linalg.solve(A, ys)).sum()
-    assert lambda_to_c1(Xs.stack, ys, 1e-8) == pytest.approx(full, rel=1e-4)
+    assert alone(lambda_to_c1, Xs, ys, 1e-8) == pytest.approx(full, rel=1e-4)
     with pytest.raises(ValueError):
-        lambda_to_c1(X.stack, [3.0], 0.0)
+        alone(lambda_to_c1, X, [3.0], 0.0)
+
+
+@pytest.mark.parametrize("n, d, lam, scale, column, rel", PENALIZED_SHAPES)
+def test_penalized_lasso_stack_matches_each_trial_alone(n, d, lam, scale, column, rel):
+    # 16 trials on one design with their own noise, stacked 16 and 4 deep:
+    # each trial's solution is the one it reaches alone, bit for bit at the
+    # sweep shape (the `lam` sweep benchmark's) and within rel of its radius
+    # elsewhere. With noise of 0.1 one ill-conditioned trial does not
+    # converge in 100000 sweeps, so that point's noise is 0.001.
+    X, y = _penalized_instance(n, d, scale, column)
+    noise = 0.001 if n == d == 30 else 1.0
+    Y = y + noise * np.random.default_rng(16).standard_normal((16, n))
+    want = [alone(lambda_to_c1, X, Y[b], lam) for b in range(16)]
+    for depth in (16, 4):
+        radii, failed = lambda_to_c1(X.stack.broadcast(depth), Y[:depth], lam)
+        assert failed == {}
+        for b in range(depth):
+            if (n, d) == (100, 20) and lam == 0.5:
+                assert radii[b] == want[b]
+            else:
+                assert abs(radii[b] - want[b]) <= rel * want[b]
+
+
+def test_penalized_lasso_stack_matches_the_sweep_blocks_trials_alone():
+    # the `lam` sweep benchmark's blocks (n=100, d=20, a design per trial,
+    # lam=0.5): every radius is bit for bit the one its trial gets alone
+    cfg = ExperimentConfig(n=100, d=20, selector=SelectorSpec(method="lasso", lam=0.5, steps=20),
+                           trials=60, master_seed=41, active_fraction=0.15,
+                           sigma_mode="estimate", eta_grid=(0.25, 0.5, 1.0))
+    for start in range(0, cfg.trials, block_trials(cfg)):
+        X, _, _, Y = gen_synthetic(cfg, range(start, min(start + block_trials(cfg), cfg.trials)))
+        radii, failed = lambda_to_c1(X, Y, 0.5)
+        assert failed == {}
+        for b in range(len(Y)):
+            (want,), _ = lambda_to_c1(X[b:b + 1], Y[b:b + 1], 0.5)
+            assert radii[b] == want
+
+
+def _straggler_stack():
+    """16 trials on 100 x 20 designs whose penalty solves take from 1 to
+    hundreds of sweeps at lam 0.5: column 1 nearly copies column 0, which
+    slows a trial whose solution takes both, and the responses of trials
+    0, 5, 10 and 15 are so small that the penalty zeroes every coordinate."""
+    gen = np.random.default_rng(0)
+    A = gen.standard_normal((16, 100, 20)) * 0.1
+    A[:, :, 1] = A[:, :, 0] + 0.003 * gen.standard_normal((16, 100))
+    beta = np.zeros(20)
+    beta[:3] = 5.0
+    Y = A @ beta + gen.standard_normal((16, 100))
+    Y[::5] *= 1e-3
+    return DesignStack.checked(A), Y
+
+
+def _sweeps_alone(X: DesignStack, y) -> int:
+    """The sweeps the penalty solve of y at lam 0.5 on the stack of one X
+    takes."""
+    lo, hi = 0, 1  # it fails in lo sweeps (none at 0) and converges in hi
+    while solve_penalized_lasso(X, y[None], 0.5, max_sweeps=hi)[1]:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if solve_penalized_lasso(X, y[None], 0.5, max_sweeps=mid)[1] \
+            else (lo, mid)
+    return hi
+
+
+def _stuck_alone(X: DesignStack, Y, max_sweeps: int) -> list[int]:
+    """The trials whose penalty solve at lam 0.5, each alone, misses the gap
+    in max_sweeps sweeps."""
+    return [b for b in range(len(Y))
+            if solve_penalized_lasso(X[b:b + 1], Y[b:b + 1], 0.5, max_sweeps=max_sweeps)[1]]
+
+
+def test_penalized_lasso_stack_stragglers_finish_as_alone():
+    # the stacked sweeps drop the trials that converge; the few left
+    # continue one at a time, each to the solution, and the sweep, it
+    # reaches alone
+    X, Y = _straggler_stack()
+    # the stack sweeps past the first sweep, and the trials that take over
+    # 100 sweeps are stragglers
+    assert 16 > len(_stuck_alone(X, Y, 1)) >= CD_STACK_TRIALS > len(_stuck_alone(X, Y, 100)) > 0
+    theta, failed = solve_penalized_lasso(X, Y, 0.5)
+    assert failed == {}
+    for b in range(16):
+        want = alone(solve_penalized_lasso, DesignMatrix(X.entries[b]), Y[b], 0.5)
+        assert theta[b].tobytes() == want.tobytes()
+
+
+def test_penalized_lasso_stack_fails_only_the_stuck_trials():
+    # max_sweeps=1 stops the stacked sweeps with 12 trials live; 50 stops
+    # the stragglers alone, and so does one sweep short of a straggler's
+    # own count, which it reaches at that count: exactly the trials that
+    # need more sweeps fail, each with the one-trial message and a NaN row,
+    # and the others keep their solutions
+    X, Y = _straggler_stack()
+    want = [alone(solve_penalized_lasso, DesignMatrix(X.entries[b]), Y[b], 0.5)
+            for b in range(16)]
+    straggler = _stuck_alone(X, Y, 100)[0]
+    last = _sweeps_alone(X[straggler:straggler + 1], Y[straggler])
+    # the residual-update oracle reaches the gap at the same sweep
+    with pytest.raises(NonConvergence):
+        penalized_lasso_residual(DesignMatrix(X.entries[straggler]), Y[straggler], 0.5,
+                                 max_sweeps=last - 1)
+    penalized_lasso_residual(DesignMatrix(X.entries[straggler]), Y[straggler], 0.5,
+                             max_sweeps=last)
+    for max_sweeps in (1, 50, last - 1, last):
+        theta, failed = solve_penalized_lasso(X, Y, 0.5, max_sweeps=max_sweeps)
+        assert sorted(failed) == _stuck_alone(X, Y, max_sweeps)
+        assert 0 < len(failed) < 16 and (straggler in failed) == (max_sweeps < last)
+        for b in range(16):
+            if b in failed:
+                assert type(failed[b]) is NonConvergence
+                assert str(failed[b]) == \
+                    f"coordinate descent did not reach gap 1e-08 in {max_sweeps} sweeps"
+                assert np.isnan(theta[b]).all()
+            else:
+                assert theta[b].tobytes() == want[b].tobytes()
 
 
 # ---------------------------------------------------------------------------
