@@ -409,13 +409,13 @@ def cmd_experiment(args) -> int:
     with _writing(args.out_dir):
         os.makedirs(args.out_dir, exist_ok=True)
 
-    # a process per block at most: a sweep has ceil(trials / block size) blocks
-    processes = min(workers, -(-cfg.trials // block_trials(cfg)))
+    # a process per block at most; a sweep has a block per worker at least
+    processes = min(workers, len(block_trials(cfg, workers)))
     try:
         if processes > 1:
             scipy_special()  # once here, not once per forked worker
             with multiprocessing.Pool(processes) as pool:
-                sweep = eta_sweep(cfg, pool.map)
+                sweep = eta_sweep(cfg, pool.map, workers)
         else:
             sweep = eta_sweep(cfg)
     except BaseException:

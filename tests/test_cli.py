@@ -872,21 +872,38 @@ def test_experiment_starts_a_process_per_block_at_most(tmp_path, monkeypatch, ca
             return list(map(fn, tasks))
 
     monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
-    # 3 trials are one block of 16: no pool
-    rc, one = run_experiment(tmp_path, "one-block", experiment_config(trials=3),
+    # one trial is one block: no pool
+    rc, one = run_experiment(tmp_path, "one-block", experiment_config(trials=1),
                              extra=("--workers", "4"))
     assert rc == 0 and sizes == []
     assert json.load(open(one / "manifest.json"))["parameters"]["processes"] == 1
-    # 40 trials are three blocks
-    rc, pooled = run_experiment(tmp_path, "three-blocks", experiment_config(trials=40),
-                                extra=("--workers", "8"))
+    # 3 trials on 4 workers are three blocks of one trial
+    rc, three = run_experiment(tmp_path, "three-blocks", experiment_config(trials=3),
+                               extra=("--workers", "4"))
     assert rc == 0 and sizes == [3]
+    assert json.load(open(three / "manifest.json"))["parameters"]["processes"] == 3
+    # 40 trials on 8 workers are eight blocks of 5
+    rc, pooled = run_experiment(tmp_path, "eight-blocks", experiment_config(trials=40),
+                                extra=("--workers", "8"))
+    assert rc == 0 and sizes == [3, 8]
     assert "8 workers" in capsys.readouterr().out
     params = json.load(open(pooled / "manifest.json"))["parameters"]
-    assert (params["workers"], params["processes"]) == (8, 3)
+    assert (params["workers"], params["processes"]) == (8, 8)
     _, single = run_experiment(tmp_path, "single", experiment_config(trials=40),
                                extra=("--workers", "1"))
     assert (pooled / "records.csv").read_bytes() == (single / "records.csv").read_bytes()
+
+
+def test_experiment_runs_a_process_per_worker_on_a_short_sweep(tmp_path):
+    # 12 trials fit one block, but 4 workers take a block of 3 each, in a
+    # real pool, and write the files that one process writes
+    cfg = experiment_config(trials=12)
+    _, single = run_experiment(tmp_path, "single", cfg, extra=("--workers", "1"))
+    rc, pooled = run_experiment(tmp_path, "pooled", cfg, extra=("--workers", "4"))
+    assert rc == 0
+    assert json.load(open(pooled / "manifest.json"))["parameters"]["processes"] == 4
+    for name in CSV_NAMES:
+        assert (pooled / name).read_bytes() == (single / name).read_bytes(), name
 
 
 def config_json(cfg: ExperimentConfig, **overrides) -> dict:
@@ -965,7 +982,7 @@ def test_redrawn_design_sweeps_build_no_design_matrix(tmp_path, monkeypatch):
 @pytest.mark.parametrize("case, reason", [("fixed-rank-deficient", "rank_deficient"),
                                           ("flagged", "degenerate_level")])
 def test_flagged_runs_across_blocks_do_not_depend_on_workers(tmp_path, case, reason):
-    # 40 trials are three blocks of 16, so three workers start a pool of three
+    # 40 trials on three workers are three blocks, so a pool of three
     cfg = config_json(ENGINE_CASES[case], trials=40)
     outs = {}
     for workers in (1, 3):

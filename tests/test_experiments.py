@@ -753,32 +753,43 @@ def test_sweep_hands_arrays_from_selection_to_inference(monkeypatch):
 def test_block_size_does_not_change_records(monkeypatch, case):
     cfg = dataclasses.replace(ENGINE_CASES[case], trials=7)
     sweeps = {}
-    for size in (1, 3, 16):
+    for size in (1, 3, 16, 64):
         monkeypatch.setattr(experiments, "BLOCK_TRIALS", size)
         sweeps[size] = eta_sweep(cfg)
-    for size in (3, 16):
+    for size in (3, 16, 64):
         for (_, records, summary), (_, want, want_summary) in zip(sweeps[size], sweeps[1]):
             assert summary == want_summary
             assert_same_records(records, want)
+    # 67 trials on a small design: blocks of 34 and 33 at the cap of 64,
+    # of 14 and 13 at 16
+    long, longs = dataclasses.replace(cfg, trials=67, n=40, d=8), {}
+    for size in (64, 16):
+        monkeypatch.setattr(experiments, "BLOCK_TRIALS", size)
+        longs[size] = eta_sweep(long)
+    for (_, records, summary), (_, want, want_summary) in zip(longs[64], longs[16]):
+        assert summary == want_summary
+        assert_same_records(records, want)
 
 
 def test_shared_design_sweep_draws_the_design_at_most_once_per_block(monkeypatch):
-    cfg = dataclasses.replace(ENGINE_CASES["shared-design"], trials=7)
     built = []
 
     def counting(entries):
         built.append(1)
         return DesignMatrix(entries)
     monkeypatch.setattr(experiments, "DesignMatrix", counting)
-    want = eta_major_sweep(cfg)
-    for size in (1, 3, 16):
-        monkeypatch.setattr(experiments, "BLOCK_TRIALS", size)
-        experiments._shared_design.cache_clear()
-        built.clear()
-        rows = eta_sweep(cfg)
-        assert 1 <= len(built) <= -(-cfg.trials // size)
-        for (_, records, _), (_, want_records) in zip(rows, want):
-            assert_same_records(records, want_records)
+    # 67 trials are two blocks at the cap of 64, the second of 33 trials
+    for trials, sizes in ((7, (1, 3, 16, 64)), (67, (64, 16))):
+        cfg = dataclasses.replace(ENGINE_CASES["shared-design"], trials=trials)
+        want = eta_major_sweep(cfg)
+        for size in sizes:
+            monkeypatch.setattr(experiments, "BLOCK_TRIALS", size)
+            experiments._shared_design.cache_clear()
+            built.clear()
+            rows = eta_sweep(cfg)
+            assert 1 <= len(built) <= len(block_trials(cfg))
+            for (_, records, _), (_, want_records) in zip(rows, want):
+                assert_same_records(records, want_records)
 
 
 def test_sweep_sends_one_task_per_block():
@@ -789,13 +800,51 @@ def test_sweep_sends_one_task_per_block():
         tasks.append([len(x[1]) for x in xs])
         return map(fn, xs)
 
-    cfg = ENGINE_CASES["screen"]
-    eta_sweep(dataclasses.replace(cfg, trials=40), counting_map)
-    assert tasks == [[16, 16, 8]]
+    cfg = dataclasses.replace(ENGINE_CASES["screen"], trials=40)
+    eta_sweep(cfg, counting_map)
+    eta_sweep(cfg, counting_map, 3)
+    assert tasks == [[40], [14, 13, 13]]
+
+
+def block_sizes(cfg, workers=1):
+    """The trial counts of cfg's blocks, checked to tile range(cfg.trials)
+    in order."""
+    blocks = block_trials(cfg, workers)
+    assert [t for block in blocks for t in block] == list(range(cfg.trials))
+    return [len(block) for block in blocks]
+
+
+def test_block_trials_cuts_the_fewest_near_equal_blocks():
+    screen = dataclasses.replace(ENGINE_CASES["screen"], eta_grid=(0.5, 1.0, 2.0, 4.0))
+    # 250 trials: four blocks of at most 64, the larger first, not 64/64/64/58
+    assert block_sizes(dataclasses.replace(screen, trials=250)) == [63, 63, 62, 62]
+    # the `lam` sweep benchmark's 60 trials are one block
+    lam = ExperimentConfig(n=100, d=20, selector=SelectorSpec(method="lasso", lam=0.5, steps=20),
+                           trials=60, master_seed=41, active_fraction=0.15,
+                           sigma_mode="estimate", eta_grid=(0.25, 0.5, 1.0))
+    assert block_sizes(lam) == [60]
+    # a block for each pool worker: 40 trials on 8 workers are 8 blocks of
+    # 5, and 128 trials on 8 are 8 blocks of 16, not 2 of 64
+    assert block_sizes(dataclasses.replace(screen, trials=40), 8) == [5] * 8
+    assert block_sizes(dataclasses.replace(screen, trials=128), 8) == [16] * 8
+    assert block_sizes(dataclasses.replace(screen, trials=3), 4) == [1, 1, 1]
     # a block's largest array, runs x n x d doubles, stays within the budget
-    assert block_trials(dataclasses.replace(cfg, n=20000, d=300, eta_grid=(1.0,))) == 1
-    big = dataclasses.replace(cfg, n=1000, d=200)
-    assert block_trials(big) == experiments.BLOCK_BYTES // (len(cfg.eta_grid) * 1000 * 200 * 8)
+    assert block_sizes(dataclasses.replace(screen, n=20000, d=300, eta_grid=(1.0,))) == [1] * 5
+    big = dataclasses.replace(ENGINE_CASES["screen"], n=1000, d=200)
+    big_cap = experiments.BLOCK_BYTES // (len(big.eta_grid) * 1000 * 200 * 8)
+    assert big_cap == 3 and block_sizes(dataclasses.replace(big, trials=7)) == [3, 2, 2]
+    # against the rule spelled out: the fewest blocks of at most cap trials
+    # and no fewer than min(workers, trials), sizes at most one apart
+    for cap, cfg in ((experiments.BLOCK_TRIALS, screen), (big_cap, big)):
+        for trials in range(1, 140, 3):
+            for workers in (1, 2, 3, 8):
+                sizes = block_sizes(dataclasses.replace(cfg, trials=trials), workers)
+                fewest = next(b for b in range(min(workers, trials), trials + 1)
+                              if -(-trials // b) <= cap)
+                assert len(sizes) == fewest and max(sizes) - min(sizes) <= 1
+                # so a pool has as many processes as the trials allow
+                assert min(workers, len(sizes)) == min(workers, trials)
+                assert sizes == sorted(sizes, reverse=True)
 
 
 def test_lasso_sweep_holds_one_steps_draws_at_a_time():
@@ -840,7 +889,7 @@ def test_lam_block_flags_only_the_trials_whose_penalty_solve_fails(monkeypatch):
     # trials 1 and 3 of a one-block sweep fail their penalty solve: only
     # their records are flagged, and only the other trials key selector streams
     cfg = ENGINE_CASES["lasso-lam-estimate"]
-    assert block_trials(cfg) >= cfg.trials == 5
+    assert block_trials(cfg) == [range(cfg.trials)] and cfg.trials == 5
     failing = [one_trial(cfg, t)[3] for t in (1, 3)]
     solve = experiments.lambda_to_c1
 

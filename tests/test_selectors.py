@@ -339,33 +339,38 @@ def test_lambda_to_c1():
 
 @pytest.mark.parametrize("n, d, lam, scale, column, rel", PENALIZED_SHAPES)
 def test_penalized_lasso_stack_matches_each_trial_alone(n, d, lam, scale, column, rel):
-    # 16 trials on one design with their own noise, stacked 16 and 4 deep:
-    # each trial's solution is the one it reaches alone, bit for bit at the
-    # sweep shape (the `lam` sweep benchmark's) and within rel of its radius
-    # elsewhere. With noise of 0.1 one ill-conditioned trial does not
-    # converge in 100000 sweeps, so that point's noise is 0.001.
+    # 16 trials on one design with their own noise, stacked 16 and 4 deep,
+    # and at the sweep shape (the `lam` sweep benchmark's) 64 trials, also
+    # stacked 64 deep as in a full sweep block: each trial's solution is
+    # the one it reaches alone, bit for bit at the sweep shape and within
+    # rel of its radius elsewhere. With noise of 0.1 one ill-conditioned
+    # trial does not converge in 100000 sweeps, so that point's noise is
+    # 0.001.
     X, y = _penalized_instance(n, d, scale, column)
     noise = 0.001 if n == d == 30 else 1.0
-    Y = y + noise * np.random.default_rng(16).standard_normal((16, n))
-    want = [alone(lambda_to_c1, X, Y[b], lam) for b in range(16)]
-    for depth in (16, 4):
+    sweep_shape = (n, d, lam) == (100, 20, 0.5)
+    depths = (64, 16, 4) if sweep_shape else (16, 4)
+    Y = y + noise * np.random.default_rng(16).standard_normal((depths[0], n))
+    want = [alone(lambda_to_c1, X, Y[b], lam) for b in range(depths[0])]
+    for depth in depths:
         radii, failed = lambda_to_c1(X.stack.broadcast(depth), Y[:depth], lam)
         assert failed == {}
         for b in range(depth):
-            if (n, d) == (100, 20) and lam == 0.5:
+            if sweep_shape:
                 assert radii[b] == want[b]
             else:
                 assert abs(radii[b] - want[b]) <= rel * want[b]
 
 
 def test_penalized_lasso_stack_matches_the_sweep_blocks_trials_alone():
-    # the `lam` sweep benchmark's blocks (n=100, d=20, a design per trial,
-    # lam=0.5): every radius is bit for bit the one its trial gets alone
+    # the `lam` sweep benchmark's block, all 60 trials (n=100, d=20, a
+    # design per trial, lam=0.5): every radius is bit for bit the one its
+    # trial gets alone
     cfg = ExperimentConfig(n=100, d=20, selector=SelectorSpec(method="lasso", lam=0.5, steps=20),
                            trials=60, master_seed=41, active_fraction=0.15,
                            sigma_mode="estimate", eta_grid=(0.25, 0.5, 1.0))
-    for start in range(0, cfg.trials, block_trials(cfg)):
-        X, _, _, Y = gen_synthetic(cfg, range(start, min(start + block_trials(cfg), cfg.trials)))
+    for trials in block_trials(cfg):
+        X, _, _, Y = gen_synthetic(cfg, trials)
         radii, failed = lambda_to_c1(X, Y, 0.5)
         assert failed == {}
         for b in range(len(Y)):
