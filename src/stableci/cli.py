@@ -181,7 +181,7 @@ def _write_manifest(path: str, command: str, params: dict, outputs: list[str],
         "package_version": __version__,
         "parameters": params,
         "outputs": outputs,
-        "wall_clock_sec": time.time() - started,
+        "wall_clock_sec": time.perf_counter() - started,
     }
     with _writing(path), open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -249,7 +249,7 @@ def read_selection(path: str) -> tuple[ModelSet, list[StabilityBudget], dict]:
 # select
 
 def cmd_select(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     if not 0 <= args.seed < 2 ** 64:
         raise CliParseError(f"--seed must be in [0, 2**64), got {args.seed}")
     spec = SelectorSpec(method=args.method, k=args.k, c1=args.c1, lam=args.lam,
@@ -318,7 +318,7 @@ def _parse_weights(text: str) -> tuple[float, float, float]:
 
 
 def cmd_ci(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     X = DesignMatrix(read_matrix(args.x))
     y = read_vector(args.y)
     if args.selection is not None:
@@ -394,7 +394,7 @@ def _records_rows(eta: float, runs) -> list[list[str]]:
 
 
 def cmd_experiment(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     cfg = load_config(args.config)
     workers = args.workers
     if workers is None:

@@ -1,4 +1,4 @@
-"""Seeded randomness and calibrated Laplace noise policies.
+"""Seeded randomness and calibrated Laplace noise scales.
 
 Reproducibility scheme: every consumer of randomness draws from a stream
 named by a master seed and an integer path, and the name is a Philox key
@@ -24,7 +24,6 @@ a KeyedGenerator of its own on its first draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,26 +115,7 @@ keyed = KeyedGenerator()  # the process's; a forked worker draws from its own co
 
 
 # ---------------------------------------------------------------------------
-# noise policies
-
-
-@dataclass(frozen=True)
-class NoisePolicy:
-    """Subgaussian noise scale sigma of y - mu plus the per-step stability
-    knobs the scales divide by."""
-
-    sigma: float
-    delta: float
-    eta_step: float
-
-    def __post_init__(self):
-        if not (0 < self.sigma < math.inf):
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if not (0 < self.eta_step < math.inf):
-            raise ValueError(f"eta_step must be finite and positive, got {self.eta_step}")
-
+# Laplace scales
 
 # Per-draw Laplace scales, one signature (selectors.Mechanism names the typical
 # set each is calibrated to): scale(X, trial, k, c1, sigma, delta, eta_step) is
@@ -143,17 +123,11 @@ class NoisePolicy:
 # (broadcast). An overflow raises, naming the first such run's eta_step.
 
 
+@np.errstate(over="ignore")  # an overflow is _finite's to report
 def scale_lasso(X: DesignStack, trial, k, c1, sigma: float, delta: float,
                 eta_step) -> np.ndarray:
-    """The noisy Frank-Wolfe vertex scores' scales, for a positive c1."""
-    if not np.minimum.reduce(c1, axis=None, initial=math.inf) > 0:  # a NaN fails too
-        raise ValueError(f"c1 must be positive, got {c1}")
-    return _lasso_scales(X, trial, k, c1, sigma, delta, eta_step)
-
-
-@np.errstate(over="ignore")  # an overflow is _finite's to report
-def _lasso_scales(X: DesignStack, trial, k, c1, sigma: float, delta: float, eta_step):
-    """scale_lasso's formula, where a radius of 0 gets scale 0."""
+    """The noisy Frank-Wolfe vertex scores' scales, where a radius of 0
+    gets scale 0."""
     return _finite(8.0 * math.sqrt(math.log(4.0 * X.d) - math.log(delta)) * sigma
                    * (c1 * X.l2inf[trial] / (X.n * eta_step)), eta_step)
 

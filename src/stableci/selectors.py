@@ -9,8 +9,8 @@ with its own Laplace scale scales[r], and every array carries the run
 axis first. `select_runs` is the one selector dispatch, called by
 `select` (experiments.run_selector), the sweep and `stable_screening`,
 `stable_fs` and `stable_lasso`. It returns arrays over the runs (support
-masks, LASSO iterates, certificate indices); only a one-run call
-(`_one_run`) builds a SelectionResult, with the per-step decision trace.
+masks, LASSO iterates, certificate indices) and a one-run block's
+decision trace; only a one-run call (`_one_run`) builds a SelectionResult.
 There are no separate exact variants: a noise scale of 0 (the
 `scale_override` test hook) is the exact algorithm, tie rule included,
 because the zero-scale Laplace draws are +-0.0 and move no argmin or
@@ -51,8 +51,8 @@ import numpy as np
 
 from .errors import AllCandidatesCollinear, DimensionMismatch, NonConvergence, check_number
 from .linmodel import DesignMatrix, DesignStack, ModelSet, as_response
-from .noise import (NoisePolicy, RngStream, _lasso_scales, keyed, laplace_of_uniform,
-                    scale_forward_stepwise, scale_screening)
+from .noise import (RngStream, keyed, laplace_of_uniform, scale_forward_stepwise, scale_lasso,
+                    scale_screening)
 from .stability import ZERO_BUDGET, StabilityBudget, certify_budgets
 
 SUPPORT_THRESHOLD = 1e-12
@@ -98,7 +98,7 @@ class RunSelections:
     over the d columns, its LASSO iterate theta[r] (theta is None for the
     other methods) and its certificates certs[cert[r]], set by select_runs;
     failed maps a run that stopped early to its error (its support row is
-    empty), and trace is the decision trace of a one-run block, if kept."""
+    empty), and trace is a one-run block's decision trace (() for more runs)."""
 
     support: np.ndarray
     theta: np.ndarray | None
@@ -680,12 +680,12 @@ class Mechanism:
     reads, and exactly one of needs must be set. Without a kernel (fixed)
     it looks at no data and carries the zero certificate. A noisy one runs
     rounds of report-noisy-max (or -min): kernel(X, Y, rounds, trial,
-    scales, c1, master_seed, paths, trace) selects for a block of runs;
-    rounds(spec, X, trial, c1, eta_step, sigma) is the array of the runs'
-    round counts where the data fix them (None: the spec's k); scale(X,
-    trial, k, c1, sigma, delta, eta_step), in noise.py, gives each run's
-    Laplace scale; certify(rounds, eta_step, delta) gives the certificates
-    the rounds compose into.
+    scales, c1, master_seed, paths, trace) selects for a block of runs,
+    with its decision trace if trace; rounds(spec, X, trial, c1, eta_step,
+    sigma) is the array of the runs' round counts where the data fix them
+    (None: the spec's k); scale(X, trial, k, c1, sigma, delta, eta_step),
+    in noise.py, gives each run's Laplace scale; certify(rounds, eta_step,
+    delta) gives the certificates the rounds compose into.
 
     Each scale is calibrated to a typical set of responses y, of
     probability at least 1 - delta for noise y - mu subgaussian at scale
@@ -711,13 +711,13 @@ MECHANISMS = {
     "screen": Mechanism(("k",), ("k",), screen_runs, None, scale_screening),
     "fs": Mechanism(("k",), ("k",), fs_runs, None, scale_forward_stepwise),
     "lasso": Mechanism(("c1", "lam", "steps"), ("c1", "lam"), lasso_runs, _lasso_steps,
-                       _lasso_scales),
+                       scale_lasso),
 }
 
 
 def select_runs(spec: SelectorSpec, X: DesignStack, Y: np.ndarray, trial: np.ndarray,
                 eta_step: np.ndarray, c1: np.ndarray | None, delta: float, sigma: float,
-                master_seed: int, paths: list[tuple[int, ...]], *, trace: bool = False,
+                master_seed: int, paths: list[tuple[int, ...]], *,
                 scale_override: float | None = None) -> RunSelections:
     """spec's selector for a block of runs: run r selects on X[trial[r]]
     and the finite response Y[trial[r]], from stream (master_seed,
@@ -727,12 +727,12 @@ def select_runs(spec: SelectorSpec, X: DesignStack, Y: np.ndarray, trial: np.nda
     candidates to its AllCandidatesCollinear.
 
     A method without a kernel carries the one zero certificate. For the
-    others, with each distinct eta_step checked once (NoisePolicy), the
+    others, with sigma, delta and each distinct eta_step checked once, the
     round counts and Laplace scales of spec's Mechanism are array
     expressions over the runs, and the runs are certified, one certs entry
-    per distinct (rounds, eta_step), before the kernel runs. trace keeps
-    the decision trace of a one-run block; scale_override, a test hook,
-    replaces every run's Laplace scale (0 gives the exact algorithm).
+    per distinct (rounds, eta_step), before the kernel runs. A one-run
+    block keeps its decision trace; scale_override, a test hook, replaces
+    every run's Laplace scale (0 gives the exact algorithm).
     """
     d, runs, mech = X.d, len(trial), MECHANISMS[spec.method]
     spec.check_d(d)
@@ -741,13 +741,16 @@ def select_runs(spec: SelectorSpec, X: DesignStack, Y: np.ndarray, trial: np.nda
         support[:, list(spec.fixed_model)] = True
         return RunSelections(support, None, {}, certs=((ZERO_BUDGET,),),
                              cert=np.zeros(runs, dtype=np.int64))
+    if not (0 < sigma < math.inf):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
     etas = eta_step.tolist()
-    for eta in set(etas):  # sigma and delta, with each distinct eta_step
-        NoisePolicy(sigma, delta, eta)
+    for eta in set(etas):
+        if not (0 < eta < math.inf):
+            raise ValueError(f"eta_step must be finite and positive, got {eta}")
     if scale_override is not None and not (0 <= scale_override < math.inf):
         raise ValueError(f"scale_override must be finite and >= 0, got {scale_override}")
-    if trace and runs != 1:
-        raise ValueError(f"a trace is kept for a one-run block only, not {runs} runs")
     rounds = spec.k if mech.rounds is None else mech.rounds(spec, X, trial, c1, eta_step, sigma)
     scales = mech.scale(X, trial, spec.k, c1, sigma, delta, eta_step)
     # certified before the kernel runs, so a certificate that overflows
@@ -760,7 +763,7 @@ def select_runs(spec: SelectorSpec, X: DesignStack, Y: np.ndarray, trial: np.nda
                   for key in table)
     if scale_override is not None:
         scales = np.full(runs, scale_override)
-    block = mech.kernel(X, Y, rounds, trial, scales, c1, master_seed, paths, trace)
+    block = mech.kernel(X, Y, rounds, trial, scales, c1, master_seed, paths, runs == 1)
     block.cert, block.certs = cert, certs
     return block
 
@@ -776,7 +779,7 @@ def _one_run(spec: SelectorSpec, X: DesignMatrix, y, eta_step: float | None,
     trace, as a SelectionResult; a failed run raises its error."""
     block = select_runs(spec, X.stack, as_response(y, X.n)[None], _ONE_RUN,
                         np.array([eta_step], dtype=float), None if c1 is None else np.array([c1]),
-                        delta, sigma, rng.master_seed, [rng.path], trace=True,
+                        delta, sigma, rng.master_seed, [rng.path],
                         scale_override=scale_override)
     if block.failed:
         raise block.failed[0]

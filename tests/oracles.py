@@ -32,8 +32,7 @@ from stableci.errors import AllCandidatesCollinear, DegenerateLevel, Insufficien
 from stableci.experiments import Runs, TrialRecord, gen_synthetic
 from stableci.linmodel import DesignMatrix, DesignStack, ModelSet, SubmodelFit, as_response, \
     sigma_hat_full_model
-from stableci.noise import NoisePolicy, RngStream, scale_forward_stepwise, scale_lasso, \
-    scale_screening
+from stableci.noise import RngStream, scale_forward_stepwise, scale_lasso, scale_screening
 from stableci.selectors import FS_COLLINEAR_TOL, SUPPORT_THRESHOLD, SelectionResult, \
     SelectorSpec, _lasso_steps, _soft_threshold
 from stableci.stability import StabilityBudget, best_posi_constant, certify_budgets, \
@@ -256,7 +255,6 @@ def lasso_noisy(X: DesignMatrix, y, c1: float, delta: float, eta_step: float,
     """Noisy Frank-Wolfe over the l1 ball of radius c1: every step perturbs
     all 2d vertex scores with fresh Laplace draws before the argmin."""
     y = as_response(y, X.n)
-    NoisePolicy(sigma, delta, eta_step)  # checks the three
     if steps is None:
         steps = int(_lasso_steps(SelectorSpec(method="lasso", c1=c1), X.stack, 0, c1, eta_step,
                                  sigma))

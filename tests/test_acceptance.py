@@ -15,7 +15,7 @@ import pytest
 from stableci.cli import main
 from stableci.experiments import ExperimentConfig, SelectorSpec, aggregate, eta_sweep
 from stableci.linmodel import DesignMatrix
-from stableci.noise import NoisePolicy, RngStream, scale_forward_stepwise, scale_screening
+from stableci.noise import RngStream, scale_forward_stepwise, scale_screening
 from stableci.selectors import solve_penalized_lasso, stable_fs, stable_lasso, stable_screening
 from stableci.stability import (StabilityBudget, compose_adaptive_advanced,
                                 compose_adaptive_simple,
@@ -182,7 +182,6 @@ def test_criterion_06_frank_wolfe_convergence():
 
 def test_criterion_07_selector_utility():
     d, k, delta_sel, delta_fail, eta = 20, 3, 0.1, 0.1, 1.0
-    policy = NoisePolicy(1.0, delta_sel, eta)
     trials = 500
     hits_screen = hits_fs = 0
     root = RngStream(404)
@@ -193,15 +192,13 @@ def test_criterion_07_selector_utility():
         beta[:3] = 5.0
         y = X.entries @ beta + r.child(1).normal(100)
 
-        b_screen = scale_screening(X.stack, 0, k, None, policy.sigma, policy.delta,
-                                   policy.eta_step)
+        b_screen = scale_screening(X.stack, 0, k, None, 1.0, delta_sel, eta)
         res = stable_screening(X, y, k, delta_sel, eta, 1.0,
                                rng=r.child(2))
         gap = max(s.best_exact - s.exact_score for s in res.trace)
         hits_screen += gap <= 2 * b_screen * math.log(d * k / delta_fail)
 
-        b_fs = scale_forward_stepwise(X.stack, 0, k, None, policy.sigma, policy.delta,
-                                      policy.eta_step)
+        b_fs = scale_forward_stepwise(X.stack, 0, k, None, 1.0, delta_sel, eta)
         res = stable_fs(X, y, k, delta_sel, eta, 1.0, rng=r.child(3))
         s2 = res.trace[1]
         hits_fs += (s2.best_exact - s2.exact_score) <= 2 * b_fs * math.log(d / delta_fail)

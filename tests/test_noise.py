@@ -11,8 +11,10 @@ import pytest
 import scipy.stats
 
 from stableci.linmodel import DesignMatrix, DesignStack
-from stableci.noise import (KeyedGenerator, NoisePolicy, RngStream, log_descending_factorial,
+from stableci.noise import (KeyedGenerator, RngStream, log_descending_factorial,
                             scale_forward_stepwise, scale_lasso, scale_screening, stream_name)
+from stableci.selectors import (MECHANISMS, SelectorSpec, select_runs, stable_fs, stable_lasso,
+                                stable_screening)
 
 
 def unit_norm_design(n: int = 1000, d: int = 500) -> DesignMatrix:
@@ -148,23 +150,36 @@ def test_laplace_variance():
 # noise scale calibration
 
 
-def test_family_validation():
-    with pytest.raises(ValueError):
-        NoisePolicy(1.0, delta=0.0, eta_step=1.0)
-    with pytest.raises(ValueError):
-        NoisePolicy(1.0, delta=0.05, eta_step=0.0)
-
-
-@pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
-def test_policy_rejects_bad_sigma(sigma):
-    with pytest.raises(ValueError, match="sigma must be finite and positive"):
-        NoisePolicy(sigma, delta=0.05, eta_step=1.0)
+@pytest.mark.parametrize("name, value, message", [
+    *(("sigma", v, "sigma must be finite and positive") for v in (0.0, -1.0, math.inf, math.nan)),
+    *(("delta", v, r"delta must be in \(0, 1\)") for v in (0.0, 1.0, math.nan)),
+    *(("eta_step", v, "eta_step must be finite and positive") for v in (0.0, math.inf, math.nan)),
+])
+def test_selectors_reject_bad_noise_parameters(name, value, message):
+    # every selector entry checks sigma, delta and eta_step in select_runs,
+    # a one-run call and a two-run block alike
+    gen = np.random.default_rng(5)
+    X = DesignMatrix(gen.standard_normal((30, 6)) / math.sqrt(30))
+    y = gen.standard_normal(30)
+    knobs = {"sigma": 1.0, "delta": 0.05, "eta_step": 1.0, name: value}
+    sigma, delta, eta = knobs["sigma"], knobs["delta"], knobs["eta_step"]
+    rng = RngStream(0)
+    calls = [
+        lambda: stable_screening(X, y, 2, delta, eta, sigma, rng=rng),
+        lambda: stable_fs(X, y, 2, delta, eta, sigma, rng=rng),
+        lambda: stable_lasso(X, y, 1.0, delta, eta, sigma, rng=rng, steps=2),
+        lambda: select_runs(SelectorSpec("screen", k=2), X.stack, y[None],
+                            np.zeros(2, dtype=np.int64), np.array([1.0, eta]), None, delta,
+                            sigma, 0, [()]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{message}, got {value}$"):
+            call()
 
 
 def test_scale_screening_value():
     X = unit_norm_design()
-    policy = NoisePolicy(1.0, delta=0.05, eta_step=1.0)
-    got = scale_screening(X.stack, 0, None, None, policy.sigma, policy.delta, policy.eta_step)
+    got = scale_screening(X.stack, 0, None, None, 1.0, 0.05, 1.0)
     ref = 4.0 * math.sqrt(math.log(2 * 500 / 0.05)) / 1000
     assert got == pytest.approx(ref, rel=1e-14)
     assert got == pytest.approx(0.012587922816754877, abs=1e-15)
@@ -172,17 +187,14 @@ def test_scale_screening_value():
 
 def test_scale_lasso_value():
     X = unit_norm_design()
-    policy = NoisePolicy(1.0, delta=0.05, eta_step=1.0)
-    got = scale_lasso(X.stack, 0, None, 1.0, policy.sigma, policy.delta, policy.eta_step)
+    got = scale_lasso(X.stack, 0, None, 1.0, 1.0, 0.05, 1.0)
     ref = 8.0 * math.sqrt(math.log(4 * 500 / 0.05)) / 1000
     assert got == pytest.approx(ref, rel=1e-14)
     assert got == pytest.approx(0.02604197809149967, abs=1e-15)
 
 
 def test_scale_forward_stepwise_value():
-    policy = NoisePolicy(1.0, delta=0.05, eta_step=1.0)
-    got = scale_forward_stepwise(unit_norm_design().stack, 0, 5, None, policy.sigma,
-                                 policy.delta, policy.eta_step)
+    got = scale_forward_stepwise(unit_norm_design().stack, 0, 5, None, 1.0, 0.05, 1.0)
     exact = math.perm(500, 5)
     ref = 4.0 * math.sqrt(math.log(2 * exact / 0.05))
     assert got == pytest.approx(ref, rel=1e-12)
@@ -191,29 +203,28 @@ def test_scale_forward_stepwise_value():
 
 def test_scales_shrink_with_eta_and_n():
     X1, X2 = unit_norm_design(1000).stack, unit_norm_design(2000).stack
-    p1 = NoisePolicy(1.0, delta=0.05, eta_step=1.0)
-    p2 = NoisePolicy(1.0, delta=0.05, eta_step=2.0)
     for scale in (scale_screening, scale_lasso, scale_forward_stepwise):
-        assert scale(X1, 0, 5, 1.0, p2.sigma, p2.delta, p2.eta_step) == pytest.approx(
-            scale(X1, 0, 5, 1.0, p1.sigma, p1.delta, p1.eta_step) / 2)
+        assert scale(X1, 0, 5, 1.0, 1.0, 0.05, 2.0) == pytest.approx(
+            scale(X1, 0, 5, 1.0, 1.0, 0.05, 1.0) / 2)
     # 1/n enters screening and lasso through the design, never fs
     for scale, ratio in ((scale_screening, 2), (scale_lasso, 2), (scale_forward_stepwise, 1)):
-        assert scale(X2, 0, 5, 1.0, p1.sigma, p1.delta, p1.eta_step) == pytest.approx(
-            scale(X1, 0, 5, 1.0, p1.sigma, p1.delta, p1.eta_step) / ratio)
+        assert scale(X2, 0, 5, 1.0, 1.0, 0.05, 1.0) == pytest.approx(
+            scale(X1, 0, 5, 1.0, 1.0, 0.05, 1.0) / ratio)
 
 
 def test_scale_validation():
     X = unit_norm_design(10, 4).stack
-    policy = NoisePolicy(1.0, delta=0.05, eta_step=1.0)
     with pytest.raises(ValueError):
-        scale_lasso(X, 0, None, 0.0, policy.sigma, policy.delta, policy.eta_step)
-    with pytest.raises(ValueError):
-        scale_forward_stepwise(X, 0, 5, None, policy.sigma, policy.delta, policy.eta_step)
+        scale_forward_stepwise(X, 0, 5, None, 1.0, 0.05, 1.0)
     # a subnormal eta_step overflows every scale to inf
-    tiny = NoisePolicy(1.0, delta=0.05, eta_step=1e-310)
     for scale in (scale_lasso, scale_screening, scale_forward_stepwise):
         with pytest.raises(ValueError, match=r"^the Laplace scale overflows at eta_step=1e-310"):
-            scale(X, 0, 2, 1.0, tiny.sigma, tiny.delta, tiny.eta_step)
+            scale(X, 0, 2, 1.0, 1.0, 0.05, 1e-310)
+    # the LASSO record's scale, where a radius of 0 (an all-zero solution
+    # of a `lam` penalty) gets scale 0
+    assert MECHANISMS["lasso"].scale is scale_lasso
+    assert scale_lasso(X, 0, None, 0.0, 1.0, 0.05, 1.0) == 0.0
+    assert scale_lasso(X, np.array([0, 0]), None, np.array([0.0, 1.0]), 1.0, 0.05, 1.0)[0] == 0.0
 
 
 def test_scales_of_a_block_are_each_runs_scale_and_name_the_first_overflow():

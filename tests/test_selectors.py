@@ -815,13 +815,25 @@ def test_a_step_row_does_not_depend_on_the_block():
 
 def test_select_runs_checks_the_block_once():
     X, y = random_instance(2)
-    Y, one, two = y[None], np.zeros(1, dtype=np.int64), np.zeros(2, dtype=np.int64)
+    Y, one = y[None], np.zeros(1, dtype=np.int64)
     with pytest.raises(ValueError, match=r"^selector k=9 exceeds d=8$"):
         select_runs(SelectorSpec("screen", k=9), X.stack, Y, one, np.ones(1), None, DELTA,
                     SIGMA, 0, [()])
-    with pytest.raises(ValueError, match=r"^a trace is kept for a one-run block only, not 2"):
-        select_runs(SelectorSpec("fs", k=2), X.stack, Y, two, np.ones(2), None, DELTA, SIGMA,
-                    0, [()], trace=True)
+
+
+@pytest.mark.parametrize("spec, c1", [(SelectorSpec("screen", k=3), None),
+                                      (SelectorSpec("fs", k=3), None),
+                                      (SelectorSpec("lasso", c1=1.0, steps=3), 1.0)])
+def test_select_runs_keeps_the_trace_of_a_one_run_block_only(spec, c1):
+    X, y = random_instance(2)
+    for runs in (1, 2):
+        block = select_runs(spec, X.stack, y[None], np.zeros(runs, dtype=np.int64),
+                            np.ones(runs), None if c1 is None else np.full(runs, c1), DELTA,
+                            SIGMA, 0, [()])
+        if runs == 1:
+            assert [s.step for s in block.trace] == [1, 2, 3]
+        else:
+            assert block.trace == ()
 
 
 def test_select_runs_certifies_before_the_kernel(monkeypatch):
