@@ -147,7 +147,8 @@ def read_matrix(path: str) -> np.ndarray:
     """Numeric CSV, one row per line; a single leading non-numeric row is
     treated as a header and skipped. Lines holding nothing but whitespace,
     commas and quotes are skipped, fields may be quoted, and '#' is data,
-    not a comment. A rejection names the first bad line of the file."""
+    not a comment. A rejection names the first bad line of the file. The
+    array is read-only, so DesignMatrix adopts it without a copy."""
     try:
         with open(path, encoding="utf-8-sig") as fh:  # Excel starts a CSV with a BOM
             lines = (line for _, line in _data_lines(fh))
@@ -155,12 +156,14 @@ def read_matrix(path: str) -> np.ndarray:
             if first is None:
                 raise CliParseError(f"{path}: no numeric rows")
             try:
-                return np.loadtxt(itertools.chain([first], lines), **_LOADTXT)
+                a = np.loadtxt(itertools.chain([first], lines), **_LOADTXT)
             except ValueError as e:
                 # rescan only on failure, so a good file is parsed once
                 raise CliParseError(f"{path}: {_first_bad_line(path) or e}") from e
     except OSError as e:
         raise CliParseError(f"cannot read {path}: {e}") from e
+    a.setflags(write=False)
+    return a
 
 
 def read_vector(path: str) -> np.ndarray:

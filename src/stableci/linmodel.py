@@ -48,9 +48,13 @@ class DesignStack:
             raise ValueError("design entries must be finite")
         if ((hi == 0.0) & (lo == 0.0)).any():
             raise ValueError("design has no nonzero entry")
-        # an overflowing or underflowing norm is rejected below, not warned about
+        # an overflowing or underflowing norm is rejected below, not warned
+        # about. np.linalg.norm's bits without its squared copy of the stack:
+        # over two or more columns, both sum each column's squares in row
+        # order; a single column numpy sums pairwise, so it keeps that one
         with np.errstate(over="ignore", under="ignore"):
-            col_norms = np.linalg.norm(entries, axis=1)
+            col_norms = (np.sqrt(np.einsum("rij,rij->rj", entries, entries))
+                         if entries.shape[2] > 1 else np.linalg.norm(entries, axis=1))
         l2inf = col_norms.max(axis=1)
         # finite entries can still overflow or underflow a column norm
         bad = ~((0.0 < l2inf) & (l2inf < math.inf))
@@ -70,12 +74,16 @@ class DesignStack:
 
 
 class DesignMatrix:
-    """Fixed n x d design of the command line and of a one-run call: entries
-    copied, cast to float64, frozen and checked as a stack of one; stack is
-    that DesignStack (views), with the design's norms."""
+    """Fixed n x d design of the command line and of a one-run call, checked
+    as a stack of one; stack is that DesignStack (views), with the design's
+    norms. A read-only, C-contiguous float64 array (cli.read_matrix's) is
+    adopted as is, with no copy; any other entries are copied, cast to
+    float64 and frozen, so a writable array stays the caller's."""
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=np.float64, order="C")
+        adopt = (type(entries) is np.ndarray and entries.dtype == np.float64
+                 and entries.flags.c_contiguous and not entries.flags.writeable)
+        a = entries if adopt else np.array(entries, dtype=np.float64, order="C")
         if a.ndim != 2:
             raise DimensionMismatch(f"design must be 2-D, got ndim={a.ndim}")
         if a.shape[0] < 1 or a.shape[1] < 1:

@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -254,6 +255,37 @@ def test_select_ci_on_fixed_width_design_refit_exactly(tmp_path):
     assert [int(r[0]) for r in rows] == list(model)
     coef, *_ = np.linalg.lstsq(Xq[:, list(model)], yq, rcond=None)
     np.testing.assert_allclose([float(r[1]) for r in rows], coef, rtol=1e-10, atol=1e-10)
+
+
+def test_read_matrix_is_read_only_and_adopted_by_design_matrix(data):
+    a = read_matrix(data["x"])
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 1.0
+    assert np.shares_memory(DesignMatrix(a).entries, a)
+    assert not read_vector(data["y"]).flags.writeable
+
+
+def test_select_holds_at_most_two_and_a_half_design_sizes(tmp_path):
+    # the parsed design is adopted, its norms take no squared copy and
+    # forward stepwise residualizes in row blocks, so the traced peak is
+    # the design, the residual copy and small change: about 2.2 design
+    # sizes, where copying and whole-matrix temporaries gave 3.1
+    gen = np.random.default_rng(8)
+    n, d = 4000, 100
+    X = gen.standard_normal((n, d))
+    y = X[:, :5] @ np.full(5, 0.5) + gen.standard_normal(n)
+    xp, yp, sel = tmp_path / "X.csv", tmp_path / "y.csv", str(tmp_path / "sel.csv")
+    np.savetxt(xp, X, delimiter=",")
+    np.savetxt(yp, y[:, None], delimiter=",")
+    tracemalloc.start()
+    try:
+        assert main(["select", "--x", str(xp), "--y", str(yp), "--method", "fs", "--k", "5",
+                     "--eta", "1.0", "--delta", "0.02", "--seed", "1", "--out", sel]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * X.nbytes, peak / X.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Design/model containers and the OLS layer against closed-form and
 numpy.linalg.lstsq oracles."""
 
+import math
 import re
 import warnings
 
@@ -100,6 +101,51 @@ def test_design_stack_norms_are_each_design_matrix_norms():
     shared = one.stack.broadcast(3)
     assert shared.entries.shape == (3, 7, 4) and shared.entries.strides[0] == 0
     assert shared[1:2].entries[0].tobytes() == one.entries.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 20, 301])
+@pytest.mark.parametrize("n", [1, 2, 7, 5000])
+def test_design_stack_norms_are_numpy_norms_bit_for_bit(n, d):
+    # the column norms are taken without a squared copy of the stack, yet
+    # they are np.linalg.norm's to the last bit, also for entries near the
+    # square roots of the largest and of the smallest normal double, whose
+    # squares sum to near overflow or lose bits to underflow
+    gen = np.random.default_rng([n, d])
+    for trials in range(5):
+        for stack in (gen.standard_normal((trials, n, d)),
+                      gen.uniform(-1.0, 1.0, (trials, n, d)) * (1e154 / math.sqrt(n)),
+                      gen.standard_normal((trials, n, d)) * 1e-154):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = DesignStack.checked(stack).col_norms
+            assert got.tobytes() == np.linalg.norm(stack, axis=1).tobytes(), trials
+
+
+@pytest.mark.parametrize("entry", [1e200, 1e-200])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_design_stack_norm_out_of_range_raises_without_a_warning_at_any_width(entry, d):
+    stack = np.full((2, 3, d), entry)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="rescale the design"):
+            DesignStack.checked(stack)
+    assert DesignStack.checked(np.zeros((0, 3, d))).col_norms.shape == (0, d)
+
+
+def test_design_matrix_adopts_a_read_only_float64_array_and_copies_the_rest():
+    a = np.random.default_rng(4).standard_normal((6, 3))
+    a.setflags(write=False)
+    assert DesignMatrix(a).entries is a
+    # a writable array is copied and frozen, so the caller keeps it
+    b = a.copy()
+    X = DesignMatrix(b)
+    assert not np.shares_memory(X.entries, b) and b.flags.writeable
+    b[0, 0] = 0.0
+    assert X.entries.tobytes() == a.tobytes() and not X.entries.flags.writeable
+    # read-only but strided, or not float64: copied too
+    for other in (a[:, ::2], a.astype(np.float32)):
+        other.setflags(write=False)
+        assert not np.shares_memory(DesignMatrix(other).entries, other)
 
 
 def test_sigma_hat_of_a_stack_is_each_designs_and_flags_only_the_deficient_one():

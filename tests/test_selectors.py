@@ -955,6 +955,45 @@ def test_fs_runs_of_one_run_take_no_unique(monkeypatch):
     assert one.model.indices == tuple(np.flatnonzero(want[0]))
 
 
+def test_fs_runs_residualize_in_blocks_as_in_one(monkeypatch):
+    # the residual update runs over blocks of FS_UPDATE_BYTES: rows of one
+    # state of a tall design, whole states of short ones. In one block (a
+    # budget no design reaches) it gives the same bits: the same supports,
+    # failures and one-run trace. Column 7 copies column 2, so the scale-0
+    # runs meet exact ties; the tall trial 1 has rank 2, so its runs fail
+    # at step 3
+    budget_rows = selectors.FS_UPDATE_BYTES // (8 * 20)
+    n, short, trials = 14000, 100, 100
+    # 3 blocks or more: of rows of a tall state, of whole short ones
+    assert n > 2 * budget_rows and trials > 2 * (budget_rows // short)
+    gen = np.random.default_rng(33)
+    A = gen.standard_normal((n, 20)) / math.sqrt(n)
+    A[:, 7] = A[:, 2]
+    B = gen.standard_normal((n, 2)) @ gen.standard_normal((2, 20))
+    tall = stack([DesignMatrix(A), DesignMatrix(B)])
+    Y = np.stack([A[:, [2, 5]] @ [0.3, 0.2], B[:, 0]]) + gen.standard_normal((2, n)) / 100
+    C = gen.standard_normal((trials, short, 20)) / 10
+    C[:, :, 7] = C[:, :, 2]
+    many = DesignStack.checked(C)
+    Z = C[:, :, 2] * 5.0 + gen.standard_normal((trials, short))
+    scale = _fs_scale(20, 1.0)
+
+    def run():
+        block = fs_runs(tall, Y, 3, np.array([0, 0, 0, 1, 1]),
+                        np.array([0.0, 0.0, scale, 0.0, scale]), None, 31, [(2, 0), (2, 1)])
+        one = fs_runs(tall[:1], Y[:1], 4, np.array([0]), np.array([scale]), None, 31, [(2, 0)],
+                      trace=True)
+        sweep = fs_runs(many, Z, 3, np.repeat(np.arange(trials), 2),
+                        np.tile([0.0, scale], trials), None, 31, [(2, t) for t in range(trials)])
+        return (block.support.tobytes(), {r: str(e) for r, e in block.failed.items()},
+                one.support.tobytes(), one.trace, sweep.support.tobytes(), sweep.failed)
+
+    blocked = run()
+    monkeypatch.setattr(selectors, "FS_UPDATE_BYTES", 2 ** 62)
+    assert run() == blocked
+    assert sorted(blocked[1]) == [3, 4] and len(blocked[3]) == 4 and blocked[5] == {}
+
+
 def _fs_scale(d: int, eta: float, k: int = 3) -> float:
     return scale_forward_stepwise(DesignMatrix(np.ones((1, d))).stack, 0, k, None, SIGMA, DELTA,
                                   eta)
