@@ -34,7 +34,6 @@ import numpy as np
 
 from . import __version__
 from .errors import (
-    DegenerateLevel,
     DimensionMismatch,
     EmptyInput,
     InsufficientSamples,
@@ -562,23 +561,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the exit codes of errors other than 2, looked up in order: DimensionMismatch
+# is also a ValueError
+_EXIT_CODES = ((DimensionMismatch, 3), (RankDeficient, 4), (InsufficientSamples, 5))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DimensionMismatch as e:
+    except (CliParseError, StableCIError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except RankDeficient as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except InsufficientSamples as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 5
-    except (CliParseError, DegenerateLevel, StableCIError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return next((code for kind, code in _EXIT_CODES if isinstance(e, kind)), 2)
 
 
 if __name__ == "__main__":

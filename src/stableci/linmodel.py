@@ -28,8 +28,7 @@ RANK_TOL = 1e-10
 class DesignStack:
     """A sweep block's n x d designs with their checked norms: entries[b] is
     design b, col_norms[b] its column norms, l2inf[b] = max_i ||X_i||_2 and
-    linf[b] = max |X_ij|, the two norms noise scales use. X[index] is the
-    stack of the designs at index (views, for a slice)."""
+    linf[b] = max |X_ij|, the two norms noise scales use."""
 
     def __init__(self, entries: np.ndarray, col_norms: np.ndarray, l2inf: np.ndarray,
                  linf: np.ndarray):
@@ -62,10 +61,6 @@ class DesignStack:
             raise ValueError(f"largest design column norm is {l2inf[bad][0].item()}; "
                              f"rescale the design")
         return cls(entries, col_norms, l2inf, np.maximum(hi, -lo))
-
-    def __getitem__(self, index) -> DesignStack:
-        return DesignStack(self.entries[index], self.col_norms[index], self.l2inf[index],
-                           self.linf[index])
 
     def broadcast(self, trials: int) -> DesignStack:
         """This stack of one as trials views of its design."""

@@ -73,7 +73,7 @@ class RngStream:
         return laplace_of_uniform(self.generator.random(size))
 
     def laplace(self, scale: float, size=None):
-        """Laplace(scale) draws; scale 0 is the exact zero-noise test hook."""
+        """Laplace(scale) draws; scale 0 draws exact zeros."""
         if not (0 <= scale < math.inf):
             raise ValueError(f"scale must be finite and >= 0, got {scale}")
         return scale * self.standard_laplace(size)
@@ -120,7 +120,15 @@ keyed = KeyedGenerator()  # the process's; a forked worker draws from its own co
 # Per-draw Laplace scales, one signature (selectors.Mechanism names the typical
 # set each is calibrated to): scale(X, trial, k, c1, sigma, delta, eta_step) is
 # run r's on X[trial[r]], for k rounds at radius c1[r] and per-step eta_step[r]
-# (broadcast). An overflow raises, naming the first such run's eta_step.
+# (broadcast). Each is a power of two times typical_halfwidth times an array
+# factor. An overflow raises, naming the first such run's eta_step.
+
+
+def typical_halfwidth(log_2n: float, delta: float, sigma: float) -> float:
+    """2 sigma sqrt(log(2N / delta)), the half-width of the typical set of
+    N score directions at slack delta, taking log 2N (forward stepwise's
+    N = (d)_k overflows a float)."""
+    return 2.0 * math.sqrt(log_2n - math.log(delta)) * sigma
 
 
 @np.errstate(over="ignore")  # an overflow is _finite's to report
@@ -128,7 +136,7 @@ def scale_lasso(X: DesignStack, trial, k, c1, sigma: float, delta: float,
                 eta_step) -> np.ndarray:
     """The noisy Frank-Wolfe vertex scores' scales, where a radius of 0
     gets scale 0."""
-    return _finite(8.0 * math.sqrt(math.log(4.0 * X.d) - math.log(delta)) * sigma
+    return _finite(4.0 * typical_halfwidth(math.log(4.0 * X.d), delta, sigma)
                    * (c1 * X.l2inf[trial] / (X.n * eta_step)), eta_step)
 
 
@@ -136,17 +144,16 @@ def scale_lasso(X: DesignStack, trial, k, c1, sigma: float, delta: float,
 def scale_screening(X: DesignStack, trial, k, c1, sigma: float, delta: float,
                     eta_step) -> np.ndarray:
     """The noisy correlation screening rounds' scales."""
-    return _finite(4.0 * math.sqrt(math.log(2.0 * X.d) - math.log(delta)) * sigma
+    return _finite(2.0 * typical_halfwidth(math.log(2.0 * X.d), delta, sigma)
                    * (X.l2inf[trial] / (X.n * eta_step)), eta_step)
 
 
 @np.errstate(over="ignore")  # an overflow is _finite's to report
 def scale_forward_stepwise(X: DesignStack, trial, k: int, c1, sigma: float, delta: float,
                            eta_step) -> np.ndarray:
-    """The noisy forward stepwise rounds' scales, which read only X's d:
-    (d)_k, in log space, as it overflows quickly."""
-    log_arg = math.log(2.0) + log_descending_factorial(X.d, k) - math.log(delta)
-    return _finite(4.0 * math.sqrt(log_arg) * sigma / eta_step, eta_step)
+    """The noisy forward stepwise rounds' scales, which read only X's d."""
+    log_2n = math.log(2.0) + log_descending_factorial(X.d, k)
+    return _finite(2.0 * typical_halfwidth(log_2n, delta, sigma) / eta_step, eta_step)
 
 
 def _finite(scale, eta_step):

@@ -11,10 +11,10 @@ axis first. `select_runs` is the one selector dispatch, called by
 `stable_fs` and `stable_lasso`. It returns arrays over the runs (support
 masks, LASSO iterates, certificate indices) and a one-run block's
 decision trace; only a one-run call (`_one_run`) builds a SelectionResult.
-There are no separate exact variants: a noise scale of 0 (the
-`scale_override` test hook) is the exact algorithm, tie rule included,
-because the zero-scale Laplace draws are +-0.0 and move no argmin or
-argmax.
+A run's Laplace scale comes from its Mechanism record alone. There are
+no separate exact variants: a record whose scale is 0 is the exact
+algorithm, tie rule included, because the zero-scale Laplace draws are
++-0.0 and move no argmin or argmax.
 
 - LASSO over the l1 ball of radius C1, optimized by Frank-Wolfe, with
   every vertex score perturbed by fresh Laplace noise before the argmin.
@@ -68,6 +68,10 @@ GRAM_BLOCK = 16
 # CD_STACK_ENTRIES entries: the measured break-even, see its docstring
 CD_STACK_TRIALS = 8
 CD_STACK_ENTRIES = 20_000
+# solve_penalized_lasso's stopping rule: the duality gap to reach, and the
+# sweeps a trial gets to reach it
+CD_GAP_TOL = 1e-8
+CD_MAX_SWEEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -303,18 +307,14 @@ def lasso_runs(X: DesignStack, Y: np.ndarray, steps: np.ndarray, trial: np.ndarr
 
 def stable_lasso(X: DesignMatrix, y, c1: float, delta: float, eta_step: float,
                  sigma: float, *,
-                 rng: RngStream, steps: int | None = None,
-                 scale_override: float | None = None) -> SelectionResult:
+                 rng: RngStream, steps: int | None = None) -> SelectionResult:
     """Noisy Frank-Wolfe LASSO over the l1 ball of radius c1 (one run of
     select_runs, with its trace): every step perturbs all 2d vertex scores
     with independent Laplace draws at scale_lasso, then takes the argmin.
     steps defaults to the utility-optimal count for this design and
-    eta_step.
-
-    scale_override is a test hook; 0 gives the exact algorithm.
-    """
+    eta_step."""
     return _one_run(_spec(method="lasso", c1=c1, steps=steps), X, y, eta_step, c1,
-                    delta, sigma, rng, scale_override)
+                    delta, sigma, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +329,14 @@ def _soft_threshold(x: float, lam: float) -> float:
     return 0.0
 
 
-def solve_penalized_lasso(X: DesignStack, Y, lam: float, gap_tol: float = 1e-8,
-                          max_sweeps: int = 100_000
+def solve_penalized_lasso(X: DesignStack, Y, lam: float,
                           ) -> tuple[np.ndarray, dict[int, NonConvergence]]:
     """Cyclic coordinate descent with soft-thresholding for
     min 0.5 ||Y[b] - X_b theta||^2 + lam ||theta||_1 on each design X_b of
-    the stack X, each trial run until its duality gap drops below gap_tol.
-    Returns the solutions, one row per trial, and failed, which maps a
-    trial that missed the gap in max_sweeps sweeps to its NonConvergence
-    (its row is NaN).
+    the stack X, each trial run until its duality gap drops below
+    CD_GAP_TOL. Returns the solutions, one row per trial, and failed, which
+    maps a trial that missed the gap in CD_MAX_SWEEPS sweeps to its
+    NonConvergence (its row is NaN).
 
     Covariance updates (Friedman, Hastie & Tibshirani, JSS 2010, sec. 2.2):
     the loop keeps z_j = X_j^T r + ||X_j||^2 theta_j for the residual
@@ -377,10 +376,6 @@ def solve_penalized_lasso(X: DesignStack, Y, lam: float, gap_tol: float = 1e-8,
     """
     if not (0 < lam < math.inf):
         raise ValueError(f"lam must be finite and positive, got {lam}")
-    if not gap_tol >= 0:  # a NaN gap_tol fails too
-        raise ValueError(f"gap_tol must be >= 0, got {gap_tol}")
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     E, (trials, n, d) = X.entries, X.entries.shape
     Y = np.asarray(Y, dtype=np.float64)
     if Y.shape != (trials, n):
@@ -394,23 +389,22 @@ def solve_penalized_lasso(X: DesignStack, Y, lam: float, gap_tol: float = 1e-8,
     live, sweeps, coords, gram, made = range(trials), 0, np.zeros((trials, d)), None, None
     if d <= n and n * d <= CD_STACK_ENTRIES and trials >= CD_STACK_TRIALS:
         live, sweeps, z, coords, gram, made = _stacked_sweeps(
-            E, Y, yy, col_sq, lam, gap_tol, max_sweeps, z, theta)
+            E, Y, yy, col_sq, lam, z, theta)
     for i, b in enumerate(live):
         rows = [None] * d if gram is None else \
             [g if m else None for g, m in zip(gram[i], made[i].tolist())]
-        solved = _one_trial_sweeps(E[b], Y[b], yy[b], col_sq[b], lam, gap_tol,
-                                   max_sweeps - sweeps, z[i], coords[i].tolist(), rows,
-                                   GRAM_BLOCK if d <= n else 1)
+        solved = _one_trial_sweeps(E[b], Y[b], yy[b], col_sq[b], lam, CD_MAX_SWEEPS - sweeps,
+                                   z[i], coords[i].tolist(), rows, GRAM_BLOCK if d <= n else 1)
         if solved is None:
-            failed[b] = NonConvergence(f"coordinate descent did not reach gap {gap_tol} in "
-                                       f"{max_sweeps} sweeps")
+            failed[b] = NonConvergence(f"coordinate descent did not reach gap {CD_GAP_TOL} in "
+                                       f"{CD_MAX_SWEEPS} sweeps")
         else:
             theta[b] = solved
     return theta, failed
 
 
 def _one_trial_sweeps(A: np.ndarray, y: np.ndarray, yy: float, col_sq: np.ndarray,
-                      lam: float, gap_tol: float, sweeps: int, z: np.ndarray,
+                      lam: float, sweeps: int, z: np.ndarray,
                       coords: list[float], gram: list, block: int) -> np.ndarray | None:
     """Up to sweeps sweeps of solve_penalized_lasso on one design A, its
     response y (yy = 0.5 y^T y) and squared column norms col_sq, from its
@@ -444,15 +438,14 @@ def _one_trial_sweeps(A: np.ndarray, y: np.ndarray, yy: float, col_sq: np.ndarra
         y_u = y - r / s
         primal = 0.5 * float(r @ r) + lam * float(np.abs(theta).sum())
         dual = yy - 0.5 * float(y_u @ y_u)
-        if primal - dual <= gap_tol:
+        if primal - dual <= CD_GAP_TOL:
             return theta
         z = xr + col_sq * theta
     return None
 
 
 def _stacked_sweeps(E: np.ndarray, Y: np.ndarray, yy: list[float], col_sq: np.ndarray,
-                    lam: float, gap_tol: float, max_sweeps: int, z: np.ndarray,
-                    theta: np.ndarray) -> tuple:
+                    lam: float, z: np.ndarray, theta: np.ndarray) -> tuple:
     """solve_penalized_lasso's sweeps with the trial axis first, on designs
     E with d <= n, responses Y (yy[b] = 0.5 Y[b]^T Y[b]), squared column
     norms col_sq and initial z: each step of a sweep, the soft-threshold,
@@ -461,7 +454,7 @@ def _stacked_sweeps(E: np.ndarray, Y: np.ndarray, yy: list[float], col_sq: np.nd
     its coordinate is made, with the missing ones among the next
     GRAM_BLOCK - 1, by one matmul per set of columns made. A trial that
     reaches the gap takes its row of theta and leaves. Stops after
-    max_sweeps sweeps or once fewer than CD_STACK_TRIALS trials are live,
+    CD_MAX_SWEEPS sweeps or once fewer than CD_STACK_TRIALS trials are live,
     and returns the live trials, the sweeps run and the live trials' state:
     z, coordinates, Gram columns and the mask of those made."""
     trials, n, d = E.shape
@@ -472,7 +465,7 @@ def _stacked_sweeps(E: np.ndarray, Y: np.ndarray, yy: list[float], col_sq: np.nd
     made = np.zeros((trials, d), dtype=bool)
     complete = [False] * d  # every live trial has made column j
     columns = None  # each coordinate's views of the state, made again when trials leave
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, CD_MAX_SWEEPS + 1):
         if columns is None:
             columns = list(enumerate(zip(z.T, coords.T, norm_sq.T, gram.transpose(1, 0, 2),
                                          made.T)))
@@ -497,7 +490,7 @@ def _stacked_sweeps(E: np.ndarray, Y: np.ndarray, yy: list[float], col_sq: np.nd
         primal = 0.5 * np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0] \
             + lam * np.abs(coords).sum(axis=1)
         dual = yy - 0.5 * np.matmul(y_u[:, None, :], y_u[:, :, None])[:, 0, 0]
-        done = primal - dual <= gap_tol
+        done = primal - dual <= CD_GAP_TOL
         np.add(xr, col_sq * coords, out=z)
         if np.count_nonzero(done):
             theta[live[done]] = coords[done]
@@ -568,12 +561,10 @@ def screen_runs(X: DesignStack, Y: np.ndarray, k: int, trial: np.ndarray, scales
 
 def stable_screening(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
                      sigma: float, *,
-                     rng: RngStream, scale_override: float | None = None,
-                     ) -> SelectionResult:
+                     rng: RngStream) -> SelectionResult:
     """k rounds of noisy argmax over |c_i + xi| with c = X^T y / n (one run
     of select_runs, with its trace)."""
-    return _one_run(_spec(method="screen", k=k), X, y, eta_step, None, delta, sigma,
-                    rng, scale_override)
+    return _one_run(_spec(method="screen", k=k), X, y, eta_step, None, delta, sigma, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -677,12 +668,10 @@ def fs_runs(X: DesignStack, Y: np.ndarray, k: int, trial: np.ndarray, scales: np
 
 def stable_fs(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
               sigma: float, *,
-              rng: RngStream, scale_override: float | None = None,
-              ) -> SelectionResult:
+              rng: RngStream) -> SelectionResult:
     """Noisy forward stepwise (one run of select_runs, with its trace);
     raises AllCandidatesCollinear when the candidates run out."""
-    return _one_run(_spec(method="fs", k=k), X, y, eta_step, None, delta, sigma, rng,
-                    scale_override)
+    return _one_run(_spec(method="fs", k=k), X, y, eta_step, None, delta, sigma, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -705,9 +694,10 @@ class Mechanism:
 
     Each scale is calibrated to a typical set of responses y, of
     probability at least 1 - delta for noise y - mu subgaussian at scale
-    sigma: |v^T (y - mu)| <= 2 sigma ||v|| sqrt(log(2N / delta)) for each
-    of N score directions v. A scale is the set's width in score units
-    over eta_step, so each round is eta_step-indistinguishable on the set.
+    sigma: |v^T (y - mu)| <= ||v|| h for each of N score directions v,
+    with h = noise.typical_halfwidth(log 2N, delta, sigma). A scale is the
+    set's width in score units over eta_step, so each round is
+    eta_step-indistinguishable on the set.
     Screening: v = X_j / n, the d columns (N = d). Forward stepwise: v is
     the unit residual of a column off those picked before it, over the
     ordered choices of up to k columns (N = (d)_k). LASSO: v = 2 c1 X_j / n,
@@ -733,8 +723,7 @@ MECHANISMS = {
 
 def select_runs(spec: SelectorSpec, X: DesignStack, Y: np.ndarray, trial: np.ndarray,
                 eta_step: np.ndarray, c1: np.ndarray | None, delta: float, sigma: float,
-                master_seed: int, paths: list[tuple[int, ...]], *,
-                scale_override: float | None = None) -> RunSelections:
+                master_seed: int, paths: list[tuple[int, ...]]) -> RunSelections:
     """spec's selector for a block of runs: run r selects on X[trial[r]]
     and the finite response Y[trial[r]], from stream (master_seed,
     paths[trial[r]]), at per-step eta_step[r], slack delta, noise scale
@@ -747,8 +736,7 @@ def select_runs(spec: SelectorSpec, X: DesignStack, Y: np.ndarray, trial: np.nda
     round counts and Laplace scales of spec's Mechanism are array
     expressions over the runs, and the runs are certified, one certs entry
     per distinct (rounds, eta_step), before the kernel runs. A one-run
-    block keeps its decision trace; scale_override, a test hook, replaces
-    every run's Laplace scale (0 gives the exact algorithm).
+    block keeps its decision trace.
     """
     d, runs, mech = X.d, len(trial), MECHANISMS[spec.method]
     spec.check_d(d)
@@ -765,8 +753,6 @@ def select_runs(spec: SelectorSpec, X: DesignStack, Y: np.ndarray, trial: np.nda
     for eta in set(etas):
         if not (0 < eta < math.inf):
             raise ValueError(f"eta_step must be finite and positive, got {eta}")
-    if scale_override is not None and not (0 <= scale_override < math.inf):
-        raise ValueError(f"scale_override must be finite and >= 0, got {scale_override}")
     rounds = spec.k if mech.rounds is None else mech.rounds(spec, X, trial, c1, eta_step, sigma)
     scales = mech.scale(X, trial, spec.k, c1, sigma, delta, eta_step)
     # certified before the kernel runs, so a certificate that overflows
@@ -777,8 +763,6 @@ def select_runs(spec: SelectorSpec, X: DesignStack, Y: np.ndarray, trial: np.nda
                     dtype=np.int64)
     certs = tuple((ZERO_BUDGET,) if key is None else mech.certify(*key, delta)
                   for key in table)
-    if scale_override is not None:
-        scales = np.full(runs, scale_override)
     block = mech.kernel(X, Y, rounds, trial, scales, c1, master_seed, paths, runs == 1)
     block.cert, block.certs = cert, certs
     return block
@@ -789,14 +773,12 @@ _ONE_RUN.setflags(write=False)
 
 
 def _one_run(spec: SelectorSpec, X: DesignMatrix, y, eta_step: float | None,
-             c1: float | None, delta: float, sigma: float, rng: RngStream,
-             scale_override: float | None = None) -> SelectionResult:
+             c1: float | None, delta: float, sigma: float, rng: RngStream) -> SelectionResult:
     """One run of select_runs on the response y, validated here, with its
     trace, as a SelectionResult; a failed run raises its error."""
     block = select_runs(spec, X.stack, as_response(y, X.n)[None], _ONE_RUN,
                         np.array([eta_step], dtype=float), None if c1 is None else np.array([c1]),
-                        delta, sigma, rng.master_seed, [rng.path],
-                        scale_override=scale_override)
+                        delta, sigma, rng.master_seed, [rng.path])
     if block.failed:
         raise block.failed[0]
     return SelectionResult(ModelSet(tuple(block.support[0].nonzero()[0].tolist())),

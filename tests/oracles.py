@@ -2,18 +2,20 @@
 LASSO and the eta-major sweep, kept as test oracles.
 
 The library ships only the noisy selectors; their exact forms are the
-zero-noise limits (`scale_override=0.0`). These plain noiseless loops are
-written out separately so the tests can check that limit, tie rule
-included, without going through the library's loops. The scalar noisy
-selectors run one run per call, one fresh stream per step, and the
-eta-major sweep reruns every (eta, trial) from scratch through them: the
-reference for the library's run-axis selectors and block sweep engine.
+zero-noise limits (a method's MECHANISMS record at scale 0, which
+`set_scale` swaps in). These plain noiseless loops are written out
+separately so the tests can check that limit, tie rule included, without
+going through the library's loops. The scalar noisy selectors run one
+run per call, one fresh stream per step, and the eta-major sweep reruns
+every (eta, trial) from scratch through them: the reference for the
+library's run-axis selectors and block sweep engine.
 The penalized solver updates the residual itself, coordinate by
 coordinate: the reference for the library's covariance-update solver.
 The full-model sigma estimate fits through a thin SVD of the design and
 sums the squared residuals: the reference for the library's R-only QR.
 `sigma_hat`, `stack` and `one_trial` hand one design to the library's
-stacked calls and take one trial out of its block draw.
+stacked calls and take one trial out of its block draw. `set_scale` runs
+a method's production path at a fixed Laplace scale.
 `support` is the LASSO model of one iterate, the reference for the
 library's support mask over a block. `records_rows` formats records one
 field at a time, the reference for the `experiment` command's columnar
@@ -21,6 +23,7 @@ records.csv writer, and `columns` packs records into the columns that
 `aggregate` reads.
 """
 
+import dataclasses
 import math
 import re
 
@@ -33,7 +36,7 @@ from stableci.experiments import Runs, TrialRecord, gen_synthetic
 from stableci.linmodel import DesignMatrix, DesignStack, ModelSet, SubmodelFit, as_response, \
     sigma_hat_full_model
 from stableci.noise import RngStream, scale_forward_stepwise, scale_lasso, scale_screening
-from stableci.selectors import FS_COLLINEAR_TOL, SUPPORT_THRESHOLD, SelectionResult, \
+from stableci.selectors import FS_COLLINEAR_TOL, MECHANISMS, SUPPORT_THRESHOLD, SelectionResult, \
     SelectorSpec, _lasso_steps, _soft_threshold
 from stableci.stability import StabilityBudget, best_posi_constant, certify_budgets, \
     interval_level, slack_allowance
@@ -163,13 +166,22 @@ def stack(designs) -> DesignStack:
     return DesignStack.checked(np.stack([X.entries for X in designs]))
 
 
-def alone(solve, X: DesignMatrix, y, lam: float, **knobs):
+def alone(solve, X: DesignMatrix, y, lam: float):
     """solve (solve_penalized_lasso or lambda_to_c1) on the stack of one
     design X with the response y: its one result, or its failure raised."""
-    (result,), failed = solve(X.stack, np.asarray(y, dtype=np.float64)[None], lam, **knobs)
+    (result,), failed = solve(X.stack, np.asarray(y, dtype=np.float64)[None], lam)
     if failed:
         raise failed[0]
     return result
+
+
+def set_scale(monkeypatch, method: str, scale: float) -> None:
+    """While monkeypatch holds, method's MECHANISMS record gives every run
+    the Laplace scale `scale` (0 is the exact algorithm); the rest of the
+    production path runs as it is: the spec check, certification, the
+    draws and the kernel."""
+    monkeypatch.setitem(MECHANISMS, method, dataclasses.replace(
+        MECHANISMS[method], scale=lambda X, trial, *_: np.full(len(trial), scale)))
 
 
 def one_trial(cfg, trial_index: int):

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from stableci import selectors
 from stableci.cli import main
 from stableci.experiments import ExperimentConfig, SelectorSpec, aggregate, eta_sweep
 from stableci.linmodel import DesignMatrix
@@ -21,7 +22,7 @@ from stableci.stability import (StabilityBudget, compose_adaptive_advanced,
                                 compose_adaptive_simple,
                                 eta_step_for_total, sparse_selection_eta)
 
-from oracles import alone, fs_exact, lasso_exact_fw, screening_exact, support
+from oracles import alone, fs_exact, lasso_exact_fw, screening_exact, set_scale, support
 
 
 def report(num, name, ok, detail):
@@ -141,25 +142,28 @@ def constrained_lstar_lower(X, y, c1):
     lam_hi = float(np.max(np.abs(X.entries.T @ y)))
     lo, hi = 1e-6 * lam_hi, lam_hi
     best = -math.inf
-    for _ in range(60):
-        lam = 0.5 * (lo + hi)
-        th = alone(solve_penalized_lasso, X, y, lam, gap_tol=1e-10)
-        r = y - X.entries @ th
-        s = max(1.0, float(np.max(np.abs(X.entries.T @ r))) / lam)
-        u = r / s
-        dual = 0.5 * float(y @ y) - 0.5 * float((y - u) @ (y - u))
-        best = max(best, (2.0 / X.n) * (dual - lam * c1))
-        l1 = float(np.abs(th).sum())
-        if abs(l1 - c1) <= 1e-6 * c1:
-            break
-        if l1 > c1:
-            lo = lam
-        else:
-            hi = lam
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(selectors, "CD_GAP_TOL", 1e-10)
+        for _ in range(60):
+            lam = 0.5 * (lo + hi)
+            th = alone(solve_penalized_lasso, X, y, lam)
+            r = y - X.entries @ th
+            s = max(1.0, float(np.max(np.abs(X.entries.T @ r))) / lam)
+            u = r / s
+            dual = 0.5 * float(y @ y) - 0.5 * float((y - u) @ (y - u))
+            best = max(best, (2.0 / X.n) * (dual - lam * c1))
+            l1 = float(np.abs(th).sum())
+            if abs(l1 - c1) <= 1e-6 * c1:
+                break
+            if l1 > c1:
+                lo = lam
+            else:
+                hi = lam
     return best
 
 
-def test_criterion_06_frank_wolfe_convergence():
+def test_criterion_06_frank_wolfe_convergence(monkeypatch):
+    set_scale(monkeypatch, "lasso", 0.0)
     worst = -math.inf
     c1 = 1.0
     for inst in range(50):
@@ -169,8 +173,7 @@ def test_criterion_06_frank_wolfe_convergence():
         beta[:4] = 3.0
         y = X.entries @ beta + r.child(1).normal(50)
         lstar = constrained_lstar_lower(X, y, c1)
-        res = stable_lasso(X, y, c1, 0.05, 1.0, 1.0, rng=r.child(2), steps=200,
-                           scale_override=0.0)
+        res = stable_lasso(X, y, c1, 0.05, 1.0, 1.0, rng=r.child(2), steps=200)
         cap = 8.0 * X.stack.linf[0] ** 2 * c1 ** 2
         for s in res.trace:
             worst = max(worst, (s.objective - lstar) / (cap / (s.step + 2)))
@@ -210,7 +213,9 @@ def test_criterion_07_selector_utility():
     assert ok
 
 
-def test_criterion_08_zero_noise_limits():
+def test_criterion_08_zero_noise_limits(monkeypatch):
+    for method in ("screen", "fs", "lasso"):
+        set_scale(monkeypatch, method, 0.0)
     shapes = [(25, 8), (40, 12), (15, 5), (60, 20)]
     mismatches = []
     for seed in range(100):
@@ -230,16 +235,13 @@ def test_criterion_08_zero_noise_limits():
         k = 1 + seed % 3
         rng = RngStream(seed)
 
-        got = stable_screening(X, y, k, 0.05, 1.0, 1.0, rng=rng.child(0),
-                               scale_override=0.0).model
+        got = stable_screening(X, y, k, 0.05, 1.0, 1.0, rng=rng.child(0)).model
         if got != screening_exact(X, y, k):
             mismatches.append((seed, "screen"))
-        got = stable_fs(X, y, k, 0.05, 1.0, 1.0, rng=rng.child(1),
-                        scale_override=0.0).model
+        got = stable_fs(X, y, k, 0.05, 1.0, 1.0, rng=rng.child(1)).model
         if got != fs_exact(X, y, k):
             mismatches.append((seed, "fs"))
-        res = stable_lasso(X, y, 1.5, 0.05, 1.0, 1.0, rng=rng.child(2), steps=30,
-                           scale_override=0.0)
+        res = stable_lasso(X, y, 1.5, 0.05, 1.0, 1.0, rng=rng.child(2), steps=30)
         exact_theta = lasso_exact_fw(X, y, 1.5, 30)
         if not np.array_equal(res.theta, exact_theta) or res.model != support(exact_theta):
             mismatches.append((seed, "lasso"))

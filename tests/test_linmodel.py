@@ -100,7 +100,7 @@ def test_design_stack_norms_are_each_design_matrix_norms():
         assert (X.l2inf[b], X.linf[b]) == (one.stack.l2inf[0], one.stack.linf[0])
     shared = one.stack.broadcast(3)
     assert shared.entries.shape == (3, 7, 4) and shared.entries.strides[0] == 0
-    assert shared[1:2].entries[0].tobytes() == one.entries.tobytes()
+    assert shared.entries[1].tobytes() == one.entries.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 20, 301])

@@ -4,6 +4,7 @@ Distribution oracle: scipy.stats. Scale formulas pinned on designs whose
 norms are exact by construction (one row of ones, zeros elsewhere).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,8 @@ import scipy.stats
 
 from stableci.linmodel import DesignMatrix, DesignStack
 from stableci.noise import (KeyedGenerator, RngStream, log_descending_factorial,
-                            scale_forward_stepwise, scale_lasso, scale_screening, stream_name)
+                            scale_forward_stepwise, scale_lasso, scale_screening, stream_name,
+                            typical_halfwidth)
 from stableci.selectors import (MECHANISMS, SelectorSpec, select_runs, stable_fs, stable_lasso,
                                 stable_screening)
 
@@ -177,12 +179,34 @@ def test_selectors_reject_bad_noise_parameters(name, value, message):
             call()
 
 
+def scale_grid():
+    """Scale arguments (X, trial, k, c1, sigma, delta, eta_step) over
+    d in {1, 2, 20, 301}, k in {1, 3} (k <= d), delta in {1e-12, 0.02} and
+    sigma in {1e-300, 1, 1e300}, with arrays of eta_step and c1 over two
+    5 x d designs."""
+    gen = np.random.default_rng(11)
+    trial, c1 = np.array([0, 1, 1, 0]), np.array([0.0, 0.5, 1.0, 10.0])
+    eta = np.array([1e-3, 0.25, 1.0, 40.0])
+    for d in (1, 2, 20, 301):
+        X = DesignStack.checked(gen.standard_normal((2, 5, d)))
+        for k, delta, sigma in itertools.product((1, 3), (1e-12, 0.02), (1e-300, 1.0, 1e300)):
+            if k <= d:
+                yield X, trial, k, c1, sigma, delta, eta
+
+
 def test_scale_screening_value():
     X = unit_norm_design()
     got = scale_screening(X.stack, 0, None, None, 1.0, 0.05, 1.0)
     ref = 4.0 * math.sqrt(math.log(2 * 500 / 0.05)) / 1000
     assert got == pytest.approx(ref, rel=1e-14)
     assert got == pytest.approx(0.012587922816754877, abs=1e-15)
+    # bit for bit its typical_halfwidth expression and the formula written out
+    for X, trial, k, c1, sigma, delta, eta in scale_grid():
+        got = scale_screening(X, trial, k, c1, sigma, delta, eta).tobytes()
+        norm = X.l2inf[trial] / (X.n * eta)
+        log_2n = math.log(2.0 * X.d)
+        assert got == (2.0 * typical_halfwidth(log_2n, delta, sigma) * norm).tobytes()
+        assert got == (4.0 * math.sqrt(log_2n - math.log(delta)) * sigma * norm).tobytes()
 
 
 def test_scale_lasso_value():
@@ -191,6 +215,13 @@ def test_scale_lasso_value():
     ref = 8.0 * math.sqrt(math.log(4 * 500 / 0.05)) / 1000
     assert got == pytest.approx(ref, rel=1e-14)
     assert got == pytest.approx(0.02604197809149967, abs=1e-15)
+    # bit for bit its typical_halfwidth expression and the formula written out
+    for X, trial, k, c1, sigma, delta, eta in scale_grid():
+        got = scale_lasso(X, trial, k, c1, sigma, delta, eta).tobytes()
+        norm = c1 * X.l2inf[trial] / (X.n * eta)
+        log_2n = math.log(4.0 * X.d)
+        assert got == (4.0 * typical_halfwidth(log_2n, delta, sigma) * norm).tobytes()
+        assert got == (8.0 * math.sqrt(log_2n - math.log(delta)) * sigma * norm).tobytes()
 
 
 def test_scale_forward_stepwise_value():
@@ -199,6 +230,12 @@ def test_scale_forward_stepwise_value():
     ref = 4.0 * math.sqrt(math.log(2 * exact / 0.05))
     assert got == pytest.approx(ref, rel=1e-12)
     assert got == pytest.approx(23.57689027098658, abs=1e-11)
+    # bit for bit its typical_halfwidth expression and the formula written out
+    for X, trial, k, c1, sigma, delta, eta in scale_grid():
+        got = scale_forward_stepwise(X, trial, k, c1, sigma, delta, eta).tobytes()
+        log_2n = math.log(2.0) + log_descending_factorial(X.d, k)
+        assert got == (2.0 * typical_halfwidth(log_2n, delta, sigma) / eta).tobytes()
+        assert got == (4.0 * math.sqrt(log_2n - math.log(delta)) * sigma / eta).tobytes()
 
 
 def test_scales_shrink_with_eta_and_n():

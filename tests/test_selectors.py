@@ -30,7 +30,8 @@ from stableci.selectors import (CD_STACK_TRIALS, FS_COLLINEAR_TOL, MAX_DEFAULT_F
 from stableci.stability import StabilityBudget, certify_budgets, compose_adaptive_advanced
 
 from oracles import (alone, fs_exact, fs_noisy, lasso_exact_fw, lasso_noisy,
-                     penalized_lasso_residual, screening_exact, screening_noisy, stack, support)
+                     penalized_lasso_residual, screening_exact, screening_noisy, set_scale, stack,
+                     support)
 
 
 def random_instance(seed, n=25, d=8, snr=2.0):
@@ -107,10 +108,10 @@ def test_fw_one_dimensional():
     assert loss - 4.0 <= 2 * 4.0 / (400 + 2)
 
 
-def test_fw_zero_response_stays_near_optimal():
+def test_fw_zero_response_stays_near_optimal(monkeypatch):
+    set_scale(monkeypatch, "lasso", 0.0)
     X, _ = random_instance(0)
-    res = stable_lasso(X, np.zeros(X.n), 1.0, 0.05, 1.0, 1.0, rng=RngStream(0), steps=100,
-                       scale_override=0.0)
+    res = stable_lasso(X, np.zeros(X.n), 1.0, 0.05, 1.0, 1.0, rng=RngStream(0), steps=100)
     bound = [8.0 * X.stack.linf[0] ** 2 / (t + 2) for t in range(1, 101)]
     assert all(s.objective <= b + 1e-12 for s, b in zip(res.trace, bound))
 
@@ -129,10 +130,10 @@ def test_fw_orthonormal_reaches_projection():
     assert np.max(np.abs(theta - target)) <= math.sqrt(30 * gap_bound)
 
 
-def test_fw_trace_objective_matches_replay():
+def test_fw_trace_objective_matches_replay(monkeypatch):
+    set_scale(monkeypatch, "lasso", 0.0)
     X, y = random_instance(3)
-    res = stable_lasso(X, y, 1.5, 0.05, 1.0, 1.0, rng=RngStream(1), steps=5,
-                       scale_override=0.0)
+    res = stable_lasso(X, y, 1.5, 0.05, 1.0, 1.0, rng=RngStream(1), steps=5)
     for k in range(1, 6):
         theta_k = lasso_exact_fw(X, y, 1.5, k)
         r = y - X.entries @ theta_k
@@ -140,7 +141,8 @@ def test_fw_trace_objective_matches_replay():
                                    rtol=1e-9)
 
 
-def test_fw_gap_bound_against_cd_oracle():
+def test_fw_gap_bound_against_cd_oracle(monkeypatch):
+    set_scale(monkeypatch, "lasso", 0.0)
     for seed in (0, 1, 2):
         gen = np.random.default_rng(seed)
         n, d, c1 = 40, 12, 1.0
@@ -149,8 +151,7 @@ def test_fw_gap_bound_against_cd_oracle():
         beta[:3] = 2.0
         y = X.entries @ beta + gen.standard_normal(n)
         lstar = constrained_lstar_lower(X, y, c1)
-        res = stable_lasso(X, y, c1, 0.05, 1.0, 1.0, rng=RngStream(0), steps=150,
-                           scale_override=0.0)
+        res = stable_lasso(X, y, c1, 0.05, 1.0, 1.0, rng=RngStream(0), steps=150)
         bound = 8.0 * X.stack.linf[0] ** 2 * c1 ** 2
         for s in res.trace:
             assert s.objective - lstar <= bound / (s.step + 2) + 1e-9
@@ -158,7 +159,8 @@ def test_fw_gap_bound_against_cd_oracle():
 
 def constrained_lstar_lower(X: DesignMatrix, y, c1: float) -> float:
     """Lower bound on min ||y - X theta||^2 / n over the l1 ball via the
-    penalized dual: for any lam, L* >= (2/n)(dual(lam) - lam c1)."""
+    penalized dual: for any lam, L* >= (2/n)(dual(lam) - lam c1), with
+    the penalized solves run to a gap of 1e-10."""
     y = np.asarray(y, dtype=np.float64)
     theta = ols_like(X, y)
     if theta is not None and np.abs(theta).sum() <= c1:
@@ -167,21 +169,23 @@ def constrained_lstar_lower(X: DesignMatrix, y, c1: float) -> float:
     lam_hi = float(np.max(np.abs(X.entries.T @ y)))
     lo, hi = 1e-6 * lam_hi, lam_hi
     best = -math.inf
-    for _ in range(60):
-        lam = 0.5 * (lo + hi)
-        th = alone(solve_penalized_lasso, X, y, lam, gap_tol=1e-10)
-        r = y - X.entries @ th
-        s = max(1.0, float(np.max(np.abs(X.entries.T @ r))) / lam)
-        u = r / s
-        dual = 0.5 * float(y @ y) - 0.5 * float((y - u) @ (y - u))
-        best = max(best, (2.0 / X.n) * (dual - lam * c1))
-        l1 = float(np.abs(th).sum())
-        if abs(l1 - c1) <= 1e-6 * c1:
-            break
-        if l1 > c1:
-            lo = lam
-        else:
-            hi = lam
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(selectors, "CD_GAP_TOL", 1e-10)
+        for _ in range(60):
+            lam = 0.5 * (lo + hi)
+            th = alone(solve_penalized_lasso, X, y, lam)
+            r = y - X.entries @ th
+            s = max(1.0, float(np.max(np.abs(X.entries.T @ r))) / lam)
+            u = r / s
+            dual = 0.5 * float(y @ y) - 0.5 * float((y - u) @ (y - u))
+            best = max(best, (2.0 / X.n) * (dual - lam * c1))
+            l1 = float(np.abs(th).sum())
+            if abs(l1 - c1) <= 1e-6 * c1:
+                break
+            if l1 > c1:
+                lo = lam
+            else:
+                hi = lam
     return best
 
 
@@ -193,20 +197,20 @@ def ols_like(X: DesignMatrix, y):
         return None
 
 
-def test_stable_lasso_zero_noise_matches_exact():
+def test_stable_lasso_zero_noise_matches_exact(monkeypatch):
+    set_scale(monkeypatch, "lasso", 0.0)
     for seed in range(10):
         X, y = random_instance(seed)
-        res = stable_lasso(X, y, 1.2, 0.05, 1.0, 1.0, rng=RngStream(seed), steps=40,
-                           scale_override=0.0)
+        res = stable_lasso(X, y, 1.2, 0.05, 1.0, 1.0, rng=RngStream(seed), steps=40)
         np.testing.assert_array_equal(res.theta, lasso_exact_fw(X, y, 1.2, 40))
         assert res.model == support(res.theta)
 
 
-def test_stable_lasso_tie_on_zero_response():
+def test_stable_lasso_tie_on_zero_response(monkeypatch):
     # every vertex score is 0; both paths take the first argmin, vertex 0
+    set_scale(monkeypatch, "lasso", 0.0)
     X, _ = random_instance(1)
-    res = stable_lasso(X, np.zeros(X.n), 1.0, 0.05, 1.0, 1.0, rng=RngStream(0), steps=1,
-                       scale_override=0.0)
+    res = stable_lasso(X, np.zeros(X.n), 1.0, 0.05, 1.0, 1.0, rng=RngStream(0), steps=1)
     assert res.trace[0].chosen == 0
 
 
@@ -235,10 +239,11 @@ def test_penalized_lasso_one_dimensional():
     np.testing.assert_allclose(alone(solve_penalized_lasso, X, [3.0], 1.0), [2.0], atol=1e-10)
 
 
-def test_penalized_lasso_kkt():
+def test_penalized_lasso_kkt(monkeypatch):
+    monkeypatch.setattr(selectors, "CD_GAP_TOL", 1e-12)
     X, y = random_instance(4, n=40, d=10)
     lam = 0.05
-    theta = alone(solve_penalized_lasso, X, y, lam, gap_tol=1e-12)
+    theta = alone(solve_penalized_lasso, X, y, lam)
     grad = X.entries.T @ (y - X.entries @ theta)
     for j in range(X.d):
         if theta[j] == 0.0:
@@ -247,10 +252,12 @@ def test_penalized_lasso_kkt():
             assert grad[j] == pytest.approx(lam * np.sign(theta[j]), abs=1e-6)
 
 
-def test_penalized_lasso_nonconvergence():
+def test_penalized_lasso_nonconvergence(monkeypatch):
+    monkeypatch.setattr(selectors, "CD_GAP_TOL", 1e-14)
+    monkeypatch.setattr(selectors, "CD_MAX_SWEEPS", 1)
     X, y = random_instance(6, n=50, d=20)
     with pytest.raises(NonConvergence) as lib:
-        alone(solve_penalized_lasso, X, y, 1e-6, gap_tol=1e-14, max_sweeps=1)
+        alone(solve_penalized_lasso, X, y, 1e-6)
     with pytest.raises(NonConvergence) as ref:
         penalized_lasso_residual(X, y, 1e-6, gap_tol=1e-14, max_sweeps=1)
     assert str(lib.value) == str(ref.value) == \
@@ -258,23 +265,13 @@ def test_penalized_lasso_nonconvergence():
 
 
 @pytest.mark.parametrize("lam", [math.inf, math.nan, 0.0, -1.0])
-def test_penalized_lasso_rejects_a_bad_lam_up_front(lam):
+def test_penalized_lasso_rejects_a_bad_lam_up_front(monkeypatch, lam):
     # an infinite penalty made the primal inf * 0 = nan, which never passed
     # the gap test: every sweep ran before NonConvergence
+    monkeypatch.setattr(selectors, "CD_MAX_SWEEPS", 1)
     X, y = random_instance(6, n=50, d=20)
     with pytest.raises(ValueError, match=f"^lam must be finite and positive, got {lam}$"):
-        alone(solve_penalized_lasso, X, y, lam, max_sweeps=1)
-
-
-@pytest.mark.parametrize("knob, value, want", [
-    ("gap_tol", math.nan, "gap_tol must be >= 0"), ("gap_tol", -1e-8, "gap_tol must be >= 0"),
-    ("max_sweeps", 0, "max_sweeps must be >= 1"), ("max_sweeps", -3, "max_sweeps must be >= 1")])
-def test_penalized_lasso_rejects_a_bad_stopping_rule_up_front(knob, value, want):
-    # a NaN or negative gap_tol ran every sweep before NonConvergence, and
-    # max_sweeps=0 reported a gap missed "in 0 sweeps"
-    X, y = random_instance(6, n=50, d=20)
-    with pytest.raises(ValueError, match=f"^{want}, got {value}$"):
-        alone(solve_penalized_lasso, X, y, 0.05, **{knob: value})
+        alone(solve_penalized_lasso, X, y, lam)
 
 
 def _penalized_instance(n, d, scale, column=None):
@@ -374,8 +371,7 @@ def test_penalized_lasso_stack_matches_the_sweep_blocks_trials_alone():
         radii, failed = lambda_to_c1(X, Y, 0.5)
         assert failed == {}
         for b in range(len(Y)):
-            (want,), _ = lambda_to_c1(X[b:b + 1], Y[b:b + 1], 0.5)
-            assert radii[b] == want
+            assert radii[b] == alone(lambda_to_c1, DesignMatrix(X.entries[b]), Y[b], 0.5)
 
 
 def _straggler_stack():
@@ -393,16 +389,23 @@ def _straggler_stack():
     return DesignStack.checked(A), Y
 
 
+def _solve_in(max_sweeps: int, X: DesignStack, Y) -> tuple:
+    """solve_penalized_lasso of the stack X and responses Y at lam 0.5,
+    with CD_MAX_SWEEPS at max_sweeps."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(selectors, "CD_MAX_SWEEPS", max_sweeps)
+        return solve_penalized_lasso(X, Y, 0.5)
+
+
 def _sweeps_alone(X: DesignStack, y) -> int:
     """The sweeps the penalty solve of y at lam 0.5 on the stack of one X
     takes."""
     lo, hi = 0, 1  # it fails in lo sweeps (none at 0) and converges in hi
-    while solve_penalized_lasso(X, y[None], 0.5, max_sweeps=hi)[1]:
+    while _solve_in(hi, X, y[None])[1]:
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if solve_penalized_lasso(X, y[None], 0.5, max_sweeps=mid)[1] \
-            else (lo, mid)
+        lo, hi = (mid, hi) if _solve_in(mid, X, y[None])[1] else (lo, mid)
     return hi
 
 
@@ -410,7 +413,7 @@ def _stuck_alone(X: DesignStack, Y, max_sweeps: int) -> list[int]:
     """The trials whose penalty solve at lam 0.5, each alone, misses the gap
     in max_sweeps sweeps."""
     return [b for b in range(len(Y))
-            if solve_penalized_lasso(X[b:b + 1], Y[b:b + 1], 0.5, max_sweeps=max_sweeps)[1]]
+            if _solve_in(max_sweeps, DesignStack.checked(X.entries[b:b + 1]), Y[b:b + 1])[1]]
 
 
 def test_penalized_lasso_stack_stragglers_finish_as_alone():
@@ -429,7 +432,7 @@ def test_penalized_lasso_stack_stragglers_finish_as_alone():
 
 
 def test_penalized_lasso_stack_fails_only_the_stuck_trials():
-    # max_sweeps=1 stops the stacked sweeps with 12 trials live; 50 stops
+    # a cap of 1 sweep stops the stacked sweeps with 12 trials live; 50 stops
     # the stragglers alone, and so does one sweep short of a straggler's
     # own count, which it reaches at that count: exactly the trials that
     # need more sweeps fail, each with the one-trial message and a NaN row,
@@ -438,7 +441,7 @@ def test_penalized_lasso_stack_fails_only_the_stuck_trials():
     want = [alone(solve_penalized_lasso, DesignMatrix(X.entries[b]), Y[b], 0.5)
             for b in range(16)]
     straggler = _stuck_alone(X, Y, 100)[0]
-    last = _sweeps_alone(X[straggler:straggler + 1], Y[straggler])
+    last = _sweeps_alone(DesignStack.checked(X.entries[straggler:straggler + 1]), Y[straggler])
     # the residual-update oracle reaches the gap at the same sweep
     with pytest.raises(NonConvergence):
         penalized_lasso_residual(DesignMatrix(X.entries[straggler]), Y[straggler], 0.5,
@@ -446,7 +449,7 @@ def test_penalized_lasso_stack_fails_only_the_stuck_trials():
     penalized_lasso_residual(DesignMatrix(X.entries[straggler]), Y[straggler], 0.5,
                              max_sweeps=last)
     for max_sweeps in (1, 50, last - 1, last):
-        theta, failed = solve_penalized_lasso(X, Y, 0.5, max_sweeps=max_sweeps)
+        theta, failed = _solve_in(max_sweeps, X, Y)
         assert sorted(failed) == _stuck_alone(X, Y, max_sweeps)
         assert 0 < len(failed) < 16 and (straggler in failed) == (max_sweeps < last)
         for b in range(16):
@@ -487,18 +490,19 @@ def test_screening_exact_validation():
         screening_exact(X, [1.0, 2.0], 1)
 
 
-def test_stable_screening_zero_noise_matches_exact():
+def test_stable_screening_zero_noise_matches_exact(monkeypatch):
+    set_scale(monkeypatch, "screen", 0.0)
     for seed in range(10):
         X, y = random_instance(seed)
         for k in (1, 3, X.d):
-            res = stable_screening(X, y, k, 0.05, 1.0, 1.0, rng=RngStream(seed),
-                                   scale_override=0.0)
+            res = stable_screening(X, y, k, 0.05, 1.0, 1.0, rng=RngStream(seed))
             assert res.model == screening_exact(X, y, k), (seed, k)
 
 
-def test_stable_screening_trace_fields():
+def test_stable_screening_trace_fields(monkeypatch):
+    set_scale(monkeypatch, "screen", 0.0)
     X, y = random_instance(0)
-    res = stable_screening(X, y, 3, 0.05, 1.0, 1.0, rng=RngStream(9), scale_override=0.0)
+    res = stable_screening(X, y, 3, 0.05, 1.0, 1.0, rng=RngStream(9))
     assert [s.step for s in res.trace] == [1, 2, 3]
     assert all(s.chosen in res.model for s in res.trace)
     assert all(s.best_exact >= s.exact_score for s in res.trace)
@@ -506,10 +510,10 @@ def test_stable_screening_trace_fields():
     assert all(s.best_exact == s.exact_score for s in res.trace)
 
 
-def test_stable_screening_randomizes():
+def test_stable_screening_randomizes(monkeypatch):
+    set_scale(monkeypatch, "screen", 0.5)
     X = DesignMatrix(np.eye(2))
-    models = {stable_screening(X, [1.0, 0.999], 1, 0.05, 1.0, 1.0,
-                               rng=RngStream(s), scale_override=0.5).model.indices
+    models = {stable_screening(X, [1.0, 0.999], 1, 0.05, 1.0, 1.0, rng=RngStream(s)).model.indices
               for s in range(50)}
     assert models == {(0,), (1,)}
 
@@ -519,7 +523,7 @@ def laplace_pdf_cdf(b):
     return dist.pdf, dist.cdf
 
 
-def test_stable_screening_selection_law():
+def test_stable_screening_selection_law(monkeypatch):
     # P(argmax_i |c_i + xi_i|) against numerical integration, 1e5 seeds
     X = DesignMatrix([[1.0, 0.3, -0.5], [0.2, 1.1, 0.4],
                       [-0.7, 0.5, 0.9], [0.4, -0.2, 0.3]])
@@ -542,23 +546,24 @@ def test_stable_screening_selection_law():
     probs = np.array([win_prob(i) for i in range(3)])
     assert probs.sum() == pytest.approx(1.0, abs=1e-6)
 
-    # one block of 1e5 runs, run s on the stream of path (7, s)
+    # one block of 1e5 runs, run s on the stream of path (7, s), all at scale b
+    set_scale(monkeypatch, "screen", b)
     trials = 100_000
     block = select_runs(SelectorSpec(method="screen", k=1), X.stack.broadcast(trials),
                         np.broadcast_to(y, (trials, X.n)), np.arange(trials),
                         np.ones(trials), None, 0.05, 1.0, 0,
-                        [(7, s) for s in range(trials)], scale_override=b)
+                        [(7, s) for s in range(trials)])
     assert np.all(block.support.sum(axis=1) == 1)
     picks = block.support.argmax(axis=1)
     assert picks[:2000].tolist() == [
-        stable_screening(X, y, 1, 0.05, 1.0, 1.0, rng=RngStream(0, (7, s)),
-                         scale_override=b).model.indices[0] for s in range(2000)]
+        stable_screening(X, y, 1, 0.05, 1.0, 1.0, rng=RngStream(0, (7, s))).model.indices[0]
+        for s in range(2000)]
     freqs = np.bincount(picks, minlength=3) / trials
     sig = np.sqrt(probs * (1 - probs) / trials)
     assert np.all(np.abs(freqs - probs) <= 3 * sig), (freqs, probs)
 
 
-def test_stable_lasso_selection_law():
+def test_stable_lasso_selection_law(monkeypatch):
     # first-step vertex argmin law for noisy scores a_v + xi_v
     X = DesignMatrix([[0.8, -0.3], [0.1, 0.9], [-0.4, 0.2]])
     y = np.array([0.7, -0.2, 0.5])
@@ -580,19 +585,20 @@ def test_stable_lasso_selection_law():
     probs = np.array([win_prob(v) for v in range(4)])
     assert probs.sum() == pytest.approx(1.0, abs=1e-6)
 
-    # one block of 1e5 runs, run s on the stream of path (8, s); after one
-    # step theta is the chosen vertex, +-c1 on its column
+    # one block of 1e5 runs, run s on the stream of path (8, s), all at
+    # scale b; after one step theta is the chosen vertex, +-c1 on its column
+    set_scale(monkeypatch, "lasso", b)
     trials = 100_000
     block = select_runs(SelectorSpec(method="lasso", c1=c1, steps=1), X.stack.broadcast(trials),
                         np.broadcast_to(y, (trials, X.n)), np.arange(trials),
                         np.ones(trials), np.full(trials, c1), 0.05, 1.0, 0,
-                        [(8, s) for s in range(trials)], scale_override=b)
+                        [(8, s) for s in range(trials)])
     assert np.all(block.support.sum(axis=1) == 1)
     cols = block.support.argmax(axis=1)
     picks = cols + X.d * (block.theta[np.arange(trials), cols] < 0)
     assert picks[:2000].tolist() == [
-        stable_lasso(X, y, c1, 0.05, 1.0, 1.0, rng=RngStream(0, (8, s)), steps=1,
-                     scale_override=b).trace[0].chosen for s in range(2000)]
+        stable_lasso(X, y, c1, 0.05, 1.0, 1.0, rng=RngStream(0, (8, s)), steps=1).trace[0].chosen
+        for s in range(2000)]
     freqs = np.bincount(picks, minlength=4) / trials
     sig = np.sqrt(probs * (1 - probs) / trials)
     assert np.all(np.abs(freqs - probs) <= 3 * sig), (freqs, probs)
@@ -604,7 +610,9 @@ def test_stable_lasso_selection_law():
 
 def zero_noise_fs_order(X: DesignMatrix, y, k: int) -> list[int]:
     """The pick order of forward stepwise at noise scale 0."""
-    res = stable_fs(X, y, k, 0.05, 1.0, 1.0, rng=RngStream(0), scale_override=0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        set_scale(mp, "fs", 0.0)
+        res = stable_fs(X, y, k, 0.05, 1.0, 1.0, rng=RngStream(0))
     return [s.chosen for s in res.trace]
 
 
@@ -719,16 +727,18 @@ def test_fs_sse_criterion_agrees_with_correlation():
         assert zero_noise_fs_order(X, y, 4) == fs_sse_order(X, y, 4), seed
 
 
-def test_stable_fs_zero_noise_matches_exact():
+def test_stable_fs_zero_noise_matches_exact(monkeypatch):
+    set_scale(monkeypatch, "fs", 0.0)
     for seed in range(10):
         X, y = random_instance(seed)
-        res = stable_fs(X, y, 3, 0.05, 1.0, 1.0, rng=RngStream(seed), scale_override=0.0)
+        res = stable_fs(X, y, 3, 0.05, 1.0, 1.0, rng=RngStream(seed))
         assert res.model == fs_exact(X, y, 3)
 
 
-def test_stable_fs_budgets():
+def test_stable_fs_budgets(monkeypatch):
+    set_scale(monkeypatch, "fs", 0.0)
     X, y = random_instance(7)
-    res = stable_fs(X, y, 5, 0.05, 0.2, 1.0, rng=RngStream(0), scale_override=0.0)
+    res = stable_fs(X, y, 5, 0.05, 0.2, 1.0, rng=RngStream(0))
     adv, lin = res.budgets
     assert adv.eta == pytest.approx(1.194665661022395, abs=1e-11)
     assert adv.eta == pytest.approx(compose_adaptive_advanced(0.2, 5, 0.05))
@@ -851,20 +861,10 @@ def test_select_runs_certifies_before_the_kernel(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("call", ["screening", "fs", "lasso", "laplace"])
+@pytest.mark.parametrize("call", ["laplace"])  # the one scale a caller passes
 def test_nonfinite_noise_scale_is_rejected(call, bad):
-    X, y = random_instance(3, n=50, d=6)
-    rng = RngStream(0)
-    calls = {
-        "screening": lambda: stable_screening(X, y, 2, DELTA, 1.0, SIGMA, rng=rng,
-                                              scale_override=bad),
-        "fs": lambda: stable_fs(X, y, 2, DELTA, 1.0, SIGMA, rng=rng, scale_override=bad),
-        "lasso": lambda: stable_lasso(X, y, 1.0, DELTA, 1.0, SIGMA, rng=rng, steps=5,
-                                      scale_override=bad),
-        "laplace": lambda: rng.laplace(bad, 4),
-    }
     with pytest.raises(ValueError, match=f"must be finite and >= 0, got {bad}$"):
-        calls[call]()
+        getattr(RngStream(0), call)(bad, 4)
 
 
 def test_screen_runs_match_the_scalar_selector_run_by_run():
@@ -981,8 +981,8 @@ def test_fs_runs_residualize_in_blocks_as_in_one(monkeypatch):
     def run():
         block = fs_runs(tall, Y, 3, np.array([0, 0, 0, 1, 1]),
                         np.array([0.0, 0.0, scale, 0.0, scale]), None, 31, [(2, 0), (2, 1)])
-        one = fs_runs(tall[:1], Y[:1], 4, np.array([0]), np.array([scale]), None, 31, [(2, 0)],
-                      trace=True)
+        one = fs_runs(stack([DesignMatrix(A)]), Y[:1], 4, np.array([0]), np.array([scale]), None,
+                      31, [(2, 0)], trace=True)
         sweep = fs_runs(many, Z, 3, np.repeat(np.arange(trials), 2),
                         np.tile([0.0, scale], trials), None, 31, [(2, t) for t in range(trials)])
         return (block.support.tobytes(), {r: str(e) for r, e in block.failed.items()},
@@ -1003,8 +1003,9 @@ def _fs_order(X: DesignMatrix, y, k: int, scale: float, t: int) -> list[int]:
     """The pick order of a one-run forward stepwise on stream (31, (2, t)),
     or [] if it fails."""
     try:
-        res = stable_fs(X, y, k, DELTA, 1.0, SIGMA, rng=RngStream(31, (2, t)),
-                        scale_override=scale)
+        with pytest.MonkeyPatch.context() as mp:
+            set_scale(mp, "fs", scale)
+            res = stable_fs(X, y, k, DELTA, 1.0, SIGMA, rng=RngStream(31, (2, t)))
     except AllCandidatesCollinear:
         return []
     return [s.chosen for s in res.trace]
