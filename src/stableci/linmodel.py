@@ -8,7 +8,8 @@ the command line and of a one-run call, is a stack of one. Submodels of
 one size are gathered from the stack by one indexing operation and
 factored by one stacked SVD. The full-model noise estimates need no fit,
 only the residual norms and the designs' singular values, and take both
-from one stacked R-only QR of [X y]. Nothing here draws randomness.
+from an R-only QR of each trial's [X y], factored in place by the LAPACK
+call that numpy's qr makes. Nothing here draws randomness.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import DimensionMismatch, InsufficientSamples, RankDeficient, check_number
 
@@ -240,17 +242,35 @@ def stderr_known_sigma(X: DesignMatrix, M: ModelSet, sigma: float) -> np.ndarray
 def sigma_hat_full_model(X: np.ndarray, Y: np.ndarray,
                          ) -> tuple[np.ndarray, int, dict[int, RankDeficient]]:
     """Full-model residual noise estimates (sigma_hat, dof = n - d, errors)
-    of the designs X (trials, n, d) and finite responses Y, by one stacked
-    R-only Householder QR of [X y]: a trial's last diagonal entry R[d, d]
-    is the norm of y's residual off the span of X, so RSS = R[d, d]**2, and
-    the singular values of R[:d, :d] are X's. errors maps a trial where they
-    fail SubmodelFits' rank rule to its RankDeficient (its sigma_hat is
-    meaningless). Raises InsufficientSamples unless n > d.
+    of the designs X (trials, n, d) and finite responses Y, by an R-only
+    Householder QR of each trial's [X y]: a trial's last diagonal entry
+    R[d, d] is the norm of y's residual off the span of X, so RSS =
+    R[d, d]**2, and the singular values of R[:d, :d] are X's. errors maps a
+    trial where they fail SubmodelFits' rank rule to its RankDeficient (its
+    sigma_hat is meaningless). Raises InsufficientSamples unless n > d.
+
+    R is numpy's qr's bit for bit: the same LAPACK dgeqrf, reached through
+    numpy's own binding (scipy's links another LAPACK, whose R differs in
+    the last bits), on one buffer that holds the stack [X y] once, where qr
+    takes two more copies.
     """
-    _, n, d = X.shape
+    trials, n, d = X.shape
     if n <= d:
         raise InsufficientSamples(f"need n > d for the full-model estimate, got n={n}, d={d}")
-    R = np.linalg.qr(np.concatenate([X, Y[:, :, None]], axis=2), mode="r")
+    # A[b] is trial b's [X y] stored column-major, factored in place with
+    # the workspace size qr uses: a smaller one takes dgeqrf's unblocked
+    # path, which rounds otherwise
+    A = np.empty((trials, d + 1, n))
+    A[:, :d] = X.transpose(0, 2, 1)
+    A[:, d] = Y
+    tau, size = np.empty(d + 1), np.empty(1)
+    lapack_lite.dgeqrf(n, d + 1, A, n, tau, size, -1, 0)  # lwork -1: writes the size
+    work = np.empty(max(1, d + 1, int(size[0])))
+    for a in A:
+        info = lapack_lite.dgeqrf(n, d + 1, a, n, tau, work, len(work), 0)["info"]
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dgeqrf failed with info={info}")
+    R = np.triu(A[:, :, :d + 1].transpose(0, 2, 1))
     s = np.linalg.svd(R[:, :d, :d], compute_uv=False)
     errors = {b: _rank_error(tuple(range(d)), n, s[b])
               for b in np.flatnonzero(s[:, -1] <= RANK_TOL * s[:, 0]).tolist()}

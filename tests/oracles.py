@@ -13,6 +13,11 @@ The penalized solver updates the residual itself, coordinate by
 coordinate: the reference for the library's covariance-update solver.
 The full-model sigma estimate fits through a thin SVD of the design and
 sums the squared residuals: the reference for the library's R-only QR.
+`sigma_hat_qr` is that QR as numpy.linalg.qr computes it, on a
+concatenated copy of [X y]: the bit-for-bit reference for the library's
+in-place factorization. `constrained_lstar_lower` bounds the l1-ball
+least-squares optimum from below through the penalized solver's dual, the
+yardstick of the Frank-Wolfe convergence checks.
 `sigma_hat`, `stack` and `one_trial` hand one design to the library's
 stacked calls and take one trial out of its block draw. `set_scale` runs
 a method's production path at a fixed Laplace scale.
@@ -28,16 +33,17 @@ import math
 import re
 
 import numpy as np
+import pytest
 
-from stableci import experiments
+from stableci import experiments, selectors
 from stableci.errors import AllCandidatesCollinear, DegenerateLevel, InsufficientSamples, \
     NonConvergence, RankDeficient
 from stableci.experiments import Runs, TrialRecord, gen_synthetic
-from stableci.linmodel import DesignMatrix, DesignStack, ModelSet, SubmodelFit, as_response, \
-    sigma_hat_full_model
+from stableci.linmodel import RANK_TOL, DesignMatrix, DesignStack, ModelSet, SubmodelFit, \
+    _rank_error, as_response, sigma_hat_full_model
 from stableci.noise import RngStream, scale_forward_stepwise, scale_lasso, scale_screening
 from stableci.selectors import FS_COLLINEAR_TOL, MECHANISMS, SUPPORT_THRESHOLD, SelectionResult, \
-    SelectorSpec, _lasso_steps, _soft_threshold
+    SelectorSpec, _lasso_steps, _soft_threshold, solve_penalized_lasso
 from stableci.stability import StabilityBudget, best_posi_constant, certify_budgets, \
     interval_level, slack_allowance
 
@@ -203,6 +209,58 @@ def sigma_hat_svd(X: DesignMatrix, y) -> tuple[float, int]:
     rss = float(np.sum((y - X.entries @ beta) ** 2))
     dof = X.n - X.d
     return float(np.sqrt(rss / dof)), dof
+
+
+def sigma_hat_qr(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, int, dict]:
+    """sigma_hat_full_model(X, Y) through numpy.linalg.qr: R of a
+    concatenated copy of the stack [X y] (which qr copies twice more), then
+    the same rank rule and RSS. The bit-for-bit reference for the library's
+    in-place dgeqrf."""
+    _, n, d = X.shape
+    if n <= d:
+        raise InsufficientSamples(f"need n > d for the full-model estimate, got n={n}, d={d}")
+    R = np.linalg.qr(np.concatenate([X, Y[:, :, None]], axis=2), mode="r")
+    s = np.linalg.svd(R[:, :d, :d], compute_uv=False)
+    errors = {b: _rank_error(tuple(range(d)), n, s[b])
+              for b in np.flatnonzero(s[:, -1] <= RANK_TOL * s[:, 0]).tolist()}
+    return np.sqrt(R[:, d, d] ** 2 / (n - d)), n - d, errors
+
+
+def constrained_lstar_lower(X: DesignMatrix, y, c1: float) -> float:
+    """Lower bound on min ||y - X theta||^2 / n over the l1 ball of radius
+    c1 via the penalized dual: for any lam, L* >= (2/n)(dual(lam) - lam c1),
+    with the penalized solves run to a gap of 1e-10 and lam bisected toward
+    the ball's boundary. The least-squares fit's own loss if it lies in the
+    ball."""
+    y = np.asarray(y, dtype=np.float64)
+    try:
+        theta, *_ = np.linalg.lstsq(X.entries, y, rcond=None)
+    except np.linalg.LinAlgError:
+        theta = None
+    if theta is not None and np.abs(theta).sum() <= c1:
+        r = y - X.entries @ theta
+        return float(r @ r) / X.n
+    lam_hi = float(np.max(np.abs(X.entries.T @ y)))
+    lo, hi = 1e-6 * lam_hi, lam_hi
+    best = -math.inf
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(selectors, "CD_GAP_TOL", 1e-10)
+        for _ in range(60):
+            lam = 0.5 * (lo + hi)
+            th = alone(solve_penalized_lasso, X, y, lam)
+            r = y - X.entries @ th
+            s = max(1.0, float(np.max(np.abs(X.entries.T @ r))) / lam)
+            u = r / s
+            dual = 0.5 * float(y @ y) - 0.5 * float((y - u) @ (y - u))
+            best = max(best, (2.0 / X.n) * (dual - lam * c1))
+            l1 = float(np.abs(th).sum())
+            if abs(l1 - c1) <= 1e-6 * c1:
+                break
+            if l1 > c1:
+                lo = lam
+            else:
+                hi = lam
+    return best
 
 
 # ---------------------------------------------------------------------------

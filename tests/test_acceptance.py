@@ -12,17 +12,17 @@ import time
 import numpy as np
 import pytest
 
-from stableci import selectors
 from stableci.cli import main
 from stableci.experiments import ExperimentConfig, SelectorSpec, aggregate, eta_sweep
 from stableci.linmodel import DesignMatrix
 from stableci.noise import RngStream, scale_forward_stepwise, scale_screening
-from stableci.selectors import solve_penalized_lasso, stable_fs, stable_lasso, stable_screening
+from stableci.selectors import stable_fs, stable_lasso, stable_screening
 from stableci.stability import (StabilityBudget, compose_adaptive_advanced,
                                 compose_adaptive_simple,
                                 eta_step_for_total, sparse_selection_eta)
 
-from oracles import alone, fs_exact, lasso_exact_fw, screening_exact, set_scale, support
+from oracles import (constrained_lstar_lower, fs_exact, lasso_exact_fw, screening_exact, set_scale,
+                     support)
 
 
 def report(num, name, ok, detail):
@@ -132,34 +132,6 @@ def test_criterion_05_sparse_selection_constant():
            f"eta(10,3)={small:.9f} vs log(3500)={target:.9f}; "
            f"eta(500,10)={big:.6f} matches big-integer oracle")
     assert ok
-
-
-def constrained_lstar_lower(X, y, c1):
-    theta, *_ = np.linalg.lstsq(X.entries, y, rcond=None)
-    if np.abs(theta).sum() <= c1:
-        r = y - X.entries @ theta
-        return float(r @ r) / X.n
-    lam_hi = float(np.max(np.abs(X.entries.T @ y)))
-    lo, hi = 1e-6 * lam_hi, lam_hi
-    best = -math.inf
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(selectors, "CD_GAP_TOL", 1e-10)
-        for _ in range(60):
-            lam = 0.5 * (lo + hi)
-            th = alone(solve_penalized_lasso, X, y, lam)
-            r = y - X.entries @ th
-            s = max(1.0, float(np.max(np.abs(X.entries.T @ r))) / lam)
-            u = r / s
-            dual = 0.5 * float(y @ y) - 0.5 * float((y - u) @ (y - u))
-            best = max(best, (2.0 / X.n) * (dual - lam * c1))
-            l1 = float(np.abs(th).sum())
-            if abs(l1 - c1) <= 1e-6 * c1:
-                break
-            if l1 > c1:
-                lo = lam
-            else:
-                hi = lam
-    return best
 
 
 def test_criterion_06_frank_wolfe_convergence(monkeypatch):

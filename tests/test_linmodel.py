@@ -3,6 +3,7 @@ numpy.linalg.lstsq oracles."""
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from stableci.linmodel import (RANK_TOL, DesignMatrix, DesignStack, ModelSet, Su
                                as_response, ols_fit, sigma_hat_full_model,
                                stderr_known_sigma, target_coefficients)
 
-from oracles import sigma_hat, sigma_hat_svd
+from oracles import sigma_hat, sigma_hat_qr, sigma_hat_svd
 
 LINE = DesignMatrix([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
 
@@ -162,6 +163,49 @@ def test_sigma_hat_of_a_stack_is_each_designs_and_flags_only_the_deficient_one()
     assert str(errors[1]) == str(want.value)
 
 
+def _sigma_stack(shape: str):
+    gen = np.random.default_rng(11)
+    if shape == "shared":  # one design for every trial: regenerate_x_per_trial false
+        return np.broadcast_to(gen.standard_normal((1, 100, 20)), (16, 100, 20)), \
+            gen.standard_normal((16, 100))
+    trials, n, d = {"sweep": (64, 100, 20), "n=d+1": (5, 21, 20), "collinear": (8, 60, 10),
+                    # d + 1 > 128, LAPACK's crossover to dgeqrf's blocked
+                    # code, whose R[d, d] on these trials differs in the
+                    # last bits from the unblocked code's
+                    "blocked": (4, 400, 140)}[shape]
+    X, Y = gen.standard_normal((trials, n, d)), gen.standard_normal((trials, n))
+    if shape == "collinear":
+        X[3, :, 9] = 2.0 * X[3, :, 0]
+    return X, Y
+
+
+@pytest.mark.parametrize("shape", ["sweep", "shared", "n=d+1", "blocked", "collinear"])
+def test_sigma_hat_is_numpy_qrs_bit_for_bit(shape):
+    X, Y = _sigma_stack(shape)
+    sigma, dof, errors = sigma_hat_full_model(X, Y)
+    want, want_dof, want_errors = sigma_hat_qr(X, Y)
+    assert sigma.tobytes() == want.tobytes() and dof == want_dof
+    assert {b: (type(e), str(e)) for b, e in errors.items()} == \
+        {b: (type(e), str(e)) for b, e in want_errors.items()}
+    assert list(errors) == ([3] if shape == "collinear" else [])
+
+
+def test_sigma_hat_holds_one_size_of_x_y():
+    # [X y] is factored in place in one buffer, so the traced peak is that
+    # buffer and LAPACK's workspace: about 1.06 sizes of [X y], where qr on
+    # a concatenated copy held 2.03
+    gen = np.random.default_rng(12)
+    n, d = 4000, 100
+    X, Y = gen.standard_normal((1, n, d)), gen.standard_normal((1, n))
+    tracemalloc.start()
+    try:
+        sigma_hat_full_model(X, Y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * (d + 1) * 8, peak / (n * (d + 1) * 8)
+
+
 def test_model_set_ordering():
     M = ModelSet((0, 2, 5))
     assert len(M) == 3 and list(M) == [0, 2, 5]
@@ -295,8 +339,11 @@ def test_sigma_hat_full_model():
 
 
 def test_sigma_hat_needs_extra_samples():
-    with pytest.raises(InsufficientSamples):
+    with pytest.raises(InsufficientSamples) as got:
         sigma_hat(DesignMatrix([[1.0, 0.0], [0.0, 1.0]]), [1.0, 2.0])
+    with pytest.raises(InsufficientSamples) as want:
+        sigma_hat_qr(np.eye(2)[None], np.array([[1.0, 2.0]]))
+    assert str(got.value) == str(want.value)
 
 
 def _cond_1e8(gen, n: int, d: int) -> np.ndarray:

@@ -29,9 +29,9 @@ from stableci.selectors import (CD_STACK_TRIALS, FS_COLLINEAR_TOL, MAX_DEFAULT_F
                                 stable_screening, _lasso_steps, _StepDraws)
 from stableci.stability import StabilityBudget, certify_budgets, compose_adaptive_advanced
 
-from oracles import (alone, fs_exact, fs_noisy, lasso_exact_fw, lasso_noisy,
-                     penalized_lasso_residual, screening_exact, screening_noisy, set_scale, stack,
-                     support)
+from oracles import (alone, constrained_lstar_lower, fs_exact, fs_noisy, lasso_exact_fw,
+                     lasso_noisy, penalized_lasso_residual, screening_exact, screening_noisy,
+                     set_scale, stack, support)
 
 
 def random_instance(seed, n=25, d=8, snr=2.0):
@@ -155,46 +155,6 @@ def test_fw_gap_bound_against_cd_oracle(monkeypatch):
         bound = 8.0 * X.stack.linf[0] ** 2 * c1 ** 2
         for s in res.trace:
             assert s.objective - lstar <= bound / (s.step + 2) + 1e-9
-
-
-def constrained_lstar_lower(X: DesignMatrix, y, c1: float) -> float:
-    """Lower bound on min ||y - X theta||^2 / n over the l1 ball via the
-    penalized dual: for any lam, L* >= (2/n)(dual(lam) - lam c1), with
-    the penalized solves run to a gap of 1e-10."""
-    y = np.asarray(y, dtype=np.float64)
-    theta = ols_like(X, y)
-    if theta is not None and np.abs(theta).sum() <= c1:
-        r = y - X.entries @ theta
-        return float(r @ r) / X.n
-    lam_hi = float(np.max(np.abs(X.entries.T @ y)))
-    lo, hi = 1e-6 * lam_hi, lam_hi
-    best = -math.inf
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(selectors, "CD_GAP_TOL", 1e-10)
-        for _ in range(60):
-            lam = 0.5 * (lo + hi)
-            th = alone(solve_penalized_lasso, X, y, lam)
-            r = y - X.entries @ th
-            s = max(1.0, float(np.max(np.abs(X.entries.T @ r))) / lam)
-            u = r / s
-            dual = 0.5 * float(y @ y) - 0.5 * float((y - u) @ (y - u))
-            best = max(best, (2.0 / X.n) * (dual - lam * c1))
-            l1 = float(np.abs(th).sum())
-            if abs(l1 - c1) <= 1e-6 * c1:
-                break
-            if l1 > c1:
-                lo = lam
-            else:
-                hi = lam
-    return best
-
-
-def ols_like(X: DesignMatrix, y):
-    try:
-        coef, *_ = np.linalg.lstsq(X.entries, y, rcond=None)
-        return coef
-    except np.linalg.LinAlgError:
-        return None
 
 
 def test_stable_lasso_zero_noise_matches_exact(monkeypatch):
