@@ -27,6 +27,7 @@ import math
 
 import numpy as np
 
+from .errors import check_number
 from .linmodel import DesignStack
 
 _HALF_OPEN = float(np.nextafter(0.5, 0.0))  # largest double < 0.5
@@ -51,9 +52,12 @@ class RngStream:
     """A named, replayable random stream: (master_seed, integer path)."""
 
     def __init__(self, master_seed: int, path: tuple[int, ...] = ()):
+        check_number("master_seed", master_seed, integer=True)
+        for i in path:
+            check_number("path entry", i, integer=True)
         self.master_seed = int(master_seed)
         self.path = tuple(int(i) for i in path)
-        stream_name(self.master_seed, self.path)  # checks the name
+        stream_name(self.master_seed, self.path)  # checks the range
         self._gen: np.random.Generator | None = None
 
     def child(self, *indices: int) -> "RngStream":

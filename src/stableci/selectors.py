@@ -26,15 +26,15 @@ algorithm, tie rule included, because the zero-scale Laplace draws are
   before noise: a run's candidates are a mask over all d columns. A run
   left without candidates fails alone.
 
-Noise: each round is a report-noisy-max (or -min) over a run's
-candidates, its draws laid out by `_StepDraws`: one stream per (trial,
-step), whatever the block, and a run's i-th candidate takes draw i of
-its trial's row. A Laplace draw is its scale times a standard draw made
-from one uniform, so every run sees exactly the draws a fresh RngStream
-at its path gives. Every product (scores, norms, updates) is a separate
-BLAS call, einsum or elementwise operation on one run's or one forward
-stepwise state's own slice of a stacked array, so a run's result does
-not depend on the block it ran in.
+Noise: each round is a report-noisy-max (or -min) over a run's candidates,
+its draws laid out by the one `_StepDraws` that `select_runs` hands the
+kernel: one stream per (trial, step), whatever the block, and a run's i-th
+candidate takes draw i of its trial's row. A Laplace draw is its scale
+times a standard draw made from one uniform, so every run sees exactly the
+draws a fresh RngStream at its path gives. Every product (scores, norms,
+updates) is a separate BLAS call, einsum or elementwise operation on one
+run's or one forward stepwise state's own slice of a stacked array, so a
+run's result does not depend on the block it ran in.
 
 Every noisy run gets its Mechanism's certificates; for each method here,
 those are stability.certify_budgets' two composed ones.
@@ -104,16 +104,16 @@ class SelectionResult:
 class RunSelections:
     """What a block of runs selected: run r's model as a mask support[r]
     over the d columns, its LASSO iterate theta[r] (theta is None for the
-    other methods) and its certificates certs[cert[r]], set by select_runs;
-    failed maps a run that stopped early to its error (its support row is
-    empty), and trace is a one-run block's decision trace (() for more runs)."""
+    other methods) and its certificates certs[cert[r]]; failed maps a run
+    that stopped early to its error (its support row is empty), and trace
+    is a one-run block's decision trace (() for more runs)."""
 
     support: np.ndarray
     theta: np.ndarray | None
     failed: dict[int, Exception]
-    trace: tuple[TraceStep, ...] = ()
-    certs: tuple[tuple[StabilityBudget, ...], ...] = ()
-    cert: np.ndarray | None = None
+    trace: tuple[TraceStep, ...]
+    certs: tuple[tuple[StabilityBudget, ...], ...]
+    cert: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -240,16 +240,16 @@ def _lasso_steps(spec: SelectorSpec, X: DesignStack, trial, c1, eta_step,
 
 
 def lasso_runs(X: DesignStack, Y: np.ndarray, steps: np.ndarray, trial: np.ndarray,
-               scales: np.ndarray, c1: np.ndarray, master_seed: int,
-               paths: list[tuple[int, ...]], trace: bool = False) -> RunSelections:
+               scales: np.ndarray, c1: np.ndarray, draws: _StepDraws,
+               traced: list[TraceStep] | None) -> tuple:
     """Noisy Frank-Wolfe LASSO for a block of runs: run r minimizes
     ||Y[b] - X_b theta||^2 / n over the l1 ball of radius c1[r] on trial
     b = trial[r] (X_b = X[b]) for steps[r] steps, perturbing all 2d vertex
     scores of each step with Laplace draws at scales[r] before the argmin.
 
-    Vertex order is +c1*e_0 .. +c1*e_{d-1}, -c1*e_0 .. -c1*e_{d-1}; the
-    per-step noise vector is drawn in that order from the step's child
-    stream. Step size 2/(t+1), t = 1..steps, theta_1 = 0. Runs are kept
+    Vertex order is +c1*e_0 .. +c1*e_{d-1}, -c1*e_0 .. -c1*e_{d-1}; step
+    t's draws, from stream (master_seed, paths[b] + (t,)), go to them in
+    that order. Step size 2/(t+1), t = 1..steps, theta_1 = 0. Runs are kept
     longest first, so the runs still going at step t are a prefix; a run
     of 0 steps draws nothing. The support, |theta_j| > SUPPORT_THRESHOLD,
     is post-processing that inherits theta's stability budget.
@@ -266,9 +266,7 @@ def lasso_runs(X: DesignStack, Y: np.ndarray, steps: np.ndarray, trial: np.ndarr
     theta = np.zeros((runs, d))
     z = np.zeros((runs, n))  # X @ theta, updated incrementally
     ends = steps.tolist()
-    draws = _StepDraws(master_seed, paths, trial, steps)
     live = 0
-    traced = []
     for t in range(1, ends[0] + 1):
         if not live or ends[live - 1] < t:
             # the runs still going: a prefix, as the longest runs come first
@@ -294,7 +292,7 @@ def lasso_runs(X: DesignStack, Y: np.ndarray, steps: np.ndarray, trial: np.ndarr
         theta_flat[row_d + col] += coef
         zl *= 1.0 - step_size
         zl += coef[:, None] * Al[at, :, col]
-        if trace:
+        if traced is not None:
             rr = Yl[0] - zl[0]
             v0 = int(v[0])
             traced.append(TraceStep(step=t, chosen=v0, exact_score=float(exact[0, v0]),
@@ -302,7 +300,7 @@ def lasso_runs(X: DesignStack, Y: np.ndarray, steps: np.ndarray, trial: np.ndarr
                                     objective=float(rr @ rr) / n))
     if order is not None:
         theta[order] = theta.copy()
-    return RunSelections(np.abs(theta) > SUPPORT_THRESHOLD, theta, {}, tuple(traced))
+    return np.abs(theta) > SUPPORT_THRESHOLD, theta, {}
 
 
 def stable_lasso(X: DesignMatrix, y, c1: float, delta: float, eta_step: float,
@@ -536,8 +534,7 @@ def lambda_to_c1(X: DesignStack, Y, lam: float) -> tuple[np.ndarray, dict[int, N
 
 
 def screen_runs(X: DesignStack, Y: np.ndarray, k: int, trial: np.ndarray, scales: np.ndarray,
-                c1, master_seed: int, paths: list[tuple[int, ...]],
-                trace: bool = False) -> RunSelections:
+                c1, draws: _StepDraws, traced: list[TraceStep] | None) -> tuple:
     """k rounds of noisy argmax over |c_i + xi| per run, with
     c = X_b^T Y[b] / n for its trial b = trial[r]; a run's candidates are
     a mask over the d columns, the winner leaves it, noise is fresh each
@@ -545,18 +542,16 @@ def screen_runs(X: DesignStack, Y: np.ndarray, k: int, trial: np.ndarray, scales
     d = X.d
     runs = len(trial)
     at = np.arange(runs)
-    draws = _StepDraws(master_seed, paths, trial, k)
     c = (np.matmul(X.entries.transpose(0, 2, 1), Y[:, :, None])[:, :, 0] / X.n)[trial]
     picked = np.zeros((runs, d), dtype=bool)
     kept = np.full(runs, d)
     scale_col = scales[:, None]
-    traced: list[TraceStep] = []
     for t in range(1, k + 1):
         xi = scale_col * draws(t, trial, d - t + 1)
-        chosen = _noisy_argmax(t, c, ~picked, kept, xi, traced if trace else None)
+        chosen = _noisy_argmax(t, c, ~picked, kept, xi, traced)
         picked[at, chosen] = True
         kept -= 1
-    return RunSelections(picked, None, {}, tuple(traced))
+    return picked, None, {}
 
 
 def stable_screening(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
@@ -572,8 +567,7 @@ def stable_screening(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
 
 
 def fs_runs(X: DesignStack, Y: np.ndarray, k: int, trial: np.ndarray, scales: np.ndarray,
-            c1, master_seed: int, paths: list[tuple[int, ...]],
-            trace: bool = False) -> RunSelections:
+            c1, draws: _StepDraws, traced: list[TraceStep] | None) -> tuple:
     """k rounds of noisy argmax over residual-normalized correlations per
     run, with the columns of its trial's design residualized incrementally
     against the selected ones. A run's candidates are a mask over all d
@@ -603,9 +597,7 @@ def fs_runs(X: DesignStack, Y: np.ndarray, k: int, trial: np.ndarray, scales: np
     floor = FS_COLLINEAR_TOL * X.col_norms[first]
     picked = np.zeros((len(first), d), dtype=bool)
     ids = np.arange(runs)  # block run of each run still going
-    draws = _StepDraws(master_seed, paths, trial, k)
     failed: dict[int, Exception] = {}
-    traced: list[TraceStep] = []
     for t in range(1, k + 1):
         # einsum sums each column in row order wherever it sits, so copies
         # of a column tie exactly; a gemv rounds its tail columns differently
@@ -630,7 +622,7 @@ def fs_runs(X: DesignStack, Y: np.ndarray, k: int, trial: np.ndarray, scales: np
                            out=np.zeros_like(norms), where=live)
         if state is not None:
             signed, live, kept = signed[state], live[state], kept[state]
-        chosen = _noisy_argmax(t, signed, live, kept, xi, traced if trace else None)
+        chosen = _noisy_argmax(t, signed, live, kept, xi, traced)
         if t == k:
             break
         if state is not None:  # the next states: the distinct (state, chosen) pairs
@@ -663,7 +655,7 @@ def fs_runs(X: DesignStack, Y: np.ndarray, k: int, trial: np.ndarray, scales: np
     if len(ids):  # the rows of the runs that did not fail, with their last pick
         support[ids] = picked if state is None else picked[state]
         support[ids, chosen] = True
-    return RunSelections(support, None, failed, tuple(traced))
+    return support, None, failed
 
 
 def stable_fs(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
@@ -685,8 +677,8 @@ class Mechanism:
     reads, and exactly one of needs must be set. Without a kernel (fixed)
     it looks at no data and carries the zero certificate. A noisy one runs
     rounds of report-noisy-max (or -min): kernel(X, Y, rounds, trial,
-    scales, c1, master_seed, paths, trace) selects for a block of runs,
-    with its decision trace if trace; rounds(spec, X, trial, c1, eta_step,
+    scales, c1, draws, traced) selects for a block of runs, tracing run 0
+    into traced unless it is None; rounds(spec, X, trial, c1, eta_step,
     sigma) is the array of the runs' round counts where the data fix them
     (None: the spec's k); scale(X, trial, k, c1, sigma, delta, eta_step),
     in noise.py, gives each run's Laplace scale; certify(rounds, eta_step,
@@ -735,16 +727,16 @@ def select_runs(spec: SelectorSpec, X: DesignStack, Y: np.ndarray, trial: np.nda
     others, with sigma, delta and each distinct eta_step checked once, the
     round counts and Laplace scales of spec's Mechanism are array
     expressions over the runs, and the runs are certified, one certs entry
-    per distinct (rounds, eta_step), before the kernel runs. A one-run
-    block keeps its decision trace.
+    per distinct (rounds, eta_step), before the kernel runs on the block's
+    _StepDraws. A one-run block keeps its decision trace.
     """
     d, runs, mech = X.d, len(trial), MECHANISMS[spec.method]
     spec.check_d(d)
     if mech.kernel is None or not runs:  # no noise to draw
         support = np.zeros((runs, d), dtype=bool)
         support[:, list(spec.fixed_model)] = True
-        return RunSelections(support, None, {}, certs=((ZERO_BUDGET,),),
-                             cert=np.zeros(runs, dtype=np.int64))
+        return RunSelections(support, None, {}, (), ((ZERO_BUDGET,),),
+                             np.zeros(runs, dtype=np.int64))
     if not (0 < sigma < math.inf):
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
     if not (0.0 < delta < 1.0):
@@ -763,9 +755,10 @@ def select_runs(spec: SelectorSpec, X: DesignStack, Y: np.ndarray, trial: np.nda
                     dtype=np.int64)
     certs = tuple((ZERO_BUDGET,) if key is None else mech.certify(*key, delta)
                   for key in table)
-    block = mech.kernel(X, Y, rounds, trial, scales, c1, master_seed, paths, runs == 1)
-    block.cert, block.certs = cert, certs
-    return block
+    traced = [] if runs == 1 else None
+    support, theta, failed = mech.kernel(X, Y, rounds, trial, scales, c1,
+                                         _StepDraws(master_seed, paths, trial, rounds), traced)
+    return RunSelections(support, theta, failed, tuple(traced or ()), certs, cert)
 
 
 _ONE_RUN = np.zeros(1, dtype=np.int64)  # the trial of a one-run block's run

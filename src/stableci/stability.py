@@ -201,6 +201,8 @@ def sparse_selection_eta(d: int, s: int, tau: float) -> float:
     Evaluated with log-sum-exp over log-binomials so d up to 1e6 cannot
     overflow.
     """
+    check_number("d", d, integer=True)
+    check_number("s", s, integer=True)
     if not (1 <= s <= d):
         raise ValueError(f"need 1 <= s <= d, got s={s}, d={d}")
     if not (0.0 < tau <= 1.0):

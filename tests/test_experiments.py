@@ -689,8 +689,12 @@ def test_eta_sweep_matches_eta_major_oracle(case):
                    for _, records, _ in rows for r in records)
 
 
-def _one_round_screen_runs(X, Y, rounds, trial, scales, c1, master_seed, paths, trace=False):
-    return selectors.screen_runs(X, Y, 1, trial, scales, c1, master_seed, paths, trace)
+def _one_round_screen_runs(X, Y, rounds, trial, scales, c1, draws, traced):
+    # select_runs hands every kernel the block's draws, and a trace list
+    # for a one-run block alone
+    assert isinstance(draws, selectors._StepDraws)
+    assert (traced is None) == (len(trial) > 1)
+    return selectors.screen_runs(X, Y, 1, trial, scales, c1, draws, traced)
 
 
 def _one_round(spec, X, trial, *data):
@@ -724,6 +728,10 @@ def test_a_registered_mechanism_runs_through_every_layer(monkeypatch):
     assert (got.support.sum(axis=1) == 1).all()
     assert got.support.tobytes() == want.support.tobytes()
     assert got.certs == want.certs == tuple(certify_budgets(1, e, 0.05) for e in (0.5, 2.0))
+    got, want = (select_runs(spec, X, Y, trial[:1], eta[:1], None, 0.05, 1.0, 21, paths)
+                 for spec in (once, screen))  # one run, with its trace
+    assert got.support.tobytes() == want.support.tobytes()
+    assert got.trace == want.trace and len(got.trace) == 1
     for (_, records, summary), (_, want_records, want_summary) in zip(
             eta_sweep(sweep_cfg(once, eta_grid=(0.5, 2.0))),
             eta_sweep(sweep_cfg(screen, eta_grid=(0.5, 2.0)))):

@@ -107,6 +107,21 @@ def test_stream_validation():
         RngStream(0, (-1,))
 
 
+@pytest.mark.parametrize("seed, path, field", [
+    (1.5, (), "master_seed"), (True, (), "master_seed"), (np.float64(3.0), (), "master_seed"),
+    ("1", (), "master_seed"), (1, (0.7,), "path entry"), (1, (0, 2.9), "path entry"),
+    (1, (False,), "path entry"), (1, (np.float32(2.0),), "path entry")])
+def test_stream_name_takes_integers_only(seed, path, field):
+    # a float or bool seed or path entry is an error, not the stream of
+    # its truncation: RngStream(1.5, (0.7,)) once replayed RngStream(1, (0,))
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        RngStream(seed, path)
+    # numpy's integers are integers
+    got = RngStream(np.uint64(1), (np.int64(0), np.int32(2)))
+    assert (got.master_seed, got.path) == (1, (0, 2))
+    assert got.random(3).tobytes() == RngStream(1, (0, 2)).random(3).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # laplace sampling
 

@@ -9,6 +9,7 @@ conditions and against the residual-form loop in oracles.py.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -623,7 +624,8 @@ def test_fs_zero_noise_keeps_copies_of_a_column_tied_in_shared_states():
     trial = np.array([1, 0, 1, 1, 0])
     scales = np.array([0.0, 0.0, 2.0, 0.0, 0.5])
     assert _fs_order(X[1], y, 3, 2.0, 1)[0] != 2  # run 2 leaves the others at step 1
-    block = fs_runs(stack(X), Y, 3, trial, scales, None, 31, [(2, t) for t in range(2)])
+    block = run_kernel(fs_runs, stack(X), Y, 3, trial, scales, None, 31,
+                       [(2, t) for t in range(2)])
     assert not block.failed
     for r in (0, 3):
         assert np.flatnonzero(block.support[r]).tolist() == [0, 1, 2]
@@ -727,6 +729,17 @@ def block_of(designs, etas=ETAS):
     trial = np.repeat(np.arange(len(designs)), len(etas))
     eta = np.tile(etas, len(designs))
     return trial, eta, [(2, b) for b in range(len(designs))]
+
+
+def run_kernel(kernel, X, Y, rounds, trial, scales, c1, master_seed, paths):
+    """kernel on a block as select_runs runs it, with the block's one
+    _StepDraws and, for a one-run block, a trace: its support, theta,
+    failed and trace."""
+    traced = [] if len(trial) == 1 else None
+    support, theta, failed = kernel(X, Y, rounds, trial, scales, c1,
+                                    _StepDraws(master_seed, paths, trial, rounds), traced)
+    return SimpleNamespace(support=support, theta=theta, failed=failed,
+                           trace=tuple(traced or ()))
 
 
 def counting_starts(monkeypatch, started):
@@ -833,7 +846,7 @@ def test_screen_runs_match_the_scalar_selector_run_by_run():
     trial, eta, paths = block_of(X)
     scales = np.array([scale_screening(X[b].stack, 0, 4, None, SIGMA, DELTA, e)
                        for b, e in zip(trial, eta)])
-    block = screen_runs(stack(X), Y, 4, trial, scales, None, 31, paths)
+    block = run_kernel(screen_runs, stack(X), Y, 4, trial, scales, None, 31, paths)
     for r, (b, e) in enumerate(zip(trial, eta)):
         want = screening_noisy(X[b], Y[b], 4, DELTA, e, SIGMA, RngStream(31, (2, b)))
         assert tuple(np.flatnonzero(block.support[r])) == want.model.indices
@@ -887,7 +900,7 @@ def test_fs_runs_fail_alone_and_match_the_scalar_selector():
         if scales is None:
             scales = [_fs_scale(X[0].d, e, k) for e in np.resize(ETAS, len(trial))]
         paths = [(2, t) for t in range(len(X))]
-        block = fs_runs(stack(X), Y, k, trial, np.array(scales), None, 31, paths)
+        block = run_kernel(fs_runs, stack(X), Y, k, trial, np.array(scales), None, 31, paths)
         assert sorted(block.failed) == failing
         for r, (t, scale) in enumerate(zip(trial, scales)):
             rng = RngStream(31, (2, t))
@@ -904,8 +917,8 @@ def test_fs_runs_of_one_run_take_no_unique(monkeypatch):
     # a one-run block's state is its run: it makes no np.unique
     X, y = random_instance(2, n=20, d=6)
     stream = RngStream(31, (2, 0))
-    want = fs_runs(X.stack, y[None], 3, np.array([0]), np.array([_fs_scale(6, ETAS[2])]), None,
-                   31, [(2, 0)]).support
+    want = run_kernel(fs_runs, X.stack, y[None], 3, np.array([0]),
+                      np.array([_fs_scale(6, ETAS[2])]), None, 31, [(2, 0)]).support
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.unique called on a one-run block")
@@ -939,12 +952,13 @@ def test_fs_runs_residualize_in_blocks_as_in_one(monkeypatch):
     scale = _fs_scale(20, 1.0)
 
     def run():
-        block = fs_runs(tall, Y, 3, np.array([0, 0, 0, 1, 1]),
-                        np.array([0.0, 0.0, scale, 0.0, scale]), None, 31, [(2, 0), (2, 1)])
-        one = fs_runs(stack([DesignMatrix(A)]), Y[:1], 4, np.array([0]), np.array([scale]), None,
-                      31, [(2, 0)], trace=True)
-        sweep = fs_runs(many, Z, 3, np.repeat(np.arange(trials), 2),
-                        np.tile([0.0, scale], trials), None, 31, [(2, t) for t in range(trials)])
+        block = run_kernel(fs_runs, tall, Y, 3, np.array([0, 0, 0, 1, 1]),
+                           np.array([0.0, 0.0, scale, 0.0, scale]), None, 31, [(2, 0), (2, 1)])
+        one = run_kernel(fs_runs, stack([DesignMatrix(A)]), Y[:1], 4, np.array([0]),
+                         np.array([scale]), None, 31, [(2, 0)])
+        sweep = run_kernel(fs_runs, many, Z, 3, np.repeat(np.arange(trials), 2),
+                           np.tile([0.0, scale], trials), None, 31,
+                           [(2, t) for t in range(trials)])
         return (block.support.tobytes(), {r: str(e) for r, e in block.failed.items()},
                 one.support.tobytes(), one.trace, sweep.support.tobytes(), sweep.failed)
 
@@ -1020,7 +1034,7 @@ def test_lasso_runs_retire_at_their_own_step_counts():
     steps = np.array([3, 9, 5, 1, 7, 9])
     scales = np.array([scale_lasso(X[b].stack, 0, None, c, SIGMA, DELTA, e)
                        for c, b, e in zip(c1, trial, eta)])
-    block = lasso_runs(stack(X), Y, steps, trial, scales, c1, 31, paths)
+    block = run_kernel(lasso_runs, stack(X), Y, steps, trial, scales, c1, 31, paths)
     for r, (b, e) in enumerate(zip(trial, eta)):
         want = lasso_noisy(X[b], Y[b], c1[r], DELTA, e, SIGMA, RngStream(31, (2, b)),
                            int(steps[r]))

@@ -206,6 +206,15 @@ def test_sparse_selection_eta_validation():
         sparse_selection_eta(10, 3, 0.0)
 
 
+@pytest.mark.parametrize("d, s, field", [(20, 2.5, "s"), (20.5, 2, "d"), (20.0, 2, "d"),
+                                         (20, True, "s"), (True, 1, "d")])
+def test_sparse_selection_eta_takes_integer_sizes_only(d, s, field):
+    # 20, 2.5 once gave the s=3 value, and 20.5, 2 a value for no integer d
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        sparse_selection_eta(d, s, 0.1)
+    assert sparse_selection_eta(np.int64(20), np.int64(2), 0.1) == sparse_selection_eta(20, 2, 0.1)
+
+
 def test_eta_step_for_total_hits_target():
     for k, delta, total in [(3, 1 / 30, 1.0), (20, 1 / 30, 1.0), (10, 0.05, 0.5),
                             (1, 0.1, 2.0), (200, 0.01, 1.0)]:
