@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import itertools
 import json
 import math
@@ -106,11 +107,22 @@ def _writing(path: str):
         raise CliParseError(f"cannot write {path}: {e}") from e
 
 
-def _write_csv(path: str, header: list[str], rows: Iterable[list[str]]) -> None:
+def _write_csv(path: str, header: list[str], rows: Iterable[list[str]],
+               lines: Iterable[str] = ()) -> None:
+    """header and rows through csv.writer, then lines: rows already
+    formatted as csv text, each ending in a newline."""
     with _writing(path), open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+        fh.writelines(lines)
+
+
+def _csv_field(text: str) -> str:
+    """A nonempty text as csv.writer writes it as a field of a row."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([text])
+    return out.getvalue()[:-1]
 
 
 def _data_lines(fh):
@@ -142,12 +154,37 @@ def _first_bad_line(path: str) -> str | None:
                 return f"line {n} has {w} field(s), not {width}"
 
 
+def _is_numpy(path: str) -> bool:
+    return path.lower().endswith((".npy", ".npz"))
+
+
+def _read_npy(path: str) -> np.ndarray:
+    """The float64 array np.save wrote to path, read-only."""
+    try:
+        a = np.load(path, allow_pickle=False)
+    except (OSError, ValueError) as e:
+        raise CliParseError(f"cannot read {path}: {e}") from e
+    if not isinstance(a, np.ndarray):  # np.load opens a .npz archive as an NpzFile
+        a.close()
+        raise CliParseError(f"{path}: a .npz archive, not one array as np.save writes it")
+    if a.dtype != np.float64:
+        raise CliParseError(f"{path}: array of {a.dtype}, expected float64")
+    a.setflags(write=False)
+    return a
+
+
 def read_matrix(path: str) -> np.ndarray:
     """Numeric CSV, one row per line; a single leading non-numeric row is
     treated as a header and skipped. Lines holding nothing but whitespace,
     commas and quotes are skipped, fields may be quoted, and '#' is data,
-    not a comment. A rejection names the first bad line of the file. The
-    array is read-only, so DesignMatrix adopts it without a copy."""
+    not a comment. A rejection names the first bad line of the file. A
+    path ending in .npy is instead one 2-D float64 array saved by np.save.
+    The array is read-only, so DesignMatrix adopts it without a copy."""
+    if _is_numpy(path):
+        a = _read_npy(path)
+        if a.ndim != 2:
+            raise CliParseError(f"{path}: expected a 2-D array, got shape {a.shape}")
+        return a
     try:
         with open(path, encoding="utf-8-sig") as fh:  # Excel starts a CSV with a BOM
             lines = (line for _, line in _data_lines(fh))
@@ -166,10 +203,13 @@ def read_matrix(path: str) -> np.ndarray:
 
 
 def read_vector(path: str) -> np.ndarray:
-    mat = read_matrix(path)
-    if mat.shape[1] == 1:
+    """read_matrix's single column or row, or a 1-D array saved by np.save."""
+    mat = _read_npy(path) if _is_numpy(path) else read_matrix(path)
+    if mat.ndim == 1:
+        return mat
+    if mat.ndim == 2 and mat.shape[1] == 1:
         return mat[:, 0]
-    if mat.shape[0] == 1:
+    if mat.ndim == 2 and mat.shape[0] == 1:
         return mat[0, :]
     raise CliParseError(f"{path}: expected a single column or row, got shape {mat.shape}")
 
@@ -380,18 +420,20 @@ def load_config(path: str) -> ExperimentConfig:
         raise CliParseError(f"{path}: {e}") from e
 
 
-def _records_rows(eta: float, runs) -> list[list[str]]:
-    """records.csv rows of one eta's Runs: one repr per float of a column,
-    and per certificate row that a run uses."""
+def _records_lines(eta: float, runs) -> list[str]:
+    """records.csv lines of one eta's Runs: one repr per float of a column,
+    and per certificate row that a run uses. Only a flag reason may need
+    csv quoting."""
     eta, offsets, cert = repr(eta), runs.offsets.tolist(), runs.cert.tolist()
     cols, widths = list(map(str, runs.cols.tolist())), list(map(repr, runs.widths.tolist()))
     rows = runs.certs.tolist()
-    certs = {c: list(map(repr, rows[c])) for c in set(cert)}
+    certs = {c: ",".join(map(repr, rows[c])) for c in set(cert)}
+    flagged = {r: _csv_field(reason) for r, reason in runs.flagged.items()}
     risk = ["" if math.isnan(v) else repr(v) for v in runs.risk.tolist()]
-    columns = zip(map(str, runs.trial.tolist()), offsets, offsets[1:], runs.covered.tolist(),
+    columns = zip(runs.trial.tolist(), offsets, offsets[1:], runs.covered.tolist(),
                   map(repr, runs.fdr.tolist()), risk, map(repr, runs.K.tolist()), cert)
-    return [[eta, trial, runs.flagged.get(r, ""), str(b - a), "|".join(cols[a:b]),
-             "1" if covered else "0", fdr, risk, K, *certs[c], "|".join(widths[a:b])]
+    return [f"{eta},{trial},{flagged.get(r, '')},{b - a},{'|'.join(cols[a:b])},"
+            f"{'1' if covered else '0'},{fdr},{risk},{K},{certs[c]},{'|'.join(widths[a:b])}\n"
             for r, (trial, a, b, covered, fdr, risk, K, c) in enumerate(columns)]
 
 
@@ -411,12 +453,14 @@ def cmd_experiment(args) -> int:
     with _writing(args.out_dir):
         os.makedirs(args.out_dir, exist_ok=True)
 
-    # a process per block at most; a sweep has a block per worker at least
+    # a process per block at most; a sweep has a block per worker at least.
+    # This process runs a share of the blocks, and a pool of the others one
+    # share each
     processes = min(workers, len(block_trials(cfg, workers)))
     try:
         if processes > 1:
             scipy_special()  # once here, not once per forked worker
-            with multiprocessing.Pool(processes) as pool:
+            with multiprocessing.Pool(processes - 1) as pool:
                 sweep = eta_sweep(cfg, pool.map, workers)
         else:
             sweep = eta_sweep(cfg)
@@ -430,8 +474,9 @@ def cmd_experiment(args) -> int:
                 os.rmdir(path)
         raise
 
-    # records.csv rows one eta at a time, as the writer reaches them
-    record_rows = itertools.chain.from_iterable(_records_rows(eta, runs) for eta, runs, _ in sweep)
+    # records.csv lines one eta at a time, as the writer reaches them
+    record_lines = itertools.chain.from_iterable(
+        _records_lines(eta, runs) for eta, runs, _ in sweep)
     summary_rows: list[list[str]] = []
     plot_width, plot_fdr, plot_risk = [], [], []
     all_flagged: list[str] = []
@@ -456,16 +501,16 @@ def cmd_experiment(args) -> int:
     paths = {
         "records.csv": (["eta", "trial", "flagged", "model_size", "model", "covered",
                          "fdr", "risk", "K", "budget_eta", "budget_tau", "budget_nu",
-                         "widths"], record_rows),
+                         "widths"], (), record_lines),
         "summary.csv": (["eta", "trials", "flagged", "empty_models", "coverage",
                          "width_max", "width_q80", "width_q85", "width_q90",
-                         "width_q100", "mean_fdr", "mean_risk", "mean_K"], summary_rows),
-        "plot_width.csv": (["eta", "width_q90", "width_max"], plot_width),
-        "plot_fdr.csv": (["eta", "mean_fdr"], plot_fdr),
-        "plot_risk.csv": (["eta", "mean_risk"], plot_risk),
+                         "width_q100", "mean_fdr", "mean_risk", "mean_K"], summary_rows, ()),
+        "plot_width.csv": (["eta", "width_q90", "width_max"], plot_width, ()),
+        "plot_fdr.csv": (["eta", "mean_fdr"], plot_fdr, ()),
+        "plot_risk.csv": (["eta", "mean_risk"], plot_risk, ()),
     }
-    for name, (header, rows) in paths.items():
-        _write_csv(os.path.join(args.out_dir, name), header, rows)
+    for name, (header, rows, lines) in paths.items():
+        _write_csv(os.path.join(args.out_dir, name), header, rows, lines)
     _write_manifest(os.path.join(args.out_dir, "manifest.json"), "experiment",
                     {"config_path": args.config, "eta_grid": cfg.eta_grid, "workers": workers,
                      "processes": processes, "trials": cfg.trials,
@@ -512,8 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("select", help="run a noisy selector on CSV data")
-    ps.add_argument("--x", required=True, help="design matrix CSV")
-    ps.add_argument("--y", required=True, help="response CSV (single column)")
+    ps.add_argument("--x", required=True, help="design matrix CSV, or .npy")
+    ps.add_argument("--y", required=True, help="response CSV (single column), or .npy")
     ps.add_argument("--method", required=True,
                     choices=[name for name, mech in MECHANISMS.items() if mech.kernel])
     ps.add_argument("--k", type=int, default=None, help="rounds (screen/fs)")
@@ -547,7 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--config", required=True)
     pe.add_argument("--out-dir", required=True)
     pe.add_argument("--workers", type=int, default=None,
-                    help="process count (default: STABLECI_WORKERS or 1)")
+                    help="process count: this one and N - 1 forked workers "
+                         "(default: STABLECI_WORKERS or 1)")
     pe.set_defaults(func=cmd_experiment)
 
     pb = sub.add_parser("budget", help="print composed stability budgets")

@@ -14,7 +14,7 @@ Sweeps run in blocks of consecutive trials, each over the config's whole
 eta grid; a run is one (trial, eta) pair. block_trials cuts a sweep into
 the fewest near-equal blocks of at most BLOCK_TRIALS trials (64, the
 measured knee of the time per trial) within BLOCK_BYTES, and at least one
-per pool worker. `_run_block` takes a block in one pass, its data one
+per process. `_run_block` takes a block in one pass, its data one
 (trials, n, d) DesignStack checked once, through one
 selectors.select_runs call (the dispatch of `select` too) and one
 stability.infer_runs call (the inference of `ci`), which hand each other
@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import threading
 from collections import Counter
 from dataclasses import dataclass
 
@@ -325,7 +326,7 @@ def block_trials(cfg: ExperimentConfig, workers: int = 1) -> list[range]:
     at most BLOCK_TRIALS trials each, whose largest array (runs x n x d
     doubles: the LASSO designs, or at most that for the forward-stepwise
     residuals, one per distinct state) stays within BLOCK_BYTES, and at
-    least min(workers, trials) of them, one for each pool worker. So a
+    least min(workers, trials) of them, one for each process. So a
     block holds ceil(trials / blocks) trials at most. The cap of 64 is the
     measured knee: on the benchmark sweeps (n=100, d=20) 64-trial blocks
     ran 1.2-1.4x as fast as 16-trial ones and larger ones at most a few
@@ -333,8 +334,13 @@ def block_trials(cfg: ExperimentConfig, workers: int = 1) -> list[range]:
     on the blocks."""
     per_trial = len(cfg.eta_grid) * cfg.n * cfg.d * 8
     cap = max(1, min(BLOCK_TRIALS, BLOCK_BYTES // per_trial))
-    count = max(-(-cfg.trials // cap), min(workers, cfg.trials))
-    size, larger = divmod(cfg.trials, count)
+    return _near_equal(cfg.trials, max(-(-cfg.trials // cap), min(workers, cfg.trials)))
+
+
+def _near_equal(total: int, count: int) -> list[range]:
+    """range(total) cut into count consecutive ranges whose sizes differ by
+    at most one, the larger first."""
+    size, larger = divmod(total, count)
     starts = [b * size + min(b, larger) for b in range(count + 1)]
     return [range(a, b) for a, b in zip(starts, starts[1:])]
 
@@ -463,22 +469,59 @@ def aggregate(runs: Runs, eta_step: float | None = None) -> ExperimentSummary:
     )
 
 
-def _block_task(args: tuple[ExperimentConfig, range]) -> Runs:
-    return _run_block(*args)
+def _share_task(args: tuple[ExperimentConfig, list[range]]) -> list[Runs]:
+    """A share of consecutive blocks, run holding noise.keyed.lock."""
+    cfg, blocks = args
+    with keyed.lock:
+        return [_run_block(cfg, trials) for trials in blocks]
+
+
+def _sweep_blocks(cfg: ExperimentConfig, map_fn, workers: int) -> list[Runs]:
+    """The Runs of each block of block_trials(cfg, workers), in trial
+    order, on min(workers, blocks) processes. On one, map_fn maps a task
+    per block. On P > 1, the blocks are cut into P near-equal shares of
+    consecutive blocks: the calling thread runs the first, largest share
+    while a helper thread makes one map_fn call with a task per other
+    share, as the map of a pool of P - 1 workers does it; a map that runs
+    a share in this process waits on noise.keyed.lock. A failure in the
+    caller's share is raised at once, leaving the helper to the caller's
+    pool; one in map_fn after the caller's share."""
+    blocks = block_trials(cfg, workers)
+    processes = min(workers, len(blocks))
+    if processes == 1:
+        shares = map_fn(_share_task, [(cfg, [trials]) for trials in blocks])
+    else:
+        first, *rest = [blocks[at.start:at.stop] for at in _near_equal(len(blocks), processes)]
+        done = {}
+
+        def helper():
+            try:
+                done["rest"] = map_fn(_share_task, [(cfg, share) for share in rest])
+            except BaseException as e:
+                done["error"] = e
+
+        thread = threading.Thread(target=helper, daemon=True)
+        thread.start()
+        own = _share_task((cfg, first))
+        thread.join()
+        if "error" in done:
+            raise done["error"]
+        shares = [own, *done["rest"]]
+    return [runs for share in shares for runs in share]
 
 
 def eta_sweep(cfg: ExperimentConfig, map_fn=map,
               workers: int = 1) -> list[tuple[float, Runs, ExperimentSummary]]:
     """Every trial at every eta of cfg.eta_grid over the same master seed,
     so trials are coupled across the grid for variance reduction. Runs in
-    the blocks of block_trials(cfg, workers), one task per block over the
-    whole grid; map_fn may be the map of a pool of that many workers, and
-    each block comes back as its Runs, arrays and one dict of flag
-    reasons. The blocks come back in trial order, so neither the blocks
-    nor parallelism can change the records, which are regrouped by eta.
-    Returns (eta, its Runs in trial order, summary) rows in grid order."""
-    tasks = [(cfg, trials) for trials in block_trials(cfg, workers)]
-    runs = Runs.concat(list(map_fn(_block_task, tasks)))
+    the blocks of block_trials(cfg, workers), each over the whole grid and
+    each coming back as its Runs, arrays and one dict of flag reasons, on
+    min(workers, blocks) processes: the calling one and, through map_fn,
+    the others (see _sweep_blocks). The blocks come back in trial order,
+    so neither the blocks nor parallelism can change the records, which
+    are regrouped by eta. Returns (eta, its Runs in trial order, summary)
+    rows in grid order."""
+    runs = Runs.concat(_sweep_blocks(cfg, map_fn, workers))
     etas = len(cfg.eta_grid)
     out = []
     for e, eta in enumerate(cfg.eta_grid):

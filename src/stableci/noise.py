@@ -24,6 +24,8 @@ a KeyedGenerator of its own on its first draw.
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -101,12 +103,14 @@ class KeyedGenerator:
     """One Generator over one Philox, moved from stream to stream:
     start(master_seed, path) sets its key and counter to the stream's and
     empties its buffer. The generator start returns is valid until its
-    next call."""
+    next call. A sweep's share of blocks draws holding lock, so threads
+    of one process take turns."""
 
     def __init__(self):
         self._bitgen = np.random.Philox(0)
         self._gen = np.random.Generator(self._bitgen)
         self._state = self._bitgen.state  # a fresh Philox's empty buffer
+        self.lock = threading.Lock()
 
     def start(self, master_seed: int, path: tuple[int, ...]) -> np.random.Generator:
         key, counter = stream_name(master_seed, path)
@@ -116,6 +120,9 @@ class KeyedGenerator:
 
 
 keyed = KeyedGenerator()  # the process's; a forked worker draws from its own copy
+# a child forked while another thread drew inherits that draw's locks
+# (numpy's Philox lock and keyed.lock) taken: it starts a keyed afresh
+os.register_at_fork(after_in_child=keyed.__init__)
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ from stableci.noise import RngStream
 from stableci.selectors import lambda_to_c1
 from stableci.stability import slack_allowance
 
-from oracles import alone, one_trial, records_rows, screening_exact
-from test_experiments import ENGINE_CASES, ONE_ROUND
+from oracles import alone, columns, one_trial, records_rows, screening_exact
+from test_experiments import ENGINE_CASES, ONE_ROUND, make_record
 
 
 @pytest.fixture
@@ -264,6 +264,56 @@ def test_read_matrix_is_read_only_and_adopted_by_design_matrix(data):
         a[0, 0] = 1.0
     assert np.shares_memory(DesignMatrix(a).entries, a)
     assert not read_vector(data["y"]).flags.writeable
+
+
+def test_select_and_ci_read_npy_inputs_as_their_csv(data):
+    # np.save of the arrays the CSV files hold: the same selection and
+    # intervals, byte for byte, from arrays read-only and adopted as is
+    xp, yp = data["dir"] / "x.npy", data["dir"] / "y.npy"
+    np.save(xp, read_matrix(data["x"]))
+    np.save(yp, read_vector(data["y"]))
+    a = read_matrix(str(xp))
+    assert not a.flags.writeable and np.shares_memory(DesignMatrix(a).entries, a)
+    assert not read_vector(str(yp)).flags.writeable
+    out = {}
+    for kind, x, y in (("csv", data["x"], data["y"]), ("npy", str(xp), str(yp))):
+        sel, iv = data["dir"] / f"sel-{kind}.csv", data["dir"] / f"iv-{kind}.csv"
+        assert main(["select", "--x", x, "--y", y, "--method", "fs", "--k", "2", "--eta", "1.0",
+                     "--delta", "0.02", "--seed", "4", "--out", str(sel)]) == 0
+        assert main(["ci", "--x", x, "--y", y, "--selection", str(sel), "--sigma", "known:1.0",
+                     "--out", str(iv)]) == 0
+        out[kind] = sel.read_bytes(), iv.read_bytes()
+    assert out["npy"] == out["csv"]
+    # a one-row y, and a one-column one
+    for y in (data["y_arr"][None, :], data["y_arr"][:, None]):
+        np.save(yp, y)
+        np.testing.assert_array_equal(read_vector(str(yp)), data["y_arr"])
+
+
+@pytest.mark.parametrize("which, save, message", [
+    ("x", lambda p, X, y: np.save(p, (X * 100).astype(np.int64)),
+     "array of int64, expected float64"),
+    ("x", lambda p, X, y: np.save(p, X.astype(np.float32)), "array of float32, expected float64"),
+    ("x", lambda p, X, y: np.save(p, X[:, 0]), "expected a 2-D array, got shape (40,)"),
+    ("x", lambda p, X, y: np.save(p, X[None]), "expected a 2-D array, got shape (1, 40, 6)"),
+    ("x", lambda p, X, y: np.savez(p, X=X), "a .npz archive, not one array"),
+    ("y", lambda p, X, y: np.save(p, np.stack([y, y])),
+     "expected a single column or row, got shape (2, 40)"),
+    ("y", lambda p, X, y: np.save(p, np.float64(1.0)),
+     "expected a single column or row, got shape ()"),
+    ("y", lambda p, X, y: open(p, "w").write("1.0\n2.0\n"), "cannot read"),
+], ids=["x-int64", "x-float32", "x-1d", "x-3d", "x-npz", "y-2-rows", "y-scalar", "y-csv-text"])
+def test_npy_inputs_are_rejected_with_the_readers_messages(data, capsys, which, save, message):
+    path = data["dir"] / ("in.npz" if "npz" in message else "in.npy")
+    save(str(path), data["X"], data["y_arr"])
+    files = {"x": data["x"], "y": data["y"], which: str(path)}
+    for argv in (["select", "--method", "screen", "--k", "2", "--eta", "1.0",
+                  "--out", str(data["dir"] / "sel.csv")],
+                 ["ci", "--model", "0,1", "--out", str(data["dir"] / "iv.csv")]):
+        assert main([argv[0], "--x", files["x"], "--y", files["y"], *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message} {path}" if message == "cannot read"
+                              else f"error: {path}: {message}"), err
 
 
 def test_select_holds_at_most_two_and_a_half_design_sizes(tmp_path):
@@ -909,15 +959,17 @@ def test_experiment_starts_a_process_per_block_at_most(tmp_path, monkeypatch, ca
                              extra=("--workers", "4"))
     assert rc == 0 and sizes == []
     assert json.load(open(one / "manifest.json"))["parameters"]["processes"] == 1
-    # 3 trials on 4 workers are three blocks of one trial
+    # 3 trials on 4 workers are three blocks of one trial: this process
+    # runs one, a pool of two the others
     rc, three = run_experiment(tmp_path, "three-blocks", experiment_config(trials=3),
                                extra=("--workers", "4"))
-    assert rc == 0 and sizes == [3]
+    assert rc == 0 and sizes == [2]
     assert json.load(open(three / "manifest.json"))["parameters"]["processes"] == 3
-    # 40 trials on 8 workers are eight blocks of 5
+    # 40 trials on 8 workers are eight blocks of 5, on this process and a
+    # pool of seven
     rc, pooled = run_experiment(tmp_path, "eight-blocks", experiment_config(trials=40),
                                 extra=("--workers", "8"))
-    assert rc == 0 and sizes == [3, 8]
+    assert rc == 0 and sizes == [2, 7]
     assert "8 workers" in capsys.readouterr().out
     params = json.load(open(pooled / "manifest.json"))["parameters"]
     assert (params["workers"], params["processes"]) == (8, 8)
@@ -936,6 +988,63 @@ def test_experiment_runs_a_process_per_worker_on_a_short_sweep(tmp_path):
     assert json.load(open(pooled / "manifest.json"))["parameters"]["processes"] == 4
     for name in CSV_NAMES:
         assert (pooled / name).read_bytes() == (single / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("trials, workers", [(20, 2), (36, 4)])
+def test_pooled_experiment_with_uneven_shares_writes_the_serial_files(tmp_path, monkeypatch,
+                                                                      trials, workers):
+    # blocks of 4 trials: 5 blocks on 2 processes are shares of 3 and 2
+    # blocks, 9 on 4 are shares of 3, 2, 2 and 2, the first run by the
+    # command's own process
+    monkeypatch.setattr(experiments, "BLOCK_TRIALS", 4)
+    configs = {"screen": experiment_config(trials=trials),
+               "flagged": config_json(ENGINE_CASES["fixed-rank-deficient"], trials=trials)}
+    for name, cfg in configs.items():
+        assert len(experiments.block_trials(ExperimentConfig(**{
+            **cfg, "selector": SelectorSpec(**cfg["selector"])}), workers)) == trials // 4
+        rc, single = run_experiment(tmp_path, f"{name}-single", cfg)
+        assert run_experiment(tmp_path, f"{name}-pooled", cfg,
+                              extra=("--workers", str(workers)))[0] == rc
+        pooled = tmp_path / f"{name}-pooled"
+        assert json.load(open(pooled / "manifest.json"))["parameters"]["processes"] == workers
+        for csv_name in CSV_NAMES:
+            assert (pooled / csv_name).read_bytes() == (single / csv_name).read_bytes(), csv_name
+
+
+@pytest.mark.parametrize("failing", [3, 15], ids=["own-share", "worker-share"])
+def test_a_failed_block_exits_2_with_the_one_process_message(tmp_path, monkeypatch, capsys,
+                                                              failing):
+    # 20 trials on two processes are two blocks of 10: this process runs
+    # trials 0-9, the pool's one worker trials 10-19
+    run_block = experiments._run_block
+
+    def failing_block(cfg, trials):
+        if failing in trials:
+            raise ValueError(f"synthetic failure at trial {failing}")
+        return run_block(cfg, trials)
+
+    monkeypatch.setattr(experiments, "_run_block", failing_block)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(experiment_config(trials=20)))
+    for workers in ("1", "2"):
+        made = tmp_path / f"made-{workers}"
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(made / "out"),
+                     "--workers", workers]) == 2
+        assert capsys.readouterr().err == f"error: synthetic failure at trial {failing}\n"
+        assert not made.exists()
+
+
+def test_records_lines_quote_flag_reasons_as_the_csv_module_does():
+    reasons = ["rank_deficient: a, b", 'non_convergence: "quoted"', "x: carriage\rreturn",
+               "x: line\nfeed", " leading: space", "plain: reason"]
+    records = [make_record(0, [0.5, 1.25], model=(1, 4), risk=0.75, K=2.5),
+               *(make_record(t, [], model=(), covered=False, K=0.0, flagged=reason)
+                 for t, reason in enumerate(reasons, 1)),
+               make_record(9, [3.0], fdr=1.0)]
+    runs = columns(records)
+    want = io.StringIO()
+    csv.writer(want, lineterminator="\n").writerows(records_rows(0.5, runs))
+    assert "".join(cli._records_lines(0.5, runs)) == want.getvalue()
 
 
 def config_json(cfg: ExperimentConfig, **overrides) -> dict:

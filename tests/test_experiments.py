@@ -8,6 +8,7 @@ inflation a half-sample suffers under this row-normalized design.
 import dataclasses
 import math
 import multiprocessing
+import sys
 import tracemalloc
 
 import numpy as np
@@ -801,17 +802,22 @@ def test_shared_design_sweep_draws_the_design_at_most_once_per_block(monkeypatch
 
 
 def test_sweep_sends_one_task_per_block():
+    # one process maps a task per block; on P > 1 the caller runs the
+    # first, largest share of the blocks and the map gets one task per
+    # other process, holding that process's consecutive blocks
     tasks = []
 
     def counting_map(fn, xs):
         xs = list(xs)
-        tasks.append([len(x[1]) for x in xs])
+        tasks.append([[len(block) for block in x[1]] for x in xs])
         return map(fn, xs)
 
     cfg = dataclasses.replace(ENGINE_CASES["screen"], trials=40)
     eta_sweep(cfg, counting_map)
-    eta_sweep(cfg, counting_map, 3)
-    assert tasks == [[40], [14, 13, 13]]
+    eta_sweep(cfg, counting_map, 3)  # blocks of 14, 13 and 13
+    eta_sweep(dataclasses.replace(cfg, trials=150), counting_map, 2)  # 3 blocks of 50
+    eta_sweep(dataclasses.replace(cfg, trials=250), counting_map, 3)  # 63, 63, 62, 62
+    assert tasks == [[[40]], [[13], [13]], [[50]], [[62], [62]]]
 
 
 def block_sizes(cfg, workers=1):
@@ -928,6 +934,40 @@ def test_eta_sweep_pool_equals_map():
     for (eta_a, records_a, summary_a), (eta_b, records_b, summary_b) in \
             zip(pooled, eta_sweep(cfg)):
         assert eta_a == eta_b and summary_a == summary_b
+        assert_same_records(records_a, records_b)
+
+
+def test_an_eager_map_in_the_callers_process_waits_for_its_share():
+    # a map that runs the other shares in the helper thread, in this
+    # process: they wait for noise.keyed's lock while the caller's share
+    # draws, however often the threads switch
+    cfg = dataclasses.replace(ENGINE_CASES["fs"], trials=40)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        pooled = eta_sweep(cfg, lambda f, xs: [f(x) for x in xs], 4)
+    finally:
+        sys.setswitchinterval(interval)
+    for (eta_a, records_a, summary_a), (eta_b, records_b, summary_b) in \
+            zip(pooled, eta_sweep(cfg)):
+        assert eta_a == eta_b and summary_a == summary_b
+        assert_same_records(records_a, records_b)
+
+
+def test_a_pool_forked_while_the_callers_share_draws_is_not_locked_out():
+    # the map forks its pool from the helper thread while the caller's
+    # share draws, holding noise.keyed.lock and, within a draw, its
+    # Philox's lock: the child starts its keyed afresh
+    cfg = dataclasses.replace(ENGINE_CASES["fs"], trials=40)
+    fork = multiprocessing.get_context("fork")
+
+    def forking_map(fn, xs):
+        with fork.Pool(1) as pool:
+            return pool.map_async(fn, xs).get(timeout=60)
+
+    for (_, records_a, summary_a), (_, records_b, summary_b) in \
+            zip(eta_sweep(cfg, forking_map, 2), eta_sweep(cfg)):
+        assert summary_a == summary_b
         assert_same_records(records_a, records_b)
 
 
