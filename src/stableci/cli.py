@@ -159,7 +159,7 @@ def _is_numpy(path: str) -> bool:
 
 
 def _read_npy(path: str) -> np.ndarray:
-    """The float64 array np.save wrote to path, read-only."""
+    """The nonempty float64 array np.save wrote to path, read-only."""
     try:
         a = np.load(path, allow_pickle=False)
     except (OSError, ValueError) as e:
@@ -169,6 +169,8 @@ def _read_npy(path: str) -> np.ndarray:
         raise CliParseError(f"{path}: a .npz archive, not one array as np.save writes it")
     if a.dtype != np.float64:
         raise CliParseError(f"{path}: array of {a.dtype}, expected float64")
+    if not a.size:  # rejected as a CSV of no rows is
+        raise CliParseError(f"{path}: no entries, got shape {a.shape}")
     a.setflags(write=False)
     return a
 

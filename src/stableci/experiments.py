@@ -18,13 +18,15 @@ per process. `_run_block` takes a block in one pass, its data one
 (trials, n, d) DesignStack checked once, through one
 selectors.select_runs call (the dispatch of `select` too) and one
 stability.infer_runs call (the inference of `ci`), which hand each other
-arrays over the runs, and hands back its records as one Runs, per-run
-arrays and one dict of flag reasons, so no per-run object crosses a
-worker pool; a TrialRecord is only a row view of them. No per-run number
-depends on the block, so every record is the one an eta-major loop,
-rerunning each (eta, trial) from scratch, would produce, whatever the
-block size and the worker count. `run_trial` is a one-trial block;
-`run_selector`, which `select` calls, is a one-run call of select_runs.
+arrays over the runs. It numbers its runs eta-major and hands back one
+Runs per eta, a contiguous part of its per-run arrays and flag reasons,
+so no per-run object crosses a worker pool and a sweep joins an eta's
+parts without reordering them; a TrialRecord is only a row view of them.
+No per-run number depends on the block, so every record is the one an
+eta-major loop, rerunning each (eta, trial) from scratch, would produce,
+whatever the block size and the worker count. `run_trial` is a one-trial
+block; `run_selector`, which `select` calls, is a one-run call of
+select_runs.
 """
 
 from __future__ import annotations
@@ -169,8 +171,8 @@ class TrialRecord:
 @dataclass(frozen=True, eq=False)
 class Runs:
     """The records of a sequence of runs as per-run columns: a block's runs
-    in trial-major (trial, eta) order, or one eta's runs of a sweep in
-    trial order. Run r is trial trial[r]; its model is the strictly
+    in eta-major (eta, trial) order, or one eta's runs of a block or a
+    sweep in trial order. Run r is trial trial[r]; its model is the strictly
     increasing columns cols[offsets[r]:offsets[r + 1]], whose interval
     widths are widths over the same range; covered[r], fdr[r], risk[r]
     (the penalized LASSO objective of a `lam` run, NaN for any other) and
@@ -206,21 +208,15 @@ class Runs:
                            budget_used=StabilityBudget(*self.certs[self.cert[r]].tolist()),
                            flagged=self.flagged.get(r))
 
-    def take(self, index: np.ndarray) -> Runs:
-        """The runs index (distinct run numbers), in that order."""
-        sizes = np.diff(self.offsets)[index]
-        offsets = np.zeros(len(index) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        flat = np.repeat(self.offsets[index] - offsets[:-1], sizes) + np.arange(offsets[-1])
-        flagged = {}
-        if self.flagged:
-            place = np.full(len(self), -1)
-            place[index] = np.arange(len(index))
-            flagged = {int(place[r]): reason for r, reason in self.flagged.items()
-                       if place[r] >= 0}
-        return Runs(self.trial[index], offsets, self.cols[flat], self.widths[flat],
-                    self.covered[index], self.fdr[index], self.risk[index], self.K[index],
-                    self.cert[index], self.certs, flagged)
+    def part(self, a: int, b: int) -> Runs:
+        """Runs a to b - 1, offsets rebased to 0 and flags keyed from 0, with
+        only the certificate rows they use, not every eta's of a block."""
+        lo, hi = self.offsets[a], self.offsets[b]
+        used, cert = np.unique(self.cert[a:b], return_inverse=True)
+        return Runs(self.trial[a:b], self.offsets[a:b + 1] - lo, self.cols[lo:hi],
+                    self.widths[lo:hi], self.covered[a:b], self.fdr[a:b], self.risk[a:b],
+                    self.K[a:b], cert, self.certs[used],
+                    {r - a: reason for r, reason in self.flagged.items() if a <= r < b})
 
     @staticmethod
     def concat(parts: list[Runs]) -> Runs:
@@ -349,13 +345,14 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
     """One trial at every per-step eta of cfg.eta_grid (a one-trial block):
     generate, select, certify, fit, score. Returns one record per eta, in
     grid order."""
-    return list(_run_block(cfg, range(trial_index, trial_index + 1)))
+    return [at_eta[0] for at_eta in _run_block(cfg, range(trial_index, trial_index + 1))]
 
 
-def _run_block(cfg: ExperimentConfig, trials: range) -> Runs:
+def _run_block(cfg: ExperimentConfig, trials: range) -> list[Runs]:
     """Consecutive trials, each at every eta of cfg.eta_grid, as one block
-    of runs: run b * len(cfg.eta_grid) + e is trial trials[b] at
-    cfg.eta_grid[e]. Returns their Runs, in that trial-major order.
+    of runs: run e * len(trials) + b is trial trials[b] at cfg.eta_grid[e].
+    Returns their Runs in that eta-major order, cut into one part per eta,
+    in grid order, each holding that eta's runs in trial order.
 
     One pass. The data, one stack (gen_synthetic), and the `lam` radii of
     all its trials, one lambda_to_c1 call on that stack (the penalty solve
@@ -373,18 +370,18 @@ def _run_block(cfg: ExperimentConfig, trials: range) -> Runs:
     the trial run alone at that eta gives.
     """
     X, beta, mu, Y = gen_synthetic(cfg, trials)
-    etas, lam = len(cfg.eta_grid), cfg.selector.lam
-    count = len(trials) * etas
+    T, etas, lam = len(trials), len(cfg.eta_grid), cfg.selector.lam
+    count = T * etas
     failed: dict[int, Exception] = {}  # by run
     # each trial's LASSO radius: the spec's (NaN for a method that reads
     # none), or its `lam` penalty resolved
     if lam is None:
-        c1 = np.full(len(trials), cfg.selector.c1 or math.nan)
+        c1 = np.full(T, cfg.selector.c1 or math.nan)
     else:
         c1, stuck = lambda_to_c1(X, Y, lam)
-        failed.update((b * etas + e, error) for b, error in stuck.items() for e in range(etas))
+        failed.update((e * T + b, error) for b, error in stuck.items() for e in range(etas))
     run = np.delete(np.arange(count), list(failed))  # the runs not flagged yet
-    trial, eta = np.divmod(run, etas)
+    eta, trial = np.divmod(run, T)
     sel = select_runs(cfg.selector, X, Y, trial, np.array(cfg.eta_grid)[eta], c1[trial],
                       selector_slack(cfg), cfg.sigma,
                       cfg.master_seed, [(_PATH_TRIAL_SELECTOR, t) for t in trials])
@@ -422,9 +419,10 @@ def _run_block(cfg: ExperimentConfig, trials: range) -> Runs:
         risk[at[scored]] = (0.5 * np.matmul(resid[:, None, :], resid[:, :, None])[:, 0, 0]
                             + lam * np.abs(theta).sum(axis=1)) / cfg.n
     certs = np.array([(c.eta, c.tau, c.nu) for c in (ZERO_BUDGET, *iv.budgets)], dtype=np.float64)
-    return Runs(np.repeat(np.arange(trials.start, trials.stop, dtype=np.uint64), etas), offsets,
+    runs = Runs(np.tile(np.arange(trials.start, trials.stop, dtype=np.uint64), etas), offsets,
                 cols, widths, covered, fdr, risk, K, cert, certs,
                 {r: _flag(error) for r, error in failed.items()})
+    return [runs.part(e * T, (e + 1) * T) for e in range(etas)]
 
 
 def aggregate(runs: Runs, eta_step: float | None = None) -> ExperimentSummary:
@@ -440,11 +438,10 @@ def aggregate(runs: Runs, eta_step: float | None = None) -> ExperimentSummary:
             empirical_coverage=None, width_max=None,
             width_quantiles={lvl: None for lvl in WIDTH_QUANTILE_LEVELS},
             mean_fdr=None, mean_risk=None, mean_K=None, flag_reasons=reasons)
-    if flagged:
-        kept = np.ones(len(runs), dtype=bool)
-        kept[list(runs.flagged)] = False
-        runs = runs.take(kept.nonzero()[0])
-    pooled = runs.widths
+    kept = np.ones(len(runs), dtype=bool)
+    kept[list(runs.flagged)] = False
+    sizes = np.diff(runs.offsets)
+    pooled = runs.widths[np.repeat(kept, sizes)]
     if pooled.size:
         # inverted_cdf is the nearest-rank quantile: the ceil(level * n)-th smallest
         q = np.quantile(pooled, WIDTH_QUANTILE_LEVELS, method="inverted_cdf")
@@ -453,39 +450,41 @@ def aggregate(runs: Runs, eta_step: float | None = None) -> ExperimentSummary:
     else:
         quantiles = {lvl: float("nan") for lvl in WIDTH_QUANTILE_LEVELS}
         width_max = float("nan")
-    risks = runs.risk[~np.isnan(runs.risk)]
+    risks = runs.risk[kept & ~np.isnan(runs.risk)]
+    trials = len(runs) - flagged
     return ExperimentSummary(
         eta_step=eta_step,
-        trials=len(runs),
+        trials=trials,
         flagged=flagged,
-        empty_models=int(np.count_nonzero(np.diff(runs.offsets) == 0)),
-        empirical_coverage=int(np.count_nonzero(runs.covered)) / len(runs),
+        empty_models=int(np.count_nonzero(sizes[kept] == 0)),
+        empirical_coverage=int(np.count_nonzero(runs.covered[kept])) / trials,
         width_max=width_max,
         width_quantiles=quantiles,
-        mean_fdr=float(np.mean(runs.fdr)),
+        mean_fdr=float(np.mean(runs.fdr[kept])),
         mean_risk=float(np.mean(risks)) if risks.size else None,
-        mean_K=float(np.mean(runs.K)),
+        mean_K=float(np.mean(runs.K[kept])),
         flag_reasons=reasons,
     )
 
 
-def _share_task(args: tuple[ExperimentConfig, list[range]]) -> list[Runs]:
+def _share_task(args: tuple[ExperimentConfig, list[range]]) -> list[list[Runs]]:
     """A share of consecutive blocks, run holding noise.keyed.lock."""
     cfg, blocks = args
     with keyed.lock:
         return [_run_block(cfg, trials) for trials in blocks]
 
 
-def _sweep_blocks(cfg: ExperimentConfig, map_fn, workers: int) -> list[Runs]:
-    """The Runs of each block of block_trials(cfg, workers), in trial
-    order, on min(workers, blocks) processes. On one, map_fn maps a task
-    per block. On P > 1, the blocks are cut into P near-equal shares of
-    consecutive blocks: the calling thread runs the first, largest share
-    while a helper thread makes one map_fn call with a task per other
-    share, as the map of a pool of P - 1 workers does it; a map that runs
-    a share in this process waits on noise.keyed.lock. A failure in the
-    caller's share is raised at once, leaving the helper to the caller's
-    pool; one in map_fn after the caller's share."""
+def _sweep_blocks(cfg: ExperimentConfig, map_fn, workers: int) -> list[list[Runs]]:
+    """Each block of block_trials(cfg, workers) as its per-eta parts
+    (_run_block), in trial order, on min(workers, blocks) processes. On
+    one, map_fn maps a task per block. On P > 1, the blocks are cut into P
+    near-equal shares of consecutive blocks: the calling thread runs the
+    first, largest share while a helper thread makes one map_fn call with
+    a task per other share, as the map of a pool of P - 1 workers does
+    it; a map that runs a share in this process waits on
+    noise.keyed.lock. A failure in the caller's share is raised at once,
+    leaving the helper to the caller's pool; one in map_fn after the
+    caller's share."""
     blocks = block_trials(cfg, workers)
     processes = min(workers, len(blocks))
     if processes == 1:
@@ -507,7 +506,7 @@ def _sweep_blocks(cfg: ExperimentConfig, map_fn, workers: int) -> list[Runs]:
         if "error" in done:
             raise done["error"]
         shares = [own, *done["rest"]]
-    return [runs for share in shares for runs in share]
+    return [block for share in shares for block in share]
 
 
 def eta_sweep(cfg: ExperimentConfig, map_fn=map,
@@ -515,16 +514,16 @@ def eta_sweep(cfg: ExperimentConfig, map_fn=map,
     """Every trial at every eta of cfg.eta_grid over the same master seed,
     so trials are coupled across the grid for variance reduction. Runs in
     the blocks of block_trials(cfg, workers), each over the whole grid and
-    each coming back as its Runs, arrays and one dict of flag reasons, on
-    min(workers, blocks) processes: the calling one and, through map_fn,
-    the others (see _sweep_blocks). The blocks come back in trial order,
-    so neither the blocks nor parallelism can change the records, which
-    are regrouped by eta. Returns (eta, its Runs in trial order, summary)
-    rows in grid order."""
-    runs = Runs.concat(_sweep_blocks(cfg, map_fn, workers))
-    etas = len(cfg.eta_grid)
+    each coming back as one Runs per eta, arrays and one dict of flag
+    reasons, on min(workers, blocks) processes: the calling one and,
+    through map_fn, the others (see _sweep_blocks). The blocks come back
+    in trial order, so neither the blocks nor parallelism can change the
+    records, and an eta's Runs is its parts of the blocks joined. Returns
+    (eta, its Runs in trial order, summary) rows in grid order."""
+    blocks = _sweep_blocks(cfg, map_fn, workers)
     out = []
-    for e, eta in enumerate(cfg.eta_grid):
-        at_eta = runs.take(np.arange(e, len(runs), etas))
+    for eta in cfg.eta_grid:
+        # each block's part of this eta, released once joined
+        at_eta = Runs.concat([block.pop(0) for block in blocks])
         out.append((eta, at_eta, aggregate(at_eta, eta)))
     return out

@@ -62,9 +62,6 @@ class RngStream:
         stream_name(self.master_seed, self.path)  # checks the range
         self._gen: np.random.Generator | None = None
 
-    def child(self, *indices: int) -> "RngStream":
-        return RngStream(self.master_seed, self.path + tuple(indices))
-
     @property
     def generator(self) -> np.random.Generator:
         if self._gen is None:

@@ -20,7 +20,8 @@ least-squares optimum from below through the penalized solver's dual, the
 yardstick of the Frank-Wolfe convergence checks.
 `sigma_hat`, `stack` and `one_trial` hand one design to the library's
 stacked calls and take one trial out of its block draw. `set_scale` runs
-a method's production path at a fixed Laplace scale.
+a method's production path at a fixed Laplace scale. `child` names a
+stream under another's path, as the scalar selectors' per-step streams are.
 `support` is the LASSO model of one iterate, the reference for the
 library's support mask over a block. `records_rows` formats records one
 field at a time, the reference for the `experiment` command's columnar
@@ -268,6 +269,11 @@ def constrained_lstar_lower(X: DesignMatrix, y, c1: float) -> float:
 # fresh child stream, as the selectors were written before the run axis
 
 
+def child(stream: RngStream, *indices: int) -> RngStream:
+    """The stream whose path is stream's extended by indices."""
+    return RngStream(stream.master_seed, stream.path + indices)
+
+
 def screening_noisy(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
                     sigma: float, rng: RngStream) -> SelectionResult:
     """k rounds of noisy argmax over |c_i + xi| with c = X^T y / n."""
@@ -278,7 +284,7 @@ def screening_noisy(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
     chosen_order = []
     for t in range(1, k + 1):
         cand = np.nonzero(available)[0]
-        xi = rng.child(t).laplace(scale, cand.shape[0])
+        xi = child(rng, t).laplace(scale, cand.shape[0])
         i_t = int(cand[int(np.argmax(np.abs(c[cand] + xi)))])
         chosen_order.append(i_t)
         available[i_t] = False
@@ -309,7 +315,7 @@ def fs_noisy(X: DesignMatrix, y, k: int, delta: float, eta_step: float,
                 f"of the {len(order)} selected columns"
             )
         signed = (R[:, cand].T @ y_res) / norms[keep]
-        noisy = np.abs(signed + rng.child(t).laplace(scale, cand.shape[0]))
+        noisy = np.abs(signed + child(rng, t).laplace(scale, cand.shape[0]))
         i_t = int(cand[int(np.argmax(noisy))])
         q = R[:, i_t] / np.linalg.norm(R[:, i_t])
         R -= np.outer(q, np.einsum("i,ij->j", q, R))
@@ -335,7 +341,7 @@ def lasso_noisy(X: DesignMatrix, y, c1: float, delta: float, eta_step: float,
     z = np.zeros(n)
     for t in range(1, steps + 1):
         g = (-2.0 / n) * (A.T @ (y - z))
-        noisy = np.concatenate((c1 * g, -c1 * g)) + rng.child(t).laplace(scale, 2 * d)
+        noisy = np.concatenate((c1 * g, -c1 * g)) + child(rng, t).laplace(scale, 2 * d)
         v = int(np.argmin(noisy))
         col, sgn = (v, 1.0) if v < d else (v - d, -1.0)
         step_size = 2.0 / (t + 1.0)
@@ -411,7 +417,7 @@ def eta_major_sweep(cfg) -> list:
 def _fresh_trial(cfg, trial_index: int, eta_step):
     X, beta, mu, y = one_trial(cfg, trial_index)
     delta_sel = slack_allowance(cfg.alpha, cfg.alpha_weights) / 2.0
-    rng = RngStream(cfg.master_seed).child(experiments._PATH_TRIAL_SELECTOR, trial_index)
+    rng = child(RngStream(cfg.master_seed), experiments._PATH_TRIAL_SELECTOR, trial_index)
     try:
         sel = select_noisy(cfg.selector, X, y, eta_step, delta_sel, cfg.sigma, rng)
         return score_model(cfg, X, y, mu, beta, sel, trial_index)

@@ -21,8 +21,8 @@ from stableci.stability import (StabilityBudget, compose_adaptive_advanced,
                                 compose_adaptive_simple,
                                 eta_step_for_total, sparse_selection_eta)
 
-from oracles import (constrained_lstar_lower, fs_exact, lasso_exact_fw, screening_exact, set_scale,
-                     support)
+from oracles import (child, constrained_lstar_lower, fs_exact, lasso_exact_fw, screening_exact,
+                     set_scale, support)
 
 
 def report(num, name, ok, detail):
@@ -139,13 +139,13 @@ def test_criterion_06_frank_wolfe_convergence(monkeypatch):
     worst = -math.inf
     c1 = 1.0
     for inst in range(50):
-        r = RngStream(77).child(inst)
-        X = DesignMatrix(r.child(0).normal((50, 20)) / math.sqrt(50))
+        r = child(RngStream(77), inst)
+        X = DesignMatrix(child(r, 0).normal((50, 20)) / math.sqrt(50))
         beta = np.zeros(20)
         beta[:4] = 3.0
-        y = X.entries @ beta + r.child(1).normal(50)
+        y = X.entries @ beta + child(r, 1).normal(50)
         lstar = constrained_lstar_lower(X, y, c1)
-        res = stable_lasso(X, y, c1, 0.05, 1.0, 1.0, rng=r.child(2), steps=200)
+        res = stable_lasso(X, y, c1, 0.05, 1.0, 1.0, rng=child(r, 2), steps=200)
         cap = 8.0 * X.stack.linf[0] ** 2 * c1 ** 2
         for s in res.trace:
             worst = max(worst, (s.objective - lstar) / (cap / (s.step + 2)))
@@ -161,20 +161,20 @@ def test_criterion_07_selector_utility():
     hits_screen = hits_fs = 0
     root = RngStream(404)
     for tr in range(trials):
-        r = root.child(0, tr)
-        X = DesignMatrix(r.child(0).normal((100, d)) / 10.0)
+        r = child(root, 0, tr)
+        X = DesignMatrix(child(r, 0).normal((100, d)) / 10.0)
         beta = np.zeros(d)
         beta[:3] = 5.0
-        y = X.entries @ beta + r.child(1).normal(100)
+        y = X.entries @ beta + child(r, 1).normal(100)
 
         b_screen = scale_screening(X.stack, 0, k, None, 1.0, delta_sel, eta)
         res = stable_screening(X, y, k, delta_sel, eta, 1.0,
-                               rng=r.child(2))
+                               rng=child(r, 2))
         gap = max(s.best_exact - s.exact_score for s in res.trace)
         hits_screen += gap <= 2 * b_screen * math.log(d * k / delta_fail)
 
         b_fs = scale_forward_stepwise(X.stack, 0, k, None, 1.0, delta_sel, eta)
-        res = stable_fs(X, y, k, delta_sel, eta, 1.0, rng=r.child(3))
+        res = stable_fs(X, y, k, delta_sel, eta, 1.0, rng=child(r, 3))
         s2 = res.trace[1]
         hits_fs += (s2.best_exact - s2.exact_score) <= 2 * b_fs * math.log(d / delta_fail)
     fs_rate, screen_rate = hits_fs / trials, hits_screen / trials
@@ -207,13 +207,13 @@ def test_criterion_08_zero_noise_limits(monkeypatch):
         k = 1 + seed % 3
         rng = RngStream(seed)
 
-        got = stable_screening(X, y, k, 0.05, 1.0, 1.0, rng=rng.child(0)).model
+        got = stable_screening(X, y, k, 0.05, 1.0, 1.0, rng=child(rng, 0)).model
         if got != screening_exact(X, y, k):
             mismatches.append((seed, "screen"))
-        got = stable_fs(X, y, k, 0.05, 1.0, 1.0, rng=rng.child(1)).model
+        got = stable_fs(X, y, k, 0.05, 1.0, 1.0, rng=child(rng, 1)).model
         if got != fs_exact(X, y, k):
             mismatches.append((seed, "fs"))
-        res = stable_lasso(X, y, 1.5, 0.05, 1.0, 1.0, rng=rng.child(2), steps=30)
+        res = stable_lasso(X, y, 1.5, 0.05, 1.0, 1.0, rng=child(rng, 2), steps=30)
         exact_theta = lasso_exact_fw(X, y, 1.5, 30)
         if not np.array_equal(res.theta, exact_theta) or res.model != support(exact_theta):
             mismatches.append((seed, "lasso"))

@@ -34,7 +34,7 @@ from stableci.noise import RngStream
 from stableci.selectors import lambda_to_c1
 from stableci.stability import slack_allowance
 
-from oracles import alone, columns, one_trial, records_rows, screening_exact
+from oracles import alone, child, columns, one_trial, records_rows, screening_exact
 from test_experiments import ENGINE_CASES, ONE_ROUND, make_record
 
 
@@ -314,6 +314,21 @@ def test_npy_inputs_are_rejected_with_the_readers_messages(data, capsys, which, 
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message} {path}" if message == "cannot read"
                               else f"error: {path}: {message}"), err
+
+
+@pytest.mark.parametrize("which, shape", [("x", (0, 6)), ("x", (40, 0)), ("y", (0,)),
+                                          ("y", (0, 1))],
+                         ids=["x-no-rows", "x-no-columns", "y-1d", "y-column"])
+def test_empty_npy_inputs_exit_2_naming_the_file(data, capsys, which, shape):
+    # as a CSV of no rows does, not exit 3 from the design's own check
+    path = data["dir"] / "empty.npy"
+    np.save(path, np.zeros(shape))
+    files = {"x": data["x"], "y": data["y"], which: str(path)}
+    for argv in (["select", "--method", "screen", "--k", "2", "--eta", "1.0",
+                  "--out", str(data["dir"] / "sel.csv")],
+                 ["ci", "--model", "0,1", "--out", str(data["dir"] / "iv.csv")]):
+        assert main([argv[0], "--x", files["x"], "--y", files["y"], *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"error: {path}: no entries, got shape {shape}\n"
 
 
 def test_select_holds_at_most_two_and_a_half_design_sizes(tmp_path):
@@ -704,7 +719,7 @@ def test_ci_and_fixed_model_trial_share_one_inference_path(tmp_path, method, sig
         np.savetxt(tmp_path / "y.csv", y[:, None], delimiter=",", fmt="%.17g")
         if method != "fixed":
             # the selection the trial makes, on its selector stream (2, t)
-            rng = RngStream(cfg.master_seed).child(2, t)
+            rng = child(RngStream(cfg.master_seed), 2, t)
             choice = ["--selection", str(tmp_path / "sel.csv")]
             write_selection(choice[1], spec.method, {"n": X.n, "d": X.d},
                             run_selector(spec, X, y, eta, delta, cfg.sigma, rng))

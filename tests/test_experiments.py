@@ -17,7 +17,7 @@ import scipy.stats
 
 from stableci import experiments, linmodel, noise, selectors, stability
 from stableci.errors import AllCandidatesCollinear, EmptyInput, NonConvergence
-from stableci.experiments import (DEFAULT_ETA_GRID, ExperimentConfig,
+from stableci.experiments import (DEFAULT_ETA_GRID, ExperimentConfig, Runs,
                                   SelectorSpec, TrialRecord, aggregate, block_trials,
                                   eta_sweep, gen_synthetic, run_selector,
                                   run_trial)
@@ -558,6 +558,45 @@ def test_aggregate_counts_flag_reasons():
         {"rank_deficient": 1}
 
 
+def test_runs_part_rebases_offsets_and_shifts_flag_keys():
+    records = [make_record(0, [1.0, 2.0], model=(1, 4)),
+               make_record(1, [], model=(), covered=False, K=0.0, flagged="rank_deficient: a"),
+               make_record(2, [3.0], model=(2,)),
+               make_record(3, [4.0, 5.0, 6.0], model=(0, 1, 2), flagged="degenerate_level: b"),
+               make_record(4, [7.0], model=(5,), flagged="rank_deficient: c")]
+    records = [dataclasses.replace(r, budget_used=StabilityBudget(r.trial_index + 0.5, 0.0, 0.0))
+               for r in records]
+    runs = columns(records)
+    part = runs.part(1, 4)
+    assert part.offsets.tolist() == [0, 0, 1, 4]
+    assert part.cols.tolist() == [2, 0, 1, 2]
+    assert part.widths.tolist() == [3.0, 4.0, 5.0, 6.0]
+    assert part.trial.tolist() == [1, 2, 3]
+    # runs 0 and 4 are outside the part: the flag of run 4 and the
+    # certificate rows of both are dropped
+    assert part.flagged == {0: "rank_deficient: a", 2: "degenerate_level: b"}
+    assert part.cert.tolist() == [0, 1, 2] and part.certs.tobytes() == runs.certs[1:4].tobytes()
+    assert_same_records(list(part), records[1:4])
+    assert_same_records(list(Runs.concat([runs.part(0, 2), runs.part(2, 5)])), records)
+
+
+def test_aggregate_of_runs_with_flags_is_that_of_the_kept_runs_alone():
+    # every statistic the same float, bit for bit: flagged runs, widths
+    # and all, are dropped before anything is summed
+    gen = np.random.default_rng(5)
+    records = []
+    for t in range(40):
+        m = int(gen.integers(0, 4))
+        records.append(make_record(
+            t, gen.random(m) * 3.0, covered=bool(gen.random() < 0.9), fdr=float(gen.random()),
+            risk=float(gen.random()) if t % 3 else None, K=float(gen.random() * 4.0),
+            model=tuple(range(m)), flagged="rank_deficient: synthetic" if t % 7 == 3 else None))
+    kept = [r for r in records if r.flagged is None]
+    with_flags, alone = aggregate(columns(records), 0.5), aggregate(columns(kept), 0.5)
+    assert (with_flags.trials, with_flags.flagged) == (len(kept), 6) and alone.flagged == 0
+    assert dataclasses.replace(with_flags, flagged=0, flag_reasons={}) == alone
+
+
 def test_aggregate_empty_input():
     with pytest.raises(EmptyInput):
         aggregate(columns([]))
@@ -619,7 +658,7 @@ def test_eta_sweep_rejects_nonfinite_grid(bad):
 
 
 # ---------------------------------------------------------------------------
-# trial-major engine against the eta-major oracle
+# the block engine against the eta-major oracle
 
 
 def sweep_cfg(selector, **kw):

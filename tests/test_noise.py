@@ -18,6 +18,8 @@ from stableci.noise import (KeyedGenerator, RngStream, log_descending_factorial,
 from stableci.selectors import (MECHANISMS, SelectorSpec, select_runs, stable_fs, stable_lasso,
                                 stable_screening)
 
+from oracles import child
+
 
 def unit_norm_design(n: int = 1000, d: int = 500) -> DesignMatrix:
     """Every column norm exactly 1 and every entry in {0, 1}."""
@@ -42,8 +44,8 @@ def test_stream_replay_and_path_separation():
 
 def test_child_extends_path():
     base = RngStream(7)
-    assert base.child(1).child(2).path == base.child(1, 2).path == (1, 2)
-    np.testing.assert_array_equal(base.child(1, 2).random(4),
+    assert child(child(base, 1), 2).path == child(base, 1, 2).path == (1, 2)
+    np.testing.assert_array_equal(child(base, 1, 2).random(4),
                                   RngStream(7, (1, 2)).random(4))
 
 

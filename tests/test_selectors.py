@@ -30,7 +30,7 @@ from stableci.selectors import (CD_STACK_TRIALS, FS_COLLINEAR_TOL, MAX_DEFAULT_F
                                 stable_screening, _lasso_steps, _StepDraws)
 from stableci.stability import StabilityBudget, certify_budgets, compose_adaptive_advanced
 
-from oracles import (alone, constrained_lstar_lower, fs_exact, fs_noisy, lasso_exact_fw,
+from oracles import (alone, child, constrained_lstar_lower, fs_exact, fs_noisy, lasso_exact_fw,
                      lasso_noisy, penalized_lasso_residual, screening_exact, screening_noisy,
                      set_scale, stack, support)
 
@@ -764,7 +764,7 @@ def test_step_draws_build_each_trial_stream_once_at_the_step_width(monkeypatch):
         rows = draws(step, going, 8 - step)
         assert rows.shape == (len(going), 8 - step)
         for row, b in zip(rows, going):
-            fresh = RngStream(31, (2, b)).child(step).standard_laplace(8 - step)
+            fresh = child(RngStream(31, (2, b)), step).standard_laplace(8 - step)
             assert row.tobytes() == fresh.tobytes()
     # each step stream of a trial with runs, up to its most rounds, once;
     # stream 1 has no run
@@ -780,7 +780,7 @@ def test_step_draws_of_a_block_are_the_fresh_streams_draws():
         draws = _StepDraws(seed, [(2, b) for b in range(5)], trial, 9)(9, trial, 7)
         assert draws.shape == (7, 7)
         for row, b in zip(draws, trial):
-            fresh = RngStream(seed, (2, b)).child(9).standard_laplace(7)
+            fresh = child(RngStream(seed, (2, b)), 9).standard_laplace(7)
             assert row.tobytes() == fresh.tobytes()
 
 
@@ -1012,7 +1012,7 @@ def test_stable_fs_trace_scores_live_candidates_only():
             assert twin not in live
         signed = (R[:, live].T @ y_res) / norms[live]
         exact = np.abs(signed)
-        noisy = np.abs(signed + RngStream(6).child(s.step).laplace(scale, len(live)))
+        noisy = np.abs(signed + child(RngStream(6), s.step).laplace(scale, len(live)))
         assert s.chosen in live
         i = live.index(s.chosen)
         assert i == int(np.argmax(noisy))
